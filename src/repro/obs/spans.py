@@ -59,7 +59,7 @@ class Span:
     """One named interval of simulated time within a trace tree."""
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "start", "end",
-                 "attrs", "_max_child_end")
+                 "attrs", "_parent", "_max_child_end")
 
     sampled = True
 
@@ -72,8 +72,10 @@ class Span:
         self.start = float(start)
         self.end: Optional[float] = None
         self.attrs: Dict[str, object] = dict(attrs)
-        # Latest finish time among direct children; lets a context-managed
+        # Parent object (set by Tracer.start_span) and, raised through it, the
+        # latest finish time among direct children: lets a context-managed
         # parent auto-close to the moment its subtree went quiet.
+        self._parent: Optional["Span"] = None
         self._max_child_end: Optional[float] = None
 
     def annotate(self, **attrs: object) -> "Span":
@@ -260,6 +262,7 @@ class Tracer:
             return NULL_SPAN
         span = Span(parent.trace_id, self._next_id("s"), parent.span_id,
                     name, start, **attrs)
+        span._parent = parent
         return self._record(span)
 
     def finish(self, span: SpanLike, end: float) -> SpanLike:
@@ -268,20 +271,14 @@ class Tracer:
             return span
         span.finish(end)
         self.finished += 1
-        self._bubble(span)
+        parent = span._parent
+        if parent is not None and (
+                parent._max_child_end is None or span.end > parent._max_child_end):
+            parent._max_child_end = span.end
         if span.parent_id is None and self._events is not None:
             self._events.emit(SPAN_FINISH, end, trace_id=span.trace_id,
                               name=span.name, duration=span.duration)
         return span
-
-    def _bubble(self, span: Span) -> None:
-        # The buffer is small and append-ordered; the parent of a
-        # just-finished span is almost always within the last few entries.
-        for candidate in reversed(self._buffer):
-            if candidate.span_id == span.parent_id:
-                if candidate._max_child_end is None or span.end > candidate._max_child_end:
-                    candidate._max_child_end = span.end
-                return
 
     @contextmanager
     def span(self, name: str, start: float, parent: Optional[SpanLike] = None,
@@ -330,10 +327,10 @@ class Tracer:
     def drain(self) -> List[Dict[str, object]]:
         """Pop all *finished* buffered spans as JSON-safe dicts.
 
-        Open spans stay buffered (their parents may still bubble child
-        finish times); cumulative counts and totals are untouched, so
-        repeated drains see every finished span exactly once.  This is the
-        streaming-export primitive: a long run drains to a
+        Open spans stay buffered until they finish (bubbling follows the
+        parent link, not the buffer); cumulative counts and totals are
+        untouched, so repeated drains see every finished span exactly once.
+        This is the streaming-export primitive: a long run drains to a
         :class:`repro.obs.stream.JsonlWriter` every window, keeping the
         tracer's memory footprint independent of run length.
         """

@@ -215,6 +215,7 @@ class RepairScheduler:
         self._g_backlog = self.metrics.gauge("repair.backlog")
         self._buckets: Dict[str, TokenBucket] = {}
         self._in_flight: Dict[Tuple[int, str], RepairJob] = {}
+        self._jobs_per_key: Dict[int, int] = {}  # len() == under-replicated keys
         self._backlog_series = None
         self._deficit_series = None
         store.attach_replica_tracker(self.tracker)
@@ -337,6 +338,7 @@ class RepairScheduler:
         size = self.store.directory.size_of(key)
         job = RepairJob(key=key, target=target, source=holders[0], size=size)
         self._in_flight[(key, target)] = job
+        self._jobs_per_key[key] = self._jobs_per_key.get(key, 0) + 1
         self.stats.scheduled += 1
         self._c_scheduled.inc()
         self._update_backlog()
@@ -360,29 +362,26 @@ class RepairScheduler:
         if self._in_flight.get((key, target)) is not job:
             return  # superseded
         if key not in self.store.directory:
-            del self._in_flight[(key, target)]  # removed or lost meanwhile
-            self._update_backlog()
+            self._drop(key, target)  # removed or lost meanwhile
             return
         group = self.ring.successors(key, self.store.replica_count)
         if target not in self.ring or target not in group:
             # Target died or the group shifted past it; drop this job and
             # re-derive what the key actually needs now.
-            del self._in_flight[(key, target)]
+            self._drop(key, target)
             self.stats.requeued += 1
-            self._update_backlog()
             self.reconcile(key)
             return
         if not self.tracker.has_copy(key, job.source):
             # Source died mid-transfer: retry from another survivor.
             self._retry(job)
             return
-        del self._in_flight[(key, target)]
+        self._drop(key, target)
         self.tracker.add_copy(key, target)
         self.stats.completed += 1
         self.stats.repaired_bytes += job.size
         self._c_completed.inc()
         self._c_repaired_bytes.inc(job.size)
-        self._update_backlog()
         if target == self.ring.successor(key):
             # The owner just finished re-materializing the primary copy, so
             # the primary's physical placement converges here (a crash may
@@ -403,14 +402,12 @@ class RepairScheduler:
         key, target = job.key, job.target
         survivors = self.tracker.holders_of(key)
         if not survivors:
-            del self._in_flight[(key, target)]
-            self._update_backlog()
+            self._drop(key, target)
             return  # loss recorded by the crash path
         job.attempts += 1
         if job.attempts > self.max_retries:
-            del self._in_flight[(key, target)]
+            self._drop(key, target)
             self.stats.abandoned += 1
-            self._update_backlog()
             return
         job.source = survivors[0]
         self.stats.retries += 1
@@ -427,6 +424,13 @@ class RepairScheduler:
         if self._in_flight.get((job.key, job.target)) is not job:
             return
         self._launch(job)
+
+    def _drop(self, key: int, target: str) -> None:
+        del self._in_flight[(key, target)]
+        left = self._jobs_per_key.pop(key) - 1
+        if left:
+            self._jobs_per_key[key] = left
+        self._update_backlog()
 
     # ------------------------------------------------------------------
     # loss ledger
@@ -458,12 +462,8 @@ class RepairScheduler:
         if backlog > self.stats.max_backlog:
             self.stats.max_backlog = backlog
         if self._backlog_series is not None:
-            now = self.sim.now
-            self._backlog_series.sample(now, float(backlog))
-            # Distinct keys with a repair in flight == keys currently
-            # known to be under-replicated.
-            deficit = len({key for key, _target in self._in_flight})
-            self._deficit_series.sample(now, float(deficit))
+            self._backlog_series.sample(self.sim.now, float(backlog))
+            self._deficit_series.sample(self.sim.now, float(len(self._jobs_per_key)))
 
     def seed_from_directory(self) -> None:
         """Adopt an already-loaded image: every block sits on its group.

@@ -4,6 +4,7 @@ monitor lifecycle on a live deployment, and fire/resolve cycles."""
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -160,6 +161,26 @@ def test_monitor_rows_are_deterministic():
     _, _, first = run_crash_scenario()
     _, _, second = run_crash_scenario()
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+def test_churn_cell_repair_gauges_match_committed_export():
+    """One storm cell's ``repair.backlog``/``repair.deficit`` windows and
+    alerts, byte for byte: the golden file was exported before the deficit
+    became a maintained per-key count, so any drift in that count (or in
+    when the gauges are sampled) shows as a differing line."""
+    from repro.experiments.churn_storm import STORM_LEVELS, run_churn_cell
+
+    row = run_churn_cell(dict(
+        level="storm", users=1, days=0.1, n_nodes=12, seed=42, trial=0,
+        correlated_events=1, drain_seconds=3600.0, **STORM_LEVELS["storm"]))
+    assert row["repair_requeued"] > 0 and row["repair_retries"] > 0
+    gauges = ("repair.backlog", "repair.deficit")
+    lines = [json.dumps(r, sort_keys=True) for r in row["health"]["rows"]
+             if r.get("name", r.get("series")) in gauges]
+    golden = os.path.join(os.path.dirname(__file__), "data",
+                          "churn_repair_health.jsonl")
+    with open(golden, encoding="utf-8") as handle:
+        assert lines == handle.read().splitlines()
 
 
 def test_observability_snapshot_includes_health():

@@ -1,14 +1,17 @@
 """Model-based (stateful) tests: caches vs brute-force reference models."""
 
+from collections import Counter
+
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.lookup_cache import LookupCache
 from repro.dht.keyspace import in_interval
 from repro.fs.blocks import BlockKind
 from repro.fs.fslayer import BlockOp
 from repro.fs.writeback_cache import WritebackCache
+from tests.test_membership import key_at, make_cluster
 
 SMALL_KEYS = st.integers(min_value=0, max_value=999)
 
@@ -171,3 +174,70 @@ class RingDirectoryMachine(RuleBasedStateMachine):
 
 TestRingDirectoryModel = RingDirectoryMachine.TestCase
 TestRingDirectoryModel.settings = settings(max_examples=40, deadline=None)
+
+
+class RepairDeficitMachine(RuleBasedStateMachine):
+    """The scheduler's per-key in-flight count (the ``repair.deficit``
+    gauge) must equal a recount of the job table after every mutation,
+    whichever way a job leaves it: completed, requeued, retried into
+    abandonment, source lost, or its key removed meanwhile."""
+
+    def __init__(self):
+        super().__init__()
+        # 10 B/s against 1000-byte blocks: a copy takes 100 s and queues
+        # behind its source's earlier copies, so jobs stay in flight across
+        # steps.
+        self.ring, self.sim, self.store, self.repair, self.membership = make_cluster(
+            n=7, bandwidth=10.0, min_nodes=3
+        )
+        self.repair.retry_delay = 30.0
+        self.joined = 0
+        sample = self.repair._update_backlog
+
+        def checked_sample():  # every in-flight mutation ends in a sample
+            self.count_matches_job_table()
+            sample()
+
+        self.repair._update_backlog = checked_sample
+
+    @initialize(max_retries=st.integers(min_value=0, max_value=2))
+    def retry_budget(self, max_retries):
+        self.repair.max_retries = max_retries  # 0: first lost source abandons
+
+    @rule(slot=st.integers(min_value=1, max_value=39))
+    def write(self, slot):
+        self.store.write(key_at(slot * 25), 1000)
+
+    @rule(slot=st.integers(min_value=1, max_value=39))
+    def remove(self, slot):
+        self.store.remove(key_at(slot * 25), delay=0.0)
+
+    @rule()
+    def join(self):
+        self.joined += 1
+        self.membership.join(f"j{self.joined}")
+
+    @rule(op=st.sampled_from(["leave", "crash", "crash"]), pick=st.integers(0, 63))
+    def depart(self, op, pick):
+        names = sorted(self.ring.names())
+        getattr(self.membership, op)(names[pick % len(names)])
+
+    @rule(delta=st.floats(min_value=1.0, max_value=500.0))
+    def advance(self, delta):
+        self.sim.run(until=self.sim.now + delta)
+
+    @invariant()
+    def count_matches_job_table(self):
+        in_flight = self.repair._in_flight
+        assert self.repair._jobs_per_key == Counter(key for key, _target in in_flight)
+        assert len(self.repair._jobs_per_key) == len({k for k, _ in in_flight})
+        if self.repair.backlog() == 0:
+            assert not self.repair._jobs_per_key
+
+    def teardown(self):
+        self.sim.run(until=self.sim.now + 50_000.0)
+        assert self.repair.backlog() == 0 and not self.repair._jobs_per_key
+
+
+TestRepairDeficitModel = RepairDeficitMachine.TestCase
+TestRepairDeficitModel.settings = settings(max_examples=40, deadline=None)

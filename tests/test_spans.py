@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import deque
 
 import pytest
 
@@ -125,6 +126,67 @@ class TestTracer:
         with tracer.span("noop", 2.0) as root:
             pass
         assert root.end == 2.0
+
+    def test_parent_rotated_out_of_buffer_still_closes_at_subtree_end(self):
+        # capacity=2: by the time the last child finishes, the root's entry
+        # has long left the ring buffer; the parent link still reaches it.
+        tracer = Tracer(capacity=2, sample=1.0)
+        with tracer.span("fetch", 1.0) as root:
+            for i in range(4):
+                tracer.finish(tracer.start_span("hop", 1.0 + i, root), 2.0 + i)
+            assert root not in tracer.spans()
+        assert root.end == 5.0
+        assert tracer.started == tracer.finished == 5
+
+    def test_child_finishing_after_drain_still_bubbles(self):
+        tracer = Tracer(sample=1.0)
+        with tracer.span("fetch", 0.0) as root:
+            with tracer.span("lookup", 0.0, root) as lookup:
+                hop = tracer.start_span("dht.hop", 0.0, lookup)
+                tracer.finish(tracer.start_span("dht.hop", 0.0, lookup), 0.5)
+                assert [d["name"] for d in tracer.drain()] == ["dht.hop"]
+                tracer.finish(hop, 2.0)
+            # An explicitly finished parent that was already drained
+            # absorbs a late child finish without touching the buffer.
+            early = tracer.start_span("transfer", 2.0, root)
+            late = tracer.start_span("tcp.transfer", 2.0, early)
+            tracer.finish(early, 2.5)
+            assert "transfer" in [d["name"] for d in tracer.drain()]
+            tracer.finish(late, 4.0)
+        assert lookup.end == 2.0
+        assert early.end == 2.5     # explicit finish wins over late bubbling
+        assert root.end == 2.5      # direct children only: lookup 2.0, transfer 2.5
+
+    def test_children_of_null_span_stay_null_and_hold_no_reference(self):
+        tracer = Tracer(sample=1.0)
+        child = tracer.start_span("lookup", 0.0, NULL_SPAN)
+        assert child is NULL_SPAN
+        assert tracer.start_span("hop", 0.0, child) is NULL_SPAN
+        assert not hasattr(NULL_SPAN, "_parent") and len(tracer) == 0
+        root = tracer.start_trace("fetch", 0.0)
+        assert root._parent is None
+        assert tracer.start_span("lookup", 0.0, root)._parent is root
+
+    def test_start_and_finish_never_walk_the_buffer(self):
+        # Bookkeeping is O(1): a parent link, not a buffer search.  A buffer
+        # that refuses iteration makes a reintroduced scan fail loudly.
+        class NoScanDeque(deque):
+            def __iter__(self):
+                raise AssertionError("span bookkeeping iterated the buffer")
+
+            def __reversed__(self):
+                raise AssertionError("span bookkeeping scanned the buffer")
+
+        tracer = Tracer(capacity=8, sample=1.0, events=EventTracer())
+        tracer._buffer = NoScanDeque(maxlen=8)
+        for i in range(20):  # roots, rotating the buffer
+            tracer.finish(tracer.start_trace("repair.copy", float(i)), float(i))
+        with tracer.span("fetch", 20.0) as root:
+            with tracer.span("lookup", 20.0, root) as lookup:
+                tracer.finish(tracer.start_span("dht.hop", 20.0, lookup), 21.0)
+            tracer.finish(tracer.start_span("transfer", 21.0, root), 23.0)
+        assert (lookup.end, root.end) == (21.0, 23.0)
+        assert tracer.started == tracer.finished == 24 and len(tracer) == 8
 
     def test_root_boundaries_mirrored_to_event_tracer(self):
         events = EventTracer()
