@@ -156,8 +156,7 @@ def run_scale_routing(
     ring = Ring()
     for index, node_id in enumerate(random_node_ids(n_nodes, rng)):
         ring.join(f"node{index:05d}", node_id)
-    fingers = finger_table_for(ring)
-    names = fingers.names
+    names = finger_table_for(ring).names
     key_rng = Random(seed + 1)
     keys = [key_rng.randrange(KEY_SPACE) for _ in range(ops)]
     sources = [names[key_rng.randrange(len(names))] for _ in range(0, ops, batch)]
@@ -167,9 +166,7 @@ def run_scale_routing(
     messages = 0
     started = time.perf_counter()
     for window, lo in enumerate(range(0, ops, batch)):
-        results = route_many(
-            ring, sources[window], keys[lo:lo + batch], fingers=fingers
-        )
+        results = route_many(ring, sources[window], keys[lo:lo + batch])
         for result in results:
             hops += result.hops
             messages += result.messages
@@ -302,8 +299,7 @@ def run_scale_read(
     )
 
     ring = deployment.ring
-    fingers = finger_table_for(ring)
-    names = fingers.names
+    names = finger_table_for(ring).names
     source_rng = Random(seed + 2)
     stream = scaled_read_stream(
         template, clones=clones, ops_per_clone=per_clone, copies=copies
@@ -319,7 +315,7 @@ def run_scale_read(
         fetch_lists = deployment.read_fetches_many(requests)
         source = names[source_rng.randrange(len(names))]
         first_keys = [fetch[0][0] for fetch in fetch_lists if fetch]
-        results = route_many(ring, source, first_keys, fingers=fingers)
+        results = route_many(ring, source, first_keys)
         for result in results:
             hops += result.hops
             messages += result.messages

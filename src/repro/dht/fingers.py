@@ -1,19 +1,23 @@
-"""Precomputed, version-keyed Chord finger tables.
+"""Per-ring-version Chord finger tables and the greedy walk, in index space.
 
-:func:`repro.dht.routing.route` resolves the finger rule ``successor(p +
-2**i)`` with a ring bisect per level per hop, which at 10^4 nodes makes a
-single lookup cost dozens of O(log n) probes over 512-bit integers.  The
-targets themselves are *invariant between ring versions*, so this module
-materializes them once per node per membership generation and serves every
-subsequent hop from plain list indexing.
+The finger rule is ``successor(p + 2**i)`` for every level ``i``, and a
+lookup greedily takes the farthest finger lying in ``(current, key]``.  In
+ring order that arc is a run of consecutive nodes: those strictly between
+the current node and the key's owner, plus the owner itself iff the key
+sits exactly on the owner's id.  So the hop path is a function of
+``(source index, owner index, key == owner id)`` alone, and one node's
+fingers reduce to the sorted tuple of their distinct *cyclic index offsets*
+from that node.  :meth:`FingerTable.walk` takes each hop with one bisect
+over such a tuple in small-int arithmetic; the 512-bit ids are only touched
+when a node's offsets are first derived.
 
 Two structural facts keep the tables small and cheap to build:
 
 * For every level where ``2**i <= distance(p, successor(p))`` the finger
-  is simply the node's immediate successor — with n uniformly-placed
+  is the node's immediate successor (offset 1) — with n uniformly-placed
   nodes that covers the bottom ``KEY_BITS - O(log n)`` levels, so only the
   top ``O(log n)`` levels need a bisect each.
-* Tables are built *lazily per node*: a routing stream only pays for the
+* Offsets are built *lazily per node*: a routing stream only pays for the
   nodes its hops actually visit.
 
 Invalidation follows the same contract as the ring's successor memos
@@ -23,25 +27,19 @@ bumps the version and the next access rebuilds from a fresh snapshot.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import List, Optional, Tuple
 
-from repro.dht.keyspace import KEY_BITS, KEY_SPACE, in_interval
+from repro.dht.keyspace import KEY_BITS, KEY_SPACE
 from repro.dht.ring import Ring, RingError
-
-#: One node's finger state: ``(low_levels, succ_index, upper_indexes)``.
-#: Levels ``0 .. low_levels-1`` all point at the immediate successor;
-#: level ``low_levels + k`` points at ``upper_indexes[k]``.
-NodeFingers = Tuple[int, int, Tuple[int, ...]]
 
 
 class FingerTable:
-    """Lazily-materialized finger targets for every node of one ring.
+    """Lazily-materialized finger offsets for every node of one ring.
 
     The table snapshots the ring's sorted ``(ids, names)`` arrays per
-    membership generation; per-node finger arrays are built on first visit
-    and reused until the ring version changes.  All lookups after the
-    snapshot are list indexing — no bisects on the hop hot path.
+    membership generation; per-node offset tuples are built on first visit
+    and reused until the ring version changes.
     """
 
     def __init__(self, ring: Ring) -> None:
@@ -49,10 +47,7 @@ class FingerTable:
         self._version = -1
         self._ids: Tuple[int, ...] = ()
         self._names: Tuple[str, ...] = ()
-        self._nodes: Dict[int, NodeFingers] = {}
-
-    # ------------------------------------------------------------------
-    # snapshot management
+        self._offsets: List[Optional[Tuple[int, ...]]] = []
 
     def refresh(self) -> None:
         """Re-snapshot the ring if its membership generation moved."""
@@ -61,7 +56,7 @@ class FingerTable:
             return
         self._ids = tuple(ring.positions())
         self._names = tuple(ring.names())
-        self._nodes.clear()
+        self._offsets = [None] * len(self._ids)
         self._version = ring.version
 
     def __len__(self) -> int:
@@ -86,67 +81,54 @@ class FingerTable:
             raise RingError(f"no node at position {node_id:#x}")
         return index
 
-    def owner_index(self, key: int) -> int:
-        """Ring-order index of the owner of *key* (successor bisect)."""
-        self.refresh()
-        if not self._ids:
-            raise RingError("ring is empty")
-        return bisect_left(self._ids, key) % len(self._ids)
+    def _build(self, index: int) -> Tuple[int, ...]:
+        """Distinct cyclic index offsets of node *index*'s fingers, sorted.
 
-    # ------------------------------------------------------------------
-    # finger materialization
-
-    def fingers_of(self, index: int) -> NodeFingers:
-        """Finger state of the node at ring-order *index* (built lazily)."""
-        self.refresh()
-        entry = self._nodes.get(index)
-        if entry is None:
-            entry = self._build(index)
-            self._nodes[index] = entry
-        return entry
-
-    def _build(self, index: int) -> NodeFingers:
+        Always contains 1 (level 0 is the immediate successor); a finger
+        that wraps all the way back to the node itself is never usable and
+        is left out.  Only called on rings of two or more nodes.
+        """
         ids = self._ids
         size = len(ids)
         p = ids[index]
-        succ_index = (index + 1) % size
-        if size == 1:
-            return (KEY_BITS, succ_index, ())
-        d_succ = (ids[succ_index] - p) % KEY_SPACE
-        # Levels with 2**i <= d_succ land inside (p, successor]: the finger
-        # is the immediate successor, no bisect needed.
-        low_levels = d_succ.bit_length()
-        upper: List[int] = []
+        # Levels with 2**i <= d_succ land inside (p, successor]: offset 1.
+        low_levels = ((ids[(index + 1) % size] - p) % KEY_SPACE).bit_length()
+        offsets = {1}
         for level in range(low_levels, KEY_BITS):
             target = (p + (1 << level)) % KEY_SPACE
-            upper.append(bisect_left(ids, target) % size)
-        return (low_levels, succ_index, tuple(upper))
+            offsets.add((bisect_left(ids, target) - index) % size)
+        offsets.discard(0)
+        return tuple(sorted(offsets))
 
-    # ------------------------------------------------------------------
-    # hop resolution
+    def walk(self, index: int, owner_index: int, exact: bool,
+             max_hops: int) -> List[str]:
+        """Greedy hop path, as node names, from *index* to *owner_index*.
 
-    def next_hop(self, index: int, current_id: int, key: int,
-                 remaining: int) -> Optional[int]:
-        """Index of the farthest finger of node *index* not overshooting *key*.
-
-        Mirrors the greedy rule of ``routing._best_finger`` exactly —
-        largest level first, candidate usable when it lies in ``(current,
-        key]`` — but resolves each candidate with list indexing instead of
-        a ring bisect.  Returns ``None`` when no finger makes progress (the
-        owner is the immediate successor).
+        *exact* says the key equals the owner's id, which makes the owner
+        itself a usable finger target; otherwise the farthest usable node
+        is the owner's predecessor and the last hop is a successor step.
+        Every hop shortens the remaining index distance, so the walk always
+        ends; a path longer than *max_hops* raises ``RuntimeError``.
         """
-        low_levels, succ_index, upper = self.fingers_of(index)
-        ids = self._ids
-        level = remaining.bit_length() - 1
-        while level >= low_levels:
-            candidate = upper[level - low_levels]
-            candidate_id = ids[candidate]
-            if candidate != index and in_interval(candidate_id, current_id, key):
-                return candidate
-            level -= 1
-        if level >= 0:
-            # All remaining levels point at the immediate successor.
-            candidate_id = ids[succ_index]
-            if succ_index != index and in_interval(candidate_id, current_id, key):
-                return succ_index
-        return None
+        self.refresh()
+        names = self._names
+        size = len(names)
+        per_node = self._offsets
+        slack = 0 if exact else 1
+        path = [names[index]]
+        remaining = (owner_index - index) % size
+        while remaining:
+            offsets = per_node[index]
+            if offsets is None:
+                offsets = per_node[index] = self._build(index)
+            # Farthest finger within (current, key]; 1 is always present,
+            # so a limit of 0 (owner is the successor) steps to it.
+            step = offsets[bisect_right(offsets, remaining - slack or 1) - 1]
+            remaining -= step
+            index += step
+            if index >= size:
+                index -= size
+            path.append(names[index])
+        if len(path) - 1 > max_hops:
+            raise RuntimeError("routing failed to converge; ring state is inconsistent")
+        return path

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.dht.ring import Ring
-from repro.dht.routing import LookupResult, finger_table_for, route
+from repro.dht.routing import LookupResult, route
 from repro.obs.events import EventTracer, register_kind
 from repro.obs.metrics import MetricsRegistry
 
@@ -315,8 +315,7 @@ class LearnedIndex:
     # ------------------------------------------------------------------
     # the lookup path
 
-    def lookup(self, source: str, key: int, *, fingers=None,
-               now: float = 0.0) -> LearnedLookup:
+    def lookup(self, source: str, key: int, *, now: float = 0.0) -> LearnedLookup:
         """Resolve *key* from *source*: predicted O(1) path, else routing.
 
         On a **hit** the path is ``source → predicted node → (≤ max_probe
@@ -342,8 +341,7 @@ class LearnedIndex:
                 self._c_hit.inc()
                 self.observe(key, hop_indexes[-1], now)
                 return LearnedLookup(result=result, predicted=predicted, hit=True)
-        table = fingers if fingers is not None else finger_table_for(self._ring)
-        result = route(self._ring, source, key, fingers=table)
+        result = route(self._ring, source, key)
         self.observe(key, self._ring.successor_index(key), now)
         if predicted is not None:
             self._c_mispredict.inc()

@@ -12,21 +12,19 @@ notes routing state can be repaired immediately (Section 8.1, footnote); we
 therefore always route over the up-to-date ring rather than simulating
 stale finger tables.
 
-Hot-path structure (the million-user scale engine):
+The greedy path depends on the key only through its owner: it is a function
+of ``(source index, owner index, key == owner id)``, taken by the one walk
+in :meth:`repro.dht.fingers.FingerTable.walk` over the ring's shared,
+version-keyed table (:func:`finger_table_for`).
 
-* :func:`route` — the single-lookup API every experiment uses.  It is a
-  thin wrapper over a shared per-ring :class:`~repro.dht.fingers.FingerTable`
-  (precomputed ``successor(p + 2**i)`` targets, invalidated exactly like
-  the ring's successor memos), so span emission and Figure-9 message
-  accounting are unchanged while each hop costs list indexing instead of
-  per-level ring bisects.
-* :func:`route_many` — batched resolution of many lookups over the same
-  shared finger state: one pass over the active frontier per hop level,
-  amortizing source resolution and snapshot checks across the batch.
-  Results are element-for-element identical to calling :func:`route`.
-* :func:`route_cold` — the original bisect-per-level implementation, kept
-  as the reference for equivalence tests and the cold side of
-  ``benchmarks/bench_micro_route.py``.
+* :func:`route` — one lookup, one walk, plus ``dht.hop`` spans on request.
+* :func:`route_many` — many lookups from one source: one walk per distinct
+  ``(owner, exact)`` in the batch.  D2's locality-preserving keys make a
+  task's lookups land on a few owners, so most of a batch reuses a path
+  already walked.  Results are element-for-element those of :func:`route`.
+* :func:`route_cold` — the original bisect-per-level implementation over
+  512-bit ids, kept as the reference for equivalence tests and the cold
+  side of ``benchmarks/bench_micro_route.py``.
 
 The functions here return both the hop path (for latency accounting — each
 hop is one network RTT leg in the recursive lookup) and the message count
@@ -38,10 +36,10 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dht.fingers import FingerTable
-from repro.dht.keyspace import KEY_BITS, KEY_SPACE, distance, in_interval
+from repro.dht.keyspace import KEY_BITS, distance, in_interval
 from repro.dht.ring import Ring
 
 
@@ -85,38 +83,10 @@ def finger_table_for(ring: Ring) -> FingerTable:
     return table
 
 
-def _greedy_path(
-    table: FingerTable, ring: Ring, source: str, key: int, max_hops: int
-) -> List[str]:
-    """Hop path from *source* to the owner of *key* over shared fingers.
-
-    Exactly the greedy rule of :func:`route_cold`, resolved against the
-    precomputed table: same paths, same hop counts, same failure mode.
-    """
-    names = table.names  # refreshes the snapshot if the ring changed
-    ids = table.ids
-    owner_index = ring.successor_index(key)
-    current_id = ring.position_of(source)
-    path = [source]
-    if len(ids) == 1:
-        return path
-    index = table.index_of_id(current_id)
-    hops = 0
-    while index != owner_index:
-        remaining = (key - current_id) % KEY_SPACE
-        if remaining == 0:
-            break
-        nxt = table.next_hop(index, current_id, key, remaining)
-        if nxt is None or nxt == index:
-            # No finger makes progress: the owner is our immediate successor.
-            nxt = (index + 1) % len(ids)
-        path.append(names[nxt])
-        index = nxt
-        current_id = ids[nxt]
-        hops += 1
-        if hops > max_hops:
-            raise RuntimeError("routing failed to converge; ring state is inconsistent")
-    return path
+def _source_index(ring: Ring, table: FingerTable, source: str) -> int:
+    if source not in ring:
+        raise ValueError(f"source node {source!r} not in ring")
+    return table.index_of_id(ring.position_of(source))
 
 
 def _emit_hop_spans(
@@ -142,31 +112,29 @@ def route(
     parent=None,
     now: float = 0.0,
     leg_time: Optional[Callable[[str, str], float]] = None,
-    fingers: Optional[FingerTable] = None,
 ) -> LookupResult:
     """Route a lookup for *key* from node *source* over *ring*.
 
     Implements greedy finger routing: at each step the current node
     forwards to the finger (``successor(current + 2**i)`` for the largest
-    ``i``) that lands inside the remaining arc ``(current, key)``, falling
-    back to its immediate successor.  Terminates at the key's owner.
-
-    Hops resolve against the ring's shared precomputed
-    :class:`~repro.dht.fingers.FingerTable` (pass *fingers* to supply an
-    explicit table); paths are identical to :func:`route_cold`.
+    ``i``) that lands inside the remaining arc ``(current, key]``, falling
+    back to its immediate successor.  Terminates at the key's owner; paths
+    are identical to :func:`route_cold`.
 
     With a span *tracer* and a live *parent* span, one ``dht.hop`` child
     span is emitted per hop leg, starting at *now* and advancing by
     ``leg_time(from, to)`` per leg (zero-duration hops when no *leg_time*
     is given).  A falsy tracer or parent costs one truthiness check.
     """
-    if source not in ring:
-        raise ValueError(f"source node {source!r} not in ring")
-    table = fingers if fingers is not None else finger_table_for(ring)
-    path = _greedy_path(table, ring, source, key, max_hops)
+    table = finger_table_for(ring)
+    source_index = _source_index(ring, table, source)
+    owner_index = ring.successor_index(key)
+    path = table.walk(
+        source_index, owner_index, table.ids[owner_index] == key, max_hops
+    )
     if tracer and parent:
         _emit_hop_spans(path, tracer, parent, now, leg_time)
-    return LookupResult(key=key, owner=ring.successor(key), path=path)
+    return LookupResult(key, path[-1], path)
 
 
 def route_many(
@@ -175,66 +143,38 @@ def route_many(
     keys: Sequence[int],
     *,
     max_hops: int = 4 * KEY_BITS,
-    fingers: Optional[FingerTable] = None,
 ) -> List[LookupResult]:
-    """Resolve many lookups from one *source* over shared finger state.
+    """Resolve many lookups from one *source*, walking once per owner.
 
-    The batch advances as a frontier: one pass over the still-active
-    lookups per hop level, with the source position, ring snapshot, and
-    finger arrays resolved once for the whole batch instead of once per
-    key.  Returns one :class:`LookupResult` per key, in key order, each
-    identical to what :func:`route` would produce.
+    The path to a key is determined by its owner and by whether the key
+    sits exactly on the owner's id, so the batch walks the fingers once
+    per distinct ``(owner index, exact)`` and every further key of that
+    owner copies the walked path.  Returns one :class:`LookupResult` per
+    key, in key order, each identical to what :func:`route` would produce
+    and each owning its ``path`` list.
 
     This is the span-free hot path for high-volume lookup streams (the
     scale harness, cache warmers, learned-lookup training data); callers
     that need per-hop spans route keys individually via :func:`route`.
     """
-    if source not in ring:
-        raise ValueError(f"source node {source!r} not in ring")
-    table = fingers if fingers is not None else finger_table_for(ring)
-    names = table.names
+    table = finger_table_for(ring)
+    source_index = _source_index(ring, table, source)
     ids = table.ids
-    size = len(ids)
-    source_id = ring.position_of(source)
-    results: List[Optional[LookupResult]] = [None] * len(keys)
-
-    if size == 1:
-        for slot, key in enumerate(keys):
-            results[slot] = LookupResult(key=key, owner=source, path=[source])
-        return results  # type: ignore[return-value]
-
-    source_index = table.index_of_id(source_id)
-    # Active frontier: (result slot, key, owner index, current index,
-    # current id, path).  Completed lookups drop out each pass.
-    active: List[Tuple[int, int, int, int, int, List[str]]] = []
-    for slot, key in enumerate(keys):
-        owner_index = ring.successor_index(key)
-        if source_index == owner_index or (key - source_id) % KEY_SPACE == 0:
-            results[slot] = LookupResult(
-                key=key, owner=names[owner_index], path=[source]
+    successor_index = ring.successor_index
+    walked: Dict[Tuple[int, bool], List[str]] = {}
+    results: List[LookupResult] = []
+    for key in keys:
+        owner_index = successor_index(key)
+        exact = ids[owner_index] == key
+        path = walked.get((owner_index, exact))
+        if path is None:
+            path = walked[owner_index, exact] = table.walk(
+                source_index, owner_index, exact, max_hops
             )
         else:
-            active.append((slot, key, owner_index, source_index, source_id, [source]))
-
-    next_hop = table.next_hop
-    hops = 0
-    while active:
-        hops += 1
-        if hops > max_hops:
-            raise RuntimeError("routing failed to converge; ring state is inconsistent")
-        still_active: List[Tuple[int, int, int, int, int, List[str]]] = []
-        for slot, key, owner_index, index, current_id, path in active:
-            remaining = (key - current_id) % KEY_SPACE
-            nxt = next_hop(index, current_id, key, remaining)
-            if nxt is None or nxt == index:
-                nxt = (index + 1) % size
-            path.append(names[nxt])
-            if nxt == owner_index or (key - ids[nxt]) % KEY_SPACE == 0:
-                results[slot] = LookupResult(key=key, owner=names[owner_index], path=path)
-            else:
-                still_active.append((slot, key, owner_index, nxt, ids[nxt], path))
-        active = still_active
-    return results  # type: ignore[return-value]
+            path = path[:]  # each result owns its list
+        results.append(LookupResult(key, path[-1], path))
+    return results
 
 
 def route_cold(

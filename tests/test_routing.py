@@ -1,9 +1,12 @@
 """Tests for the Chord-style greedy finger routing model."""
 
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.keyspace import KEY_SPACE
@@ -191,6 +194,110 @@ class TestMessages:
         result = route(ring, "n0", rng.randrange(KEY_SPACE))
         assert result.messages == result.hops + 1
 
+    def test_results_are_immutable(self):
+        ring, rng = build_ring(32)
+        key = rng.randrange(KEY_SPACE)
+        for result in (route(ring, "n0", key), route_many(ring, "n0", [key])[0],
+                       route_cold(ring, "n0", key)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                result.owner = "n1"
+
     def test_expected_hops_formula(self):
         assert expected_hops(1) == 0.0
         assert expected_hops(1024) == pytest.approx(5.0)
+
+
+# ----------------------------------------------------------------------
+# The index-space walk against the 512-bit reference, on adversarial rings
+
+_ANY_ID = st.integers(min_value=0, max_value=KEY_SPACE - 1)
+
+
+@st.composite
+def ring_source_keys(draw):
+    """A 1-64 node ring, a source on it, and a batch of boundary keys.
+
+    Node ids cluster around a few anchors (adjacent ids, ids a few apart)
+    and around both ends of the key space (0 and ``KEY_SPACE - 1``
+    included); keys are random, exactly a node id, one off a node id,
+    past the largest id (so ownership wraps), or the source's own id, and
+    the batch repeats both keys and owners.
+    """
+    anchors = draw(st.lists(_ANY_ID, max_size=6)) + [0, KEY_SPACE - 1]
+    near_anchor = st.builds(
+        lambda anchor, delta: (anchor + delta) % KEY_SPACE,
+        st.sampled_from(anchors), st.integers(-3, 3),
+    )
+    ids = sorted(draw(st.sets(near_anchor | _ANY_ID, min_size=1, max_size=64)))
+    ring = Ring()
+    for index, node_id in enumerate(ids):
+        ring.join(f"n{index}", node_id)
+    source = f"n{draw(st.integers(0, len(ids) - 1))}"
+    near_node = st.builds(
+        lambda node_id, delta: (node_id + delta) % KEY_SPACE,
+        st.sampled_from(ids), st.sampled_from([-1, 0, 1]),
+    )
+    past_largest = st.integers(ids[-1], KEY_SPACE - 1)
+    key = near_node | past_largest | _ANY_ID | st.just(ring.position_of(source))
+    keys = draw(st.lists(key, min_size=1, max_size=12))
+    # Same keys again, and each key's neighbour (usually the same owner).
+    keys += keys[::2] + [(k - 1) % KEY_SPACE for k in keys[:4]]
+    return ring, source, keys
+
+
+def cold_paths(ring, source, keys):
+    return [route_cold(ring, source, key).path for key in keys]
+
+
+class TestWalkMatchesReference:
+    @settings(deadline=None, max_examples=150)
+    @given(ring_source_keys())
+    def test_route_and_route_many_equal_cold(self, case):
+        ring, source, keys = case
+        expected = cold_paths(ring, source, keys)
+        batched = route_many(ring, source, keys)
+        assert [r.path for r in batched] == expected
+        assert [r.key for r in batched] == keys
+        assert [r.owner for r in batched] == [ring.successor(k) for k in keys]
+        assert [route(ring, source, k).path for k in keys] == expected
+
+    @settings(deadline=None, max_examples=50)
+    @given(ring_source_keys())
+    def test_batch_results_do_not_alias(self, case):
+        ring, source, keys = case
+        results = route_many(ring, source, keys)
+        expected = [list(r.path) for r in results]
+        for index, result in enumerate(results):
+            result.path.append("scribble")
+            others = [r.path for r in results[index + 1:]]
+            assert others == expected[index + 1:]
+        # Nothing of the finished batch leaks into the next one either.
+        assert [r.path for r in route_many(ring, source, keys)] == expected
+
+    @settings(deadline=None, max_examples=50)
+    @given(ring_source_keys(), _ANY_ID)
+    def test_membership_change_between_batches(self, case, new_id):
+        ring, source, keys = case
+        route_many(ring, source, keys)
+        if not ring.occupied(new_id):
+            ring.join("late", new_id)
+        assert [r.path for r in route_many(ring, source, keys)] == \
+            cold_paths(ring, source, keys)
+        others = [name for name in ring.names() if name != source]
+        if others:
+            ring.leave(others[0])
+        assert [r.path for r in route_many(ring, source, keys)] == \
+            cold_paths(ring, source, keys)
+
+    def test_max_hops_bound_still_raises(self):
+        ring, rng = build_ring(64, seed=11)
+        keys = [rng.randrange(KEY_SPACE) for _ in range(40)]
+        longest = max(route(ring, "n0", key).hops for key in keys)
+        assert longest >= 2
+        with pytest.raises(RuntimeError):
+            route_many(ring, "n0", keys, max_hops=longest - 1)
+        with pytest.raises(RuntimeError):
+            for key in keys:
+                route(ring, "n0", key, max_hops=longest - 1)
+        # The bound is inclusive: a path of exactly max_hops hops is fine.
+        assert len(route_many(ring, "n0", keys, max_hops=longest)) == len(keys)

@@ -166,6 +166,37 @@ class TestScaleHarness:
         assert a.cold_ops == 50 and a.cold_wall_seconds > 0
         assert a.hops > 0 and a.messages == a.hops + a.ops
 
+    def test_deterministic_routing_work_golden(self, monkeypatch):
+        """Routing work of the CI-sized cells, recorded at the commit before
+        routing moved to index space (PR 13): hop, message and fetch totals
+        and the owner-sequence checksum must never move for these bundles."""
+        from repro.analysis.scale import run_scale_routing
+        from repro.experiments.scale_matrix import scale_cells
+        from repro.runner.cells import scale_cell
+
+        # Ambient knobs that change what the read cell streams.
+        monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
+        monkeypatch.delenv("REPRO_SCALE_EXPORT_DIR", raising=False)
+        routing = run_scale_routing(
+            n_nodes=400, ops=4000, batch=512, cold_ops=0, seed=11
+        )
+        assert routing.deterministic_row() == {
+            "cell": "routing", "n_nodes": 400, "users": 0, "ops": 4000,
+            "hops": 20895, "messages": 24895, "fetches": 0, "skipped": 0,
+            "windows": 8, "checksum": "ac6e81043199b31a",
+            "streamed_rows": 0, "streamed_spans": 0, "streamed_health": 0,
+        }
+        (read_params,) = scale_cells(
+            routing_nodes=(), read_cells=((32, 400),), read_base_size=16,
+            read_ops_per_user=4, read_window=256, users=2, days=0.25,
+        )
+        assert scale_cell(read_params).deterministic_row() == {
+            "cell": "read", "n_nodes": 32, "users": 400, "ops": 800,
+            "hops": 2400, "messages": 3200, "fetches": 24281, "skipped": 7,
+            "windows": 4, "checksum": "b89810c2e4996c48",
+            "streamed_rows": 4, "streamed_spans": 592, "streamed_health": 12,
+        }
+
     def test_read_cell_smoke(self):
         from repro.analysis.scale import run_scale_read
         from repro.core.system import build_deployment
