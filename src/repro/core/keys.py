@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from repro.dht.keyspace import KEY_BYTES, key_from_bytes, key_to_bytes
 
@@ -239,7 +239,7 @@ def compose_block_key(prefix_key: int, block_number: int, version: int) -> int:
     ``block_number=0, version=0`` (zeroed trailing fields); *version* is the
     already-hashed 4-byte field value.  The result is bit-identical to
     re-encoding the full 64-byte key, without redoing the volume/slot/
-    remainder packing — key schemes hoist the prefix out of per-block loops.
+    remainder packing — key schemes memoise the prefix per file or directory.
     """
     if prefix_key & _TRAILING_MASK:
         raise KeyEncodingError("prefix key must have zero block/version fields")
@@ -248,3 +248,30 @@ def compose_block_key(prefix_key: int, block_number: int, version: int) -> int:
     if not 0 <= version <= MAX_VERSION:
         raise KeyEncodingError(f"version {version} out of range")
     return prefix_key | (block_number << _BLOCK_SHIFT) | version
+
+
+def compose_block_run(
+    prefix_key: int, blocks: range, block_versions: Mapping[int, int], version: int
+) -> List[int]:
+    """Keys of the contiguous run *blocks* of one file, in block order.
+
+    A file's blocks are one run of keys under its prefix (Figure 4), so a
+    read keys them together: block ``n`` gets exactly
+    ``compose_block_key(prefix_key, n, version_hash(block_versions.get(n,
+    version)))``, with the prefix and the ends of the range checked once
+    for the run.  *block_versions* / *version* are content versions; the
+    field needs no check because :func:`version_hash` always fits it.
+    """
+    if not isinstance(blocks, range):
+        raise TypeError(f"blocks must be a range, got {type(blocks).__name__}")
+    if prefix_key & _TRAILING_MASK:
+        raise KeyEncodingError("prefix key must have zero block/version fields")
+    if blocks and not (
+        0 <= blocks[0] <= MAX_BLOCK_NUMBER and 0 <= blocks[-1] <= MAX_BLOCK_NUMBER
+    ):
+        raise KeyEncodingError(f"block numbers {blocks[0]}..{blocks[-1]} out of range")
+    version_of = block_versions.get
+    return [
+        prefix_key | (number << _BLOCK_SHIFT) | version_hash(version_of(number, version))
+        for number in blocks
+    ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import D2Config
 from repro.core.lookup_cache import LookupCache
@@ -37,7 +37,6 @@ from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.load_balance import KargerRuhlBalancer
 from repro.dht.ring import Ring
 from repro.fs.blocks import (
-    INLINE_DATA_THRESHOLD,
     BlockKind,
     blocks_covering,
     data_block_sizes_table,
@@ -138,13 +137,6 @@ class Deployment:
             )
         self._probe_task: Optional[PeriodicTask] = None
         self._lookup_caches: Dict[str, LookupCache] = {}
-        # Interned per-file key makers, keyed by the file's stable storage
-        # identity (slot path + overflow — exactly what every scheme's
-        # prefix depends on, and what rename preserves).  Bounded like the
-        # ring memos: on overflow the table is dropped and rebuilt.
-        self._key_makers: Dict[
-            Tuple[Tuple[int, ...], Tuple[str, ...]], Callable[[int, int], int]
-        ] = {}
         self.seed = seed
         self.membership = None  # MembershipService, set by enable_dynamic_membership
         self.repair = None      # RepairScheduler, set alongside it
@@ -319,51 +311,28 @@ class Deployment:
     def apply_fs_ops(self, ops: Sequence[BlockOp]) -> Dict[str, int]:
         return apply_ops(self.store, ops)
 
-    #: Bound on the interned key-maker table (mirrors the ring memo cap).
-    _KEY_MAKER_MAX = 1 << 17
-
-    def _key_maker_for(self, node) -> Callable[[int, int], int]:
-        """Interned ``(block_number, version) -> key`` function for *node*.
-
-        The per-file prefix work (volume/slot/identity encoding) is done
-        once per file *per deployment*, not once per read: the maker is
-        cached by the file's storage identity, which every scheme's keys
-        are a pure function of.  A recreated file reusing a slot gets the
-        same identity and therefore the same (still correct) maker.
-        """
-        ident = (node.slot_path, node.overflow)
-        maker = self._key_makers.get(ident)
-        if maker is None:
-            if len(self._key_makers) >= self._KEY_MAKER_MAX:
-                self._key_makers.clear()
-            maker = self.fs.scheme.file_key_maker(node)
-            self._key_makers[ident] = maker
-        return maker
-
     def _fetches_for(self, node, offset: int,
                      length: Optional[int]) -> List[Tuple[int, int]]:
         """(key, nbytes) pairs for one resolved file node (see read_fetches)."""
-        if length is None or length <= 0:
-            length = node.size
-        key_for = self._key_maker_for(node)
-        fetches: List[Tuple[int, int]] = [
-            (key_for(0, node.version), inode_size(node.size))
-        ]
-        if node.size > INLINE_DATA_THRESHOLD and length > 0:
-            sizes = data_block_sizes_table(node.size)
-            block_versions = node.block_versions
-            node_version = node.version
-            for number in blocks_covering(offset, length, node.size):
-                version = block_versions.get(number, node_version)
-                fetches.append((key_for(number, version), sizes[number - 1]))
+        size = node.size
+        # Before any key is made: raises ValueError on a negative offset or
+        # length, whatever the file's size.
+        blocks = blocks_covering(offset, length or size, size)
+        scheme = self.fs.scheme
+        fetches = [(scheme.file_block_key(node, 0, node.version), inode_size(size))]
+        if blocks:
+            sizes = data_block_sizes_table(size)[blocks[0] - 1:blocks[-1]]
+            fetches.extend(zip(scheme.file_block_keys(node, blocks), sizes))
         return fetches
 
     def read_fetches(self, path: str, offset: int = 0,
                      length: Optional[int] = None) -> List[Tuple[int, int]]:
         """(key, nbytes) the DHT must serve for a read (inode + data).
 
-        Under traditional-file all pairs share the file's single key but
-        remain per-block, so transfer accounting still sees 8 KB units.
+        A *length* of ``0`` or ``None`` reads to the end of the file; a
+        negative *offset* or *length* raises :class:`ValueError`.  Under
+        traditional-file all pairs share the file's single key but remain
+        per-block, so transfer accounting still sees 8 KB units.
         """
         return self._fetches_for(self.fs.namespace.resolve_file(path), offset, length)
 
@@ -372,20 +341,29 @@ class Deployment:
     ) -> List[List[Tuple[int, int]]]:
         """Batched :meth:`read_fetches` over a replay window.
 
-        *requests* is an iterable of ``(path, offset, length)`` triples;
+        *requests* is any iterable of ``(path, offset, length)`` sequences;
         the result list is aligned with it, each entry exactly what
-        :meth:`read_fetches` would return for that triple.  Namespace
-        resolution, key-maker interning, and block-size tables are shared
-        across the batch, eliminating the per-op closure and list
-        allocations of the one-at-a-time path — this is what the scale
-        harness replays millions of reads through.
+        :meth:`read_fetches` would return for that triple (and the same
+        exception for the first request that would raise).  A replay
+        window repeats few distinct requests many times, so each distinct
+        triple is resolved, sized and keyed once per call; repeats get
+        their own list over the same immutable ``(key, nbytes)`` pairs.
+        Nothing is kept between calls — the namespace cannot change
+        inside one, so there is nothing to invalidate.
         """
         resolve = self.fs.namespace.resolve_file
         fetches_for = self._fetches_for
-        return [
-            fetches_for(resolve(path), offset, length)
-            for path, offset, length in requests
-        ]
+        distinct: Dict[Tuple[str, int, Optional[int]], List[Tuple[int, int]]] = {}
+        results: List[List[Tuple[int, int]]] = []
+        for path, offset, length in requests:
+            request = (path, offset, length)
+            fetches = distinct.get(request)
+            if fetches is None:
+                fetches = distinct[request] = fetches_for(resolve(path), offset, length)
+            else:
+                fetches = fetches[:]
+            results.append(fetches)
+        return results
 
     # ------------------------------------------------------------------
     # trace replay

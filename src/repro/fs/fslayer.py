@@ -487,10 +487,7 @@ class DhtFileSystem:
     def file_data_keys(self, path: str) -> List[int]:
         """Current-version data-block keys of a file (inode excluded)."""
         node = self.namespace.resolve_file(path)
-        return [
-            self.scheme.file_block_key(node, number, node.block_versions.get(number, node.version))
-            for number in range(1, data_block_count(node.size) + 1)
-        ]
+        return self.scheme.file_block_keys(node, range(1, data_block_count(node.size) + 1))
 
     def total_bytes(self) -> int:
         return self.namespace.total_file_bytes()

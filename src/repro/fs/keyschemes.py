@@ -19,9 +19,15 @@ hashes) plus block number and version — to a 64-byte ring key:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Tuple
+from typing import Dict, List, Tuple, Union
 
-from repro.core.keys import compose_block_key, encode_path_key, version_hash, volume_id
+from repro.core.keys import (
+    compose_block_key,
+    compose_block_run,
+    encode_path_key,
+    version_hash,
+    volume_id,
+)
 from repro.dht.consistent_hashing import hashed_key
 from repro.fs.namespace import Directory, FileNode
 
@@ -39,9 +45,32 @@ def storage_identity(slot_path: Tuple[int, ...], overflow: Tuple[str, ...]) -> s
 
 
 class KeyScheme(ABC):
-    """Maps FS blocks to ring keys.  One instance per volume per system."""
+    """Maps FS blocks to ring keys.  One instance per volume per system.
+
+    Everything in a key except block number and version is a pure function
+    of the object's storage identity ``(slot_path, overflow)``.  That part —
+    the *prefix* — is made once per identity and memoised here, so reads
+    and writes key blocks the same way: prefix, then the per-block fields.
+    Rename keeps the identity and therefore the keys; a recreated object
+    that reuses a slot has the same identity and the same (correct) prefix.
+    """
 
     name: str
+
+    def __init__(self, volume_name: str) -> None:
+        self.volume_name = volume_name
+        self._prefixes: Dict[Tuple[Tuple[int, ...], Tuple[str, ...]], Union[int, str]] = {}
+
+    @abstractmethod
+    def _make_prefix(self, slot_path: Tuple[int, ...], overflow: Tuple[str, ...]):
+        """The version- and block-independent part of an object's keys."""
+
+    def _prefix(self, obj: Union[FileNode, Directory]):
+        ident = (obj.slot_path, obj.overflow)
+        prefix = self._prefixes.get(ident)
+        if prefix is None:
+            prefix = self._prefixes[ident] = self._make_prefix(*ident)
+        return prefix
 
     @abstractmethod
     def file_block_key(self, node: FileNode, block_number: int, version: int) -> int:
@@ -55,16 +84,18 @@ class KeyScheme(ABC):
     def root_key(self) -> int:
         """Key of the volume's root block (stable; updated in place)."""
 
-    def file_key_maker(self, node: FileNode) -> Callable[[int, int], int]:
-        """Per-file key function ``(block_number, version) -> key``.
+    def file_block_keys(self, node: FileNode, blocks: range) -> List[int]:
+        """Keys of the live versions of the run *blocks* of one file.
 
-        Keys every block of one file without redoing the per-file work
-        (prefix encoding, identity hashing) on each call — the replay hot
-        path keys every block of every read.  The default defers to
-        :meth:`file_block_key`; schemes override it with a hoisted prefix.
-        Results are always identical to calling :meth:`file_block_key`.
+        Always ``[file_block_key(node, n, node.block_versions.get(n,
+        node.version)) for n in blocks]``; schemes whose keys share work
+        across a run override it.
         """
-        return lambda block_number, version: self.file_block_key(node, block_number, version)
+        version_of = node.block_versions.get
+        return [
+            self.file_block_key(node, number, version_of(number, node.version))
+            for number in blocks
+        ]
 
 
 class D2KeyScheme(KeyScheme):
@@ -73,36 +104,21 @@ class D2KeyScheme(KeyScheme):
     name = "d2"
 
     def __init__(self, volume_name: str) -> None:
-        self.volume_name = volume_name
+        super().__init__(volume_name)
         self.volume = volume_id(volume_name)
 
+    def _make_prefix(self, slot_path: Tuple[int, ...], overflow: Tuple[str, ...]) -> int:
+        # The Figure-4 key with zeroed block-number and version fields.
+        return encode_path_key(self.volume, slot_path, overflow_components=overflow)
+
     def file_block_key(self, node: FileNode, block_number: int, version: int) -> int:
-        return encode_path_key(
-            self.volume,
-            node.slot_path,
-            overflow_components=node.overflow,
-            block_number=block_number,
-            version=version_hash(version),
-        )
+        return compose_block_key(self._prefix(node), block_number, version_hash(version))
 
     def directory_block_key(self, directory: Directory, block_number: int, version: int) -> int:
-        return encode_path_key(
-            self.volume,
-            directory.slot_path,
-            overflow_components=directory.overflow,
-            block_number=block_number,
-            version=version_hash(version),
-        )
+        return compose_block_key(self._prefix(directory), block_number, version_hash(version))
 
-    def file_key_maker(self, node: FileNode) -> Callable[[int, int], int]:
-        # Encode the volume/slot/remainder prefix once; per block only the
-        # trailing block-number and version fields change.
-        prefix = encode_path_key(
-            self.volume, node.slot_path, overflow_components=node.overflow
-        )
-        return lambda block_number, version: compose_block_key(
-            prefix, block_number, version_hash(version)
-        )
+    def file_block_keys(self, node: FileNode, blocks: range) -> List[int]:
+        return compose_block_run(self._prefix(node), blocks, node.block_versions, node.version)
 
     def root_key(self) -> int:
         # Block 0 / version 0 at the empty slot path: the volume's lowest
@@ -110,32 +126,29 @@ class D2KeyScheme(KeyScheme):
         return encode_path_key(self.volume, (), block_number=0, version=0)
 
 
-class TraditionalKeyScheme(KeyScheme):
-    """One uniform hashed key per block (the paper's *traditional* DHT)."""
+class _HashedKeyScheme(KeyScheme):
+    """Shared by the hashed baselines: the prefix is ``volume|identity``."""
 
-    name = "traditional"
-
-    def __init__(self, volume_name: str) -> None:
-        self.volume_name = volume_name
-
-    def file_block_key(self, node: FileNode, block_number: int, version: int) -> int:
-        ident = storage_identity(node.slot_path, node.overflow)
-        return hashed_key(f"{self.volume_name}|{ident}|b{block_number}|v{version}")
-
-    def file_key_maker(self, node: FileNode) -> Callable[[int, int], int]:
-        # Build the volume|identity prefix string once per file.
-        prefix = f"{self.volume_name}|{storage_identity(node.slot_path, node.overflow)}"
-        return lambda block_number, version: hashed_key(f"{prefix}|b{block_number}|v{version}")
-
-    def directory_block_key(self, directory: Directory, block_number: int, version: int) -> int:
-        ident = storage_identity(directory.slot_path, directory.overflow)
-        return hashed_key(f"{self.volume_name}|{ident}|d{block_number}|v{version}")
+    def _make_prefix(self, slot_path: Tuple[int, ...], overflow: Tuple[str, ...]) -> str:
+        return f"{self.volume_name}|{storage_identity(slot_path, overflow)}"
 
     def root_key(self) -> int:
         return hashed_key(f"{self.volume_name}|<root>")
 
 
-class TraditionalFileKeyScheme(KeyScheme):
+class TraditionalKeyScheme(_HashedKeyScheme):
+    """One uniform hashed key per block (the paper's *traditional* DHT)."""
+
+    name = "traditional"
+
+    def file_block_key(self, node: FileNode, block_number: int, version: int) -> int:
+        return hashed_key(f"{self._prefix(node)}|b{block_number}|v{version}")
+
+    def directory_block_key(self, directory: Directory, block_number: int, version: int) -> int:
+        return hashed_key(f"{self._prefix(directory)}|d{block_number}|v{version}")
+
+
+class TraditionalFileKeyScheme(_HashedKeyScheme):
     """One hashed key per *file* (the paper's *traditional-file* DHT).
 
     Every block of a file shares the file's key, so the whole file lives on
@@ -146,24 +159,14 @@ class TraditionalFileKeyScheme(KeyScheme):
 
     name = "traditional-file"
 
-    def __init__(self, volume_name: str) -> None:
-        self.volume_name = volume_name
-
     def file_block_key(self, node: FileNode, block_number: int, version: int) -> int:
-        ident = storage_identity(node.slot_path, node.overflow)
-        return hashed_key(f"{self.volume_name}|{ident}|file")
-
-    def file_key_maker(self, node: FileNode) -> Callable[[int, int], int]:
-        # One key per file: hash it once, every block reuses it.
-        key = self.file_block_key(node, 0, 0)
-        return lambda _block_number, _version: key
+        return hashed_key(f"{self._prefix(node)}|file")
 
     def directory_block_key(self, directory: Directory, block_number: int, version: int) -> int:
-        ident = storage_identity(directory.slot_path, directory.overflow)
-        return hashed_key(f"{self.volume_name}|{ident}|dir")
+        return hashed_key(f"{self._prefix(directory)}|dir")
 
-    def root_key(self) -> int:
-        return hashed_key(f"{self.volume_name}|<root>")
+    def file_block_keys(self, node: FileNode, blocks: range) -> List[int]:
+        return [self.file_block_key(node, 0, 0)] * len(blocks)
 
 
 def make_scheme(system: str, volume_name: str) -> KeyScheme:

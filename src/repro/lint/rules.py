@@ -17,7 +17,8 @@ Six rule families, each a :class:`Rule` producing :class:`Finding`\\ s:
   DET001 wall-clock source) fed into ``series.sample(...)`` /
   ``bank.sample(...)``.
 * **KEY001** — ring keys are built by ``KeyScheme``/``compose_block_key``/
-  ``hashed_key``, never hand-packed from shifts, digests, or raw bytes.
+  ``compose_block_run``/``hashed_key``, never hand-packed from shifts,
+  digests, or raw bytes.
 
 Rules resolve call targets through each module's import table and never
 flag what they cannot resolve: a missed violation is recoverable (add a
@@ -669,8 +670,8 @@ class KeyCompositionRule(Rule):
     id = "KEY001"
     title = "ring keys go through KeyScheme/compose_block_key"
     hint = ("build keys with KeyScheme implementations, encode_path_key/"
-            "compose_block_key, or hashed_key — never by hand-packing bytes "
-            "or bit-shifting fields")
+            "compose_block_key/compose_block_run, or hashed_key — never by "
+            "hand-packing bytes or bit-shifting fields")
 
     exempt_modules = (
         "repro.core.keys",

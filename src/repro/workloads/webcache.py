@@ -22,9 +22,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.keys import (
     MAX_PATH_LEVELS,
+    compose_block_run,
     encode_path_key,
     hash_slot,
-    version_hash,
     volume_id,
 )
 from repro.dht.consistent_hashing import hashed_key
@@ -59,21 +59,13 @@ class WebCacheKeyScheme:
                 for i in range(1, n_blocks + 1)
             ]
         components = url_components(url)
-        slots = [hash_slot(c) for c in components[:MAX_PATH_LEVELS]]
-        overflow = components[MAX_PATH_LEVELS:]
-        return [
-            (
-                encode_path_key(
-                    self.volume,
-                    slots,
-                    overflow_components=overflow,
-                    block_number=i,
-                    version=version_hash(version),
-                ),
-                sizes[i - 1],
-            )
-            for i in range(1, n_blocks + 1)
-        ]
+        prefix = encode_path_key(
+            self.volume,
+            [hash_slot(c) for c in components[:MAX_PATH_LEVELS]],
+            overflow_components=components[MAX_PATH_LEVELS:],
+        )
+        keys = compose_block_run(prefix, range(1, n_blocks + 1), {}, version)
+        return list(zip(keys, sizes))
 
 
 @dataclass

@@ -10,6 +10,8 @@ from repro.core.keys import (
     SLOT_SPACE,
     BlockKey,
     KeyEncodingError,
+    compose_block_key,
+    compose_block_run,
     decode_key,
     encode_path_key,
     hash_slot,
@@ -202,3 +204,34 @@ class TestVersionHash:
 
     def test_distinct_versions_differ(self):
         assert version_hash(1) != version_hash(2)
+
+
+class TestComposeFromPrefix:
+    """Both composers fill the trailing fields of an encoded prefix."""
+
+    @given(slot_paths, st.integers(0, 40), st.integers(0, 50),
+           st.dictionaries(st.integers(0, 90), st.integers(0, 99), max_size=30),
+           st.integers(0, 99))
+    def test_run_equals_full_encode(self, path, first, count, block_versions, version):
+        blocks = range(first, first + count)
+        expected = [
+            encode_path_key(VOL, path, block_number=n,
+                            version=version_hash(block_versions.get(n, version)))
+            for n in blocks
+        ]
+        prefix = encode_path_key(VOL, path)
+        assert compose_block_run(prefix, blocks, block_versions, version) == expected
+        assert [
+            compose_block_key(prefix, n, version_hash(block_versions.get(n, version)))
+            for n in blocks
+        ] == expected
+
+    def test_prefix_must_have_zero_trailing_fields(self):
+        for dirty in (encode_path_key(VOL, [1], block_number=1),
+                      encode_path_key(VOL, [1], version=1)):
+            with pytest.raises(KeyEncodingError):
+                compose_block_key(dirty, 0, 0)
+            with pytest.raises(KeyEncodingError):
+                compose_block_run(dirty, range(1), {}, 0)
+            with pytest.raises(KeyEncodingError):
+                compose_block_run(dirty, range(0), {}, 0)

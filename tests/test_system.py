@@ -1,10 +1,16 @@
 """Integration tests for the Deployment facade."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import D2Config
 from repro.core.system import SYSTEMS, build_deployment
 from repro.fs.blocks import BLOCK_SIZE
+from repro.fs.keyschemes import make_scheme
+from repro.fs.namespace import NamespaceError
 from repro.workloads.trace import READ, CREATE, TraceRecord
 
 
@@ -112,6 +118,114 @@ class TestBatchedReads:
     def test_empty_batch(self, d2_deployment):
         self._populate(d2_deployment)
         assert d2_deployment.read_fetches_many([]) == []
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    @settings(deadline=None, max_examples=40)
+    @given(requests=st.lists(
+        st.tuples(
+            st.sampled_from(["/home/alice/big.dat", "/home/alice/tiny.dat",
+                             "/home/alice/edge.dat"]),
+            st.integers(0, 12 * BLOCK_SIZE),
+            st.one_of(st.none(), st.integers(0, 12 * BLOCK_SIZE)),
+        ),
+        max_size=30,
+    ).flatmap(lambda distinct: st.lists(st.sampled_from(distinct), max_size=90)
+              if distinct else st.just([])))
+    def test_many_matches_singles_with_repeats(self, system, requests):
+        """Each distinct request of a batch is keyed once; every result is
+        still exactly what read_fetches returns for its triple."""
+        d = _populated(system)
+        assert d.read_fetches_many(requests) == [
+            d.read_fetches(*request) for request in requests
+        ]
+
+    def test_results_are_not_aliased(self, d2_deployment):
+        self._populate(d2_deployment)
+        request = ("/home/alice/big.dat", 0, 3 * BLOCK_SIZE)
+        first, second, third = d2_deployment.read_fetches_many([request] * 3)
+        expected = list(first)
+        first.append(("mine", 0))
+        del second[:]
+        assert third == expected
+        assert d2_deployment.read_fetches(*request) == expected
+
+    def test_any_iterable_of_sequences(self, d2_deployment):
+        self._populate(d2_deployment)
+        expected = [d2_deployment.read_fetches("/home/alice/big.dat", 0, 10)] * 2
+        as_lists = [["/home/alice/big.dat", 0, 10]] * 2
+        assert d2_deployment.read_fetches_many(as_lists) == expected
+        assert d2_deployment.read_fetches_many(r for r in as_lists) == expected
+
+    def test_missing_path_raises_repeated_or_not(self, d2_deployment):
+        self._populate(d2_deployment)
+        good = ("/home/alice/big.dat", 0, None)
+        ghost = ("/home/alice/ghost", 0, None)
+        for batch in ([good, ghost], [good, ghost, ghost], [ghost, good, ghost]):
+            with pytest.raises(NamespaceError):
+                d2_deployment.read_fetches_many(batch)
+
+    @pytest.mark.parametrize("name", ["big.dat", "tiny.dat"])
+    @pytest.mark.parametrize("offset,length", [(-5, 10), (0, -1), (-1, None), (-1, -1)])
+    def test_negative_range_rejected_for_every_size(self, d2_deployment, name,
+                                                    offset, length):
+        """A negative offset or length is an error on inline files too, and
+        never "whole file"; 0 / None still mean whole file."""
+        self._populate(d2_deployment)
+        path = f"/home/alice/{name}"
+        with pytest.raises(ValueError):
+            d2_deployment.read_fetches(path, offset, length)
+        with pytest.raises(ValueError):
+            d2_deployment.read_fetches_many([(path, 0, None), (path, offset, length)])
+        whole = d2_deployment.read_fetches(path)
+        assert d2_deployment.read_fetches(path, 0, 0) == whole
+        assert d2_deployment.read_fetches_many([(path, 0, 0), (path, 0, None)]) == [whole] * 2
+
+    def test_nothing_outlives_a_batch(self, d2_deployment):
+        """A write, a rename and a delete-and-recreate in the same slot
+        between two batches are all seen by the second."""
+        d = d2_deployment
+        self._populate(d)
+        big, tiny = "/home/alice/big.dat", "/home/alice/tiny.dat"
+        batch = [(big, 0, None), (tiny, 0, None), (big, 0, None)]
+        before = d.read_fetches_many(batch)
+
+        d.apply_fs_ops(d.fs.write(big, BLOCK_SIZE, 10))  # re-versions block 2
+        after_write = d.read_fetches_many(batch)
+        assert after_write == [d.read_fetches(*request) for request in batch]
+        changed = [i for i, (old, new) in enumerate(zip(before[0], after_write[0]))
+                   if old != new]
+        assert changed == [0, 2]  # the inode and the rewritten block
+        assert after_write[1] == before[1]
+
+        d.apply_fs_ops(d.fs.rename(big, "/home/alice/moved.dat"))
+        with pytest.raises(NamespaceError):
+            d.read_fetches_many(batch)
+        moved = [("/home/alice/moved.dat", 0, None)]
+        assert d.read_fetches_many(moved) == [after_write[0]]  # rename keeps keys
+
+        tiny_node = d.fs.namespace.resolve_file(tiny)
+        identity = (tiny_node.slot_path, tiny_node.overflow)
+        d.apply_fs_ops(d.fs.remove(tiny))
+        d.apply_fs_ops(d.fs.create(tiny, size=3 * BLOCK_SIZE))
+        reborn = d.fs.namespace.resolve_file(tiny)
+        assert (reborn.slot_path, reborn.overflow) == identity
+        (fetches,) = d.read_fetches_many([(tiny, 0, None)])
+        assert len(fetches) == 4 and fetches != before[1]
+        fresh = make_scheme("d2", "vol")  # no memo: the slot's prefix is the same
+        assert [key for key, _ in fetches] == [
+            fresh.file_block_key(reborn, 0, reborn.version),
+            *fresh.file_block_keys(reborn, range(1, 4)),
+        ]
+
+
+@functools.lru_cache(maxsize=None)
+def _populated(system):
+    """One read-only deployment per system, shared by Hypothesis examples."""
+    d = build_deployment(system, 16, seed=3)
+    TestBatchedReads()._populate(d)
+    d.apply_fs_ops(d.fs.create("/home/alice/edge.dat", size=2 * BLOCK_SIZE))
+    d.apply_fs_ops(d.fs.write("/home/alice/big.dat", 3 * BLOCK_SIZE, BLOCK_SIZE + 1))
+    return d
 
 
 class TestReplay:
