@@ -15,12 +15,13 @@ import pytest
 
 from repro.core.keys import decode_key, encode_path_key, version_hash, volume_id
 from repro.core.lookup_cache import LookupCache
-from repro.core.system import Deployment, build_deployment
+from repro.core.system import build_deployment
 from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.keyspace import KEY_SPACE
 from repro.dht.ring import Ring
 from repro.dht.routing import route
 from repro.fs.blocks import BLOCK_SIZE
+from repro.fs.fslayer import DhtFileSystem
 from repro.fs.keyschemes import D2KeyScheme
 from repro.fs.namespace import FileNode, Namespace
 from repro.store.block_store import BlockDirectory
@@ -146,7 +147,7 @@ def test_read_batch_sharing_gate(monkeypatch):
     ``read_fetches_many`` resolves, sizes and keys once per distinct
     ``(path, offset, length)`` of the batch.  Counted, not timed: a batch of
     4096 requests over 64 distinct ones makes at most 64
-    ``Namespace.resolve_file`` / ``_fetches_for`` calls where the
+    ``Namespace.resolve_file`` / ``DhtFileSystem.read_fetches`` calls where the
     ``read_fetches`` loop makes 4096, and an all-distinct batch makes one
     per request either way.  On the clock (median of 15 paired ratios;
     measured 20-23x and 1.03-1.07x), the shared batch must beat the loop by
@@ -184,16 +185,16 @@ def test_read_batch_sharing_gate(monkeypatch):
         return wrapper
 
     with monkeypatch.context() as patch:
-        for owner, name in ((Namespace, "resolve_file"), (Deployment, "_fetches_for")):
+        for owner, name in ((Namespace, "resolve_file"), (DhtFileSystem, "read_fetches")):
             patch.setattr(owner, name, counted(name, getattr(owner, name)))
         counts = []
         for fn in cases:
             del calls[:]
             fn()
-            counts.append((calls.count("resolve_file"), calls.count("_fetches_for")))
+            counts.append((calls.count("resolve_file"), calls.count("read_fetches")))
     assert counts[0] == counts[2] == counts[3] == (4096, 4096), counts
     assert max(counts[1]) <= 64, (
-        f"(resolve_file, _fetches_for) calls per 4096-request batch (shared "
+        f"(resolve_file, fs.read_fetches) calls per 4096-request batch (shared "
         f"loop, shared batch, distinct loop, distinct batch): {counts}"
     )
 

@@ -40,7 +40,6 @@ _ROWS = {}       # jobs -> matrix, for the identical-rows assertion
 def _fresh_run(jobs):
     common.clear_cache()
     os.environ.pop(CACHE_ENV, None)      # no disk-cache short circuit
-    os.environ.pop(common.MEMO_DISABLE_ENV, None)
     started = time.perf_counter()
     matrix = performance_matrix(**GRID, jobs=jobs)
     _WALL[jobs] = time.perf_counter() - started

@@ -132,13 +132,10 @@ def compare(base: PerformanceResult, fast: PerformanceResult) -> SpeedupReport:
 class _Client:
     """One user's client-side state: node placement and caches."""
 
-    def __init__(self, user: str, node: str, cache_ttl: float,
-                 registry=None, tracer=None, ring=None) -> None:
+    def __init__(self, user: str, node: str, lookup_cache: LookupCache) -> None:
         self.user = user
         self.node = node
-        self.lookup_cache = LookupCache(
-            ttl=cache_ttl, ring=ring, registry=registry, tracer=tracer
-        )
+        self.lookup_cache = lookup_cache
         self.buffer_cache: Dict[str, Tuple[float, int]] = {}  # ident -> (time, key)
 
 
@@ -165,8 +162,8 @@ class PerformanceHarness:
         self.clients: Dict[str, _Client] = {}
         self.lookup_messages = 0
         self.lookups = 0
-        # Aggregate observability: client caches share the deployment's
-        # registry/tracer; the harness adds distributions of its own.
+        # Aggregate observability: client caches are the deployment's own
+        # (registry, tracer, snapshot gauges); the harness adds distributions.
         self._h_route_messages = deployment.metrics.histogram("lookup.route_messages")
         self._h_fetch_latency = deployment.metrics.histogram("fetch.latency_seconds")
 
@@ -176,14 +173,7 @@ class PerformanceHarness:
             node = self.deployment.node_names[
                 self.rng.randrange(len(self.deployment.node_names))
             ]
-            client = _Client(
-                user,
-                node,
-                self.deployment.config.lookup_cache_ttl,
-                registry=self.deployment.metrics,
-                tracer=self.deployment.tracer,
-                ring=self.deployment.ring,
-            )
+            client = _Client(user, node, self.deployment.lookup_cache_for(user))
             self.clients[user] = client
         return client
 

@@ -36,12 +36,7 @@ from repro.core.lookup_cache import LookupCache
 from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.load_balance import KargerRuhlBalancer
 from repro.dht.ring import Ring
-from repro.fs.blocks import (
-    BlockKind,
-    blocks_covering,
-    data_block_sizes_table,
-    inode_size,
-)
+from repro.fs.blocks import BlockKind
 from repro.fs.fslayer import BlockOp, DhtFileSystem, apply_ops
 from repro.fs.keyschemes import make_scheme
 from repro.fs.namespace import NamespaceError
@@ -311,30 +306,16 @@ class Deployment:
     def apply_fs_ops(self, ops: Sequence[BlockOp]) -> Dict[str, int]:
         return apply_ops(self.store, ops)
 
-    def _fetches_for(self, node, offset: int,
-                     length: Optional[int]) -> List[Tuple[int, int]]:
-        """(key, nbytes) pairs for one resolved file node (see read_fetches)."""
-        size = node.size
-        # Before any key is made: raises ValueError on a negative offset or
-        # length, whatever the file's size.
-        blocks = blocks_covering(offset, length or size, size)
-        scheme = self.fs.scheme
-        fetches = [(scheme.file_block_key(node, 0, node.version), inode_size(size))]
-        if blocks:
-            sizes = data_block_sizes_table(size)[blocks[0] - 1:blocks[-1]]
-            fetches.extend(zip(scheme.file_block_keys(node, blocks), sizes))
-        return fetches
-
     def read_fetches(self, path: str, offset: int = 0,
                      length: Optional[int] = None) -> List[Tuple[int, int]]:
         """(key, nbytes) the DHT must serve for a read (inode + data).
 
-        A *length* of ``0`` or ``None`` reads to the end of the file; a
-        negative *offset* or *length* raises :class:`ValueError`.  Under
-        traditional-file all pairs share the file's single key but remain
-        per-block, so transfer accounting still sees 8 KB units.
+        Planned by :meth:`DhtFileSystem.read_fetches` (which see for
+        *offset* / *length*) on the resolved file.  Under traditional-file
+        all pairs share the file's single key but remain per-block, so
+        transfer accounting still sees 8 KB units.
         """
-        return self._fetches_for(self.fs.namespace.resolve_file(path), offset, length)
+        return self.fs.read_fetches(self.fs.namespace.resolve_file(path), offset, length)
 
     def read_fetches_many(
         self, requests: Iterable[Tuple[str, int, Optional[int]]]
@@ -352,7 +333,7 @@ class Deployment:
         inside one, so there is nothing to invalidate.
         """
         resolve = self.fs.namespace.resolve_file
-        fetches_for = self._fetches_for
+        fetches_for = self.fs.read_fetches
         distinct: Dict[Tuple[str, int, Optional[int]], List[Tuple[int, int]]] = {}
         results: List[List[Tuple[int, int]]] = []
         for path, offset, length in requests:

@@ -28,40 +28,22 @@ _CACHE: "OrderedDict[Tuple, Any]" = OrderedDict()
 #: so bench trajectories stay diffable across PRs.
 METRICS_DIR_ENV = "REPRO_METRICS_DIR"
 
-#: Process-memo controls.  Long bench sessions and parallel workers touch
-#: many distinct traces/matrices; the memo is FIFO-bounded (oldest entry
-#: evicted first) and ``$REPRO_NO_MEMO=1`` disables it outright.
-MEMO_DISABLE_ENV = "REPRO_NO_MEMO"
-MEMO_MAX_ENV = "REPRO_MEMO_MAX"
-DEFAULT_MEMO_MAX = 32
-
-
-def memo_max_entries() -> int:
-    """Memo bound: $REPRO_MEMO_MAX when set to a positive int, else 32."""
-    raw = os.environ.get(MEMO_MAX_ENV, "")
-    try:
-        value = int(raw) if raw else DEFAULT_MEMO_MAX
-    except ValueError:
-        value = DEFAULT_MEMO_MAX
-    return max(1, value)
+#: The process memo is FIFO-bounded: oldest entry evicted first.
+MEMO_MAX = 32
 
 
 def cached(key: Tuple, compute: Callable[[], Any]) -> Any:
     """Process-wide memoization for shared simulation runs.
 
-    Bounded FIFO (see :func:`memo_max_entries`); evicted entries are simply
-    recomputed on next use.  ``$REPRO_NO_MEMO=1`` bypasses the memo
-    entirely.  Cross-process persistence is the job of the disk cache in
-    :mod:`repro.runner.cache`, not of this memo.
+    Bounded FIFO (:data:`MEMO_MAX` entries); evicted entries are simply
+    recomputed on next use.  Cross-process persistence is the job of the
+    disk cache in :mod:`repro.runner.cache`, not of this memo.
     """
-    if os.environ.get(MEMO_DISABLE_ENV) == "1":
-        return compute()
     if key in _CACHE:
         return _CACHE[key]
     value = compute()
     _CACHE[key] = value
-    limit = memo_max_entries()
-    while len(_CACHE) > limit:
+    while len(_CACHE) > MEMO_MAX:
         _CACHE.popitem(last=False)
     return value
 

@@ -37,10 +37,9 @@ LABEL_ENV = "REPRO_SCALE_LABEL"
 DEFAULT_BENCH_PATH = "BENCH_scale.json"
 BENCH_SCHEMA = 1
 
-#: Per-run-entry schema version.  v1 entries predate versioning (the
-#: committed pr7/pr8 runs) and are stamped by :func:`migrate_run` on
-#: load; v2 read cells carry ``streamed_health`` (the health-export row
-#: count added with the sim-time health monitor).
+#: Per-run-entry schema version, explicit on every entry (the committed
+#: pr7/pr8 runs are v1); v2 read cells carry ``streamed_health`` (the
+#: health-export row count added with the sim-time health monitor).
 RUN_SCHEMA = 2
 
 #: Default grid: routing throughput at 10^3 and 10^4 nodes, plus one
@@ -140,21 +139,8 @@ def bench_path(explicit: Optional[str] = None) -> str:
     return os.environ.get(BENCH_ENV, "").strip() or DEFAULT_BENCH_PATH
 
 
-def migrate_run(run: Dict[str, Any]) -> Dict[str, Any]:
-    """Stamp an unversioned run entry as schema v1 (pre-versioning).
-
-    The committed pr7/pr8 runs predate the per-entry ``schema`` field;
-    loading stamps them ``1`` so every entry downstream tooling sees is
-    explicitly versioned.  Already-versioned entries pass through
-    untouched.  Returns the (possibly new) entry.
-    """
-    if "schema" not in run:
-        run = dict(run, schema=1)
-    return run
-
-
 def validate_run(run: Any, index: int) -> List[str]:
-    """Structural problems with one (already migrated) run entry."""
+    """Structural problems with one run entry."""
     problems: List[str] = []
     where = f"runs[{index}]"
     if not isinstance(run, dict):
@@ -177,12 +163,11 @@ def validate_run(run: Any, index: int) -> List[str]:
 
 
 def load_trajectory(path: str) -> Dict[str, Any]:
-    """Load, migrate, and validate a ``BENCH_scale.json`` document.
+    """Load and validate a ``BENCH_scale.json`` document.
 
-    Unversioned run entries are migrated in memory (stamped schema 1);
-    a document that still fails validation raises ``ValueError`` naming
-    every problem, so a corrupt trajectory is an error rather than a
-    silent reset.
+    A document that fails validation (an unversioned run entry included)
+    raises ``ValueError`` naming every problem, so a corrupt trajectory
+    is an error rather than a silent reset.
     """
     with open(path, "r", encoding="utf-8") as handle:
         loaded = json.load(handle)
@@ -195,11 +180,8 @@ def load_trajectory(path: str) -> Dict[str, Any]:
     runs = loaded.get("runs")
     if not isinstance(runs, list):
         raise ValueError(f"{path}: runs must be a list")
-    loaded["runs"] = [
-        migrate_run(run) if isinstance(run, dict) else run for run in runs
-    ]
     problems: List[str] = []
-    for index, run in enumerate(loaded["runs"]):
+    for index, run in enumerate(runs):
         problems.extend(validate_run(run, index))
     if problems:
         raise ValueError(f"{path}: " + "; ".join(problems))
@@ -216,9 +198,8 @@ def record_trajectory(
 
     The file holds every recorded run in order, so a sequence of PRs
     leaves a throughput/memory curve rather than a single overwritten
-    number.  Existing entries are validated (and unversioned ones
-    migrated to an explicit ``schema``) before the new run — stamped
-    :data:`RUN_SCHEMA` — is appended.  Returns the path written.
+    number.  Existing entries are validated before the new run —
+    stamped :data:`RUN_SCHEMA` — is appended.  Returns the path written.
     """
     target = bench_path(path)
     label = label or os.environ.get(LABEL_ENV, "").strip() or "local"

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.fs.blocks import (
-    BLOCK_SIZE,
     INLINE_DATA_THRESHOLD,
     BlockKind,
     blocks_covering,
     data_block_count,
-    data_block_sizes,
+    data_block_sizes_table,
     directory_block_sizes,
     inode_size,
 )
@@ -65,8 +64,20 @@ class BlockOp:
         return self.kind is not BlockKind.DATA
 
 
+def _read_blocks(node: FileNode, offset: int, length: Optional[int]) -> range:
+    """Data blocks of *node* a read covers (``0``/``None``: to the end of the file)."""
+    return blocks_covering(offset, length or node.size, node.size)
+
+
 class DhtFileSystem:
-    """One writer's view of a D2 (or baseline) file-system volume."""
+    """One writer's view of a D2 (or baseline) file-system volume.
+
+    The block plan — which blocks an object has, at which version, how big
+    and under which identity — is stated once, in the four ``_*_op(s)``
+    helpers.  Mutations and :meth:`read`/:meth:`readdir` compose them into
+    :class:`BlockOp` lists; :meth:`read_fetches` is the same plan for a
+    read, projected to the ``(key, nbytes)`` run the replay paths consume.
+    """
 
     def __init__(self, scheme: KeyScheme, publisher: str = "publisher") -> None:
         self.scheme = scheme
@@ -75,121 +86,79 @@ class DhtFileSystem:
         self.root_version = 0
 
     # ------------------------------------------------------------------
-    # helpers
+    # the block plan
 
-    def _ident(self, slot_path: Tuple[int, ...], overflow: Tuple[str, ...], tag: str) -> str:
-        return f"{storage_identity(slot_path, overflow)}:{tag}"
+    def _root_op(self, action: str) -> BlockOp:
+        """The root block: one key for the volume's life, updated in place."""
+        return BlockOp(action, self.scheme.root_key(), ROOT_BLOCK_SIZE, BlockKind.ROOT, "<root>")
 
-    def _file_ident(self, node: FileNode, block_number: int) -> str:
-        return self._ident(node.slot_path, node.overflow, f"b{block_number}")
+    def _dir_ops(self, action: str, directory: Directory, version: int) -> List[BlockOp]:
+        """Every metadata block of *directory* at *version*."""
+        ident = storage_identity(directory.slot_path, directory.overflow)
+        key = self.scheme.directory_block_key
+        return [
+            BlockOp(action, key(directory, number, version), size,
+                    BlockKind.DIRECTORY, f"{ident}:d{number}", version)
+            for number, size in enumerate(directory_block_sizes(directory.entry_count))
+        ]
 
-    def _dir_ident(self, directory: Directory, block_number: int) -> str:
-        return self._ident(directory.slot_path, directory.overflow, f"d{block_number}")
+    def _inode_op(self, action: str, node: FileNode, version: int, size: int) -> BlockOp:
+        """The inode (block 0) of *node* as of *version*, when it held *size* bytes."""
+        ident = storage_identity(node.slot_path, node.overflow)
+        return BlockOp(action, self.scheme.file_block_key(node, 0, version),
+                       inode_size(size), BlockKind.INODE, f"{ident}:b0", version)
 
-    def _root_op(self) -> BlockOp:
-        """In-place root update (same key every time)."""
-        self.root_version += 1
-        return BlockOp(
-            action="put",
-            key=self.scheme.root_key(),
-            size=ROOT_BLOCK_SIZE,
-            kind=BlockKind.ROOT,
-            ident="<root>",
-            version=0,
-        )
+    def _data_ops(self, action: str, node: FileNode, numbers: Iterable[int]) -> List[BlockOp]:
+        """The live versions of data blocks *numbers* of *node* at its current size."""
+        ident = storage_identity(node.slot_path, node.overflow)
+        key = self.scheme.file_block_key
+        sizes = data_block_sizes_table(node.size)
+        version_of = node.block_versions.get
+        ops: List[BlockOp] = []
+        for number in numbers:
+            version = version_of(number, node.version)
+            ops.append(BlockOp(action, key(node, number, version), sizes[number - 1],
+                               BlockKind.DATA, f"{ident}:b{number}", version))
+        return ops
 
     def _reversion_directory(self, directory: Directory) -> List[BlockOp]:
-        """Write new versions of a directory's metadata blocks, retire old.
-
-        Returns puts of every metadata block at the bumped version plus
-        removes of the previous version's blocks.
-        """
+        """Write a directory's metadata blocks at the next version and
+        retire the previous version's."""
         old_version = directory.version
-        old_sizes = directory_block_sizes(directory.entry_count)
         directory.version += 1
-        ops: List[BlockOp] = []
-        for number, size in enumerate(directory_block_sizes(directory.entry_count)):
-            ops.append(
-                BlockOp(
-                    action="put",
-                    key=self.scheme.directory_block_key(directory, number, directory.version),
-                    size=size,
-                    kind=BlockKind.DIRECTORY,
-                    ident=self._dir_ident(directory, number),
-                    version=directory.version,
-                )
-            )
+        ops = self._dir_ops("put", directory, directory.version)
         if old_version > 0:  # version 0 means the directory was never flushed
-            for number, size in enumerate(old_sizes):
-                ops.append(
-                    BlockOp(
-                        action="remove",
-                        key=self.scheme.directory_block_key(directory, number, old_version),
-                        size=size,
-                        kind=BlockKind.DIRECTORY,
-                        ident=self._dir_ident(directory, number),
-                        version=old_version,
-                    )
-                )
+            ops += self._dir_ops("remove", directory, old_version)
+        return ops
+
+    def _reversion(self, directories: Iterable[Directory]) -> List[BlockOp]:
+        """Re-version *directories* in the order given, then rewrite the root."""
+        ops: List[BlockOp] = []
+        for directory in directories:
+            ops += self._reversion_directory(directory)
+        self.root_version += 1
+        ops.append(self._root_op("put"))
         return ops
 
     def _reversion_path(self, path: str) -> List[BlockOp]:
-        """Re-version every directory from the root to *path*'s parent."""
-        ops: List[BlockOp] = []
-        for directory in reversed(self.namespace.ancestors_of(path)):
-            ops.extend(self._reversion_directory(directory))
-        ops.append(self._root_op())
+        """Re-version every directory from *path*'s parent up to the root."""
+        return self._reversion(reversed(self.namespace.ancestors_of(path)))
+
+    def _read_path(self, path: str) -> List[BlockOp]:
+        """Gets of the root and of every directory down to *path*'s parent."""
+        ops = [self._root_op("get")]
+        for directory in self.namespace.ancestors_of(path):
+            ops += self._dir_ops("get", directory, directory.version)
         return ops
-
-    def _inode_put(self, node: FileNode) -> BlockOp:
-        return BlockOp(
-            action="put",
-            key=self.scheme.file_block_key(node, 0, node.version),
-            size=inode_size(node.size),
-            kind=BlockKind.INODE,
-            ident=self._file_ident(node, 0),
-            version=node.version,
-        )
-
-    def _inode_remove(self, node: FileNode, version: int, size_at_version: int) -> BlockOp:
-        return BlockOp(
-            action="remove",
-            key=self.scheme.file_block_key(node, 0, version),
-            size=inode_size(size_at_version),
-            kind=BlockKind.INODE,
-            ident=self._file_ident(node, 0),
-            version=version,
-        )
 
     # ------------------------------------------------------------------
     # volume lifecycle
 
     def format(self) -> List[BlockOp]:
         """Initialize an empty volume: root block plus empty root directory."""
-        ops = [
-            BlockOp(
-                action="put",
-                key=self.scheme.root_key(),
-                size=ROOT_BLOCK_SIZE,
-                kind=BlockKind.ROOT,
-                ident="<root>",
-                version=0,
-            )
-        ]
         root_dir = self.namespace.root
         root_dir.version = 1
-        for number, size in enumerate(directory_block_sizes(0)):
-            ops.append(
-                BlockOp(
-                    action="put",
-                    key=self.scheme.directory_block_key(root_dir, number, root_dir.version),
-                    size=size,
-                    kind=BlockKind.DIRECTORY,
-                    ident=self._dir_ident(root_dir, number),
-                    version=root_dir.version,
-                )
-            )
-        return ops
+        return [self._root_op("put")] + self._dir_ops("put", root_dir, 1)
 
     # ------------------------------------------------------------------
     # namespace operations
@@ -197,20 +166,7 @@ class DhtFileSystem:
     def mkdir(self, path: str) -> List[BlockOp]:
         directory = self.namespace.mkdir(path)
         directory.version = 1
-        ops: List[BlockOp] = []
-        for number, size in enumerate(directory_block_sizes(0)):
-            ops.append(
-                BlockOp(
-                    action="put",
-                    key=self.scheme.directory_block_key(directory, number, directory.version),
-                    size=size,
-                    kind=BlockKind.DIRECTORY,
-                    ident=self._dir_ident(directory, number),
-                    version=directory.version,
-                )
-            )
-        ops.extend(self._reversion_path(path))
-        return ops
+        return self._dir_ops("put", directory, 1) + self._reversion_path(path)
 
     def makedirs(self, path: str) -> List[BlockOp]:
         """mkdir -p; emits ops only for directories actually created."""
@@ -227,22 +183,11 @@ class DhtFileSystem:
         """Create a file of *size* bytes (contents written immediately)."""
         node = self.namespace.create_file(path, size)
         node.version = 1
-        ops: List[BlockOp] = []
-        for number, block_size in enumerate(data_block_sizes(size), start=1):
-            node.block_versions[number] = node.version
-            ops.append(
-                BlockOp(
-                    action="put",
-                    key=self.scheme.file_block_key(node, number, node.version),
-                    size=block_size,
-                    kind=BlockKind.DATA,
-                    ident=self._file_ident(node, number),
-                    version=node.version,
-                )
-            )
-        ops.append(self._inode_put(node))
-        ops.extend(self._reversion_path(path))
-        return ops
+        blocks = range(1, data_block_count(size) + 1)
+        node.block_versions.update(dict.fromkeys(blocks, 1))
+        ops = self._data_ops("put", node, blocks)
+        ops.append(self._inode_op("put", node, 1, size))
+        return ops + self._reversion_path(path)
 
     def write(self, path: str, offset: int, length: int) -> List[BlockOp]:
         """Overwrite/extend ``[offset, offset+length)`` of an existing file.
@@ -253,109 +198,57 @@ class DhtFileSystem:
         if length <= 0:
             return []
         node = self.namespace.resolve_file(path)
-        old_size = node.size
-        old_version = node.version
-        new_size = max(old_size, offset + length)
+        old_size, old_version = node.size, node.version
+        node.size = max(old_size, offset + length)
+        touched = blocks_covering(offset, length, node.size)
+        if 0 < old_size <= INLINE_DATA_THRESHOLD < node.size:
+            # Data leaves the inode: every block of the file is new.
+            touched = range(1, data_block_count(node.size) + 1)
+        # Planned before the bump, so these name the versions being retired
+        # (at the block's new size, as the store accounts them).
+        rewritten = [n for n in touched if n in node.block_versions]
+        retired = dict(zip(rewritten, self._data_ops("remove", node, rewritten)))
         node.version += 1
+        node.block_versions.update(dict.fromkeys(touched, node.version))
         ops: List[BlockOp] = []
-
-        was_inline = old_size <= INLINE_DATA_THRESHOLD
-        now_inline = new_size <= INLINE_DATA_THRESHOLD
-        node.size = new_size
-        if not now_inline:
-            sizes = data_block_sizes(new_size)
-            touched = set(blocks_covering(offset, length, new_size))
-            if was_inline and old_size > 0:
-                # Data leaves the inode: every block of the file is new.
-                touched.update(range(1, data_block_count(new_size) + 1))
-            for number in sorted(touched):
-                previous = node.block_versions.get(number)
-                node.block_versions[number] = node.version
-                block_size = sizes[number - 1]
-                ops.append(
-                    BlockOp(
-                        action="put",
-                        key=self.scheme.file_block_key(node, number, node.version),
-                        size=block_size,
-                        kind=BlockKind.DATA,
-                        ident=self._file_ident(node, number),
-                        version=node.version,
-                    )
-                )
-                if previous is not None:
-                    ops.append(
-                        BlockOp(
-                            action="remove",
-                            key=self.scheme.file_block_key(node, number, previous),
-                            size=min(block_size, BLOCK_SIZE),
-                            kind=BlockKind.DATA,
-                            ident=self._file_ident(node, number),
-                            version=previous,
-                        )
-                    )
-        ops.append(self._inode_put(node))
-        ops.append(self._inode_remove(node, old_version, old_size))
-        ops.extend(self._reversion_path(path))
-        return ops
+        for number, put in zip(touched, self._data_ops("put", node, touched)):
+            ops.append(put)
+            if number in retired:
+                ops.append(retired[number])
+        ops.append(self._inode_op("put", node, node.version, node.size))
+        ops.append(self._inode_op("remove", node, old_version, old_size))
+        return ops + self._reversion_path(path)
 
     def read(self, path: str, offset: int = 0, length: Optional[int] = None) -> List[BlockOp]:
         """Blocks a reader must fetch for ``[offset, offset+length)``.
 
         Emits the metadata path (root, directories, inode) followed by the
         covered data blocks; callers apply their buffer cache to absorb
-        repeated metadata fetches, as real clients do.
+        repeated metadata fetches, as real clients do.  *length* is read as
+        by :meth:`read_fetches`, whose pairs are this list's inode and data
+        ops.
         """
         node = self.namespace.resolve_file(path)
-        if length is None:
-            length = max(node.size - offset, 0)
-        ops: List[BlockOp] = [
-            BlockOp(
-                action="get",
-                key=self.scheme.root_key(),
-                size=ROOT_BLOCK_SIZE,
-                kind=BlockKind.ROOT,
-                ident="<root>",
-                version=0,
-            )
-        ]
-        for directory in self.namespace.ancestors_of(path):
-            for number, size in enumerate(directory_block_sizes(directory.entry_count)):
-                ops.append(
-                    BlockOp(
-                        action="get",
-                        key=self.scheme.directory_block_key(directory, number, directory.version),
-                        size=size,
-                        kind=BlockKind.DIRECTORY,
-                        ident=self._dir_ident(directory, number),
-                        version=directory.version,
-                    )
-                )
-        ops.append(
-            BlockOp(
-                action="get",
-                key=self.scheme.file_block_key(node, 0, node.version),
-                size=inode_size(node.size),
-                kind=BlockKind.INODE,
-                ident=self._file_ident(node, 0),
-                version=node.version,
-            )
-        )
-        if node.size > INLINE_DATA_THRESHOLD:
-            sizes = data_block_sizes(node.size)
-            for number in blocks_covering(offset, length, node.size):
-                ops.append(
-                    BlockOp(
-                        action="get",
-                        key=self.scheme.file_block_key(
-                            node, number, node.block_versions.get(number, node.version)
-                        ),
-                        size=sizes[number - 1],
-                        kind=BlockKind.DATA,
-                        ident=self._file_ident(node, number),
-                        version=node.block_versions.get(number, node.version),
-                    )
-                )
-        return ops
+        ops = self._read_path(path)
+        ops.append(self._inode_op("get", node, node.version, node.size))
+        return ops + self._data_ops("get", node, _read_blocks(node, offset, length))
+
+    def read_fetches(self, node: FileNode, offset: int = 0,
+                     length: Optional[int] = None) -> List[Tuple[int, int]]:
+        """``(key, nbytes)`` the DHT must serve to read a resolved file.
+
+        The inode, then the covered data blocks keyed as one run.  A
+        *length* of ``0`` or ``None`` reads to the end of the file; a
+        negative *offset* or *length* raises :class:`ValueError` before any
+        key is made, whatever the file's size.
+        """
+        blocks = _read_blocks(node, offset, length)
+        scheme = self.scheme
+        fetches = [(scheme.file_block_key(node, 0, node.version), inode_size(node.size))]
+        if blocks:
+            sizes = data_block_sizes_table(node.size)[blocks[0] - 1:blocks[-1]]
+            fetches.extend(zip(scheme.file_block_keys(node, blocks), sizes))
+        return fetches
 
     def remove(self, path: str) -> List[BlockOp]:
         """Delete a file (or empty directory) and retire all its blocks.
@@ -364,38 +257,13 @@ class DhtFileSystem:
         ones fragment active data over more nodes (Section 3).
         """
         node = self.namespace.resolve(path)
-        ops: List[BlockOp] = []
         if isinstance(node, FileNode):
-            if node.size > INLINE_DATA_THRESHOLD:
-                sizes = data_block_sizes(node.size)
-                for number in range(1, data_block_count(node.size) + 1):
-                    version = node.block_versions.get(number, node.version)
-                    ops.append(
-                        BlockOp(
-                            action="remove",
-                            key=self.scheme.file_block_key(node, number, version),
-                            size=sizes[number - 1],
-                            kind=BlockKind.DATA,
-                            ident=self._file_ident(node, number),
-                            version=version,
-                        )
-                    )
-            ops.append(self._inode_remove(node, node.version, node.size))
+            ops = self._data_ops("remove", node, range(1, data_block_count(node.size) + 1))
+            ops.append(self._inode_op("remove", node, node.version, node.size))
         else:
-            for number, size in enumerate(directory_block_sizes(node.entry_count)):
-                ops.append(
-                    BlockOp(
-                        action="remove",
-                        key=self.scheme.directory_block_key(node, number, node.version),
-                        size=size,
-                        kind=BlockKind.DIRECTORY,
-                        ident=self._dir_ident(node, number),
-                        version=node.version,
-                    )
-                )
+            ops = self._dir_ops("remove", node, node.version)
         self.namespace.remove(path)
-        ops.extend(self._reversion_path(path))
-        return ops
+        return ops + self._reversion_path(path)
 
     def rename(self, src: str, dst: str) -> List[BlockOp]:
         """Move a file/directory; only the two parents' metadata changes.
@@ -405,59 +273,15 @@ class DhtFileSystem:
         """
         src_parents = self.namespace.ancestors_of(src)
         self.namespace.rename(src, dst)
-        ops: List[BlockOp] = []
-        touched = set()
-        for directory in reversed(src_parents):
-            if id(directory) not in touched:
-                touched.add(id(directory))
-                ops.extend(self._reversion_directory(directory))
-        for directory in reversed(self.namespace.ancestors_of(dst)):
-            if id(directory) not in touched:
-                touched.add(id(directory))
-                ops.extend(self._reversion_directory(directory))
-        ops.append(self._root_op())
-        return ops
+        chain = [*reversed(src_parents), *reversed(self.namespace.ancestors_of(dst))]
+        # Each directory once, at its first place in the two chains.
+        return self._reversion({id(directory): directory for directory in chain}.values())
 
     def readdir(self, path: str) -> List[BlockOp]:
         """Blocks a reader must fetch to list *path* (metadata path + the
         directory's own blocks) — the NFS READDIR equivalent."""
-        directory = self.namespace.resolve_dir(path)
-        ops: List[BlockOp] = [
-            BlockOp(
-                action="get",
-                key=self.scheme.root_key(),
-                size=ROOT_BLOCK_SIZE,
-                kind=BlockKind.ROOT,
-                ident="<root>",
-                version=0,
-            )
-        ]
-        chain = self.namespace.ancestors_of(path + "/.") if path != "/" else []
-        for ancestor in chain:
-            for number, size in enumerate(directory_block_sizes(ancestor.entry_count)):
-                ops.append(
-                    BlockOp(
-                        action="get",
-                        key=self.scheme.directory_block_key(ancestor, number, ancestor.version),
-                        size=size,
-                        kind=BlockKind.DIRECTORY,
-                        ident=self._dir_ident(ancestor, number),
-                        version=ancestor.version,
-                    )
-                )
-        if not chain or chain[-1] is not directory:
-            for number, size in enumerate(directory_block_sizes(directory.entry_count)):
-                ops.append(
-                    BlockOp(
-                        action="get",
-                        key=self.scheme.directory_block_key(directory, number, directory.version),
-                        size=size,
-                        kind=BlockKind.DIRECTORY,
-                        ident=self._dir_ident(directory, number),
-                        version=directory.version,
-                    )
-                )
-        return ops
+        self.namespace.resolve_dir(path)
+        return self._read_path(path + "/.")
 
     def stat(self, path: str) -> Dict[str, object]:
         """File/directory attributes from the namespace (NFS GETATTR).

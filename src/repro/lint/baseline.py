@@ -11,10 +11,9 @@ Fingerprints (v2) are ``RULE:qualified-symbol:sha1(normalized-line)[:8]``
 offending line.  Moving a function to another file, reordering defs, or
 reformatting indentation does not churn the baseline; editing the
 offending line (or renaming its function) invalidates the entry, exactly
-when a human should re-look.  The loader also accepts v1 files
-(``RULE:path:sha1(stripped-line)[:8]``) so existing baselines keep
-working; saving always writes v2.  Duplicate identical findings are
-handled as a multiset (each occurrence needs its own entry).
+when a human should re-look.  A v1 file (path-anchored prints) is
+refused with an error naming its version.  Duplicate identical findings
+are handled as a multiset (each occurrence needs its own entry).
 """
 
 from __future__ import annotations
@@ -24,15 +23,12 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.lint.rules import Finding
 from repro.lint.walker import LintToolError
 
 BASELINE_VERSION = 2
-#: Versions :meth:`Baseline.load` accepts; :meth:`Baseline.save` always
-#: writes the current one.
-ACCEPTED_VERSIONS = (1, 2)
 DEFAULT_BASELINE = "lint-baseline.json"
 
 
@@ -49,13 +45,6 @@ def fingerprint(finding: Finding, source_line: str) -> str:
     """
     anchor = finding.symbol or finding.path.replace(os.sep, "/")
     return f"{finding.rule}:{anchor}:{_normalized_hash(source_line)}"
-
-
-def legacy_fingerprint(finding: Finding, source_line: str) -> str:
-    """v1 identity (path-anchored), kept so old baselines still match."""
-    path = finding.path.replace(os.sep, "/")
-    digest = hashlib.sha1(source_line.strip().encode("utf-8")).hexdigest()[:8]
-    return f"{finding.rule}:{path}:{digest}"
 
 
 @dataclass
@@ -78,10 +67,10 @@ class Baseline:
         if not isinstance(payload, dict) or "entries" not in payload:
             raise LintToolError(f"baseline {path} is not a lint baseline file")
         version = payload.get("version")
-        if version not in ACCEPTED_VERSIONS:
+        if version != BASELINE_VERSION:
             raise LintToolError(
-                f"baseline {path} has version {version!r}, expected one of "
-                f"{ACCEPTED_VERSIONS}"
+                f"baseline {path} has version {version!r}, expected "
+                f"{BASELINE_VERSION}"
             )
         entries = payload["entries"]
         if not isinstance(entries, list) or not all(
@@ -111,32 +100,22 @@ def partition(
     findings: Sequence[Finding],
     fingerprints: Sequence[str],
     baseline: Baseline,
-    legacy_fingerprints: Optional[Sequence[str]] = None,
 ) -> Tuple[List[Finding], List[Finding], List[str]]:
     """Split findings into (new, suppressed) and list stale baseline entries.
 
-    *fingerprints* is parallel to *findings* (v2 format); when
-    *legacy_fingerprints* is given, a finding whose v2 print misses the
-    baseline is also tried under its v1 print, so a v1 baseline file keeps
-    suppressing until it is rewritten.  Each baseline entry absorbs at
-    most as many findings as its multiplicity; entries with leftover
-    multiplicity are stale (the violation they recorded is gone).
+    *fingerprints* is parallel to *findings*.  Each baseline entry
+    absorbs at most as many findings as its multiplicity; entries with
+    leftover multiplicity are stale (the violation they recorded is gone).
     """
     remaining = Counter(baseline.entries)
     new: List[Finding] = []
     suppressed: List[Finding] = []
-    for position, (finding, print_) in enumerate(zip(findings, fingerprints)):
+    for finding, print_ in zip(findings, fingerprints):
         if remaining.get(print_, 0) > 0:
             remaining[print_] -= 1
             suppressed.append(finding)
-            continue
-        if legacy_fingerprints is not None:
-            old_print = legacy_fingerprints[position]
-            if remaining.get(old_print, 0) > 0:
-                remaining[old_print] -= 1
-                suppressed.append(finding)
-                continue
-        new.append(finding)
+        else:
+            new.append(finding)
     stale = sorted(remaining.elements())
     return new, suppressed, stale
 
@@ -159,15 +138,5 @@ def fingerprints_for(
     """v2 fingerprints parallel to *findings*; *sources* maps path -> lines."""
     return [
         fingerprint(finding, _source_line(finding, sources))
-        for finding in findings
-    ]
-
-
-def legacy_fingerprints_for(
-    findings: Sequence[Finding], sources: Dict[str, List[str]]
-) -> List[str]:
-    """v1 (path-anchored) fingerprints parallel to *findings*."""
-    return [
-        legacy_fingerprint(finding, _source_line(finding, sources))
         for finding in findings
     ]

@@ -241,7 +241,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         sources: Dict[str, List[str]] = {m.path: m.lines for m in modules}
         prints = baseline_mod.fingerprints_for(findings, sources)
-        legacy_prints = baseline_mod.legacy_fingerprints_for(findings, sources)
 
         if args.no_baseline:
             base = baseline_mod.Baseline(path=args.baseline)
@@ -256,8 +255,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return EXIT_CLEAN
 
-        new, suppressed, stale = baseline_mod.partition(
-            findings, prints, base, legacy_prints)
+        new, suppressed, stale = baseline_mod.partition(findings, prints, base)
     except LintToolError as exc:
         print(f"repro.lint: error: {exc}", file=sys.stderr)
         return EXIT_TOOL_ERROR

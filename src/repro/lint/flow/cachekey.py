@@ -45,9 +45,6 @@ SANCTIONED_ENV: Dict[str, str] = {
     "REPRO_TRACE_SAMPLE": "ambient-fingerprinted in cache_key",
     # Fail-stop gate: raises on violations instead of changing results.
     "REPRO_DETSAN": "sanitizer gate; raises, never alters results",
-    # Memo policy: changes *when* values are recomputed, never their value.
-    "REPRO_NO_MEMO": "memo bypass; value-transparent",
-    "REPRO_MEMO_MAX": "memo capacity; value-transparent",
     # Side channels: directories results are exported to, not read from.
     "REPRO_METRICS_DIR": "metrics export side channel; not in results",
     "REPRO_RUN_CACHE": "the cache location itself",

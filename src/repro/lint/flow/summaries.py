@@ -63,8 +63,6 @@ _ENV_GET_ORIGINS = frozenset({"os.environ.get", "os.getenv"})
 AMBIENT_SANCTIONED_ENV = frozenset({
     "REPRO_TRACE_SAMPLE",
     "REPRO_DETSAN",
-    "REPRO_NO_MEMO",
-    "REPRO_MEMO_MAX",
     "REPRO_METRICS_DIR",
     "REPRO_RUN_CACHE",
     "REPRO_JOBS",

@@ -44,6 +44,18 @@ class TestRunPerformance:
     def test_d2_lower_miss_rate(self, d2_seq, trad_seq):
         assert d2_seq.mean_miss_rate < trad_seq.mean_miss_rate
 
+    def test_metrics_carry_lookup_gauges(self, d2_seq):
+        """Client caches are the deployment's, so its snapshot sees them."""
+        gauges = d2_seq.metrics["gauges"]
+        counters = d2_seq.metrics["counters"]
+        assert gauges["lookup.caches"] == len(d2_seq.per_user_miss_rate) > 0
+        assert gauges["lookup.occupancy"] > 0
+        assert counters["lookup.hits"] == d2_seq.cache_hits
+        assert counters["lookup.misses"] == d2_seq.cache_misses
+        assert gauges["lookup.hit_ratio"] == pytest.approx(
+            d2_seq.cache_hits / (d2_seq.cache_hits + d2_seq.cache_misses)
+        )
+
     def test_invalid_mode_rejected(self, trace):
         with pytest.raises(ValueError):
             run_performance(trace, "d2", mode="both", n_nodes=10)

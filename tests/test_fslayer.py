@@ -1,7 +1,14 @@
 """Tests for the FS layer: op emission, versioning, metadata discipline."""
 
+import hashlib
+import json
+from pathlib import Path
+from unittest import mock
+
 import pytest
 
+from repro.core import system as system_module
+from repro.core.system import build_deployment
 from repro.dht.ring import Ring
 from repro.fs.blocks import BLOCK_SIZE, INLINE_DATA_THRESHOLD, BlockKind
 from repro.fs.fslayer import DhtFileSystem, apply_ops
@@ -9,6 +16,8 @@ from repro.fs.keyschemes import make_scheme
 from repro.fs.namespace import NamespaceError
 from repro.sim.engine import Simulator
 from repro.store.migration import StorageCoordinator
+from repro.workloads.harvard import HarvardConfig, generate_harvard
+from repro.workloads.trace import READ
 
 
 @pytest.fixture
@@ -278,3 +287,59 @@ class TestReaddirStat:
         fs.format()
         with pytest.raises(NamespaceError):
             fs.stat("/ghost")
+
+
+# ----------------------------------------------------------------------
+# golden: the whole BlockOp stream of one replayed trace, per key scheme
+
+GOLDEN_STREAMS = Path(__file__).parent / "data" / "blockop_streams.json"
+
+
+def replay_op_stream(system):
+    """``(op count, sha256 of the op reprs)`` of one fixed Harvard replay.
+
+    Every ``BlockOp`` the layer emits, in order: the ops ``load_initial_image``
+    and each mutation record hand to ``apply_ops``, ``fs.read`` of each read
+    record, and a final ``fs.readdir`` of every initial directory still there.
+    """
+    trace = generate_harvard(HarvardConfig(users=4, days=1.0, seed=7, rename_fraction=0.02))
+    deployment = build_deployment(system, n_nodes=8, seed=3)
+    fs = deployment.fs
+    digest = hashlib.sha256()
+    count = 0
+
+    def record(ops):
+        nonlocal count
+        for op in ops:
+            digest.update(repr(op).encode() + b"\n")
+            count += 1
+
+    def recording_apply_ops(store, ops):
+        ops = list(ops)
+        record(ops)
+        return apply_ops(store, ops)
+
+    with mock.patch.object(system_module, "apply_ops", recording_apply_ops):
+        deployment.load_initial_image(trace)
+        for rec in trace.records:
+            if rec.op != READ:
+                deployment.replay_record(rec)
+            elif fs.namespace.exists(rec.path):
+                record(fs.read(rec.path, rec.offset, rec.length or None))
+    for directory in trace.initial_dirs:
+        if fs.namespace.exists(directory):
+            record(fs.readdir(directory))
+    return count, digest.hexdigest()
+
+
+@pytest.mark.parametrize("system", ["d2", "traditional", "traditional-file"])
+def test_block_op_stream_golden(system):
+    """Pins op order, keys, sizes, idents and versions of every fs call.
+
+    ``tests/data/blockop_streams.json`` was exported by running
+    :func:`replay_op_stream` against the commit before the block plan
+    (PR 14, 20 hand-written ``BlockOp(...)`` sites).
+    """
+    golden = json.loads(GOLDEN_STREAMS.read_text())[system]
+    count, sha256 = replay_op_stream(system)
+    assert (count, sha256) == (golden["ops"], golden["sha256"])

@@ -19,7 +19,6 @@ import pytest
 from repro.lint.baseline import (
     Baseline,
     fingerprints_for,
-    legacy_fingerprints_for,
     partition,
     update,
 )
@@ -325,20 +324,22 @@ def test_fingerprint_anchors_on_symbol(tmp_path):
     assert len(digest) == 8
 
 
-def test_v1_baseline_still_suppresses_and_saves_as_v2(tmp_path):
-    findings, prints, sources = _lint_with_prints(tmp_path, VIOLATION_SRC)
-    legacy = legacy_fingerprints_for(findings, sources)
+def test_v1_baseline_is_refused_naming_its_version(tmp_path):
+    """The repo's baseline is v2 and empty; the v1 loader path is gone."""
+    findings, prints, _ = _lint_with_prints(tmp_path, VIOLATION_SRC)
     base_path = tmp_path / "baseline.json"
-    base_path.write_text(json.dumps({"version": 1, "entries": legacy}))
+    base_path.write_text(json.dumps(
+        {"version": 1, "entries": ["DET001:fixture.py:0123abcd"]}
+    ))
+    with pytest.raises(LintToolError, match="has version 1, expected 2"):
+        Baseline.load(str(base_path))
 
-    base = Baseline.load(str(base_path))
-    new, suppressed, stale = partition(findings, prints, base, legacy)
-    assert (new, len(suppressed), stale) == ([], 1, [])
-
-    update(base, prints).save()
+    update(Baseline(path=str(base_path)), prints).save()
     payload = json.loads(base_path.read_text())
     assert payload["version"] == 2
     assert payload["entries"] == prints
+    new, suppressed, stale = partition(findings, prints, Baseline.load(str(base_path)))
+    assert (new, len(suppressed), stale) == ([], 1, [])
 
 
 def test_unknown_baseline_version_is_tool_error(tmp_path):

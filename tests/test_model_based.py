@@ -6,10 +6,13 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from repro.core.config import D2Config
 from repro.core.lookup_cache import LookupCache
+from repro.core.system import build_deployment
 from repro.dht.keyspace import in_interval
-from repro.fs.blocks import BlockKind
+from repro.fs.blocks import BLOCK_SIZE, INLINE_DATA_THRESHOLD, BlockKind
 from repro.fs.fslayer import BlockOp
+from repro.fs.namespace import Directory, FileNode, NamespaceError
 from repro.fs.writeback_cache import WritebackCache
 from tests.test_membership import key_at, make_cluster
 
@@ -241,3 +244,131 @@ class RepairDeficitMachine(RuleBasedStateMachine):
 
 TestRepairDeficitModel = RepairDeficitMachine.TestCase
 TestRepairDeficitModel.settings = settings(max_examples=40, deadline=None)
+
+
+class BlockPlanMachine(RuleBasedStateMachine):
+    """The fs layer plans an object's blocks once; every reader of the plan
+    must agree, under any mutation history and all three key schemes.
+
+    Model: ``live[key]`` counts the blocks currently stored under *key*
+    (one per key, except under ``traditional-file`` where a file's blocks
+    share one).  A put adds a block, a remove must name a key a live put
+    emitted and takes one away, the root is rewritten in place.  With no
+    removal grace period the store directory is then exactly the keys with
+    a live block, and ``fs.read`` / ``Deployment.read_fetches`` /
+    ``file_data_keys`` all name those same keys.
+    """
+
+    names = st.sampled_from(["a", "b", "c", "d"])
+    picks = st.integers(min_value=0, max_value=63)
+    sizes = st.one_of(
+        st.sampled_from([0, 1, INLINE_DATA_THRESHOLD, INLINE_DATA_THRESHOLD + 1,
+                         BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE]),
+        st.integers(min_value=0, max_value=5 * BLOCK_SIZE),
+    )
+
+    @initialize(system=st.sampled_from(["d2", "traditional", "traditional-file"]))
+    def format(self, system):
+        self.deployment = build_deployment(
+            system, 8, config=D2Config(removal_delay=0.0), seed=1
+        )
+        self.fs = self.deployment.fs
+        self.live = Counter()
+        self.apply(self.fs.format())
+
+    def apply(self, ops):
+        for op in ops:
+            if op.action == "put":
+                if op.kind is BlockKind.ROOT:
+                    self.live[op.key] = 1
+                else:
+                    self.live[op.key] += 1
+            else:
+                assert op.action == "remove" and self.live[op.key] > 0, op
+                self.live[op.key] -= 1
+        self.deployment.apply_fs_ops(ops)
+
+    def paths(self, kind):
+        return [path for path, node in self.fs.namespace.walk() if isinstance(node, kind)]
+
+    def child_of(self, pick, name):
+        directories = self.paths(Directory)
+        return directories[pick % len(directories)].rstrip("/") + "/" + name
+
+    @rule(pick=picks, name=names)
+    def mkdir(self, pick, name):
+        path = self.child_of(pick, name)
+        if not self.fs.namespace.exists(path) and path.count("/") <= 14:  # past level 12: overflow
+            self.apply(self.fs.mkdir(path))
+
+    @rule(pick=picks, name=names, size=sizes)
+    def create(self, pick, name, size):
+        path = self.child_of(pick, name)
+        if not self.fs.namespace.exists(path):
+            self.apply(self.fs.create(path, size=size))
+
+    @rule(pick=picks, offset=sizes, length=sizes)
+    def write(self, pick, offset, length):
+        """Overwrite or append, never past the end: a write that starts
+        beyond the block holding the old end leaves the blocks in between
+        planned but never put (ROADMAP, chaos-fuzzer item) — committed rows
+        contain such writes, so that plan is pinned, not fixed, here."""
+        files = self.paths(FileNode)
+        if files:
+            path = files[pick % len(files)]
+            offset %= self.fs.stat(path)["size"] + 1
+            self.apply(self.fs.write(path, offset, length))
+
+    @rule(pick=picks)
+    def remove(self, pick):
+        candidates = self.paths((Directory, FileNode))[1:]  # not the root
+        if candidates:
+            try:
+                self.apply(self.fs.remove(candidates[pick % len(candidates)]))
+            except NamespaceError:  # non-empty directory: nothing emitted, nothing changed
+                pass
+
+    @rule(pick=picks, to=picks, name=names)
+    def rename(self, pick, to, name):
+        candidates = self.paths((Directory, FileNode))[1:]
+        if candidates:
+            try:
+                self.apply(self.fs.rename(candidates[pick % len(candidates)], self.child_of(to, name)))
+            except NamespaceError:  # destination exists, or a directory into itself
+                pass
+
+    @rule(pick=picks, offset=sizes, length=st.one_of(st.none(), sizes))
+    def read(self, pick, offset, length):
+        files = self.paths(FileNode)
+        if not files:
+            return
+        path = files[pick % len(files)]
+        ops = self.fs.read(path, offset, length)
+        assert all(op.action == "get" and self.live[op.key] > 0 for op in ops)
+        kinds = [op.kind for op in ops]
+        parents = path.count("/")
+        assert kinds[0] is BlockKind.ROOT and kinds[1 + parents] is BlockKind.INODE
+        assert set(kinds[1:1 + parents]) == {BlockKind.DIRECTORY}
+        assert set(kinds[2 + parents:]) <= {BlockKind.DATA}
+        assert [(op.key, op.size) for op in ops[1 + parents:]] == (
+            self.deployment.read_fetches(path, offset, length)
+        )
+
+    @invariant()
+    def every_reader_sees_the_stored_plan(self):
+        assert set(self.deployment.store.directory.keys()) == {
+            key for key, blocks in self.live.items() if blocks
+        }
+        for path in self.paths(FileNode):
+            whole = self.fs.read(path)
+            assert self.fs.file_data_keys(path) == [
+                op.key for op in whole if op.kind is BlockKind.DATA
+            ]
+            stat = self.fs.stat(path)
+            assert sum(op.size for op in whole if op.kind is BlockKind.DATA) == (
+                0 if stat["inline"] else stat["size"]
+            )
+
+
+TestBlockPlanModel = BlockPlanMachine.TestCase
+TestBlockPlanModel.settings = settings(max_examples=60, deadline=None)

@@ -68,7 +68,7 @@ def _echo_cell(params):
 def clean_runner_env(monkeypatch):
     """Isolate each test from the process memo and the runner env knobs."""
     common.clear_cache()
-    for var in (CACHE_ENV, JOBS_ENV, common.MEMO_DISABLE_ENV, common.MEMO_MAX_ENV):
+    for var in (CACHE_ENV, JOBS_ENV):
         monkeypatch.delenv(var, raising=False)
     yield
     common.clear_cache()
@@ -303,34 +303,19 @@ class TestCliJobs:
 
 
 class TestMemoKnobs:
-    def test_fifo_eviction(self, monkeypatch):
-        monkeypatch.setenv(common.MEMO_MAX_ENV, "3")
+    def test_fifo_eviction(self):
         calls = []
 
         def make(key):
             return common.cached(("memo-test", key), lambda: calls.append(key))
 
-        for key in range(5):
+        for key in range(common.MEMO_MAX + 2):
             make(key)
-        assert len(common._CACHE) == 3  # oldest two evicted
+        assert len(common._CACHE) == common.MEMO_MAX  # oldest two evicted
         make(0)  # was evicted -> recomputed
-        assert calls == [0, 1, 2, 3, 4, 0]
-        make(4)  # still resident -> memo hit
-        assert calls == [0, 1, 2, 3, 4, 0]
-
-    def test_kill_switch_bypasses_memo(self, monkeypatch):
-        monkeypatch.setenv(common.MEMO_DISABLE_ENV, "1")
-        calls = []
-        for _ in range(3):
-            common.cached(("memo-test", "x"), lambda: calls.append(1))
-        assert len(calls) == 3
-        assert not common._CACHE
-
-    def test_bad_memo_max_falls_back(self, monkeypatch):
-        monkeypatch.setenv(common.MEMO_MAX_ENV, "lots")
-        assert common.memo_max_entries() == common.DEFAULT_MEMO_MAX
-        monkeypatch.setenv(common.MEMO_MAX_ENV, "-5")
-        assert common.memo_max_entries() == 1
+        assert calls == [*range(common.MEMO_MAX + 2), 0]
+        make(common.MEMO_MAX + 1)  # still resident -> memo hit
+        assert calls == [*range(common.MEMO_MAX + 2), 0]
 
 
 @cell_kind("test-health-row")

@@ -261,15 +261,15 @@ class TestBenchTrajectorySchema:
             streamed_rows=0, streamed_spans=0,
         )
 
-    def test_migrate_stamps_unversioned_entries(self):
-        from repro.experiments.scale_matrix import migrate_run
+    def test_unversioned_entries_are_refused(self):
+        """Every committed run carries ``schema``; the in-place migration
+        that stamped the pre-versioning pr7/pr8 entries is gone."""
+        from repro.experiments.scale_matrix import validate_run
 
         legacy = {"label": "pr7", "cells": [{"cell": "routing"}]}
-        migrated = migrate_run(legacy)
-        assert migrated["schema"] == 1
-        assert "schema" not in legacy  # original left untouched
-        versioned = {"label": "x", "schema": 2, "cells": [{"cell": "read"}]}
-        assert migrate_run(versioned) is versioned
+        assert validate_run(legacy, 0) == [
+            "runs[0]: schema None not an int in [1, 2]"
+        ]
 
     def test_validate_run_reports_problems(self):
         from repro.experiments.scale_matrix import RUN_SCHEMA, validate_run
@@ -284,8 +284,10 @@ class TestBenchTrajectorySchema:
         assert all(p.startswith("runs[3]") for p in problems)
         assert validate_run("garbage", 0) == ["runs[0]: not an object"]
 
-    def test_record_appends_versioned_and_migrates_on_load(self, tmp_path):
+    def test_record_appends_versioned_and_refuses_unversioned(self, tmp_path):
         import json
+
+        import pytest as _pytest
 
         from repro.experiments.scale_matrix import (
             BENCH_SCHEMA,
@@ -295,16 +297,21 @@ class TestBenchTrajectorySchema:
         )
 
         target = tmp_path / "BENCH_scale.json"
-        # Seed a pre-versioning document (the committed pr7 shape).
-        target.write_text(json.dumps({
-            "schema": BENCH_SCHEMA,
-            "runs": [{"label": "pr7", "cells": [{"cell": "routing"}]}],
-        }))
+        seeded = {"label": "pr7", "schema": 1, "cells": [{"cell": "routing"}]}
+        target.write_text(json.dumps({"schema": BENCH_SCHEMA, "runs": [seeded]}))
         record_trajectory([self._result()], path=str(target), label="pr9")
         document = load_trajectory(str(target))
         assert [(r["label"], r["schema"]) for r in document["runs"]] == [
             ("pr7", 1), ("pr9", RUN_SCHEMA),
         ]
+        # A pre-versioning document (the shape pr7 was first committed in)
+        # is an error, and recording onto it leaves the file as it was.
+        del seeded["schema"]
+        unversioned = json.dumps({"schema": BENCH_SCHEMA, "runs": [seeded]})
+        target.write_text(unversioned)
+        with _pytest.raises(ValueError, match=r"runs\[0\]: schema None"):
+            record_trajectory([self._result()], path=str(target), label="pr9")
+        assert target.read_text() == unversioned
 
     def test_load_rejects_corrupt_documents(self, tmp_path):
         import json
