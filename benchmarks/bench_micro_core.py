@@ -10,11 +10,13 @@ import gc
 import random
 import statistics
 import time
+from collections import deque
 
 import pytest
 
+from repro.core import lookup_cache
 from repro.core.keys import decode_key, encode_path_key, version_hash, volume_id
-from repro.core.lookup_cache import LookupCache
+from repro.core.lookup_cache import CacheEntry, LookupCache
 from repro.core.system import build_deployment
 from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.keyspace import KEY_SPACE
@@ -24,7 +26,9 @@ from repro.fs.blocks import BLOCK_SIZE
 from repro.fs.fslayer import DhtFileSystem
 from repro.fs.keyschemes import D2KeyScheme
 from repro.fs.namespace import FileNode, Namespace
+from repro.store import block_store
 from repro.store.block_store import BlockDirectory
+from tests.oracles import ResortingDirectory, ScanLookupCache
 
 VOL = volume_id("bench")
 
@@ -111,7 +115,28 @@ def test_key_decode(benchmark):
     benchmark(decode_many)
 
 
+def paired_ratios(slow, fast, pairs=15):
+    """``slow() / fast()`` CPU seconds, interleaved, with the collector off:
+    a spell of host contention or a full collection then moves one pair's
+    ratio, not the median's."""
+    ratios = []
+    gc.disable()
+    try:
+        for _ in range(pairs):
+            seconds = []
+            for fn in (slow, fast):
+                gc.collect()
+                started = time.process_time()
+                fn()
+                seconds.append(time.process_time() - started)
+            ratios.append(seconds[0] / seconds[1])
+    finally:
+        gc.enable()
+    return ratios
+
+
 def test_directory_range_queries(benchmark):
+    """The read-only case: no mutation, so the index is built exactly once."""
     rng = random.Random(1)
     directory = BlockDirectory()
     for _ in range(20_000):
@@ -125,13 +150,115 @@ def test_directory_range_queries(benchmark):
     benchmark(query_many)
 
 
-def test_lookup_cache_probe(benchmark):
-    rng = random.Random(2)
-    cache = LookupCache(ttl=1e9)
+def test_ordered_index_directory_gate(monkeypatch):
+    """Shape gate: the directory's sorted index is patched, not re-sorted.
+
+    A balancing round of ``write-balance`` changes ~1 % of the keys and then
+    asks every node's load.  Counted first: 50 rounds of {200 mutations, 96
+    ``count_in_range``} on a 20 000-key directory call ``sorted`` zero times
+    once the index is built, and a bulk load of 20 000 keys followed by one
+    query calls it exactly once.  Then on the clock (median of 15 paired
+    ratios; measured 5.8-7.2x): the same rounds must beat a directory that
+    re-sorts after any change by >= 2x.
+    """
+    sorts = []
+    monkeypatch.setattr(
+        block_store, "sorted", lambda keys: sorts.append(1) or sorted(keys), raising=False
+    )
+    rng = random.Random(5)
+    image = [rng.randrange(KEY_SPACE) for _ in range(20_000)]
+    arcs = [(rng.randrange(KEY_SPACE), rng.randrange(KEY_SPACE)) for _ in range(96)]
+
+    def balancing_rounds(cls):
+        directory, live, fresh = cls(), deque(image), random.Random(9)
+        for key in image:
+            directory.put(key, 8192)
+        assert directory.count_in_range(0, 0) == len(image)
+
+        def rounds():
+            """Each round retires the 100 oldest keys and writes 100 new."""
+            loads = []
+            for _ in range(50):
+                for _ in range(100):
+                    directory.remove(live.popleft())
+                    live.append(fresh.randrange(KEY_SPACE))
+                    directory.put(live[-1], 8192)
+                loads.append([directory.count_in_range(lo, hi) for lo, hi in arcs])
+            return loads
+
+        return rounds
+
+    patched = balancing_rounds(BlockDirectory)
+    assert len(sorts) == 1, f"{len(sorts)} sorts for a bulk load and one query"
+    loads = patched()
+    assert len(sorts) == 1, f"{len(sorts) - 1} re-sorts in 50 rounds of 1 % changes"
+    resorted = balancing_rounds(ResortingDirectory)
+    assert resorted() == loads and len(sorts) == 1 + 1 + 50
+
+    gain = paired_ratios(resorted, patched)
+    assert statistics.median(gain) > 2, (
+        f"patching the sorted index no longer beats re-sorting it: "
+        f"re-sort / patch = {sorted(gain)}"
+    )
+
+
+def disjoint_cache(cls):
+    cache = cls(ttl=1e9)
     ring, _ = build_ring(500, seed=2)
     for name in list(ring.names())[:250]:
         lo, hi = ring.range_of(name)
         cache.insert(lo, hi, name, now=0.0)
+    return cache
+
+
+def test_ordered_index_cache_gate(monkeypatch):
+    """Shape gate: a probe bisects the cache, it does not scan it.
+
+    Counted through a double of ``CacheEntry`` that notes which entries had
+    an attribute read: each of 512 probes of a 250-entry cache of disjoint
+    arcs touches at most 2 entries (the one at the bisect point and the one
+    arc that wraps), where the scan touches all 250.  Then on the clock
+    (median of 15 paired ratios; measured 30-39x): the probe loop must beat
+    the scan kept in ``tests/oracles.py`` by >= 5x.
+    """
+    touched = set()
+
+    class WatchedEntry(CacheEntry):
+        def __getattribute__(self, name):
+            touched.add(id(self))
+            return object.__getattribute__(self, name)
+
+    rng = random.Random(2)
+    keys = [rng.randrange(KEY_SPACE) for _ in range(512)]
+    with monkeypatch.context() as patch:
+        patch.setattr(lookup_cache, "CacheEntry", WatchedEntry)
+        watched, scanned = disjoint_cache(LookupCache), disjoint_cache(ScanLookupCache)
+    most = {}
+    for cache in (watched, scanned):
+        counts = []
+        for key in keys:
+            touched.clear()
+            cache.probe(key, now=1.0)
+            counts.append(len(touched))
+        most[type(cache).__name__] = max(counts)
+    assert most == {"LookupCache": 2, "ScanLookupCache": 250}, most
+    assert watched.stats == scanned.stats and 0 < watched.stats.hits < 512
+
+    bisecting, scanning = disjoint_cache(LookupCache), disjoint_cache(ScanLookupCache)
+
+    def probe_many(cache):
+        for key in keys:
+            cache.probe(key, now=1.0)
+
+    gain = paired_ratios(lambda: probe_many(scanning), lambda: probe_many(bisecting))
+    assert statistics.median(gain) > 5, (
+        f"probing no longer beats the linear scan: scan / bisect = {sorted(gain)}"
+    )
+
+
+def test_lookup_cache_probe(benchmark):
+    rng = random.Random(2)
+    cache = disjoint_cache(LookupCache)
     keys = [rng.randrange(KEY_SPACE) for _ in range(512)]
 
     def probe_many():
@@ -198,23 +325,10 @@ def test_read_batch_sharing_gate(monkeypatch):
         f"loop, shared batch, distinct loop, distinct batch): {counts}"
     )
 
-    # Paired and interleaved, on the CPU clock with the collector off: a
-    # spell of host contention or a full collection over the 50 k tuples a
-    # case allocates then moves one pair's ratio, not the median's.
-    shared_gain, distinct_cost = [], []
-    gc.disable()
-    try:
-        for _ in range(15):
-            seconds = []
-            for fn in cases:
-                gc.collect()
-                started = time.process_time()
-                fn()
-                seconds.append(time.process_time() - started)
-            shared_gain.append(seconds[0] / seconds[1])
-            distinct_cost.append(seconds[3] / seconds[2])
-    finally:
-        gc.enable()
+    # A full collection over the 50 k tuples a case allocates is the other
+    # thing paired_ratios keeps out of the median.
+    shared_gain = paired_ratios(cases[0], cases[1])
+    distinct_cost = paired_ratios(cases[3], cases[2])
 
     assert statistics.median(shared_gain) > 2, (
         f"read_fetches_many no longer shares work between repeats of one "

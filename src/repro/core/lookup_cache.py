@@ -36,7 +36,7 @@ import bisect
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.dht.keyspace import in_interval
+from repro.dht.keyspace import KEY_SPACE, in_interval
 from repro.obs.events import LOOKUP_HIT, LOOKUP_MISS, LOOKUP_STALE, EventTracer
 from repro.obs.metrics import MetricsRegistry
 
@@ -138,11 +138,14 @@ class LookupCacheStats:
 class LookupCache:
     """One client's cache of ``(key range → node)`` entries with TTL expiry.
 
-    Entries are kept sorted by range end; ranges may overlap transiently
-    after churn, in which case the freshest entry (latest ``expires_at``)
-    wins.  With a shared *registry*/*tracer*, every probe also feeds the
-    deployment-wide aggregate counters (``lookup.hits`` etc.) and the event
-    stream — each cache's own :class:`LookupCacheStats` stays per-client.
+    Entries are kept sorted by range end, and a probe bisects that order:
+    it examines the entries ending at or after the key for as long as one
+    of them can start before it, plus the few arcs that wrap.  Ranges may
+    overlap transiently after churn, in which case the freshest entry
+    (latest ``expires_at``) wins.  With a shared *registry*/*tracer*, every
+    probe also feeds the deployment-wide aggregate counters (``lookup.hits``
+    etc.) and the event stream — each cache's own :class:`LookupCacheStats`
+    stays per-client.
 
     Optional knobs (all default to the paper's static design):
 
@@ -171,6 +174,7 @@ class LookupCache:
         self._ring = ring
         self._entries: List[CacheEntry] = []  # sorted by hi
         self._his: List[int] = []
+        self._reindex()
         self.stats = LookupCacheStats()
         self._shared = LookupCacheStats(registry) if registry is not None else None
         self._tracer = tracer
@@ -251,6 +255,7 @@ class LookupCache:
                 index = bisect.bisect_left(self._his, hi)
             self._his.insert(index, hi)
             self._entries.insert(index, entry)
+        self._reindex()
         self._count("inserts")
 
     def _evict_for_capacity(self) -> None:
@@ -260,7 +265,7 @@ class LookupCache:
         if self._sizer is not None:
             self._sizer.record(self, "capacity_eviction")
 
-    def invalidate(self, key: int, now: Optional[float] = None, span=None) -> None:
+    def invalidate(self, key: int, now: float, span=None) -> None:
         """Drop the entry covering *key* (used after a stale-entry fault)."""
         entry = self._find(key)
         if entry is not None:
@@ -271,31 +276,65 @@ class LookupCache:
             if span:
                 span.annotate(cache="stale", stale_node=entry.node)
             if self._tracer is not None:
-                self._tracer.emit(
-                    LOOKUP_STALE,
-                    now if now is not None else entry.expires_at - self.ttl,
-                    key=key,
-                    node=entry.node,
-                )
+                self._tracer.emit(LOOKUP_STALE, now, key=key, node=entry.node)
+
+    def _reindex(self) -> None:
+        """Rebuild what :meth:`_find` reads, after the entries changed.
+
+        ``_min_lo[i]`` is the lowest range start among ``_entries[i:]``
+        (``KEY_SPACE`` past the end); ``_wrapping`` holds the entries whose
+        arc wraps past zero or is the full ring (``lo >= hi``), in order.
+        """
+        lowest = KEY_SPACE
+        min_lo, wrapping = [lowest], []
+        for entry in reversed(self._entries):
+            if entry.lo < lowest:
+                lowest = entry.lo
+            if entry.lo >= entry.hi:
+                wrapping.append(entry)
+            min_lo.append(lowest)
+        min_lo.reverse()
+        wrapping.reverse()
+        self._min_lo, self._wrapping = min_lo, wrapping
 
     def _find(self, key: int) -> Optional[CacheEntry]:
         """Freshest entry covering *key*, expired or not.
 
-        Overlaps are transient (a few entries after churn), but a covering
-        entry can sit at any index once arcs overlap or wrap, so all
-        candidates are scanned and the latest ``expires_at`` wins — live
-        entries therefore always beat expired ones.
+        The latest ``expires_at`` wins, so live entries always beat expired
+        ones; equally fresh entries tie to the lowest range end.  An arc
+        that does not wrap covers *key* exactly when it ends at or after
+        *key* and starts before it: those entries sit from the bisect point
+        on, and the walk over them stops where no later entry starts below
+        *key* — after one or two entries while arcs are disjoint, further
+        only across arcs that overlap.  A wrapping arc can cover *key* from
+        either side of that point, so the few of them are tested directly.
         """
         best: Optional[CacheEntry] = None
-        for entry in self._entries:
-            if entry.covers(key) and (best is None or entry.expires_at > best.expires_at):
+        for entry in self._wrapping:  # lo >= hi; lo == hi passes for any key
+            if (key > entry.lo or key <= entry.hi) and (
+                best is None or entry.expires_at > best.expires_at
+            ):
+                best = entry
+        entries, min_lo = self._entries, self._min_lo
+        index = bisect.bisect_left(self._his, key)
+        while min_lo[index] < key:
+            entry = entries[index]
+            index += 1
+            # At or past the bisect point a wrapping arc has hi >= key, so
+            # lo < key selects exactly the covering arcs that do not wrap.
+            if entry.lo < key and (
+                best is None
+                or entry.expires_at > best.expires_at
+                or (entry.expires_at == best.expires_at and entry.hi < best.hi)
+            ):
                 best = entry
         return best
 
     def _remove_entry(self, entry: CacheEntry) -> None:
-        index = self._entries.index(entry)
+        index = bisect.bisect_left(self._his, entry.hi)  # range ends are unique
         del self._entries[index]
         del self._his[index]
+        self._reindex()
 
     def _drop_expired(self, now: float) -> None:
         live = [(h, e) for h, e in zip(self._his, self._entries) if e.expires_at > now]
@@ -304,6 +343,7 @@ class LookupCache:
             self._count("evictions", dropped)
             self._his = [h for h, _ in live]
             self._entries = [e for _, e in live]
+            self._reindex()
 
     def entries(self) -> Tuple[CacheEntry, ...]:
         return tuple(self._entries)

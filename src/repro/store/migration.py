@@ -263,14 +263,10 @@ class StorageCoordinator:
 
     def primary_load(self, name: str) -> int:
         lo, hi = self.ring.range_of(name)
-        if len(self.ring) == 1:
-            return len(self.directory)
         return self.directory.count_in_range(lo, hi)
 
     def primary_keys(self, name: str) -> Sequence[int]:
         lo, hi = self.ring.range_of(name)
-        if len(self.ring) == 1:
-            return list(self.directory.keys())
         return self.directory.keys_in_range(lo, hi)
 
     def execute_move(self, mover: str, new_id: int) -> None:
@@ -482,14 +478,10 @@ class StorageCoordinator:
 
     def primary_bytes(self) -> Dict[str, int]:
         """Primary byte volume per node (storage-balance metric)."""
-        result = {}
-        for name in self.ring.names():
-            lo, hi = self.ring.range_of(name)
-            if len(self.ring) == 1:
-                result[name] = self.directory.total_bytes
-            else:
-                result[name] = self.directory.bytes_in_range(lo, hi)
-        return result
+        return {
+            name: self.directory.bytes_in_range(*self.ring.range_of(name))
+            for name in self.ring.names()
+        }
 
     def total_loads(self) -> Dict[str, int]:
         """Total (primary + secondary) block count per node.

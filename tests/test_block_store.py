@@ -108,6 +108,66 @@ class TestRangeQueries:
         assert d.count_in_range(15, 45) == 3
 
 
+class TestIndexPatching:
+    """The sorted index is patched between queries, re-sorted after bulk."""
+
+    def make(self, n=64):
+        d = BlockDirectory()
+        for key in range(0, 10 * n, 10):
+            d.add(key, 1)
+        assert d.count_in_range(5, 5) == n  # builds the index
+        return d
+
+    def test_few_changes_patch_the_list_in_place(self):
+        d = self.make()
+        index = d._sorted
+        d.add(15, 1)
+        d.remove(20)
+        d.put(30, 9)  # size only: not a change of the key set
+        assert d._pending == {15: True, 20: False}
+        assert d.keys_in_range(0, 40) == [10, 15, 30, 40]
+        assert d._sorted is index and not d._pending
+
+    def test_a_key_that_comes_and_goes_inside_a_window_cancels(self):
+        d = self.make()
+        d.add(15, 1)
+        d.discard(15)  # never reached the index
+        d.remove(20)
+        d.put(20, 2)  # never left it
+        assert d._pending == {}
+        assert d.keys_in_range(0, 30) == [10, 20, 30]
+
+    def test_bulk_changes_stop_being_recorded(self):
+        d = BlockDirectory()
+        d.add(1, 1)
+        assert d._pending is None  # any change is the whole of an empty index
+        d = self.make(64)
+        for key in range(5, 5 + 10 * 4, 10):
+            d.add(key, 1)  # 4 of 64 pending: exactly the share, still a patch
+        assert len(d._pending) == 4
+        d.add(45, 1)
+        assert d._pending is None
+        d.remove(45)  # too late to cancel; the re-sort reads the key set anyway
+        assert d.keys_in_range(0, 50) == [5, 10, 15, 20, 25, 30, 35, 40, 50]
+        assert d._pending == {}
+
+    def test_returned_lists_survive_later_patches(self):
+        d = self.make(32)
+        whole = d.keys_in_range(315, 315)  # full ring, rotation point at the end
+        assert whole == list(range(0, 320, 10)) and whole is not d._sorted
+        d.add(5, 1)
+        assert d.count_in_range(0, 10) == 2 and d._sorted[:3] == [0, 5, 10]
+        assert whole == list(range(0, 320, 10))
+
+    def test_patch_refuses_to_delete_a_neighbour(self):
+        d = self.make()
+        d._sorted.remove(20)  # the index lost a key the directory still has
+        d.remove(20)
+        with pytest.raises(BlockDirectoryError):
+            d.count_in_range(0, 100)
+        assert 10 in d._sorted and 30 in d._sorted
+
+
 class TestMedian:
     def test_median_simple(self):
         d = BlockDirectory()

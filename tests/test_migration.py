@@ -149,6 +149,21 @@ class TestBalanceCoordinatorProtocol:
             store.write(key, 1)
         assert list(store.primary_keys("n1")) == keys
 
+    def test_one_node_ring_takes_the_ordinary_path(self):
+        """A lone node owns ``(id, id]``, the full ring: its keys come back
+        clockwise from just after its own id like any other arc's, not in
+        write order, and its load and bytes are the whole directory's."""
+        ring, sim, store = make_system(positions=(500,))
+        written = [key_at(t) for t in (700, 100, 500, 900, 300)]
+        for size, key in enumerate(written, start=1):
+            store.write(key, size)
+        assert list(store.primary_keys("n0")) == [
+            key_at(t) for t in (700, 900, 100, 300, 500)
+        ]
+        assert store.primary_load("n0") == len(store.directory) == 5
+        assert store.primary_bytes() == {"n0": store.directory.total_bytes}
+        assert store.total_loads() == {"n0": 5}
+
 
 class TestMoves:
     def test_move_with_pointers_defers_migration(self):

@@ -1,4 +1,4 @@
-"""Model-based (stateful) tests: caches vs brute-force reference models."""
+"""Model-based (stateful) tests: caches and indexes vs brute-force reference models."""
 
 from collections import Counter
 
@@ -9,36 +9,54 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.core.config import D2Config
 from repro.core.lookup_cache import LookupCache
 from repro.core.system import build_deployment
-from repro.dht.keyspace import in_interval
+from repro.dht.ring import Ring
 from repro.fs.blocks import BLOCK_SIZE, INLINE_DATA_THRESHOLD, BlockKind
 from repro.fs.fslayer import BlockOp
 from repro.fs.namespace import Directory, FileNode, NamespaceError
 from repro.fs.writeback_cache import WritebackCache
+from repro.store.block_store import BlockDirectory, BlockDirectoryError
+from tests.oracles import ScanLookupCache, SortedDictDirectory
 from tests.test_membership import key_at, make_cluster
 
 SMALL_KEYS = st.integers(min_value=0, max_value=999)
 
 
 class LookupCacheMachine(RuleBasedStateMachine):
-    """The cache must agree with a naive list-of-ranges model.
+    """The bisecting cache against the linear freshest-covering scan it
+    replaced (:class:`tests.oracles.ScanLookupCache`): the same calls go to
+    both, and every answer, every counter and the entries must agree after
+    every step.
 
-    Model: the most recently inserted unexpired range covering a key wins;
-    the cache may conservatively miss (e.g. overlapping ranges hide one
-    another) but must never return a node the model does not list for the
-    key — a wrong *positive* would send clients to arbitrary nodes far
-    more often than churn explains.
+    Arcs are arbitrary — overlapping, nested, wrapping, the full ring — and
+    inserts between two clock steps expire together, so the "latest
+    ``expires_at`` wins, lowest range end on ties" rule is what decides most
+    probes.  An implementation that assumes disjoint arcs fails here.
     """
 
-    def __init__(self):
-        super().__init__()
-        self.cache = LookupCache(ttl=100.0)
-        self.model = []  # list of (lo, hi, node, expires_at), newest last
+    nodes = "abcdef"
+
+    @initialize(capacity=st.one_of(st.none(), st.integers(min_value=2, max_value=12)))
+    def build(self, capacity):
+        self.ring = Ring()
+        for index, name in enumerate(self.nodes):
+            self.ring.join(name, 150 * index + 75)
+        self.caches = [
+            cls(ttl=100.0, capacity=capacity, ring=self.ring)
+            for cls in (LookupCache, ScanLookupCache)
+        ]
         self.now = 0.0
 
-    @rule(lo=SMALL_KEYS, hi=SMALL_KEYS, node=st.sampled_from("abcdef"))
+    def both(self, method, *args):
+        got, expected = (getattr(cache, method)(*args) for cache in self.caches)
+        assert got == expected, (method, args, got, expected)
+
+    @rule(lo=SMALL_KEYS, hi=SMALL_KEYS, node=st.sampled_from(nodes))
     def insert(self, lo, hi, node):
-        self.cache.insert(lo, hi, node, self.now)
-        self.model.append((lo, hi, node, self.now + 100.0))
+        self.both("insert", lo, hi, node, self.now)
+
+    @rule(at=SMALL_KEYS, node=st.sampled_from(nodes))
+    def insert_full_ring(self, at, node):
+        self.both("insert", at, at, node, self.now)
 
     @rule(delta=st.floats(min_value=0.0, max_value=60.0))
     def advance(self, delta):
@@ -46,22 +64,23 @@ class LookupCacheMachine(RuleBasedStateMachine):
 
     @rule(key=SMALL_KEYS)
     def probe(self, key):
-        got = self.cache.probe(key, self.now)
-        if got is not None:
-            candidates = {
-                node
-                for lo, hi, node, expires in self.model
-                if expires > self.now and (lo == hi or in_interval(key, lo, hi))
-            }
-            assert got in candidates, (
-                f"cache returned {got!r} for key {key}, model allows {candidates}"
-            )
+        self.both("probe", key, self.now)
+
+    @rule(key=SMALL_KEYS)
+    def invalidate(self, key):
+        self.both("invalidate", key, self.now)
+
+    @rule(node=st.sampled_from(nodes))
+    def leave(self, node):
+        if node in self.ring and len(self.ring) > 1:
+            self.ring.leave(node)
 
     @invariant()
-    def stats_consistent(self):
-        stats = self.cache.stats
-        assert stats.hits + stats.misses == stats.lookups
-        assert 0.0 <= stats.miss_rate <= 1.0
+    def same_state(self):
+        cache, oracle = self.caches
+        assert cache.entries() == oracle.entries()
+        assert cache.stats == oracle.stats, (cache.stats, oracle.stats)
+        assert cache.stats.hits + cache.stats.misses == cache.stats.lookups
 
 
 TestLookupCacheModel = LookupCacheMachine.TestCase
@@ -140,39 +159,88 @@ TestWritebackCacheModel = WritebackCacheMachine.TestCase
 TestWritebackCacheModel.settings = settings(max_examples=40, deadline=None)
 
 
+# A key space small enough that removes mostly hit and adds mostly miss.
+DIRECTORY_KEYS = st.integers(min_value=0, max_value=255)
+ARCS = st.one_of(
+    st.tuples(DIRECTORY_KEYS, DIRECTORY_KEYS),  # plain or wrapping
+    DIRECTORY_KEYS.map(lambda key: (key, key)),  # lo == hi: the full ring
+)
+
+
 class RingDirectoryMachine(RuleBasedStateMachine):
-    """Block directory range queries must match a brute-force set under
-    interleaved adds, removes, and queries."""
+    """The patched sorted index against a dict that is sorted afresh on
+    every query (:class:`tests.oracles.SortedDictDirectory`).
+
+    Mutations come singly (the next query patches them in), in pairs that
+    cancel inside one window, and in bursts that cross the re-sort
+    threshold; every query kind is checked over plain, wrapping and
+    full-ring arcs, and a list once returned must not change afterwards.
+    """
 
     def __init__(self):
         super().__init__()
-        from repro.store.block_store import BlockDirectory
-
         self.directory = BlockDirectory()
-        self.model = {}
+        self.model = SortedDictDirectory()
+        self.returned = []  # (list handed out, its contents then)
 
-    @rule(key=SMALL_KEYS, size=st.integers(min_value=0, max_value=8192))
-    def put(self, key, size):
-        self.directory.put(key, size)
-        self.model[key] = size
+    @initialize(keys=st.lists(DIRECTORY_KEYS, min_size=96, unique=True), arc=ARCS)
+    def load_image(self, keys, arc):
+        """Start from a built index, so that what follows is patched in."""
+        self.burst(keys, remove=False)
+        self.query(arc)
 
-    @rule(key=SMALL_KEYS)
-    def discard(self, key):
-        self.directory.discard(key)
-        self.model.pop(key, None)
+    def both(self, method, *args):
+        results = []
+        for target in (self.directory, self.model):
+            try:
+                results.append(getattr(target, method)(*args))
+            except BlockDirectoryError:
+                results.append(BlockDirectoryError)
+        assert results[0] == results[1], (method, args, results)
+        return results[0]
 
-    @rule(lo=SMALL_KEYS, hi=SMALL_KEYS)
-    def range_query(self, lo, hi):
-        got = sorted(self.directory.keys_in_range(lo, hi))
-        expected = sorted(
-            k for k in self.model if lo == hi or in_interval(k, lo, hi)
-        )
-        assert got == expected
+    @rule(method=st.sampled_from(["add", "put"]), key=DIRECTORY_KEYS,
+          size=st.integers(min_value=0, max_value=8192))
+    def store(self, method, key, size):
+        self.both(method, key, size)  # a put of a live key changes its size only
+
+    @rule(method=st.sampled_from(["remove", "discard"]), key=DIRECTORY_KEYS)
+    def drop(self, method, key):
+        self.both(method, key)
+
+    @rule(key=DIRECTORY_KEYS)
+    def flicker(self, key):
+        """Out and back in, or in and out, with no query in between."""
+        size = self.both("discard", key)
+        self.both("add", key, 7 if size is None else size)
+        if size is None:
+            self.both("remove", key)
+
+    @rule(keys=st.lists(DIRECTORY_KEYS, min_size=2, max_size=120), remove=st.booleans())
+    def burst(self, keys, remove):
+        for key in keys:
+            if remove:
+                self.both("discard", key)
+            else:
+                self.both("put", key, key % 13)
+
+    @rule(arc=ARCS)
+    def query(self, arc):
+        keys = self.both("keys_in_range", *arc)
+        self.returned.append((keys, list(keys)))
+        self.both("count_in_range", *arc)
+        self.both("bytes_in_range", *arc)
+        self.both("median_key_in_range", *arc)
 
     @invariant()
     def totals_match(self):
-        assert len(self.directory) == len(self.model)
-        assert self.directory.total_bytes == sum(self.model.values())
+        assert len(self.directory) == len(self.model.sizes)
+        assert self.directory.total_bytes == sum(self.model.sizes.values())
+        assert list(self.directory.keys()) == list(self.model.sizes)
+
+    @invariant()
+    def returned_lists_are_the_callers(self):
+        assert all(keys == then for keys, then in self.returned)
 
 
 TestRingDirectoryModel = RingDirectoryMachine.TestCase
