@@ -11,10 +11,12 @@ import random
 import statistics
 import time
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import lookup_cache
+from repro.core import system as core_system
 from repro.core.keys import decode_key, encode_path_key, version_hash, volume_id
 from repro.core.lookup_cache import CacheEntry, LookupCache
 from repro.core.system import build_deployment
@@ -22,13 +24,21 @@ from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.keyspace import KEY_SPACE
 from repro.dht.ring import Ring
 from repro.dht.routing import route
+from repro.fs import keyschemes, namespace
 from repro.fs.blocks import BLOCK_SIZE
-from repro.fs.fslayer import DhtFileSystem
+from repro.fs.fslayer import DhtFileSystem, apply_ops
 from repro.fs.keyschemes import D2KeyScheme
 from repro.fs.namespace import FileNode, Namespace
+from repro.sim.engine import Simulator
 from repro.store import block_store
 from repro.store.block_store import BlockDirectory
-from tests.oracles import ResortingDirectory, ScanLookupCache
+from repro.store.migration import StorageCoordinator
+from tests.oracles import (
+    PerKeyCoordinator,
+    ResortingDirectory,
+    ScanLookupCache,
+    apply_ops_per_key,
+)
 
 VOL = volume_id("bench")
 
@@ -337,4 +347,86 @@ def test_read_batch_sharing_gate(monkeypatch):
     assert statistics.median(distinct_cost) < 1.1, (
         f"read_fetches_many slower than the loop on all-distinct requests: "
         f"batch / loop = {sorted(distinct_cost)}"
+    )
+
+
+def test_flush_commit_gate(monkeypatch):
+    """Shape gate: an object's flush is planned and committed once.
+
+    Counted on the load of a 400-object image (20 directories of 19 files,
+    inline to 12 blocks): the storage identity is made once per object and
+    the Figure-4 prefix encoded once per object plus once for the root; the
+    load leaves ``Ring._owner_memo`` as it found it; a pending grace-period
+    removal owns at most 2 GC-tracked objects (its queue entry and its
+    ``partial``), with one bound method per flush.  Then on the clock
+    (median of 15 paired ratios, collector off; measured 1.5-1.6x): applying
+    the image's flushes through ``apply_ops`` -> ``commit`` must beat the
+    per-key store path kept in ``tests/oracles.py`` by >= 1.25x.
+    """
+    sizes = (0, 300, BLOCK_SIZE, 3 * BLOCK_SIZE + 17, 12 * BLOCK_SIZE)
+    directories = [f"/vol/d{index:02d}" for index in range(20)]
+    image = SimpleNamespace(
+        initial_dirs=["/vol", *directories],
+        initial_files=[
+            (f"{directory}/f{index:02d}", sizes[index % len(sizes)])
+            for directory in directories for index in range(19)
+        ],
+    )
+    objects = len(image.initial_dirs) + len(image.initial_files)
+
+    calls, flushes = [], []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    def recorded(store, ops):
+        flushes.append(ops)
+        return apply_ops(store, ops)
+
+    deployment = build_deployment("d2", 64, seed=4)
+    with monkeypatch.context() as patch:
+        for module, name in ((namespace, "storage_identity"), (keyschemes, "encode_path_key")):
+            patch.setattr(module, name, counted(name, getattr(module, name)))
+        patch.setattr(core_system, "apply_ops", recorded)
+        memo_before = len(deployment.ring._owner_memo)
+        deployment.load_initial_image(image)
+    assert len(flushes) == objects + 1  # format, then one flush per object
+    # The root directory got its identity with the deployment, before the count.
+    assert calls.count("storage_identity") <= objects, calls.count("storage_identity")
+    assert calls.count("encode_path_key") <= objects + 1, calls.count("encode_path_key")
+    assert len(deployment.ring._owner_memo) == memo_before == 0
+
+    gc.collect()  # untracks the partials' (key, deadline) tuples, as any pass would
+    pending = deployment.sim._queue
+    assert len(pending) == len(deployment.store._removes_at) > objects
+    owned = [
+        sum(map(gc.is_tracked, (entry, entry[2], entry[2].args, entry[2].keywords)))
+        for entry in pending
+    ]
+    assert max(owned) <= 2, f"GC-tracked objects per pending removal: {max(owned)}"
+    assert len({id(entry[2].func) for entry in pending}) <= len(flushes)
+
+    def apply_image(coordinator, apply):
+        def run():
+            ring, _ = build_ring(64, seed=4)
+            store = coordinator(ring, Simulator())
+            for ops in flushes:
+                apply(store, ops)
+            return store
+        return run
+
+    per_key = apply_image(PerKeyCoordinator, apply_ops_per_key)
+    one_commit = apply_image(StorageCoordinator, apply_ops)
+    old, new = per_key(), one_commit()
+    assert list(old.directory._sizes.items()) == list(new.directory._sizes.items())
+    assert old.physical_at == new.physical_at and old._removes_at == new._removes_at
+    assert old.ledger == new.ledger and old.sim.pending() == new.sim.pending()
+
+    gain = paired_ratios(per_key, one_commit)
+    assert statistics.median(gain) > 1.25, (
+        f"one commit per flush no longer beats one store call per key: "
+        f"per key / commit = {sorted(gain)}"
     )

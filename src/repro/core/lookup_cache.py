@@ -33,6 +33,7 @@ Beyond the paper's static design this module adds two orthogonal upgrades
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -283,19 +284,22 @@ class LookupCache:
 
         ``_min_lo[i]`` is the lowest range start among ``_entries[i:]``
         (``KEY_SPACE`` past the end); ``_wrapping`` holds the entries whose
-        arc wraps past zero or is the full ring (``lo >= hi``), in order.
+        arc wraps past zero or is the full ring (``lo >= hi``), in order;
+        ``_first_expiry`` is when the first entry lapses (never, if empty).
         """
-        lowest = KEY_SPACE
+        lowest, first_expiry = KEY_SPACE, math.inf
         min_lo, wrapping = [lowest], []
         for entry in reversed(self._entries):
             if entry.lo < lowest:
                 lowest = entry.lo
             if entry.lo >= entry.hi:
                 wrapping.append(entry)
+            if entry.expires_at < first_expiry:
+                first_expiry = entry.expires_at
             min_lo.append(lowest)
         min_lo.reverse()
         wrapping.reverse()
-        self._min_lo, self._wrapping = min_lo, wrapping
+        self._min_lo, self._wrapping, self._first_expiry = min_lo, wrapping, first_expiry
 
     def _find(self, key: int) -> Optional[CacheEntry]:
         """Freshest entry covering *key*, expired or not.
@@ -337,6 +341,8 @@ class LookupCache:
         self._reindex()
 
     def _drop_expired(self, now: float) -> None:
+        if now < self._first_expiry:
+            return  # nothing has lapsed: the usual case, no copy made
         live = [(h, e) for h, e in zip(self._his, self._entries) if e.expires_at > now]
         dropped = len(self._entries) - len(live)
         if dropped:

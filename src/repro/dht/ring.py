@@ -16,7 +16,7 @@ immediate successors; the first is the primary replica).
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dht.keyspace import KEY_SPACE, in_interval, validate_key
 
@@ -169,6 +169,19 @@ class Ring:
     def successor(self, key: int) -> str:
         """Name of the node that owns *key* (its immediate successor)."""
         return self._names[self.successor_index(key)]
+
+    def owners(self, keys: Iterable[int]) -> List[str]:
+        """The owner of each of *keys*, in order.
+
+        For keys asked about once (a flush's fresh block versions): one
+        pass over the sorted positions that neither reads nor grows the
+        memo, which would otherwise end an image load holding every key.
+        """
+        if not self._ids:
+            raise RingError("ring is empty")
+        ids, names, size = self._ids, self._names, len(self._ids)
+        find = bisect.bisect_left
+        return [names[find(ids, validate_key(key)) % size] for key in keys]
 
     def successors(self, key: int, count: int) -> List[str]:
         """The *count* distinct nodes clockwise from *key* (replica group).

@@ -24,9 +24,7 @@ the write-back cache.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.fs.blocks import (
     INLINE_DATA_THRESHOLD,
@@ -37,19 +35,19 @@ from repro.fs.blocks import (
     directory_block_sizes,
     inode_size,
 )
-from repro.fs.keyschemes import KeyScheme, storage_identity
+from repro.fs.keyschemes import KeyScheme
 from repro.fs.namespace import Directory, FileNode, Namespace
 
 ROOT_BLOCK_SIZE = 256
 
 
-@dataclass(frozen=True)
-class BlockOp:
+class BlockOp(NamedTuple):
     """One block-level operation implied by a file-system call.
 
     ``ident`` is the block's version-independent logical identity (used by
     the write-back cache to coalesce rewrites); ``key`` is the ring key of
-    this specific version under the active scheme.
+    this specific version under the active scheme.  A tuple because a flush
+    builds ~22 of these and drops them: immutable and comparable, no more.
     """
 
     action: str  # 'put' | 'get' | 'remove'
@@ -58,10 +56,6 @@ class BlockOp:
     kind: BlockKind
     ident: str
     version: int = 0
-
-    @property
-    def is_metadata(self) -> bool:
-        return self.kind is not BlockKind.DATA
 
 
 def _read_blocks(node: FileNode, offset: int, length: Optional[int]) -> range:
@@ -84,17 +78,18 @@ class DhtFileSystem:
         self.namespace = Namespace()
         self.publisher = publisher
         self.root_version = 0
+        self._root_key = scheme.root_key()  # one key for the volume's life
 
     # ------------------------------------------------------------------
     # the block plan
 
     def _root_op(self, action: str) -> BlockOp:
-        """The root block: one key for the volume's life, updated in place."""
-        return BlockOp(action, self.scheme.root_key(), ROOT_BLOCK_SIZE, BlockKind.ROOT, "<root>")
+        """The root block, updated in place."""
+        return BlockOp(action, self._root_key, ROOT_BLOCK_SIZE, BlockKind.ROOT, "<root>")
 
     def _dir_ops(self, action: str, directory: Directory, version: int) -> List[BlockOp]:
         """Every metadata block of *directory* at *version*."""
-        ident = storage_identity(directory.slot_path, directory.overflow)
+        ident = directory.ident
         key = self.scheme.directory_block_key
         return [
             BlockOp(action, key(directory, number, version), size,
@@ -104,22 +99,20 @@ class DhtFileSystem:
 
     def _inode_op(self, action: str, node: FileNode, version: int, size: int) -> BlockOp:
         """The inode (block 0) of *node* as of *version*, when it held *size* bytes."""
-        ident = storage_identity(node.slot_path, node.overflow)
         return BlockOp(action, self.scheme.file_block_key(node, 0, version),
-                       inode_size(size), BlockKind.INODE, f"{ident}:b0", version)
+                       inode_size(size), BlockKind.INODE, f"{node.ident}:b0", version)
 
-    def _data_ops(self, action: str, node: FileNode, numbers: Iterable[int]) -> List[BlockOp]:
-        """The live versions of data blocks *numbers* of *node* at its current size."""
-        ident = storage_identity(node.slot_path, node.overflow)
-        key = self.scheme.file_block_key
+    def _data_ops(self, action: str, node: FileNode, blocks: range) -> List[BlockOp]:
+        """The live versions of the run *blocks* of *node* at its current
+        size, keyed as one run — the path :meth:`read_fetches` takes."""
+        ident, current = node.ident, node.version
         sizes = data_block_sizes_table(node.size)
         version_of = node.block_versions.get
-        ops: List[BlockOp] = []
-        for number in numbers:
-            version = version_of(number, node.version)
-            ops.append(BlockOp(action, key(node, number, version), sizes[number - 1],
-                               BlockKind.DATA, f"{ident}:b{number}", version))
-        return ops
+        return [
+            BlockOp(action, key, sizes[number - 1], BlockKind.DATA,
+                    f"{ident}:b{number}", version_of(number, current))
+            for number, key in zip(blocks, self.scheme.file_block_keys(node, blocks))
+        ]
 
     def _reversion_directory(self, directory: Directory) -> List[BlockOp]:
         """Write a directory's metadata blocks at the next version and
@@ -205,9 +198,12 @@ class DhtFileSystem:
             # Data leaves the inode: every block of the file is new.
             touched = range(1, data_block_count(node.size) + 1)
         # Planned before the bump, so these name the versions being retired
-        # (at the block's new size, as the store accounts them).
-        rewritten = [n for n in touched if n in node.block_versions]
-        retired = dict(zip(rewritten, self._data_ops("remove", node, rewritten)))
+        # (at the block's new size, as the store accounts them); a touched
+        # block that was never put retires nothing.
+        retired = {
+            number: op for number, op in zip(touched, self._data_ops("remove", node, touched))
+            if number in node.block_versions
+        }
         node.version += 1
         node.block_versions.update(dict.fromkeys(touched, node.version))
         ops: List[BlockOp] = []
@@ -318,50 +314,40 @@ class DhtFileSystem:
 
 
 def apply_ops(store, ops: Iterable[BlockOp]) -> Dict[str, int]:
-    """Replay block ops against a :class:`StorageCoordinator`.
+    """Replay one flush of block ops against a :class:`StorageCoordinator`.
 
     Under the traditional-file scheme many blocks share one key; their puts
     are grouped into a single directory entry whose size is the sum (the
-    whole file is one storage object on its replica group).  Returns byte
-    counters per action for assertions and traffic accounting.
+    whole file is one storage object on its replica group).  A remove of a
+    key this flush wrote, or that the directory does not hold, is skipped.
+    What is left goes to the store as one :meth:`StorageCoordinator.commit`,
+    which refuses the whole flush — before anything changed — if any op is
+    invalid.  Returns byte counters per action for assertions and traffic
+    accounting.
     """
-    put_sizes: Dict[int, int] = defaultdict(int)
-    put_order: List[int] = []
+    put_sizes: Dict[int, int] = {}
+    removes: Dict[int, None] = {}  # distinct keys, in op order
     counters = {"put": 0, "get": 0, "remove": 0}
-    removes: List[BlockOp] = []
-    # One root span per BlockOp batch (coordinator-owned tracer; test fakes
-    # without .spans/.sim simply skip tracing).
-    spans = getattr(store, "spans", None)
-    sim = getattr(store, "sim", None)
-    root = None
-    if spans and sim is not None:
-        root = spans.start_trace("fs.apply_ops", sim.now)
-    for op in ops:
-        counters[op.action] += op.size
-        if op.action == "put":
-            if op.key not in put_sizes:
-                put_order.append(op.key)
-            put_sizes[op.key] += op.size
-        elif op.action == "remove":
-            removes.append(op)
-    for key in put_order:
-        store.write(key, put_sizes[key])
-    seen_remove = set()
-    for op in removes:
-        if op.key in seen_remove:
-            continue
-        seen_remove.add(op.key)
-        if op.key in put_sizes:
-            continue  # same flush wrote this key (shared traditional-file key)
-        if op.key in store.directory:
-            store.remove(op.key)
-    if root:
-        root.annotate(
+    for action, key, size, _kind, _ident, _version in ops:
+        counters[action] += size
+        if action == "put":
+            put_sizes[key] = put_sizes.get(key, 0) + size
+        elif action == "remove":
+            removes[key] = None
+    directory = store.directory
+    store.commit(
+        list(put_sizes.items()),
+        [key for key in removes if key not in put_sizes and key in directory],
+    )
+    # One root span per flush, made once it is known to have gone through.
+    if store.spans:
+        now = store.sim.now
+        store.spans.finish(store.spans.start_trace(
+            "fs.apply_ops", now,
             put_bytes=counters["put"],
             get_bytes=counters["get"],
             remove_bytes=counters["remove"],
-            puts=len(put_order),
-            removes=len(seen_remove),
-        )
-        spans.finish(root, sim.now)
+            puts=len(put_sizes),
+            removes=len(removes),
+        ), now)
     return counters

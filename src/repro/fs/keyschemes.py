@@ -19,7 +19,7 @@ hashes) plus block number and version — to a 64-byte ring key:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Union
 
 from repro.core.keys import (
     compose_block_key,
@@ -30,18 +30,6 @@ from repro.core.keys import (
 )
 from repro.dht.consistent_hashing import hashed_key
 from repro.fs.namespace import Directory, FileNode
-
-
-def storage_identity(slot_path: Tuple[int, ...], overflow: Tuple[str, ...]) -> str:
-    """Stable logical identity of a namespace object.
-
-    Derived from the object's *original* storage location, which rename
-    preserves — so, like a content hash, it never changes when the file
-    moves.
-    """
-    slots = ".".join(str(s) for s in slot_path)
-    extra = "/".join(overflow)
-    return f"{slots}|{extra}"
 
 
 class KeyScheme(ABC):
@@ -59,17 +47,16 @@ class KeyScheme(ABC):
 
     def __init__(self, volume_name: str) -> None:
         self.volume_name = volume_name
-        self._prefixes: Dict[Tuple[Tuple[int, ...], Tuple[str, ...]], Union[int, str]] = {}
+        self._prefixes: Dict[str, Union[int, str]] = {}  # by storage identity
 
     @abstractmethod
-    def _make_prefix(self, slot_path: Tuple[int, ...], overflow: Tuple[str, ...]):
+    def _make_prefix(self, obj: Union[FileNode, Directory]):
         """The version- and block-independent part of an object's keys."""
 
     def _prefix(self, obj: Union[FileNode, Directory]):
-        ident = (obj.slot_path, obj.overflow)
-        prefix = self._prefixes.get(ident)
+        prefix = self._prefixes.get(obj.ident)
         if prefix is None:
-            prefix = self._prefixes[ident] = self._make_prefix(*ident)
+            prefix = self._prefixes[obj.ident] = self._make_prefix(obj)
         return prefix
 
     @abstractmethod
@@ -107,9 +94,9 @@ class D2KeyScheme(KeyScheme):
         super().__init__(volume_name)
         self.volume = volume_id(volume_name)
 
-    def _make_prefix(self, slot_path: Tuple[int, ...], overflow: Tuple[str, ...]) -> int:
+    def _make_prefix(self, obj: Union[FileNode, Directory]) -> int:
         # The Figure-4 key with zeroed block-number and version fields.
-        return encode_path_key(self.volume, slot_path, overflow_components=overflow)
+        return encode_path_key(self.volume, obj.slot_path, overflow_components=obj.overflow)
 
     def file_block_key(self, node: FileNode, block_number: int, version: int) -> int:
         return compose_block_key(self._prefix(node), block_number, version_hash(version))
@@ -129,8 +116,8 @@ class D2KeyScheme(KeyScheme):
 class _HashedKeyScheme(KeyScheme):
     """Shared by the hashed baselines: the prefix is ``volume|identity``."""
 
-    def _make_prefix(self, slot_path: Tuple[int, ...], overflow: Tuple[str, ...]) -> str:
-        return f"{self.volume_name}|{storage_identity(slot_path, overflow)}"
+    def _make_prefix(self, obj: Union[FileNode, Directory]) -> str:
+        return f"{self.volume_name}|{obj.ident}"
 
     def root_key(self) -> int:
         return hashed_key(f"{self.volume_name}|<root>")

@@ -28,6 +28,18 @@ class NamespaceError(Exception):
     """Raised on invalid path operations (missing files, duplicates, ...)."""
 
 
+def storage_identity(slot_path: Tuple[int, ...], overflow: Tuple[str, ...]) -> str:
+    """Stable logical identity of a namespace object.
+
+    Derived from the object's *original* storage location, which rename
+    preserves — so, like a content hash, it never changes when the file
+    moves.  Made once, when the object is: see ``FileNode.ident``.
+    """
+    slots = ".".join(str(s) for s in slot_path)
+    extra = "/".join(overflow)
+    return f"{slots}|{extra}"
+
+
 def split_path(path: str) -> List[str]:
     """Normalize an absolute path into its components."""
     if not path.startswith("/"):
@@ -37,7 +49,8 @@ def split_path(path: str) -> List[str]:
 
 @dataclass
 class FileNode:
-    """A regular file.  ``slot_path``/``overflow`` locate its blocks forever.
+    """A regular file.  ``slot_path``/``overflow`` locate its blocks forever,
+    and ``ident`` is their :func:`storage_identity`.
 
     ``block_versions`` maps data-block number → the file version at which
     that block was last rewritten, so readers fetch the live version of
@@ -50,11 +63,15 @@ class FileNode:
     size: int = 0
     version: int = 0
     block_versions: Dict[int, int] = field(default_factory=dict)
+    ident: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.ident = storage_identity(self.slot_path, self.overflow)
 
 
 @dataclass
 class Directory:
-    """A directory and its slot table."""
+    """A directory and its slot table (``ident`` as for :class:`FileNode`)."""
 
     name: str
     slot_path: Tuple[int, ...]
@@ -65,6 +82,10 @@ class Directory:
     _used_slots: set = field(default_factory=set)
     _freed_slots: List[int] = field(default_factory=list)
     _next_slot: int = FIRST_USABLE_SLOT
+    ident: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.ident = storage_identity(self.slot_path, self.overflow)
 
     def allocate_slot(self) -> int:
         """An unused slot, preferring freed ones (the paper examines the

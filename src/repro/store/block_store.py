@@ -19,7 +19,7 @@ certain.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dht.keyspace import validate_key
 
@@ -65,17 +65,29 @@ class BlockDirectory:
 
     def put(self, key: int, size: int) -> int:
         """Upsert a block; returns the size delta (new - old)."""
-        validate_key(key)
-        if size < 0:
-            raise BlockDirectoryError(f"negative block size {size}")
-        old = self._sizes.get(key)
-        self._sizes[key] = size
-        if old is None:
-            self._note(key, True)
-            self.total_bytes += size
-            return size
-        self.total_bytes += size - old
-        return size - old
+        before = self.total_bytes
+        self.put_many(((key, size),))
+        return self.total_bytes - before
+
+    def put_many(self, items: Sequence[Tuple[int, int]]) -> None:
+        """Upsert every ``(key, size)`` of a flush, in order.
+
+        All of them are checked first: an invalid key or a negative size
+        anywhere raises before the directory has changed.
+        """
+        for key, size in items:
+            validate_key(key)
+            if size < 0:
+                raise BlockDirectoryError(f"negative block size {size}")
+        sizes = self._sizes
+        for key, size in items:
+            old = sizes.get(key)
+            sizes[key] = size
+            if old is None:
+                self._note(key, True)
+                self.total_bytes += size
+            else:
+                self.total_bytes += size - old
 
     def remove(self, key: int) -> int:
         """Delete a block; returns its size."""

@@ -22,8 +22,10 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from functools import partial
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.dht.keyspace import validate_key
 from repro.dht.ring import Ring
 from repro.obs.events import MIGRATION, POINTER_CREATE, POINTER_FLUSH, EventTracer
 from repro.obs.metrics import MetricsRegistry
@@ -148,6 +150,71 @@ class StorageCoordinator:
     # ------------------------------------------------------------------
     # client-facing data path
 
+    def commit(
+        self,
+        puts: Sequence[Tuple[int, int]],
+        removes: Sequence[int] = (),
+        *,
+        ttl: Optional[float] = None,
+        delay: Optional[float] = None,
+    ) -> None:
+        """Apply one flush: upsert every ``(key, size)`` of *puts*, then
+        retire every key of *removes* — what one :meth:`write` per put and
+        then one :meth:`remove` per key did, and those are this with one key.
+
+        The flush is checked whole: a non-int or out-of-range key, a negative
+        size or a non-positive *ttl* raises before the directory, a
+        placement, the ledger, a counter or the event queue has changed.
+        Owners come from one pass over the ring; ledger and counters move
+        once, by the flush's sums.  A put inside a removal grace window
+        rescues the block (the pending event's deadline guard then fails).
+        A removal fires after the grace period (*delay*, default
+        ``removal_delay``), one event per key, and does nothing if the key is
+        gone by then; only the newest removal's deadline counts, and removing
+        clears TTL state so a stale expiry cannot kill a re-written block.
+        """
+        if ttl is not None and ttl <= 0:
+            raise ValueError("ttl must be positive")
+        keys = [key for key, _ in puts]
+        owners = self.ring.owners(keys) if keys else ()
+        for key in removes:
+            validate_key(key)
+        self.directory.put_many(puts)  # checks keys and sizes before it changes
+        now = self.sim.now
+        removes_at, expires_at = self._removes_at, self._expires_at
+        if keys:
+            self.physical_at.update(zip(keys, owners))
+            written = sum(size for _, size in puts)
+            self.ledger.record_write(now, written)
+            self._c_writes.inc(len(keys))
+            self._c_written_bytes.inc(written)
+            tracker = self._replica_tracker
+            for key in keys:
+                removes_at.pop(key, None)
+                if tracker is not None:
+                    tracker.place(key, self.holders(key))
+                if ttl is None:
+                    expires_at.pop(key, None)
+                else:
+                    self._set_expiry(key, ttl)
+        if removes:
+            wait = self.removal_delay if delay is None else delay
+            for key in removes:
+                expires_at.pop(key, None)
+            if wait <= 0:
+                for key in removes:
+                    removes_at.pop(key, None)
+                self._discard(removes)
+            else:
+                deadline = now + wait
+                removes_at.update(dict.fromkeys(removes, deadline))
+                # One bound method for the flush; an event then holds a
+                # partial and two numbers, not two closures and their cells.
+                expire = self._expire_removal
+                self.sim.schedule_batch(
+                    [(wait, partial(expire, key, deadline)) for key in removes]
+                )
+
     def write(self, key: int, size: int, *, ttl: Optional[float] = None) -> None:
         """Insert (or overwrite) a block; bytes land on the current owner.
 
@@ -155,20 +222,11 @@ class StorageCoordinator:
         a :meth:`refresh` — the paper's safety net for removals lost to
         partitions (Section 3).  Writing again also refreshes.
         """
-        delta = self.directory.put(key, size)
-        self.physical_at[key] = self.ring.successor(key)
-        self.ledger.record_write(self.sim.now, max(delta, size))
-        self._c_writes.inc()
-        self._c_written_bytes.inc(max(delta, size))
-        # A write during a removal grace window rescues the block: the
-        # pending removal event is disarmed (its deadline guard fails).
-        self._removes_at.pop(key, None)
-        if self._replica_tracker is not None:
-            self._replica_tracker.place(key, self.holders(key))
-        if ttl is not None:
-            self._set_expiry(key, ttl)
-        elif key in self._expires_at:
-            del self._expires_at[key]
+        self.commit(((key, size),), ttl=ttl)
+
+    def remove(self, key: int, *, delay: Optional[float] = None) -> None:
+        """Remove a block after the grace period (default: removal_delay)."""
+        self.commit((), (key,), delay=delay)
 
     def refresh(self, key: int, ttl: float) -> bool:
         """Extend a TTL-guarded block's life; False if it already expired."""
@@ -191,57 +249,31 @@ class StorageCoordinator:
     def _expire(self, key: int, deadline: float) -> None:
         # Only the newest scheduled deadline is authoritative: refreshes
         # leave earlier events behind as no-ops.
-        if self._expires_at.get(key) != deadline:
-            return
-        del self._expires_at[key]
-        size = self.directory.discard(key)
-        if size is not None:
-            self.physical_at.pop(key, None)
-            self.ledger.record_remove(self.sim.now, size)
-            self._c_removes.inc()
-            self._c_removed_bytes.inc(size)
-            if self._replica_tracker is not None:
-                self._replica_tracker.forget(key)
+        if self._expires_at.get(key) == deadline:
+            del self._expires_at[key]
+            self._discard((key,))
 
-    def remove(self, key: int, *, delay: Optional[float] = None) -> None:
-        """Remove a block after the grace period (default: removal_delay).
+    def _expire_removal(self, key: int, deadline: float) -> None:
+        # Likewise: a re-write or a newer removal supersedes this one.
+        if self._removes_at.get(key) == deadline:
+            del self._removes_at[key]
+            self._discard((key,))
 
-        Removal is idempotent with respect to the grace window: if the key
-        is gone by the time the event fires, nothing happens.  A re-write
-        during the grace window wins — it disarms the pending removal (the
-        scheduled event carries a deadline and only the newest removal's
-        deadline is authoritative, mirroring the TTL path's guard).
-        Removing also clears any TTL state so a stale expiry event cannot
-        later kill a re-written block.
-        """
-        wait = self.removal_delay if delay is None else delay
-        self._expires_at.pop(key, None)
-
-        def _discard() -> None:
+    def _discard(self, keys: Iterable[int]) -> None:
+        """Drop *keys* from the directory now and account those it held."""
+        count = nbytes = 0
+        for key in keys:
             size = self.directory.discard(key)
             if size is not None:
+                count += 1
+                nbytes += size
                 self.physical_at.pop(key, None)
-                self.ledger.record_remove(self.sim.now, size)
-                self._c_removes.inc()
-                self._c_removed_bytes.inc(size)
                 if self._replica_tracker is not None:
                     self._replica_tracker.forget(key)
-
-        if wait <= 0:
-            self._removes_at.pop(key, None)
-            _discard()
-            return
-
-        deadline = self.sim.now + wait
-        self._removes_at[key] = deadline
-
-        def _expire() -> None:
-            if self._removes_at.get(key) != deadline:
-                return  # superseded by a re-write or a newer removal
-            del self._removes_at[key]
-            _discard()
-
-        self.sim.schedule(wait, _expire)
+        if count:
+            self.ledger.record_remove(self.sim.now, nbytes)
+            self._c_removes.inc(count)
+            self._c_removed_bytes.inc(nbytes)
 
     def holders(self, key: int) -> List[str]:
         """Replica group for *key*: its ``r`` distinct successors."""

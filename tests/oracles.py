@@ -1,14 +1,19 @@
-"""Reference models: the code the ordered indexes of PR 16 replaced.
+"""Reference models: the code the ordered indexes of PR 16 and the flush
+entry of PR 17 replaced.
 
-Kept in the test tree so that ``src/`` has one ``_index()`` and one
-``_find()``.  The model-based tests hold the indexes to these answer for
-answer; the shape gates of ``benchmarks/bench_micro_core.py`` time against
-them.
+Kept in the test tree so that ``src/`` has one ``_index()``, one ``_find()``
+and one write/remove body.  The model-based tests hold the code in ``src/``
+to these answer for answer; the shape gates of
+``benchmarks/bench_micro_core.py`` time against them.
 """
+
+from collections import defaultdict
+from functools import partial
 
 from repro.core.lookup_cache import LookupCache
 from repro.dht.keyspace import in_interval
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
+from repro.store.migration import StorageCoordinator
 
 
 class ScanLookupCache(LookupCache):
@@ -25,6 +30,15 @@ class ScanLookupCache(LookupCache):
         index = self._entries.index(entry)
         del self._entries[index]
         del self._his[index]
+
+    def _drop_expired(self, now):
+        # ... and every insert copies every entry, lapsed or not (PR 17).
+        live = [(h, e) for h, e in zip(self._his, self._entries) if e.expires_at > now]
+        dropped = len(self._entries) - len(live)
+        if dropped:
+            self._count("evictions", dropped)
+            self._his = [h for h, _ in live]
+            self._entries = [e for _, e in live]
 
 
 class ResortingDirectory(BlockDirectory):
@@ -75,3 +89,141 @@ class SortedDictDirectory:
         if len(keys) < 2 or keys[(len(keys) - 1) // 2] == hi:
             return None
         return keys[(len(keys) - 1) // 2]
+
+
+def event_key(fire):
+    """The block key a pending TTL or grace-period event is for, whether it
+    is held by a ``partial`` or in a closure cell."""
+    if isinstance(fire, partial):
+        return fire.args[0]
+    return fire.__closure__[fire.__code__.co_freevars.index("key")].cell_contents
+
+
+def store_state(store):
+    """Everything a flush can change in a coordinator and around it, for
+    before/after and side-by-side comparison."""
+    tracker = store._replica_tracker
+    return {
+        "directory": list(store.directory._sizes.items()),
+        "total_bytes": store.directory.total_bytes,
+        "index": store.directory.keys_in_range(0, 0),
+        "physical_at": list(store.physical_at.items()),
+        "ledger": (dict(store.ledger.written_by_day), dict(store.ledger.removed_by_day),
+                   store.ledger.total_written, store.ledger.total_removed),
+        "counters": store.metrics.snapshot()["counters"],
+        "removes_at": list(store._removes_at.items()),
+        "expires_at": list(store._expires_at.items()),
+        "pending": sorted((when, seq, event_key(fire)) for when, seq, fire in store.sim._queue),
+        "now": store.sim.now,
+        "tracker": None if tracker is None else (tracker._copies, tracker._keys_on),
+        "spans": [span.to_dict() for span in store.spans or ()],
+        "span_counts": (store.spans.started, store.spans.finished) if store.spans else None,
+    }
+
+
+class PerKeyCoordinator(StorageCoordinator):
+    """The store's data path as it was: every key of a flush on its own — an
+    owner bisect memoised for good, a ledger bump, two counter bumps and,
+    per removal, two closures and an event scheduled alone."""
+
+    def commit(self, puts, removes=(), *, ttl=None, delay=None):
+        for key, size in puts:
+            self.write(key, size, ttl=ttl)
+        for key in removes:
+            self.remove(key, delay=delay)
+
+    def write(self, key, size, *, ttl=None):
+        delta = self.directory.put(key, size)
+        self.physical_at[key] = self.ring.successor(key)
+        self.ledger.record_write(self.sim.now, max(delta, size))
+        self._c_writes.inc()
+        self._c_written_bytes.inc(max(delta, size))
+        self._removes_at.pop(key, None)
+        if self._replica_tracker is not None:
+            self._replica_tracker.place(key, self.holders(key))
+        if ttl is not None:
+            self._set_expiry(key, ttl)
+        elif key in self._expires_at:
+            del self._expires_at[key]
+
+    def _expire(self, key, deadline):
+        if self._expires_at.get(key) != deadline:
+            return
+        del self._expires_at[key]
+        size = self.directory.discard(key)
+        if size is not None:
+            self.physical_at.pop(key, None)
+            self.ledger.record_remove(self.sim.now, size)
+            self._c_removes.inc()
+            self._c_removed_bytes.inc(size)
+            if self._replica_tracker is not None:
+                self._replica_tracker.forget(key)
+
+    def remove(self, key, *, delay=None):
+        wait = self.removal_delay if delay is None else delay
+        self._expires_at.pop(key, None)
+
+        def _discard():
+            size = self.directory.discard(key)
+            if size is not None:
+                self.physical_at.pop(key, None)
+                self.ledger.record_remove(self.sim.now, size)
+                self._c_removes.inc()
+                self._c_removed_bytes.inc(size)
+                if self._replica_tracker is not None:
+                    self._replica_tracker.forget(key)
+
+        if wait <= 0:
+            self._removes_at.pop(key, None)
+            _discard()
+            return
+
+        deadline = self.sim.now + wait
+        self._removes_at[key] = deadline
+
+        def _expire():
+            if self._removes_at.get(key) != deadline:
+                return  # superseded by a re-write or a newer removal
+            del self._removes_at[key]
+            _discard()
+
+        self.sim.schedule(wait, _expire)
+
+
+def apply_ops_per_key(store, ops):
+    """``fs.fslayer.apply_ops`` as it was: one ``store.write`` per distinct
+    put key and one ``store.remove`` per surviving remove, inside the span."""
+    put_sizes = defaultdict(int)
+    put_order = []
+    counters = {"put": 0, "get": 0, "remove": 0}
+    removes = []
+    root = store.spans.start_trace("fs.apply_ops", store.sim.now) if store.spans else None
+    for op in ops:
+        counters[op.action] += op.size
+        if op.action == "put":
+            if op.key not in put_sizes:
+                put_order.append(op.key)
+            put_sizes[op.key] += op.size
+        elif op.action == "remove":
+            removes.append(op)
+    for key in put_order:
+        store.write(key, put_sizes[key])
+    seen_remove = set()
+    for op in removes:
+        if op.key in seen_remove:
+            continue
+        seen_remove.add(op.key)
+        if op.key in put_sizes:
+            continue  # same flush wrote this key (shared traditional-file key)
+        if op.key in store.directory:
+            store.remove(op.key)
+    if root:
+        root.annotate(
+            put_bytes=counters["put"],
+            get_bytes=counters["get"],
+            remove_bytes=counters["remove"],
+            puts=len(put_order),
+            removes=len(seen_remove),
+        )
+        store.spans.finish(root, store.sim.now)
+    return counters

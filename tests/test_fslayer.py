@@ -9,15 +9,19 @@ import pytest
 
 from repro.core import system as system_module
 from repro.core.system import build_deployment
+from repro.dht.keyspace import KEY_SPACE
 from repro.dht.ring import Ring
 from repro.fs.blocks import BLOCK_SIZE, INLINE_DATA_THRESHOLD, BlockKind
 from repro.fs.fslayer import DhtFileSystem, apply_ops
 from repro.fs.keyschemes import make_scheme
 from repro.fs.namespace import NamespaceError
+from repro.obs.spans import Tracer
 from repro.sim.engine import Simulator
+from repro.store.block_store import BlockDirectoryError
 from repro.store.migration import StorageCoordinator
 from repro.workloads.harvard import HarvardConfig, generate_harvard
 from repro.workloads.trace import READ
+from tests.oracles import store_state
 
 
 @pytest.fixture
@@ -237,6 +241,75 @@ class TestApplyOps:
         counters = apply_ops(store, fs.format())
         assert counters["put"] > 0
         assert counters["remove"] == 0
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("key", -1, ValueError), ("key", KEY_SPACE, ValueError),
+        ("key", "7", TypeError), ("size", -5, BlockDirectoryError),
+    ])
+    def test_bad_op_in_the_middle_applies_nothing(self, fs, field, value, error):
+        """A flush is checked whole before it changes anything: it used to
+        leave the writes before the bad one applied, and its span open."""
+        ring = Ring()
+        for i in range(4):
+            ring.join(f"n{i}", (i + 1) * 10**150)
+        store = StorageCoordinator(ring, Simulator(), spans=Tracer(capacity=16))
+        apply_ops(store, fs.format())
+        apply_ops(store, fs.create("/f", size=3 * BLOCK_SIZE))
+        ops = fs.write("/f", 0, 2 * BLOCK_SIZE)
+        middle = next(i for i, op in enumerate(ops) if i >= len(ops) // 2 and op.action == "put")
+        assert puts(ops[:middle]) and removes(ops[:middle]) and puts(ops[middle + 1:])
+        ops[middle] = ops[middle]._replace(**{field: value})
+
+        before = store_state(store)
+        with pytest.raises(error):
+            apply_ops(store, ops)
+        assert store_state(store) == before
+
+
+class TestDirectoryBlockBoundaryPinned:
+    """Known plan bug, pinned not fixed (ROADMAP, first open item): the
+    retiring version of a directory is sized by the directory's *current*
+    entry count.  Fixing it moves committed rows, like the sparse-write plan
+    pinned in ``BlockPlanMachine.write``; when that PR lands, the expected
+    values here change to the ones the comments give."""
+
+    PER_BLOCK = BLOCK_SIZE // 64  # directory entries per block
+
+    def loaded(self, fs, files):
+        ring = Ring()
+        for i in range(4):
+            ring.join(f"n{i}", (i + 1) * 10**150)
+        store = StorageCoordinator(ring, Simulator(), removal_delay=30.0)
+        apply_ops(store, fs.format())
+        apply_ops(store, fs.mkdir("/m"))
+        for index in range(files):
+            apply_ops(store, fs.create(f"/m/f{index:03d}", size=0))
+        store.sim.run()
+        return store
+
+    def test_shrinking_across_a_block_boundary_leaks_the_old_last_block(self, fs):
+        store = self.loaded(fs, self.PER_BLOCK + 1)
+        assert len(store.directory) == 1 + 1 + 2 + (self.PER_BLOCK + 1)
+        directory = fs.namespace.resolve_dir("/m")
+        leaked = fs.scheme.directory_block_key(directory, 1, directory.version)
+        ops = fs.remove("/m/f000")
+        assert [op.ident for op in removes(ops) if op.kind is BlockKind.DIRECTORY
+                and op.ident.startswith(directory.ident)] == [f"{directory.ident}:d0"]  # fixed: d0, d1
+        apply_ops(store, ops)
+        store.sim.run()
+        assert leaked in store.directory
+        assert len(store.directory) == 1 + 1 + 1 + self.PER_BLOCK + 1  # fixed: no + 1 (131)
+
+    def test_growing_across_a_block_boundary_removes_a_key_nothing_put(self, fs):
+        store = self.loaded(fs, self.PER_BLOCK)
+        directory = fs.namespace.resolve_dir("/m")
+        phantom = fs.scheme.directory_block_key(directory, 1, directory.version)
+        ops = fs.create("/m/one-more", size=0)
+        unknown = [op for op in removes(ops) if op.key not in store.directory]
+        assert [(op.key, op.ident) for op in unknown] == [(phantom, f"{directory.ident}:d1")]  # fixed: []
+        apply_ops(store, ops)  # skipped in silence
+        store.sim.run()
+        assert len(store.directory) == 1 + 1 + 2 + (self.PER_BLOCK + 1)  # right, by luck
 
 
 class TestReaddirStat:

@@ -17,9 +17,8 @@ from repro.fs.keyschemes import (
     TraditionalFileKeyScheme,
     TraditionalKeyScheme,
     make_scheme,
-    storage_identity,
 )
-from repro.fs.namespace import Directory, Namespace
+from repro.fs.namespace import Directory, Namespace, storage_identity
 
 SCHEMES = ("d2", "traditional", "traditional-file")
 

@@ -70,6 +70,25 @@ class TestTTL:
         assert len(cache) == 1
         assert cache.stats.evictions == 1
 
+    def test_insert_sweeps_from_the_first_expiry_on_not_before(self):
+        # The sweep is skipped while nothing can have lapsed; the first
+        # expiry it goes by must follow removals and replacements.
+        cache = LookupCache(ttl=100.0)
+        cache.insert(10, 20, "n1", now=0.0)     # lapses at 100
+        cache.insert(30, 40, "n2", now=50.0)    # lapses at 150
+        cache.insert(50, 60, "n3", now=99.9)
+        assert (len(cache), cache.stats.evictions) == (3, 0)
+        cache.insert(70, 80, "n4", now=100.0)   # an entry lapses *at* its expiry
+        assert (len(cache), cache.stats.evictions) == (3, 1)
+        cache.invalidate(35, now=100.0)         # the next to lapse leaves early
+        cache.insert(10, 20, "n5", now=150.0)
+        assert (len(cache), cache.stats.evictions) == (3, 1)
+        cache.insert(90, 95, "n6", now=199.0)
+        assert cache.stats.evictions == 1
+        cache.insert(96, 99, "n7", now=250.0)   # n3, n4 and n5 have lapsed; n6 has not
+        assert [e.node for e in cache.entries()] == ["n6", "n7"]
+        assert cache.stats.evictions == 4
+
 
 class TestInvalidate:
     def test_invalidate_drops_entry(self):

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.dht.keyspace import KEY_SPACE
-from repro.dht.ring import Ring
+from repro.dht.ring import Ring, RingError
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
+from repro.store.block_store import BlockDirectoryError
 from repro.store.migration import SECONDS_PER_DAY, StorageCoordinator, TrafficLedger
+from tests.oracles import store_state
 
 
 def make_system(positions=(100, 200, 300, 400), **kwargs):
@@ -40,6 +43,74 @@ class TestWritePath:
         key = key_at(150)
         store.write(key, 10)
         assert store.holders(key) == ["n1", "n2", "n3"]
+
+
+class TestCommit:
+    """One flush: ``write`` and ``remove`` are its one-key cases."""
+
+    def test_flush_lands_as_its_writes_and_removes_would(self):
+        ring, sim, store = make_system(removal_delay=30.0)
+        old, a, b = key_at(120), key_at(150), key_at(350)
+        store.write(old, 500)
+        store.commit([(a, 100), (b, 200), (a, 300)], [old, key_at(999)])
+        assert store.directory.size_of(a) == 300 and store.directory.size_of(b) == 200
+        assert (store.physical_holder(a), store.physical_holder(b)) == ("n1", "n3")
+        assert store.ledger.total_written == 500 + 600
+        assert store.metrics.get("store.writes").value == 4
+        assert old in store.directory and sim.pending() == 2  # one event per key
+        sim.run()
+        assert old not in store.directory
+        assert store.ledger.total_removed == 500  # the unknown key removed nothing
+        assert store.metrics.get("store.removes").value == 1
+
+    def test_empty_flush_touches_nothing(self):
+        ring, sim, store = make_system()
+        before = store_state(store)
+        store.commit([], [])
+        assert store_state(store) == before  # no zero-byte day in the ledger either
+
+    def test_owners_are_not_memoised(self):
+        """A flush's keys are fresh versions nobody asks about again."""
+        ring, sim, store = make_system()
+        store.commit([(key_at(k), 10) for k in range(1, 900, 7)])
+        assert not ring._owner_memo
+        assert store.physical_holder(key_at(8)) == ring.successor(key_at(8))
+
+    @pytest.mark.parametrize("bad, error", [
+        ((-1, 10), ValueError), ((KEY_SPACE, 10), ValueError),
+        (("7", 10), TypeError), ((7.0, 10), TypeError),
+        ((7, -1), BlockDirectoryError),
+    ])
+    def test_invalid_put_anywhere_refuses_the_whole_flush(self, bad, error):
+        ring, sim, store = make_system(removal_delay=30.0)
+        store.write(key_at(120), 500, ttl=60.0)
+        before = store_state(store)
+        puts = [(key_at(150), 100), (key_at(120), 50), bad, (key_at(350), 200)]
+        with pytest.raises(error):
+            store.commit(puts, [key_at(120)])
+        assert store_state(store) == before
+
+    @pytest.mark.parametrize("bad, error", [(-1, ValueError), ("7", TypeError)])
+    def test_invalid_remove_refuses_the_whole_flush(self, bad, error):
+        ring, sim, store = make_system(removal_delay=30.0)
+        store.write(key_at(120), 500, ttl=60.0)
+        before = store_state(store)
+        with pytest.raises(error):
+            store.commit([(key_at(150), 100)], [key_at(120), bad])
+        assert store_state(store) == before
+
+    def test_nonpositive_ttl_and_empty_ring_refuse_before_writing(self):
+        ring, sim, store = make_system()
+        before = store_state(store)
+        with pytest.raises(ValueError):
+            store.write(key_at(150), 100, ttl=0.0)
+        assert store_state(store) == before
+        empty = StorageCoordinator(Ring(), Simulator(), registry=MetricsRegistry())
+        with pytest.raises(RingError):
+            empty.write(key_at(150), 100)
+        assert store_state(empty) == store_state(
+            StorageCoordinator(Ring(), Simulator(), registry=MetricsRegistry())
+        )
 
 
 class TestRemoval:

@@ -11,11 +11,22 @@ from repro.core.lookup_cache import LookupCache
 from repro.core.system import build_deployment
 from repro.dht.ring import Ring
 from repro.fs.blocks import BLOCK_SIZE, INLINE_DATA_THRESHOLD, BlockKind
-from repro.fs.fslayer import BlockOp
+from repro.fs.fslayer import BlockOp, apply_ops
 from repro.fs.namespace import Directory, FileNode, NamespaceError
 from repro.fs.writeback_cache import WritebackCache
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import Tracer
+from repro.sim.engine import Simulator
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
-from tests.oracles import ScanLookupCache, SortedDictDirectory
+from repro.store.migration import StorageCoordinator
+from repro.store.repair import ReplicaTracker
+from tests.oracles import (
+    PerKeyCoordinator,
+    ScanLookupCache,
+    SortedDictDirectory,
+    apply_ops_per_key,
+    store_state,
+)
 from tests.test_membership import key_at, make_cluster
 
 SMALL_KEYS = st.integers(min_value=0, max_value=999)
@@ -440,3 +451,101 @@ class BlockPlanMachine(RuleBasedStateMachine):
 
 TestBlockPlanModel = BlockPlanMachine.TestCase
 TestBlockPlanModel.settings = settings(max_examples=60, deadline=None)
+
+
+FLUSH_KEYS = st.integers(min_value=0, max_value=47)
+FLUSH_SIZES = st.integers(min_value=0, max_value=9000)
+TTLS = st.one_of(st.none(), st.sampled_from([5.0, 45.0]))
+DELAYS = st.one_of(st.none(), st.sampled_from([0.0, 10.0]))
+
+
+class FlushMachine(RuleBasedStateMachine):
+    """One ``StorageCoordinator.commit`` per flush against the per-key code
+    it replaced (:class:`tests.oracles.PerKeyCoordinator`, one ``write`` or
+    ``remove`` and one event at a time).
+
+    Each side has its own ring, clock, registry and replica tracker, and the
+    same calls go to both.  Keys are few, so a flush repeats a key (the
+    traditional-file case), re-writes one inside its grace window, removes a
+    TTL-guarded one and removes one twice; the grace period is zero in half
+    the runs, the tracker arrives mid-run, and the ring changes between
+    flushes.  Everything either side can observe must agree after every
+    step, and again once every pending event has fired.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.stores = []
+
+    @initialize(removal_delay=st.sampled_from([0.0, 30.0]))
+    def build(self, removal_delay):
+        for cls in (StorageCoordinator, PerKeyCoordinator):
+            ring, registry = Ring(), MetricsRegistry()
+            for index in range(4):
+                ring.join(f"n{index}", 12 * index + 5)
+            self.stores.append(cls(
+                ring, Simulator(registry=registry), removal_delay=removal_delay,
+                replica_count=2, registry=registry, spans=Tracer(capacity=64),
+            ))
+
+    def both(self, call):
+        for store in self.stores:
+            call(store)
+
+    @rule(puts=st.lists(st.tuples(FLUSH_KEYS, FLUSH_SIZES), max_size=8),
+          removes=st.lists(FLUSH_KEYS, max_size=6), ttl=TTLS, delay=DELAYS)
+    def commit(self, puts, removes, ttl, delay):
+        self.both(lambda store: store.commit(puts, removes, ttl=ttl, delay=delay))
+
+    @rule(key=FLUSH_KEYS, size=FLUSH_SIZES, ttl=TTLS)
+    def write(self, key, size, ttl):
+        self.both(lambda store: store.write(key, size, ttl=ttl))
+
+    @rule(key=FLUSH_KEYS, delay=DELAYS)
+    def remove(self, key, delay):
+        self.both(lambda store: store.remove(key, delay=delay))
+
+    @rule(key=FLUSH_KEYS)
+    def refresh(self, key):
+        self.both(lambda store: store.refresh(key, 20.0))
+
+    @rule(ops=st.lists(st.tuples(st.sampled_from(["put", "put", "remove", "get"]),
+                                 FLUSH_KEYS, FLUSH_SIZES), max_size=10))
+    def flush_block_ops(self, ops):
+        """Through ``apply_ops``: same-key puts summed, removes filtered."""
+        ops = [BlockOp(action, key, size, BlockKind.DATA, f"k{key}") for action, key, size in ops]
+        results = [
+            apply(store, ops)
+            for apply, store in zip((apply_ops, apply_ops_per_key), self.stores)
+        ]
+        assert results[0] == results[1]
+
+    @rule()
+    def attach_trackers(self):
+        self.both(lambda store: store.attach_replica_tracker(ReplicaTracker()))
+
+    @rule(index=st.integers(min_value=0, max_value=3), to=FLUSH_KEYS)
+    def move_node(self, index, to):
+        def move(store):
+            if not store.ring.occupied(to):
+                store.ring.change_position(f"n{index}", to)
+        self.both(move)
+
+    @rule(delta=st.floats(min_value=0.0, max_value=40.0))
+    def advance(self, delta):
+        self.both(lambda store: store.sim.run(until=store.sim.now + delta))
+
+    @invariant()
+    def same_state(self):
+        got, expected = map(store_state, self.stores)
+        assert got == expected
+
+    def teardown(self):
+        if self.stores:
+            self.both(lambda store: store.sim.run())
+            self.same_state()
+            assert not any(store._removes_at or store.sim.pending() for store in self.stores)
+
+
+TestFlushModel = FlushMachine.TestCase
+TestFlushModel.settings = settings(max_examples=60, deadline=None)
