@@ -1,21 +1,1 @@
 """Evaluation analyses: locality, availability, performance, balance."""
-
-from repro.analysis.availability import (
-    AvailabilityResult,
-    run_availability_replay,
-    run_availability_trial,
-)
-from repro.analysis.balance import run_harvard_balance, run_webcache_balance
-from repro.analysis.locality import analyze_locality
-from repro.analysis.performance import compare, run_performance
-
-__all__ = [
-    "AvailabilityResult",
-    "run_availability_replay",
-    "run_availability_trial",
-    "run_harvard_balance",
-    "run_webcache_balance",
-    "analyze_locality",
-    "compare",
-    "run_performance",
-]

@@ -311,70 +311,6 @@ def run_availability_trial(
     return evaluate_tasks(trace, log, inter)
 
 
-def task_spread_statistics(
-    trace: Trace,
-    systems: Sequence[str],
-    inters: Sequence[float],
-    *,
-    n_nodes: int,
-    config: Optional[D2Config] = None,
-    seed: int = 0,
-) -> List[dict]:
-    """Table 2: mean objects and mean nodes per task for each system/inter.
-
-    Runs the replay once per system (no failures needed) and segments the
-    same access stream at each *inter* threshold.
-    """
-    config = config or D2Config()
-    rows: List[dict] = []
-    spreads: Dict[str, Dict[float, Tuple[float, float, float]]] = {}
-    for system in systems:
-        deployment = build_deployment(system, n_nodes, config=config, seed=seed)
-        deployment.load_initial_image(trace)
-        deployment.stabilize()
-        deployment.start_periodic_balancing()
-        per_inter: Dict[float, Tuple[float, float, float]] = {}
-        # Replay once, recording per-record key owners; segment afterwards.
-        record_keys: Dict[int, Tuple[int, str, List[str]]] = {}
-        for record in trace.records:
-            deployment.advance_to(record.time)
-            outcome = deployment.replay_record(record)
-            if outcome.skipped:
-                continue
-            owners = [deployment.ring.successor(key) for key in outcome.keys]
-            record_keys[id(record)] = (outcome.blocks, record.path, owners)
-        for inter in inters:
-            tasks = segment_tasks(trace, inter)
-            blocks: List[int] = []
-            files: List[int] = []
-            nodes: List[int] = []
-            for task in tasks:
-                b = 0
-                fset = set()
-                nset = set()
-                for record in task.records:
-                    info = record_keys.get(id(record))
-                    if info is None:
-                        continue
-                    b += info[0]
-                    fset.add(info[1])
-                    nset.update(info[2])
-                blocks.append(b)
-                files.append(len(fset))
-                nodes.append(len(nset))
-            per_inter[inter] = (_mean(blocks), _mean(files), _mean(nodes))
-        spreads[system] = per_inter
-    for inter in inters:
-        row = {"inter": inter}
-        for system in systems:
-            b, f, n = spreads[system][inter]
-            row[f"{system}_blocks"] = b
-            row[f"{system}_files"] = f
-            row[f"{system}_nodes"] = n
-        rows.append(row)
-    return rows
-
-
 def _mean(values: Sequence[float]) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0

@@ -234,7 +234,7 @@ class PerformanceHarness:
                     "lookup.stale_probe", now, lookup_span, node=cache_owner
                 )
                 spans.finish(stale_span, now + lookup_latency)
-            client.lookup_cache.invalidate(key, now, span=lookup_span)
+            client.lookup_cache.invalidate(key, span=lookup_span)
             lookup_latency += self._routed_lookup(
                 client.node, key, now + lookup_latency, parent=lookup_span
             )

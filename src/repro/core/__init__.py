@@ -1,20 +1,1 @@
 """D2 core: locality keys, lookup cache, configuration, system facades."""
-
-from repro.core.config import D2Config
-from repro.core.hybrid import hybrid_replica_nodes, placement_holders
-from repro.core.keys import BlockKey, decode_key, encode_path_key, volume_id
-from repro.core.lookup_cache import LookupCache
-from repro.core.system import Deployment, build_deployment
-
-__all__ = [
-    "D2Config",
-    "BlockKey",
-    "decode_key",
-    "encode_path_key",
-    "volume_id",
-    "LookupCache",
-    "Deployment",
-    "build_deployment",
-    "hybrid_replica_nodes",
-    "placement_holders",
-]

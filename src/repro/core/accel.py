@@ -190,12 +190,12 @@ class LookupAccelerator:
                                        messages=0)
                 # Stale entry: the probed node no longer owns the key.  One
                 # wasted message, then fall through to a real resolution.
-                cache.invalidate(key, now, span)
+                cache.invalidate(key, span)
                 self._c_stale.inc()
                 stale = True
                 extra = 1
         if self.learned is not None:
-            outcome = self.learned.lookup(source, key, now=now)
+            outcome = self.learned.lookup(source, key)
             result = outcome.result
             tier = "learned" if outcome.hit else "route"
             messages = outcome.messages + extra

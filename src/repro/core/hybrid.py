@@ -36,7 +36,7 @@ are distributed; the naive position-based variant is kept as
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Sequence, Set
+from typing import List, Sequence, Set
 
 from repro.dht.consistent_hashing import salted_key
 from repro.dht.ring import Ring
@@ -89,16 +89,6 @@ def hybrid_replica_nodes(
             holders.append(candidate)
             seen.add(candidate)
     return holders
-
-
-def hybrid_nodes_for_keys(
-    ring: Ring, keys: Iterable[int], replicas: int, *, mode: str = "rank"
-) -> Set[str]:
-    """Distinct nodes holding any replica of *keys* (upload-fanout bound)."""
-    nodes: Set[str] = set()
-    for key in keys:
-        nodes.update(hybrid_replica_nodes(ring, key, replicas, mode=mode))
-    return nodes
 
 
 def arc_capture_exposure(

@@ -57,13 +57,12 @@ class CacheEntry:
 
 
 class LookupCacheStats:
-    """Per-cache lookup statistics, backed by metric counters.
+    """Per-cache lookup statistics: a read-only view over metric counters.
 
-    Keeps the exact read/write API of the old stats dataclass (``hits``,
-    ``misses``, ``stale_hits``, ``inserts``, ``evictions``, plus derived
-    rates) while storing each field in a :class:`~repro.obs.metrics.Counter`
-    of a private registry — so the same numbers flow into metric snapshots
-    with no second bookkeeping path.
+    Each of :attr:`FIELDS` reads a :class:`~repro.obs.metrics.Counter` of
+    the registry (``lookup.<field>``), which the cache bumps directly — so
+    the same numbers flow into metric snapshots with no second bookkeeping
+    path.
 
     ``evictions`` counts TTL-expiry drops (the original meaning);
     ``capacity_evictions`` counts drops forced by a full bounded cache and
@@ -75,40 +74,16 @@ class LookupCacheStats:
     FIELDS = ("hits", "misses", "stale_hits", "inserts", "evictions",
               "capacity_evictions", "membership_evictions")
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 prefix: str = "lookup", **initial: int) -> None:
-        self._registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+        registry = registry if registry is not None else MetricsRegistry()
         self._counters = {
-            name: self._registry.counter(f"{prefix}.{name}") for name in self.FIELDS
+            name: registry.counter(f"lookup.{name}") for name in self.FIELDS
         }
-        for name, value in initial.items():
-            if name not in self._counters:
-                raise TypeError(f"unknown stats field {name!r}")
-            self._counters[name].add(value)
 
-    def _get(self, name: str) -> int:
-        return self._counters[name].value
-
-    def _set(self, name: str, value: int) -> None:
-        self._counters[name].add(value - self._counters[name].value)
-
-    hits = property(lambda s: s._get("hits"), lambda s, v: s._set("hits", v))
-    misses = property(lambda s: s._get("misses"), lambda s, v: s._set("misses", v))
-    stale_hits = property(
-        lambda s: s._get("stale_hits"), lambda s, v: s._set("stale_hits", v)
-    )
-    inserts = property(lambda s: s._get("inserts"), lambda s, v: s._set("inserts", v))
-    evictions = property(
-        lambda s: s._get("evictions"), lambda s, v: s._set("evictions", v)
-    )
-    capacity_evictions = property(
-        lambda s: s._get("capacity_evictions"),
-        lambda s, v: s._set("capacity_evictions", v),
-    )
-    membership_evictions = property(
-        lambda s: s._get("membership_evictions"),
-        lambda s, v: s._set("membership_evictions", v),
-    )
+    def __getattr__(self, name: str) -> int:
+        if name in self.FIELDS:
+            return self._counters[name].value
+        raise AttributeError(name)
 
     @property
     def lookups(self) -> int:
@@ -145,7 +120,7 @@ class LookupCache:
     overlap transiently after churn, in which case the freshest entry
     (latest ``expires_at``) wins.  With a shared *registry*/*tracer*, every
     probe also feeds the deployment-wide aggregate counters (``lookup.hits``
-    etc.) and the event stream — each cache's own :class:`LookupCacheStats`
+    etc.) and event counts — each cache's own :class:`LookupCacheStats`
     stays per-client.
 
     Optional knobs (all default to the paper's static design):
@@ -223,7 +198,7 @@ class LookupCache:
             if span:
                 span.annotate(cache="hit", node=entry.node)
             if self._tracer is not None:
-                self._tracer.emit(LOOKUP_HIT, now, key=key, node=entry.node)
+                self._tracer.emit(LOOKUP_HIT)
             return entry.node
         if entry is not None:
             self._remove_entry(entry)
@@ -234,7 +209,7 @@ class LookupCache:
         if span:
             span.annotate(cache="miss")
         if self._tracer is not None:
-            self._tracer.emit(LOOKUP_MISS, now, key=key)
+            self._tracer.emit(LOOKUP_MISS)
         return None
 
     def insert(self, lo: int, hi: int, node: str, now: float) -> None:
@@ -266,7 +241,7 @@ class LookupCache:
         if self._sizer is not None:
             self._sizer.record(self, "capacity_eviction")
 
-    def invalidate(self, key: int, now: float, span=None) -> None:
+    def invalidate(self, key: int, span=None) -> None:
         """Drop the entry covering *key* (used after a stale-entry fault)."""
         entry = self._find(key)
         if entry is not None:
@@ -277,7 +252,7 @@ class LookupCache:
             if span:
                 span.annotate(cache="stale", stale_node=entry.node)
             if self._tracer is not None:
-                self._tracer.emit(LOOKUP_STALE, now, key=key, node=entry.node)
+                self._tracer.emit(LOOKUP_STALE)
 
     def _reindex(self) -> None:
         """Rebuild what :meth:`_find` reads, after the entries changed.

@@ -97,15 +97,15 @@ class Deployment:
         self.rng = random.Random(seed)
         self.metrics = MetricsRegistry()
         self.tracer = EventTracer()
-        # Span tracer: sampled per $REPRO_TRACE_SAMPLE (NullTracer at <= 0,
-        # so instrumented hot paths pay only a truthiness check).
+        # Span tracer: sampled per $REPRO_TRACE_SAMPLE (falsy at <= 0, so
+        # instrumented hot paths pay only a truthiness check).
         self.spans = SpanTracer.from_env(events=self.tracer, seed=seed)
         self.sim = Simulator(registry=self.metrics)
         self.ring = Ring()
         self.node_names = [f"node{i:04d}" for i in range(n_nodes)]
         for name, node_id in zip(self.node_names, random_node_ids(n_nodes, self.rng)):
             self.ring.join(name, node_id)
-            self.tracer.emit(NODE_JOIN, 0.0, node=name, position=node_id)
+            self.tracer.emit(NODE_JOIN)
         self.store = StorageCoordinator(
             self.ring,
             self.sim,
@@ -397,10 +397,6 @@ class Deployment:
 
     # ------------------------------------------------------------------
     # reporting
-
-    def load_snapshot(self) -> Dict[str, int]:
-        """Per-node total stored blocks (primary + secondary)."""
-        return self.store.total_loads()
 
     def describe(self) -> Dict[str, object]:
         return {

@@ -1,26 +1,1 @@
 """DHT substrate: key space, ring membership, routing, load balancing."""
-
-from repro.dht.keyspace import KEY_BITS, KEY_BYTES, KEY_SPACE, distance, in_interval
-from repro.dht.ring import Ring, RingError
-from repro.dht.fingers import FingerTable
-from repro.dht.routing import LookupResult, finger_table_for, route, route_many
-from repro.dht.load_balance import KargerRuhlBalancer, normalized_std_dev
-from repro.dht.sampling import random_walk_sample
-
-__all__ = [
-    "KEY_BITS",
-    "KEY_BYTES",
-    "KEY_SPACE",
-    "distance",
-    "in_interval",
-    "Ring",
-    "RingError",
-    "FingerTable",
-    "LookupResult",
-    "finger_table_for",
-    "route",
-    "route_many",
-    "KargerRuhlBalancer",
-    "normalized_std_dev",
-    "random_walk_sample",
-]

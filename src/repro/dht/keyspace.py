@@ -12,7 +12,6 @@ from 64-byte big-endian representations.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 KEY_BYTES = 64
 KEY_BITS = KEY_BYTES * 8
@@ -101,8 +100,3 @@ def key_fraction(key: int) -> float:
     Handy for plotting key distributions and for coarse range bucketing.
     """
     return key / KEY_SPACE
-
-
-def span_covers(spans: Iterable, key: int) -> bool:
-    """True if any ``(lo, hi)`` half-open circular span in *spans* covers *key*."""
-    return any(in_interval(key, lo, hi) for lo, hi in spans)

@@ -33,9 +33,9 @@ Determinism contract (mirrors :class:`repro.dht.fingers.FingerTable`):
 
 Metrics: ``dht.learned.hit`` / ``dht.learned.mispredict`` /
 ``dht.learned.retrain`` counters (plus ``dht.learned.invalidate`` for
-ring-version resets), and a ``dht.learned.retrain`` event kind for the
-event stream, so Figure-9 style traffic accounting can separate learned
-hits from fallback routes.
+ring-version resets), and a ``dht.learned.retrain`` event kind, so
+Figure-9 style traffic accounting can separate learned hits from fallback
+routes.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ class LearnedIndex:
             return self.segments - 1
         return index
 
-    def observe(self, key: int, owner_index: int, now: float = 0.0) -> None:
+    def observe(self, key: int, owner_index: int) -> None:
         """Feed one ground-truth ``(key, owner ring-index)`` pair.
 
         Reservoir-samples into the shared sample pool (algorithm R) and
@@ -224,11 +224,11 @@ class LearnedIndex:
         self._since_fit += 1
         if self._model is None:
             if self._observed >= self.min_observations:
-                self._fit(now)
+                self._fit()
         elif self._since_fit >= self.retrain_interval:
-            self._fit(now)
+            self._fit()
 
-    def _fit(self, now: float) -> None:
+    def _fit(self) -> None:
         """Refit: re-derive the domain, re-bucket the samples, fit lines.
 
         The domain is the integer span of the *sampled* keys, so a
@@ -248,11 +248,7 @@ class LearnedIndex:
         self._since_fit = 0
         self._c_retrain.inc()
         if self._tracer is not None:
-            self._tracer.emit(
-                LEARNED_RETRAIN, now,
-                observations=self._observed,
-                segments_fit=sum(1 for entry in model if entry is not None),
-            )
+            self._tracer.emit(LEARNED_RETRAIN)
 
     # ------------------------------------------------------------------
     # prediction
@@ -315,7 +311,7 @@ class LearnedIndex:
     # ------------------------------------------------------------------
     # the lookup path
 
-    def lookup(self, source: str, key: int, *, now: float = 0.0) -> LearnedLookup:
+    def lookup(self, source: str, key: int) -> LearnedLookup:
         """Resolve *key* from *source*: predicted O(1) path, else routing.
 
         On a **hit** the path is ``source → predicted node → (≤ max_probe
@@ -339,10 +335,10 @@ class LearnedIndex:
                         path.append(names[hop])
                 result = LookupResult(key=key, owner=names[hop_indexes[-1]], path=path)
                 self._c_hit.inc()
-                self.observe(key, hop_indexes[-1], now)
+                self.observe(key, hop_indexes[-1])
                 return LearnedLookup(result=result, predicted=predicted, hit=True)
         result = route(self._ring, source, key)
-        self.observe(key, self._ring.successor_index(key), now)
+        self.observe(key, self._ring.successor_index(key))
         if predicted is not None:
             self._c_mispredict.inc()
             return LearnedLookup(

@@ -45,7 +45,9 @@ class BalanceCoordinator(Protocol):
         ...
 
     def primary_keys(self, name: str) -> Sequence[int]:
-        """Keys of the primary blocks held (or pointed to) by *name*."""
+        """Keys of the primary blocks held (or pointed to) by *name*:
+        exactly those of its arc, in clockwise order from the arc's start
+        (:func:`repro.dht.ring.load_split_point` takes their median)."""
         ...
 
     def execute_move(self, mover: str, new_id: int) -> None:
@@ -71,10 +73,10 @@ class MoveRecord:
 
 
 class BalancerStats:
-    """Balancer counters, backed by metric counters (API-compatible view).
+    """Balancer counters: a read-only view over metric counters.
 
-    ``probes``/``triggered``/``skipped_small`` read and write registry
-    counters (``balance.*``); ``moves`` stays a plain list of
+    ``probes``/``triggered``/``skipped_small`` read the registry counters
+    (``balance.*``) the balancer bumps; ``moves`` stays a plain list of
     :class:`MoveRecord` for logging and tests, mirrored by the
     ``balance.moves`` counter.
     """
@@ -82,26 +84,17 @@ class BalancerStats:
     FIELDS = ("probes", "triggered", "skipped_small")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._registry = registry if registry is not None else MetricsRegistry()
+        registry = registry if registry is not None else MetricsRegistry()
         self._counters = {
-            name: self._registry.counter(f"balance.{name}") for name in self.FIELDS
+            name: registry.counter(f"balance.{name}") for name in self.FIELDS
         }
-        self._moves_counter = self._registry.counter("balance.moves")
+        self._moves_counter = registry.counter("balance.moves")
         self.moves: List[MoveRecord] = []
 
-    def _get(self, name: str) -> int:
-        return self._counters[name].value
-
-    def _set(self, name: str, value: int) -> None:
-        self._counters[name].add(value - self._counters[name].value)
-
-    probes = property(lambda s: s._get("probes"), lambda s, v: s._set("probes", v))
-    triggered = property(
-        lambda s: s._get("triggered"), lambda s, v: s._set("triggered", v)
-    )
-    skipped_small = property(
-        lambda s: s._get("skipped_small"), lambda s, v: s._set("skipped_small", v)
-    )
+    def __getattr__(self, name: str) -> int:
+        if name in self.FIELDS:
+            return self._counters[name].value
+        raise AttributeError(name)
 
     def record_move(self, record: MoveRecord) -> None:
         self.moves.append(record)
@@ -164,7 +157,7 @@ class KargerRuhlBalancer:
         self.stats._counters["probes"].inc()
         target = self._sample_other(prober)
         if self._tracer is not None:
-            self._tracer.emit(BALANCE_PROBE, now, prober=prober, target=target)
+            self._tracer.emit(BALANCE_PROBE)
         if target is None:
             return None
         return self._maybe_move(prober, target, now)
@@ -260,8 +253,9 @@ class KargerRuhlBalancer:
         if target_load <= self._threshold * prober_load:
             return None
 
-        lo, hi = self._ring.range_of(target)
-        split = load_split_point(self._coordinator.primary_keys(target), lo, hi)
+        split = load_split_point(
+            self._coordinator.primary_keys(target), self._ring.position_of(target)
+        )
         if split is None:
             self.stats._counters["skipped_small"].inc()
             return None
@@ -296,14 +290,7 @@ class KargerRuhlBalancer:
         )
         self.stats.record_move(record)
         if self._tracer is not None:
-            self._tracer.emit(
-                BALANCE_MOVE,
-                now,
-                mover=prober,
-                target=target,
-                mover_load=prober_load,
-                target_load=target_load,
-            )
+            self._tracer.emit(BALANCE_MOVE)
         return record
 
 

@@ -106,8 +106,9 @@ class MembershipService:
         if position is None:
             probe = self.rng.randrange(KEY_SPACE)
             owner = self.ring.successor(probe)
-            lo, hi = self.ring.range_of(owner)
-            split = load_split_point(self.store.primary_keys(owner), lo, hi)
+            split = load_split_point(
+                self.store.primary_keys(owner), self.ring.position_of(owner)
+            )
             position = split if split is not None else probe
         node_id = self.ring.free_position_at(position)
         self.ring.join(name, node_id)
@@ -116,8 +117,8 @@ class MembershipService:
         self.repair.on_node_joined(name)
         self._c_joins.inc()
         if self._tracer is not None:
-            self._tracer.emit(MEMBERSHIP_JOIN, self.sim.now, node=name, position=node_id)
-            self._tracer.emit(NODE_JOIN, self.sim.now, node=name, position=node_id)
+            self._tracer.emit(MEMBERSHIP_JOIN)
+            self._tracer.emit(NODE_JOIN)
         return node_id
 
     def leave(self, name: str) -> bool:
@@ -147,8 +148,8 @@ class MembershipService:
         self.repair.reconcile_range(*affected)
         self._c_leaves.inc()
         if self._tracer is not None:
-            self._tracer.emit(MEMBERSHIP_LEAVE, self.sim.now, node=name)
-            self._tracer.emit(NODE_LEAVE, self.sim.now, node=name)
+            self._tracer.emit(MEMBERSHIP_LEAVE)
+            self._tracer.emit(NODE_LEAVE)
         return True
 
     def crash(self, name: str) -> bool:
@@ -178,8 +179,8 @@ class MembershipService:
         self.repair.reconcile_range(*affected)
         self._c_crashes.inc()
         if self._tracer is not None:
-            self._tracer.emit(MEMBERSHIP_CRASH, self.sim.now, node=name)
-            self._tracer.emit(NODE_LEAVE, self.sim.now, node=name)
+            self._tracer.emit(MEMBERSHIP_CRASH)
+            self._tracer.emit(NODE_LEAVE)
         return True
 
     # ------------------------------------------------------------------

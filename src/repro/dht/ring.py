@@ -246,20 +246,18 @@ class Ring:
             raise RingError(f"unknown node {name!r}") from None
 
 
-def load_split_point(keys: Sequence[int], lo: int, hi: int) -> Optional[int]:
-    """Median split point of *keys* within the primary arc ``(lo, hi]``.
+def load_split_point(keys: Sequence[int], hi: int) -> Optional[int]:
+    """Median split point of *keys*, the primary keys of the arc ending at *hi*.
 
-    Returns the key below-or-at which half of the keys (counted clockwise
-    from *lo*) fall, i.e. the ring position a joining predecessor should
-    take to inherit the first half of the load.  Returns ``None`` when the
-    arc holds fewer than two keys (nothing to split).
+    *keys* are exactly the keys of the arc, in clockwise order from its
+    start (what ``primary_keys`` returns).  Returns the key below-or-at
+    which half of them fall, i.e. the ring position a joining predecessor
+    should take to inherit the first half of the load.  Returns ``None``
+    when the arc holds fewer than two keys (nothing to split).
     """
-    in_range = [k for k in keys if in_interval(k, lo, hi)]
-    if len(in_range) < 2:
+    if len(keys) < 2:
         return None
-    # Order keys clockwise starting just after lo.
-    in_range.sort(key=lambda k: (k - lo - 1) % KEY_SPACE)
-    median = in_range[(len(in_range) - 1) // 2]
+    median = keys[(len(keys) - 1) // 2]
     if median == hi:
         return None  # splitting at the owner's own position is a no-op
     return median

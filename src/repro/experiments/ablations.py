@@ -196,7 +196,7 @@ def run_cache_ttl_ablation(
                 cache.insert(lo, hi, owner, now)
             elif cached != owner:
                 stale_penalties += 1
-                cache.invalidate(key, now)
+                cache.invalidate(key)
                 lo, hi = ring.range_of(owner)
                 cache.insert(lo, hi, owner, now)
         stats = cache.stats

@@ -9,15 +9,11 @@ from __future__ import annotations
 from typing import List
 
 from repro.experiments import common
-from repro.experiments.fig14_latency_scatter import run_fig14, scatter_points
+from repro.experiments.fig14_latency_scatter import run_fig14
 
 
 def run_fig15(**kwargs) -> List[dict]:
     return run_fig14(baseline="traditional-file", **kwargs)
-
-
-def scatter_points_file(mode: str = "seq", **kwargs) -> List[dict]:
-    return scatter_points(baseline="traditional-file", mode=mode, **kwargs)
 
 
 def format_fig15(rows: List[dict]) -> str:

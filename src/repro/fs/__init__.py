@@ -1,29 +1,1 @@
 """D2-FS: blocks, namespace, key schemes, FS layer, write-back cache."""
-
-from repro.fs.blocks import BLOCK_SIZE, BlockKind
-from repro.fs.fslayer import BlockOp, DhtFileSystem, apply_ops
-from repro.fs.keyschemes import (
-    D2KeyScheme,
-    KeyScheme,
-    TraditionalFileKeyScheme,
-    TraditionalKeyScheme,
-    make_scheme,
-)
-from repro.fs.namespace import Namespace, NamespaceError
-from repro.fs.writeback_cache import WritebackCache
-
-__all__ = [
-    "BLOCK_SIZE",
-    "BlockKind",
-    "BlockOp",
-    "DhtFileSystem",
-    "apply_ops",
-    "D2KeyScheme",
-    "KeyScheme",
-    "TraditionalFileKeyScheme",
-    "TraditionalKeyScheme",
-    "make_scheme",
-    "Namespace",
-    "NamespaceError",
-    "WritebackCache",
-]

@@ -9,8 +9,7 @@ Six rule families, each a :class:`Rule` producing :class:`Finding`\\ s:
 * **DET003** — no iteration over ``set``/``frozenset`` values (or values of
   functions annotated to return sets) without ``sorted(...)``; set order is
   salted per process and silently breaks serial-vs-parallel equality.
-* **OBS001** — observability contracts: ``tracer.span(...)`` only as a
-  context manager; every emitted event kind registered in the vocabulary
+* **OBS001** — the event vocabulary: every emitted event kind registered
   (:func:`repro.obs.events.register_kind` or the core constants).
 * **OBS002** — time-series samples carry **sim-time**, never host-clock
   reads: no ``time.perf_counter()`` / ``time.process_time()`` (nor any
@@ -524,14 +523,13 @@ class UnorderedIterationRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# OBS001 — observability contracts
+# OBS001 — the event vocabulary
 
 
 class ObservabilityRule(Rule):
     id = "OBS001"
-    title = "span/event API contracts"
-    hint = ("use `with tracer.span(...):` (or start_span/finish pairs) and "
-            "register event kinds via repro.obs.events.register_kind")
+    title = "emitted event kinds are registered"
+    hint = "register event kinds via repro.obs.events.register_kind"
 
     #: Receivers whose ``.emit`` is an event-tracer emit; other ``.emit``
     #: methods (if any ever appear) are out of scope for this rule.
@@ -566,40 +564,23 @@ class ObservabilityRule(Rule):
 
     def check(self, module: ParsedModule, context: LintContext) -> List[Finding]:
         imports = imported_names(module.tree)
-        parents = _parent_map(module.tree)
         findings: List[Finding] = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
                 continue
-            attr = node.func.attr
-            if attr == "span":
-                parent = parents.get(node)
-                in_with = isinstance(parent, ast.withitem)
-                in_enter_context = (
-                    isinstance(parent, ast.Call)
-                    and isinstance(parent.func, ast.Attribute)
-                    and parent.func.attr == "enter_context"
-                )
-                if not (in_with or in_enter_context):
-                    findings.append(self.finding(
-                        module, node,
-                        "tracer.span(...) outside a `with` statement leaks an "
-                        "open span",
-                        hint="use `with tracer.span(...) as s:` or the explicit "
-                             "start_span/finish pair",
-                    ))
-            elif attr == "emit" and node.args:
-                receiver = self._receiver_name(node.func).lower()
-                if not any(tag in receiver for tag in self._TRACERISH):
-                    continue
-                kind = self._resolve_kind(node.args[0], module, imports, context)
-                if kind is not None and kind not in context.event_kinds:
-                    findings.append(self.finding(
-                        module, node,
-                        f"event kind {kind!r} emitted but never registered",
-                        hint="declare it: KIND = register_kind(\"...\") "
-                             "(repro.obs.events)",
-                    ))
+            if node.func.attr != "emit" or not node.args:
+                continue
+            receiver = self._receiver_name(node.func).lower()
+            if not any(tag in receiver for tag in self._TRACERISH):
+                continue
+            kind = self._resolve_kind(node.args[0], module, imports, context)
+            if kind is not None and kind not in context.event_kinds:
+                findings.append(self.finding(
+                    module, node,
+                    f"event kind {kind!r} emitted but never registered",
+                    hint="declare it: KIND = register_kind(\"...\") "
+                         "(repro.obs.events)",
+                ))
         return _filter_allowed(module, findings)
 
 

@@ -1,13 +1,14 @@
-"""Observability spine: metrics registry, event tracer, JSON reports.
+"""Observability spine: metrics registry, event counts, spans, health, reports.
 
 Usage sketch::
 
-    from repro.obs import MetricsRegistry, EventTracer
+    from repro.obs.events import LOOKUP_HIT, EventTracer
+    from repro.obs.metrics import MetricsRegistry
 
     registry = MetricsRegistry()
     tracer = EventTracer()
     registry.counter("lookup.hits").inc()
-    tracer.emit(events.LOOKUP_HIT, time=0.0, key=42, node="node0001")
+    tracer.emit(LOOKUP_HIT)
 
     from repro.obs.report import build_report, snapshot_run, write_report
     report = build_report("demo", [snapshot_run({"system": "d2"}, registry, tracer)])
@@ -20,113 +21,3 @@ Usage sketch::
 alert timeline and per-node drill-down.  See ``docs/observability.md``
 for the metric-name, event, span, and time-series catalogs.
 """
-
-from repro.obs.events import (
-    BALANCE_MOVE,
-    BALANCE_PROBE,
-    BASE_EVENT_KINDS,
-    EVENT_KINDS,
-    LOOKUP_HIT,
-    LOOKUP_MISS,
-    LOOKUP_STALE,
-    MIGRATION,
-    NODE_JOIN,
-    NODE_LEAVE,
-    POINTER_CREATE,
-    POINTER_FLUSH,
-    Event,
-    EventError,
-    EventTracer,
-    register_kind,
-)
-from repro.obs.spans import (
-    NULL_SPAN,
-    SPAN_FINISH,
-    SPAN_START,
-    NullTracer,
-    Span,
-    SpanError,
-    Tracer,
-    validate_span_dict,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsError,
-    MetricsRegistry,
-)
-from repro.obs.report import (
-    SCHEMA,
-    build_report,
-    load_report,
-    snapshot_run,
-    summarize,
-    totals,
-    validate_report,
-    write_report,
-)
-from repro.obs.timeseries import (
-    COUNTER,
-    GAUGE,
-    TimeSeries,
-    TimeSeriesBank,
-    TimeSeriesError,
-)
-from repro.obs.health import (
-    Alert,
-    HealthMonitor,
-    SloEngine,
-    SloRule,
-    default_rules,
-)
-
-__all__ = [
-    "Alert",
-    "BALANCE_MOVE",
-    "BALANCE_PROBE",
-    "BASE_EVENT_KINDS",
-    "COUNTER",
-    "EVENT_KINDS",
-    "GAUGE",
-    "LOOKUP_HIT",
-    "LOOKUP_MISS",
-    "LOOKUP_STALE",
-    "MIGRATION",
-    "NODE_JOIN",
-    "NODE_LEAVE",
-    "NULL_SPAN",
-    "POINTER_CREATE",
-    "POINTER_FLUSH",
-    "SCHEMA",
-    "SPAN_FINISH",
-    "SPAN_START",
-    "Counter",
-    "Event",
-    "EventError",
-    "EventTracer",
-    "Gauge",
-    "HealthMonitor",
-    "Histogram",
-    "MetricsError",
-    "MetricsRegistry",
-    "NullTracer",
-    "SloEngine",
-    "SloRule",
-    "Span",
-    "SpanError",
-    "TimeSeries",
-    "TimeSeriesBank",
-    "TimeSeriesError",
-    "Tracer",
-    "build_report",
-    "default_rules",
-    "load_report",
-    "register_kind",
-    "snapshot_run",
-    "summarize",
-    "totals",
-    "validate_report",
-    "validate_span_dict",
-    "write_report",
-]

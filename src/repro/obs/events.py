@@ -1,25 +1,21 @@
-"""Structured event tracing: a bounded ring buffer of typed events.
+"""Typed event counts: how often each kind of thing happened.
 
-Counters say *how much*; the tracer says *what happened, when*.  Components
-emit one of a typed vocabulary of event kinds (lookup cache hits/misses/
-staleness faults, balancer probes and moves, pointer adoption/flush,
-migrations, membership changes) with arbitrary JSON-safe payload fields.
-The core vocabulary is fixed here; subsystems extend it through
-:func:`register_kind` (e.g. the span-boundary kinds of
-:mod:`repro.obs.spans`) — emitting anything unregistered stays an
-:class:`EventError`.
+Components emit one of a typed vocabulary of event kinds (lookup cache
+hits/misses/staleness faults, balancer probes and moves, pointer
+adoption/flush, migrations, membership changes).  The core vocabulary is
+fixed here; subsystems extend it through :func:`register_kind` (e.g. the
+span-boundary kinds of :mod:`repro.obs.spans`) — emitting anything
+unregistered stays an :class:`EventError`.
 
-The buffer is a ``deque(maxlen=capacity)``: the last *capacity* events are
-kept for inspection while per-kind counts remain exact for the whole run,
-so a long simulation can always answer "how many staleness faults?" even
-after the individual events have rotated out.
+An event is a count and nothing else: reports carry :meth:`EventTracer.counts`,
+and the record of *what happened when* is the span stream and the health
+rows, which carry the payloads.  So the tracer's size is the size of the
+vocabulary, whatever the length of the run.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict
 
 # Core event vocabulary (the schema is documented in docs/observability.md).
 LOOKUP_HIT = "lookup.hit"
@@ -73,67 +69,23 @@ def register_kind(kind: str) -> str:
     return kind
 
 
-@dataclass(frozen=True)
-class Event:
-    """One traced occurrence at simulation time *time*."""
-
-    time: float
-    kind: str
-    data: Mapping[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"time": self.time, "kind": self.kind, "data": dict(self.data)}
-
-
 class EventTracer:
-    """Bounded buffer of :class:`Event` plus exact per-kind counts."""
+    """Exact per-kind event counts for the whole run."""
 
-    #: Extension hook: ``EventTracer.register_kind("my.kind")`` widens the
-    #: shared vocabulary without editing this module.
-    register_kind = staticmethod(register_kind)
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise EventError("tracer capacity must be >= 1")
-        self.capacity = capacity
-        self._buffer: Deque[Event] = deque(maxlen=capacity)
+    def __init__(self) -> None:
         self._counts: Dict[str, int] = {}
-        self.emitted = 0  # total events ever, including rotated-out ones
+        self.emitted = 0  # total events ever
 
-    def emit(self, kind: str, time: float, **data: object) -> Event:
+    def emit(self, kind: str) -> None:
         if kind not in EVENT_KINDS:
             raise EventError(f"unknown event kind {kind!r}")
-        event = Event(time=time, kind=kind, data=data)
-        self._buffer.append(event)
         self._counts[kind] = self._counts.get(kind, 0) + 1
         self.emitted += 1
-        return event
-
-    def events(self, kind: Optional[str] = None) -> Tuple[Event, ...]:
-        """The buffered (most recent) events, optionally filtered by kind."""
-        if kind is None:
-            return tuple(self._buffer)
-        return tuple(e for e in self._buffer if e.kind == kind)
 
     def counts(self) -> Dict[str, int]:
-        """Exact per-kind totals for the whole run (JSON-ready)."""
+        """Per-kind totals, sorted by kind (JSON-ready)."""
         return dict(sorted(self._counts.items()))
 
-    @property
-    def dropped(self) -> int:
-        """Events that have rotated out of the buffer."""
-        return self.emitted - len(self._buffer)
-
-    def __len__(self) -> int:
-        return len(self._buffer)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(tuple(self._buffer))
-
-    def to_dicts(self) -> Tuple[Dict[str, object], ...]:
-        return tuple(e.to_dict() for e in self._buffer)
-
     def clear(self) -> None:
-        self._buffer.clear()
         self._counts.clear()
         self.emitted = 0

@@ -306,10 +306,7 @@ class SloEngine:
                 self._c_resolved.inc()
             kind = ALERT_RESOLVE
         if self._tracer is not None:
-            self._tracer.emit(
-                kind, row["end"], rule=alert.rule, series=alert.series,
-                severity=alert.severity,
-            )
+            self._tracer.emit(kind)
         return {
             "type": "alert",
             "event": event,
@@ -323,9 +320,6 @@ class SloEngine:
         }
 
     # -- reporting ------------------------------------------------------
-
-    def active_alerts(self) -> List[Alert]:
-        return [alert for alert in self.alerts if alert.active]
 
     def summary(self) -> Dict[str, Any]:
         fired = len(self.alerts)

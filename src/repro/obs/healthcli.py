@@ -29,9 +29,10 @@ render byte-identically.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.obs.stream import read_jsonl
 
 #: Cluster-level series shown in the --windows table, in column order.
 KEY_SERIES = (
@@ -49,38 +50,24 @@ _ALERT_FIELDS = ("event", "rule", "severity", "series", "labels", "time",
                  "window", "value")
 
 
+def validate_row(payload: object) -> List[str]:
+    """All structural problems in one decoded health row."""
+    if not isinstance(payload, dict):
+        return ["not an object"]
+    kind = payload.get("type")
+    if kind == "series":
+        fields = _SERIES_FIELDS
+    elif kind == "alert":
+        fields = _ALERT_FIELDS
+    else:
+        return [f"unknown row type {kind!r}"]
+    missing = [f for f in fields if f not in payload]
+    return [f"{kind} row missing {missing}"] if missing else []
+
+
 def load_rows(path: str) -> Tuple[List[Dict[str, Any]], List[str]]:
     """Decode and structurally validate one JSONL export."""
-    rows: List[Dict[str, Any]] = []
-    problems: List[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except ValueError as exc:
-                problems.append(f"line {lineno}: not JSON: {exc}")
-                continue
-            if not isinstance(payload, dict):
-                problems.append(f"line {lineno}: not an object")
-                continue
-            kind = payload.get("type")
-            if kind == "series":
-                missing = [f for f in _SERIES_FIELDS if f not in payload]
-            elif kind == "alert":
-                missing = [f for f in _ALERT_FIELDS if f not in payload]
-            else:
-                problems.append(f"line {lineno}: unknown row type {kind!r}")
-                continue
-            if missing:
-                problems.append(
-                    f"line {lineno}: {kind} row missing {missing}"
-                )
-                continue
-            rows.append(payload)
-    return rows, problems
+    return read_jsonl(path, validate_row)
 
 
 def _label_key(labels: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:
@@ -127,33 +114,6 @@ def episodes_of(rows: Sequence[Dict[str, Any]]) -> List[Episode]:
                 episode.resolved_window = row["window"]
                 episode.resolved_at = row["time"]
     return episodes
-
-
-def series_stats(
-    rows: Sequence[Dict[str, Any]]
-) -> Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Dict[str, Any]]:
-    """Peak/last/non-empty-window counts per (series, labels)."""
-    stats: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Dict[str, Any]] = {}
-    for row in rows:
-        if row.get("type") != "series":
-            continue
-        key = (row["name"], _label_key(row["labels"]))
-        entry = stats.get(key)
-        if entry is None:
-            entry = stats[key] = {
-                "name": row["name"], "labels": dict(row["labels"]),
-                "windows": 0, "nonempty": 0, "peak": None, "last": None,
-            }
-        entry["windows"] += 1
-        if row["count"]:
-            entry["nonempty"] += 1
-            value = row["value"]
-            entry["last"] = value
-            if value is not None and (
-                entry["peak"] is None or value > entry["peak"]
-            ):
-                entry["peak"] = value
-    return stats
 
 
 def worst_nodes(

@@ -49,7 +49,7 @@ class Counter:
         self._value += amount
 
     def add(self, amount: Union[int, float]) -> None:
-        """Adjust by a signed amount (used by stats views emulating fields)."""
+        """Adjust by a signed amount."""
         self._value += amount
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

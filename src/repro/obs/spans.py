@@ -1,11 +1,12 @@
 """Causal span tracing: who spent the time inside one operation.
 
-Counters (:mod:`repro.obs.metrics`) say *how much*, events
-(:mod:`repro.obs.events`) say *what happened* — spans say *where the time
-in one operation went*.  A :class:`Span` is an interval of simulated time
-with a name, a parent, and JSON-safe attributes; the spans of one
-operation form a tree rooted at the operation itself (Dapper's model, in
-sim-time).  A traced block fetch looks like::
+Counters (:mod:`repro.obs.metrics`) and event counts
+(:mod:`repro.obs.events`) say *how much* — spans say *what happened when,
+and where the time in one operation went*.  A :class:`Span` is an
+interval of simulated time with a name, a parent, and JSON-safe
+attributes; the spans of one operation form a tree rooted at the
+operation itself (Dapper's model, in sim-time).  A traced block fetch
+looks like::
 
     fetch ─┬─ lookup ── dht.route ─┬─ dht.hop × k
            │                       └─ dht.response
@@ -13,13 +14,13 @@ sim-time).  A traced block fetch looks like::
                         ├─ tcp.transfer
                         └─ queue.wait (only when contention dominates)
 
-The :class:`Tracer` mirrors :class:`~repro.obs.events.EventTracer`'s
-retention contract: a bounded ring buffer of span payloads plus *exact*
-per-name counts for the whole run.  Head-based sampling is decided once
-per trace (``$REPRO_TRACE_SAMPLE``, default 1.0): an unsampled root is the
-falsy :data:`NULL_SPAN`, and every child of a null span is null, so a
-dropped trace costs one RNG draw and the hot path otherwise pays only
-truthiness checks.  :class:`NullTracer` is the fully-disabled variant —
+The :class:`Tracer` keeps a bounded ring buffer of span payloads — read by
+the exporters, through :meth:`Tracer.drain` and :meth:`Tracer.to_dicts` —
+plus *exact* per-name counts for the whole run.  Head-based sampling is
+decided once per trace (``$REPRO_TRACE_SAMPLE``, default 1.0): an
+unsampled root is the falsy :data:`NULL_SPAN`, and every child of a null
+span is null, so a dropped trace costs one RNG draw and the hot path
+otherwise pays only truthiness checks.  A tracer whose sample rate is 0 is
 itself falsy, so ``if tracer:`` guards skip instrumentation entirely.
 
 Export is JSONL (one span object per line; see :data:`SPAN_FIELDS`),
@@ -29,11 +30,9 @@ critical-path extraction, and per-phase latency attribution.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from collections import deque
-from contextlib import contextmanager
 from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.events import EventTracer, register_kind
@@ -59,7 +58,7 @@ class Span:
     """One named interval of simulated time within a trace tree."""
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "start", "end",
-                 "attrs", "_parent", "_max_child_end")
+                 "attrs")
 
     sampled = True
 
@@ -72,11 +71,6 @@ class Span:
         self.start = float(start)
         self.end: Optional[float] = None
         self.attrs: Dict[str, object] = dict(attrs)
-        # Parent object (set by Tracer.start_span) and, raised through it, the
-        # latest finish time among direct children: lets a context-managed
-        # parent auto-close to the moment its subtree went quiet.
-        self._parent: Optional["Span"] = None
-        self._max_child_end: Optional[float] = None
 
     def annotate(self, **attrs: object) -> "Span":
         self.attrs.update(attrs)
@@ -183,8 +177,6 @@ class Tracer:
         Sampling-RNG seed; fixed so identical runs sample identically.
     """
 
-    enabled = True
-
     def __init__(
         self,
         capacity: int = 4096,
@@ -204,23 +196,20 @@ class Tracer:
         self._ids = 0
         self.started = 0      # sampled spans ever created (incl. rotated out)
         self.finished = 0
+        self.drained = 0      # spans that left the buffer through drain()
         self.sampled_out = 0  # root spans dropped by head sampling
 
     @classmethod
     def from_env(cls, *, events: Optional[EventTracer] = None,
                  capacity: int = 4096, seed: int = 0) -> "Tracer":
-        """Env-configured tracer; a :class:`NullTracer` when sampling is 0.
-
-        The null tracer is falsy, so a 0-rate run pays only the ``if
-        tracer:`` truthiness check on every hot-path instrumentation site.
-        """
-        rate = sample_rate_from_env()
-        if rate <= 0.0:
-            return NullTracer()
-        return cls(capacity, sample=rate, events=events, seed=seed)
+        """Tracer sampling at ``$REPRO_TRACE_SAMPLE`` (falsy when that is 0)."""
+        return cls(capacity, events=events, seed=seed)
 
     def __bool__(self) -> bool:
-        return self.enabled
+        """False when nothing is sampled: a 0-rate run pays only the ``if
+        tracer:`` truthiness check on every hot-path instrumentation site
+        (see ``benchmarks/bench_micro_spans.py``)."""
+        return self.sample > 0.0
 
     def __len__(self) -> int:
         return len(self._buffer)
@@ -252,7 +241,7 @@ class Tracer:
         trace_id = self._next_id("t")
         span = Span(trace_id, self._next_id("s"), None, name, start, **attrs)
         if self._events is not None:
-            self._events.emit(SPAN_START, start, trace_id=trace_id, name=name)
+            self._events.emit(SPAN_START)
         return self._record(span)
 
     def start_span(self, name: str, start: float, parent: SpanLike,
@@ -260,46 +249,18 @@ class Tracer:
         """Open a child span; children of null spans are null (free)."""
         if not parent:
             return NULL_SPAN
-        span = Span(parent.trace_id, self._next_id("s"), parent.span_id,
-                    name, start, **attrs)
-        span._parent = parent
-        return self._record(span)
+        return self._record(Span(parent.trace_id, self._next_id("s"),
+                                 parent.span_id, name, start, **attrs))
 
     def finish(self, span: SpanLike, end: float) -> SpanLike:
-        """Close *span* at sim-time *end*, bubbling the finish to its parent."""
+        """Close *span* at sim-time *end*."""
         if not span:
             return span
         span.finish(end)
         self.finished += 1
-        parent = span._parent
-        if parent is not None and (
-                parent._max_child_end is None or span.end > parent._max_child_end):
-            parent._max_child_end = span.end
         if span.parent_id is None and self._events is not None:
-            self._events.emit(SPAN_FINISH, end, trace_id=span.trace_id,
-                              name=span.name, duration=span.duration)
+            self._events.emit(SPAN_FINISH)
         return span
-
-    @contextmanager
-    def span(self, name: str, start: float, parent: Optional[SpanLike] = None,
-             **attrs: object) -> Iterator[SpanLike]:
-        """Context-manager form: root when *parent* is None, else child.
-
-        If the body did not call :meth:`finish`, the span auto-closes at
-        the latest finish time observed among its direct children (or at
-        its own start when it had none) — so a root wrapped around
-        sequential child work ends exactly when its subtree went quiet.
-        """
-        if parent is None:
-            span = self.start_trace(name, start, **attrs)
-        else:
-            span = self.start_span(name, start, parent, **attrs)
-        try:
-            yield span
-        finally:
-            if span and not span.finished:
-                end = span._max_child_end if span._max_child_end is not None else span.start
-                self.finish(span, max(end, span.start))
 
     # ------------------------------------------------------------------
     # introspection / export
@@ -310,8 +271,8 @@ class Tracer:
 
     @property
     def dropped(self) -> int:
-        """Sampled spans whose payloads rotated out of the buffer."""
-        return self.started - len(self._buffer)
+        """Sampled spans whose payloads rotated out of the buffer unexported."""
+        return self.started - self.drained - len(self._buffer)
 
     def spans(self, name: Optional[str] = None) -> Tuple[Span, ...]:
         if name is None:
@@ -327,9 +288,9 @@ class Tracer:
     def drain(self) -> List[Dict[str, object]]:
         """Pop all *finished* buffered spans as JSON-safe dicts.
 
-        Open spans stay buffered until they finish (bubbling follows the
-        parent link, not the buffer); cumulative counts and totals are
-        untouched, so repeated drains see every finished span exactly once.
+        Open spans stay buffered until they finish; cumulative counts and
+        totals are untouched, so repeated drains see every finished span
+        exactly once.
         This is the streaming-export primitive: a long run drains to a
         :class:`repro.obs.stream.JsonlWriter` every window, keeping the
         tracer's memory footprint independent of run length.
@@ -339,43 +300,14 @@ class Tracer:
             open_spans = [s for s in self._buffer if s.end is None]
             self._buffer.clear()
             self._buffer.extend(open_spans)
+            self.drained += len(finished)
         return [s.to_dict() for s in finished]
-
-    def export_jsonl(self, path: str, include_open: bool = True) -> str:
-        """Write buffered spans to *path*, one JSON object per line."""
-        with open(path, "w", encoding="utf-8") as handle:
-            for payload in self.to_dicts(include_open=include_open):
-                handle.write(json.dumps(payload, sort_keys=True))
-                handle.write("\n")
-        return path
 
     def clear(self) -> None:
         self._buffer.clear()
         self._counts.clear()
         self._ids = 0
-        self.started = self.finished = self.sampled_out = 0
-
-
-class NullTracer(Tracer):
-    """Tracing fully off: falsy, every span is :data:`NULL_SPAN`.
-
-    Hot loops guard instrumentation with ``if tracer:`` — with a null
-    tracer that is a single truthiness check and nothing else, which is
-    what keeps the disabled path within noise of untraced code (see
-    ``benchmarks/bench_micro_spans.py``).
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1, sample=0.0)
-
-    def start_trace(self, name: str, start: float, **attrs: object) -> SpanLike:
-        return NULL_SPAN
-
-    def start_span(self, name: str, start: float, parent: SpanLike,
-                   **attrs: object) -> SpanLike:
-        return NULL_SPAN
+        self.started = self.finished = self.drained = self.sampled_out = 0
 
 
 def validate_span_dict(payload: object) -> List[str]:

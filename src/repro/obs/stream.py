@@ -1,4 +1,4 @@
-"""Bounded-memory streaming export: JSONL writers for metrics and spans.
+"""Bounded-memory streaming export: the JSONL writer and reader.
 
 The report path (:mod:`repro.obs.report`) accumulates every run entry in
 memory and writes one JSON document at the end — fine for a 30-cell figure
@@ -17,6 +17,9 @@ and peak memory is one row.
 * :class:`NullJsonlWriter` — the disabled variant (no export directory
   configured): counts rows, writes nothing, so harness code never
   branches.
+* :func:`read_jsonl` — the line loop behind ``python -m repro.obs trace``
+  and ``health``: every line is decoded and checked, and a line that is
+  truncated, hand-edited or off-schema is reported, never returned.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 from types import TracebackType
-from typing import IO, Mapping, Optional, Type
+from typing import IO, Any, Callable, List, Mapping, Optional, Tuple, Type
 
 
 class JsonlWriter:
@@ -97,7 +100,7 @@ class NullJsonlWriter:
 def stream_spans(tracer, writer) -> int:
     """Drain *tracer*'s finished spans into *writer*; returns rows written.
 
-    A falsy tracer (``NullTracer``) or one without buffered finished spans
+    A falsy tracer (sample rate 0) or one without buffered finished spans
     is a cheap no-op, so call sites can invoke this unconditionally at
     every window boundary.
     """
@@ -107,3 +110,32 @@ def stream_spans(tracer, writer) -> int:
     for payload in payloads:
         writer.write(payload)
     return len(payloads)
+
+
+def read_jsonl(
+    path: str, check: Callable[[Any], List[str]]
+) -> Tuple[List[Any], List[str]]:
+    """Decode one JSONL file; returns ``(payloads, problems)``.
+
+    *check* names what is wrong with one decoded line (nothing, when it is
+    good).  A line that is not JSON or fails its check is left out of the
+    payloads and reported as ``line N: ...``; blank lines are skipped.
+    """
+    payloads: List[Any] = []
+    problems: List[str] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                payload = json.loads(line)
+            except ValueError as exc:
+                problems.append(f"line {lineno}: not JSON: {exc}")
+                continue
+            line_problems = check(payload)
+            if line_problems:
+                problems.extend(f"line {lineno}: {p}" for p in line_problems)
+            else:
+                payloads.append(payload)
+    return payloads, problems

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 __all__ = [
     "COUNTER",
@@ -358,13 +358,6 @@ class TimeSeriesBank:
         rows = list(self._rows)
         self._rows.clear()
         return rows
-
-    def pending_rows(self) -> int:
-        return len(self._rows)
-
-    def iter_series(self) -> Iterable[TimeSeries]:
-        for key in sorted(self._series):
-            yield self._series[key]
 
     def stats(self) -> Dict[str, int]:
         """Aggregate bookkeeping totals (all deterministic)."""

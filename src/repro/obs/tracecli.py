@@ -26,12 +26,12 @@ long after the run.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.spans import validate_span_dict
+from repro.obs.stream import read_jsonl
 
 #: Ordering and naming of the attribution buckets.
 PHASES = ("route", "cache", "transfer", "queue", "other")
@@ -100,24 +100,8 @@ class Forest:
 
 def load_spans(path: str) -> Tuple[List[SpanRec], List[str]]:
     """Decode and validate one JSONL file; returns (spans, problems)."""
-    spans: List[SpanRec] = []
-    problems: List[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except ValueError as exc:
-                problems.append(f"line {lineno}: not JSON: {exc}")
-                continue
-            line_problems = validate_span_dict(payload)
-            if line_problems:
-                problems.extend(f"line {lineno}: {p}" for p in line_problems)
-                continue
-            spans.append(SpanRec.from_dict(payload))
-    return spans, problems
+    payloads, problems = read_jsonl(path, validate_span_dict)
+    return [SpanRec.from_dict(payload) for payload in payloads], problems
 
 
 def build_forest(spans: Sequence[SpanRec]) -> Forest:

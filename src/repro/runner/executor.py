@@ -26,7 +26,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runner.cache import RunCache
 from repro.runner.cells import execute_cell
@@ -135,60 +135,47 @@ def run_cells(
     return results
 
 
-def _events_fired(result: Any) -> int:
-    """``sim.events_fired`` accumulated inside one freshly computed result.
+def _section(payload: Any, name: str) -> Mapping[str, Any]:
+    """``payload[name]`` when both are mappings, else an empty mapping."""
+    section = payload.get(name) if isinstance(payload, Mapping) else None
+    return section if isinstance(section, Mapping) else {}
 
-    Results carry their deployment's observability snapshot in a
-    ``metrics`` attribute; availability cells return a mapping of such
-    results.  Results without a snapshot contribute 0.
+
+def _cell_payloads(results: Iterable[Any]):
+    """Yield ``(metrics, trace, health)`` once for each cell result.
+
+    The one place a cell result is unwrapped.  A result object carries its
+    deployment's observability snapshot, its span dicts and (optionally)
+    its health export in ``metrics`` / ``trace`` / ``health`` attributes;
+    availability cells return a mapping of such objects, which is
+    flattened.  A mapping is tested for a ``health`` key *before* it is
+    flattened: churn rows are plain dicts, and flattening them into values
+    would strip the payload off the row that owns it.  A churn row's own
+    counters are not a snapshot and stay unmerged.  ``health`` is a mapping
+    holding ``rows`` (series + alert dicts) and ``summary``, or None.
     """
-    if isinstance(result, Mapping):
-        return sum(_events_fired(value) for value in result.values())
-    metrics = getattr(result, "metrics", None)
-    if isinstance(metrics, Mapping):
-        counters = metrics.get("counters")
-        if isinstance(counters, Mapping):
-            return int(counters.get("sim.events_fired", 0))
-    return 0
-
-
-def _iter_results(results: Sequence[Any]):
-    """Flatten cell results (availability cells return result mappings)."""
     for result in results:
         if isinstance(result, Mapping):
-            yield from _iter_results(list(result.values()))
-        elif result is not None:
-            yield result
-
-
-def _merge_result_histograms(registry: Any, results: Sequence[Any]) -> None:
-    """Aggregate per-cell histogram snapshots into the runner report.
-
-    Worker processes cannot share live :class:`Histogram` objects, so each
-    result ships its deployment snapshot (with reservoirs); here they are
-    restored and merged — deterministically, whatever ``jobs`` was —
-    into run-level distributions.
-    """
-    from repro.obs.metrics import Histogram
-
-    merged: Dict[str, Any] = {}
-    for result in _iter_results(results):
-        metrics = getattr(result, "metrics", None)
-        if not isinstance(metrics, Mapping):
-            continue
-        histograms = metrics.get("histograms")
-        if not isinstance(histograms, Mapping):
-            continue
-        for name, snapshot in sorted(histograms.items()):
-            if not isinstance(snapshot, Mapping):
-                continue
-            restored = Histogram.from_snapshot(name, snapshot)
-            if name in merged:
-                merged[name].merge(restored)
+            health = result.get("health")
+            if isinstance(health, Mapping):
+                yield None, None, health
             else:
-                merged[name] = restored
-    for name in sorted(merged):
-        registry.register(merged[name])
+                yield from _cell_payloads(result.values())
+        elif result is not None:
+            health = getattr(result, "health", None)
+            yield (
+                getattr(result, "metrics", None),
+                getattr(result, "trace", None),
+                health if isinstance(health, Mapping) else None,
+            )
+
+
+def _events_fired(result: Any) -> int:
+    """``sim.events_fired`` accumulated inside one freshly computed result."""
+    return sum(
+        int(_section(metrics, "counters").get("sim.events_fired", 0))
+        for metrics, _, _ in _cell_payloads([result])
+    )
 
 
 #: Counter namespaces aggregated from cell results into runner reports —
@@ -198,154 +185,96 @@ def _merge_result_histograms(registry: Any, results: Sequence[Any]) -> None:
 _MERGED_COUNTER_PREFIXES = ("lookup.", "dht.learned.", "accel.")
 
 
-def _merge_result_counters(registry: Any, results: Sequence[Any]) -> None:
-    """Sum per-cell lookup/learned/accel counters into the runner report.
+def _merge_results(registry: Any, results: Sequence[Any]) -> None:
+    """Fold every cell's snapshot and health summary into the runner report.
 
-    Counters are additive across cells whatever ``jobs`` was, so the
-    merged totals are deterministic.  A run-level ``lookup.hit_ratio``
-    gauge and the summed ``lookup.occupancy`` gauge are derived here so
-    ``runner_<kind>.json`` answers "how well did the caches do" directly.
+    Worker processes cannot share live metric objects, so each result
+    ships its deployment snapshot (histograms with reservoirs); here the
+    histograms are restored and merged into run-level distributions, the
+    lookup/learned/accel counters and ``lookup.occupancy`` summed, a
+    run-level ``lookup.hit_ratio`` derived, and the alert totals summed
+    (per severity too, so ``runner_<kind>.json`` answers "how well did the
+    caches do" and "did anything go critical" directly).  All of it is
+    additive in cell order, so the totals are the same whatever ``jobs``
+    was.
     """
+    from repro.obs.metrics import Histogram
+
+    histograms: Dict[str, Any] = {}
     totals: Dict[str, int] = {}
-    occupancy = 0.0
-    saw_occupancy = False
-    for result in _iter_results(results):
-        metrics = getattr(result, "metrics", None)
-        if not isinstance(metrics, Mapping):
-            continue
-        counters = metrics.get("counters")
-        if isinstance(counters, Mapping):
-            for name, value in counters.items():
-                if name.startswith(_MERGED_COUNTER_PREFIXES):
-                    totals[name] = totals.get(name, 0) + int(value)
-        gauges = metrics.get("gauges")
-        if isinstance(gauges, Mapping) and "lookup.occupancy" in gauges:
-            occupancy += float(gauges["lookup.occupancy"])
-            saw_occupancy = True
+    occupancy: Optional[float] = None
+    alerts = {"fired": 0, "resolved": 0, "active": 0}
+    by_severity: Dict[str, int] = {}
+    saw_health = False
+    for metrics, _, health in _cell_payloads(results):
+        for name, snapshot in sorted(_section(metrics, "histograms").items()):
+            if not isinstance(snapshot, Mapping):
+                continue
+            restored = Histogram.from_snapshot(name, snapshot)
+            if name in histograms:
+                histograms[name].merge(restored)
+            else:
+                histograms[name] = restored
+        for name, value in _section(metrics, "counters").items():
+            if name.startswith(_MERGED_COUNTER_PREFIXES):
+                totals[name] = totals.get(name, 0) + int(value)
+        gauges = _section(metrics, "gauges")
+        if "lookup.occupancy" in gauges:
+            occupancy = (occupancy or 0.0) + float(gauges["lookup.occupancy"])
+        summary = health.get("summary") if health is not None else None
+        if isinstance(summary, Mapping):
+            saw_health = True
+            for state in alerts:
+                alerts[state] += int(summary.get(f"alerts_{state}", 0))
+            for severity, count in _section(summary, "by_severity").items():
+                by_severity[severity] = by_severity.get(severity, 0) + int(count)
+    for name in sorted(histograms):
+        registry.register(histograms[name])
     for name in sorted(totals):
         registry.counter(name).inc(totals[name])
     if totals:
         hits = totals.get("lookup.hits", 0)
         lookups = hits + totals.get("lookup.misses", 0)
         registry.gauge("lookup.hit_ratio").set(hits / lookups if lookups else 0.0)
-    if saw_occupancy:
+    if occupancy is not None:
         registry.gauge("lookup.occupancy").set(occupancy)
+    if saw_health:
+        registry.counter("health.alerts_fired").inc(alerts["fired"])
+        registry.counter("health.alerts_resolved").inc(alerts["resolved"])
+        registry.gauge("health.alerts_active").set(alerts["active"])
+        for severity in sorted(by_severity):
+            registry.counter(f"health.alerts_fired.{severity}").inc(
+                by_severity[severity]
+            )
 
 
-def _health_payload(result: Any) -> Optional[Mapping[str, Any]]:
-    """The ``health`` export attached to one cell result, if any.
-
-    Churn rows are plain dicts with a ``health`` key; dataclass results
-    may carry a ``health`` attribute.  Either way the payload is a
-    mapping holding ``rows`` (series + alert dicts) and ``summary``.
-    """
-    if isinstance(result, Mapping):
-        payload = result.get("health")
-    else:
-        payload = getattr(result, "health", None)
-    return payload if isinstance(payload, Mapping) else None
-
-
-def _iter_health_carriers(results: Sequence[Any]):
-    """Yield every result carrying a ``health`` payload.
-
-    Unlike :func:`_iter_results`, a mapping is tested *before* being
-    flattened: churn rows are plain dicts, and flattening them into
-    values would strip the ``health`` key off the row that owns it.
-    """
-    for result in results:
-        if _health_payload(result) is not None:
-            yield result
-        elif isinstance(result, Mapping):
-            yield from _iter_health_carriers(list(result.values()))
-
-
-def _merge_health_summaries(registry: Any, results: Sequence[Any]) -> None:
-    """Sum per-cell alert totals into the runner report.
-
-    Alert counts are additive across cells whatever ``jobs`` was, so the
-    merged totals are deterministic.  Per-severity fired counters make
-    ``runner_<kind>.json`` answer "did anything go critical" directly.
-    """
-    fired = resolved = active = 0
-    by_severity: Dict[str, int] = {}
-    saw_health = False
-    for result in _iter_health_carriers(results):
-        payload = _health_payload(result)
-        if payload is None:
-            continue
-        summary = payload.get("summary")
-        if not isinstance(summary, Mapping):
-            continue
-        saw_health = True
-        fired += int(summary.get("alerts_fired", 0))
-        resolved += int(summary.get("alerts_resolved", 0))
-        active += int(summary.get("alerts_active", 0))
-        severities = summary.get("by_severity")
-        if isinstance(severities, Mapping):
-            for severity, count in severities.items():
-                by_severity[severity] = by_severity.get(severity, 0) + int(count)
-    if not saw_health:
-        return
-    registry.counter("health.alerts_fired").inc(fired)
-    registry.counter("health.alerts_resolved").inc(resolved)
-    registry.gauge("health.alerts_active").set(active)
-    for severity in sorted(by_severity):
-        registry.counter(f"health.alerts_fired.{severity}").inc(
-            by_severity[severity]
-        )
-
-
-def _write_health_files(
+def _write_jsonl_files(
     metrics_name: str, results: Sequence[Any], directory: str
-) -> List[str]:
-    """Export each cell's health rows as ``<metrics_name>.health<k>.jsonl``.
+) -> Tuple[List[str], List[str]]:
+    """Export each cell's spans and health rows, one JSONL file per cell.
 
-    One file per monitored cell, rows in evaluation order — exactly what
-    ``python -m repro.obs health`` consumes.
+    Spans go to ``<metrics_name>.trace<k>.jsonl`` and health rows, in
+    evaluation order, to ``<metrics_name>.health<k>.jsonl`` — exactly what
+    ``python -m repro.obs trace`` / ``health`` consume.  Returns the names
+    of the trace files and of the health files written.
     """
     from repro.obs.stream import JsonlWriter
 
-    filenames: List[str] = []
-    for result in _iter_health_carriers(results):
-        payload = _health_payload(result)
-        if payload is None:
-            continue
-        rows = payload.get("rows")
+    def write(rows: Any, stem: str, filenames: List[str]) -> None:
         if not rows:
-            continue
-        os.makedirs(directory, exist_ok=True)
-        filename = f"{metrics_name}.health{len(filenames)}.jsonl"
+            return
+        filename = f"{metrics_name}.{stem}{len(filenames)}.jsonl"
         with JsonlWriter(os.path.join(directory, filename)) as writer:
             for row in rows:
                 writer.write(row)
         filenames.append(filename)
-    return filenames
 
-
-def _write_trace_files(
-    metrics_name: str, results: Sequence[Any], directory: str
-) -> List[str]:
-    """Export each traced result as ``<metrics_name>.trace<k>.jsonl``."""
-    import json
-
-    filenames: List[str] = []
-    for result in _iter_results(results):
-        trace = getattr(result, "trace", None)
-        if not trace:
-            continue
-        # This runs before emit_metrics_report's makedirs: create the
-        # directory here too so a traced run into a fresh $REPRO_METRICS_DIR
-        # does not crash on the first trace file.
-        os.makedirs(directory, exist_ok=True)
-        filename = f"{metrics_name}.trace{len(filenames)}.jsonl"
-        path = os.path.join(directory, filename)
-        with open(path, "w", encoding="utf-8") as handle:
-            for payload in trace:
-                handle.write(json.dumps(payload, sort_keys=True))
-                handle.write("\n")
-        filenames.append(filename)
-    return filenames
+    traces: List[str] = []
+    health_files: List[str] = []
+    for _, trace, health in _cell_payloads(results):
+        write(trace, "trace", traces)
+        write(health and health.get("rows"), "health", health_files)
+    return traces, health_files
 
 
 def _emit_stats_report(
@@ -371,19 +300,16 @@ def _emit_stats_report(
     registry.counter("sim.events_fired").inc(stats.events_fired)
     registry.gauge("runner.jobs").set(stats.jobs)
     registry.gauge("runner.wall_seconds").set(stats.wall_seconds)
-    _merge_result_histograms(registry, results)
-    _merge_result_counters(registry, results)
-    _merge_health_summaries(registry, results)
+    _merge_results(registry, results)
     entry = snapshot_run({"kind": stats.kind, "jobs": stats.jobs}, registry)
     params: Dict[str, Any] = {
         "kind": stats.kind,
         "jobs": stats.jobs,
         "cache_dir": stats.cache_dir,
     }
-    traces = _write_trace_files(metrics_name, results, directory)
+    traces, health = _write_jsonl_files(metrics_name, results, directory)
     if traces:
         params["traces"] = traces
-    health = _write_health_files(metrics_name, results, directory)
     if health:
         params["health"] = health
     return common.emit_metrics_report(metrics_name, [entry], params, directory)

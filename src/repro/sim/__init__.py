@@ -1,17 +1,1 @@
 """Simulation substrate: event engine, network, transport, failures."""
-
-from repro.sim.engine import Simulator, TokenBucket, kbps
-from repro.sim.network import AccessLinks, LatencyModel
-from repro.sim.transport import TcpTransport
-from repro.sim.failures import FailureTrace, FailureTraceConfig
-
-__all__ = [
-    "Simulator",
-    "TokenBucket",
-    "kbps",
-    "AccessLinks",
-    "LatencyModel",
-    "TcpTransport",
-    "FailureTrace",
-    "FailureTraceConfig",
-]

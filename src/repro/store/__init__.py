@@ -1,18 +1,1 @@
 """D2-Store: block directory, pointers, migration, redundancy, caching."""
-
-from repro.store.block_store import BlockDirectory
-from repro.store.erasure import ErasureConfig, key_available_erasure
-from repro.store.migration import StorageCoordinator, TrafficLedger
-from repro.store.pointers import PointerRange, PointerTable
-from repro.store.retrieval_cache import RetrievalCacheLayer
-
-__all__ = [
-    "BlockDirectory",
-    "StorageCoordinator",
-    "TrafficLedger",
-    "PointerRange",
-    "PointerTable",
-    "ErasureConfig",
-    "key_available_erasure",
-    "RetrievalCacheLayer",
-]

@@ -195,21 +195,3 @@ class BlockDirectory:
     def bytes_in_range(self, lo: int, hi: int) -> int:
         """Total byte volume of live blocks in the arc ``(lo, hi]``."""
         return sum(self._sizes[k] for k in self.keys_in_range(lo, hi))
-
-    def median_key_in_range(self, lo: int, hi: int) -> Optional[int]:
-        """Split point that leaves half the arc's keys at or below it.
-
-        Returns None when the arc holds fewer than two keys, or when the
-        median coincides with *hi* (splitting there would be a no-op).
-        """
-        keys = self.keys_in_range(lo, hi)
-        if len(keys) < 2:
-            return None
-        median = keys[(len(keys) - 1) // 2]
-        if median == hi:
-            return None
-        return median
-
-    def snapshot_loads(self, boundaries: List[Tuple[int, int, str]]) -> Dict[str, int]:
-        """Primary block count per node given ``(lo, hi, name)`` arcs."""
-        return {name: self.count_in_range(lo, hi) for lo, hi, name in boundaries}

@@ -286,10 +286,6 @@ class StorageCoordinator:
         except KeyError:
             raise KeyError(f"block {key:#x} has no physical placement") from None
 
-    def is_pointer(self, key: int) -> bool:
-        """True when the responsible node holds only a pointer for *key*."""
-        return self.physical_at.get(key) != self.ring.successor(key)
-
     # ------------------------------------------------------------------
     # BalanceCoordinator protocol
 
@@ -375,9 +371,7 @@ class StorageCoordinator:
             self._c_pointer_adopted.inc()
             self._record_span("pointer.adopt", lo=lo, hi=hi, owner=adopter)
             if self._tracer is not None:
-                self._tracer.emit(
-                    POINTER_CREATE, self.sim.now, lo=lo, hi=hi, owner=adopter
-                )
+                self._tracer.emit(POINTER_CREATE)
             self.sim.schedule(
                 self.pointer_stabilization_time, lambda: self._stabilize(record)
             )
@@ -400,13 +394,7 @@ class StorageCoordinator:
             "pointer.stabilize", lo=record.lo, hi=record.hi, owner=record.owner
         )
         if self._tracer is not None:
-            self._tracer.emit(
-                POINTER_FLUSH,
-                self.sim.now,
-                lo=record.lo,
-                hi=record.hi,
-                owner=record.owner,
-            )
+            self._tracer.emit(POINTER_FLUSH)
         self._fetch_range(record.lo, record.hi)
 
     def _fetch_range(self, lo: int, hi: int) -> None:
@@ -430,7 +418,7 @@ class StorageCoordinator:
             self._c_migrations.inc()
             self._c_migrated_bytes.inc(migrated)
             if self._tracer is not None:
-                self._tracer.emit(MIGRATION, self.sim.now, lo=lo, hi=hi, bytes=migrated)
+                self._tracer.emit(MIGRATION)
 
     def flush_all_pointers(self) -> None:
         """Force-stabilize everything (used at experiment teardown)."""

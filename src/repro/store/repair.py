@@ -107,9 +107,6 @@ class ReplicaTracker:
     def live_count(self, key: int) -> int:
         return len(self._copies.get(key, ()))
 
-    def keys_on(self, node: str) -> List[int]:
-        return sorted(self._keys_on.get(node, ()))
-
     def tracked_keys(self) -> List[int]:
         return sorted(self._copies)
 
@@ -343,10 +340,7 @@ class RepairScheduler:
         self._c_scheduled.inc()
         self._update_backlog()
         if self._tracer is not None:
-            self._tracer.emit(
-                REPAIR_SCHEDULE, self.sim.now, key=key, target=target,
-                source=job.source, bytes=size,
-            )
+            self._tracer.emit(REPAIR_SCHEDULE)
         self._launch(job)
 
     def _launch(self, job: RepairJob) -> None:
@@ -393,10 +387,7 @@ class RepairScheduler:
             )
             self._spans.finish(span, self.sim.now)
         if self._tracer is not None:
-            self._tracer.emit(
-                REPAIR_COMPLETE, self.sim.now, key=key, target=target,
-                bytes=job.size, attempts=job.attempts,
-            )
+            self._tracer.emit(REPAIR_COMPLETE)
 
     def _retry(self, job: RepairJob) -> None:
         key, target = job.key, job.target
@@ -413,10 +404,7 @@ class RepairScheduler:
         self.stats.retries += 1
         self._c_retries.inc()
         if self._tracer is not None:
-            self._tracer.emit(
-                REPAIR_RETRY, self.sim.now, key=key, target=target,
-                source=job.source, attempt=job.attempts,
-            )
+            self._tracer.emit(REPAIR_RETRY)
         backoff = self.retry_delay * (2 ** (job.attempts - 1))
         self.sim.schedule(backoff, lambda: self._relaunch(job))
 
@@ -444,7 +432,7 @@ class RepairScheduler:
         self.stats.losses.append(LossRecord(key=key, time=self.sim.now, size=size))
         self._c_lost.inc()
         if self._tracer is not None:
-            self._tracer.emit(REPAIR_LOSS, self.sim.now, key=key, bytes=size)
+            self._tracer.emit(REPAIR_LOSS)
 
     @property
     def lost_keys(self) -> List[int]:

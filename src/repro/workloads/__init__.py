@@ -1,26 +1,1 @@
 """Workload generators and trace tooling (Harvard/HP/Web-like)."""
-
-from repro.workloads.harvard import HarvardConfig, generate_harvard
-from repro.workloads.hp import HPConfig, generate_hp
-from repro.workloads.scale import copies_for_size, replicate_filesystem
-from repro.workloads.tasks import segment_access_groups, segment_tasks
-from repro.workloads.trace import Trace, TraceRecord
-from repro.workloads.web import WebConfig, generate_web
-from repro.workloads.webcache import WebCache, WebCacheKeyScheme
-
-__all__ = [
-    "HarvardConfig",
-    "generate_harvard",
-    "HPConfig",
-    "generate_hp",
-    "WebConfig",
-    "generate_web",
-    "WebCache",
-    "WebCacheKeyScheme",
-    "Trace",
-    "TraceRecord",
-    "segment_tasks",
-    "segment_access_groups",
-    "copies_for_size",
-    "replicate_filesystem",
-]

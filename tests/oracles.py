@@ -84,12 +84,6 @@ class SortedDictDirectory:
     def bytes_in_range(self, lo, hi):
         return sum(self.sizes[k] for k in self.keys_in_range(lo, hi))
 
-    def median_key_in_range(self, lo, hi):
-        keys = self.keys_in_range(lo, hi)
-        if len(keys) < 2 or keys[(len(keys) - 1) // 2] == hi:
-            return None
-        return keys[(len(keys) - 1) // 2]
-
 
 def event_key(fire):
     """The block key a pending TTL or grace-period event is for, whether it

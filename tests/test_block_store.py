@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dht.keyspace import MAX_KEY
+from repro.dht.ring import load_split_point
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
 
 
@@ -169,22 +170,24 @@ class TestIndexPatching:
 
 
 class TestMedian:
+    """The balancer's split point: the median of the arc's clockwise slice."""
+
     def test_median_simple(self):
         d = BlockDirectory()
         for key in (10, 20, 30, 40):
             d.add(key, 1)
-        assert d.median_key_in_range(5, 45) == 20
+        assert load_split_point(d.keys_in_range(5, 45), 45) == 20
 
     def test_median_needs_two_keys(self):
         d = BlockDirectory()
         d.add(10, 1)
-        assert d.median_key_in_range(0, 100) is None
+        assert load_split_point(d.keys_in_range(0, 100), 100) is None
 
     def test_median_not_at_hi(self):
         d = BlockDirectory()
         d.add(10, 1)
         d.add(20, 1)
-        assert d.median_key_in_range(0, 20) == 10
+        assert load_split_point(d.keys_in_range(0, 20), 20) == 10
 
 
 class TestSnapshotLoads:
@@ -192,7 +195,8 @@ class TestSnapshotLoads:
         d = BlockDirectory()
         for key in (10, 20, 30, 40, 50):
             d.add(key, 1)
-        loads = d.snapshot_loads([(5, 25, "a"), (25, 55, "b"), (55, 5, "c")])
+        arcs = [(5, 25, "a"), (25, 55, "b"), (55, 5, "c")]
+        loads = {name: d.count_in_range(lo, hi) for lo, hi, name in arcs}
         assert loads == {"a": 2, "b": 3, "c": 0}
 
 

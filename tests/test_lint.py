@@ -239,33 +239,13 @@ def test_det003_self_attribute_set(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# OBS001 — span / event contracts
-
-
-def test_obs001_span_outside_with(tmp_path):
-    findings = lint(tmp_path, """
-        def run(tracer, now):
-            span = tracer.span("fetch", now)
-            return span
-    """)
-    assert [f.rule for f in findings] == ["OBS001"]
-
-
-def test_obs001_span_as_context_manager_ok(tmp_path):
-    findings = lint(tmp_path, """
-        def run(tracer, stack, now):
-            with tracer.span("fetch", now) as span:
-                span.annotate(blocks=3)
-            managed = stack.enter_context(tracer.span("flush", now))
-            return managed
-    """)
-    assert findings == []
+# OBS001 — the event vocabulary
 
 
 def test_obs001_unregistered_event_kind(tmp_path):
     findings = lint(tmp_path, """
-        def run(tracer, now):
-            tracer.emit("totally.unknown", now, key=1)
+        def run(tracer):
+            tracer.emit("totally.unknown")
     """)
     assert [f.rule for f in findings] == ["OBS001"]
     assert "totally.unknown" in findings[0].message
@@ -277,9 +257,9 @@ def test_obs001_registered_kinds_pass(tmp_path):
 
         MY_KIND = register_kind("fixture.kind")
 
-        def run(tracer, now):
-            tracer.emit(MY_KIND, now)
-            tracer.emit("fixture.kind", now)
+        def run(tracer):
+            tracer.emit(MY_KIND)
+            tracer.emit("fixture.kind")
     """)
     assert findings == []
 
@@ -298,8 +278,8 @@ def test_obs001_core_vocabulary_resolves_across_modules(tmp_path):
     findings = lint(tmp_path, """
         from evmod import REGISTERED
 
-        def run(tracer, now):
-            tracer.emit(REGISTERED, now)
+        def run(tracer):
+            tracer.emit(REGISTERED)
     """, companions=companions)
     assert findings == []
 

@@ -30,12 +30,12 @@ class FakeCoordinator:
         return sum(1 for k in self.keys if in_interval(k, lo, hi))
 
     def primary_keys(self, name):
+        """The arc's keys, clockwise from its start (the protocol's contract)."""
         lo, hi = self.ring.range_of(name)
-        if len(self.ring) == 1:
-            return list(self.keys)
         from repro.dht.keyspace import in_interval
 
-        return [k for k in self.keys if in_interval(k, lo, hi)]
+        clockwise = [k for k in self.keys if k > lo] + [k for k in self.keys if k <= lo]
+        return [k for k in clockwise if in_interval(k, lo, hi)]
 
     def execute_move(self, mover, new_id):
         self.ring.change_position(mover, new_id)

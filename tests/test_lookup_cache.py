@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.lookup_cache import AdaptiveSizer, CacheBudget, LookupCache
 from repro.dht.keyspace import MAX_KEY
-from repro.obs.events import LOOKUP_STALE, EventTracer
 
 
 class TestProbeInsert:
@@ -80,7 +79,7 @@ class TestTTL:
         assert (len(cache), cache.stats.evictions) == (3, 0)
         cache.insert(70, 80, "n4", now=100.0)   # an entry lapses *at* its expiry
         assert (len(cache), cache.stats.evictions) == (3, 1)
-        cache.invalidate(35, now=100.0)         # the next to lapse leaves early
+        cache.invalidate(35)  # the next to lapse leaves early
         cache.insert(10, 20, "n5", now=150.0)
         assert (len(cache), cache.stats.evictions) == (3, 1)
         cache.insert(90, 95, "n6", now=199.0)
@@ -94,31 +93,14 @@ class TestInvalidate:
     def test_invalidate_drops_entry(self):
         cache = LookupCache(ttl=100.0)
         cache.insert(10, 20, "n1", now=0.0)
-        cache.invalidate(15, now=0.5)
+        cache.invalidate(15)
         assert cache.probe(15, now=1.0) is None
         assert cache.stats.stale_hits == 1
 
     def test_invalidate_missing_noop(self):
         cache = LookupCache(ttl=100.0)
-        cache.invalidate(15, now=0.0)
+        cache.invalidate(15)
         assert cache.stats.stale_hits == 0
-
-    def test_stale_event_carries_the_passed_clock(self):
-        """The clock is an argument, never re-derived from the entry: a
-        sizer that retuned the TTL between insert and invalidate used to
-        misdate the event by the TTL change (``expires_at - ttl``)."""
-        tracer = EventTracer()
-        sizer = AdaptiveSizer(window=4, target_hit_rate=0.5)
-        cache = LookupCache(ttl=100.0, sizer=sizer, tracer=tracer)
-        cache.insert(10, 20, "n1", now=5.0)
-        for _ in range(4):
-            cache.probe(15, now=6.0)  # a healthy window stretches the TTL
-        assert cache.ttl == 150.0
-        cache.invalidate(15, now=7.0)
-        (event,) = tracer.events(LOOKUP_STALE)
-        assert event.time == 7.0 and event.data == {"key": 15, "node": "n1"}
-        with pytest.raises(TypeError):
-            cache.invalidate(15)
 
 
 class TestStats:
@@ -360,7 +342,7 @@ class TestAdaptiveSizer:
             cache.insert(i * 10, i * 10 + 5, "n", now=0.0)
             cache.probe(i * 10 + 3, now=0.0)
             if i < 4:
-                cache.invalidate(i * 10 + 3, now=0.0)  # 25% stale rate
+                cache.invalidate(i * 10 + 3)  # 25% stale rate
         assert cache.ttl == 50.0
         assert sizer.adaptations["ttl_down"] == 1
 
@@ -396,7 +378,7 @@ class TestAdaptiveSizer:
         for i in range(4):
             cache.insert(i * 10, i * 10 + 5, "n", now=0.0)
             cache.probe(i * 10 + 3, now=0.0)
-            cache.invalidate(i * 10 + 3, now=0.0)
+            cache.invalidate(i * 10 + 3)
         assert cache.ttl == 80.0  # halving clamped at the floor
         cache2 = LookupCache(ttl=100.0,
                              sizer=AdaptiveSizer(window=4, max_ttl=120.0,

@@ -79,7 +79,7 @@ class LookupCacheMachine(RuleBasedStateMachine):
 
     @rule(key=SMALL_KEYS)
     def invalidate(self, key):
-        self.both("invalidate", key, self.now)
+        self.both("invalidate", key)
 
     @rule(node=st.sampled_from(nodes))
     def leave(self, node):
@@ -241,7 +241,6 @@ class RingDirectoryMachine(RuleBasedStateMachine):
         self.returned.append((keys, list(keys)))
         self.both("count_in_range", *arc)
         self.both("bytes_in_range", *arc)
-        self.both("median_key_in_range", *arc)
 
     @invariant()
     def totals_match(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.dht.keyspace import KEY_SPACE, MAX_KEY, in_interval
 from repro.dht.ring import Ring, RingError, load_split_point
+from repro.store.block_store import BlockDirectory
 
 
 def make_ring(positions):
@@ -218,37 +219,44 @@ class TestReplicaRangeEquivalence:
                     self._walk_reference(ring, name, replicas), (name, replicas)
 
 
+def split_of(keys, lo, hi):
+    """The split of the arc ``(lo, hi]`` of a directory holding *keys*: the
+    slice ``primary_keys`` hands over, then its median."""
+    directory = BlockDirectory()
+    for key in keys:
+        directory.add(key, 1)
+    return load_split_point(directory.keys_in_range(lo, hi), hi)
+
+
 class TestLoadSplitPoint:
     def test_median_of_range(self):
-        split = load_split_point([12, 14, 16, 18], 10, 20)
-        assert split == 14
+        assert load_split_point([12, 14, 16, 18], 20) == 14
+        assert split_of([12, 14, 16, 18], 10, 20) == 14
 
     def test_requires_two_keys(self):
-        assert load_split_point([15], 10, 20) is None
-        assert load_split_point([], 10, 20) is None
+        assert load_split_point([15], 20) is None
+        assert load_split_point([], 20) is None
 
     def test_ignores_keys_outside_range(self):
-        split = load_split_point([5, 12, 14, 25], 10, 20)
-        assert split == 12
+        # The arc's slice is all the split sees.
+        assert split_of([5, 12, 14, 25], 10, 20) == 12
 
     def test_wrapping_range(self):
         # Clockwise order from just past MAX_KEY-5 is [MAX_KEY-1, 1, 3];
         # the lower median of three is the middle element.
-        split = load_split_point([MAX_KEY - 1, 1, 3], MAX_KEY - 5, 5)
-        assert split == 1
+        assert split_of([3, MAX_KEY - 1, 1], MAX_KEY - 5, 5) == 1
 
     def test_split_never_at_hi(self):
         # The owner's own position is never a useful split point.
         for keys in ([15, 20], [11, 20], [12, 19, 20]):
-            split = load_split_point(keys, 10, 20)
-            assert split != 20
+            assert load_split_point(keys, 20) != 20
 
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=2,
                     max_size=50, unique=True))
     def test_split_divides_load(self, keys):
         lo, hi = 0, 1000
         in_range = [k for k in keys if in_interval(k, lo, hi)]
-        split = load_split_point(keys, lo, hi)
+        split = split_of(keys, lo, hi)
         if split is None:
             return
         below = sum(1 for k in in_range if in_interval(k, lo, split))

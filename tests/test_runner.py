@@ -1,12 +1,18 @@
 """Tests for the parallel grid runner, its disk cache, and the memo knobs."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import pickle
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import common
+from repro.experiments.churn_storm import STORM_LEVELS
+from repro.obs.__main__ import main as obs_main
 from repro.experiments.perf_runs import emit_performance_metrics, performance_matrix
 from repro.runner import (
     CACHE_ENV,
@@ -377,3 +383,73 @@ class TestHealthExport:
         with open(metrics_dir / "runner_hx.health1.jsonl") as fh:
             rows = [json.loads(line) for line in fh]
         assert rows and rows[0]["name"] == "ring.nodes"
+
+
+# ----------------------------------------------------------------------
+# golden: every observability artefact of one performance and one churn cell
+
+GOLDEN_ARTIFACTS = Path(__file__).parent / "data" / "obs_artifacts.json"
+
+TINY_CHURN_CELL = dict(
+    level="storm", users=1, days=0.1, n_nodes=12, seed=42, trial=0,
+    correlated_events=1, drain_seconds=3600.0, **STORM_LEVELS["storm"],
+)
+
+
+def obs_artifacts(directory):
+    """``{artefact: {"count", "sha256"}}`` for two tiny cells run into *directory*.
+
+    The runner reports (``runner.wall_seconds``, host time, blanked), the
+    span and health JSONL files as written, the cells' own snapshots
+    (counters, gauges, histograms, event counts), and what ``python -m
+    repro.obs trace`` / ``health --windows`` print for those files.
+    """
+    directory = str(directory)
+    cells = {"performance": TINY_CELL, "churn": TINY_CHURN_CELL}
+    blobs = {}
+    for kind, cell in cells.items():
+        (result,) = run_cells(
+            kind, [cell], jobs=1, cache=RunCache(None),
+            metrics_name=f"runner_{kind}", metrics_dir=directory,
+        )
+        snapshot = getattr(result, "metrics", None)
+        if snapshot is None:  # a churn row is a plain dict: all of it but the rows
+            snapshot = {k: v for k, v in result.items() if k != "health"}
+        blobs[f"{kind} cell snapshot"] = [json.dumps(snapshot, sort_keys=True)]
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), encoding="utf-8") as handle:
+            if name.endswith(".jsonl"):
+                blobs[name] = handle.read().splitlines()
+            else:
+                report = json.load(handle)
+                for run in report["runs"]:
+                    run["gauges"]["runner.wall_seconds"] = 0.0
+                blobs[name] = [json.dumps(run, sort_keys=True) for run in report["runs"]]
+                blobs[name].append(json.dumps(report["params"], sort_keys=True))
+    for argv in (["trace", "runner_performance.trace0.jsonl"],
+                 ["health", "--windows", "runner_churn.health0.jsonl"]):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            status = obs_main(argv[:-1] + [os.path.join(directory, argv[-1])])
+        assert status == 0
+        text = stdout.getvalue().replace(directory + os.sep, "")
+        blobs["python -m repro.obs " + " ".join(argv)] = text.splitlines()
+    return {
+        name: {
+            "count": len(lines),
+            "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+        }
+        for name, lines in blobs.items()
+    }
+
+
+def test_obs_artifacts_golden(tmp_path, monkeypatch):
+    """Pins reports, trace and health files and the CLI text, byte for byte.
+
+    ``tests/data/obs_artifacts.json`` was exported by running
+    :func:`obs_artifacts` with ``PYTHONPATH`` on the ``src`` of the commit
+    before events became counts (PR 17: payload-carrying events, bubbling
+    span finishes, three JSONL line writers, six walks over the results).
+    """
+    monkeypatch.setenv("REPRO_TRACE_SAMPLE", "1.0")
+    assert obs_artifacts(tmp_path) == json.loads(GOLDEN_ARTIFACTS.read_text())

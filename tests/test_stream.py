@@ -1,11 +1,11 @@
-"""Tests for streaming export: JsonlWriter, Tracer.drain, stream_spans."""
+"""Tests for streaming export: JsonlWriter, read_jsonl, Tracer.drain, stream_spans."""
 
 import json
 
 import pytest
 
-from repro.obs.spans import NullTracer, Tracer, validate_span_dict
-from repro.obs.stream import JsonlWriter, NullJsonlWriter, stream_spans
+from repro.obs.spans import Tracer, validate_span_dict
+from repro.obs.stream import JsonlWriter, NullJsonlWriter, read_jsonl, stream_spans
 
 
 class TestJsonlWriter:
@@ -95,7 +95,7 @@ class TestStreamSpans:
 
     def test_null_tracer_is_noop(self):
         writer = NullJsonlWriter()
-        assert stream_spans(NullTracer(), writer) == 0
+        assert stream_spans(Tracer(sample=0.0), writer) == 0
         assert writer.rows == 0
 
     def test_bounded_memory(self):
@@ -108,7 +108,45 @@ class TestStreamSpans:
             stream_spans(tracer, writer)
         assert writer.rows == 500
         assert len(tracer.spans()) == 0
-        assert tracer.dropped == 500  # drained, not lost: all 500 exported
+        assert tracer.dropped == 0  # drained, not lost: all 500 exported
+
+
+class TestReadJsonl:
+    """One line loop behind both CLI loaders: bad lines are named, never returned."""
+
+    def test_truncated_and_off_schema_lines_are_reported(self, tmp_path):
+        from repro.obs.healthcli import load_rows
+        from repro.obs.tracecli import load_spans
+
+        tracer = Tracer(sample=1.0)
+        tracer.finish(tracer.start_trace("fetch", 0.0), 1.0)
+        good_span = json.dumps(tracer.to_dicts()[0], sort_keys=True)
+        good_row = json.dumps({
+            "type": "series", "name": "ring.nodes", "kind": "gauge", "labels": {},
+            "window": 0, "start": 0.0, "end": 900.0, "count": 1, "value": 8,
+        })
+        for good, load, off_schema in (
+            (good_span, load_spans, '{"span_id": "s1"}'),
+            (good_row, load_rows, '{"type": "series", "name": "x"}'),
+        ):
+            path = tmp_path / "cut.jsonl"
+            # good, blank, off-schema, not an object, cut mid-write
+            path.write_text(f"{good}\n\n{off_schema}\n[1]\n{good[:25]}")
+            loaded, problems = load(str(path))
+            assert len(loaded) == 1
+            assert [p.split(":")[0] for p in problems][-2:] == ["line 4", "line 5"]
+            assert any(p.startswith("line 3: ") for p in problems)
+            assert "not JSON" in problems[-1]
+
+    def test_check_sees_every_decoded_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n{"a": 2}\n')
+        seen = []
+        payloads, problems = read_jsonl(
+            str(path), lambda p: seen.append(p) or (["odd"] if p["a"] % 2 else [])
+        )
+        assert seen == [{"a": 1}, {"a": 2}]
+        assert (payloads, problems) == ([{"a": 2}], ["line 1: odd"])
 
 
 class TestDrainComposesWithTraceCli:
@@ -156,7 +194,10 @@ class TestDrainComposesWithTraceCli:
         control = Tracer(sample=1.0, seed=7)
         for _ in self._run_workload(control):
             pass
-        whole = control.export_jsonl(str(tmp_path / "whole.jsonl"))
+        whole = str(tmp_path / "whole.jsonl")
+        with JsonlWriter(whole) as writer:
+            for payload in control.to_dicts():
+                writer.write(payload)
 
         # Concatenating the segments reconstructs one valid trace file...
         combined = tmp_path / "combined.jsonl"
