@@ -20,6 +20,7 @@ from repro.core import system as core_system
 from repro.core.keys import decode_key, encode_path_key, version_hash, volume_id
 from repro.core.lookup_cache import CacheEntry, LookupCache
 from repro.core.system import build_deployment
+from repro.dht import routing
 from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.keyspace import KEY_SPACE
 from repro.dht.ring import Ring
@@ -33,6 +34,7 @@ from repro.sim.engine import Simulator
 from repro.store import block_store
 from repro.store.block_store import BlockDirectory
 from repro.store.migration import StorageCoordinator
+from repro.workloads.trace import READ, Trace, TraceRecord
 from tests.oracles import (
     PerKeyCoordinator,
     ResortingDirectory,
@@ -348,6 +350,59 @@ def test_read_batch_sharing_gate(monkeypatch):
         f"read_fetches_many slower than the loop on all-distinct requests: "
         f"batch / loop = {sorted(distinct_cost)}"
     )
+
+
+def test_read_fold_gate(monkeypatch):
+    """Shape gate: the read replay plans and routes a window's *distinct*
+    requests, not its ops.
+
+    Counted, not timed, through ``run_scale_read`` itself: on one window of
+    8192 requests over 256 distinct ones, ``read_fetches_many`` is handed
+    exactly 256 requests, ``route_many`` exactly 256 keys, and 256
+    ``LookupResult`` are constructed, while the row still reports 8192 ops;
+    on an all-distinct window of 4096 the three counts are the per-op 4096.
+    """
+    from repro.analysis import scale
+
+    paths = [f"/data/f{index:02d}" for index in range(64)]
+
+    def window_of(steps):
+        return Trace(
+            "fold-gate",
+            [TraceRecord(0.0, "u", READ, path, offset=1000 * step, length=500)
+             for step in range(steps) for path in paths],
+            initial_dirs=["/data"],
+            initial_files=[(path, 12 * BLOCK_SIZE) for path in paths],
+        )
+
+    seen = {"requests": 0, "keys": 0, "results": 0}
+
+    def counted(name, real, size):
+        def wrapper(*args, **kwargs):
+            seen[name] += size(args)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(core_system.Deployment, "read_fetches_many", counted(
+        "requests", core_system.Deployment.read_fetches_many, lambda args: len(args[1])))
+    monkeypatch.setattr(
+        scale, "route_many", counted("keys", scale.route_many, lambda args: len(args[2])))
+    monkeypatch.setattr(
+        routing, "LookupResult", counted("results", routing.LookupResult, lambda args: 1))
+
+    # (template steps, clones) -> ops in the one window, distinct requests
+    for steps, clones, ops, distinct in ((4, 32, 8192, 256), (64, 1, 4096, 4096)):
+        trace = window_of(steps)
+        deployment = build_deployment("d2", 16, seed=4)
+        deployment.load_initial_image(trace)
+        seen.update(requests=0, keys=0, results=0)
+        result = scale.run_scale_read(
+            deployment, trace, copies=0, users=clones, ops_per_user=64 * steps, window=8192
+        )
+        assert (result.ops, result.windows) == (ops, 1)
+        assert seen == {"requests": distinct, "keys": distinct, "results": distinct}, (
+            f"{ops}-op window over {distinct} distinct requests: {seen}"
+        )
 
 
 def test_flush_commit_gate(monkeypatch):

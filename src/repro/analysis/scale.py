@@ -17,9 +17,11 @@ Two cell shapes:
 * **read** — a full :class:`~repro.core.system.Deployment` with a
   replicated initial image; a lazily cloned read stream
   (:func:`~repro.workloads.scale.scaled_read_stream`) is replayed in
-  fixed windows through :meth:`Deployment.read_fetches_many` +
-  ``route_many``, with per-window metrics rows and finished spans
-  streamed to JSONL writers so peak RSS is flat in run length.
+  fixed windows.  A window repeats few distinct requests many times, so
+  it is counted once and costs one pass over its ops plus one
+  :meth:`Deployment.read_fetches_many` plan and one ``route_many`` route
+  per *distinct* request, folded by multiplicity.  Per-window metrics rows
+  and finished spans go to JSONL writers, so peak RSS is flat in run length.
 
 Determinism contract: every field of
 :meth:`ScaleCellResult.deterministic_row` is a pure function of the cell
@@ -35,14 +37,16 @@ from __future__ import annotations
 import hashlib
 import resource
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
+from operator import mul
 from random import Random
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dht.consistent_hashing import KEY_SPACE, random_node_ids
 from repro.dht.ring import Ring
-from repro.dht.routing import finger_table_for, route_cold, route_many
+from repro.dht.routing import LookupResult, finger_table_for, route_cold, route_many
 from repro.fs.namespace import NamespaceError
 from repro.obs.stream import NullJsonlWriter, stream_spans
 from repro.workloads.scale import ReadRequest, scaled_read_stream
@@ -130,6 +134,16 @@ class ScaleCellResult:
         return tail[-1] - tail[0]
 
 
+def _fold_routes(digest, results: Sequence[LookupResult], times, owners) -> int:
+    """Hops of one routed batch in which ``results[i]`` answers ``times[i]`` ops.
+
+    *owners* is every op's owner, in op order; *digest* takes them in one
+    update (SHA-256 of a concatenation is the SHA-256 of its pieces in order).
+    """
+    digest.update("".join(owners).encode("ascii"))
+    return sum(map(mul, times, [len(result.path) - 1 for result in results]))
+
+
 def run_scale_routing(
     *,
     n_nodes: int,
@@ -163,15 +177,13 @@ def run_scale_routing(
 
     digest = hashlib.sha256()
     hops = 0
-    messages = 0
     started = time.perf_counter()
     for window, lo in enumerate(range(0, ops, batch)):
         results = route_many(ring, sources[window], keys[lo:lo + batch])
-        for result in results:
-            hops += result.hops
-            messages += result.messages
-            digest.update(result.owner.encode("ascii"))
+        owners = [result.owner for result in results]
+        hops += _fold_routes(digest, results, repeat(1), owners)
     wall = time.perf_counter() - started
+    messages = hops + ops  # one response per lookup
 
     cold_n = min(cold_ops, ops)
     cold_wall = 0.0
@@ -228,17 +240,6 @@ def _read_template(deployment, trace: Trace) -> Tuple[List[ReadRequest], int]:
     return template, skipped
 
 
-def _window_chunks(
-    stream: Iterable[ReadRequest], window: int
-) -> Iterable[List[ReadRequest]]:
-    iterator = iter(stream)
-    while True:
-        chunk = list(islice(iterator, window))
-        if not chunk:
-            return
-        yield chunk
-
-
 def run_scale_read(
     deployment,
     trace: Trace,
@@ -252,15 +253,19 @@ def run_scale_read(
     metrics_writer=None,
     health_writer=None,
 ) -> ScaleCellResult:
-    """Replay a cloned read stream through the batched read/routing path.
+    """Replay a cloned read stream, each window folded per distinct request.
 
     *deployment* must already hold the (replicated) initial image of
     *trace*; *copies* is the number of extra ``/replicaN`` images it
     contains.  The base users are cloned up to at least *users* distinct
     principals, each replaying *ops_per_user* reads.  Work proceeds in
-    fixed *window*-sized batches: each window resolves its requests with
-    :meth:`Deployment.read_fetches_many`, routes every request's first
-    block key with :func:`route_many` from a window-seeded source node,
+    fixed *window*-sized batches.  A window's ``(path, offset, length)``
+    requests are counted once; only the distinct ones are resolved with
+    :meth:`Deployment.read_fetches_many` and only their first block keys
+    routed with :func:`route_many` from a window-seeded source node.  A
+    request seen *n* times adds *n* times its hops, messages and fetches,
+    and the checksum takes every op's owner in op order — the row of a
+    per-op replay (``fold_reads_per_op`` in ``tests/oracles.py``).  Each window
     streams one metrics row to *metrics_writer* and any finished spans
     to *span_writer*, and advances simulated time by one second — the
     per-window ticks are pre-scheduled in one
@@ -276,6 +281,13 @@ def run_scale_read(
         raise ValueError(f"ops_per_user must be positive, got {ops_per_user}")
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
+    if users <= 0:
+        raise ValueError(f"users must be positive, got {users}")
+    loaded = 0
+    while deployment.fs.namespace.exists(f"/replica{loaded + 1}"):
+        loaded += 1
+    if not 0 <= copies <= loaded:
+        raise ValueError(f"copies must be in [0, {loaded}] (images loaded), got {copies}")
     span_writer = span_writer if span_writer is not None else NullJsonlWriter()
     metrics_writer = (
         metrics_writer if metrics_writer is not None else NullJsonlWriter()
@@ -285,7 +297,7 @@ def run_scale_read(
     )
     template, skipped = _read_template(deployment, trace)
     base_users = max(1, len(trace.users()))
-    clones = max(1, -(-users // base_users))
+    clones = -(-users // base_users)
     per_clone = min(ops_per_user, len(template)) if template else 0
     total_ops = clones * per_clone
     n_windows = -(-total_ops // window) if total_ops else 0
@@ -310,18 +322,20 @@ def run_scale_read(
     spans_streamed = 0
     base_time = deployment.sim.now
     started = time.perf_counter()
-    for index, chunk in enumerate(_window_chunks(stream, window)):
+    for index in range(n_windows):
+        chunk = islice(stream, window)
         requests = [(path, offset, length) for _user, path, offset, length in chunk]
-        fetch_lists = deployment.read_fetches_many(requests)
+        counts = Counter(requests)  # distinct requests, first seen first
+        fetch_lists = deployment.read_fetches_many(list(counts))
         source = names[source_rng.randrange(len(names))]
-        first_keys = [fetch[0][0] for fetch in fetch_lists if fetch]
-        results = route_many(ring, source, first_keys)
-        for result in results:
-            hops += result.hops
-            messages += result.messages
-            digest.update(result.owner.encode("ascii"))
-        ops += len(chunk)
-        fetches += sum(len(fetch) for fetch in fetch_lists)
+        # Every fetch list starts with the file's inode block.
+        results = route_many(ring, source, [fetch[0][0] for fetch in fetch_lists])
+        owner_of = dict(zip(counts, [result.owner for result in results]))
+        owners = map(owner_of.__getitem__, requests)
+        hops += _fold_routes(digest, results, counts.values(), owners)
+        ops += len(requests)
+        messages = hops + ops  # one response per lookup
+        fetches += sum(map(mul, counts.values(), map(len, fetch_lists)))
         deployment.advance_to(base_time + float(index + 1))
         spans_streamed += stream_spans(deployment.spans, span_writer)
         if deployment.health is not None:
@@ -330,7 +344,7 @@ def run_scale_read(
         metrics_writer.write(
             {
                 "window": index,
-                "ops": len(chunk),
+                "ops": len(requests),
                 "fetches": fetches,
                 "hops": hops,
                 "messages": messages,

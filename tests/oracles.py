@@ -1,19 +1,26 @@
-"""Reference models: the code the ordered indexes of PR 16 and the flush
-entry of PR 17 replaced.
+"""Reference models: the code the ordered indexes of PR 16, the flush entry
+of PR 17 and the per-distinct read fold of PR 21 replaced.
 
-Kept in the test tree so that ``src/`` has one ``_index()``, one ``_find()``
-and one write/remove body.  The model-based tests hold the code in ``src/``
-to these answer for answer; the shape gates of
+Kept in the test tree so that ``src/`` has one ``_index()``, one ``_find()``,
+one write/remove body and one replay loop.  The model-based tests hold the
+code in ``src/`` to these answer for answer; the shape gates of
 ``benchmarks/bench_micro_core.py`` time against them.
 """
 
+import hashlib
 from collections import defaultdict
 from functools import partial
+from random import Random
 
 from repro.core.lookup_cache import LookupCache
 from repro.dht.keyspace import in_interval
+from repro.dht.routing import finger_table_for, route
+from repro.fs.namespace import NamespaceError
+from repro.obs.stream import NullJsonlWriter, stream_spans
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
 from repro.store.migration import StorageCoordinator
+from repro.workloads.scale import scaled_read_stream
+from repro.workloads.trace import READ
 
 
 class ScanLookupCache(LookupCache):
@@ -221,3 +228,60 @@ def apply_ops_per_key(store, ops):
         )
         store.spans.finish(root, store.sim.now)
     return counters
+
+
+def fold_reads_per_op(deployment, trace, *, copies, users, ops_per_user, window, seed=11):
+    """``analysis.scale.run_scale_read`` as it was, one op at a time: every
+    read of every window is planned, routed from the window's source and
+    added to the sums and the checksum on its own.  Returns what
+    ``ScaleCellResult.deterministic_row`` reports for the same arguments."""
+    template, skipped = [], 0
+    for record in trace.records:
+        if record.op != READ:
+            continue
+        try:
+            deployment.fs.namespace.resolve_file(record.path)
+        except NamespaceError:
+            skipped += 1
+            continue
+        template.append((record.user, record.path, record.offset, record.length))
+    base_users = max(1, len(trace.users()))
+    clones = -(-users // base_users)
+    stream = list(scaled_read_stream(
+        template, clones=clones, ops_per_clone=min(ops_per_user, len(template)), copies=copies,
+    )) if template else []
+    windows = [stream[lo:lo + window] for lo in range(0, len(stream), window)]
+    deployment.sim.schedule_batch(
+        (float(index + 1), lambda: None) for index in range(len(windows))
+    )
+    names = finger_table_for(deployment.ring).names
+    source_rng = Random(seed + 2)
+    digest = hashlib.sha256()
+    span_rows, health_rows = NullJsonlWriter(), NullJsonlWriter()
+    ops = hops = messages = fetches = 0
+    base_time = deployment.sim.now
+    for index, chunk in enumerate(windows):
+        source = names[source_rng.randrange(len(names))]
+        for _user, path, offset, length in chunk:
+            fetch = deployment.read_fetches(path, offset, length)
+            result = route(deployment.ring, source, fetch[0][0])
+            ops += 1
+            hops += result.hops
+            messages += result.messages
+            fetches += len(fetch)
+            digest.update(result.owner.encode("ascii"))
+        deployment.advance_to(base_time + float(index + 1))
+        stream_spans(deployment.spans, span_rows)
+        if deployment.health is not None:
+            for row in deployment.health.drain():
+                health_rows.write(row)
+    if deployment.health is not None:
+        for row in deployment.health.finish():
+            health_rows.write(row)
+    return {
+        "cell": "read", "n_nodes": len(deployment.ring), "users": clones * base_users,
+        "ops": ops, "hops": hops, "messages": messages, "fetches": fetches,
+        "skipped": skipped, "windows": len(windows), "checksum": digest.hexdigest()[:16],
+        "streamed_rows": len(windows), "streamed_spans": span_rows.rows,
+        "streamed_health": health_rows.rows,
+    }

@@ -249,6 +249,140 @@ class TestScaleHarness:
         assert result.ops == 3 and result.skipped == 0
 
 
+def _read_image(records, copies=2):
+    return replicate_filesystem(
+        Trace(
+            "fold",
+            records,
+            initial_dirs=["/home", "/home/a", "/home/b", "/shared"],
+            initial_files=[
+                ("/home/a/f1", 40000), ("/home/a/f2", 100), ("/home/b/g", 9000),
+                ("/home/b/empty", 0), ("/shared/big", 200000),
+            ],
+        ),
+        copies,
+    )
+
+
+def _loaded(trace, seed, system="traditional"):
+    """Hashed keys by default: D2 keeps an image this small on one owner,
+    and a checksum over one repeated name cannot tell two orders apart."""
+    from repro.core.system import build_deployment
+
+    deployment = build_deployment(system, 12, seed=seed)
+    deployment.load_initial_image(trace)
+    deployment.enable_health_monitoring(window=1.0, node_level=False)
+    return deployment
+
+
+def _read(time, user, path, offset=0, length=0):
+    return TraceRecord(time, user, READ, path, offset=offset, length=length)
+
+
+class TestReadFoldAgainstPerOpOracle:
+    """``run_scale_read`` counts a window and plans, routes and folds each
+    distinct request once; the per-op replay it replaced lives on as
+    ``tests.oracles.fold_reads_per_op`` and must report the same row."""
+
+    #: 3 base users, 12 resolving reads over 9 distinct requests (repeats by
+    #: the same and by other users), a missing path, a directory, a write.
+    RECORDS = [
+        _read(0.0, "alice", "/home/a/f1", 0, 100),
+        _read(1.0, "bob", "/home/a/f1", 0, 100),
+        _read(2.0, "alice", "/home/a/f1", 8192, 20000),
+        _read(3.0, "carol", "/shared/big"),
+        _read(4.0, "bob", "/home/b/g", 100, 0),
+        _read(5.0, "carol", "/missing"),
+        _read(6.0, "alice", "/home/a/f2", 0, 100),
+        _read(7.0, "alice", "/home/a/f1", 0, 100),
+        _read(8.0, "bob", "/home/b/empty"),
+        _read(9.0, "carol", "/home"),
+        TraceRecord(10.0, "bob", "write", "/home/b/g", offset=0, length=10),
+        _read(11.0, "carol", "/shared/big", 150000, 60000),
+        _read(12.0, "carol", "/shared/big"),
+        _read(13.0, "bob", "/home/a/f1", 0, 101),
+        _read(14.0, "alice", "/home/b/g", 0, 9000),
+    ]
+
+    @staticmethod
+    def both(trace, seed, system="traditional", **kwargs):
+        from repro.analysis.scale import run_scale_read
+        from tests.oracles import fold_reads_per_op
+
+        folded = run_scale_read(_loaded(trace, seed, system), trace, seed=seed, **kwargs)
+        return folded.deterministic_row(), fold_reads_per_op(
+            _loaded(trace, seed, system), trace, seed=seed, **kwargs
+        )
+
+    @pytest.mark.parametrize("system, seed", [("d2", 1), ("traditional", 5), ("traditional", 11)])
+    @pytest.mark.parametrize("copies", [0, 1, 2])
+    def test_row_equals_per_op_replay(self, system, seed, copies):
+        trace = _read_image(self.RECORDS)
+        for window in (1, 2, 7, 256, 10**6):
+            for ops_per_user in (5, 50):  # below and above the 12-read template
+                for users in (2, 3, 40):  # below, at and above the base population
+                    folded, per_op = self.both(
+                        trace, seed, system, copies=copies, users=users,
+                        ops_per_user=ops_per_user, window=window,
+                    )
+                    assert folded == per_op, (window, ops_per_user, users)
+                    assert folded["skipped"] == 2 and folded["ops"] > 0
+
+    def test_all_distinct_and_all_same_windows(self):
+        distinct = [_read(float(i), "alice", "/shared/big", 1000 * i, 500) for i in range(9)]
+        same = [_read(float(i), f"u{i}", "/home/a/f1", 0, 100) for i in range(9)]
+        for records, kinds in ((distinct, 9), (same, 1)):
+            trace = _read_image(records, copies=0)
+            folded, per_op = self.both(
+                trace, 3, copies=0, users=1, ops_per_user=9, window=16
+            )
+            assert folded == per_op and folded["windows"] == 1 and folded["ops"] == 9
+            assert len({(r.path, r.offset, r.length) for r in records}) == kinds
+
+    @pytest.mark.parametrize("mutant", ["forgets-multiplicity", "distinct-order"])
+    def test_oracle_catches_seeded_mutants(self, monkeypatch, mutant):
+        """A fold that counts each distinct request once, and one that hashes
+        owners grouped by distinct request instead of in op order."""
+        from itertools import repeat
+
+        from repro.analysis import scale
+
+        fold = scale._fold_routes
+
+        def forgets_multiplicity(digest, results, times, owners):
+            return fold(digest, results, repeat(1), owners)
+
+        def distinct_order(digest, results, times, owners):
+            grouped = [r.owner for r, n in zip(results, times) for _ in range(n)]
+            return fold(digest, results, times, grouped)
+
+        monkeypatch.setattr(
+            scale, "_fold_routes",
+            forgets_multiplicity if mutant == "forgets-multiplicity" else distinct_order,
+        )
+        folded, per_op = self.both(
+            _read_image(self.RECORDS), 11, copies=2, users=40, ops_per_user=5, window=64
+        )
+        differing = {name for name in per_op if folded[name] != per_op[name]}
+        assert differing == (
+            {"hops", "messages"} if mutant == "forgets-multiplicity" else {"checksum"}
+        )
+
+    def test_edge_inputs_fail_before_anything_is_scheduled(self):
+        from repro.analysis.scale import run_scale_read
+
+        trace = _read_image(self.RECORDS)
+        deployment = _loaded(trace, 1)
+        pending = deployment.sim.pending()
+        for users in (0, -5):
+            with pytest.raises(ValueError, match=f"users must be positive, got {users}"):
+                run_scale_read(deployment, trace, copies=2, users=users)
+        for copies in (-1, 3, 5):
+            with pytest.raises(ValueError, match=rf"copies must be in \[0, 2\].*got {copies}"):
+                run_scale_read(deployment, trace, copies=copies, users=3)
+        assert deployment.sim.pending() == pending
+
+
 class TestBenchTrajectorySchema:
     """BENCH_scale.json run entries carry an explicit per-entry schema."""
 
