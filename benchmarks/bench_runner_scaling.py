@@ -15,7 +15,7 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.experiments import common
-from repro.experiments.perf_runs import performance_matrix
+from repro.experiments.performance import performance_matrix
 from repro.runner import CACHE_ENV, last_stats
 
 # 16 cells, each a genuinely expensive simulation, so the pool's fork and

@@ -11,7 +11,11 @@ The package is organized by subsystem:
 - :mod:`repro.sim`   — event engine, network/TCP models, failure traces;
 - :mod:`repro.workloads` — synthetic Harvard/HP/Web trace generators;
 - :mod:`repro.analysis`  — the paper's evaluation metrics;
-- :mod:`repro.experiments` — one driver per paper table/figure.
+- :mod:`repro.experiments` — the figure table (one entry per table,
+  figure, matrix, ablation and extension) and the run grids it projects;
+- :mod:`repro.runner` — grid cells, process-parallel execution, disk cache;
+- :mod:`repro.obs`, :mod:`repro.lint` — metrics/traces/health reports and
+  the determinism linter.
 """
 
 __version__ = "1.0.0"

@@ -8,9 +8,10 @@ Usage::
     python -m repro all                  # the whole evaluation (minutes)
     python -m repro --jobs 4 fig9 fig10  # grid cells across 4 processes
 
-Each experiment runs at the laptop scale recorded in EXPERIMENTS.md and
-prints the same rows/series the paper reports.  Heavy simulation matrices
-are shared between experiments within one invocation; ``--jobs N`` (or
+The names are the entries of :data:`repro.experiments.figures.FIGURES`.
+Each runs at the laptop scale recorded in EXPERIMENTS.md and prints the
+same rows/series the paper reports.  Heavy simulation matrices are shared
+between experiments within one invocation; ``--jobs N`` (or
 ``$REPRO_JOBS``) fans their cells out over N worker processes without
 changing any row, and ``$REPRO_RUN_CACHE`` persists cell results across
 invocations (see docs/performance.md).
@@ -22,217 +23,9 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Dict, Tuple
 
-Runner = Tuple[str, Callable[[], str]]
-
-
-def _runners() -> Dict[str, Runner]:
-    # Imports are deferred so `python -m repro list` is instant.
-    def table1() -> str:
-        from repro.experiments.table1_workloads import format_table1, run_table1
-
-        return format_table1(run_table1())
-
-    def fig3() -> str:
-        from repro.experiments.fig3_locality import format_fig3, run_fig3
-
-        return format_fig3(run_fig3())
-
-    def fig7() -> str:
-        from repro.experiments.fig7_unavailability import format_fig7, run_fig7
-
-        return format_fig7(run_fig7())
-
-    def fig8() -> str:
-        from repro.experiments.fig8_per_user import format_fig8, run_fig8
-
-        return format_fig8(run_fig8())
-
-    def table2() -> str:
-        from repro.experiments.table2_tasks import format_table2, run_table2
-
-        return format_table2(run_table2())
-
-    def fig9() -> str:
-        from repro.experiments.fig9_lookup_traffic import format_fig9, run_fig9
-
-        return format_fig9(run_fig9())
-
-    def fig10() -> str:
-        from repro.experiments.fig10_speedup import format_fig10, run_fig10
-
-        return format_fig10(run_fig10())
-
-    def fig11() -> str:
-        from repro.experiments.fig11_speedup_file import format_fig11, run_fig11
-
-        return format_fig11(run_fig11())
-
-    def fig12() -> str:
-        from repro.experiments.fig12_per_user_speedup import (
-            format_fig12,
-            run_fig12,
-        )
-
-        return format_fig12(run_fig12())
-
-    def fig13() -> str:
-        from repro.experiments.fig13_cache_miss import format_fig13, run_fig13
-
-        return format_fig13(run_fig13())
-
-    def fig14() -> str:
-        from repro.experiments.fig14_latency_scatter import (
-            format_fig14,
-            plot_fig14,
-            run_fig14,
-        )
-
-        return format_fig14(run_fig14()) + "\n\n" + plot_fig14()
-
-    def fig15() -> str:
-        from repro.experiments.fig15_latency_scatter_file import (
-            format_fig15,
-            run_fig15,
-        )
-
-        return format_fig15(run_fig15())
-
-    def table3() -> str:
-        from repro.experiments.table3_churn import (
-            format_table3,
-            format_table3_dynamic,
-            run_table3,
-            run_table3_dynamic,
-        )
-
-        return (
-            format_table3(run_table3())
-            + "\n\n"
-            + format_table3_dynamic(run_table3_dynamic())
-        )
-
-    def churn() -> str:
-        from repro.experiments.churn_storm import format_churn_storm, run_churn_storm
-
-        return format_churn_storm(run_churn_storm())
-
-    def fig16() -> str:
-        from repro.experiments.fig16_imbalance_harvard import (
-            format_fig16,
-            plot_fig16,
-            summarize_fig16,
-        )
-
-        return format_fig16(summarize_fig16()) + "\n\n" + plot_fig16()
-
-    def fig17() -> str:
-        from repro.experiments.fig17_imbalance_webcache import (
-            format_fig17,
-            plot_fig17,
-            summarize_fig17,
-        )
-
-        return format_fig17(summarize_fig17()) + "\n\n" + plot_fig17()
-
-    def table4() -> str:
-        from repro.experiments.table4_overhead import format_table4, run_table4
-
-        return format_table4(run_table4())
-
-    def hybrid() -> str:
-        from repro.experiments.ext_hybrid import format_hybrid, run_hybrid_extension
-
-        return format_hybrid(run_hybrid_extension())
-
-    def hotspot() -> str:
-        from repro.experiments.ext_hotspot import format_hotspot, run_hotspot_extension
-
-        return format_hotspot(run_hotspot_extension())
-
-    def erasure() -> str:
-        from repro.experiments.ext_erasure import format_erasure, run_erasure_extension
-
-        return format_erasure(run_erasure_extension())
-
-    def scale() -> str:
-        from repro.experiments.scale_matrix import (
-            format_scale,
-            record_trajectory,
-            run_scale,
-        )
-
-        results = run_scale()
-        path = record_trajectory(results)
-        return format_scale(results) + f"\n\nrecorded run -> {path}"
-
-    def accel() -> str:
-        from repro.experiments.accel_matrix import format_accel, run_accel
-        from repro.experiments.scale_matrix import record_trajectory
-
-        results = run_accel()
-        path = record_trajectory(results)
-        return format_accel(results) + f"\n\nrecorded run -> {path}"
-
-    def ablations() -> str:
-        from repro.experiments.ablations import (
-            run_cache_ttl_ablation,
-            run_pointer_ablation,
-            run_replica_ablation,
-            run_threshold_ablation,
-        )
-        from repro.experiments.common import format_table
-
-        parts = [
-            format_table(
-                run_pointer_ablation(),
-                ["pointers", "written_mb", "migrated_mb", "migration_multiplier"],
-                title="Ablation: block pointers",
-            ),
-            format_table(
-                run_threshold_ablation(),
-                ["threshold", "rounds", "moves", "final_nsd", "max_over_mean"],
-                title="Ablation: balance threshold t",
-            ),
-            format_table(
-                run_cache_ttl_ablation(),
-                ["ttl_s", "miss_rate", "stale_redirects", "total_lookup_cost"],
-                title="Ablation: lookup-cache TTL",
-            ),
-            format_table(
-                run_replica_ablation(),
-                ["replicas", "unavail_d2", "unavail_traditional"],
-                title="Ablation: replica count",
-            ),
-        ]
-        return "\n\n".join(parts)
-
-    return {
-        "table1": ("Table 1: workloads analyzed", table1),
-        "fig3": ("Figure 3: placement locality", fig3),
-        "fig7": ("Figure 7: task unavailability vs inter", fig7),
-        "fig8": ("Figure 8: per-user unavailability", fig8),
-        "table2": ("Table 2: objects/nodes per task", table2),
-        "fig9": ("Figure 9: lookup traffic vs size", fig9),
-        "fig10": ("Figure 10: speedup vs traditional", fig10),
-        "fig11": ("Figure 11: speedup vs traditional-file", fig11),
-        "fig12": ("Figure 12: per-user speedup", fig12),
-        "fig13": ("Figure 13: cache miss rates", fig13),
-        "fig14": ("Figure 14: latency scatter vs traditional", fig14),
-        "fig15": ("Figure 15: latency scatter vs traditional-file", fig15),
-        "table3": ("Table 3: daily churn ratios (static + dynamic ring)", table3),
-        "churn": ("Churn storm: join/leave/crash matrix", churn),
-        "fig16": ("Figure 16: imbalance, Harvard", fig16),
-        "fig17": ("Figure 17: imbalance, Webcache", fig17),
-        "table4": ("Table 4: write vs migration traffic", table4),
-        "hybrid": ("Extension: hybrid replica placement", hybrid),
-        "hotspot": ("Extension: retrieval-cache hot spots", hotspot),
-        "erasure": ("Extension: replication vs erasure coding", erasure),
-        "ablations": ("Ablations: pointers / t / TTL / replicas", ablations),
-        "scale": ("Scale matrix: engine throughput -> BENCH_scale.json", scale),
-        "accel": ("Acceleration matrix: modes x workload shift -> BENCH_scale.json", accel),
-    }
+from repro.experiments.figures import FIGURES
+from repro.runner import JOBS_ENV
 
 
 def main(argv=None) -> int:
@@ -259,34 +52,31 @@ def main(argv=None) -> int:
     if args.jobs is not None:
         if args.jobs < 0:
             parser.error(f"--jobs must be >= 0, got {args.jobs}")
-        from repro.runner import JOBS_ENV
-
         os.environ[JOBS_ENV] = str(args.jobs)
-    runners = _runners()
 
-    requested = args.experiments or ["list"]
-    if requested == ["list"] or requested == []:
-        print("available experiments:")
-        for name, (title, _fn) in runners.items():
-            print(f"  {name:10s} {title}")
-        print("  all        run everything above")
-        return 0
-    if requested == ["all"]:
-        # `scale` and `accel` benchmark wall-clock throughput (minutes of
-        # runtime, machine-dependent numbers) — run them explicitly, not
-        # under `all`.
-        requested = [name for name in runners if name not in ("scale", "accel")]
+    # `all` is every entry that does not time the host (`scale` and
+    # `accel` are run explicitly); a name given twice runs once.
+    requested = []
+    for name in args.experiments or ["list"]:
+        expanded = [n for n, f in FIGURES.items() if f.in_all] if name == "all" else [name]
+        requested.extend(n for n in expanded if n not in requested)
 
-    unknown = [name for name in requested if name not in runners]
+    unknown = [name for name in requested if name != "list" and name not in FIGURES]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         print("run `python -m repro list` to see what's available", file=sys.stderr)
         return 2
 
     for name in requested:
-        title, fn = runners[name]
+        if name == "list":
+            print("available experiments:")
+            for figure in FIGURES.values():
+                print(f"  {figure.name:10s} {figure.title}")
+            print("  all        run everything above")
+            continue
+        figure = FIGURES[name]
         started = time.perf_counter()
-        report = fn()
+        report = figure.render(figure.rows())
         elapsed = time.perf_counter() - started
         print(report)
         print(f"[{name} finished in {elapsed:.1f}s]\n")

@@ -18,11 +18,14 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence
 
+from repro.analysis.availability import matching_failure_trace, run_availability_trial
 from repro.core.config import D2Config
+from repro.core.lookup_cache import LookupCache
 from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.load_balance import KargerRuhlBalancer, normalized_std_dev
 from repro.dht.ring import Ring
 from repro.experiments import common
+from repro.experiments.availability import harsh_failure_config
 from repro.experiments.workload_cache import harvard_trace
 from repro.fs.fslayer import DhtFileSystem, apply_ops
 from repro.fs.keyschemes import make_scheme
@@ -149,8 +152,6 @@ def run_cache_ttl_ablation(
     entries; infinite TTLs accumulate stale entries whose misdirected
     requests cost a fallback lookup.  The paper's 1.25 h sits between.
     """
-    from repro.core.lookup_cache import LookupCache
-
     rows = []
     for ttl in ttls:
         rng = random.Random(seed)
@@ -226,12 +227,6 @@ def run_replica_ablation(
     replicas, D2 had no failures in all 5 trials while the traditional
     system had at least 3e-6 of its tasks fail."
     """
-    from repro.analysis.availability import (
-        matching_failure_trace,
-        run_availability_trial,
-    )
-    from repro.experiments.availability_runs import harsh_failure_config
-
     trace = harvard_trace(users=users, days=days, seed=seed)
     failures = matching_failure_trace(
         n_nodes, random.Random(seed + 2), harsh_failure_config(days)

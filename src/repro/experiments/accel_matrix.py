@@ -20,67 +20,39 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.analysis.accel import AccelCellResult
 from repro.core.accel import ACCEL_MODES
 from repro.experiments import common
-from repro.runner import RunCache, run_cells
+from repro.experiments.scale_matrix import record_trajectory, run_fresh
 from repro.workloads.shift import SCENARIOS
-
-#: Default grid — every mode under every shift shape.
-N_NODES = 64
-CLIENTS = 12
-PRE_OPS = 3000
-POST_OPS = 5000
-STATIC_CAPACITY = 12
 
 
 def accel_cells(
     *,
     modes: Sequence[str] = ACCEL_MODES,
     scenarios: Sequence[str] = SCENARIOS,
-    n_nodes: int = N_NODES,
-    clients: int = CLIENTS,
-    pre_ops: int = PRE_OPS,
-    post_ops: int = POST_OPS,
-    static_capacity: int = STATIC_CAPACITY,
+    n_nodes: int = 64,
+    clients: int = 12,
+    pre_ops: int = 3000,
+    post_ops: int = 5000,
+    static_capacity: int = 12,
     seed: int = common.SEED,
 ) -> List[Dict[str, Any]]:
-    """The parameter bundles of one accel run (plain picklable dicts)."""
-    return [
-        {
-            "mode": mode,
-            "scenario": scenario,
-            "n_nodes": n_nodes,
-            "clients": clients,
-            "pre_ops": pre_ops,
-            "post_ops": post_ops,
-            "static_capacity": static_capacity,
-            "seed": seed,
-        }
-        for scenario in scenarios
-        for mode in modes
-    ]
+    """The parameter bundles of one accel run (plain picklable dicts);
+    by default every mode under every shift shape."""
+    return common.grid_cells(
+        {"scenario": scenarios, "mode": modes},
+        n_nodes=n_nodes, clients=clients, pre_ops=pre_ops, post_ops=post_ops,
+        static_capacity=static_capacity, seed=seed,
+    )
 
 
 def run_accel(
     *, cells: Optional[Sequence[Dict[str, Any]]] = None, jobs: Optional[int] = None
 ) -> List[AccelCellResult]:
     """Run the accel matrix, always fresh (disk cache disabled)."""
-    bundles = list(cells) if cells is not None else accel_cells()
-    return run_cells(
-        "accel",
-        bundles,
-        jobs=jobs,
-        cache=RunCache(None),
-        metrics_name="runner_accel",
-    )
+    return run_fresh("accel", accel_cells() if cells is None else cells, jobs)
 
 
-def format_accel(results: Sequence[AccelCellResult]) -> str:
-    rows = [result.row() for result in results]
-    return common.format_table(
-        rows,
-        [
-            "scenario", "mode", "lookups", "messages", "messages_post",
-            "hit_pre", "hit_post", "hit_recovered", "stale_faults",
-            "learned_hits", "capacity_end", "ttl_end", "checksum",
-        ],
-        title="Acceleration matrix: hit-ratio recovery under workload shift",
-    )
+def accel_rows(**grid: Any) -> List[Dict[str, Any]]:
+    """Run the accel matrix, append it to the trajectory, return its rows."""
+    results = run_accel(cells=accel_cells(**grid))
+    record_trajectory(results)
+    return [result.row() for result in results]

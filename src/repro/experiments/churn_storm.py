@@ -30,9 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments import common
-from repro.runner import run_cells
-
-SECONDS_PER_DAY = 86400.0
+from repro.workloads.trace import SECONDS_PER_DAY
 
 #: (join, leave, crash) arrivals per hour for the named storm levels.
 STORM_LEVELS: Dict[str, Dict[str, float]] = {
@@ -41,9 +39,6 @@ STORM_LEVELS: Dict[str, Dict[str, float]] = {
     "storm": {"join_rate": 6.0, "leave_rate": 3.0, "crash_rate": 4.0},
 }
 
-CHURN_NODES = 48
-CHURN_USERS = 4
-CHURN_DAYS = 0.5
 DRAIN_SECONDS = 4 * 3600.0
 
 
@@ -166,74 +161,17 @@ def run_churn_storm(
     levels: Sequence[str] = ("calm", "steady", "storm"),
     correlated: Sequence[int] = (0, 3),
     trials: int = 1,
-    users: int = CHURN_USERS,
-    days: float = CHURN_DAYS,
-    n_nodes: int = CHURN_NODES,
+    users: int = 4,
+    days: float = 0.5,
+    n_nodes: int = 48,
     seed: int = common.SEED,
     jobs: Optional[int] = None,
 ) -> List[dict]:
     """The full churn-storm matrix as flat rows, one per cell."""
-
-    def compute() -> List[dict]:
-        cells = []
-        for level in levels:
-            rates = STORM_LEVELS[level]
-            for events in correlated:
-                for trial in range(trials):
-                    cells.append(
-                        {
-                            "level": level,
-                            "correlated_events": events,
-                            "trial": trial,
-                            "users": users,
-                            "days": days,
-                            "n_nodes": n_nodes,
-                            "seed": seed,
-                            **rates,
-                        }
-                    )
-        return run_cells("churn", cells, jobs=jobs, metrics_name="runner_churn")
-
-    return common.cached(
-        (
-            "churn-storm",
-            tuple(levels),
-            tuple(correlated),
-            trials,
-            users,
-            days,
-            n_nodes,
-            seed,
-        ),
-        compute,
+    cells = common.grid_cells(
+        {"level": levels, "correlated_events": correlated, "trial": range(trials)},
+        users=users, days=days, n_nodes=n_nodes, seed=seed,
     )
-
-
-def format_churn_storm(rows: List[dict]) -> str:
-    return common.format_table(
-        rows,
-        [
-            "level",
-            "correlated",
-            "trial",
-            "joins",
-            "leaves",
-            "crashes",
-            "stab_mean_s",
-            "stab_p95_s",
-            "backlog_peak",
-            "backlog_drained",
-            "repair_completed",
-            "repair_retries",
-            "lost_keys",
-            "loss_prob",
-            "fully_replicated",
-            "alerts_fired",
-            "alerts_resolved",
-        ],
-        title="Churn storm: membership dynamics, repair, and durability",
-    )
-
-
-if __name__ == "__main__":
-    print(format_churn_storm(run_churn_storm()))
+    for cell in cells:
+        cell.update(STORM_LEVELS[cell["level"]])
+    return common.run_grid("churn", cells, jobs=jobs)

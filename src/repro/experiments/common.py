@@ -1,32 +1,27 @@
-"""Shared scaffolding for the per-figure/table experiment drivers.
+"""Shared scaffolding for the figure registry (:mod:`repro.experiments.figures`).
 
-Every driver follows the same contract:
+Every registry entry follows the same contract: a *rows function* takes
+scale knobs (defaulting to the laptop-scale values below, recorded in
+EXPERIMENTS.md) and returns structured rows, and the entry's column list
+renders them through :func:`format_table` as the table/series the paper
+prints.
 
-* a ``run_*`` function takes scale knobs (defaulting to laptop-scale
-  values recorded in EXPERIMENTS.md) and returns structured rows;
-* a ``format_*`` function renders those rows as the table/series the paper
-  prints, so benches can ``print()`` a directly comparable report.
-
-Expensive underlying simulations are memoized per process (several figures
-share one run matrix, exactly as the paper derives several figures from
-one testbed execution).
+Expensive underlying simulations run as grids of cells through
+:func:`run_grid` and are memoized per process (several figures share one
+run matrix, exactly as the paper derives several figures from one
+testbed execution).
 """
 
 from __future__ import annotations
 
-import os
+import itertools
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.report import build_report, write_report
+from repro.obs.report import emit_metrics_report, labeled_run, metrics_out_dir
+from repro.runner import cache_key, run_cells
 
 _CACHE: "OrderedDict[Tuple, Any]" = OrderedDict()
-
-#: Environment variable naming a directory for per-run metric snapshots.
-#: When set (or when a driver is given an explicit ``metrics_dir``), the
-#: fig9/fig13/fig16 drivers write one ``<name>.json`` report per invocation
-#: so bench trajectories stay diffable across PRs.
-METRICS_DIR_ENV = "REPRO_METRICS_DIR"
 
 #: The process memo is FIFO-bounded: oldest entry evicted first.
 MEMO_MAX = 32
@@ -52,35 +47,61 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-def metrics_out_dir(explicit: Optional[str] = None) -> Optional[str]:
-    """Directory for metric snapshots: explicit arg, else $REPRO_METRICS_DIR."""
-    return explicit if explicit is not None else os.environ.get(METRICS_DIR_ENV)
+def grid_cells(axes: Mapping[str, Sequence[Any]], **fixed: Any) -> List[Dict[str, Any]]:
+    """One parameter bundle per point of the product of *axes*.
 
-
-def emit_metrics_report(
-    name: str,
-    runs: Sequence[Mapping[str, Any]],
-    params: Mapping[str, Any],
-    directory: Optional[str],
-) -> Optional[str]:
-    """Write one schema-v1 metrics report; returns its path (None if disabled).
-
-    *runs* pairs grid-cell labels with deployment observability snapshots:
-    ``[{"labels": {...}, "counters": ..., "gauges": ..., "histograms": ...,
-    "events": ...}, ...]``.
+    The first axis varies slowest, so cell order is the nesting order the
+    axes are written in; *fixed* values are copied into every bundle.  An
+    empty axis is refused here, before anything reaches the runner.
     """
-    if not directory:
-        return None
-    os.makedirs(directory, exist_ok=True)
-    report = build_report(name, runs, params=params)
-    return write_report(report, os.path.join(directory, f"{name}.json"))
+    for name, values in axes.items():
+        if len(values) == 0:
+            raise ValueError(f"grid axis {name!r} is empty")
+    return [
+        dict(zip(axes, point), **fixed)
+        for point in itertools.product(*axes.values())
+    ]
 
 
-def labeled_run(labels: Mapping[str, Any], snapshot: Mapping[str, Any]) -> Dict[str, Any]:
-    """One report run entry from a deployment observability snapshot."""
-    entry: Dict[str, Any] = {"labels": dict(labels)}
-    entry.update(snapshot)
-    return entry
+def run_grid(
+    kind: str, cells: Sequence[Dict[str, Any]], *, jobs: Optional[int] = None
+) -> List[Any]:
+    """The results of *cells*, in cell order, computed once per process.
+
+    Cells execute through :mod:`repro.runner`: served from the on-disk
+    result cache when ``$REPRO_RUN_CACHE`` is set, computed in ``jobs``
+    worker processes (default ``$REPRO_JOBS`` / serial) otherwise.  The
+    memo key is the cells' own content addresses, so two figures that ask
+    for the same grid share one run whatever keyword spelling got them
+    there; ``jobs`` never changes a result — only how fast it arrives —
+    and is deliberately not part of it.
+    """
+    return cached(
+        (kind, *(cache_key(kind, cell) for cell in cells)),
+        lambda: run_cells(
+            kind, cells, jobs=jobs, metrics_name="runner_" + kind.replace("-", "_")
+        ),
+    )
+
+
+def emit_figure_metrics(
+    name: str,
+    labeled_results: Iterable[Tuple[Mapping[str, Any], Any]],
+    params: Mapping[str, Any],
+    metrics_dir: Optional[str] = None,
+) -> Optional[str]:
+    """Write one ``<name>.json`` metrics report for a figure's grid.
+
+    One run entry per ``(labels, result)`` pair whose result carries an
+    observability snapshot; a no-op unless *metrics_dir* or
+    ``$REPRO_METRICS_DIR`` names a destination.
+    """
+    runs = [
+        labeled_run(labels, result.metrics)
+        for labels, result in labeled_results
+        if result.metrics is not None
+    ]
+    return emit_metrics_report(name, runs, params, metrics_out_dir(metrics_dir))
 
 
 def format_table(rows: Sequence[dict], columns: Sequence[str], *, title: str = "") -> str:

@@ -42,35 +42,28 @@ BENCH_SCHEMA = 1
 #: health-export row count added with the sim-time health monitor).
 RUN_SCHEMA = 2
 
-#: Default grid: routing throughput at 10^3 and 10^4 nodes, plus one
-#: 10^5-user read replay on a 10^3-node deployment (image replicated
-#: from a 250-node base, per Section 9.1).
-ROUTING_NODES: Tuple[int, ...] = (1000, 10000)
-ROUTING_OPS = 20000
-ROUTING_BATCH = 4096
-ROUTING_COLD_OPS = 2000
-READ_CELLS: Tuple[Tuple[int, int], ...] = ((1000, 100000),)
-READ_BASE_SIZE = 250
-READ_OPS_PER_USER = 10
-READ_WINDOW = 8192
-
 
 def scale_cells(
     *,
-    routing_nodes: Sequence[int] = ROUTING_NODES,
-    routing_ops: int = ROUTING_OPS,
-    routing_batch: int = ROUTING_BATCH,
-    routing_cold_ops: int = ROUTING_COLD_OPS,
-    read_cells: Sequence[Tuple[int, int]] = READ_CELLS,
-    read_base_size: int = READ_BASE_SIZE,
-    read_ops_per_user: int = READ_OPS_PER_USER,
-    read_window: int = READ_WINDOW,
+    routing_nodes: Sequence[int] = (1000, 10000),
+    routing_ops: int = 20000,
+    routing_batch: int = 4096,
+    routing_cold_ops: int = 2000,
+    read_cells: Sequence[Tuple[int, int]] = ((1000, 100000),),
+    read_base_size: int = 250,
+    read_ops_per_user: int = 10,
+    read_window: int = 8192,
     system: str = "d2",
     users: int = common.TRACE_USERS,
     days: float = 0.25,
     seed: int = common.SEED,
 ) -> List[Dict[str, Any]]:
-    """The parameter bundles of one scale run (all plain picklable dicts)."""
+    """The parameter bundles of one scale run (all plain picklable dicts).
+
+    Default grid: routing throughput at 10^3 and 10^4 nodes, plus one
+    10^5-user read replay on a 10^3-node deployment (image replicated
+    from a 250-node base, per Section 9.1).
+    """
     cells: List[Dict[str, Any]] = []
     for n_nodes in routing_nodes:
         cells.append(
@@ -101,36 +94,36 @@ def scale_cells(
     return cells
 
 
+def run_fresh(kind: str, cells: Sequence[Dict[str, Any]], jobs: Optional[int]) -> List[Any]:
+    """Run self-timing cells: never from the disk cache, never memoized."""
+    return run_cells(
+        kind, list(cells), jobs=jobs, cache=RunCache(None), metrics_name=f"runner_{kind}"
+    )
+
+
 def run_scale(
     *, cells: Optional[Sequence[Dict[str, Any]]] = None, jobs: Optional[int] = None
 ) -> List[ScaleCellResult]:
     """Run the scale matrix, always fresh (disk cache disabled)."""
-    bundles = list(cells) if cells is not None else scale_cells()
-    return run_cells(
-        "scale",
-        bundles,
-        jobs=jobs,
-        cache=RunCache(None),
-        metrics_name="runner_scale",
-    )
+    return run_fresh("scale", scale_cells() if cells is None else cells, jobs)
 
 
-def format_scale(results: Sequence[ScaleCellResult]) -> str:
+def scale_rows(**grid: Any) -> List[Dict[str, Any]]:
+    """Run the scale matrix, append it to the trajectory, return its rows."""
+    results = run_scale(cells=scale_cells(**grid))
+    record_trajectory(results)
     rows = []
     for result in results:
         row = result.row()
         row["rss_growth_kb"] = result.rss_growth_kb
         del row["rss_curve_kb"]
         rows.append(row)
-    return common.format_table(
-        rows,
-        [
-            "cell", "n_nodes", "users", "ops", "ops_per_sec", "speedup_vs_cold",
-            "hops", "fetches", "windows", "peak_rss_kb", "rss_growth_kb",
-            "checksum",
-        ],
-        title="Scale matrix: engine throughput and memory",
-    )
+    return rows
+
+
+def recorded_note(**_grid: Any) -> str:
+    """The line ``python -m repro scale`` / ``accel`` print under their table."""
+    return f"recorded run -> {bench_path()}"
 
 
 def bench_path(explicit: Optional[str] = None) -> str:

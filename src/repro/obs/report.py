@@ -14,12 +14,20 @@ dependency); see ``docs/observability.md`` for the normative description.
 from __future__ import annotations
 
 import json
+import os
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.events import EventTracer
 from repro.obs.metrics import MetricsRegistry
 
 SCHEMA = "repro.obs.report/v1"
+
+#: Environment variable naming a directory for per-run metric snapshots.
+#: When set (or when a caller passes an explicit ``metrics_dir``), the
+#: runner writes one ``runner_<kind>.json`` per grid and the fig9/fig13/
+#: fig16 projections one ``<name>.json`` per invocation, so bench
+#: trajectories stay diffable across PRs.
+METRICS_DIR_ENV = "REPRO_METRICS_DIR"
 
 _HISTO_FIELDS = ("count", "total", "mean", "min", "max", "p50", "p90", "p99")
 
@@ -33,6 +41,13 @@ def snapshot_run(
     entry: Dict[str, object] = {"labels": dict(labels)}
     entry.update(registry.snapshot())
     entry["events"] = tracer.counts() if tracer is not None else {}
+    return entry
+
+
+def labeled_run(labels: Mapping[str, object], snapshot: Mapping[str, object]) -> Dict[str, object]:
+    """One report run entry from a deployment observability snapshot."""
+    entry: Dict[str, object] = {"labels": dict(labels)}
+    entry.update(snapshot)
     return entry
 
 
@@ -170,6 +185,30 @@ def write_report(report: Mapping[str, object], path: str) -> str:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
+
+
+def metrics_out_dir(explicit: Optional[str] = None) -> Optional[str]:
+    """Directory for metric snapshots: explicit arg, else $REPRO_METRICS_DIR."""
+    return explicit if explicit is not None else os.environ.get(METRICS_DIR_ENV)
+
+
+def emit_metrics_report(
+    name: str,
+    runs: Sequence[Mapping[str, object]],
+    params: Mapping[str, object],
+    directory: Optional[str],
+) -> Optional[str]:
+    """Write one schema-v1 metrics report; returns its path (None if disabled).
+
+    *runs* pairs grid-cell labels with deployment observability snapshots:
+    ``[{"labels": {...}, "counters": ..., "gauges": ..., "histograms": ...,
+    "events": ...}, ...]``.
+    """
+    if not directory:
+        return None
+    os.makedirs(directory, exist_ok=True)
+    report = build_report(name, runs, params=params)
+    return write_report(report, os.path.join(directory, f"{name}.json"))
 
 
 def load_report(path: str) -> Dict[str, object]:

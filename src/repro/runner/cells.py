@@ -3,10 +3,11 @@
 Each *cell kind* maps a plain-dict parameter bundle to one picklable
 result.  The functions live at module top level (and take only picklable
 arguments) so :class:`concurrent.futures.ProcessPoolExecutor` can ship
-them to workers under any start method; heavy experiment imports are
-deferred into the function bodies, which both keeps ``python -m repro
-list`` instant and breaks the import cycle with the experiment drivers
-that call the runner.
+them to workers under any start method.  This module is the only place
+the runner names experiment code, and it does so inside the function
+bodies: :mod:`repro.experiments` imports :mod:`repro.runner` at top
+level, never the other way round, and importing the runner does not
+pull in the simulator.
 
 Determinism contract: a cell derives *everything* — trace, deployment,
 RNG streams — from its own parameter bundle, so running it in a worker
@@ -233,7 +234,7 @@ def availability_cell(params: Dict[str, Any]) -> Dict[float, Any]:
         matching_failure_trace,
         run_availability_replay,
     )
-    from repro.experiments.availability_runs import harsh_failure_config
+    from repro.experiments.availability import harsh_failure_config
     from repro.experiments.workload_cache import harvard_trace
 
     trace = harvard_trace(

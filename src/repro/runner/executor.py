@@ -28,6 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.report import emit_metrics_report, metrics_out_dir, snapshot_run
 from repro.runner.cache import RunCache
 from repro.runner.cells import execute_cell
 
@@ -198,8 +200,6 @@ def _merge_results(registry: Any, results: Sequence[Any]) -> None:
     additive in cell order, so the totals are the same whatever ``jobs``
     was.
     """
-    from repro.obs.metrics import Histogram
-
     histograms: Dict[str, Any] = {}
     totals: Dict[str, int] = {}
     occupancy: Optional[float] = None
@@ -286,11 +286,7 @@ def _emit_stats_report(
     """Write one ``<metrics_name>.json`` runner report (when emission is on)."""
     if not metrics_name:
         return None
-    from repro.experiments import common
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.report import snapshot_run
-
-    directory = common.metrics_out_dir(metrics_dir)
+    directory = metrics_out_dir(metrics_dir)
     if not directory:
         return None
     registry = MetricsRegistry()
@@ -312,4 +308,4 @@ def _emit_stats_report(
         params["traces"] = traces
     if health:
         params["health"] = health
-    return common.emit_metrics_report(metrics_name, [entry], params, directory)
+    return emit_metrics_report(metrics_name, [entry], params, directory)

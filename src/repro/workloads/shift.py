@@ -9,7 +9,7 @@ stream with a single phase boundary:
 ``hotspot``
     A flash crowd: the pre-phase Zipf working set keeps a background
     share of traffic while most post-phase requests pile onto the
-    (previously cold) post key population — the `ext_hotspot` regime.
+    (previously cold) post key population — the ``hotspot`` extension's regime.
 ``migrate``
     Task-set migration: the client population switches wholesale from
     the pre key set to a disjoint post set (a batch job finishing and

@@ -2,6 +2,7 @@
 
 
 from repro.__main__ import main
+from repro.experiments.figures import Figure, Table
 
 
 class TestCli:
@@ -28,3 +29,21 @@ class TestCli:
         assert main(["table1", "hotspot"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out and "hot spot" in out.lower()
+
+    def test_all_combines_and_duplicates_run_once(self, capsys, monkeypatch):
+        ran = []
+
+        def stub(name, in_all=True):
+            table = Table(f"table of {name}", ("x",), lambda: ran.append(name) or [{"x": 1}])
+            return Figure(name, name.upper(), "stub", table, in_all=in_all)
+
+        monkeypatch.setattr(
+            "repro.__main__.FIGURES",
+            {"a": stub("a"), "b": stub("b"), "slow": stub("slow", in_all=False)},
+        )
+        assert main(["b", "all", "list", "b"]) == 0
+        assert ran == ["b", "a"]  # `all` leaves out `slow`; nothing runs twice
+        out = capsys.readouterr().out
+        assert out.index("table of b") < out.index("table of a") < out.index("available")
+        assert main(["all", "fig99"]) == 2
+        assert "unknown experiment(s): fig99" in capsys.readouterr().err

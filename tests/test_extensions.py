@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.experiments.ext_erasure import format_erasure, run_erasure_extension
-from repro.experiments.ext_hotspot import format_hotspot, run_hotspot_extension
-from repro.experiments.ext_hybrid import format_hybrid, run_hybrid_extension
+from repro.experiments.extensions import (
+    run_erasure_extension,
+    run_hotspot_extension,
+    run_hybrid_extension,
+)
+from repro.experiments.figures import FIGURES
 
 
 class TestHybridDriver:
@@ -33,7 +36,7 @@ class TestHybridDriver:
         assert by["hybrid"]["bulk_read_fanout"] > by["locality"]["bulk_read_fanout"]
 
     def test_format(self, rows):
-        assert "hybrid" in format_hybrid(rows)
+        assert "hybrid" in FIGURES["hybrid"].render([rows])
 
 
 class TestHotspotDriver:
@@ -56,7 +59,7 @@ class TestHotspotDriver:
         assert 0.0 < cached["cache_hit_fraction"] <= 1.0
 
     def test_format(self, rows):
-        assert "hot spot" in format_hotspot(rows).lower()
+        assert "hot spot" in FIGURES["hotspot"].render([rows]).lower()
 
 
 class TestErasureDriver:
@@ -82,4 +85,4 @@ class TestErasureDriver:
             assert by[("d2", scheme)] <= by[("traditional", scheme)] + 1e-9
 
     def test_format(self, rows):
-        assert "erasure" in format_erasure(rows).lower()
+        assert "erasure" in FIGURES["erasure"].render([rows]).lower()

@@ -254,11 +254,11 @@ class TestSystemWiring:
 class TestExperimentEmission:
     def test_fig13_emits_valid_report(self, tmp_path):
         from repro.experiments.common import clear_cache
-        from repro.experiments.fig13_cache_miss import run_fig13
+        from repro.experiments.figures import FIGURES
 
         clear_cache()
         try:
-            rows = run_fig13(
+            (rows,) = FIGURES["fig13"].rows(
                 metrics_dir=str(tmp_path),
                 users=2,
                 days=0.25,

@@ -12,8 +12,9 @@ import pytest
 
 from repro.experiments import common
 from repro.experiments.churn_storm import STORM_LEVELS
+from repro.experiments.performance import emit_performance_metrics, performance_matrix
 from repro.obs.__main__ import main as obs_main
-from repro.experiments.perf_runs import emit_performance_metrics, performance_matrix
+from repro.obs.report import METRICS_DIR_ENV
 from repro.runner import (
     CACHE_ENV,
     JOBS_ENV,
@@ -359,7 +360,7 @@ class TestHealthExport:
         self, tmp_path, monkeypatch
     ):
         metrics_dir = tmp_path / "metrics"
-        monkeypatch.setenv(common.METRICS_DIR_ENV, str(metrics_dir))
+        monkeypatch.setenv(METRICS_DIR_ENV, str(metrics_dir))
         cells = [
             {"level": "calm", "fired": 1},
             {"level": "storm", "fired": 2},
