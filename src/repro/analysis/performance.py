@@ -29,7 +29,7 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.config import D2Config
 from repro.core.lookup_cache import LookupCache
@@ -136,7 +136,7 @@ class _Client:
         self.user = user
         self.node = node
         self.lookup_cache = lookup_cache
-        self.buffer_cache: Dict[str, Tuple[float, int]] = {}  # ident -> (time, key)
+        self.buffer_cache: Dict[Hashable, Tuple[float, int]] = {}  # ident -> (time, key)
 
 
 class PerformanceHarness:
@@ -187,7 +187,7 @@ class PerformanceHarness:
     # ------------------------------------------------------------------
     # warm-up (untimed) path
 
-    def warm_access(self, user: str, key: int, ident: str, now: float) -> None:
+    def warm_access(self, user: str, key: int, ident: Hashable, now: float) -> None:
         """Touch caches as a pre-window access would, without timing."""
         client = self.client_for(user)
         cached = client.buffer_cache.get(ident)
@@ -203,7 +203,9 @@ class PerformanceHarness:
     # ------------------------------------------------------------------
     # timed path
 
-    def fetch_latency(self, user: str, key: int, nbytes: int, ident: str, now: float) -> float:
+    def fetch_latency(
+        self, user: str, key: int, nbytes: int, ident: Hashable, now: float
+    ) -> float:
         """Latency of one block fetch issued by *user* at absolute time *now*.
 
         Returns 0.0 when the client's buffer cache absorbs the access.
@@ -369,17 +371,21 @@ def run_performance(
         index = group_of.get(id(record))
         timed = index is not None and in_window[index]
         user = record.user
+        # A fetch's buffer-cache identity is (key, position in the read).
+        # Keys alone are not enough: under traditional-file every block of a
+        # file shares the file's key, yet each block is still a distinct
+        # 8 KB unit the client must download once.
         if not timed:
-            for (key, nbytes), ident in zip(outcome.fetches, _idents(outcome)):
-                harness.warm_access(user, key, ident, record.time)
+            for position, (key, nbytes) in enumerate(outcome.fetches):
+                harness.warm_access(user, key, (key, position), record.time)
             continue
-        for (key, nbytes), ident in zip(outcome.fetches, _idents(outcome)):
+        for position, (key, nbytes) in enumerate(outcome.fetches):
             # In seq mode each fetch issues only after the previous one
             # finished, so its wall-clock start is staggered by the group's
             # elapsed latency; in para mode fetches issue together and
             # genuinely contend for server uplinks.
             issue = record.time + (group_elapsed[index] if mode == SEQ else 0.0)
-            fetch_latency = harness.fetch_latency(user, key, nbytes, ident, issue)
+            fetch_latency = harness.fetch_latency(user, key, nbytes, (key, position), issue)
             if fetch_latency > 0.0:
                 group_finishes[index].append(fetch_latency)
                 group_elapsed[index] += fetch_latency
@@ -418,16 +424,6 @@ def run_performance(
         metrics=deployment.observability_snapshot(),
         trace=deployment.spans.to_dicts() if deployment.spans else None,
     )
-
-
-def _idents(outcome) -> List[str]:
-    """Stable per-fetch identities for buffer caching.
-
-    Keys alone are not enough: under traditional-file every block of a file
-    shares the file's key, yet each block is still a distinct 8 KB unit the
-    client must download once — so the block's position disambiguates.
-    """
-    return [f"k{key:x}#{i}" for i, (key, _) in enumerate(outcome.fetches)]
 
 
 def _group_completion(latencies: List[float], mode: str, config: D2Config) -> float:

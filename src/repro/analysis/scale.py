@@ -15,13 +15,14 @@ Two cell shapes:
   reference implementation (:func:`~repro.dht.routing.route_cold`) on a
   subset, yielding the recorded speedup.
 * **read** — a full :class:`~repro.core.system.Deployment` with a
-  replicated initial image; a lazily cloned read stream
+  replicated initial image; a read stream cloned in shared blocks
   (:func:`~repro.workloads.scale.scaled_read_stream`) is replayed in
   fixed windows.  A window repeats few distinct requests many times, so
-  it is counted once and costs one pass over its ops plus one
-  :meth:`Deployment.read_fetches_many` plan and one ``route_many`` route
-  per *distinct* request, folded by multiplicity.  Per-window metrics rows
-  and finished spans go to JSONL writers, so peak RSS is flat in run length.
+  it is counted once and costs one C-level pass over its ops plus one
+  ``route_many`` route per *distinct* request, folded by multiplicity; a
+  request is planned (:meth:`Deployment.read_fetches_many`) once a run,
+  in the first window that holds it.  Per-window metrics rows and
+  finished spans go to JSONL writers, so peak RSS is flat in run length.
 
 Determinism contract: every field of
 :meth:`ScaleCellResult.deterministic_row` is a pure function of the cell
@@ -49,7 +50,7 @@ from repro.dht.ring import Ring
 from repro.dht.routing import LookupResult, finger_table_for, route_cold, route_many
 from repro.fs.namespace import NamespaceError
 from repro.obs.stream import NullJsonlWriter, stream_spans
-from repro.workloads.scale import ReadRequest, scaled_read_stream
+from repro.workloads.scale import ReadRequest, Request, scaled_read_stream
 from repro.workloads.trace import READ, Trace
 
 
@@ -260,15 +261,24 @@ def run_scale_read(
     contains.  The base users are cloned up to at least *users* distinct
     principals, each replaying *ops_per_user* reads.  Work proceeds in
     fixed *window*-sized batches.  A window's ``(path, offset, length)``
-    requests are counted once; only the distinct ones are resolved with
-    :meth:`Deployment.read_fetches_many` and only their first block keys
-    routed with :func:`route_many` from a window-seeded source node.  A
-    request seen *n* times adds *n* times its hops, messages and fetches,
-    and the checksum takes every op's owner in op order — the row of a
-    per-op replay (``fold_reads_per_op`` in ``tests/oracles.py``).  Each window
-    streams one metrics row to *metrics_writer* and any finished spans
-    to *span_writer*, and advances simulated time by one second — the
-    per-window ticks are pre-scheduled in one
+    requests are counted once; the distinct ones not met in an earlier
+    window are resolved with :meth:`Deployment.read_fetches_many`, and the
+    inode keys of all the distinct ones routed with :func:`route_many` from
+    a window-seeded source node.  A request seen *n* times adds *n* times
+    its hops, messages and fetches, and the checksum takes every op's owner
+    in op order — the row of a per-op replay (``fold_reads_per_op`` in
+    ``tests/oracles.py``).
+
+    A plan, ``request -> (inode key, fetch count)``, outlives its window
+    because the replay only reads: between windows nothing fires but the
+    ticks and the health samples, and neither touches the namespace.  The
+    plans are still tied to ``deployment.fs.root_version``, which every
+    flush bumps — if a scheduled callback did write, they are dropped and
+    made again.  Routes are not kept: the source node is drawn per window.
+
+    Each window streams one metrics row to *metrics_writer* and any
+    finished spans to *span_writer*, and advances simulated time by one
+    second — the per-window ticks are pre-scheduled in one
     :meth:`Simulator.schedule_batch` call and sample the RSS curve.
 
     When the deployment carries a health monitor
@@ -320,22 +330,29 @@ def run_scale_read(
     digest = hashlib.sha256()
     ops = hops = messages = fetches = 0
     spans_streamed = 0
+    plans: Dict[Request, Tuple[int, int]] = {}  # request -> (inode key, fetch count)
+    planned_at = deployment.fs.root_version
     base_time = deployment.sim.now
     started = time.perf_counter()
     for index in range(n_windows):
-        chunk = islice(stream, window)
-        requests = [(path, offset, length) for _user, path, offset, length in chunk]
+        requests = list(islice(stream, window))
         counts = Counter(requests)  # distinct requests, first seen first
-        fetch_lists = deployment.read_fetches_many(list(counts))
+        if deployment.fs.root_version != planned_at:  # a flush since: re-plan
+            plans.clear()
+            planned_at = deployment.fs.root_version
+        unplanned = [request for request in counts if request not in plans]
+        if unplanned:  # every fetch list starts with the file's inode block
+            fetch_lists = deployment.read_fetches_many(unplanned)
+            plans.update(zip(unplanned, [(fetch[0][0], len(fetch)) for fetch in fetch_lists]))
+        inode_keys, fetch_counts = zip(*map(plans.__getitem__, counts))
         source = names[source_rng.randrange(len(names))]
-        # Every fetch list starts with the file's inode block.
-        results = route_many(ring, source, [fetch[0][0] for fetch in fetch_lists])
+        results = route_many(ring, source, inode_keys)
         owner_of = dict(zip(counts, [result.owner for result in results]))
         owners = map(owner_of.__getitem__, requests)
         hops += _fold_routes(digest, results, counts.values(), owners)
         ops += len(requests)
         messages = hops + ops  # one response per lookup
-        fetches += sum(map(mul, counts.values(), map(len, fetch_lists)))
+        fetches += sum(map(mul, counts.values(), fetch_counts))
         deployment.advance_to(base_time + float(index + 1))
         spans_streamed += stream_spans(deployment.spans, span_writer)
         if deployment.health is not None:

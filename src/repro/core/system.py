@@ -330,7 +330,10 @@ class Deployment:
         triple is resolved, sized and keyed once per call; repeats get
         their own list over the same immutable ``(key, nbytes)`` pairs.
         Nothing is kept between calls — the namespace cannot change
-        inside one, so there is nothing to invalidate.
+        inside one, so there is nothing to invalidate.  A caller that
+        keeps an answer across calls must know nothing flushed in between
+        (``fs.root_version`` unchanged), as the read-only replay of
+        :func:`repro.analysis.scale.run_scale_read` does.
         """
         resolve = self.fs.namespace.resolve_file
         fetches_for = self.fs.read_fetches

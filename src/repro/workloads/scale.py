@@ -10,17 +10,24 @@ This helper does exactly that: the initial image (directories and files)
 is cloned under ``/replicaN`` prefixes so the stored-data volume grows
 with the node count, while the access stream is left untouched — keeping
 per-node storage constant across system sizes, which is what makes the
-paper's cross-size comparisons meaningful.
+paper's cross-size comparisons meaningful.  The scale harness goes one
+step further and replays those same patterns for many cloned populations
+(:func:`scaled_read_stream`): a clone is a block of shared request tuples,
+not a renamed copy of each record, so the stream costs what is distinct in it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain, cycle, islice
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.workloads.trace import Trace
 
-#: One read request: (user, path, offset, length).
+#: One template read: (user, path, offset, length).
 ReadRequest = Tuple[str, str, int, int]
+#: One op of the cloned stream: (path, offset, length).
+Request = Tuple[str, int, int]
 
 
 def replicate_filesystem(trace: Trace, extra_copies: int) -> Trace:
@@ -70,7 +77,7 @@ def scaled_read_stream(
     clones: int,
     ops_per_clone: int,
     copies: int = 0,
-) -> Iterator[ReadRequest]:
+) -> Iterator[Request]:
     """Lazily multiply a base read template across *clones* user populations.
 
     The paper replays 83 distinct access patterns regardless of system
@@ -78,9 +85,16 @@ def scaled_read_stream(
     population: clone ``c`` replays ``ops_per_clone`` requests from the
     template (starting at a clone-dependent stride so clones do not all
     hammer the same files in the same order) against replica image
-    ``c % (copies + 1)``.  Users are renamed ``user~c`` so every clone is
-    a distinct principal, and nothing is materialized — the stream is a
-    generator, so peak memory is independent of ``clones``.
+    ``c % (copies + 1)``.  One ``(path, offset, length)`` item per op, in
+    clone order; who reads is dropped, since the replay plans and routes by
+    request alone.
+
+    A clone's requests depend only on ``(c % (copies + 1), c % len(reads))``,
+    so they are one memoised block, sliced on first use from one shared
+    tuple per (replica image, template read) and chained at C level.  The
+    arguments are checked here, not at the first ``next()``, and the memo —
+    this call's own — holds at most ``(copies + 1) * len(reads)`` blocks
+    whatever *clones* is.
     """
     if clones <= 0:
         raise ValueError(f"clones must be positive, got {clones}")
@@ -89,17 +103,20 @@ def scaled_read_stream(
     if copies < 0:
         raise ValueError(f"copies must be non-negative, got {copies}")
     n = len(reads)
-    if n == 0:
-        return
     per_clone = min(ops_per_clone, n)
-    for clone in range(clones):
-        replica = clone % (copies + 1)
-        start = clone % n
-        for step in range(per_clone):
-            user, path, offset, length = reads[(start + step) % n]
-            yield (
-                user if clone == 0 else f"{user}~{clone}",
-                replica_path(path, replica),
-                offset,
-                length,
-            )
+
+    @lru_cache(maxsize=None)
+    def image(replica: int) -> List[Request]:
+        # The template twice over: a block that wraps is one slice.
+        return 2 * [
+            (replica_path(path, replica), offset, length)
+            for _user, path, offset, length in reads
+        ]
+
+    @lru_cache(maxsize=None)
+    def block(replica: int, start: int) -> Tuple[Request, ...]:
+        return tuple(image(replica)[start:start + per_clone])
+
+    # Clone c is block(c % (copies + 1), c % n); an empty template has none.
+    replicas, starts = cycle(range(copies + 1)), islice(cycle(range(n)), clones)
+    return chain.from_iterable(map(block, replicas, starts))

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, List, Sequence
 
 SCENARIOS = ("hotspot", "migrate", "churn")
@@ -83,22 +84,23 @@ def shift_stream(
     if scenario in ("hotspot", "migrate") and not post_keys:
         raise ValueError(f"scenario {scenario!r} needs post keys")
     rng = random.Random(seed)
+    # Accumulated once: ``choices(weights=...)`` re-accumulates on every draw.
     pre_ranks = range(len(pre_keys))
-    pre_weights = zipf_weights(len(pre_keys), zipf_s)
-    post_ranks = range(len(post_keys)) if post_keys else range(0)
-    post_weights = zipf_weights(len(post_keys), zipf_s) if post_keys else []
+    pre_cum = list(accumulate(zipf_weights(len(pre_keys), zipf_s)))
+    post_ranks = range(len(post_keys))
+    post_cum = list(accumulate(zipf_weights(len(post_keys), zipf_s)))
     now = 0.0
     for index in range(pre_ops + post_ops):
         now += rng.expovariate(rate)
         client = clients[rng.randrange(len(clients))]
         phase = "pre" if index < pre_ops else "post"
         if phase == "pre" or scenario == "churn":
-            key = pre_keys[rng.choices(pre_ranks, weights=pre_weights, k=1)[0]]
+            key = pre_keys[rng.choices(pre_ranks, cum_weights=pre_cum, k=1)[0]]
         elif scenario == "migrate":
-            key = post_keys[rng.choices(post_ranks, weights=post_weights, k=1)[0]]
+            key = post_keys[rng.choices(post_ranks, cum_weights=post_cum, k=1)[0]]
         else:  # hotspot: flash crowd on the new keys, background on the old
             if rng.random() < flash_fraction:
-                key = post_keys[rng.choices(post_ranks, weights=post_weights, k=1)[0]]
+                key = post_keys[rng.choices(post_ranks, cum_weights=post_cum, k=1)[0]]
             else:
-                key = pre_keys[rng.choices(pre_ranks, weights=pre_weights, k=1)[0]]
+                key = pre_keys[rng.choices(pre_ranks, cum_weights=pre_cum, k=1)[0]]
         yield ShiftRequest(now=now, client=client, key=key, phase=phase)

@@ -1,10 +1,11 @@
 """Reference models: the code the ordered indexes of PR 16, the flush entry
-of PR 17 and the per-distinct read fold of PR 21 replaced.
+of PR 17, the per-distinct read fold of PR 21 and the block-cloned read
+stream and once-accumulated Zipf weights of PR 23 replaced.
 
 Kept in the test tree so that ``src/`` has one ``_index()``, one ``_find()``,
-one write/remove body and one replay loop.  The model-based tests hold the
-code in ``src/`` to these answer for answer; the shape gates of
-``benchmarks/bench_micro_core.py`` time against them.
+one write/remove body, one read-stream builder and one replay loop.  The
+model-based tests hold the code in ``src/`` to these answer for answer; the
+shape gates of ``benchmarks/bench_micro_core.py`` time against them.
 """
 
 import hashlib
@@ -19,7 +20,8 @@ from repro.fs.namespace import NamespaceError
 from repro.obs.stream import NullJsonlWriter, stream_spans
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
 from repro.store.migration import StorageCoordinator
-from repro.workloads.scale import scaled_read_stream
+from repro.workloads.scale import replica_path
+from repro.workloads.shift import FLASH_FRACTION, ShiftRequest, zipf_weights
 from repro.workloads.trace import READ
 
 
@@ -230,6 +232,33 @@ def apply_ops_per_key(store, ops):
     return counters
 
 
+def read_stream_per_op(reads, *, clones, ops_per_clone, copies=0):
+    """``workloads.scale.scaled_read_stream`` as it was: a generator that
+    renames the user and formats the replica path of every op of every
+    clone, and checks its arguments at the first ``next()``."""
+    if clones <= 0:
+        raise ValueError(f"clones must be positive, got {clones}")
+    if ops_per_clone <= 0:
+        raise ValueError(f"ops_per_clone must be positive, got {ops_per_clone}")
+    if copies < 0:
+        raise ValueError(f"copies must be non-negative, got {copies}")
+    n = len(reads)
+    if n == 0:
+        return
+    per_clone = min(ops_per_clone, n)
+    for clone in range(clones):
+        replica = clone % (copies + 1)
+        start = clone % n
+        for step in range(per_clone):
+            user, path, offset, length = reads[(start + step) % n]
+            yield (
+                user if clone == 0 else f"{user}~{clone}",
+                replica_path(path, replica),
+                offset,
+                length,
+            )
+
+
 def fold_reads_per_op(deployment, trace, *, copies, users, ops_per_user, window, seed=11):
     """``analysis.scale.run_scale_read`` as it was, one op at a time: every
     read of every window is planned, routed from the window's source and
@@ -247,7 +276,7 @@ def fold_reads_per_op(deployment, trace, *, copies, users, ops_per_user, window,
         template.append((record.user, record.path, record.offset, record.length))
     base_users = max(1, len(trace.users()))
     clones = -(-users // base_users)
-    stream = list(scaled_read_stream(
+    stream = list(read_stream_per_op(
         template, clones=clones, ops_per_clone=min(ops_per_user, len(template)), copies=copies,
     )) if template else []
     windows = [stream[lo:lo + window] for lo in range(0, len(stream), window)]
@@ -285,3 +314,27 @@ def fold_reads_per_op(deployment, trace, *, copies, users, ops_per_user, window,
         "streamed_rows": len(windows), "streamed_spans": span_rows.rows,
         "streamed_health": health_rows.rows,
     }
+
+
+def shift_stream_reweighing(scenario, pre_keys, post_keys, clients, *, pre_ops, post_ops,
+                            zipf_s=1.2, rate=10.0, flash_fraction=FLASH_FRACTION, seed=0):
+    """``workloads.shift.shift_stream`` as it was: every draw hands
+    ``rng.choices`` the ``weights=``, which it accumulates afresh."""
+    rng = Random(seed)
+    pre_ranks, post_ranks = range(len(pre_keys)), range(len(post_keys))
+    pre_weights = zipf_weights(len(pre_keys), zipf_s)
+    post_weights = zipf_weights(len(post_keys), zipf_s)
+    now = 0.0
+    for index in range(pre_ops + post_ops):
+        now += rng.expovariate(rate)
+        client = clients[rng.randrange(len(clients))]
+        phase = "pre" if index < pre_ops else "post"
+        if phase == "pre" or scenario == "churn":
+            key = pre_keys[rng.choices(pre_ranks, weights=pre_weights, k=1)[0]]
+        elif scenario == "migrate":
+            key = post_keys[rng.choices(post_ranks, weights=post_weights, k=1)[0]]
+        elif rng.random() < flash_fraction:  # hotspot
+            key = post_keys[rng.choices(post_ranks, weights=post_weights, k=1)[0]]
+        else:
+            key = pre_keys[rng.choices(pre_ranks, weights=pre_weights, k=1)[0]]
+        yield ShiftRequest(now=now, client=client, key=key, phase=phase)

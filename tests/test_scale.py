@@ -1,5 +1,8 @@
 """Tests for workload scaling: replication, read streams, scale harness."""
 
+import tracemalloc
+from itertools import islice
+
 import pytest
 
 from repro.workloads.scale import (
@@ -114,23 +117,23 @@ class TestScaledReadStream:
         ("bob", "/b", 5, 20),
         ("carol", "/c", 0, 30),
     ]
+    REQUESTS = [("/a", 0, 10), ("/b", 5, 20), ("/c", 0, 30)]
 
     def test_clone_zero_is_verbatim(self):
         out = list(scaled_read_stream(self.TEMPLATE, clones=1, ops_per_clone=3))
-        assert out == self.TEMPLATE
+        assert out == self.REQUESTS  # the template's requests, users dropped
 
-    def test_clones_renamed_and_strided(self):
+    def test_clones_strided(self):
         out = list(scaled_read_stream(self.TEMPLATE, clones=2, ops_per_clone=3))
-        assert out[:3] == self.TEMPLATE
-        # clone 1 starts one record later and is a distinct principal
-        assert out[3] == ("bob~1", "/b", 5, 20)
-        assert {u for u, *_ in out[3:]} == {"bob~1", "carol~1", "alice~1"}
+        assert out[:3] == self.REQUESTS
+        # clone 1 starts one record later and wraps round the template
+        assert out[3:] == self.REQUESTS[1:] + self.REQUESTS[:1]
 
     def test_replica_round_robin(self):
         out = list(
             scaled_read_stream(self.TEMPLATE, clones=3, ops_per_clone=1, copies=1)
         )
-        assert [path for _, path, _, _ in out] == ["/a", "/replica1/b", "/c"]
+        assert [path for path, _, _ in out] == ["/a", "/replica1/b", "/c"]
 
     def test_replica_path_helper(self):
         assert replica_path("/x/y", 0) == "/x/y"
@@ -142,17 +145,54 @@ class TestScaledReadStream:
 
     def test_lazy_and_empty(self):
         assert list(scaled_read_stream([], clones=5, ops_per_clone=3)) == []
-        stream = scaled_read_stream(self.TEMPLATE, clones=10**9, ops_per_clone=3)
-        assert next(stream)[0] == "alice"  # generator: no materialization
+        tracemalloc.start()
+        try:
+            stream = scaled_read_stream(self.TEMPLATE, clones=10**9, ops_per_clone=3)
+            assert next(stream) == ("/a", 0, 10)  # returned at once: no materialization
+            taken = list(islice(stream, 30_000))
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 30 000 ops are the same three tuples: the list's pointers and a
+        # memo of three blocks, nothing per clone.
+        assert len(set(map(id, taken))) == 3
+        assert held < 30_000 * 8 + 16_384
+
+    def test_equal_requests_share_one_tuple(self):
+        """One ``(path, offset, length)`` per (replica image, template read)
+        and at most ``(copies + 1) * len(reads)`` blocks, whatever *clones*."""
+        out = list(scaled_read_stream(self.TEMPLATE, clones=500, ops_per_clone=2, copies=1))
+        assert len(out) == 1000
+        assert len(set(map(id, out))) == len(set(out)) == 2 * 3
 
     def test_invalid_args(self):
+        """Refused at the call, not at the first ``next()``."""
         for kwargs in (
             {"clones": 0, "ops_per_clone": 1},
             {"clones": 1, "ops_per_clone": 0},
             {"clones": 1, "ops_per_clone": 1, "copies": -1},
         ):
             with pytest.raises(ValueError):
-                list(scaled_read_stream(self.TEMPLATE, **kwargs))
+                scaled_read_stream(self.TEMPLATE, **kwargs)  # not iterated
+            with pytest.raises(ValueError):
+                scaled_read_stream([], **kwargs)
+
+    @pytest.mark.parametrize("size", [1, 3, 12])
+    def test_equals_the_per_op_generator(self, size):
+        """Item for item (minus the user) the generator it replaced, whole
+        and cut into windows that split a clone's block in two."""
+        from tests.oracles import read_stream_per_op
+
+        reads = [(f"u{i % 4}", f"/d{i % 3}/f{i}", 100 * i, 10 + i) for i in range(size)]
+        for clones in (1, 2, 7, 50):
+            for copies in (0, 1, 3):
+                for ops_per_clone in (1, 3, 99):  # 99 > every template size
+                    kwargs = dict(clones=clones, ops_per_clone=ops_per_clone, copies=copies)
+                    expected = [item[1:] for item in read_stream_per_op(reads, **kwargs)]
+                    assert list(scaled_read_stream(reads, **kwargs)) == expected, kwargs
+                    stream = scaled_read_stream(reads, **kwargs)
+                    windows = iter(lambda: list(islice(stream, 5)), [])
+                    assert [r for window in windows for r in window] == expected, kwargs
 
 
 class TestScaleHarness:
@@ -280,9 +320,10 @@ def _read(time, user, path, offset=0, length=0):
 
 
 class TestReadFoldAgainstPerOpOracle:
-    """``run_scale_read`` counts a window and plans, routes and folds each
-    distinct request once; the per-op replay it replaced lives on as
-    ``tests.oracles.fold_reads_per_op`` and must report the same row."""
+    """``run_scale_read`` counts a window, routes and folds each distinct
+    request once and plans it once a run; the per-op replay it replaced
+    (over the per-op stream) lives on as ``tests.oracles.fold_reads_per_op``
+    and must report the same row."""
 
     #: 3 base users, 12 resolving reads over 9 distinct requests (repeats by
     #: the same and by other users), a missing path, a directory, a write.
@@ -367,6 +408,75 @@ class TestReadFoldAgainstPerOpOracle:
         assert differing == (
             {"hops", "messages"} if mutant == "forgets-multiplicity" else {"checksum"}
         )
+
+    @pytest.mark.parametrize("system, seed", [("d2", 1), ("d2", 11), ("traditional", 5)])
+    def test_plan_reused_across_windows_meets_a_new_source(self, monkeypatch, system, seed):
+        """15 clones of a 12-read template in windows of 7: every request
+        recurs in several windows, is planned in the first only, and is
+        routed there and later from differently drawn sources."""
+        from repro.analysis import scale
+        from repro.core.system import Deployment
+
+        planned, sources = [], []
+        plan, route_many = Deployment.read_fetches_many, scale.route_many
+
+        def counted_plan(self, requests):
+            planned.extend(requests)
+            return plan(self, requests)
+
+        def counted_route(ring, source, keys):
+            sources.append(source)
+            return route_many(ring, source, keys)
+
+        trace = _read_image(self.RECORDS)
+        kwargs = dict(copies=2, users=45, ops_per_user=12, window=7)
+        with monkeypatch.context() as patch:
+            patch.setattr(Deployment, "read_fetches_many", counted_plan)
+            patch.setattr(scale, "route_many", counted_route)
+            folded = scale.run_scale_read(
+                _loaded(trace, seed, system), trace, seed=seed, **kwargs
+            ).deterministic_row()
+        _, per_op = self.both(trace, seed, system, **kwargs)
+        assert folded == per_op
+        assert folded["ops"] == 180 and len(sources) == folded["windows"] == 26
+        assert len(set(sources)) > 1
+        # 9 distinct requests on each of 3 images, each planned once a run.
+        assert len(planned) == len(set(planned)) == 27
+
+    @pytest.mark.parametrize("system", ["d2", "traditional"])
+    @pytest.mark.parametrize("hidden", [False, True], ids=["write", "mutant-unseen-write"])
+    def test_write_between_windows_replans(self, system, hidden):
+        """A callback grows a file between windows 1 and 2.  The flush moved
+        ``fs.root_version``, so the plans are dropped and the row is still
+        the per-op replay's; the seeded mutant puts the version back — the
+        reuse a replay that did not look would make — and the row is wrong."""
+        from repro.analysis.scale import run_scale_read
+        from tests.oracles import fold_reads_per_op
+
+        trace = _read_image(self.RECORDS, copies=0)
+        kwargs = dict(copies=0, users=45, ops_per_user=12, window=60, seed=5)
+
+        def loaded(hide):
+            deployment = _loaded(trace, 5, system)
+            fs = deployment.fs
+
+            def grow():
+                version = fs.root_version
+                deployment.apply_fs_ops(fs.write("/shared/big", 200000, 50000))
+                if hide:
+                    fs.root_version = version
+
+            deployment.sim.schedule(1.5, grow)
+            return deployment
+
+        folded = run_scale_read(loaded(hidden), trace, **kwargs).deterministic_row()
+        per_op = fold_reads_per_op(loaded(False), trace, **kwargs)
+        assert per_op["windows"] == 3
+        differing = {name for name in per_op if folded[name] != per_op[name]}
+        if hidden:
+            assert "fetches" in differing
+        else:
+            assert not differing
 
     def test_edge_inputs_fail_before_anything_is_scheduled(self):
         from repro.analysis.scale import run_scale_read

@@ -4,6 +4,7 @@ import pytest
 
 from repro.workloads.harvard import HarvardConfig, generate_harvard
 from repro.workloads.hp import HPConfig, block_name, generate_hp
+from repro.workloads.shift import SCENARIOS, shift_stream
 from repro.workloads.trace import CREATE, DELETE, READ, RENAME, WRITE
 from repro.workloads.web import WebConfig, WebUniverse, generate_web, reversed_domain
 import random
@@ -173,3 +174,25 @@ class TestWeb:
         u1 = WebUniverse(config, rng=random.Random(3))
         u2 = WebUniverse(config, rng=random.Random(3))
         assert [o.url for o in u1.all_objects()] == [o.url for o in u2.all_objects()]
+
+
+class TestShiftStream:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_draws_equal_the_weights_form(self, scenario):
+        """Zipf weights accumulated once draw what ``choices(weights=...)``
+        drew: same floats, same bisect, same requests across the shift."""
+        from tests.oracles import shift_stream_reweighing
+
+        pre, post = list(range(1000, 1320)), list(range(5000, 5160))
+        clients = [f"c{index}" for index in range(12)]
+        for seed in (0, 11):
+            kwargs = dict(pre_ops=300, post_ops=300, seed=seed)
+            assert list(shift_stream(scenario, pre, post, clients, **kwargs)) == list(
+                shift_stream_reweighing(scenario, pre, post, clients, **kwargs)
+            )
+
+    def test_churn_needs_no_post_keys(self):
+        stream = list(shift_stream("churn", [1, 2, 3], [], ["c"], pre_ops=5, post_ops=5))
+        assert len(stream) == 10 and {r.key for r in stream} <= {1, 2, 3}
+        with pytest.raises(ValueError, match="needs post keys"):
+            next(shift_stream("migrate", [1], [], ["c"], pre_ops=1, post_ops=1))
