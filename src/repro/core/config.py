@@ -3,19 +3,21 @@
 Defaults follow the paper's experimental setup (Sections 5, 6, 8.1, 9.1):
 
 ==============================  =======================================
-block size                      8 KB
 replicas (r)                    3 (availability sims) / 4 (latency sims)
 balance threshold (t)           4
 probe interval                  10 minutes
 pointer stabilization time      1 hour
 lookup-cache TTL                1.25 hours
-write-back / buffer cache       30 seconds
 block removal grace             30 seconds
 migration bandwidth cap         750 kbps per node
 access-link bandwidth           1500 kbps (or 384 kbps, constrained case)
-client write rate               1500 kbps
 concurrent client transfers     15
 ==============================  =======================================
+
+The paper's 8 KB block is :data:`repro.fs.blocks.BLOCK_SIZE`.  Its 30 s
+client cache is only modelled on the read side, as the buffer cache of
+:class:`repro.analysis.performance.PerformanceHarness` (``buffer_ttl``);
+writes reach the store at once, with no write-back delay.
 """
 
 from __future__ import annotations
@@ -23,36 +25,28 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from repro.sim.engine import kbps
 
-BLOCK_SIZE = 8192
-
 
 @dataclass(frozen=True)
 class D2Config:
     """All tunables of a simulated deployment, paper defaults baked in."""
 
-    block_size: int = BLOCK_SIZE
     replica_count: int = 3
     balance_threshold: float = 4.0
     probe_interval: float = 600.0
     pointer_stabilization_time: float = 3600.0
     use_pointers: bool = True
     lookup_cache_ttl: float = 4500.0
-    writeback_delay: float = 30.0
     removal_delay: float = 30.0
     migration_bandwidth_bps: float = kbps(750)
     access_bandwidth_bps: float = kbps(1500)
-    client_write_bandwidth_bps: float = kbps(1500)
     max_concurrent_transfers: int = 15
     active_load_balancing: bool = True
-    rng_seed: int = 0
 
     def with_overrides(self, **kwargs) -> "D2Config":
         """A copy with selected fields replaced (configs are immutable)."""
         return replace(self, **kwargs)
 
     def validate(self) -> "D2Config":
-        if self.block_size <= 0:
-            raise ValueError("block_size must be positive")
         if self.replica_count < 1:
             raise ValueError("replica_count must be at least 1")
         if self.balance_threshold < 2:

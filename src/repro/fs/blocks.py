@@ -13,8 +13,8 @@ metadata path up to the root is re-written so readers always see an
 internally consistent volume.
 
 This reproduction never materializes payload bytes; blocks carry sizes and
-synthetic content hashes (sufficient for the integrity-chain invariants the
-tests check and for all traffic accounting).
+synthetic content hashes (sufficient for all traffic accounting; root
+signing itself is not simulated).
 """
 
 from __future__ import annotations

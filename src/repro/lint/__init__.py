@@ -3,20 +3,26 @@
 Two halves, one contract ("cells are bit-deterministic given their param
 bundle"):
 
-* the **AST linter** (``python -m repro.lint``): per-file rules DET001/
-  DET002/DET003/OBS001/OBS002/KEY001 over the source tree, with a
-  checked-in baseline and a JSON report mode — see
-  :mod:`repro.lint.rules` and ``docs/static-analysis.md``.
-* the **flow engine** (``--flow``): whole-program passes DET004 (taint),
-  PAR001/PUR001 (parallel/memo purity), CACHE001 (cache-key soundness)
-  — see :mod:`repro.lint.flow`.
+* the **linter** (``python -m repro.lint``): one pass runs the per-file
+  rules DET001/DET002/DET003/OBS001/OBS002/KEY001 (:mod:`repro.lint.rules`)
+  and the whole-program rules DET004 (taint), PAR001/PUR001
+  (parallel/memo purity) and CACHE001 (cache-key soundness)
+  (:mod:`repro.lint.flow`) over one parsed tree, then audits every
+  ``# lint: allow=`` comment — see :mod:`repro.lint.cli` and
+  ``docs/static-analysis.md``.
 * the **runtime sanitizer** (``$REPRO_DETSAN=1``): patches wall-clock and
   unseeded-entropy entry points to raise during simulations and tests —
   see :mod:`repro.lint.detsan`.
 """
 
-from repro.lint.baseline import Baseline, fingerprint
-from repro.lint.cli import EXIT_CLEAN, EXIT_TOOL_ERROR, EXIT_VIOLATIONS, main
+from repro.lint.cli import (
+    EXIT_CLEAN,
+    EXIT_TOOL_ERROR,
+    EXIT_VIOLATIONS,
+    RULE_IDS,
+    main,
+    run_lint,
+)
 from repro.lint.detsan import (
     DETSAN_ENV,
     DeterminismViolation,
@@ -24,30 +30,23 @@ from repro.lint.detsan import (
     enabled_from_env,
     maybe_sanitize,
 )
-from repro.lint.flow import FLOW_RULES, FLOW_RULES_BY_ID, run_flow
-from repro.lint.rules import ALL_RULES, RULES_BY_ID, Finding, run_rules
+from repro.lint.rules import Finding
 from repro.lint.walker import LintToolError, parse_module, parse_tree
 
 __all__ = [
-    "ALL_RULES",
-    "Baseline",
     "DETSAN_ENV",
     "DeterminismViolation",
     "EXIT_CLEAN",
     "EXIT_TOOL_ERROR",
     "EXIT_VIOLATIONS",
-    "FLOW_RULES",
-    "FLOW_RULES_BY_ID",
     "Finding",
     "LintToolError",
-    "RULES_BY_ID",
+    "RULE_IDS",
     "determinism_sanitizer",
     "enabled_from_env",
-    "fingerprint",
     "main",
     "maybe_sanitize",
     "parse_module",
     "parse_tree",
-    "run_flow",
-    "run_rules",
+    "run_lint",
 ]

@@ -11,25 +11,20 @@ function, and runs the three whole-program passes:
 * **CACHE001** — ambient-input soundness of the runner cache fingerprint
   (:mod:`repro.lint.flow.cachekey`).
 
-Findings honor the same ``# lint: allow=RULE`` suppressions and baseline
-as the per-file rules, and carry the enclosing symbol for line-number-
-independent baseline fingerprints.
+The passes share the per-file rules' :class:`~repro.lint.rules.LintContext`
+(set typing included), and their findings go through the same one
+``# lint: allow=RULE`` split in :func:`repro.lint.cli.run_lint`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Collection, Dict, List, Sequence
 
 from repro.lint.flow import cachekey, purity, taint
 from repro.lint.flow.callgraph import FunctionIndex
 from repro.lint.flow.summaries import build_summaries
-from repro.lint.rules import (
-    Finding,
-    LintContext,
-    annotate_symbols,
-    build_context,
-)
+from repro.lint.rules import Finding, LintContext
 from repro.lint.walker import ParsedModule
 
 
@@ -68,22 +63,12 @@ FLOW_RULES: Sequence[FlowRule] = (
 FLOW_RULES_BY_ID: Dict[str, FlowRule] = {rule.id: rule for rule in FLOW_RULES}
 
 
-def run_flow(modules: Sequence[ParsedModule],
-             context: Optional[LintContext] = None,
-             rule_ids: Optional[Set[str]] = None) -> List[Finding]:
-    """Run the whole-program passes over *modules*.
-
-    *rule_ids* restricts output to a subset of the flow rules (None means
-    all).  Findings are suppression-filtered, symbol-annotated, and sorted
-    exactly like :func:`repro.lint.rules.run_rules` output, so the CLI can
-    concatenate the two lists.
-    """
-    if context is None:
-        context = build_context(modules)
+def run_flow(modules: Sequence[ParsedModule], context: LintContext,
+             wanted: Collection[str]) -> List[Finding]:
+    """Every finding of the flow rules in *wanted* over *modules*, unsorted."""
     index = FunctionIndex(modules)
     summaries = build_summaries(index, context)
     findings: List[Finding] = []
-    wanted = rule_ids if rule_ids is not None else set(FLOW_RULES_BY_ID)
     if taint.RULE_ID in wanted:
         findings.extend(taint.analyze_taint(index, summaries, context))
     if purity.PAR_RULE_ID in wanted:
@@ -92,12 +77,4 @@ def run_flow(modules: Sequence[ParsedModule],
         findings.extend(purity.check_memo_purity(index, summaries))
     if cachekey.RULE_ID in wanted:
         findings.extend(cachekey.check_cache_keys(index, summaries))
-    by_path = {module.path: module for module in modules}
-    findings = [
-        finding for finding in findings
-        if not (finding.path in by_path
-                and by_path[finding.path].allowed(finding.rule, finding.line))
-    ]
-    findings = annotate_symbols(modules, findings)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

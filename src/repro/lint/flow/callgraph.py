@@ -24,7 +24,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.lint.walker import ParsedModule, imported_names
+from repro.lint.walker import ParsedModule, resolve_call_target
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -151,7 +151,6 @@ class FunctionIndex:
         #: module dotted name -> {local symbol -> qualname} for top-level defs
         self.module_symbols: Dict[str, Dict[str, str]] = {}
         self.methods_by_name: Dict[str, List[FunctionInfo]] = {}
-        self.imports: Dict[str, Dict[str, str]] = {}
         self.module_names = {m.module for m in modules}
         for module in modules:
             self._index_module(module)
@@ -161,8 +160,7 @@ class FunctionIndex:
     # construction
 
     def _index_module(self, module: ParsedModule) -> None:
-        imports = imported_names(module.tree)
-        self.imports[module.module] = imports
+        imports = module.imports
         symbols: Dict[str, str] = {}
         self.module_symbols[module.module] = symbols
 
@@ -227,7 +225,7 @@ class FunctionIndex:
 
     def resolve_class_name(self, name: str, module: ParsedModule) -> Optional[ClassInfo]:
         """The ClassInfo *name* refers to inside *module*, if any."""
-        imports = self.imports.get(module.module, {})
+        imports = module.imports
         head, _, _ = name.partition(".")
         dotted = name
         if head in imports:
@@ -321,7 +319,7 @@ class FunctionIndex:
     def _resolve_call_func(self, func: ast.expr, info: FunctionInfo,
                            local_types: Dict[str, str]) -> Optional[FunctionInfo]:
         module = info.module
-        imports = self.imports.get(module.module, {})
+        imports = module.imports
         symbols = self.module_symbols.get(module.module, {})
 
         if isinstance(func, ast.Name):
@@ -391,9 +389,7 @@ class FunctionIndex:
         The function's *own* decorators and argument defaults are excluded
         — those run at definition time, not when the function is called.
         """
-        from repro.lint.walker import resolve_call_target
-
-        imports = self.imports.get(info.module.module, {})
+        imports = info.module.imports
         local_types = self._local_types(info)
         calls: List[ResolvedCall] = []
         for stmt in info.node.body:

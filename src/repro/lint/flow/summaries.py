@@ -27,7 +27,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.flow.callgraph import FunctionIndex, FunctionInfo, ResolvedCall
-from repro.lint.rules import LintContext, UnseededRandomRule, WallClockRule
+from repro.lint.rules import (
+    LintContext,
+    UnseededRandomRule,
+    WallClockRule,
+    call_name,
+)
 from repro.lint.walker import resolve_call_target
 
 #: Direct nondeterminism sources by dotted origin: every DET001 wall-clock
@@ -136,13 +141,7 @@ def _is_mutable_container(value: ast.expr) -> bool:
     if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp,
                           ast.SetComp, ast.DictComp)):
         return True
-    if isinstance(value, ast.Call):
-        func = value.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else ""
-        )
-        return name in _CONTAINER_CTORS
-    return False
+    return isinstance(value, ast.Call) and call_name(value) in _CONTAINER_CTORS
 
 
 def resolve_env_key(expr: ast.expr, module_name: str,
@@ -214,7 +213,7 @@ def summarize_function(info: FunctionInfo, index: FunctionIndex,
                        context: LintContext,
                        mutable_table: Dict[str, Set[str]]) -> FunctionSummary:
     module = info.module
-    imports = index.imports.get(module.module, {})
+    imports = module.imports
     own_mutables = mutable_table.get(module.module, set())
     bound, declared = _locally_bound(info)
     summary = FunctionSummary(info=info, calls=index.calls_in(info))

@@ -1,7 +1,9 @@
 """DET004 — interprocedural nondeterminism taint.
 
 Sources: wall-clock reads, entropy, ``os.environ``, ``id()``, and
-iteration over unordered sets.  Taint propagates through assignments,
+iteration over unordered sets — whatever DET003's detector
+(:class:`repro.lint.rules.SetTyping`) calls set-typed, with the same
+order-free-consumer exemption.  Taint propagates through assignments,
 attributes, containers, f-strings, and *returns* of project functions
 (a whole-program fixpoint over per-function return-taint).  Sinks are
 the places results leave the process: JSONL/file writers, ``json.dump``,
@@ -33,7 +35,13 @@ from repro.lint.flow.summaries import (
     FunctionSummary,
     resolve_env_key,
 )
-from repro.lint.rules import Finding, LintContext
+from repro.lint.rules import (
+    SERIESISH,
+    Finding,
+    Iteration,
+    LintContext,
+    receiver_name,
+)
 
 RULE_ID = "DET004"
 HINT = ("derive the value from the parameter bundle or sim-time, or move it "
@@ -46,9 +54,6 @@ _SANITIZERS = frozenset({
     "len", "bool", "any", "all", "isinstance", "issubclass", "hasattr",
     "callable", "range", "type",
 })
-
-#: Receiver-name fragments whose ``.sample``/``.record`` is a series write.
-_SERIESISH = ("series", "bank", "timeseries", "health", "monitor")
 
 #: Metric update methods and the factory names that produce metric objects.
 _METRIC_METHODS = frozenset({"inc", "observe"})
@@ -71,23 +76,6 @@ class _TaintState:
         return True
 
 
-def _is_set_expr(expr: ast.expr) -> bool:
-    if isinstance(expr, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-        return expr.func.id in ("set", "frozenset")
-    return False
-
-
-def _receiver_name(func: ast.Attribute) -> str:
-    value = func.value
-    if isinstance(value, ast.Attribute):
-        return value.attr
-    if isinstance(value, ast.Name):
-        return value.id
-    return ""
-
-
 class _FunctionTaint:
     """Taint analysis of a single function body."""
 
@@ -99,7 +87,8 @@ class _FunctionTaint:
         self.index = index
         self.summaries = summaries
         self.context = context
-        self.imports = index.imports.get(self.info.module.module, {})
+        self.sets = context.set_typing(self.info.module)
+        self.imports = self.info.module.imports
         self.state = _TaintState(reasons={})
         #: call node -> resolved target/origin, from the summary pass.
         self.call_map: Dict[ast.Call, ResolvedCall] = {
@@ -183,6 +172,10 @@ class _FunctionTaint:
         changed = False
         returns: Optional[str] = None
 
+        def set_order(iteration: Iteration) -> Optional[str]:
+            what = self.sets.unordered_iteration(iteration)
+            return f"iteration over {what}" if what else None
+
         def note_target(target: ast.expr, reason: str) -> None:
             nonlocal changed
             if isinstance(target, (ast.Tuple, ast.List)):
@@ -215,12 +208,10 @@ class _FunctionTaint:
                            else [node.target])
                 for target in targets:
                     note_target(target, reason)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                reason = self.expr_taint(node.iter)
+            elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+                reason = self.expr_taint(node.iter) or set_order(node)
                 if reason:
                     note_target(node.target, reason)
-                elif _is_set_expr(node.iter):
-                    note_target(node.target, "unordered set iteration")
             elif isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
                     if item.optional_vars is None:
@@ -228,12 +219,6 @@ class _FunctionTaint:
                     reason = self.expr_taint(item.context_expr)
                     if reason:
                         note_target(item.optional_vars, reason)
-            elif isinstance(node, ast.comprehension):
-                reason = self.expr_taint(node.iter)
-                if reason:
-                    note_target(node.target, reason)
-                elif _is_set_expr(node.iter):
-                    note_target(node.target, "unordered set iteration")
             elif isinstance(node, ast.NamedExpr):
                 reason = self.expr_taint(node.value)
                 if reason:
@@ -299,14 +284,14 @@ class _FunctionTaint:
             if not isinstance(node.func, ast.Attribute):
                 continue
             attr = node.func.attr
-            receiver = _receiver_name(node.func).lower()
+            receiver = receiver_name(node.func).lower()
             arguments = list(node.args) + [kw.value for kw in node.keywords]
             if attr == "write" and arguments:
                 reason = self.expr_taint(arguments[0])
                 if reason:
                     sinks.append((node, reason, "a file/stream .write()"))
             elif attr in ("sample", "record") and arguments and any(
-                    tag in receiver for tag in _SERIESISH):
+                    tag in receiver for tag in SERIESISH):
                 for argument in arguments:
                     reason = self.expr_taint(argument)
                     if reason:

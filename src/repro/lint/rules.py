@@ -23,17 +23,18 @@ Rules resolve call targets through each module's import table and never
 flag what they cannot resolve: a missed violation is recoverable (add a
 pattern), a false positive teaches people to sprinkle suppressions.
 
-Suppression: ``# lint: allow=DET001`` on (or directly above) the line.
+Rules report every finding; a ``# lint: allow=DET001`` comment on (or
+directly above) the line is applied once per run, by
+:func:`repro.lint.cli.run_lint`, for the per-file and flow rules alike.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.lint.walker import ParsedModule, imported_names, resolve_call_target
+from repro.lint.walker import ParsedModule, resolve_call_target
 
 # ---------------------------------------------------------------------------
 # findings and shared context
@@ -49,21 +50,6 @@ class Finding:
     col: int
     message: str
     hint: str
-    #: Module-qualified enclosing def/class ("repro.dht.ring.Ring.lookup"),
-    #: or the bare module name for module-level findings.  Baseline v2
-    #: fingerprints hang off this, so moves/reformats don't churn them.
-    symbol: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "hint": self.hint,
-            "symbol": self.symbol,
-        }
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -84,15 +70,19 @@ class LintContext:
     module_constants: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: Names of functions annotated to return Set/FrozenSet/AbstractSet.
     set_returning: Set[str] = field(default_factory=set)
+    #: module path -> its :class:`SetTyping`, built on first use
+    _set_typing: Dict[str, "SetTyping"] = field(default_factory=dict)
+
+    def set_typing(self, module: ParsedModule) -> "SetTyping":
+        """The one set detector for *module*, shared by DET003 and DET004."""
+        if module.path not in self._set_typing:
+            self._set_typing[module.path] = SetTyping(module, self)
+        return self._set_typing[module.path]
 
 
 def _register_kind_literal(node: ast.Call) -> Optional[str]:
     """The literal kind of a ``register_kind("...")`` call, if any."""
-    func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else ""
-    )
-    if name != "register_kind" or not node.args:
+    if call_name(node) != "register_kind" or not node.args:
         return None
     arg = node.args[0]
     if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
@@ -154,6 +144,31 @@ def _parent_map(tree: ast.Module) -> Dict[ast.AST, ast.AST]:
     return parents
 
 
+def call_name(node: ast.Call) -> str:
+    """The bare name a call goes through: ``f`` for ``f()`` and ``x.f()``."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return ""
+
+
+def receiver_name(func: ast.Attribute) -> str:
+    """The last name of a method call's receiver: ``bank`` for ``self.bank.f``."""
+    value = func.value
+    if isinstance(value, ast.Attribute):
+        return value.attr
+    if isinstance(value, ast.Name):
+        return value.id
+    return ""
+
+
+#: Receiver-name fragments whose ``.sample``/``.record`` is a time-series
+#: write (OBS002's receivers and DET004's series sinks).
+SERIESISH = ("series", "bank", "timeseries", "health", "monitor")
+
+
 # ---------------------------------------------------------------------------
 # rule framework
 
@@ -186,55 +201,6 @@ class Rule:
         )
 
 
-def _filter_allowed(module: ParsedModule, findings: Iterable[Finding]) -> List[Finding]:
-    return [f for f in findings if not module.allowed(f.rule, f.line)]
-
-
-def _symbol_spans(module: ParsedModule) -> List[Tuple[int, int, str]]:
-    """(start, end, qualified name) for every def/class, innermost last."""
-    spans: List[Tuple[int, int, str]] = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                qual = f"{scope}.{child.name}"
-                end = getattr(child, "end_lineno", None) or child.lineno
-                spans.append((child.lineno, end, qual))
-                visit(child, qual)
-            else:
-                visit(child, scope)
-
-    visit(module.tree, module.module)
-    spans.sort(key=lambda span: (span[0], -span[1]))
-    return spans
-
-
-def annotate_symbols(modules: Sequence[ParsedModule],
-                     findings: Iterable[Finding]) -> List[Finding]:
-    """Fill each finding's ``symbol`` with its enclosing def/class.
-
-    Findings outside any def/class get the module's dotted name; findings
-    whose path was not scanned keep whatever symbol they carry.
-    """
-    spans_by_path: Dict[str, List[Tuple[int, int, str]]] = {}
-    module_names: Dict[str, str] = {}
-    for module in modules:
-        spans_by_path[module.path] = _symbol_spans(module)
-        module_names[module.path] = module.module
-    annotated: List[Finding] = []
-    for finding in findings:
-        if finding.symbol or finding.path not in spans_by_path:
-            annotated.append(finding)
-            continue
-        symbol = module_names[finding.path]
-        for start, end, qual in spans_by_path[finding.path]:
-            if start <= finding.line <= end:
-                symbol = qual  # innermost match wins (sorted outer-first)
-        annotated.append(dataclasses.replace(finding, symbol=symbol))
-    return annotated
-
-
 # ---------------------------------------------------------------------------
 # DET001 — wall-clock reads
 
@@ -259,7 +225,7 @@ class WallClockRule(Rule):
     })
 
     def check(self, module: ParsedModule, context: LintContext) -> List[Finding]:
-        imports = imported_names(module.tree)
+        imports = module.imports
         findings: List[Finding] = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -269,7 +235,7 @@ class WallClockRule(Rule):
                 findings.append(self.finding(
                     module, node, f"wall-clock read {origin}() in deterministic code"
                 ))
-        return _filter_allowed(module, findings)
+        return findings
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +261,7 @@ class UnseededRandomRule(Rule):
     BANNED = frozenset({"os.urandom", "uuid.uuid4", "uuid.uuid1"})
 
     def check(self, module: ParsedModule, context: LintContext) -> List[Finding]:
-        imports = imported_names(module.tree)
+        imports = module.imports
         findings: List[Finding] = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -323,7 +289,7 @@ class UnseededRandomRule(Rule):
                     f"module-global RNG call {origin}() shares hidden state "
                     "across the whole process",
                 ))
-        return _filter_allowed(module, findings)
+        return findings
 
 
 # ---------------------------------------------------------------------------
@@ -397,129 +363,136 @@ class _ScopeSets(ast.NodeVisitor):
         pass
 
 
+#: The nodes that bind a target per element of an iterable.
+Iteration = Union[ast.For, ast.AsyncFor, ast.comprehension]
+
+
+class SetTyping:
+    """Which expressions of one module are statically set-typed.
+
+    The one set detector: DET003 flags iteration over what it finds and
+    DET004 taints the loop variables of that iteration.  Set sources are
+    set literals, ``set()``/``frozenset()`` calls, locals and
+    ``self.<attr>`` names assigned from them (or annotated as sets), and
+    calls to functions annotated ``-> Set[...]`` anywhere in the scan.
+    """
+
+    def __init__(self, module: ParsedModule, context: LintContext) -> None:
+        self.set_returning = context.set_returning
+        self.parents = _parent_map(module.tree)
+        #: scope node (the module, each def) -> its set-typed names
+        self.scopes: Dict[ast.AST, _ScopeSets] = {}
+        for scope_node in [module.tree] + [
+            n for n in ast.walk(module.tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]:
+            table = _ScopeSets()
+            for stmt in scope_node.body:
+                table.visit(stmt)
+            self.scopes[scope_node] = table
+        #: class node -> set-typed ``self.<attr>`` names of every def in it
+        self.class_attrs: Dict[ast.AST, Set[str]] = {}
+        for scope_node, table in self.scopes.items():
+            for ancestor in self._lineage(scope_node):
+                if isinstance(ancestor, ast.ClassDef):
+                    self.class_attrs.setdefault(ancestor, set()).update(
+                        table.set_attrs)
+
+    def _lineage(self, node: Optional[ast.AST]) -> Iterator[ast.AST]:
+        """*node*, then each of its ancestors up to the module."""
+        current: Optional[ast.AST] = node
+        while current is not None:
+            yield current
+            current = self.parents.get(current)
+
+    def set_valued(self, expr: ast.expr, at: ast.AST) -> Optional[str]:
+        """A description when *expr* (found at *at*) is set-typed, else None."""
+        if isinstance(expr, (ast.Set, ast.SetComp)):
+            return "a set literal"
+        if isinstance(expr, ast.Call):
+            name = call_name(expr)
+            if isinstance(expr.func, ast.Name) and name in ("set", "frozenset"):
+                return f"{name}(...)"
+            if name in self.set_returning:
+                return f"{name}() (annotated -> Set)"
+            return None
+        if isinstance(expr, ast.Name):
+            table = next(self.scopes[node] for node in self._lineage(at)
+                         if node in self.scopes)
+            if expr.id in table.set_names and expr.id not in table.other_names:
+                return f"set-typed local {expr.id!r}"
+            return None
+        if (isinstance(expr, ast.Attribute)
+                and isinstance(expr.value, ast.Name)
+                and expr.value.id == "self"):
+            cls = next((node for node in self._lineage(at)
+                        if isinstance(node, ast.ClassDef)), None)
+            if cls is not None and expr.attr in self.class_attrs.get(cls, ()):
+                return f"set-typed attribute self.{expr.attr}"
+        return None
+
+    def order_free_consumer(self, node: ast.AST) -> bool:
+        """True when the nearest enclosing call absorbs iteration order."""
+        for current in self._lineage(self.parents.get(node)):
+            if isinstance(current, ast.Call):
+                return call_name(current) in _ORDER_FREE_CALLS
+            if isinstance(current, (ast.stmt, ast.Module)):
+                return False
+        return False
+
+    def unordered_iteration(self, node: Iteration) -> Optional[str]:
+        """What a ``for`` loop or ``comprehension`` *node* walks in set order.
+
+        None when its iterable is not set-typed, or when the comprehension
+        builds a set or feeds an order-free consumer (``sorted``, ``sum``...).
+        """
+        what = self.set_valued(node.iter, node)
+        if what and isinstance(node, ast.comprehension) and (
+                isinstance(self.parents.get(node), ast.SetComp)
+                or self.order_free_consumer(node)):
+            return None
+        return what
+
+
 class UnorderedIterationRule(Rule):
     id = "DET003"
     title = "no iteration over unordered sets"
     hint = ("wrap the iterable in sorted(...) — set iteration order is salted "
             "per process and poisons results and cache keys")
 
+    _COMPREHENSIONS: Dict[type, str] = {
+        ast.ListComp: "list comprehension",
+        ast.GeneratorExp: "generator expression",
+        ast.DictComp: "dict comprehension",
+    }
+
     def check(self, module: ParsedModule, context: LintContext) -> List[Finding]:
-        parents = _parent_map(module.tree)
+        sets = context.set_typing(module)
         findings: List[Finding] = []
 
-        # Scope tables: module body plus each function body.
-        scopes: List[Tuple[ast.AST, _ScopeSets]] = []
-        for scope_node in [module.tree] + [
-            n for n in ast.walk(module.tree)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]:
-            table = _ScopeSets()
-            body = scope_node.body if isinstance(scope_node, ast.Module) else scope_node.body
-            for stmt in body:
-                table.visit(stmt)
-            scopes.append((scope_node, table))
-
-        def enclosing_table(node: ast.AST) -> _ScopeSets:
-            current: Optional[ast.AST] = node
-            while current is not None:
-                for scope_node, table in scopes:
-                    if current is scope_node:
-                        return table
-                current = parents.get(current)
-            return scopes[0][1]
-
-        def class_set_attrs(node: ast.AST) -> Set[str]:
-            """Set-typed ``self.<attr>`` names across the enclosing class."""
-            current: Optional[ast.AST] = node
-            while current is not None and not isinstance(current, ast.ClassDef):
-                current = parents.get(current)
-            if current is None:
-                return set()
-            attrs: Set[str] = set()
-            for scope_node, table in scopes:
-                inner: Optional[ast.AST] = scope_node
-                while inner is not None:
-                    if inner is current:
-                        attrs.update(table.set_attrs)
-                        break
-                    inner = parents.get(inner)
-            return attrs
-
-        def is_set_valued(expr: ast.expr, at: ast.AST) -> Optional[str]:
-            """A description when *expr* is statically set-typed, else None."""
-            if isinstance(expr, (ast.Set, ast.SetComp)):
-                return "a set literal"
-            if isinstance(expr, ast.Call):
-                func = expr.func
-                if isinstance(func, ast.Name):
-                    if func.id in ("set", "frozenset"):
-                        return f"{func.id}(...)"
-                    if func.id in context.set_returning:
-                        return f"{func.id}() (annotated -> Set)"
-                elif isinstance(func, ast.Attribute):
-                    if func.attr in context.set_returning:
-                        return f"{func.attr}() (annotated -> Set)"
-                return None
-            if isinstance(expr, ast.Name):
-                table = enclosing_table(at)
-                if expr.id in table.set_names and expr.id not in table.other_names:
-                    return f"set-typed local {expr.id!r}"
-                return None
-            if (isinstance(expr, ast.Attribute)
-                    and isinstance(expr.value, ast.Name)
-                    and expr.value.id == "self"):
-                if expr.attr in class_set_attrs(at):
-                    return f"set-typed attribute self.{expr.attr}"
-            return None
-
-        def order_free_consumer(node: ast.AST) -> bool:
-            """True when the nearest enclosing call absorbs iteration order."""
-            current = parents.get(node)
-            while current is not None:
-                if isinstance(current, ast.Call):
-                    func = current.func
-                    name = func.id if isinstance(func, ast.Name) else (
-                        func.attr if isinstance(func, ast.Attribute) else ""
-                    )
-                    return name in _ORDER_FREE_CALLS
-                if isinstance(current, (ast.stmt, ast.Module)):
-                    return False
-                current = parents.get(current)
-            return False
-
-        def flag(expr: ast.expr, site: ast.AST, how: str, what: str) -> None:
-            findings.append(self.finding(
-                module, site,
-                f"{how} iterates over {what} in unspecified order",
-            ))
+        def flag(site: ast.AST, how: str, what: Optional[str]) -> None:
+            if what:
+                findings.append(self.finding(
+                    module, site,
+                    f"{how} iterates over {what} in unspecified order",
+                ))
 
         for node in ast.walk(module.tree):
             if isinstance(node, ast.For):
-                what = is_set_valued(node.iter, node)
-                if what:
-                    flag(node.iter, node, "for loop", what)
+                flag(node, "for loop", sets.unordered_iteration(node))
             elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
-                kind = {"ListComp": "list comprehension",
-                        "GeneratorExp": "generator expression",
-                        "DictComp": "dict comprehension"}[type(node).__name__]
                 for gen in node.generators:
-                    what = is_set_valued(gen.iter, node)
-                    if what and not order_free_consumer(node):
-                        flag(gen.iter, node, kind, what)
-            elif isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else (
-                    func.attr if isinstance(func, ast.Attribute) else ""
-                )
-                if name in _ORDER_CAPTURING_CALLS and node.args:
-                    what = is_set_valued(node.args[0], node)
-                    if what and not order_free_consumer(node):
-                        flag(node.args[0], node, f"{name}(...)", what)
-                elif name == "join" and node.args:
-                    what = is_set_valued(node.args[0], node)
-                    if what:
-                        flag(node.args[0], node, "str.join", what)
-        return _filter_allowed(module, findings)
+                    flag(node, self._COMPREHENSIONS[type(node)],
+                         sets.unordered_iteration(gen))
+            elif isinstance(node, ast.Call) and node.args:
+                name = call_name(node)
+                if name in _ORDER_CAPTURING_CALLS:
+                    what = sets.set_valued(node.args[0], node)
+                    if what and not sets.order_free_consumer(node):
+                        flag(node, f"{name}(...)", what)
+                elif name == "join":
+                    flag(node, "str.join", sets.set_valued(node.args[0], node))
+        return findings
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +507,6 @@ class ObservabilityRule(Rule):
     #: Receivers whose ``.emit`` is an event-tracer emit; other ``.emit``
     #: methods (if any ever appear) are out of scope for this rule.
     _TRACERISH = ("tracer", "events")
-
-    def _receiver_name(self, func: ast.Attribute) -> str:
-        value = func.value
-        if isinstance(value, ast.Attribute):
-            return value.attr
-        if isinstance(value, ast.Name):
-            return value.id
-        return ""
 
     def _resolve_kind(self, expr: ast.expr, module: ParsedModule,
                       imports: Dict[str, str], context: LintContext) -> Optional[str]:
@@ -563,14 +528,14 @@ class ObservabilityRule(Rule):
         return None
 
     def check(self, module: ParsedModule, context: LintContext) -> List[Finding]:
-        imports = imported_names(module.tree)
+        imports = module.imports
         findings: List[Finding] = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
                 continue
             if node.func.attr != "emit" or not node.args:
                 continue
-            receiver = self._receiver_name(node.func).lower()
+            receiver = receiver_name(node.func).lower()
             if not any(tag in receiver for tag in self._TRACERISH):
                 continue
             kind = self._resolve_kind(node.args[0], module, imports, context)
@@ -581,7 +546,7 @@ class ObservabilityRule(Rule):
                     hint="declare it: KIND = register_kind(\"...\") "
                          "(repro.obs.events)",
                 ))
-        return _filter_allowed(module, findings)
+        return findings
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +560,6 @@ class TimeSeriesSimTimeRule(Rule):
             "window geometry (and every SLO evaluation) machine-dependent; "
             "time.perf_counter belongs in measured wall-clock fields only")
 
-    #: Receivers whose ``.sample``/``.record`` is a time-series write;
-    #: other samplers (if any ever appear) are out of scope.
-    _SERIESISH = ("series", "bank", "timeseries", "health", "monitor")
-
     #: Every DET001 wall-clock source, plus the process timers DET001
     #: sanctions for wall-clock *reporting* — none of them may become a
     #: sample timestamp or value.
@@ -609,24 +570,16 @@ class TimeSeriesSimTimeRule(Rule):
         "time.process_time_ns",
     })
 
-    def _receiver_name(self, func: ast.Attribute) -> str:
-        value = func.value
-        if isinstance(value, ast.Attribute):
-            return value.attr
-        if isinstance(value, ast.Name):
-            return value.id
-        return ""
-
     def check(self, module: ParsedModule, context: LintContext) -> List[Finding]:
-        imports = imported_names(module.tree)
+        imports = module.imports
         findings: List[Finding] = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
                 continue
             if node.func.attr not in ("sample", "record"):
                 continue
-            receiver = self._receiver_name(node.func).lower()
-            if not any(tag in receiver for tag in self._SERIESISH):
+            receiver = receiver_name(node.func).lower()
+            if not any(tag in receiver for tag in SERIESISH):
                 continue
             arguments = list(node.args) + [kw.value for kw in node.keywords]
             for argument in arguments:
@@ -640,7 +593,7 @@ class TimeSeriesSimTimeRule(Rule):
                             f"host-clock read {origin}() fed into a "
                             f"time-series .{node.func.attr}()",
                         ))
-        return _filter_allowed(module, findings)
+        return findings
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +631,7 @@ class KeyCompositionRule(Rule):
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.id if isinstance(func, ast.Name) else (
-                    func.attr if isinstance(func, ast.Attribute) else ""
-                )
+                name = call_name(node)
                 if name in self._RAW_PACKERS:
                     findings.append(self.finding(
                         module, node,
@@ -719,7 +670,7 @@ class KeyCompositionRule(Rule):
                         "Figure-4 layout",
                         hint="use compose_block_key(prefix, block_number, version)",
                     ))
-        return _filter_allowed(module, findings)
+        return findings
 
     @staticmethod
     def _is_wide_digest(expr: ast.expr) -> bool:
@@ -757,17 +708,12 @@ ALL_RULES: Tuple[Rule, ...] = (
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
 
 
-def run_rules(modules: Sequence[ParsedModule],
-              rules: Sequence[Rule] = ALL_RULES,
-              context: Optional[LintContext] = None) -> List[Finding]:
-    """Run *rules* over *modules*; findings sorted by location then rule."""
-    if context is None:
-        context = build_context(modules)
-    findings: List[Finding] = []
-    for module in modules:
-        for rule in rules:
-            if rule.applies_to(module):
-                findings.extend(rule.check(module, context))
-    findings = annotate_symbols(modules, findings)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+def run_rules(modules: Sequence[ParsedModule], rules: Sequence[Rule],
+              context: LintContext) -> List[Finding]:
+    """Every finding of the per-file *rules* over *modules*, unsorted."""
+    return [
+        finding
+        for module in modules
+        for rule in rules if rule.applies_to(module)
+        for finding in rule.check(module, context)
+    ]

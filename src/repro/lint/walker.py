@@ -1,9 +1,9 @@
 """File discovery and parsing for the invariant linter.
 
 The walker turns a set of root paths into :class:`ParsedModule` objects:
-the AST, the raw source lines, the module's dotted name (derived from the
-nearest ``src`` layout or package root), and the per-line suppression
-table parsed from ``# lint: allow=RULE[,RULE]`` comments.
+the AST, the module's dotted name (derived from the nearest ``src``
+layout or package root), its import table, and the
+``# lint: allow=RULE[,RULE]`` comments it carries.
 
 Everything downstream is pure: rules consume parsed modules and produce
 findings; no rule re-reads the filesystem.  A file that cannot be read or
@@ -55,24 +55,10 @@ class ParsedModule:
     path: str                 # path as given/joined (used in reports)
     module: str               # dotted module name, e.g. "repro.dht.ring"
     tree: ast.Module
-    lines: List[str]          # source lines, 1-indexed via lines[lineno - 1]
-    #: line number -> rule ids suppressed on that line
-    allows: Dict[int, Set[str]] = field(default_factory=dict)
-    #: every suppression comment, for ``--audit-suppressions``
+    #: local name -> dotted origin, see :func:`imported_names`
+    imports: Dict[str, str]
+    #: every suppression comment, in source order
     allow_comments: List[AllowComment] = field(default_factory=list)
-
-    def line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
-    def allowed(self, rule_id: str, lineno: int) -> bool:
-        """True when *rule_id* is suppressed at *lineno*.
-
-        A suppression comment covers its own line and, when it is the only
-        thing on its line, the line directly below (comment-above style).
-        """
-        return rule_id in self.allows.get(lineno, ())
 
 
 def _parse_allow_comments(source: str) -> List[AllowComment]:
@@ -100,14 +86,6 @@ def _parse_allow_comments(source: str) -> List[AllowComment]:
             comment_only=line.lstrip().startswith("#"),
         ))
     return comments
-
-
-def _parse_allows(source: str) -> Dict[int, Set[str]]:
-    allows: Dict[int, Set[str]] = {}
-    for comment in _parse_allow_comments(source):
-        for lineno in comment.covers():
-            allows.setdefault(lineno, set()).update(comment.rules)
-    return allows
 
 
 def module_name_for(path: str) -> str:
@@ -151,8 +129,7 @@ def parse_module(path: str) -> ParsedModule:
         path=path,
         module=module_name_for(path),
         tree=tree,
-        lines=source.splitlines(),
-        allows=_parse_allows(source),
+        imports=imported_names(tree),
         allow_comments=_parse_allow_comments(source),
     )
 

@@ -1,9 +1,9 @@
 """Tests for the repro.lint static-analysis suite.
 
 Every rule family gets fixture snippets that *must* trigger and snippets
-that *must not* (false-positive guards), plus baseline round-trips, the
-JSON report schema, and the exit-code contract (0 clean / 1 violations /
-2 tool error).
+that *must not* (false-positive guards), plus the one-pass default run,
+the JSON report schema, and the exit-code contract (0 clean / 1
+violations / 2 tool error).
 """
 
 from __future__ import annotations
@@ -12,25 +12,28 @@ import json
 import os
 import textwrap
 
-import pytest
-
-from repro.lint.baseline import Baseline, fingerprint
-from repro.lint.cli import EXIT_CLEAN, EXIT_TOOL_ERROR, EXIT_VIOLATIONS, main
-from repro.lint.rules import build_context, run_rules
-from repro.lint.walker import LintToolError, parse_module
+from repro.lint.cli import (
+    EXIT_CLEAN,
+    EXIT_TOOL_ERROR,
+    EXIT_VIOLATIONS,
+    main,
+    run_lint,
+)
+from repro.lint.rules import RULES_BY_ID
+from repro.lint.walker import parse_module
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "src", "repro")
 
 
 def lint(tmp_path, source, name="fixture.py", companions=()):
-    """Lint one dedented fixture (plus optional companion files)."""
+    """Per-file rules over one dedented fixture (plus companion files)."""
     modules = []
     for fname, fsource in list(companions) + [(name, source)]:
         path = tmp_path / fname
         path.write_text(textwrap.dedent(fsource))
         modules.append(parse_module(str(path)))
-    findings = run_rules(modules, context=build_context(modules))
+    findings = run_lint(modules, RULES_BY_ID).findings
     return [f for f in findings if f.path.endswith(name)]
 
 
@@ -389,13 +392,75 @@ def test_key001_allows_sanctioned_api_and_size_constants(tmp_path):
 # whole-tree invariant: the shipped source stays clean
 
 
-def test_repo_source_is_lint_clean():
-    rc = main([REPO_SRC, "--no-baseline", "--quiet"])
-    assert rc == EXIT_CLEAN
+def test_repo_source_is_lint_clean(capsys):
+    """The default run — all ten rules, then the allow-comment audit — over
+    the shipped tree: no finding, no stale suppression."""
+    assert main([REPO_SRC]) == EXIT_CLEAN
+    assert "0 violations" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
-# baseline round-trip
+# the default run needs both rule families: neither one covers the other
+
+#: Caught by the per-file rules only: a wall-clock read and a loop over a
+#: set-typed local that reaches no sink (DET001, DET003); the loop that
+#: feeds json.dump is DET003 and DET004.
+PER_FILE_FIXTURE = """
+import json
+import time
+
+
+def export(rows, fh):
+    started = time.time()
+    s = set(rows)
+    ordered = []
+    for r in s:
+        ordered.append(r)
+    seen = set(rows)
+    names = [n for n in seen]
+    json.dump(ordered, fh)
+    return started, names
+"""
+
+#: Caught by DET004 only: an environment read and an object id reach
+#: json.dump with no wall clock, entropy call or set loop on the way.
+FLOW_FIXTURE = """
+import json
+import os
+
+
+def export(rows, fh):
+    out = []
+    for row in rows:
+        out.append({"who": os.environ.get("USER"), "ident": id(row)})
+    json.dump(out, fh)
+"""
+
+
+def default_run(tmp_path, capsys, source):
+    """(exit code, [(rule, line)]) of ``python -m repro.lint FILE --json``."""
+    target = tmp_path / "fixture.py"
+    target.write_text(source)
+    rc = main([str(target), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    return rc, [(f["rule"], f["line"]) for f in report["findings"]]
+
+
+def test_default_run_flags_what_only_per_file_rules_see(tmp_path, capsys):
+    rc, found = default_run(tmp_path, capsys, PER_FILE_FIXTURE)
+    assert rc == EXIT_VIOLATIONS
+    assert found == [("DET001", 7), ("DET003", 10), ("DET003", 13),
+                     ("DET004", 14)]
+
+
+def test_default_run_flags_what_only_flow_rules_see(tmp_path, capsys):
+    rc, found = default_run(tmp_path, capsys, FLOW_FIXTURE)
+    assert rc == EXIT_VIOLATIONS
+    assert found == [("DET004", 10)]
+
+
+# ---------------------------------------------------------------------------
+# JSON report schema
 
 
 VIOLATING = """
@@ -413,83 +478,28 @@ def run():
 """
 
 
-def test_baseline_add_and_expire_round_trip(tmp_path, capsys):
-    target = tmp_path / "mod.py"
-    base = tmp_path / "baseline.json"
-    target.write_text(textwrap.dedent(VIOLATING))
-
-    # 1. violation fails without a baseline
-    assert main([str(target), "--baseline", str(base)]) == EXIT_VIOLATIONS
-    # 2. grandfather it
-    assert main([str(target), "--baseline", str(base), "--update-baseline"]) == EXIT_CLEAN
-    loaded = Baseline.load(str(base))
-    assert len(loaded) == 1
-    # 3. suppressed now, even under --strict
-    assert main([str(target), "--baseline", str(base), "--strict"]) == EXIT_CLEAN
-    out = capsys.readouterr().out
-    assert "[baselined]" in out
-    # 4. fix the code: entry goes stale — strict fails, default run warns
-    target.write_text(textwrap.dedent(CLEAN))
-    assert main([str(target), "--baseline", str(base)]) == EXIT_CLEAN
-    assert "stale" in capsys.readouterr().out
-    assert main([str(target), "--baseline", str(base), "--strict"]) == EXIT_VIOLATIONS
-    # 5. refresh: baseline shrinks to the goal state (empty)
-    assert main([str(target), "--baseline", str(base), "--update-baseline"]) == EXIT_CLEAN
-    assert len(Baseline.load(str(base))) == 0
-    assert main([str(target), "--baseline", str(base), "--strict"]) == EXIT_CLEAN
-
-
-def test_baseline_fingerprint_survives_line_drift(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text(textwrap.dedent(VIOLATING))
-    module = parse_module(str(target))
-    findings = run_rules([module])
-    before = fingerprint(findings[0], module.line(findings[0].line))
-
-    # Prepend a comment block: line numbers shift, the fingerprint must not.
-    target.write_text("# header\n# more\n" + textwrap.dedent(VIOLATING))
-    module = parse_module(str(target))
-    findings = run_rules([module])
-    assert findings[0].line != 5 or True  # lines moved
-    after = fingerprint(findings[0], module.line(findings[0].line))
-    assert before == after
-
-
-def test_baseline_rejects_garbage(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text("{not json")
-    with pytest.raises(LintToolError):
-        Baseline.load(str(bad))
-    bad.write_text(json.dumps({"version": 99, "entries": []}))
-    with pytest.raises(LintToolError):
-        Baseline.load(str(bad))
-
-
-# ---------------------------------------------------------------------------
-# JSON report schema
-
-
 def test_json_report_schema(tmp_path, capsys):
     target = tmp_path / "mod.py"
     target.write_text(textwrap.dedent(VIOLATING))
-    rc = main([str(target), "--no-baseline", "--json"])
+    rc = main([str(target), "--json"])
     assert rc == EXIT_VIOLATIONS
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == 2
+    assert set(payload) == {
+        "version", "tool", "roots", "files_scanned", "findings",
+        "suppressed", "stale_suppressions", "summary",
+    }
+    assert payload["version"] == 3
     assert payload["tool"] == "repro.lint"
     assert payload["files_scanned"] == 1
-    assert payload["flow"] is False
     assert set(payload["summary"]) == {
         "DET001", "DET002", "DET003", "DET004", "OBS001", "OBS002",
         "KEY001", "PAR001", "PUR001", "CACHE001",
     }
     assert payload["summary"]["DET001"] == 1
     (finding,) = payload["findings"]
-    assert set(finding) == {
-        "rule", "path", "line", "col", "message", "hint", "symbol",
-    }
+    assert set(finding) == {"rule", "path", "line", "col", "message", "hint"}
     assert payload["suppressed"] == []
-    assert payload["stale_baseline"] == []
+    assert payload["stale_suppressions"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -502,25 +512,21 @@ def test_exit_codes_distinguish_violations_from_tool_errors(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text(textwrap.dedent(VIOLATING))
 
-    assert main([str(clean), "--no-baseline"]) == EXIT_CLEAN
-    assert main([str(dirty), "--no-baseline"]) == EXIT_VIOLATIONS
+    assert main([str(clean)]) == EXIT_CLEAN
+    assert main([str(dirty)]) == EXIT_VIOLATIONS
     # missing path -> tool error
-    assert main([str(tmp_path / "missing.py"), "--no-baseline"]) == EXIT_TOOL_ERROR
+    assert main([str(tmp_path / "missing.py")]) == EXIT_TOOL_ERROR
     # syntax error in a scanned file -> tool error, reported on stderr
     broken = tmp_path / "broken.py"
     broken.write_text("def f(:\n")
-    assert main([str(broken), "--no-baseline"]) == EXIT_TOOL_ERROR
+    assert main([str(broken)]) == EXIT_TOOL_ERROR
     assert "cannot parse" in capsys.readouterr().err
     # unknown rule id -> tool error
     assert main([str(clean), "--rules", "NOPE99"]) == EXIT_TOOL_ERROR
-    # unreadable baseline -> tool error
-    bad = tmp_path / "bad.json"
-    bad.write_text("[]")
-    assert main([str(clean), "--baseline", str(bad)]) == EXIT_TOOL_ERROR
 
 
 def test_rule_selection(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text(textwrap.dedent(VIOLATING))
-    assert main([str(target), "--no-baseline", "--rules", "DET002"]) == EXIT_CLEAN
-    assert main([str(target), "--no-baseline", "--rules", "det001"]) == EXIT_VIOLATIONS
+    assert main([str(target), "--rules", "DET002"]) == EXIT_CLEAN
+    assert main([str(target), "--rules", "det001"]) == EXIT_VIOLATIONS

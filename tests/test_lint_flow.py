@@ -1,31 +1,20 @@
-"""Tests for the repro.lint whole-program dataflow engine (--flow).
+"""Tests for the repro.lint whole-program dataflow rules.
 
 Each flow rule gets at least one fixture that *must* fire and one that
-*must not*, plus the CLI surface that ships with the engine: baseline v2
-fingerprints (line-number independent, v1 migration), ``--changed``
-git-scoped runs, ``--audit-suppressions``, and a full-repo run that must
-come back clean.
+*must not*, plus what every run does after the rules: the one
+``# lint: allow=`` split and the audit that fails the run on a stale or
+unknown allow comment, and the JSON report of the shipped tree.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
 import textwrap
 
-import pytest
-
-from repro.lint.baseline import (
-    Baseline,
-    fingerprints_for,
-    partition,
-    update,
-)
-from repro.lint.cli import EXIT_CLEAN, EXIT_VIOLATIONS, main
-from repro.lint.flow import run_flow
-from repro.lint.rules import build_context, run_rules
-from repro.lint.walker import LintToolError, parse_module
+from repro.lint.cli import EXIT_CLEAN, EXIT_VIOLATIONS, main, run_lint
+from repro.lint.flow import FLOW_RULES_BY_ID
+from repro.lint.walker import parse_module
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPO_SRC = os.path.join(REPO_ROOT, "src", "repro")
@@ -45,7 +34,7 @@ def flow(tmp_path, source, name="fixture.py", companions=(), rules=None,
         path = tmp_path / fname
         path.write_text(textwrap.dedent(fsource))
         modules.append(parse_module(str(path)))
-    findings = run_flow(modules, rule_ids=set(rules) if rules else None)
+    findings = run_lint(modules, rules or FLOW_RULES_BY_ID).findings
     return [f for f in findings if f.path.endswith(name)]
 
 
@@ -101,6 +90,39 @@ def test_det004_seeded_rng_is_clean(tmp_path):
             payload = {"v": rng.random(), "n": len([1, 2])}
             with open(path, "w") as handle:
                 json.dump(payload, handle)
+    """, rules={"DET004"})
+    assert findings == []
+
+
+def test_det004_sees_set_typed_locals(tmp_path):
+    # The loop runs over a local *bound* to a set, not over a set(...)
+    # call: DET004 uses DET003's detector, so it sees what DET003 sees.
+    findings = flow(tmp_path, """
+        import json
+
+        def export(rows, fh):
+            s = set(rows)
+            ordered = []
+            for r in s:
+                ordered.append(r)
+            json.dump(ordered, fh)
+    """, rules={"DET004"})
+    assert [(f.rule, f.line) for f in findings] == [("DET004", 9)]
+    assert "set-typed local 's'" in findings[0].message
+
+
+def test_det004_order_free_consumer_is_clean(tmp_path):
+    # DET003's exemption holds for DET004 too: sorted()/len() absorb order.
+    findings = flow(tmp_path, """
+        import json
+
+        class Export:
+            def __init__(self, rows):
+                self.rows = set(rows)
+
+            def export(self, fh):
+                json.dump({"rows": sorted(r for r in self.rows),
+                           "n": len([r for r in self.rows])}, fh)
     """, rules={"DET004"})
     assert findings == []
 
@@ -268,140 +290,32 @@ def test_cache001_sanctioned_env_is_clean(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Full-repo run: the tree itself must be flow-clean
+# The shipped tree: clean under the flow rules alone, and its JSON report
 
 
-def test_full_repo_flow_is_clean():
-    assert main(["--flow", "--no-baseline", "--quiet", REPO_SRC]) == EXIT_CLEAN
+def test_full_repo_flow_is_clean(capsys):
+    flow_rules = ",".join(sorted(FLOW_RULES_BY_ID))
+    assert main(["--rules", flow_rules, REPO_SRC]) == EXIT_CLEAN
+    assert "0 violations" in capsys.readouterr().out
 
 
-def test_json_report_flow_flag(capsys):
-    assert main(["--flow", "--no-baseline", "--json", REPO_SRC]) == EXIT_CLEAN
+def test_repo_json_report(capsys):
+    assert main(["--json", REPO_SRC]) == EXIT_CLEAN
     report = json.loads(capsys.readouterr().out)
-    assert report["flow"] is True
-    assert report["summary"]["DET004"] == 0
-    assert report["summary"]["PAR001"] == 0
-    assert report["summary"]["PUR001"] == 0
-    assert report["summary"]["CACHE001"] == 0
+    assert report["version"] == 3
+    assert set(report["summary"].values()) == {0}
+    assert report["stale_suppressions"] == []
+    # The one allow comment in the tree: the run label written into
+    # BENCH_scale.json is provenance metadata, never compared.
+    assert [(f["rule"], os.path.basename(f["path"]))
+            for f in report["suppressed"]] == [("DET004", "scale_matrix.py")]
 
 
 # ---------------------------------------------------------------------------
-# Baseline v2 — line-number-independent fingerprints, v1 migration
+# Allow comments: applied once a run, and every one must be load-bearing
 
 
-VIOLATION_SRC = """
-    import time
-
-    def run():
-        return time.time()
-"""
-
-
-def _lint_with_prints(directory, source):
-    path = directory / "fixture.py"
-    path.write_text(textwrap.dedent(source))
-    module = parse_module(str(path))
-    findings = run_rules([module], context=build_context([module]))
-    sources = {module.path: module.lines}
-    return findings, fingerprints_for(findings, sources), sources
-
-
-def test_fingerprints_survive_line_shifts(tmp_path):
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b").mkdir()
-    _, prints_a, _ = _lint_with_prints(tmp_path / "a", VIOLATION_SRC)
-    shifted = "# banner\n# comments\n\n" + textwrap.dedent(VIOLATION_SRC)
-    _, prints_b, _ = _lint_with_prints(tmp_path / "b", shifted)
-    assert prints_a and prints_a == prints_b
-
-
-def test_fingerprint_anchors_on_symbol(tmp_path):
-    findings, prints, _ = _lint_with_prints(tmp_path, VIOLATION_SRC)
-    assert len(findings) == 1
-    rule, symbol, digest = prints[0].split(":")
-    assert rule == "DET001"
-    assert symbol == "fixture.run"
-    assert len(digest) == 8
-
-
-def test_v1_baseline_is_refused_naming_its_version(tmp_path):
-    """The repo's baseline is v2 and empty; the v1 loader path is gone."""
-    findings, prints, _ = _lint_with_prints(tmp_path, VIOLATION_SRC)
-    base_path = tmp_path / "baseline.json"
-    base_path.write_text(json.dumps(
-        {"version": 1, "entries": ["DET001:fixture.py:0123abcd"]}
-    ))
-    with pytest.raises(LintToolError, match="has version 1, expected 2"):
-        Baseline.load(str(base_path))
-
-    update(Baseline(path=str(base_path)), prints).save()
-    payload = json.loads(base_path.read_text())
-    assert payload["version"] == 2
-    assert payload["entries"] == prints
-    new, suppressed, stale = partition(findings, prints, Baseline.load(str(base_path)))
-    assert (new, len(suppressed), stale) == ([], 1, [])
-
-
-def test_unknown_baseline_version_is_tool_error(tmp_path):
-    base_path = tmp_path / "baseline.json"
-    base_path.write_text(json.dumps({"version": 99, "entries": []}))
-    with pytest.raises(LintToolError):
-        Baseline.load(str(base_path))
-
-
-def test_findings_carry_enclosing_symbol(tmp_path):
-    path = tmp_path / "fixture.py"
-    path.write_text(textwrap.dedent("""
-        import time
-
-        class Sim:
-            def tick(self):
-                return time.time()
-    """))
-    module = parse_module(str(path))
-    findings = run_rules([module], context=build_context([module]))
-    assert [f.symbol for f in findings] == ["fixture.Sim.tick"]
-
-
-# ---------------------------------------------------------------------------
-# --changed: git-scoped runs
-
-
-def _git(repo, *args):
-    subprocess.run(
-        ["git", "-C", str(repo),
-         "-c", "user.email=lint@test", "-c", "user.name=lint",
-         *args],
-        check=True, capture_output=True,
-    )
-
-
-def test_changed_scopes_to_modified_files(tmp_path, monkeypatch, capsys):
-    _git(tmp_path, "init", "-q")
-    committed = tmp_path / "committed.py"
-    committed.write_text("import time\n\n\ndef run():\n    return time.time()\n")
-    _git(tmp_path, "add", "committed.py")
-    _git(tmp_path, "commit", "-qm", "seed")
-    monkeypatch.chdir(tmp_path)
-
-    # Nothing changed vs HEAD: the committed violation is out of scope.
-    assert main(["--changed", "--no-baseline", "."]) == EXIT_CLEAN
-
-    # An untracked file with a violation is in scope.
-    touched = tmp_path / "touched.py"
-    touched.write_text("import time\n\n\ndef go():\n    return time.time()\n")
-    capsys.readouterr()
-    assert main(["--changed", "--no-baseline", "."]) == EXIT_VIOLATIONS
-    out = capsys.readouterr().out
-    assert "touched.py" in out
-    assert "committed.py" not in out
-
-
-# ---------------------------------------------------------------------------
-# --audit-suppressions: stale allow= comments fail the run
-
-
-def test_audit_passes_on_live_suppression(tmp_path):
+def test_audit_passes_on_live_suppression(tmp_path, capsys):
     path = tmp_path / "fixture.py"
     path.write_text(textwrap.dedent("""
         import time
@@ -409,7 +323,8 @@ def test_audit_passes_on_live_suppression(tmp_path):
         def run():
             return time.time()  # lint: allow=DET001
     """))
-    assert main(["--audit-suppressions", "--quiet", str(path)]) == EXIT_CLEAN
+    assert main([str(path)]) == EXIT_CLEAN
+    assert "1 suppressed, 0 stale suppressions" in capsys.readouterr().out
 
 
 def test_audit_flags_stale_suppression(tmp_path, capsys):
@@ -420,7 +335,7 @@ def test_audit_flags_stale_suppression(tmp_path, capsys):
         def run():
             return time.perf_counter()  # lint: allow=DET001
     """))
-    assert main(["--audit-suppressions", str(path)]) == EXIT_VIOLATIONS
+    assert main([str(path)]) == EXIT_VIOLATIONS
     out = capsys.readouterr().out
     assert "stale" in out and "DET001" in out
 
@@ -428,8 +343,33 @@ def test_audit_flags_stale_suppression(tmp_path, capsys):
 def test_audit_flags_unknown_rule(tmp_path, capsys):
     path = tmp_path / "fixture.py"
     path.write_text("x = 1  # lint: allow=ZZZ001\n")
-    assert main(["--audit-suppressions", str(path)]) == EXIT_VIOLATIONS
+    assert main([str(path)]) == EXIT_VIOLATIONS
     assert "unknown rule" in capsys.readouterr().out
+
+
+def test_stale_and_unknown_allows_fail_the_default_run(tmp_path, capsys):
+    path = tmp_path / "fixture.py"
+    path.write_text(textwrap.dedent("""
+        import json
+
+        def export(rows, fh):
+            # lint: allow=DET004
+            json.dump(sorted(rows), fh)
+            return len(rows)  # lint: allow=NOPE01
+    """))
+    assert main([str(path), "--json"]) == EXIT_VIOLATIONS
+    report = json.loads(capsys.readouterr().out)
+    assert report["findings"] == []
+    assert report["stale_suppressions"] == [
+        f"{path}:5: allow=DET004 is stale — DET004 does not fire on the "
+        f"line it covers",
+        f"{path}:7: allow=NOPE01 names an unknown rule",
+    ]
+    # Under --rules only the rules that ran are audited; an unknown id
+    # is wrong whatever runs.
+    assert main([str(path), "--rules", "DET001"]) == EXIT_VIOLATIONS
+    out = capsys.readouterr().out
+    assert "allow=NOPE01" in out and "allow=DET004" not in out
 
 
 def test_docstring_mention_is_not_a_suppression(tmp_path):
@@ -446,5 +386,6 @@ def test_docstring_mention_is_not_a_suppression(tmp_path):
     '''))
     module = parse_module(str(path))
     assert module.allow_comments == []
-    findings = run_rules([module], context=build_context([module]))
-    assert [f.rule for f in findings] == ["DET001"]
+    run = run_lint([module])
+    assert [f.rule for f in run.findings] == ["DET001"]
+    assert run.stale == []

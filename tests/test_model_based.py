@@ -13,7 +13,6 @@ from repro.dht.ring import Ring
 from repro.fs.blocks import BLOCK_SIZE, INLINE_DATA_THRESHOLD, BlockKind
 from repro.fs.fslayer import BlockOp, apply_ops
 from repro.fs.namespace import Directory, FileNode, NamespaceError
-from repro.fs.writeback_cache import WritebackCache
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
 from repro.sim.engine import Simulator
@@ -96,78 +95,6 @@ class LookupCacheMachine(RuleBasedStateMachine):
 
 TestLookupCacheModel = LookupCacheMachine.TestCase
 TestLookupCacheModel.settings = settings(max_examples=40, deadline=None)
-
-
-class WritebackCacheMachine(RuleBasedStateMachine):
-    """The write-back cache must flush exactly the newest version of every
-    dirty identity, exactly once, and never resurrect removed identities."""
-
-    idents = [f"f{i}" for i in range(5)]
-
-    def __init__(self):
-        super().__init__()
-        self.cache = WritebackCache(flush_delay=30.0)
-        self.now = 0.0
-        self.version = 0
-        # Model state: ident -> newest unflushed key, or REMOVED sentinel.
-        self.pending = {}
-        self.flushed_keys = []
-
-    def _op(self, action, ident, key):
-        return BlockOp(action, key, 100, BlockKind.DATA, ident, self.version)
-
-    @rule(ident=st.sampled_from(idents))
-    def write(self, ident):
-        self.version += 1
-        key = self.version  # unique key per version
-        ops = [self._op("put", ident, key)]
-        self.cache.write(ops, self.now)
-        self.pending[ident] = key
-
-    @rule(ident=st.sampled_from(idents))
-    def remove(self, ident):
-        if self.pending.get(ident) is None:
-            return
-        key = self.pending[ident]
-        self.cache.write([self._op("remove", ident, key)], self.now)
-        self.pending[ident] = None  # removed while dirty: must never flush
-
-    @rule(delta=st.floats(min_value=0.1, max_value=40.0))
-    def advance_and_flush(self, delta):
-        self.now += delta
-        for op in self.cache.flush_due(self.now):
-            if op.action == "put":
-                self.flushed_keys.append((op.ident, op.key))
-                assert self.pending.get(op.ident) == op.key, (
-                    f"flushed {op.key} but model expected "
-                    f"{self.pending.get(op.ident)}"
-                )
-                self.pending[op.ident] = "FLUSHED"
-
-    @rule()
-    def final_flush(self):
-        for op in self.cache.flush_all():
-            if op.action == "put":
-                self.flushed_keys.append((op.ident, op.key))
-                assert self.pending.get(op.ident) == op.key
-                self.pending[op.ident] = "FLUSHED"
-
-    @invariant()
-    def no_duplicate_flushes(self):
-        assert len(self.flushed_keys) == len(set(self.flushed_keys))
-
-    @invariant()
-    def removed_never_flushed(self):
-        flushed_idents_keys = set(self.flushed_keys)
-        for ident, state in self.pending.items():
-            if state is None:  # removed while dirty
-                # None of this ident's unflushed versions may appear.
-                assert all(i != ident or (i, k) in flushed_idents_keys
-                           for i, k in flushed_idents_keys)
-
-
-TestWritebackCacheModel = WritebackCacheMachine.TestCase
-TestWritebackCacheModel.settings = settings(max_examples=40, deadline=None)
 
 
 # A key space small enough that removes mostly hit and adds mostly miss.

@@ -1,6 +1,7 @@
-"""Tests for replica placement helpers and consistent hashing."""
+"""Tests for consistent hashing."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,64 +14,7 @@ from repro.dht.consistent_hashing import (
     uniform_spread_ids,
 )
 from repro.dht.keyspace import KEY_SPACE
-from repro.dht.replication import (
-    group_available,
-    nodes_for_keys,
-    placement_bytes,
-    placement_loads,
-    replica_group,
-    replica_groups_for_keys,
-)
 from repro.dht.ring import Ring
-
-
-@pytest.fixture
-def ring():
-    ring = Ring()
-    for i in range(8):
-        ring.join(f"n{i}", (i + 1) * (KEY_SPACE // 8) - 1)
-    return ring
-
-
-class TestReplicaGroup:
-    def test_group_is_r_successors(self, ring):
-        group = replica_group(ring, 0, 3)
-        assert group == ["n0", "n1", "n2"]
-
-    def test_groups_for_clustered_keys_collapse(self, ring):
-        keys = [10, 20, 30]  # all in n0's arc
-        groups = replica_groups_for_keys(ring, keys, 3)
-        assert len(groups) == 1
-
-    def test_groups_for_scattered_keys(self, ring):
-        step = KEY_SPACE // 8
-        keys = [5, step + 5, 4 * step + 5]
-        groups = replica_groups_for_keys(ring, keys, 3)
-        assert len(groups) == 3
-
-    def test_nodes_for_keys_primary_only(self, ring):
-        assert nodes_for_keys(ring, [10, 20]) == {"n0"}
-
-    def test_nodes_for_keys_with_replicas(self, ring):
-        assert nodes_for_keys(ring, [10], replicas=2) == {"n0", "n1"}
-
-    def test_group_available(self):
-        assert group_available({"a"}, ["a", "b", "c"])
-        assert not group_available({"z"}, ["a", "b", "c"])
-        assert not group_available(set(), ["a"])
-
-
-class TestPlacementLoads:
-    def test_block_counts(self, ring):
-        loads = placement_loads(ring, [10, 20, KEY_SPACE // 2 + 10], replicas=2)
-        assert sum(loads.values()) == 6  # 3 keys x 2 replicas
-        assert loads["n0"] == 2
-        assert set(loads) == set(ring.names())  # zero entries included
-
-    def test_byte_volumes(self, ring):
-        loads = placement_bytes(ring, [(10, 100), (20, 50)], replicas=1)
-        assert loads["n0"] == 150
-        assert sum(loads.values()) == 150
 
 
 class TestConsistentHashing:
@@ -117,7 +61,7 @@ class TestConsistentHashing:
         for i, node_id in enumerate(random_node_ids(64, rng)):
             ring.join(f"n{i}", node_id)
         keys = [rng.randrange(KEY_SPACE) for _ in range(6400)]
-        loads = placement_loads(ring, keys, replicas=1)
-        stats = describe_balance(loads.values())
+        loads = Counter(ring.successor(key) for key in keys)
+        stats = describe_balance([loads[name] for name in ring.names()])
         assert stats["mean"] == pytest.approx(100.0)
         assert stats["max"] < 12 * stats["mean"]  # log-factor spread
