@@ -337,7 +337,7 @@ def check_scale(rows):
     for row in routing:
         assert row["speedup_vs_cold"] >= 5.0, row
     # Streaming export keeps the read replay's peak RSS flat once warm.
-    # (CI's scale-smoke also caps the peak itself, in a process of its own;
+    # (CI's matrix-smoke also caps the peak itself, in a process of its own;
     # here it is the high-water mark of every bench that ran before.)
     assert read["rss_growth_kb"] <= 4096, read
     assert read["streamed_rows"] == read["windows"] > 0, read

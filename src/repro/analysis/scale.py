@@ -29,8 +29,8 @@ Determinism contract: every field of
 parameters (work checksums, hop/message/fetch totals) and is compared
 byte-for-byte between serial and parallel runs in CI.  Wall-clock and
 RSS live in separate *measured* fields that never enter that comparison.
-Only ``time.perf_counter`` and ``resource.getrusage`` are read — both
-sanctioned under the determinism sanitizer (``REPRO_DETSAN=1``).
+Only ``time.perf_counter`` and ``resource.getrusage`` are read — host
+*reporting*, which the linter's DET001 allows.
 """
 
 from __future__ import annotations

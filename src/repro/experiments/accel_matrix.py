@@ -9,7 +9,7 @@ scale matrix — a row's ``cell`` field tells the two apart).
 
 Like the scale cells, accel cells time themselves, so the disk result
 cache is disabled; the deterministic fingerprint of every row is still
-byte-identical between serial and ``--jobs N`` runs (CI's ``accel-smoke``
+byte-identical between serial and ``--jobs N`` runs (CI's ``matrix-smoke``
 job asserts it).
 """
 

@@ -10,7 +10,7 @@ run fresh: the disk result-cache is explicitly disabled (a cached
 wall-clock number would report the machine state of some earlier run).
 The deterministic work fingerprints (op counts, hop totals, owner
 checksums) are still byte-identical between serial and ``--jobs N``
-runs — CI's ``scale-smoke`` job asserts exactly that.
+runs — CI's ``matrix-smoke`` job asserts exactly that.
 
 Environment knobs:
 

@@ -12,18 +12,16 @@ under new keys (the 4-byte version field of the key encoding) and the
 metadata path up to the root is re-written so readers always see an
 internally consistent volume.
 
-This reproduction never materializes payload bytes; blocks carry sizes and
-synthetic content hashes (sufficient for all traffic accounting; root
-signing itself is not simulated).
+This reproduction never materializes payload bytes: blocks carry sizes,
+which is all the traffic accounting needs.  Content hashes and the root
+signature are counted in those sizes but never computed.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 BLOCK_SIZE = 8192
 # Files at or below this size are stored inline in their inode ("when the
@@ -43,31 +41,6 @@ class BlockKind(enum.Enum):
     DIRECTORY = "directory"
     INODE = "inode"
     DATA = "data"
-
-
-def synthetic_content_hash(identity: str, version: int) -> int:
-    """Deterministic stand-in for a block's content hash.
-
-    Real D2 hashes the 8 KB payload; hashing the logical identity plus the
-    version preserves the property the integrity chain needs — the hash
-    changes exactly when the content does.
-    """
-    digest = hashlib.sha256(f"{identity}#{version}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:20], "big")
-
-
-@dataclass(frozen=True)
-class BlockRef:
-    """A pointer stored in a metadata block: child key + integrity hash.
-
-    Keys in D2 are not content hashes (they encode name-space position), so
-    every metadata block keeps the content hash of each block it points to;
-    signing the root then transitively signs all metadata (Section 3).
-    """
-
-    key: int
-    content_hash: int
-    size: int
 
 
 def data_block_count(file_size: int) -> int:
@@ -143,26 +116,3 @@ def directory_block_sizes(n_entries: int) -> List[int]:
     sizes = [BLOCK_SIZE] * (count - 1)
     sizes.append(total - BLOCK_SIZE * (count - 1))
     return sizes
-
-
-@dataclass
-class RootBlock:
-    """A volume's mutable, signed root block (updated in place)."""
-
-    volume: bytes
-    version: int = 0
-    directory_ref: Optional[BlockRef] = None
-    signature: Optional[int] = None
-
-    def sign(self, publisher: str) -> None:
-        """Simulated publisher signature over (volume, version, root ref)."""
-        payload = f"{self.volume.hex()}:{self.version}:{self.directory_ref}"
-        digest = hashlib.sha256(f"{publisher}|{payload}".encode("utf-8")).digest()
-        self.signature = int.from_bytes(digest[:20], "big")
-
-    def verify(self, publisher: str) -> bool:
-        if self.signature is None:
-            return False
-        payload = f"{self.volume.hex()}:{self.version}:{self.directory_ref}"
-        digest = hashlib.sha256(f"{publisher}|{payload}".encode("utf-8")).digest()
-        return self.signature == int.from_bytes(digest[:20], "big")

@@ -1,14 +1,13 @@
 """``python -m repro.lint`` — the one way to run the linter.
 
-Every run parses the tree once and runs all ten rules over it with one
-:class:`~repro.lint.rules.LintContext`: the per-file rules DET001–DET003,
-OBS001, OBS002 and KEY001, and the whole-program rules DET004, PAR001,
-PUR001 and CACHE001.  Findings are computed once with suppressions off
-and split once into *reported* and *suppressed* by the
-``# lint: allow=RULE`` comments.  A comment that names an unknown rule,
-or covers no finding of a rule it names, is a *stale suppression* and
-fails the run like a finding does — a dead comment would otherwise
-swallow the next real regression on its line.
+Every run parses the tree once and runs all five rules over it with one
+:class:`~repro.lint.rules.LintContext`: the per-file rules DET001–DET003
+and the whole-program rules DET004 and CACHE001.  Findings are computed
+once with suppressions off and split once into *reported* and
+*suppressed* by the ``# lint: allow=RULE`` comments.  A comment that
+names an unknown rule, or covers no finding of a rule it names, is a
+*stale suppression* and fails the run like a finding does — a dead
+comment would otherwise swallow the next real regression on its line.
 
 Typical invocations::
 
@@ -56,7 +55,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Collection, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.flow import FLOW_RULES_BY_ID, run_flow
+from repro.lint.flow import FLOW_RULE_IDS, run_flow
 from repro.lint.rules import RULES_BY_ID, Finding, build_context, run_rules
 from repro.lint.walker import LintToolError, ParsedModule, parse_tree
 
@@ -67,7 +66,7 @@ EXIT_TOOL_ERROR = 2
 REPORT_VERSION = 3
 
 #: Every rule id, per-file rules first.
-RULE_IDS: Tuple[str, ...] = tuple(RULES_BY_ID) + tuple(FLOW_RULES_BY_ID)
+RULE_IDS: Tuple[str, ...] = tuple(RULES_BY_ID) + FLOW_RULE_IDS
 
 
 @dataclass
@@ -95,7 +94,7 @@ def run_lint(modules: Sequence[ParsedModule],
     findings = run_rules(
         modules, [rule for rule_id, rule in RULES_BY_ID.items()
                   if rule_id in rule_ids], context)
-    flow_ids = [rule_id for rule_id in FLOW_RULES_BY_ID if rule_id in rule_ids]
+    flow_ids = [rule_id for rule_id in FLOW_RULE_IDS if rule_id in rule_ids]
     if flow_ids:
         findings += run_flow(modules, context, flow_ids)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
@@ -166,7 +165,7 @@ def default_roots() -> List[str]:
 
 
 def select_rules(spec: Optional[str]) -> FrozenSet[str]:
-    """The rule ids a ``--rules`` value names (all ten when it is empty)."""
+    """The rule ids a ``--rules`` value names (all of them when it is empty)."""
     if not spec:
         return frozenset(RULE_IDS)
     selected = frozenset(part.strip().upper() for part in spec.split(",")
@@ -182,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="AST-based determinism & invariant linter for this repro: "
-                    "all ten rules and the allow-comment audit in one pass.",
+                    "every rule and the allow-comment audit in one pass.",
     )
     parser.add_argument(
         "paths", nargs="*",
@@ -190,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--rules", metavar="IDS",
-        help="comma-separated rule ids to run (default: all ten)",
+        help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
         "--json", action="store_true", dest="as_json",

@@ -19,10 +19,9 @@ every run by design.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 from repro.lint.flow.callgraph import FunctionIndex, FunctionInfo
-from repro.lint.flow.purity import EXECUTOR_ENTRY, _chain_text, _reachable
 from repro.lint.flow.summaries import FunctionSummary
 from repro.lint.rules import Finding
 
@@ -43,14 +42,41 @@ SANCTIONED_ENV: Dict[str, str] = {
     # Ambient-fingerprinted: participates in cache_key via AMBIENT_ENV_KEYS,
     # so differing values address different entries.
     "REPRO_TRACE_SAMPLE": "ambient-fingerprinted in cache_key",
-    # Fail-stop gate: raises on violations instead of changing results.
-    "REPRO_DETSAN": "sanitizer gate; raises, never alters results",
     # Side channels: directories results are exported to, not read from.
     "REPRO_METRICS_DIR": "metrics export side channel; not in results",
     "REPRO_RUN_CACHE": "the cache location itself",
     # Parallelism degree: serial-vs-jobs byte-identity is test-enforced.
     "REPRO_JOBS": "worker count; byte-identity enforced by tests",
 }
+
+
+#: The worker entry point; every ``@cell_kind`` function is a root too.
+EXECUTOR_ENTRY = "repro.runner.cells.execute_cell"
+
+
+def _reachable(roots: Sequence[FunctionInfo],
+               summaries: Dict[str, FunctionSummary]) -> Dict[str, Tuple[str, ...]]:
+    """qualname -> shortest call chain (as qualnames) from any root."""
+    chains: Dict[str, Tuple[str, ...]] = {}
+    queue: List[Tuple[FunctionInfo, Tuple[str, ...]]] = [
+        (root, (root.qualname,)) for root in roots
+    ]
+    while queue:
+        info, chain = queue.pop(0)
+        if info.qualname in chains:
+            continue
+        chains[info.qualname] = chain
+        summary = summaries.get(info.qualname)
+        if summary is None:
+            continue
+        for call in summary.calls:
+            if call.target is not None and call.target.qualname not in chains:
+                queue.append((call.target, chain + (call.target.qualname,)))
+    return chains
+
+
+def _chain_text(chain: Tuple[str, ...]) -> str:
+    return " -> ".join(f"{qual.rsplit('.', 1)[-1]}()" for qual in chain)
 
 
 def check_cache_keys(index: FunctionIndex,

@@ -12,8 +12,9 @@ Resolution is *conservative in the false-positive direction*: a call is
 linked to a project function only when the link is statically certain —
 imports, module-local names, ``self``/``cls`` receivers, receivers whose
 class is known from an annotation or a constructor assignment, and (as a
-last resort) method names that are defined exactly once in the whole
-project and are not generic container verbs.  Everything else stays
+last resort, for receivers that are not an import or a module symbol)
+method names that are defined exactly once in the whole project and are
+not generic container verbs.  Everything else stays
 unresolved, which makes the downstream passes miss paths rather than
 invent them.
 """
@@ -359,10 +360,10 @@ class FunctionIndex:
                 return self.class_method(cls, attr)
             origin_root = imports.get(root) or symbols.get(root)
             if origin_root:
+                # The root names what it is: a miss here is an external or
+                # dynamic target, never "some project method named attr".
                 dotted = origin_root + "." + ".".join(reversed(parts))
-                target = self._split_dotted(dotted)
-                if target is not None:
-                    return target
+                return self._split_dotted(dotted)
         elif isinstance(current, ast.Call):
             # method chained on a call result: resolve the inner call's class
             inner_class = self._call_result_class(current, info)

@@ -30,18 +30,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.flow.callgraph import FunctionIndex, FunctionInfo, ResolvedCall
 from repro.lint.flow.summaries import (
-    _MUTATOR_METHODS,
+    MUTATOR_METHODS,
     SOURCE_ORIGINS,
     FunctionSummary,
     resolve_env_key,
 )
-from repro.lint.rules import (
-    SERIESISH,
-    Finding,
-    Iteration,
-    LintContext,
-    receiver_name,
-)
+from repro.lint.rules import Finding, Iteration, LintContext
 
 RULE_ID = "DET004"
 HINT = ("derive the value from the parameter bundle or sim-time, or move it "
@@ -55,9 +49,23 @@ _SANITIZERS = frozenset({
     "callable", "range", "type",
 })
 
+#: Receiver-name fragments whose ``.sample``/``.record`` is a time-series
+#: write.
+SERIESISH = ("series", "bank", "timeseries", "health", "monitor")
+
 #: Metric update methods and the factory names that produce metric objects.
 _METRIC_METHODS = frozenset({"inc", "observe"})
 _METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram"})
+
+
+def receiver_name(func: ast.Attribute) -> str:
+    """The last name of a method call's receiver: ``bank`` for ``self.bank.f``."""
+    value = func.value
+    if isinstance(value, ast.Attribute):
+        return value.attr
+    if isinstance(value, ast.Name):
+        return value.id
+    return ""
 
 
 @dataclass
@@ -225,7 +233,7 @@ class _FunctionTaint:
                     note_target(node.target, reason)
             elif (isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in _MUTATOR_METHODS):
+                  and node.func.attr in MUTATOR_METHODS):
                 # container.append(tainted) / d.update(tainted): the
                 # receiver container now carries the taint.
                 arguments = [*node.args, *(kw.value for kw in node.keywords)]

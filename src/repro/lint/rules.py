@@ -1,6 +1,6 @@
-"""The invariant rules: determinism, observability, and key hygiene.
+"""The per-file determinism rules.
 
-Six rule families, each a :class:`Rule` producing :class:`Finding`\\ s:
+Three rules, each a :class:`Rule` producing :class:`Finding`\\ s:
 
 * **DET001** — no wall-clock reads (``time.time``, ``datetime.now``,
   ``time.monotonic``...) anywhere results can depend on them.
@@ -9,15 +9,6 @@ Six rule families, each a :class:`Rule` producing :class:`Finding`\\ s:
 * **DET003** — no iteration over ``set``/``frozenset`` values (or values of
   functions annotated to return sets) without ``sorted(...)``; set order is
   salted per process and silently breaks serial-vs-parallel equality.
-* **OBS001** — the event vocabulary: every emitted event kind registered
-  (:func:`repro.obs.events.register_kind` or the core constants).
-* **OBS002** — time-series samples carry **sim-time**, never host-clock
-  reads: no ``time.perf_counter()`` / ``time.process_time()`` (nor any
-  DET001 wall-clock source) fed into ``series.sample(...)`` /
-  ``bank.sample(...)``.
-* **KEY001** — ring keys are built by ``KeyScheme``/``compose_block_key``/
-  ``compose_block_run``/``hashed_key``, never hand-packed from shifts,
-  digests, or raw bytes.
 
 Rules resolve call targets through each module's import table and never
 flag what they cannot resolve: a missed violation is recoverable (add a
@@ -59,13 +50,10 @@ class Finding:
 class LintContext:
     """Cross-module facts shared by all rule passes.
 
-    Built once from every scanned module (plus, for the event vocabulary,
-    whatever ``repro.obs.events`` declares), so rules can resolve names
-    that cross file boundaries without importing any project code.
+    Built once from every scanned module, so rules can resolve names that
+    cross file boundaries without importing any project code.
     """
 
-    #: Registered event kinds: core constants + register_kind() literals.
-    event_kinds: Set[str] = field(default_factory=set)
     #: dotted module name -> {constant name -> string value}
     module_constants: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: Names of functions annotated to return Set/FrozenSet/AbstractSet.
@@ -78,16 +66,6 @@ class LintContext:
         if module.path not in self._set_typing:
             self._set_typing[module.path] = SetTyping(module, self)
         return self._set_typing[module.path]
-
-
-def _register_kind_literal(node: ast.Call) -> Optional[str]:
-    """The literal kind of a ``register_kind("...")`` call, if any."""
-    if call_name(node) != "register_kind" or not node.args:
-        return None
-    arg = node.args[0]
-    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-        return arg.value
-    return None
 
 
 def _is_set_annotation(annotation: Optional[ast.expr]) -> bool:
@@ -115,22 +93,10 @@ def build_context(modules: Sequence[ParsedModule]) -> LintContext:
             value = node.value
             if isinstance(value, ast.Constant) and isinstance(value.value, str):
                 constants[target.id] = value.value
-            elif isinstance(value, ast.Call):
-                literal = _register_kind_literal(value)
-                if literal is not None:
-                    constants[target.id] = literal
         if constants:
             context.module_constants[module.module] = constants
-        if module.module == "repro.obs.events":
-            # Every module-level string constant of the events module is part
-            # of the core vocabulary (they are what BASE_EVENT_KINDS wraps).
-            context.event_kinds.update(constants.values())
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                literal = _register_kind_literal(node)
-                if literal is not None:
-                    context.event_kinds.add(literal)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if _is_set_annotation(node.returns):
                     context.set_returning.add(node.name)
     return context
@@ -154,21 +120,6 @@ def call_name(node: ast.Call) -> str:
     return ""
 
 
-def receiver_name(func: ast.Attribute) -> str:
-    """The last name of a method call's receiver: ``bank`` for ``self.bank.f``."""
-    value = func.value
-    if isinstance(value, ast.Attribute):
-        return value.attr
-    if isinstance(value, ast.Name):
-        return value.id
-    return ""
-
-
-#: Receiver-name fragments whose ``.sample``/``.record`` is a time-series
-#: write (OBS002's receivers and DET004's series sinks).
-SERIESISH = ("series", "bank", "timeseries", "health", "monitor")
-
-
 # ---------------------------------------------------------------------------
 # rule framework
 
@@ -177,27 +128,19 @@ class Rule:
     """One named invariant; subclasses implement :meth:`check`."""
 
     id: str = ""
-    title: str = ""
     hint: str = ""
-    #: Dotted module names this rule never applies to (sanctioned low-level
-    #: implementation sites).
-    exempt_modules: Tuple[str, ...] = ()
-
-    def applies_to(self, module: ParsedModule) -> bool:
-        return module.module not in self.exempt_modules
 
     def check(self, module: ParsedModule, context: LintContext) -> List[Finding]:
         raise NotImplementedError
 
-    def finding(self, module: ParsedModule, node: ast.AST, message: str,
-                hint: Optional[str] = None) -> Finding:
+    def finding(self, module: ParsedModule, node: ast.AST, message: str) -> Finding:
         return Finding(
             rule=self.id,
             path=module.path,
             line=getattr(node, "lineno", 0),
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
-            hint=self.hint if hint is None else hint,
+            hint=self.hint,
         )
 
 
@@ -207,7 +150,6 @@ class Rule:
 
 class WallClockRule(Rule):
     id = "DET001"
-    title = "no wall-clock reads in deterministic code"
     hint = ("derive time from the simulator (sim.now) or pass timestamps in; "
             "for wall-clock *reporting* only, time.perf_counter() is allowed")
 
@@ -244,7 +186,6 @@ class WallClockRule(Rule):
 
 class UnseededRandomRule(Rule):
     id = "DET002"
-    title = "no unseeded or module-global randomness"
     hint = ("use an explicitly seeded random.Random(seed) instance derived "
             "from the parameter bundle")
 
@@ -456,7 +397,6 @@ class SetTyping:
 
 class UnorderedIterationRule(Rule):
     id = "DET003"
-    title = "no iteration over unordered sets"
     hint = ("wrap the iterable in sorted(...) — set iteration order is salted "
             "per process and poisons results and cache keys")
 
@@ -495,214 +435,11 @@ class UnorderedIterationRule(Rule):
         return findings
 
 
-# ---------------------------------------------------------------------------
-# OBS001 — the event vocabulary
-
-
-class ObservabilityRule(Rule):
-    id = "OBS001"
-    title = "emitted event kinds are registered"
-    hint = "register event kinds via repro.obs.events.register_kind"
-
-    #: Receivers whose ``.emit`` is an event-tracer emit; other ``.emit``
-    #: methods (if any ever appear) are out of scope for this rule.
-    _TRACERISH = ("tracer", "events")
-
-    def _resolve_kind(self, expr: ast.expr, module: ParsedModule,
-                      imports: Dict[str, str], context: LintContext) -> Optional[str]:
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-            return expr.value
-        if isinstance(expr, ast.Name):
-            local = context.module_constants.get(module.module, {})
-            if expr.id in local:
-                return local[expr.id]
-            origin = imports.get(expr.id)
-            if origin and "." in origin:
-                origin_module, _, constant = origin.rpartition(".")
-                return context.module_constants.get(origin_module, {}).get(constant)
-            return None
-        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-            origin = imports.get(expr.value.id)
-            if origin:
-                return context.module_constants.get(origin, {}).get(expr.attr)
-        return None
-
-    def check(self, module: ParsedModule, context: LintContext) -> List[Finding]:
-        imports = module.imports
-        findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-                continue
-            if node.func.attr != "emit" or not node.args:
-                continue
-            receiver = receiver_name(node.func).lower()
-            if not any(tag in receiver for tag in self._TRACERISH):
-                continue
-            kind = self._resolve_kind(node.args[0], module, imports, context)
-            if kind is not None and kind not in context.event_kinds:
-                findings.append(self.finding(
-                    module, node,
-                    f"event kind {kind!r} emitted but never registered",
-                    hint="declare it: KIND = register_kind(\"...\") "
-                         "(repro.obs.events)",
-                ))
-        return findings
-
-
-# ---------------------------------------------------------------------------
-# OBS002 — time-series samples carry sim-time
-
-
-class TimeSeriesSimTimeRule(Rule):
-    id = "OBS002"
-    title = "time-series samples carry sim-time, not host-clock reads"
-    hint = ("sample(sim.now, value) — a host-clock timestamp makes the "
-            "window geometry (and every SLO evaluation) machine-dependent; "
-            "time.perf_counter belongs in measured wall-clock fields only")
-
-    #: Every DET001 wall-clock source, plus the process timers DET001
-    #: sanctions for wall-clock *reporting* — none of them may become a
-    #: sample timestamp or value.
-    BANNED = WallClockRule.BANNED | frozenset({
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-    })
-
-    def check(self, module: ParsedModule, context: LintContext) -> List[Finding]:
-        imports = module.imports
-        findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-                continue
-            if node.func.attr not in ("sample", "record"):
-                continue
-            receiver = receiver_name(node.func).lower()
-            if not any(tag in receiver for tag in SERIESISH):
-                continue
-            arguments = list(node.args) + [kw.value for kw in node.keywords]
-            for argument in arguments:
-                for inner in ast.walk(argument):
-                    if not isinstance(inner, ast.Call):
-                        continue
-                    origin = resolve_call_target(inner.func, imports)
-                    if origin in self.BANNED:
-                        findings.append(self.finding(
-                            module, inner,
-                            f"host-clock read {origin}() fed into a "
-                            f"time-series .{node.func.attr}()",
-                        ))
-        return findings
-
-
-# ---------------------------------------------------------------------------
-# KEY001 — no hand-packed ring keys
-
-
-class KeyCompositionRule(Rule):
-    id = "KEY001"
-    title = "ring keys go through KeyScheme/compose_block_key"
-    hint = ("build keys with KeyScheme implementations, encode_path_key/"
-            "compose_block_key/compose_block_run, or hashed_key — never by "
-            "hand-packing bytes or bit-shifting fields")
-
-    exempt_modules = (
-        "repro.core.keys",
-        "repro.dht.keyspace",
-        "repro.dht.consistent_hashing",
-    )
-
-    _RAW_PACKERS = frozenset({"key_from_bytes", "hash_to_key"})
-    #: Shifting a *computed* value by >= 32 bits is the classic layout pack;
-    #: literal left operands (1 << 512, 8 << 20) are size constants, not keys.
-    _MIN_FIELD_SHIFT = 32
-
-    def _shift_names(self, expr: ast.expr) -> List[str]:
-        return [
-            n.id for n in ast.walk(expr)
-            if isinstance(n, ast.Name)
-            and (n.id.endswith("_BYTES") or n.id.endswith("_SHIFT")
-                 or n.id == "KEY_BITS")
-        ]
-
-    def check(self, module: ParsedModule, context: LintContext) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = call_name(node)
-                if name in self._RAW_PACKERS:
-                    findings.append(self.finding(
-                        module, node,
-                        f"raw key packer {name}() outside the key modules",
-                    ))
-                elif (name == "encode" and isinstance(func, ast.Attribute)
-                      and isinstance(func.value, ast.Call)
-                      and isinstance(func.value.func, ast.Name)
-                      and func.value.func.id == "BlockKey"):
-                    findings.append(self.finding(
-                        module, node,
-                        "BlockKey(...).encode() hand-builds a 64-byte key",
-                        hint="use encode_path_key(...) / the KeyScheme API",
-                    ))
-                elif (name == "from_bytes" and isinstance(func, ast.Attribute)
-                      and isinstance(func.value, ast.Name)
-                      and func.value.id == "int" and node.args):
-                    if self._is_wide_digest(node.args[0]):
-                        findings.append(self.finding(
-                            module, node,
-                            "int.from_bytes over a full-width digest "
-                            "hand-hashes a ring key",
-                            hint="use hashed_key(name) for uniform keys",
-                        ))
-            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift):
-                if isinstance(node.left, ast.Constant):
-                    continue  # 1 << 512 style size constants
-                shift = node.right
-                wide = (isinstance(shift, ast.Constant)
-                        and isinstance(shift.value, int)
-                        and shift.value >= self._MIN_FIELD_SHIFT)
-                if wide or self._shift_names(shift):
-                    findings.append(self.finding(
-                        module, node,
-                        "bit-shifting key fields together hand-packs the "
-                        "Figure-4 layout",
-                        hint="use compose_block_key(prefix, block_number, version)",
-                    ))
-        return findings
-
-    @staticmethod
-    def _is_wide_digest(expr: ast.expr) -> bool:
-        """True for sha512(...).digest() or <digest>[:N] slices with N >= 64."""
-        if isinstance(expr, ast.Subscript):
-            sl = expr.slice
-            if isinstance(sl, ast.Slice) and isinstance(sl.upper, ast.Constant):
-                if isinstance(sl.upper.value, int) and sl.upper.value >= 64:
-                    return KeyCompositionRule._is_digest_call(expr.value)
-            return False
-        return KeyCompositionRule._is_digest_call(expr, wide_only=True)
-
-    @staticmethod
-    def _is_digest_call(expr: ast.expr, wide_only: bool = False) -> bool:
-        if not (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute)
-                and expr.func.attr == "digest"):
-            return False
-        inner = expr.func.value
-        if not (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)):
-            return False
-        algo = inner.func.attr
-        return algo == "sha512" if wide_only else algo.startswith(("sha", "md5", "blake"))
-
-
 #: The rule set, in report order.
 ALL_RULES: Tuple[Rule, ...] = (
     WallClockRule(),
     UnseededRandomRule(),
     UnorderedIterationRule(),
-    ObservabilityRule(),
-    TimeSeriesSimTimeRule(),
-    KeyCompositionRule(),
 )
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}
@@ -714,6 +451,6 @@ def run_rules(modules: Sequence[ParsedModule], rules: Sequence[Rule],
     return [
         finding
         for module in modules
-        for rule in rules if rule.applies_to(module)
+        for rule in rules
         for finding in rule.check(module, context)
     ]

@@ -3,8 +3,8 @@
 The metrics registry (PR 1) answers "what were the totals"; this module
 answers "what happened *when*".  A :class:`TimeSeriesBank` holds labelled
 series bucketed into fixed-width windows of **simulated** time — never
-wall clock (lint rule ``OBS002`` enforces that no ``perf_counter`` value
-is ever fed into a sampler).  Windows are half-open on the left,
+wall clock (a host-clock sample would move the health goldens in
+``tests/data``).  Windows are half-open on the left,
 ``(start, end]``, so a sample taken exactly at a window boundary — the
 cadence the health monitor uses — lands in the window that boundary
 *closes*, and counter deltas line up exactly with the interval they

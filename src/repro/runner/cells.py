@@ -35,25 +35,14 @@ def cell_kind(name: str) -> Callable[[Callable[[Dict[str, Any]], Any]], Callable
 
 
 def execute_cell(kind: str, params: Mapping[str, Any]) -> Any:
-    """Run one cell in this process — the worker entry point.
-
-    Under ``$REPRO_DETSAN=1`` the cell body runs inside the determinism
-    sanitizer (:mod:`repro.lint.detsan`): any wall-clock read or unseeded
-    entropy draw raises instead of silently poisoning the result cache.
-    The wrapper sits *here*, not around the pool, so process-pool plumbing
-    (which legitimately uses OS entropy for auth keys) stays untouched in
-    both the parent and the workers.
-    """
-    from repro.lint.detsan import maybe_sanitize
-
+    """Run one cell in this process — the worker entry point."""
     try:
         fn = CELL_KINDS[kind]
     except KeyError:
         raise ValueError(
             f"unknown cell kind {kind!r}; expected one of {sorted(CELL_KINDS)}"
         ) from None
-    with maybe_sanitize():
-        return fn(dict(params))
+    return fn(dict(params))
 
 
 def scaled_harvard_trace(

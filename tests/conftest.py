@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -9,23 +10,14 @@ import pytest
 from repro.core.system import build_deployment
 from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.ring import Ring
-from repro.lint.detsan import maybe_sanitize
+from repro.lint.cli import run_lint
+from repro.lint.walker import parse_tree
 from repro.sim.engine import Simulator
 from repro.store.migration import StorageCoordinator
 from repro.workloads.harvard import HarvardConfig, generate_harvard
 
-
-@pytest.fixture(autouse=True)
-def _detsan():
-    """Run every test under the determinism sanitizer when $REPRO_DETSAN=1.
-
-    A no-op by default; the CI detsan job (and any local
-    ``REPRO_DETSAN=1 pytest`` run) turns the whole tier-1 suite into a
-    dynamic determinism check: wall-clock reads and unseeded entropy
-    raise :class:`repro.lint.detsan.DeterminismViolation`.
-    """
-    with maybe_sanitize():
-        yield
+REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "src", "repro")
 
 
 @pytest.fixture
@@ -61,3 +53,10 @@ def tiny_trace():
 @pytest.fixture
 def d2_deployment():
     return build_deployment("d2", 24, seed=5)
+
+
+@pytest.fixture(scope="session")
+def repo_lint_run():
+    """One lint run over the shipped tree — every rule, then the allow
+    audit — shared by the tests that assert on the whole tree."""
+    return run_lint(parse_tree([REPO_SRC]))

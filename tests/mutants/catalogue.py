@@ -1,0 +1,238 @@
+"""The seeded mutants every guard is scored against.
+
+A mutant is a deliberate bug: one or more ``old -> new`` text hunks in one
+source file.  Each ``old`` must occur exactly once in its file, so a
+refactor that moves the code a mutant names makes it fail loudly
+(``tests/test_mutant_catalogue.py``) instead of silently scoring nothing.
+
+Three groups, in catalogue order:
+
+* the mutants written by hand while building the ordered indexes, the
+  one-commit flush, the folded read replay and the plan reuse, each
+  named after the test that caught it then;
+* one mutant per nondeterminism class the lint rules name (set order, an
+  ambient env read, a wall clock, a module-global write, an unseeded RNG,
+  ``id()``);
+* one mutant per remaining rule's own class (KEY001, OBS001, PUR001,
+  OBS002) and one for the class the runtime sanitizer claims: entropy the
+  AST cannot resolve.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple, Tuple, Union
+
+
+class Mutant(NamedTuple):
+    id: str
+    path: str               # relative to the repository root
+    old: Tuple[str, ...]    # hunks, each replaced once by its ``new`` twin
+    new: Tuple[str, ...]
+    cls: str                # what kind of bug it is
+    origin: str             # the guard or test it was written against
+
+
+def mutant(id: str, path: str, old: Union[str, Tuple[str, ...]],
+           new: Union[str, Tuple[str, ...]], cls: str, origin: str) -> Mutant:
+    """A :class:`Mutant`; a single hunk may be given as two strings."""
+    old = (old,) if isinstance(old, str) else old
+    new = (new,) if isinstance(new, str) else new
+    if len(old) != len(new):
+        raise ValueError(f"{id}: {len(old)} old hunks, {len(new)} new")
+    return Mutant(id, path, old, new, cls, origin)
+
+
+def apply(mutant: Mutant, text: str) -> str:
+    """*text* with every hunk of *mutant* replaced; ValueError if one is stale."""
+    for old, new in zip(mutant.old, mutant.new):
+        found = text.count(old)
+        if found != 1:
+            raise ValueError(
+                f"{mutant.id}: hunk found {found} times in {mutant.path}: {old!r}")
+        text = text.replace(old, new)
+    return text
+
+
+CACHE = "src/repro/core/lookup_cache.py"
+DIRECTORY = "src/repro/store/block_store.py"
+FLUSH = "src/repro/store/migration.py"
+FSLAYER = "src/repro/fs/fslayer.py"
+SCALE = "src/repro/analysis/scale.py"
+CELLS = "src/repro/runner/cells.py"
+KEYSCHEMES = "src/repro/fs/keyschemes.py"
+
+MUTANTS: Tuple[Mutant, ...] = (
+    # -- the ordered indexes, held to their scan oracles -----------------
+    mutant("cache-assumes-disjoint-arcs", CACHE,
+           "        while min_lo[index] < key:",
+           "        if min_lo[index] < key:",
+           "ordered index", "LookupCacheMachine"),
+    mutant("cache-no-tie-rule", CACHE,
+           "                or entry.expires_at > best.expires_at\n"
+           "                or (entry.expires_at == best.expires_at and entry.hi < best.hi)\n",
+           "                or entry.expires_at > best.expires_at\n",
+           "ordered index", "LookupCacheMachine"),
+    mutant("cache-no-wrapping-list", CACHE,
+           "        for entry in self._wrapping:",
+           "        for entry in ():",
+           "ordered index", "LookupCacheMachine"),
+    mutant("directory-no-cancel", DIRECTORY,
+           "        if pending is not None and pending.pop(key, None) is None:",
+           "        if pending is not None:",
+           "ordered index", "RingDirectoryMachine"),
+    mutant("directory-deletes-neighbour", DIRECTORY,
+           "                    del index[at]",
+           "                    del index[at - 1]",
+           "ordered index", "RingDirectoryMachine"),
+    # -- one commit per flush, held to the per-key coordinator -----------
+    mutant("flush-no-rescue", FLUSH,
+           "            for key in keys:\n"
+           "                removes_at.pop(key, None)\n",
+           "            for key in keys:\n",
+           "flush", "FlushMachine"),
+    mutant("flush-ledger-bump-on-empty", FLUSH,
+           "        if count:\n"
+           "            self.ledger.record_remove(self.sim.now, nbytes)\n",
+           "        self.ledger.record_remove(self.sim.now, nbytes)\n"
+           "        if count:\n",
+           "flush", "FlushMachine"),
+    mutant("flush-reversed-events", FLUSH,
+           "for key in removes]",
+           "for key in reversed(removes)]",
+           "flush", "FlushMachine"),
+    mutant("flush-ttl-not-cleared", FLUSH,
+           "            for key in removes:\n"
+           "                expires_at.pop(key, None)\n",
+           "",
+           "flush", "FlushMachine"),
+    mutant("flush-zero-size-not-counted", FLUSH,
+           "            if size is not None:\n"
+           "                count += 1\n",
+           "            if size:\n"
+           "                count += 1\n",
+           "flush", "FlushMachine"),
+    mutant("flush-wrong-owners", FLUSH,
+           "self.physical_at.update(zip(keys, owners))",
+           "self.physical_at.update(zip(keys, owners[::-1]))",
+           "flush", "FlushMachine"),
+    mutant("flush-tracker-not-placed", FLUSH,
+           "                if tracker is not None:\n"
+           "                    tracker.place(key, self.holders(key))\n",
+           "",
+           "flush", "FlushMachine"),
+    mutant("flush-removes-at-left-after-immediate-removal", FLUSH,
+           "                for key in removes:\n"
+           "                    removes_at.pop(key, None)\n",
+           "",
+           "flush", "FlushMachine"),
+    mutant("flush-puts-not-summed", FSLAYER,
+           "put_sizes[key] = put_sizes.get(key, 0) + size",
+           "put_sizes[key] = size",
+           "flush", "FlushMachine"),
+    mutant("flush-written-removes-kept", FSLAYER,
+           "[key for key in removes if key not in put_sizes and key in directory]",
+           "[key for key in removes if key in directory]",
+           "flush", "FlushMachine"),
+    mutant("flush-bisect-right", DIRECTORY,
+           "            at = bisect.bisect_left(index, key)",
+           "            at = bisect.bisect_right(index, key)",
+           "flush", "FlushMachine"),
+    mutant("flush-wrong-annotation", FSLAYER,
+           "            removes=len(removes),",
+           "            removes=len(put_sizes),",
+           "flush", "FlushMachine"),
+    mutant("flush-validate-while-mutating", FLUSH,
+           "        for key in removes:\n"
+           "            validate_key(key)\n"
+           "        self.directory.put_many(puts)  # checks keys and sizes before it changes\n",
+           "        self.directory.put_many(puts)  # checks keys and sizes before it changes\n"
+           "        for key in removes:\n"
+           "            validate_key(key)\n",
+           "flush", "FlushMachine"),
+    # -- the read replay folded per distinct request ----------------------
+    mutant("fold-forgets-multiplicity", SCALE,
+           "hops += _fold_routes(digest, results, counts.values(), owners)",
+           "hops += _fold_routes(digest, results, repeat(1), owners)",
+           "read replay", "TestReadFoldAgainstPerOpOracle"),
+    mutant("fold-owners-per-distinct-request", SCALE,
+           "        owners = map(owner_of.__getitem__, requests)",
+           "        owners = [owner_of[request] for request, n in counts.items()"
+           " for _ in range(n)]",
+           "read replay", "TestReadFoldAgainstPerOpOracle"),
+    # -- plans kept for the run under fs.root_version ---------------------
+    mutant("replay-root-version-restored", FSLAYER,
+           "        self.root_version += 1\n",
+           "",
+           "read replay", "test_write_between_windows_replans"),
+    mutant("replay-plans-clear-dropped", SCALE,
+           "            plans.clear()\n",
+           "",
+           "read replay", "test_write_between_windows_replans"),
+    # -- one per nondeterminism class the lint rules name -----------------
+    mutant("set-iterated-into-row", "src/repro/experiments/extensions.py",
+           "        names = list(ring.names())",
+           "        names = list(set(ring.names()))",
+           "nondeterminism: set order", "DET003"),
+    mutant("env-read-in-cached-cell", CELLS,
+           "    from repro.analysis.performance import run_performance\n\n"
+           "    return run_performance(",
+           "    import os\n\n"
+           "    from repro.analysis.performance import run_performance\n\n"
+           "    params[\"n_windows\"] = int(os.environ.get(\"REPRO_PERF_WINDOWS\","
+           " params[\"n_windows\"]))\n"
+           "    return run_performance(",
+           "nondeterminism: ambient env", "CACHE001"),
+    mutant("wall-clock-into-health-sample", "src/repro/obs/health.py",
+           ("from dataclasses import dataclass, field\n",
+            'self.bank.sample("pointer.stall", now, stall, agg="max")'),
+           ("import time\nfrom dataclasses import dataclass, field\n",
+            'self.bank.sample("pointer.stall", time.time(), stall, agg="max")'),
+           "nondeterminism: wall clock", "DET001"),
+    mutant("global-write-leaks-into-next-cell", CELLS,
+           ('@cell_kind("accel")\n',
+            "    return run_accel_cell(params)\n"),
+           ('_ACCEL_ROWS: Dict[str, Any] = {}\n\n\n@cell_kind("accel")\n',
+            '    return _ACCEL_ROWS.setdefault(params["scenario"], run_accel_cell(params))\n'),
+           "nondeterminism: module state", "PAR001"),
+    mutant("unseeded-random", "src/repro/experiments/churn_storm.py",
+           "            random.Random(seed + 31 * trial + 1),",
+           "            random.Random(),",
+           "nondeterminism: entropy", "DET002"),
+    mutant("id-in-key", KEYSCHEMES,
+           "        prefix = self._prefixes.get(obj.ident)\n"
+           "        if prefix is None:\n"
+           "            prefix = self._prefixes[obj.ident] = self._make_prefix(obj)\n",
+           "        prefix = self._prefixes.get(id(obj))\n"
+           "        if prefix is None:\n"
+           "            prefix = self._prefixes[id(obj)] = self._make_prefix(obj)\n",
+           "nondeterminism: id()", "DET004"),
+    # -- one per remaining rule's own class -------------------------------
+    mutant("key-hand-packed-one-bit-off", KEYSCHEMES,
+           "        return compose_block_key(self._prefix(node), block_number,"
+           " version_hash(version))",
+           "        return self._prefix(node) | (block_number << 32)"
+           " | (version_hash(version) << 1)",
+           "key layout", "KEY001"),
+    mutant("unregistered-event-kind", FLUSH,
+           "                self._tracer.emit(MIGRATION)",
+           '                self._tracer.emit("store.migrated")',
+           "event vocabulary", "OBS001"),
+    mutant("lru-cache-reads-mutated-global", "src/repro/runner/executor.py",
+           ("from dataclasses import dataclass\n",
+            "def last_stats(kind: Optional[str] = None) -> Optional[RunnerStats]:\n"),
+           ("from dataclasses import dataclass\nfrom functools import lru_cache\n",
+            "@lru_cache(maxsize=None)\n"
+            "def last_stats(kind: Optional[str] = None) -> Optional[RunnerStats]:\n"),
+           "memo purity", "PUR001"),
+    mutant("perf-counter-into-series-sample", "src/repro/store/repair.py",
+           ("from dataclasses import dataclass, field\n",
+            "self._backlog_series.sample(self.sim.now, float(backlog))"),
+           ("import time\nfrom dataclasses import dataclass, field\n",
+            "self._backlog_series.sample(time.perf_counter(), float(backlog))"),
+           "series timestamps", "OBS002"),
+    mutant("clock-through-alias", "src/repro/analysis/accel.py",
+           "    rng = Random(seed + 3)\n",
+           "    clock = time.time\n"
+           "    rng = Random(int(clock()))\n",
+           "nondeterminism: entropy the AST cannot see", "detsan"),
+)

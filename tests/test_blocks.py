@@ -1,4 +1,4 @@
-"""Tests for the D2-FS block model (sizes, coverage, integrity)."""
+"""Tests for the D2-FS block model (sizes and coverage)."""
 
 import pytest
 from hypothesis import given
@@ -8,15 +8,12 @@ from repro.fs.blocks import (
     BLOCK_SIZE,
     DIRECTORY_ENTRY_BYTES,
     INLINE_DATA_THRESHOLD,
-    BlockRef,
-    RootBlock,
     blocks_covering,
     data_block_count,
     data_block_sizes,
     directory_block_count,
     directory_block_sizes,
     inode_size,
-    synthetic_content_hash,
 )
 
 
@@ -118,27 +115,3 @@ class TestDirectoryBlocks:
             assert len(sizes) == directory_block_count(entries)
             assert all(0 < s <= BLOCK_SIZE for s in sizes)
 
-
-class TestIntegrity:
-    def test_content_hash_changes_with_version(self):
-        assert synthetic_content_hash("f", 1) != synthetic_content_hash("f", 2)
-
-    def test_content_hash_stable(self):
-        assert synthetic_content_hash("f", 1) == synthetic_content_hash("f", 1)
-
-    def test_root_block_sign_verify(self):
-        root = RootBlock(volume=b"\x00" * 20, version=3,
-                         directory_ref=BlockRef(key=1, content_hash=2, size=3))
-        root.sign("alice")
-        assert root.verify("alice")
-        assert not root.verify("mallory")
-
-    def test_unsigned_root_fails_verification(self):
-        root = RootBlock(volume=b"\x00" * 20)
-        assert not root.verify("alice")
-
-    def test_tampered_root_fails(self):
-        root = RootBlock(volume=b"\x00" * 20, version=1)
-        root.sign("alice")
-        root.version = 2
-        assert not root.verify("alice")

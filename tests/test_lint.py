@@ -9,7 +9,6 @@ violations / 2 tool error).
 from __future__ import annotations
 
 import json
-import os
 import textwrap
 
 from repro.lint.cli import (
@@ -17,13 +16,11 @@ from repro.lint.cli import (
     EXIT_TOOL_ERROR,
     EXIT_VIOLATIONS,
     main,
+    render_text,
     run_lint,
 )
 from repro.lint.rules import RULES_BY_ID
 from repro.lint.walker import parse_module
-
-REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "src", "repro")
 
 
 def lint(tmp_path, source, name="fixture.py", companions=()):
@@ -242,161 +239,14 @@ def test_det003_self_attribute_set(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# OBS001 — the event vocabulary
-
-
-def test_obs001_unregistered_event_kind(tmp_path):
-    findings = lint(tmp_path, """
-        def run(tracer):
-            tracer.emit("totally.unknown")
-    """)
-    assert [f.rule for f in findings] == ["OBS001"]
-    assert "totally.unknown" in findings[0].message
-
-
-def test_obs001_registered_kinds_pass(tmp_path):
-    findings = lint(tmp_path, """
-        from repro.obs.events import register_kind
-
-        MY_KIND = register_kind("fixture.kind")
-
-        def run(tracer):
-            tracer.emit(MY_KIND)
-            tracer.emit("fixture.kind")
-    """)
-    assert findings == []
-
-
-def test_obs001_core_vocabulary_resolves_across_modules(tmp_path):
-    # Constants imported from a scanned events module resolve to their
-    # literal values; registered ones pass, unknown ones fail.
-    companions = [("evmod.py", """
-        GOOD = "lookup.hit"
-
-        def register_kind(kind):
-            return kind
-
-        REGISTERED = register_kind("lookup.hit")
-    """)]
-    findings = lint(tmp_path, """
-        from evmod import REGISTERED
-
-        def run(tracer):
-            tracer.emit(REGISTERED)
-    """, companions=companions)
-    assert findings == []
-
-
-def test_obs001_skips_non_tracer_emit(tmp_path):
-    findings = lint(tmp_path, """
-        def run(signal_bus, now):
-            signal_bus.emit("not.an.event", now)
-    """)
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# OBS002 — sim-time-only time-series samples
-
-
-def test_obs002_flags_perf_counter_samples(tmp_path):
-    findings = lint(tmp_path, """
-        import time
-
-        def run(series, bank):
-            series.sample(time.perf_counter(), 1.0)
-            bank.sample("lookup.hit_ratio", time.perf_counter_ns(), 0.5)
-            series.record(time.process_time(), 2.0)
-    """)
-    assert [f.rule for f in findings] == ["OBS002", "OBS002", "OBS002"]
-    assert "time.perf_counter()" in findings[0].message
-
-
-def test_obs002_flags_wall_clock_samples_too(tmp_path):
-    findings = lint(tmp_path, """
-        import time
-
-        def run(monitor_series):
-            monitor_series.sample(time.time(), 1.0)
-    """)
-    # DET001 also fires on the raw time.time() read; OBS002 adds the
-    # series-specific diagnostic on top.
-    assert rules_of(findings) == ["DET001", "OBS002"]
-
-
-def test_obs002_allows_sim_time_and_measured_fields(tmp_path):
-    findings = lint(tmp_path, """
-        import time
-
-        def run(sim, series, bank):
-            series.sample(sim.now, 1.0)
-            bank.sample("repair.backlog", sim.now, value=3.0)
-            wall = time.perf_counter()  # measured field, not a sample
-            return wall
-    """)
-    assert findings == []
-
-
-def test_obs002_skips_non_series_receivers(tmp_path):
-    findings = lint(tmp_path, """
-        import time
-
-        def run(profiler):
-            profiler.sample(time.perf_counter())
-    """)
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# KEY001 — hand-packed keys
-
-
-def test_key001_flags_raw_packers_and_shifts(tmp_path):
-    findings = lint(tmp_path, """
-        import hashlib
-        from repro.dht.keyspace import hash_to_key, key_from_bytes
-
-        BLOCK_NUMBER_BYTES = 8
-
-        def bad_keys(name, prefix, block, version):
-            a = hash_to_key(name.encode())
-            b = key_from_bytes(b"x" * 64)
-            c = prefix | (block << 32) | version
-            d = prefix | (block << (8 * BLOCK_NUMBER_BYTES))
-            e = int.from_bytes(hashlib.sha512(name.encode()).digest(), "big")
-            return a, b, c, d, e
-    """)
-    assert [f.rule for f in findings] == ["KEY001"] * 5
-
-
-def test_key001_allows_sanctioned_api_and_size_constants(tmp_path):
-    findings = lint(tmp_path, """
-        import hashlib
-        from repro.core.keys import compose_block_key, encode_path_key
-        from repro.dht.consistent_hashing import hashed_key
-
-        MEMO_MAX = 1 << 17
-        BIG = 8 << 20
-
-        def good_keys(volume, slots, block, version, name):
-            prefix = encode_path_key(volume, slots)
-            k1 = compose_block_key(prefix, block, version)
-            k2 = hashed_key(name)
-            sig = int.from_bytes(hashlib.sha256(name.encode()).digest()[:20], "big")
-            return k1, k2, sig, MEMO_MAX, BIG
-    """)
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # whole-tree invariant: the shipped source stays clean
 
 
-def test_repo_source_is_lint_clean(capsys):
-    """The default run — all ten rules, then the allow-comment audit — over
+def test_repo_source_is_lint_clean(repo_lint_run):
+    """The default run — every rule, then the allow-comment audit — over
     the shipped tree: no finding, no stale suppression."""
-    assert main([REPO_SRC]) == EXIT_CLEAN
-    assert "0 violations" in capsys.readouterr().out
+    assert not repo_lint_run.failed
+    assert "0 violations" in render_text(repo_lint_run)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +342,7 @@ def test_json_report_schema(tmp_path, capsys):
     assert payload["tool"] == "repro.lint"
     assert payload["files_scanned"] == 1
     assert set(payload["summary"]) == {
-        "DET001", "DET002", "DET003", "DET004", "OBS001", "OBS002",
-        "KEY001", "PAR001", "PUR001", "CACHE001",
+        "DET001", "DET002", "DET003", "DET004", "CACHE001",
     }
     assert payload["summary"]["DET001"] == 1
     (finding,) = payload["findings"]

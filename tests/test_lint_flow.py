@@ -12,29 +12,21 @@ import json
 import os
 import textwrap
 
-from repro.lint.cli import EXIT_CLEAN, EXIT_VIOLATIONS, main, run_lint
-from repro.lint.flow import FLOW_RULES_BY_ID
+from repro.lint.cli import EXIT_CLEAN, EXIT_VIOLATIONS, main, render_json, run_lint
+from repro.lint.flow import FLOW_RULE_IDS
 from repro.lint.walker import parse_module
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-REPO_SRC = os.path.join(REPO_ROOT, "src", "repro")
-COMMON_PY = os.path.join(REPO_SRC, "experiments", "common.py")
+from tests.conftest import REPO_SRC
 
 
-def flow(tmp_path, source, name="fixture.py", companions=(), rules=None,
-         real_files=()):
-    """Run the flow passes over one dedented fixture plus companions.
-
-    *real_files* are absolute paths of genuine project modules to include
-    in the index (e.g. ``common.py`` so ``cached()`` thunk calls resolve).
-    Returns only findings anchored in *name*.
-    """
-    modules = [parse_module(path) for path in real_files]
+def flow(tmp_path, source, name="fixture.py", companions=(), rules=None):
+    """Run the flow passes over one dedented fixture plus companions;
+    only findings anchored in *name*."""
+    modules = []
     for fname, fsource in list(companions) + [(name, source)]:
         path = tmp_path / fname
         path.write_text(textwrap.dedent(fsource))
         modules.append(parse_module(str(path)))
-    findings = run_lint(modules, rules or FLOW_RULES_BY_ID).findings
+    findings = run_lint(modules, rules or FLOW_RULE_IDS).findings
     return [f for f in findings if f.path.endswith(name)]
 
 
@@ -127,6 +119,23 @@ def test_det004_order_free_consumer_is_clean(tmp_path):
     assert findings == []
 
 
+def test_det004_json_dump_is_not_a_lone_project_method(tmp_path):
+    # ``json.dump`` names an import: the call graph must not fall back to
+    # the one project method called ``dump``, which would hide the sink.
+    findings = flow(tmp_path, """
+        import json
+
+        class Report:
+            def dump(self):
+                return []
+
+        def export(x, fh):
+            json.dump([id(x)], fh)
+    """, rules={"DET004"})
+    assert [(f.rule, f.line) for f in findings] == [("DET004", 9)]
+    assert "id()" in findings[0].message
+
+
 def test_det004_inline_suppression(tmp_path):
     findings = flow(tmp_path, """
         import json
@@ -137,106 +146,6 @@ def test_det004_inline_suppression(tmp_path):
             with open(path, "w") as handle:
                 json.dump(payload, handle)  # lint: allow=DET004
     """, rules={"DET004"})
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# PAR001 — no module-state writes reachable from the parallel executor
-
-
-def test_par001_flags_global_mutation_under_parallelism(tmp_path):
-    findings = flow(tmp_path, """
-        from repro.runner import cell_kind
-
-        RESULTS = []
-
-        @cell_kind("fixture-par")
-        def cell(params):
-            record(params["x"])
-            return params["x"]
-
-        def record(value):
-            RESULTS.append(value)
-    """, rules={"PAR001"})
-    assert [f.rule for f in findings] == ["PAR001"]
-    assert "RESULTS" in findings[0].message
-    assert "cell()" in findings[0].message and "record()" in findings[0].message
-
-
-def test_par001_local_state_is_clean(tmp_path):
-    findings = flow(tmp_path, """
-        from repro.runner import cell_kind
-
-        @cell_kind("fixture-par-ok")
-        def cell(params):
-            acc = []
-            for value in params["xs"]:
-                acc.append(value)
-            return acc
-    """, rules={"PAR001"})
-    assert findings == []
-
-
-def test_par001_unreachable_mutation_is_clean(tmp_path):
-    # The write exists, but no cell ever reaches it: not a parallel hazard.
-    findings = flow(tmp_path, """
-        from repro.runner import cell_kind
-
-        LOG = []
-
-        @cell_kind("fixture-par-ok2")
-        def cell(params):
-            return params["x"]
-
-        def offline_tool(value):
-            LOG.append(value)
-    """, rules={"PAR001"})
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# PUR001 — memoized functions pure in their arguments
-
-
-def test_pur001_flags_env_read_under_lru_cache(tmp_path):
-    findings = flow(tmp_path, """
-        import functools
-        import os
-
-        @functools.lru_cache(maxsize=None)
-        def config():
-            return os.environ.get("FIXTURE_KNOB", "0")
-    """, rules={"PUR001"})
-    assert [f.rule for f in findings] == ["PUR001"]
-    assert "FIXTURE_KNOB" in findings[0].message
-
-
-def test_pur001_flags_impure_cached_thunk(tmp_path):
-    findings = flow(tmp_path, """
-        import time
-
-        from repro.experiments import common
-
-        def lookup(key):
-            return common.cached(key, lambda: time.time())
-    """, rules={"PUR001"}, real_files=(COMMON_PY,))
-    assert [f.rule for f in findings] == ["PUR001"]
-    assert "time.time" in findings[0].message
-
-
-def test_pur001_pure_memo_is_clean(tmp_path):
-    findings = flow(tmp_path, """
-        import functools
-
-        from repro.experiments import common
-
-        @functools.lru_cache(maxsize=None)
-        def double(x):
-            return x * 2
-
-        def lookup(key, n):
-            return common.cached(key, lambda: n * 3)
-    """, rules={"PUR001"}, real_files=(COMMON_PY,))
     assert findings == []
 
 
@@ -282,8 +191,8 @@ def test_cache001_sanctioned_env_is_clean(tmp_path):
 
         @cell_kind("fixture-cache-ok")
         def cell(params):
-            if os.environ.get("REPRO_DETSAN"):
-                raise RuntimeError("sanitized")
+            if os.environ.get("REPRO_METRICS_DIR"):
+                params["export"] = True
             return params["x"]
     """, rules={"CACHE001"})
     assert findings == []
@@ -293,15 +202,12 @@ def test_cache001_sanctioned_env_is_clean(tmp_path):
 # The shipped tree: clean under the flow rules alone, and its JSON report
 
 
-def test_full_repo_flow_is_clean(capsys):
-    flow_rules = ",".join(sorted(FLOW_RULES_BY_ID))
-    assert main(["--rules", flow_rules, REPO_SRC]) == EXIT_CLEAN
-    assert "0 violations" in capsys.readouterr().out
+def test_full_repo_flow_is_clean(repo_lint_run):
+    assert [f for f in repo_lint_run.findings if f.rule in FLOW_RULE_IDS] == []
 
 
-def test_repo_json_report(capsys):
-    assert main(["--json", REPO_SRC]) == EXIT_CLEAN
-    report = json.loads(capsys.readouterr().out)
+def test_repo_json_report(repo_lint_run):
+    report = json.loads(render_json(repo_lint_run, [REPO_SRC]))
     assert report["version"] == 3
     assert set(report["summary"].values()) == {0}
     assert report["stale_suppressions"] == []
