@@ -50,7 +50,7 @@ def _fresh_run(jobs):
 @pytest.mark.parametrize("jobs", JOBS_LEVELS)
 def test_runner_scaling(benchmark, jobs):
     matrix = run_once(benchmark, lambda: _fresh_run(jobs))
-    stats = last_stats("performance")
+    stats = last_stats("harvard")
     assert stats.jobs == jobs
     assert stats.cells_computed == 16  # nothing was served from a cache
     assert stats.cells_cached == 0

@@ -135,28 +135,20 @@ def _build_file_keys(deployment, prefix: str, n_dirs: int,
     return keys
 
 
-def run_accel_cell(params: Dict[str, Any]) -> AccelCellResult:
+def run_accel_cell(
+    *, mode: str, scenario: str, n_nodes: int, clients: int, pre_ops: int,
+    post_ops: int, seed: int, n_dirs: int = 40, static_capacity: int = 12,
+) -> AccelCellResult:
     """Replay one (mode × scenario) cell; see the module docstring."""
-    mode = params["mode"]
-    scenario = params["scenario"]
     if mode not in ACCEL_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    n_nodes = params["n_nodes"]
-    n_clients = params["clients"]
-    pre_ops = params["pre_ops"]
-    post_ops = params["post_ops"]
-    seed = params["seed"]
-    n_dirs = params.get("n_dirs", 40)
-    files_per_dir = params.get("files_per_dir", 2)
-    static_capacity = params.get("static_capacity", 12)
-    sizer_window = params.get("sizer_window", 64)
 
     deployment = build_deployment("d2", n_nodes, seed=seed)
     deployment.bootstrap_volume()
-    pre_keys = _build_file_keys(deployment, "pre", n_dirs, files_per_dir)
-    post_keys = _build_file_keys(deployment, "post", n_dirs, files_per_dir)
+    pre_keys = _build_file_keys(deployment, "pre", n_dirs, 2)
+    post_keys = _build_file_keys(deployment, "post", n_dirs, 2)
     deployment.stabilize()
     if scenario == "churn":
         deployment.enable_dynamic_membership(min_nodes=max(2, n_nodes // 2))
@@ -166,26 +158,26 @@ def run_accel_cell(params: Dict[str, Any]) -> AccelCellResult:
         static_capacity=static_capacity if mode in ("cache", "cache+learned")
         else None,
         min_capacity=static_capacity,
-        sizer_window=sizer_window,
-        learned_min_observations=params.get("learned_min_observations", 64),
+        sizer_window=64,
+        learned_min_observations=64,
         # Size the model to the ring: ~4 nodes per segment keeps every
         # segment densely sampled at laptop scale (the 256-segment default
         # is tuned for 10^4-node rings), and a probe chain longer than
         # half a routed path costs more than it saves.
-        learned_segments=params.get("learned_segments", max(8, n_nodes // 4)),
-        learned_max_probe=params.get("learned_max_probe", 3),
+        learned_segments=max(8, n_nodes // 4),
+        learned_max_probe=3,
     )
 
     rng = Random(seed + 3)
-    clients = [f"client{i:02d}" for i in range(n_clients)]
+    client_names = [f"client{i:02d}" for i in range(clients)]
     node_names = deployment.node_names
-    homes = {c: node_names[rng.randrange(len(node_names))] for c in clients}
+    homes = {c: node_names[rng.randrange(len(node_names))] for c in client_names}
     home_positions = {
         c: deployment.ring.position_of(node) for c, node in homes.items()
     }
 
     requests = list(shift_stream(
-        scenario, pre_keys, post_keys, clients,
+        scenario, pre_keys, post_keys, client_names,
         pre_ops=pre_ops, post_ops=post_ops, seed=seed + 4,
     ))
 
@@ -214,7 +206,7 @@ def run_accel_cell(params: Dict[str, Any]) -> AccelCellResult:
         if scenario == "churn" and index == pre_ops:
             _churn_shift(deployment, pre_keys, now, seed)
             # Crashed home nodes re-home to the old position's new owner.
-            for client in clients:
+            for client in client_names:
                 if homes[client] not in deployment.ring:
                     homes[client] = deployment.ring.successor(
                         home_positions[client]
@@ -261,7 +253,7 @@ def run_accel_cell(params: Dict[str, Any]) -> AccelCellResult:
         mode=mode,
         scenario=scenario,
         n_nodes=n_nodes,
-        clients=n_clients,
+        clients=clients,
         lookups=total_ops,
         messages=messages,
         messages_post=messages_post,

@@ -6,13 +6,11 @@ the Harvard-like workload through one of the comparison systems while nodes
 fail and recover according to a failure trace, and reports the fraction of
 failed tasks.
 
-Replica-availability models
----------------------------
-Two models answer "is this key readable now?":
-
-**Static ring (the paper's first-order model).**  Membership does not
-shrink on failure — transient PlanetLab-style failures keep data on disk,
-so a recovered node serves again immediately.  A key is available when
+Replica availability (the paper's first-order model)
+----------------------------------------------------
+Membership does not shrink on failure — transient PlanetLab-style
+failures keep data on disk, so a recovered node serves again
+immediately.  A key is available when
 
 * any of its ``r`` successors is up, **or**
 * (with regeneration enabled) the whole group has been down long enough
@@ -22,14 +20,8 @@ so a recovered node serves again immediately.  A key is available when
   simulator applies; the paper notes regeneration only *raises* per-group
   availability above the no-regeneration baseline.
 
-**Dynamic ring (simulated repair).**  With ``dynamic=True`` the failure
-trace drives real membership change through
-:class:`repro.dht.membership.MembershipService`: a down transition crashes
-the node (ring leave + physical copies destroyed) and an up transition
-rejoins it empty.  Availability is then read straight off the
-:class:`repro.store.repair.ReplicaTracker` — a key is available iff a
-live copy exists *right now* — so repair latency, bandwidth backlog, and
-genuine data loss replace the closed-form delay.
+Live membership change with simulated repair and real data loss is the
+churn storm's business (:mod:`repro.analysis.churn`).
 
 Dependencies counted per task are file blocks (data + inode); directory
 metadata is client-cached (see :mod:`repro.core.system`).  D2 keeps its
@@ -43,11 +35,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.harness import harvard_deployment, replay
 from repro.core.config import D2Config
-from repro.core.system import Deployment, build_deployment
-from repro.sim.failures import FailureTrace
+from repro.core.system import Deployment, ReplayOutcome
+from repro.sim.failures import FailureTrace, FailureTraceConfig
 from repro.workloads.tasks import segment_tasks
-from repro.workloads.trace import READ, Trace, WRITE
+from repro.workloads.trace import READ, Trace, TraceRecord, WRITE
 
 
 @dataclass
@@ -84,14 +77,7 @@ class AvailabilityResult:
 
 
 class ReplicaAvailability:
-    """Answers "is this key readable now?" against ring + failure state.
-
-    With *repair* (a :class:`repro.store.repair.RepairScheduler`), the
-    check consults actually-simulated replica state instead of the
-    closed-form regeneration model: a key is available iff its tracker
-    records at least one live physical copy (copies on crashed nodes are
-    destroyed at crash time, so the tracker only ever names live holders).
-    """
+    """Answers "is this key readable now?" against ring + failure state."""
 
     def __init__(
         self,
@@ -101,24 +87,17 @@ class ReplicaAvailability:
         regeneration: bool = True,
         migration_bandwidth_bps: float = 93750.0,  # 750 kbps
         regeneration_delay_override: Optional[float] = None,
-        repair=None,
     ) -> None:
         self._deployment = deployment
         self._failures = failures
         self._regeneration = regeneration
         self._bandwidth = migration_bandwidth_bps
         self._delay_override = regeneration_delay_override
-        self._repair = repair
         self.checks = 0
         self.misses = 0
 
     def key_available(self, key: int, now: float) -> bool:
         self.checks += 1
-        if self._repair is not None:
-            if self._repair.tracker.live_count(key) > 0:
-                return True
-            self.misses += 1
-            return False
         ring = self._deployment.ring
         replicas = self._deployment.config.replica_count
         group = ring.successors(key, replicas)
@@ -152,16 +131,10 @@ class ReplicaAvailability:
         return per_node_bytes / self._bandwidth
 
 
-def matching_failure_trace(
-    n_nodes: int,
-    rng,
-    config=None,
-) -> FailureTrace:
+def matching_failure_trace(n_nodes: int, rng, config: FailureTraceConfig) -> FailureTrace:
     """Failure trace whose node names match :class:`Deployment`'s naming."""
-    from repro.sim.failures import FailureTraceConfig
-
     names = [f"node{i:04d}" for i in range(n_nodes)]
-    return FailureTrace.generate(names, rng, config or FailureTraceConfig())
+    return FailureTrace.generate(names, rng, config)
 
 
 @dataclass
@@ -171,13 +144,16 @@ class ReplayLog:
     The expensive part of a trial — replaying the trace through a system
     under a failure trace — does not depend on the task threshold *inter*,
     so one log serves every segmentation (Figure 7 sweeps four values).
+    Records are named by their index in ``trace.records``, which means
+    the same record in every process that generates the trace, so a log
+    computed in a worker evaluates in the parent.
     """
 
     system: str
     trial: int
-    ok: Dict[int, bool]           # id(record) -> all keys available
-    blocks: Dict[int, int]        # id(record) -> block count
-    owners: Dict[int, List[str]]  # id(record) -> primary owners touched
+    ok: Dict[int, bool]           # record index -> all keys available
+    blocks: Dict[int, int]        # record index -> block count
+    owners: Dict[int, List[str]]  # record index -> primary owners touched
     skipped_records: int
 
 
@@ -188,73 +164,63 @@ def run_availability_replay(
     *,
     trial: int = 0,
     config: Optional[D2Config] = None,
-    regeneration: bool = True,
     regeneration_delay: Optional[float] = None,
-    stabilize_rounds: int = 300,
-    dynamic: bool = False,
 ) -> ReplayLog:
     """Replay *trace* through *system* under *failures* once.
 
     ``trial`` seeds node IDs (the paper runs 5 trials with random IDs).
-    With ``dynamic=True`` the failure trace is replayed as real membership
-    change (crash/rejoin protocols with simulated repair) instead of the
-    static up/down overlay.
     """
     config = config or D2Config()
-    deployment = build_deployment(
-        system, len(failures.nodes), config=config, seed=1000 + trial
+    deployment = harvard_deployment(
+        trace, system, len(failures.nodes), seed=1000 + trial, config=config
     )
-    deployment.load_initial_image(trace)
-    deployment.stabilize(max_rounds=stabilize_rounds)
-    deployment.store.ledger = type(deployment.store.ledger)()  # reset accounting
     deployment.start_periodic_balancing()
-
-    repair = None
-    if dynamic:
-        membership = deployment.enable_dynamic_membership()
-        membership.schedule_failure_trace(failures)
-        repair = deployment.repair
-
     checker = ReplicaAvailability(
         deployment,
         failures,
-        regeneration=regeneration,
         migration_bandwidth_bps=config.migration_bandwidth_bps,
         regeneration_delay_override=regeneration_delay,
-        repair=repair,
     )
-
+    index_of = _record_indices(trace)
     log = ReplayLog(system=system, trial=trial, ok={}, blocks={}, owners={}, skipped_records=0)
-    for record in trace.records:
-        deployment.advance_to(record.time)
-        outcome = deployment.replay_record(record)
+
+    def measure(record: TraceRecord, outcome: ReplayOutcome) -> None:
         if outcome.skipped:
             log.skipped_records += 1
-            continue
+            return
         if record.op not in (READ, WRITE):
-            continue
+            return
         ok = True
         owners = []
         for key in outcome.keys:
             owners.append(deployment.ring.successor(key))
             if ok and not checker.key_available(key, record.time):
                 ok = False
-        log.ok[id(record)] = ok
-        log.blocks[id(record)] = outcome.blocks
-        log.owners[id(record)] = owners
+        index = index_of[id(record)]
+        log.ok[index] = ok
+        log.blocks[index] = outcome.blocks
+        log.owners[index] = owners
+
+    replay(deployment, trace, measure)
     return log
+
+
+def _record_indices(trace: Trace) -> Dict[int, int]:
+    """``id(record) -> index in trace.records``, valid while *trace* lives."""
+    return {id(record): index for index, record in enumerate(trace.records)}
 
 
 def evaluate_tasks(trace: Trace, log: ReplayLog, inter: float) -> AvailabilityResult:
     """Aggregate a replay log into task-level availability at one *inter*."""
     tasks = segment_tasks(trace, inter)
+    index_of = _record_indices(trace)
     failed = [False] * len(tasks)
     blocks_per_task = [0] * len(tasks)
     file_sets: List[set] = [set() for _ in tasks]
     node_sets: List[set] = [set() for _ in tasks]
     for index, task in enumerate(tasks):
         for record in task.records:
-            rid = id(record)
+            rid = index_of[id(record)]
             if rid not in log.ok:
                 continue
             blocks_per_task[index] += log.blocks[rid]
@@ -283,32 +249,6 @@ def evaluate_tasks(trace: Trace, log: ReplayLog, inter: float) -> AvailabilityRe
         mean_nodes_per_task=_mean([len(s) for s in node_sets]),
         skipped_records=log.skipped_records,
     )
-
-
-def run_availability_trial(
-    trace: Trace,
-    failures: FailureTrace,
-    system: str,
-    inter: float,
-    *,
-    trial: int = 0,
-    config: Optional[D2Config] = None,
-    regeneration: bool = True,
-    regeneration_delay: Optional[float] = None,
-    stabilize_rounds: int = 300,
-) -> AvailabilityResult:
-    """One-shot convenience: replay then evaluate at a single *inter*."""
-    log = run_availability_replay(
-        trace,
-        failures,
-        system,
-        trial=trial,
-        config=config,
-        regeneration=regeneration,
-        regeneration_delay=regeneration_delay,
-        stabilize_rounds=stabilize_rounds,
-    )
-    return evaluate_tasks(trace, log, inter)
 
 
 def _mean(values: Sequence[float]) -> float:

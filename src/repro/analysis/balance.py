@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from repro.core.config import D2Config
+from repro.analysis.harness import harvard_deployment, replay
 from repro.core.system import Deployment, build_deployment
 from repro.dht.load_balance import max_over_mean, normalized_std_dev
+from repro.sim.failures import ChurnStormConfig
 from repro.workloads.trace import READ, SECONDS_PER_DAY, Trace
 from repro.workloads.webcache import WebCache, WebCacheKeyScheme
 
@@ -106,12 +107,13 @@ class BalanceResult:
         return migrated / written if written else 0.0
 
 
-def _collect_samples(
-    deployment: Deployment,
-    duration: float,
-    sample_interval: float,
-    samples: List[BalanceSample],
-) -> None:
+#: Load samples every 6 simulated hours (the grid Figures 16-17 plot).
+SAMPLE_INTERVAL = 6 * 3600.0
+#: The web cache's stale-entry scan period.
+EVICTION_SCAN_INTERVAL = 3600.0
+
+
+def _collect_samples(deployment: Deployment, samples: List[BalanceSample]) -> None:
     def sample() -> None:
         loads = list(deployment.store.total_bytes_per_node().values())
         samples.append(
@@ -125,7 +127,7 @@ def _collect_samples(
         )
 
     sample()
-    deployment.sim.schedule_periodic(sample_interval, sample, first_delay=sample_interval)
+    deployment.sim.schedule_periodic(SAMPLE_INTERVAL, sample, first_delay=SAMPLE_INTERVAL)
 
 
 def _day_tracker(deployment: Deployment, days: int) -> List[int]:
@@ -140,41 +142,21 @@ def _day_tracker(deployment: Deployment, days: int) -> List[int]:
     return bytes_at_start
 
 
-def run_harvard_balance(
-    trace: Trace,
-    system: str,
-    *,
-    n_nodes: int = 64,
-    sample_interval: float = 6 * 3600.0,
-    config: Optional[D2Config] = None,
-    seed: int = 0,
-    stabilize: bool = True,
+def _balance_run(
+    deployment: Deployment, trace: Trace, system: str, n_nodes: int,
+    drive: Callable[[], None],
 ) -> BalanceResult:
-    """Figure 16 / Tables 3–4 for the file-system workload."""
-    config = config or D2Config()
-    deployment = build_deployment(system, n_nodes, config=config, seed=seed)
-    deployment.load_initial_image(trace)
-    if stabilize:
-        deployment.stabilize()
-    deployment.store.ledger = type(deployment.store.ledger)()
-    deployment.start_periodic_balancing()
-
+    """Sample load and day-start bytes while ``drive()`` replays *trace*."""
     duration = max(trace.duration, SECONDS_PER_DAY)
     days = max(1, int(duration // SECONDS_PER_DAY) + (1 if duration % SECONDS_PER_DAY else 0))
     samples: List[BalanceSample] = []
-    _collect_samples(deployment, duration, sample_interval, samples)
+    _collect_samples(deployment, samples)
     bytes_at_start = _day_tracker(deployment, days)
-
-    for record in trace.records:
-        deployment.advance_to(record.time)
-        if record.op == READ:
-            continue  # reads do not change the data distribution
-        deployment.replay_record(record)
+    drive()
     deployment.advance_to(duration)
     deployment.stop_periodic_balancing()
 
-    ledger = deployment.store.ledger
-    series = ledger.daily_series(days)
+    series = deployment.store.ledger.daily_series(days)
     return BalanceResult(
         system=system,
         workload=trace.name,
@@ -189,14 +171,23 @@ def run_harvard_balance(
     )
 
 
+def run_harvard_balance(
+    trace: Trace, system: str, *, n_nodes: int = 64, seed: int = 0
+) -> BalanceResult:
+    """Figure 16 / Tables 3–4 for the file-system workload."""
+    deployment = harvard_deployment(trace, system, n_nodes, seed=seed)
+    deployment.start_periodic_balancing()
+    # Reads are advanced to but not replayed: they do not move data.
+    return _balance_run(
+        deployment, trace, system, n_nodes, lambda: replay(deployment, trace, reads=False)
+    )
+
+
 def run_webcache_balance(
     web_trace: Trace,
     system: str,
     *,
     n_nodes: int = 64,
-    sample_interval: float = 6 * 3600.0,
-    eviction_scan_interval: float = 3600.0,
-    config: Optional[D2Config] = None,
     seed: int = 0,
 ) -> BalanceResult:
     """Figure 17 / Tables 3–4 for the web-cache workload.
@@ -208,8 +199,7 @@ def run_webcache_balance(
     """
     if system not in ("d2", "traditional"):
         raise ValueError("webcache balance compares 'd2' and 'traditional'")
-    config = config or D2Config()
-    deployment = build_deployment(system, n_nodes, config=config, seed=seed)
+    deployment = build_deployment(system, n_nodes, seed=seed)
     # No volume bootstrap: the web cache stores raw keyed blocks.
     if system == "d2":
         deployment.start_periodic_balancing()
@@ -225,34 +215,81 @@ def run_webcache_balance(
         if key in store.directory:
             store.remove(key, delay=0.0)
 
-    duration = max(web_trace.duration, SECONDS_PER_DAY)
-    days = max(1, int(duration // SECONDS_PER_DAY) + (1 if duration % SECONDS_PER_DAY else 0))
-    samples: List[BalanceSample] = []
-    _collect_samples(deployment, duration, sample_interval, samples)
-    bytes_at_start = _day_tracker(deployment, days)
-    deployment.sim.schedule_periodic(
-        eviction_scan_interval, lambda: cache.evict_stale(deployment.sim.now, remove)
-    )
+    def drive() -> None:
+        deployment.sim.schedule_periodic(
+            EVICTION_SCAN_INTERVAL, lambda: cache.evict_stale(deployment.sim.now, remove)
+        )
+        for record in web_trace.records:
+            deployment.advance_to(record.time)
+            if record.op == READ:
+                cache.request(record.path, max(record.length, 1), record.time, put, remove)
 
-    for record in web_trace.records:
-        deployment.advance_to(record.time)
-        if record.op != READ:
-            continue
-        cache.request(record.path, max(record.length, 1), record.time, put, remove)
-    deployment.advance_to(duration)
-    deployment.stop_periodic_balancing()
+    return _balance_run(deployment, web_trace, system, n_nodes, drive)
 
-    ledger = store.ledger
-    series = ledger.daily_series(days)
-    return BalanceResult(
-        system=system,
-        workload=web_trace.name,
-        n_nodes=n_nodes,
-        samples=samples,
-        daily_written=[row["written"] for row in series],
-        daily_removed=[row["removed"] for row in series],
-        daily_migrated=[row["migrated"] for row in series],
-        bytes_at_day_start=bytes_at_start,
-        moves=store.moves_executed,
-        metrics=deployment.observability_snapshot(),
+
+def run_dynamic_churn_ratios(
+    trace: Trace, *, days: float, n_nodes: int, join_rate: float, leave_rate: float,
+    crash_rate: float, seed: int,
+) -> List[dict]:
+    """Table 3 on a *dynamic* ring: *trace*'s daily ratios plus repair cost.
+
+    Replays the trace while a steady join/leave/crash storm runs through
+    :class:`repro.dht.membership.MembershipService`, and buckets write /
+    remove / repair bytes per day against the bytes present at that day's
+    start.  ``Rep_over_T`` is the repair + graceful-handoff traffic
+    re-replication injected, a column the static table cannot have.
+    """
+    deployment = harvard_deployment(trace, "d2", n_nodes, seed=seed)
+    membership = deployment.enable_dynamic_membership()
+    membership.schedule_churn_storm(
+        ChurnStormConfig(
+            duration=days * SECONDS_PER_DAY,
+            join_rate=join_rate,
+            leave_rate=leave_rate,
+            crash_rate=crash_rate,
+        )
     )
+    deployment.start_periodic_balancing()
+    repair = deployment.repair
+    counter = deployment.metrics.counter
+
+    n_days = max(1, int(round(days)))
+    day_start_bytes: List[int] = []
+    repair_bytes_at: List[int] = []
+    churn_ops_at: List[int] = []
+
+    def sample_day_start() -> None:
+        day_start_bytes.append(deployment.store.directory.total_bytes)
+        repair_bytes_at.append(
+            repair.stats.repaired_bytes + repair.stats.handoff_bytes
+        )
+        churn_ops_at.append(int(
+            counter("membership.joins").value
+            + counter("membership.leaves").value
+            + counter("membership.crashes").value
+        ))
+
+    sample_day_start()
+    for day in range(1, n_days):
+        deployment.sim.schedule_at(day * SECONDS_PER_DAY, sample_day_start)
+    replay(deployment, trace)
+    deployment.advance_to(days * SECONDS_PER_DAY)
+    sample_day_start()  # end-of-run sample closes the last day's deltas
+
+    rows: List[dict] = []
+    series = deployment.store.ledger.daily_series(n_days)
+    for day, entry in enumerate(series):
+        present = day_start_bytes[day]
+        repaired = repair_bytes_at[day + 1] - repair_bytes_at[day]
+        rows.append(
+            {
+                "workload": "Harvard (dynamic)",
+                "day": entry["day"],
+                "W_over_T": entry["written"] / present if present else float("inf"),
+                "R_over_T": entry["removed"] / present if present else float("inf"),
+                "Rep_over_T": repaired / present if present else float("inf"),
+                "churn_ops": churn_ops_at[day + 1] - churn_ops_at[day],
+                "lost_keys": repair.stats.lost_keys,
+            }
+        )
+    return rows

@@ -31,19 +31,21 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.analysis.harness import harvard_deployment, replay
 from repro.core.config import D2Config
 from repro.core.lookup_cache import LookupCache
-from repro.core.system import Deployment, build_deployment
+from repro.core.system import Deployment, ReplayOutcome
 from repro.dht.routing import route
 from repro.sim.engine import TokenBucket, kbps
 from repro.sim.network import LatencyModel
 from repro.sim.transport import TcpTransport
 from repro.workloads.tasks import segment_access_groups
-from repro.workloads.trace import READ, Trace
+from repro.workloads.trace import READ, Trace, TraceRecord
 
 SEQ = "seq"
 PARA = "para"
 MODES = (SEQ, PARA)
+WINDOW_SECONDS = 900.0  # one timed window: the paper's 15 minutes
 
 
 @dataclass
@@ -321,20 +323,16 @@ def run_performance(
     bandwidth_kbps: float = 1500.0,
     windows: Optional[Sequence[Tuple[float, float]]] = None,
     n_windows: int = 4,
-    window_seconds: float = 900.0,
     seed: int = 0,
-    config: Optional[D2Config] = None,
 ) -> PerformanceResult:
     """Measure access-group latencies for one system/mode/scale."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    config = (config or D2Config(replica_count=4)).with_overrides(
+    config = D2Config(replica_count=4).with_overrides(
         access_bandwidth_bps=kbps(bandwidth_kbps)
     )
     rng = random.Random(seed)
-    deployment = build_deployment(system, n_nodes, config=config, seed=seed)
-    deployment.load_initial_image(trace)
-    deployment.stabilize()
+    deployment = harvard_deployment(trace, system, n_nodes, seed=seed, config=config)
 
     latency = LatencyModel.random(deployment.node_names, random.Random(seed + 7))
     harness = PerformanceHarness(
@@ -345,7 +343,7 @@ def run_performance(
     )
 
     if windows is None:
-        windows = _choose_windows(trace, rng, n_windows, window_seconds)
+        windows = _choose_windows(trace, rng, n_windows, WINDOW_SECONDS)
 
     groups = segment_access_groups(trace)
     group_of: Dict[int, int] = {}
@@ -360,25 +358,19 @@ def run_performance(
     group_finishes: Dict[int, List[float]] = defaultdict(list)
     group_elapsed: Dict[int, float] = defaultdict(float)
 
-    for record in trace.records:
-        deployment.advance_to(record.time)
-        if record.op != READ:
-            outcome = deployment.replay_record(record)
-            continue
-        outcome = deployment.replay_record(record)
-        if outcome.skipped:
-            continue
+    def measure(record: TraceRecord, outcome: ReplayOutcome) -> None:
+        if record.op != READ or outcome.skipped:
+            return
         index = group_of.get(id(record))
-        timed = index is not None and in_window[index]
         user = record.user
         # A fetch's buffer-cache identity is (key, position in the read).
         # Keys alone are not enough: under traditional-file every block of a
         # file shares the file's key, yet each block is still a distinct
         # 8 KB unit the client must download once.
-        if not timed:
+        if index is None or not in_window[index]:
             for position, (key, nbytes) in enumerate(outcome.fetches):
                 harness.warm_access(user, key, (key, position), record.time)
-            continue
+            return
         for position, (key, nbytes) in enumerate(outcome.fetches):
             # In seq mode each fetch issues only after the previous one
             # finished, so its wall-clock start is staggered by the group's
@@ -389,6 +381,8 @@ def run_performance(
             if fetch_latency > 0.0:
                 group_finishes[index].append(fetch_latency)
                 group_elapsed[index] += fetch_latency
+
+    replay(deployment, trace, measure)
 
     for index, latencies in group_finishes.items():
         group = groups[index]

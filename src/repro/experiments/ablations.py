@@ -18,7 +18,9 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence
 
-from repro.analysis.availability import matching_failure_trace, run_availability_trial
+from repro.analysis.availability import (
+    evaluate_tasks, matching_failure_trace, run_availability_replay,
+)
 from repro.core.config import D2Config
 from repro.core.lookup_cache import LookupCache
 from repro.dht.consistent_hashing import random_node_ids
@@ -235,15 +237,14 @@ def run_replica_ablation(
     for r in replica_counts:
         row: Dict[str, object] = {"replicas": r}
         for system in systems:
-            result = run_availability_trial(
+            log = run_availability_replay(
                 trace,
                 failures,
                 system,
-                inter=5.0,
                 config=D2Config(replica_count=r),
                 regeneration_delay=2 * 3600.0,
             )
-            row[f"unavail_{system}"] = result.unavailability
+            row[f"unavail_{system}"] = evaluate_tasks(trace, log, 5.0).unavailability
         rows.append(row)
     return rows
 

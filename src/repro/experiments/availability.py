@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import random
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.availability import AvailabilityResult
+from repro.analysis.availability import (
+    AvailabilityResult, ReplayLog, evaluate_tasks, matching_failure_trace,
+    run_availability_replay,
+)
 from repro.experiments import common
+from repro.experiments.workload_cache import harvard_trace
 from repro.sim.failures import FailureTraceConfig
 from repro.workloads.trace import SECONDS_PER_DAY
 
@@ -44,22 +49,36 @@ def availability_matrix(
 
     Each trial re-seeds node IDs (as in the paper) and its failure trace,
     so rare correlated events are sampled broadly.  The expensive replay
-    runs once per (system, trial) cell; the *inter* sweep reuses it inside
-    the cell.
+    runs once per (system, trial) cell; every *inter* is a projection of
+    its log, so the grid does not depend on *inters* and Figures 7 and 8
+    and Table 2 share it.
     """
     if len(inters) == 0:
         raise ValueError("grid axis 'inters' is empty")
     cells = common.grid_cells(
-        {"trial": range(trials), "system": systems},
+        {"trial": range(trials), "system": systems}, measure="availability",
         users=users, days=days, n_nodes=n_nodes,
-        regeneration_delay=regeneration_delay, inters=tuple(inters), seed=seed,
+        regeneration_delay=regeneration_delay, seed=seed,
     )
-    values = common.run_grid("availability", cells, jobs=jobs)
+    logs = common.run_grid("harvard", cells, jobs=jobs)
+    trace = harvard_trace(users=users, days=days, seed=seed)
     return {
-        (cell["system"], inter, cell["trial"]): result
-        for cell, by_inter in zip(cells, values)
-        for inter, result in by_inter.items()
+        (cell["system"], inter, cell["trial"]): evaluate_tasks(trace, log, inter)
+        for cell, log in zip(cells, logs)
+        for inter in inters
     }
+
+
+def availability_cell(
+    *, users: int, days: float, seed: int, n_nodes: int, trial: int, system: str,
+    **run: Any,
+) -> ReplayLog:
+    """One (system, trial) availability replay under its own failure trace."""
+    failures = matching_failure_trace(
+        n_nodes, random.Random(seed + 100 * trial), harsh_failure_config(days)
+    )
+    trace = harvard_trace(users=users, days=days, seed=seed)
+    return run_availability_replay(trace, failures, system, trial=trial, **run)
 
 
 def _mean(values: Sequence[float]) -> float:

@@ -7,15 +7,14 @@ are the same projection of the Harvard and of the Webcache grid; Tables
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.balance import BalanceResult
+from repro.analysis.balance import (
+    BalanceResult, run_dynamic_churn_ratios, run_harvard_balance, run_webcache_balance,
+)
 from repro.analysis.plotting import ascii_timeseries, timeseries_from_samples
-from repro.core.system import build_deployment
 from repro.experiments import common
-from repro.experiments.workload_cache import harvard_trace
-from repro.sim.failures import ChurnStormConfig
-from repro.workloads.trace import SECONDS_PER_DAY
+from repro.experiments.workload_cache import harvard_trace, web_trace
 
 def harvard_balance_matrix(
     *,
@@ -28,9 +27,10 @@ def harvard_balance_matrix(
 ) -> Dict[str, BalanceResult]:
     """One Harvard balance replay per system (see :func:`common.run_grid`)."""
     cells = common.grid_cells(
-        {"system": systems}, n_nodes=n_nodes, users=users, days=days, seed=seed
+        {"system": systems}, measure="harvard-balance",
+        n_nodes=n_nodes, users=users, days=days, seed=seed,
     )
-    return dict(zip(systems, common.run_grid("harvard-balance", cells, jobs=jobs)))
+    return dict(zip(systems, common.run_grid("harvard", cells, jobs=jobs)))
 
 
 def webcache_balance_matrix(
@@ -44,6 +44,16 @@ def webcache_balance_matrix(
     """One Webcache balance replay per system (see :func:`common.run_grid`)."""
     cells = common.grid_cells({"system": systems}, n_nodes=n_nodes, days=days, seed=seed)
     return dict(zip(systems, common.run_grid("webcache-balance", cells, jobs=jobs)))
+
+
+def harvard_balance_cell(*, users: int, days: float, seed: int, **run: Any) -> BalanceResult:
+    """One system of the Harvard balance comparison."""
+    return run_harvard_balance(harvard_trace(users=users, days=days, seed=seed), seed=seed, **run)
+
+
+def webcache_balance_cell(*, days: float, seed: int, **run: Any) -> BalanceResult:
+    """One system of the Webcache balance comparison."""
+    return run_webcache_balance(web_trace(days=days, seed=seed), seed=seed, **run)
 
 
 #: workload -> (figure number, grid, name of its ``$REPRO_METRICS_DIR`` report).
@@ -142,82 +152,21 @@ def dynamic_churn_ratio_rows(
     leave_rate: float = 1.0,
     crash_rate: float = 1.0,
     seed: int = common.SEED,
+    jobs: Optional[int] = None,
 ) -> List[dict]:
-    """Table 3 on a *dynamic* ring: Harvard daily ratios plus repair cost.
-
-    Replays the Harvard trace while a steady join/leave/crash storm runs
-    through :class:`repro.dht.membership.MembershipService`, and buckets
-    write / remove / repair bytes per day against the bytes present at
-    that day's start.  One extra column per day the static table cannot
-    have: ``Rep_over_T``, the repair + graceful-handoff traffic
-    re-replication injected.  The W/R ratios should hold their paper shape
-    under churn; repair traffic is the price of it.
-    """
-    trace = harvard_trace(users=users, days=days, seed=seed)
-    deployment = build_deployment("d2", n_nodes, seed=seed)
-    deployment.load_initial_image(trace)
-    deployment.stabilize()
-    deployment.store.ledger = type(deployment.store.ledger)()  # reset accounting
-    membership = deployment.enable_dynamic_membership()
-    membership.schedule_churn_storm(
-        ChurnStormConfig(
-            duration=days * SECONDS_PER_DAY,
-            join_rate=join_rate,
-            leave_rate=leave_rate,
-            crash_rate=crash_rate,
-        )
+    """Table 3 on a *dynamic* ring, one ``harvard`` cell: the Harvard
+    daily ratios under live churn plus the repair traffic they cost
+    (:func:`repro.analysis.balance.run_dynamic_churn_ratios`)."""
+    cell = dict(
+        measure="dynamic-churn", users=users, days=days, n_nodes=n_nodes,
+        join_rate=join_rate, leave_rate=leave_rate, crash_rate=crash_rate, seed=seed,
     )
-    deployment.start_periodic_balancing()
-    repair = deployment.repair
-
-    n_days = max(1, int(round(days)))
-    day_start_bytes: List[int] = []
-    repair_bytes_at: List[int] = []
-    churn_ops_at: List[int] = []
-
-    def sample_day_start() -> None:
-        day_start_bytes.append(deployment.store.directory.total_bytes)
-        repair_bytes_at.append(
-            repair.stats.repaired_bytes + repair.stats.handoff_bytes
-        )
-        churn_ops_at.append(
-            int(
-                deployment.metrics.counter("membership.joins").value
-                + deployment.metrics.counter("membership.leaves").value
-                + deployment.metrics.counter("membership.crashes").value
-            )
-        )
-
-    sample_day_start()
-    next_day = 1
-    for record in trace.records:
-        while next_day < n_days and record.time >= next_day * SECONDS_PER_DAY:
-            deployment.advance_to(next_day * SECONDS_PER_DAY)
-            sample_day_start()
-            next_day += 1
-        deployment.advance_to(record.time)
-        deployment.replay_record(record)
-    while next_day < n_days:
-        deployment.advance_to(next_day * SECONDS_PER_DAY)
-        sample_day_start()
-        next_day += 1
-    deployment.advance_to(days * SECONDS_PER_DAY)
-    sample_day_start()  # end-of-run sample closes the last day's deltas
-
-    rows: List[dict] = []
-    series = deployment.store.ledger.daily_series(n_days)
-    for day, entry in enumerate(series):
-        present = day_start_bytes[day]
-        repaired = repair_bytes_at[day + 1] - repair_bytes_at[day]
-        rows.append(
-            {
-                "workload": "Harvard (dynamic)",
-                "day": entry["day"],
-                "W_over_T": entry["written"] / present if present else float("inf"),
-                "R_over_T": entry["removed"] / present if present else float("inf"),
-                "Rep_over_T": repaired / present if present else float("inf"),
-                "churn_ops": churn_ops_at[day + 1] - churn_ops_at[day],
-                "lost_keys": repair.stats.lost_keys,
-            }
-        )
+    (rows,) = common.run_grid("harvard", [cell], jobs=jobs)
     return rows
+
+
+def dynamic_churn_cell(*, users: int, days: float, seed: int, **storm: Any) -> List[dict]:
+    """The one cell of :func:`dynamic_churn_ratio_rows`: *storm* is the
+    rest of :func:`repro.analysis.balance.run_dynamic_churn_ratios`'s keywords."""
+    trace = harvard_trace(users=users, days=days, seed=seed)
+    return run_dynamic_churn_ratios(trace, days=days, seed=seed, **storm)

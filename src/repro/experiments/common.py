@@ -19,12 +19,15 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.report import emit_metrics_report, labeled_run, metrics_out_dir
-from repro.runner import cache_key, run_cells
+from repro.runner import RunCache, cache_key, run_cells
+from repro.runner.cells import report_name
 
 _CACHE: "OrderedDict[Tuple, Any]" = OrderedDict()
 
-#: The process memo is FIFO-bounded: oldest entry evicted first.
-MEMO_MAX = 32
+#: The process memo is FIFO-bounded: oldest entry evicted first.  It
+#: holds one entry per grid cell and per trace, and ``python -m repro
+#: all`` asks for 58 distinct cells.
+MEMO_MAX = 128
 
 
 def cached(key: Tuple, compute: Callable[[], Any]) -> Any:
@@ -37,10 +40,14 @@ def cached(key: Tuple, compute: Callable[[], Any]) -> Any:
     if key in _CACHE:
         return _CACHE[key]
     value = compute()
+    _remember(key, value)
+    return value
+
+
+def _remember(key: Tuple, value: Any) -> None:
     _CACHE[key] = value
     while len(_CACHE) > MEMO_MAX:
         _CACHE.popitem(last=False)
-    return value
 
 
 def clear_cache() -> None:
@@ -66,22 +73,41 @@ def grid_cells(axes: Mapping[str, Sequence[Any]], **fixed: Any) -> List[Dict[str
 def run_grid(
     kind: str, cells: Sequence[Dict[str, Any]], *, jobs: Optional[int] = None
 ) -> List[Any]:
-    """The results of *cells*, in cell order, computed once per process.
+    """The results of *cells*, in cell order, each computed once per process.
 
-    Cells execute through :mod:`repro.runner`: served from the on-disk
-    result cache when ``$REPRO_RUN_CACHE`` is set, computed in ``jobs``
-    worker processes (default ``$REPRO_JOBS`` / serial) otherwise.  The
-    memo key is the cells' own content addresses, so two figures that ask
-    for the same grid share one run whatever keyword spelling got them
-    there; ``jobs`` never changes a result — only how fast it arrives —
-    and is deliberately not part of it.
+    Cells execute through :mod:`repro.runner`: served from the process
+    memo or the on-disk result cache (``$REPRO_RUN_CACHE``), computed in
+    ``jobs`` worker processes (default ``$REPRO_JOBS`` / serial)
+    otherwise.  The memo holds each cell under its own content address,
+    so two figures whose grids share cells (Table 3's ``d2`` cell and
+    Figure 16's grid, Figures 7 and 8) run each shared cell once whatever
+    keyword spelling got them there; ``jobs`` never changes a result —
+    only how fast it arrives — and is deliberately not part of it.  Every
+    call reaches the runner, so ``last_stats(kind)`` and the runner
+    report describe this grid, memo hits counted as cached.
     """
-    return cached(
-        (kind, *(cache_key(kind, cell) for cell in cells)),
-        lambda: run_cells(
-            kind, cells, jobs=jobs, metrics_name="runner_" + kind.replace("-", "_")
-        ),
+    return run_cells(
+        kind, cells, jobs=jobs, cache=_MemoCache.from_env(),
+        metrics_name=report_name(kind, cells[0]),
     )
+
+
+class _MemoCache(RunCache):
+    """The run cache with the process memo in front: a cell the memo
+    holds is a hit, and every cell read from disk or computed is memoised."""
+
+    def get(self, kind: str, params: Mapping[str, Any]) -> Tuple[bool, Any]:
+        key = (kind, cache_key(kind, params))
+        if key in _CACHE:
+            return True, _CACHE[key]
+        hit, value = super().get(kind, params)
+        if hit:
+            _remember(key, value)
+        return hit, value
+
+    def put(self, kind: str, params: Mapping[str, Any], value: Any) -> Optional[str]:
+        _remember((kind, cache_key(kind, params)), value)
+        return super().put(kind, params, value)
 
 
 def emit_figure_metrics(

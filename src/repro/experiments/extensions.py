@@ -15,12 +15,13 @@ import random
 from typing import List
 
 from repro.analysis.availability import matching_failure_trace
+from repro.analysis.harness import harvard_deployment, replay
 from repro.core.hybrid import (
     arc_capture_exposure,
     parallel_read_fanout,
     placement_holders,
 )
-from repro.core.system import build_deployment
+from repro.core.system import ReplayOutcome, build_deployment
 from repro.experiments import common
 from repro.experiments.availability import harsh_failure_config
 from repro.experiments.workload_cache import harvard_trace
@@ -28,7 +29,7 @@ from repro.fs.blocks import BLOCK_SIZE
 from repro.store.erasure import ErasureConfig
 from repro.store.retrieval_cache import RetrievalCacheLayer, replica_only_service
 from repro.workloads.tasks import segment_tasks
-from repro.workloads.trace import READ, WRITE
+from repro.workloads.trace import READ, WRITE, TraceRecord
 
 
 def run_hybrid_extension(
@@ -192,9 +193,7 @@ def run_erasure_extension(
     ]
     rows: List[dict] = []
     for system in ("d2", "traditional"):
-        deployment = build_deployment(system, n_nodes, seed=seed)
-        deployment.load_initial_image(trace)
-        deployment.stabilize()
+        deployment = harvard_deployment(trace, system, n_nodes, seed=seed)
         deployment.start_periodic_balancing()
 
         # Replay once, precomputing for every accessed key how many of its
@@ -202,11 +201,10 @@ def run_erasure_extension(
         # a pure threshold test on the same numbers.
         max_total = max(config.total for _, config in schemes)
         record_counts = {}
-        for record in trace.records:
-            deployment.advance_to(record.time)
-            outcome = deployment.replay_record(record)
+
+        def measure(record: TraceRecord, outcome: ReplayOutcome) -> None:
             if outcome.skipped or record.op not in (READ, WRITE):
-                continue
+                return
             alive = failures.up_set(record.time)
             per_key = []
             for key in outcome.keys:
@@ -218,6 +216,8 @@ def run_erasure_extension(
                     up_prefix.append(up)
                 per_key.append(up_prefix)
             record_counts[id(record)] = per_key
+
+        replay(deployment, trace, measure)
         tasks = segment_tasks(trace, inter)
 
         for label, config in schemes:

@@ -9,11 +9,14 @@ with a hole in it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.performance import PerformanceResult, SpeedupReport, compare
+from repro.analysis.performance import (
+    PerformanceResult, SpeedupReport, compare, run_performance,
+)
 from repro.analysis.plotting import ascii_scatter
 from repro.experiments import common
+from repro.runner.cells import scaled_harvard_trace
 
 PerfKey = Tuple[str, str, int, float]
 _KEY = ("system", "mode", "n_nodes", "bandwidth_kbps")  # a PerfKey's fields
@@ -55,14 +58,24 @@ def performance_matrix(
     cells = common.grid_cells(
         {"n_nodes": node_sizes, "bandwidth_kbps": bandwidths_kbps,
          "system": systems, "mode": modes},
-        users=users, days=days, n_windows=n_windows,
-        scale_with_size=scale_with_size, seed=seed,
+        measure="performance", users=users, days=days, n_windows=n_windows,
+        scale_with_size=scale_with_size, base_size=min(node_sizes, default=0),
+        seed=seed,
     )
-    base_size = min(node_sizes)
-    for cell in cells:
-        cell["base_size"] = base_size
-    values = common.run_grid("performance", cells, jobs=jobs)
+    values = common.run_grid("harvard", cells, jobs=jobs)
     return {tuple(cell[field] for field in _KEY): value for cell, value in zip(cells, values)}
+
+
+def performance_cell(
+    *, users: int, days: float, seed: int, n_nodes: int, base_size: int,
+    scale_with_size: bool, **run: Any,
+) -> PerformanceResult:
+    """One (system, mode, n_nodes, bandwidth) cell of the grid."""
+    trace = scaled_harvard_trace(
+        users=users, days=days, seed=seed, base_size=base_size, n_nodes=n_nodes,
+        scale_with_size=scale_with_size,
+    )
+    return run_performance(trace, n_nodes=n_nodes, seed=seed, **run)
 
 
 def _cell(matrix: Dict[PerfKey, PerformanceResult], *key) -> PerformanceResult:

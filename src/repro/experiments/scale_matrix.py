@@ -24,13 +24,18 @@ Environment knobs:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.scale import ScaleCellResult
+from repro.analysis.harness import harvard_deployment
+from repro.analysis.scale import ScaleCellResult, run_scale_read, run_scale_routing
 from repro.experiments import common
+from repro.obs.stream import JsonlWriter
 from repro.runner import RunCache, run_cells
+from repro.runner.cells import scaled_harvard_trace
+from repro.workloads.scale import copies_for_size
 
 BENCH_ENV = "REPRO_BENCH_SCALE"
 LABEL_ENV = "REPRO_SCALE_LABEL"
@@ -92,6 +97,45 @@ def scale_cells(
             }
         )
     return cells
+
+
+def scale_cell(cell: str, **params: Any) -> ScaleCellResult:
+    """One scale cell: ``"routing"`` (bare ring, batched vs cold lookup
+    throughput) or ``"read"`` (full deployment, cloned read stream through
+    the batched read path)."""
+    if cell == "routing":
+        return run_scale_routing(**params)
+    return _scale_read_cell(**params)
+
+
+def _scale_read_cell(
+    *, system: str, n_nodes: int, users: int, ops_per_user: int, window: int,
+    base_users: int, days: float, base_size: int, seed: int,
+) -> ScaleCellResult:
+    trace = scaled_harvard_trace(
+        users=base_users, days=days, seed=seed, base_size=base_size,
+        n_nodes=n_nodes, scale_with_size=True,
+    )
+    deployment = harvard_deployment(trace, system, n_nodes, seed=seed, stabilize=False)
+    # Sim-time health series at the replay cadence (one window per sim
+    # second); node-level series are off — 10^3+ per-node series would
+    # swamp the export without changing the cluster-level story.
+    deployment.enable_health_monitoring(window=1.0, node_level=False)
+    export_dir = os.environ.get("REPRO_SCALE_EXPORT_DIR", "").strip()
+    with contextlib.ExitStack() as stack:
+
+        def writer(stream: str) -> Optional[JsonlWriter]:
+            if not export_dir:
+                return None
+            name = f"scale_read_{n_nodes}x{users}_{stream}.jsonl"
+            return stack.enter_context(JsonlWriter(os.path.join(export_dir, name)))
+
+        return run_scale_read(
+            deployment, trace, copies=copies_for_size(base_size, n_nodes),
+            users=users, ops_per_user=ops_per_user, window=window, seed=seed,
+            span_writer=writer("spans"), metrics_writer=writer("metrics"),
+            health_writer=writer("health"),
+        )
 
 
 def run_fresh(kind: str, cells: Sequence[Dict[str, Any]], jobs: Optional[int]) -> List[Any]:

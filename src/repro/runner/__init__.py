@@ -5,7 +5,8 @@ matrices whose cells are embarrassingly parallel and fully deterministic.
 This package executes those matrices cell by cell:
 
 * :mod:`repro.runner.cells` — the deterministic cell functions (one per
-  matrix kind), importable by worker processes;
+  cell kind: ``harvard``, ``webcache-balance``, ``scale``, ``accel``),
+  importable by worker processes;
 * :mod:`repro.runner.cache` — a content-addressed on-disk result cache
   (``$REPRO_RUN_CACHE``) so cells survive across processes and bench runs;
 * :mod:`repro.runner.executor` — :func:`run_cells`, which resolves each

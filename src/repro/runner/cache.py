@@ -1,18 +1,18 @@
 """Content-addressed on-disk cache for experiment grid cells.
 
 Every cell of an experiment run matrix (one ``(system, mode, n_nodes,
-bandwidth)`` performance run, one balance replay, one availability trial)
-is a deterministic function of its parameter bundle, so its result can be
+bandwidth)`` performance run, one balance replay, one availability
+replay) is a deterministic function of its parameter bundle, so its result can be
 cached by content address: the key is a stable hash of the full parameter
 tuple plus a schema version, the payload is the pickled result.
 
 Layout::
 
     $REPRO_RUN_CACHE/
-      v1/                      # SCHEMA_VERSION — bump to orphan old entries
-        performance/
+      v3/                      # SCHEMA_VERSION — bump to orphan old entries
+        harvard/
           <sha256 of (version, kind, params)>.pkl
-        availability/
+        webcache-balance/
           ...
 
 The cache is *disabled* unless ``$REPRO_RUN_CACHE`` names a directory (a
@@ -53,6 +53,10 @@ CACHE_ENV = "REPRO_RUN_CACHE"
 #: (per-window time-series and SLO-alert export), and accel results
 #: grew ``trace``; health monitoring also advances membership runs'
 #: ``events_fired``, so pre-v3 churn rows are stale in content.
+#:
+#: Not bumped when four kinds became the one ``harvard`` kind (an
+#: availability cell now caches its replay log): the kind and ``measure``
+#: are hashed, so no new key reaches an old entry.
 SCHEMA_VERSION = 3
 
 #: Ambient environment variables whose value shapes cached result

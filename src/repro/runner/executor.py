@@ -17,7 +17,8 @@ Each invocation records a :class:`RunnerStats` (retrievable via
 (``$REPRO_METRICS_DIR``), writes a small ``runner_<kind>.json`` report.
 Its ``sim.events_fired`` counter sums the simulator work of *freshly
 computed* cells only, so a rerun that was fully served from the disk
-cache reports 0 — the "zero simulation work" check CI relies on.
+cache (or the process memo) reports 0 — the "zero simulation work"
+check CI relies on.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class RunnerStats:
     kind: str
     jobs: int
     cells_total: int = 0
-    cells_cached: int = 0     # served from the disk cache
+    cells_cached: int = 0     # served from the cache (disk, or a grid's process memo)
     cells_computed: int = 0   # freshly simulated (serial or in workers)
     events_fired: int = 0     # sim.events_fired summed over computed cells only
     wall_seconds: float = 0.0
@@ -148,28 +149,22 @@ def _cell_payloads(results: Iterable[Any]):
 
     The one place a cell result is unwrapped.  A result object carries its
     deployment's observability snapshot, its span dicts and (optionally)
-    its health export in ``metrics`` / ``trace`` / ``health`` attributes;
-    availability cells return a mapping of such objects, which is
-    flattened.  A mapping is tested for a ``health`` key *before* it is
-    flattened: churn rows are plain dicts, and flattening them into values
-    would strip the payload off the row that owns it.  A churn row's own
-    counters are not a snapshot and stay unmerged.  ``health`` is a mapping
-    holding ``rows`` (series + alert dicts) and ``summary``, or None.
+    its health export in ``metrics`` / ``trace`` / ``health`` attributes.
+    A churn row is a plain dict whose ``health`` key is its only payload:
+    the row's own counters are not a snapshot and stay unmerged.  Results
+    without these (an availability replay log, the dynamic Table 3 rows)
+    yield Nones.  ``health`` is a mapping holding ``rows`` (series + alert
+    dicts) and ``summary``, or None.
     """
     for result in results:
         if isinstance(result, Mapping):
+            metrics = trace = None
             health = result.get("health")
-            if isinstance(health, Mapping):
-                yield None, None, health
-            else:
-                yield from _cell_payloads(result.values())
-        elif result is not None:
+        else:
+            metrics = getattr(result, "metrics", None)
+            trace = getattr(result, "trace", None)
             health = getattr(result, "health", None)
-            yield (
-                getattr(result, "metrics", None),
-                getattr(result, "trace", None),
-                health if isinstance(health, Mapping) else None,
-            )
+        yield metrics, trace, health if isinstance(health, Mapping) else None
 
 
 def _events_fired(result: Any) -> int:

@@ -86,36 +86,24 @@ def _segment(
     return segments
 
 
-def segment_tasks(
-    trace: Trace,
-    inter: float,
-    *,
-    duration_cap: float = TASK_DURATION_CAP,
-    accesses_only: bool = True,
-) -> List[Task]:
+def segment_tasks(trace: Trace, inter: float) -> List[Task]:
     """Split *trace* into per-user tasks at gaps larger than *inter*.
 
-    With ``accesses_only`` (the default, matching the paper) only read and
-    write records define and populate tasks; namespace operations ride
-    along with whichever task encloses them during replay.
+    As in the paper, only read and write records define and populate
+    tasks; namespace operations ride along with whichever task encloses
+    them during replay.
     """
     tasks: List[Task] = []
     for user, records in trace.per_user().items():
-        if accesses_only:
-            records = [r for r in records if r.op in (READ, WRITE)]
-        for segment in _segment(records, inter, duration_cap):
+        accesses = [r for r in records if r.op in (READ, WRITE)]
+        for segment in _segment(accesses, inter, TASK_DURATION_CAP):
             tasks.append(Task(user=user, records=segment))
     tasks.sort(key=lambda t: t.start)
     return tasks
 
 
-def segment_access_groups(
-    trace: Trace,
-    *,
-    think_time: float = THINK_TIME,
-    reads_only: bool = True,
-) -> List[AccessGroup]:
-    """Split *trace* into access groups at think times (> 1 s gaps).
+def segment_access_groups(trace: Trace) -> List[AccessGroup]:
+    """Split *trace*'s reads into access groups at think times (> 1 s gaps).
 
     The performance evaluation replays reads only (writes are absorbed by
     the 30 s write-back cache; Section 9.1 evaluates end-to-end read
@@ -123,9 +111,8 @@ def segment_access_groups(
     """
     groups: List[AccessGroup] = []
     for user, records in trace.per_user().items():
-        if reads_only:
-            records = [r for r in records if r.op == READ]
-        for segment in _segment(records, think_time, 0.0):
+        reads = [r for r in records if r.op == READ]
+        for segment in _segment(reads, THINK_TIME, 0.0):
             groups.append(AccessGroup(user=user, records=segment))
     groups.sort(key=lambda g: g.start)
     return groups

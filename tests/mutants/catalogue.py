@@ -5,7 +5,7 @@ source file.  Each ``old`` must occur exactly once in its file, so a
 refactor that moves the code a mutant names makes it fail loudly
 (``tests/test_mutant_catalogue.py``) instead of silently scoring nothing.
 
-Three groups, in catalogue order:
+Four groups, in catalogue order:
 
 * the mutants written by hand while building the ordered indexes, the
   one-commit flush, the folded read replay and the plan reuse, each
@@ -15,7 +15,9 @@ Three groups, in catalogue order:
   ``id()``);
 * one mutant per remaining rule's own class (KEY001, OBS001, PUR001,
   OBS002) and one for the class the runtime sanitizer claims: entropy the
-  AST cannot resolve.
+  AST cannot resolve;
+* one per class of the runner's own guards: a cache key that ignores a
+  parameter the result depends on, and a warm rerun that simulates.
 """
 
 from __future__ import annotations
@@ -173,14 +175,11 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        names = list(ring.names())",
            "        names = list(set(ring.names()))",
            "nondeterminism: set order", "DET003"),
-    mutant("env-read-in-cached-cell", CELLS,
-           "    from repro.analysis.performance import run_performance\n\n"
-           "    return run_performance(",
+    mutant("env-read-in-cached-cell", "src/repro/experiments/performance.py",
+           '    """One (system, mode, n_nodes, bandwidth) cell of the grid."""\n',
+           '    """One (system, mode, n_nodes, bandwidth) cell of the grid."""\n'
            "    import os\n\n"
-           "    from repro.analysis.performance import run_performance\n\n"
-           "    params[\"n_windows\"] = int(os.environ.get(\"REPRO_PERF_WINDOWS\","
-           " params[\"n_windows\"]))\n"
-           "    return run_performance(",
+           '    run["n_windows"] = int(os.environ.get("REPRO_PERF_WINDOWS", run["n_windows"]))\n',
            "nondeterminism: ambient env", "CACHE001"),
     mutant("wall-clock-into-health-sample", "src/repro/obs/health.py",
            ("from dataclasses import dataclass, field\n",
@@ -190,11 +189,11 @@ MUTANTS: Tuple[Mutant, ...] = (
            "nondeterminism: wall clock", "DET001"),
     mutant("global-write-leaks-into-next-cell", CELLS,
            ('@cell_kind("accel")\n',
-            "    return run_accel_cell(params)\n"),
+            "    return run_accel_cell(**params)\n"),
            ('_ACCEL_ROWS: Dict[str, Any] = {}\n\n\n@cell_kind("accel")\n',
-            '    return _ACCEL_ROWS.setdefault(params["scenario"], run_accel_cell(params))\n'),
+            '    return _ACCEL_ROWS.setdefault(params["scenario"], run_accel_cell(**params))\n'),
            "nondeterminism: module state", "PAR001"),
-    mutant("unseeded-random", "src/repro/experiments/churn_storm.py",
+    mutant("unseeded-random", "src/repro/analysis/churn.py",
            "            random.Random(seed + 31 * trial + 1),",
            "            random.Random(),",
            "nondeterminism: entropy", "DET002"),
@@ -235,4 +234,14 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    clock = time.time\n"
            "    rng = Random(int(clock()))\n",
            "nondeterminism: entropy the AST cannot see", "detsan"),
+    # -- the runner's own classes ------------------------------------------
+    mutant("cache-key-ignores-trial", "src/repro/runner/cache.py",
+           "        SCHEMA_VERSION, kind, tuple(sorted(params.items()))\n",
+           "        SCHEMA_VERSION, kind,\n"
+           "        tuple(sorted(item for item in params.items() if item[0] != \"trial\")),\n",
+           "cache key", "golden grid_cells.json"),
+    mutant("computed-cell-not-written-back", "src/repro/runner/executor.py",
+           "            cache.put(kind, cells[index], value)\n",
+           "",
+           "warm rerun", "ci runner-smoke warm leg"),
 )

@@ -1,5 +1,6 @@
 """Tests for the availability analysis (replica checker + task evaluation)."""
 
+import pickle
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from repro.analysis.availability import (
     evaluate_tasks,
     matching_failure_trace,
     run_availability_replay,
-    run_availability_trial,
 )
 from repro.core.system import build_deployment
 from repro.fs.blocks import BLOCK_SIZE
@@ -86,6 +86,11 @@ class TestReplicaAvailability:
         assert checker._regeneration_delay() > delay_small
 
 
+def run_trial(trace, failures, system, inter):
+    """Replay once, then evaluate at one *inter*."""
+    return evaluate_tasks(trace, run_availability_replay(trace, failures, system), inter)
+
+
 class TestTrialIntegration:
     @pytest.fixture(scope="class")
     def setup(self):
@@ -115,17 +120,26 @@ class TestTrialIntegration:
         assert r1.tasks >= r60.tasks
         assert r1.mean_blocks_per_task <= r60.mean_blocks_per_task
 
+    def test_log_evaluates_against_a_regenerated_trace(self, setup):
+        """A log names records by position, so one computed in a worker
+        (and pickled back) evaluates against the parent's own trace."""
+        trace, failures = setup
+        log = run_availability_replay(trace, failures, "d2", trial=0)
+        twin = generate_harvard(HarvardConfig(users=3, days=0.5, seed=4))
+        shipped = pickle.loads(pickle.dumps(log))
+        assert evaluate_tasks(twin, shipped, 5.0) == evaluate_tasks(trace, log, 5.0)
+
     def test_trial_consistency(self, setup):
         trace, failures = setup
-        result = run_availability_trial(trace, failures, "d2", inter=5.0)
+        result = run_trial(trace, failures, "d2", inter=5.0)
         assert 0.0 <= result.unavailability <= 1.0
         assert result.tasks == sum(result.per_user_tasks.values())
         assert result.failed_tasks == sum(result.per_user_failed.values())
 
     def test_d2_spreads_over_fewer_nodes(self, setup):
         trace, failures = setup
-        d2 = run_availability_trial(trace, failures, "d2", inter=5.0)
-        trad = run_availability_trial(trace, failures, "traditional", inter=5.0)
+        d2 = run_trial(trace, failures, "d2", inter=5.0)
+        trad = run_trial(trace, failures, "traditional", inter=5.0)
         assert d2.mean_nodes_per_task < trad.mean_nodes_per_task
         # Same workload -> same objects per task.
         assert d2.mean_blocks_per_task == pytest.approx(
@@ -134,7 +148,7 @@ class TestTrialIntegration:
 
     def test_ranked_per_user(self, setup):
         trace, failures = setup
-        result = run_availability_trial(trace, failures, "traditional", inter=5.0)
+        result = run_trial(trace, failures, "traditional", inter=5.0)
         ranked = result.ranked_user_unavailability()
         values = [v for _, v in ranked]
         assert values == sorted(values, reverse=True)

@@ -13,7 +13,10 @@ the Webcache ``d2`` cell, which is the first cell of Figure 17's grid.
 
 The file uses ``python -m repro``'s ``main`` and the runner's own seams
 and nothing else, so it runs unchanged on the commit that recorded
-``tests/data/grid_cells.json`` (the parent of the figure-registry PR)::
+``tests/data/grid_cells.json``.  It was re-recorded once since the
+figure-registry PR, when the four Harvard kinds became one ``harvard``
+kind and the availability bundle lost ``inters`` (so fig8's grid is
+fig7's)::
 
     PYTHONPATH=src python tests/test_grid_golden.py > tests/data/grid_cells.json
 """

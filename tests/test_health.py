@@ -168,9 +168,10 @@ def test_churn_cell_repair_gauges_match_committed_export():
     alerts, byte for byte: the golden file was exported before the deficit
     became a maintained per-key count, so any drift in that count (or in
     when the gauges are sampled) shows as a differing line."""
-    from repro.experiments.churn_storm import STORM_LEVELS, run_churn_cell
+    from repro.experiments.churn_storm import STORM_LEVELS
+    from repro.runner.cells import churn_cell
 
-    row = run_churn_cell(dict(
+    row = churn_cell(dict(
         level="storm", users=1, days=0.1, n_nodes=12, seed=42, trial=0,
         correlated_events=1, drain_seconds=3600.0, **STORM_LEVELS["storm"]))
     assert row["repair_requeued"] > 0 and row["repair_retries"] > 0

@@ -42,6 +42,7 @@ TINY_GRID = dict(
 )
 
 TINY_CELL = {
+    "measure": "performance",
     "system": "d2",
     "mode": "seq",
     "n_nodes": 12,
@@ -257,7 +258,7 @@ class TestParallelEquivalence:
         serial = performance_matrix(**TINY_GRID)
         common.clear_cache()
         parallel = performance_matrix(**TINY_GRID, jobs=2)
-        assert last_stats("performance").jobs == 2
+        assert last_stats("harvard").jobs == 2
         assert sorted(serial) == sorted(parallel)
         for key in serial:
             assert serial[key] == parallel[key], key
@@ -278,14 +279,28 @@ class TestParallelEquivalence:
     def test_second_run_does_zero_simulation_work(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         performance_matrix(**TINY_GRID)
-        first = last_stats("performance")
+        first = last_stats("harvard")
         assert first.cells_computed == 2
         assert first.events_fired > 0
         common.clear_cache()  # drop the in-process memo; only the disk remains
         performance_matrix(**TINY_GRID)
-        second = last_stats("performance")
+        second = last_stats("harvard")
         assert (second.cells_cached, second.cells_computed) == (2, 0)
         assert second.events_fired == 0
+
+    def test_memoised_grid_reports_its_own_call(self, tmp_path, monkeypatch):
+        """A grid the process memo serves whole still reaches the runner:
+        ``last_stats`` and the runner report describe that call."""
+        monkeypatch.setenv("REPRO_METRICS_DIR", str(tmp_path))
+        performance_matrix(**TINY_GRID)
+        assert last_stats("harvard").cells_computed == 2
+        performance_matrix(**TINY_GRID)
+        stats = last_stats("harvard")
+        assert (stats.cells_total, stats.cells_cached, stats.cells_computed) == (2, 2, 0)
+        assert stats.events_fired == 0
+        with open(tmp_path / "runner_performance.json") as handle:
+            counters = json.load(handle)["runs"][0]["counters"]
+        assert (counters["runner.cells_cached"], counters["runner.cells_computed"]) == (2, 0)
 
 
 class TestCliJobs:
@@ -307,6 +322,40 @@ class TestCliJobs:
 
         assert main(["list"]) == 0
         assert JOBS_ENV not in os.environ
+
+
+class TestEachCellOnce:
+    def test_shared_cells_execute_once(self, monkeypatch):
+        """Figures 7, 8, 16, 17 and Tables 2, 3, 4 at tiny scale in one
+        process run every distinct ``(kind, cache_key)`` exactly once:
+        Figure 8 and Table 2 project Figure 7's replays, and the ``d2``
+        cells of Tables 3 and 4 are cells of Figures 16 and 17.  Two
+        trials, so a key that ignored ``trial`` would run fewer cells."""
+        from repro.experiments.figures import FIGURES
+        from repro.runner import executor
+
+        executed = []
+        execute = executor.execute_cell
+
+        def counting(kind, params):
+            executed.append((kind, cache_key(kind, params)))
+            return execute(kind, params)
+
+        monkeypatch.setattr(executor, "execute_cell", counting)
+        avail = dict(users=2, days=0.25, seed=21, trials=2, n_nodes=12)
+        balance = dict(n_nodes=12, days=0.25, seed=21)
+        scales = {
+            "fig7": dict(avail, inters=(5.0, 60.0)), "fig8": avail, "table2": avail,
+            "table3": dict(users=2, **balance), "fig16": dict(users=2, **balance),
+            "fig17": balance, "table4": dict(users=2, **balance),
+        }
+        for name, scale in scales.items():
+            FIGURES[name].rows(**scale)
+        assert len(executed) == len(set(executed))
+        kinds = [kind for kind, _ in executed]
+        # 2 trials x 3 systems, 4 Harvard balance systems, the dynamic ring.
+        assert kinds.count("harvard") == 6 + 4 + 1
+        assert kinds.count("webcache-balance") == 2
 
 
 class TestMemoKnobs:
@@ -392,7 +441,7 @@ class TestHealthExport:
 GOLDEN_ARTIFACTS = Path(__file__).parent / "data" / "obs_artifacts.json"
 
 TINY_CHURN_CELL = dict(
-    level="storm", users=1, days=0.1, n_nodes=12, seed=42, trial=0,
+    measure="churn", level="storm", users=1, days=0.1, n_nodes=12, seed=42, trial=0,
     correlated_events=1, drain_seconds=3600.0, **STORM_LEVELS["storm"],
 )
 
@@ -410,7 +459,7 @@ def obs_artifacts(directory):
     blobs = {}
     for kind, cell in cells.items():
         (result,) = run_cells(
-            kind, [cell], jobs=1, cache=RunCache(None),
+            "harvard", [cell], jobs=1, cache=RunCache(None),
             metrics_name=f"runner_{kind}", metrics_dir=directory,
         )
         snapshot = getattr(result, "metrics", None)
@@ -451,6 +500,9 @@ def test_obs_artifacts_golden(tmp_path, monkeypatch):
     :func:`obs_artifacts` with ``PYTHONPATH`` on the ``src`` of the commit
     before events became counts (PR 17: payload-carrying events, bubbling
     span finishes, three JSONL line writers, six walks over the results).
+    Re-recorded once since, for the two runner reports only, when the
+    ``performance`` and ``churn`` kinds became measurements of one
+    ``harvard`` kind: their ``kind`` label is all that changed.
     """
     monkeypatch.setenv("REPRO_TRACE_SAMPLE", "1.0")
     assert obs_artifacts(tmp_path) == json.loads(GOLDEN_ARTIFACTS.read_text())
