@@ -286,10 +286,12 @@ def test_read_batch_sharing_gate(monkeypatch):
     """Shape gate on both sides of the per-batch request dedup.
 
     ``read_fetches_many`` resolves, sizes and keys once per distinct
-    ``(path, offset, length)`` of the batch.  Counted, not timed: a batch of
-    4096 requests over 64 distinct ones makes at most 64
-    ``Namespace.resolve_file`` / ``DhtFileSystem.read_fetches`` calls where the
-    ``read_fetches`` loop makes 4096, and an all-distinct batch makes one
+    ``(path, offset, length)`` of the batch.  The loop it is held to plans
+    every request afresh (a resolve and a ``DhtFileSystem.read_fetches``
+    each), as ``Deployment.read_fetches`` does before its plan memo is warm.
+    Counted, not timed: a batch of 4096 requests over 64 distinct ones makes
+    at most 64 ``Namespace.resolve_file`` / ``DhtFileSystem.read_fetches``
+    calls where the loop makes 4096, and an all-distinct batch makes one
     per request either way.  On the clock (median of 15 paired ratios;
     measured 20-23x and 1.03-1.07x), the shared batch must beat the loop by
     >= 2x, and the all-distinct batch must not pay for the dedup: no slower
@@ -306,8 +308,12 @@ def test_read_batch_sharing_gate(monkeypatch):
     distinct = [(path, 1000 * step, None) for path in paths for step in range(64)]
     assert len(set(shared)) <= 64 and len(set(distinct)) == 4096
 
+    def plan(path, offset, length):
+        return deployment.fs.read_fetches(
+            deployment.fs.namespace.resolve_file(path), offset, length)
+
     def loop(requests):
-        return [deployment.read_fetches(*request) for request in requests]
+        return [plan(*request) for request in requests]
 
     cases = (
         lambda: loop(shared),
@@ -476,6 +482,119 @@ def test_read_stream_gate(monkeypatch):
         f"{large - small} more Python calls for {(128 - 32) * 256} more ops "
         f"over the same 256 requests"
     )
+
+
+def test_fetch_count_gate(monkeypatch):
+    """Shape gate: the timed fetch harness does each piece of a fetch once.
+
+    Counted, not timed, through ``run_performance`` itself on a small cell
+    (3 users over half a day, 20 nodes, d2 then traditional), with Python
+    ``call`` events counted per function under ``sys.setprofile``:
+
+    * ``DhtFileSystem.read_fetches`` plans each distinct (file version,
+      offset, length) the replay reads at most once;
+    * a timed fetch resolves its key with exactly one
+      ``Ring.successor_index``, plus the one inside each routed lookup it
+      makes on a cache miss (a buffer-cache hit makes none);
+    * ``Simulator.run`` enters its event loop only when an event is due;
+    * ``LookupCache._reindex`` runs only for an insert whose expiry sweep
+      dropped entries: an insert that appends or replaces patches the index.
+
+    Measured: 454 plans for 454 distinct requests, 5 214 timed lookups (98
+    fetches absorbed) with 30 routed, 140 of 1 358 runs with an event due,
+    33 of 254 inserts swept.
+    """
+    from repro.analysis import performance
+    from repro.dht.ring import Ring
+    from repro.workloads.harvard import HarvardConfig, generate_harvard
+
+    trace = generate_harvard(HarvardConfig(users=3, days=0.5, seed=4))
+    watched = {
+        fn.__code__: name for name, fn in (
+            ("plan", DhtFileSystem.read_fetches),
+            ("successor_index", Ring.successor_index),
+            ("route", routing.route),
+            ("drain", Simulator._drain),
+            ("reindex", LookupCache._reindex),
+        )
+    }
+    calls = dict.fromkeys(watched.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call":
+            name = watched.get(frame.f_code)
+            if name is not None:
+                calls[name] += 1
+
+    requests, nodes = set(), []
+    read_fetches = core_system.Deployment.read_fetches
+
+    def read(self, path, offset=0, length=None):
+        fetches = read_fetches(self, path, offset, length)
+        node = self.fs.namespace.resolve_file(path)
+        nodes.append(node)  # held, so no two files share an id
+        requests.add((id(node), node.version, offset, length))
+        return fetches
+
+    fetches, mismatched = [0, 0], []
+    fetch_latency = performance.PerformanceHarness.fetch_latency
+
+    def timed(self, *args):
+        before, lookups = dict(calls), self.lookups
+        latency = fetch_latency(self, *args)
+        resolved = calls["successor_index"] - before["successor_index"]
+        routed = calls["route"] - before["route"]
+        fetches[self.lookups - lookups] += 1
+        if resolved != self.lookups - lookups + routed:
+            mismatched.append((resolved, routed))
+        return latency
+
+    runs = {"due": 0, "idle": 0}
+    drain_in_idle = []
+    run = Simulator.run
+
+    def counted_run(self, until=None):
+        queue = self._queue
+        due = until is None or (bool(queue) and queue[0][0] <= until)
+        runs["due" if due else "idle"] += 1
+        before = calls["drain"]
+        run(self, until)
+        if not due and calls["drain"] != before:
+            drain_in_idle.append(until)
+
+    inserts = {"swept": 0, "patched": 0}
+    reindexed_patch = []
+    insert = LookupCache.insert
+
+    def counted_insert(self, lo, hi, node, now):
+        evicted, before = self.stats.evictions, calls["reindex"]
+        entry = insert(self, lo, hi, node, now)
+        swept = self.stats.evictions > evicted
+        inserts["swept" if swept else "patched"] += 1
+        if not swept and calls["reindex"] != before:
+            reindexed_patch.append((lo, hi))
+        return entry
+
+    monkeypatch.setattr(core_system.Deployment, "read_fetches", read)
+    monkeypatch.setattr(performance.PerformanceHarness, "fetch_latency", timed)
+    monkeypatch.setattr(Simulator, "run", counted_run)
+    monkeypatch.setattr(LookupCache, "insert", counted_insert)
+    sys.setprofile(profile)
+    try:
+        for system in ("d2", "traditional"):
+            performance.run_performance(trace, system, mode="seq", n_nodes=20, seed=1,
+                                        n_windows=2)
+    finally:
+        sys.setprofile(None)
+    absorbed, looked_up = fetches
+    assert looked_up > 100 and calls["route"] > 0, (fetches, calls)
+    assert not mismatched, (
+        f"(successor_index, route) calls of timed fetches that did not resolve "
+        f"the key once: {mismatched[:5]} of {len(mismatched)}"
+    )
+    assert 0 < calls["plan"] <= len(requests), (calls["plan"], len(requests))
+    assert runs["idle"] > runs["due"] > 0 and not drain_in_idle, (runs, drain_in_idle[:5])
+    assert inserts["patched"] > 0 and not reindexed_patch, (inserts, reindexed_patch[:5])
 
 
 def test_flush_commit_gate(monkeypatch):

@@ -189,18 +189,28 @@ class PerformanceHarness:
     # ------------------------------------------------------------------
     # warm-up (untimed) path
 
-    def warm_access(self, user: str, key: int, ident: Hashable, now: float) -> None:
-        """Touch caches as a pre-window access would, without timing."""
+    def warm_record(
+        self, user: str, fetches: Sequence[Tuple[int, int]], now: float
+    ) -> None:
+        """Touch caches as a pre-window read record would, without timing.
+
+        *fetches* are the record's ``(key, nbytes)``; a fetch's buffer-cache
+        identity is ``(key, position)``, as on the timed path.  The fetches
+        the buffer cache does not absorb are looked up in the client's
+        lookup cache in one :meth:`LookupCache.warm` call.
+        """
         client = self.client_for(user)
-        cached = client.buffer_cache.get(ident)
-        if cached is not None and now - cached[0] < self.buffer_ttl and cached[1] == key:
-            return
-        client.buffer_cache[ident] = (now, key)
-        owner = client.lookup_cache.probe(key, now)
-        actual = self.deployment.ring.successor(key)
-        if owner is None or owner != actual:
-            lo, hi = self.deployment.ring.range_of(actual)
-            client.lookup_cache.insert(lo, hi, actual, now)
+        buffer_cache, ttl = client.buffer_cache, self.buffer_ttl
+        keys: List[int] = []
+        for position, (key, _) in enumerate(fetches):
+            ident = (key, position)
+            cached = buffer_cache.get(ident)
+            if cached is not None and now - cached[0] < ttl:
+                continue  # the identity holds the key: no other key can be cached here
+            buffer_cache[ident] = (now, key)
+            keys.append(key)
+        if keys:
+            client.lookup_cache.warm(keys, now, self.deployment.ring)
 
     # ------------------------------------------------------------------
     # timed path
@@ -221,8 +231,9 @@ class PerformanceHarness:
         spans = self.spans
         root = spans.start_trace("fetch", now, user=user, key=key, bytes=nbytes) if spans else None
 
-        ring = self.deployment.ring
-        owner = ring.successor(key)
+        # One ring lookup: the replica group, whose first member is the owner.
+        replicas = self.deployment.ring.successors(key, self.deployment.config.replica_count)
+        owner = replicas[0]
         lookup_latency = 0.0
         lookup_span = spans.start_span("lookup", now, root) if root else None
         cache_owner = client.lookup_cache.probe(key, now, span=lookup_span)
@@ -248,7 +259,6 @@ class PerformanceHarness:
 
         # Download from a random replica (Section 9.3: D2 selects replicas
         # randomly; baselines do the same for a fair comparison).
-        replicas = ring.successors(key, self.deployment.config.replica_count)
         server = replicas[self.rng.randrange(len(replicas))]
         download_start = now + lookup_latency
         arrival = download_start + self.latency.one_way(client.node, server)
@@ -368,8 +378,7 @@ def run_performance(
         # file shares the file's key, yet each block is still a distinct
         # 8 KB unit the client must download once.
         if index is None or not in_window[index]:
-            for position, (key, nbytes) in enumerate(outcome.fetches):
-                harness.warm_access(user, key, (key, position), record.time)
+            harness.warm_record(user, outcome.fetches, record.time)
             return
         for position, (key, nbytes) in enumerate(outcome.fetches):
             # In seq mode each fetch issues only after the previous one

@@ -35,7 +35,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.dht.keyspace import KEY_SPACE, in_interval
 from repro.obs.events import LOOKUP_HIT, LOOKUP_MISS, LOOKUP_STALE, EventTracer
@@ -178,6 +178,28 @@ class LookupCache:
         :class:`repro.obs.spans.Span`), the outcome is annotated onto it —
         a null/absent span costs one truthiness check.
         """
+        entry = self._lookup(key, now)
+        if entry is not None:
+            self._count("hits")
+            if self._sizer is not None:
+                self._sizer.record(self, "hit")
+            if span:
+                span.annotate(cache="hit", node=entry.node)
+            if self._tracer is not None:
+                self._tracer.emit(LOOKUP_HIT)
+            return entry.node
+        self._count("misses")
+        if self._sizer is not None:
+            self._sizer.record(self, "miss")
+        if span:
+            span.annotate(cache="miss")
+        if self._tracer is not None:
+            self._tracer.emit(LOOKUP_MISS)
+        return None
+
+    def _lookup(self, key: int, now: float) -> Optional[CacheEntry]:
+        """The live entry that answers a probe of *key*, or None; the hit
+        or miss is the caller's to count, evictions are counted here."""
         entry = self._find(key)
         if entry is not None and entry.expires_at > now:
             if self._ring is not None and entry.version != self._ring.version:
@@ -188,51 +210,107 @@ class LookupCache:
                 if entry.node not in self._ring:
                     self._remove_entry(entry)
                     self._count("membership_evictions")
-                    entry = None
-                else:
-                    entry.version = self._ring.version
-        if entry is not None and entry.expires_at > now:
-            self._count("hits")
-            if self._sizer is not None:
-                self._sizer.record(self, "hit")
-            if span:
-                span.annotate(cache="hit", node=entry.node)
-            if self._tracer is not None:
-                self._tracer.emit(LOOKUP_HIT)
-            return entry.node
+                    return None
+                entry.version = self._ring.version
+            return entry
         if entry is not None:
             self._remove_entry(entry)
             self._count("evictions")
-        self._count("misses")
-        if self._sizer is not None:
-            self._sizer.record(self, "miss")
-        if span:
-            span.annotate(cache="miss")
-        if self._tracer is not None:
-            self._tracer.emit(LOOKUP_MISS)
         return None
 
-    def insert(self, lo: int, hi: int, node: str, now: float) -> None:
+    def warm(self, keys: Sequence[int], now: float, ring) -> None:
+        """Look up *keys* in order at *now*, as a client's untimed reads do.
+
+        Each key is probed and then resolved on *ring*; a miss, or a hit
+        naming another node than the owner, caches the owner's arc.  A key
+        inside the arc of the entry that answered the key before it (a
+        hit, or the entry just inserted) counts as a hit with no probe and
+        no ring lookup, when that is provably what the probe and the ring
+        would say: the entry's arc is its node's current range and no
+        other entry overlaps it.  The ring cannot move inside one call.
+        Hits and misses (and their events) are counted once a call; with a
+        sizer attached, which sees each outcome in order, every key is
+        probed on its own.  The per-key form is ``warm_access`` in
+        ``tests/oracles.py``; both leave the same entries, statistics and
+        event counts.
+        """
+        successor, range_of = ring.successor, ring.range_of
+        if self._sizer is not None:
+            for key in keys:
+                owner = successor(key)
+                if self.probe(key, now) != owner:
+                    self.insert(*range_of(owner), owner, now)
+            return
+        hits = misses = 0
+        answered: Optional[CacheEntry] = None
+        alone = None  # whether *answered* provably answers its whole arc
+        for key in keys:
+            if answered is not None and answered.lo < key <= answered.hi:
+                if alone is None:
+                    alone = self._answers_arc(answered, ring)
+                if alone:
+                    hits += 1
+                    continue
+            entry = self._lookup(key, now)
+            owner = successor(key)
+            if entry is None:
+                misses += 1
+            else:
+                hits += 1
+                if entry.node == owner:
+                    answered, alone = entry, None
+                    continue
+            answered, alone = self.insert(*range_of(owner), owner, now), None
+        for field, kind, count in (("hits", LOOKUP_HIT, hits), ("misses", LOOKUP_MISS, misses)):
+            if count:
+                self._count(field, count)
+                if self._tracer is not None:
+                    self._tracer.emit(kind, count)
+
+    def _answers_arc(self, entry: CacheEntry, ring) -> bool:
+        """Whether a probe of any key in *entry*'s arc finds *entry*, and
+        the ring's owner of that key is its node.
+
+        Only a live entry whose arc does not wrap and is its node's current
+        range qualifies, and only while no other entry, live or not,
+        overlaps the arc: the one ending just before it ends at or before
+        its start, none ending after it starts before its end (the suffix
+        minimum), and no wrapping arc reaches into it.
+        """
+        lo, hi = entry.lo, entry.hi
+        if lo >= hi or ring.range_of(entry.node) != (lo, hi):
+            return False
+        his = self._his
+        index = bisect.bisect_left(his, hi)
+        if (index and his[index - 1] > lo) or self._min_lo[index + 1] < hi:
+            return False
+        return not any(other.hi > lo or other.lo < hi for other in self._wrapping)
+
+    def insert(self, lo: int, hi: int, node: str, now: float) -> CacheEntry:
         """Cache a lookup result: *node* owns the arc ``(lo, hi]``.
 
         Any older entry with the same range end is replaced (the ring moved
         under us).  A bounded cache at capacity first evicts the entry
-        closest to expiry.
+        closest to expiry.  Returns the new entry.
         """
         self._drop_expired(now)
         version = self._ring.version if self._ring is not None else -1
         entry = CacheEntry(lo, hi, node, now + self.ttl, version)
         index = bisect.bisect_left(self._his, hi)
         if index < len(self._his) and self._his[index] == hi:
-            self._entries[index] = entry
+            gone, self._entries[index] = self._entries[index], entry
         else:
             if self.capacity is not None and len(self._entries) >= self.capacity:
                 self._evict_for_capacity()
                 index = bisect.bisect_left(self._his, hi)
+            gone = None
             self._his.insert(index, hi)
             self._entries.insert(index, entry)
-        self._reindex()
+            # Until patched, the new slot holds the suffix minimum from here.
+            self._min_lo.insert(index, self._min_lo[index])
+        self._patch(index, entry, gone)
         self._count("inserts")
+        return entry
 
     def _evict_for_capacity(self) -> None:
         victim = min(self._entries, key=lambda e: (e.expires_at, e.hi))
@@ -255,7 +333,9 @@ class LookupCache:
                 self._tracer.emit(LOOKUP_STALE)
 
     def _reindex(self) -> None:
-        """Rebuild what :meth:`_find` reads, after the entries changed.
+        """Build what :meth:`_find` reads from scratch, after many entries
+        changed at once (an expiry sweep); single changes go to
+        :meth:`_patch`.
 
         ``_min_lo[i]`` is the lowest range start among ``_entries[i:]``
         (``KEY_SPACE`` past the end); ``_wrapping`` holds the entries whose
@@ -275,6 +355,31 @@ class LookupCache:
         min_lo.reverse()
         wrapping.reverse()
         self._min_lo, self._wrapping, self._first_expiry = min_lo, wrapping, first_expiry
+
+    def _patch(self, start: int, new: Optional[CacheEntry],
+               gone: Optional[CacheEntry]) -> None:
+        """Patch the index after one entry changed: *new* came (a fresh
+        slot, or over *gone*), *gone* left, or both.
+
+        The suffix minima are recomputed from *start* back to the first one
+        that comes out unchanged — one or two while arcs are disjoint.  The
+        wrapping list is rebuilt only when a wrapping entry came or went,
+        and the first expiry only when *gone* may have held it.
+        """
+        entries, min_lo = self._entries, self._min_lo
+        while start >= 0:
+            lo, after = entries[start].lo, min_lo[start + 1]
+            lowest = lo if lo < after else after
+            if min_lo[start] == lowest:
+                break
+            min_lo[start] = lowest
+            start -= 1
+        if (new is not None and new.lo >= new.hi) or (gone is not None and gone.lo >= gone.hi):
+            self._wrapping = [entry for entry in entries if entry.lo >= entry.hi]
+        if new is not None and new.expires_at < self._first_expiry:
+            self._first_expiry = new.expires_at
+        if gone is not None and gone.expires_at <= self._first_expiry:
+            self._first_expiry = min((entry.expires_at for entry in entries), default=math.inf)
 
     def _find(self, key: int) -> Optional[CacheEntry]:
         """Freshest entry covering *key*, expired or not.
@@ -313,7 +418,8 @@ class LookupCache:
         index = bisect.bisect_left(self._his, entry.hi)  # range ends are unique
         del self._entries[index]
         del self._his[index]
-        self._reindex()
+        del self._min_lo[index]
+        self._patch(index - 1, None, entry)
 
     def _drop_expired(self, now: float) -> None:
         if now < self._first_expiry:

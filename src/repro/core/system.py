@@ -39,7 +39,7 @@ from repro.dht.ring import Ring
 from repro.fs.blocks import BlockKind
 from repro.fs.fslayer import BlockOp, DhtFileSystem, apply_ops
 from repro.fs.keyschemes import make_scheme
-from repro.fs.namespace import NamespaceError
+from repro.fs.namespace import FileNode, NamespaceError
 from repro.obs.events import NODE_JOIN, EventTracer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer as SpanTracer
@@ -132,6 +132,11 @@ class Deployment:
             )
         self._probe_task: Optional[PeriodicTask] = None
         self._lookup_caches: Dict[str, LookupCache] = {}
+        # id(file node) -> (node, its version, {(offset, length): plan}); see
+        # read_fetches.  Holding the node keeps its id from being reused.
+        self._read_plans: Dict[
+            int, Tuple[FileNode, int, Dict[Tuple[int, Optional[int]], List[Tuple[int, int]]]]
+        ] = {}
         self.seed = seed
         self.membership = None  # MembershipService, set by enable_dynamic_membership
         self.repair = None      # RepairScheduler, set alongside it
@@ -314,8 +319,22 @@ class Deployment:
         *offset* / *length*) on the resolved file.  Under traditional-file
         all pairs share the file's single key but remain per-block, so
         transfer accounting still sees 8 KB units.
+
+        Each (file version, offset, length) is planned once and every
+        caller gets its own copy of the plan.  Every block but the root is
+        immutable (Section 3): a file's keys and sizes change only with its
+        version, so a version bump is the only invalidation, and a file
+        recreated at the same path is a new node with plans of its own.
         """
-        return self.fs.read_fetches(self.fs.namespace.resolve_file(path), offset, length)
+        node = self.fs.namespace.resolve_file(path)
+        memo = self._read_plans.get(id(node))
+        if memo is None or memo[1] != node.version:
+            memo = self._read_plans[id(node)] = (node, node.version, {})
+        plans = memo[2]
+        fetches = plans.get((offset, length))
+        if fetches is None:
+            fetches = plans[offset, length] = self.fs.read_fetches(node, offset, length)
+        return fetches[:]
 
     def read_fetches_many(
         self, requests: Iterable[Tuple[str, int, Optional[int]]]

@@ -76,11 +76,12 @@ class EventTracer:
         self._counts: Dict[str, int] = {}
         self.emitted = 0  # total events ever
 
-    def emit(self, kind: str) -> None:
+    def emit(self, kind: str, count: int = 1) -> None:
+        """Count *count* events of *kind* (one, unless they are tallied in bulk)."""
         if kind not in EVENT_KINDS:
             raise EventError(f"unknown event kind {kind!r}")
-        self._counts[kind] = self._counts.get(kind, 0) + 1
-        self.emitted += 1
+        self._counts[kind] = self._counts.get(kind, 0) + count
+        self.emitted += count
 
     def counts(self) -> Dict[str, int]:
         """Per-kind totals, sorted by kind (JSON-ready)."""

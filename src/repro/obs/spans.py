@@ -55,22 +55,50 @@ class SpanError(Exception):
 
 
 class Span:
-    """One named interval of simulated time within a trace tree."""
+    """One named interval of simulated time within a trace tree.
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "start", "end",
-                 "attrs")
+    A :class:`Tracer` numbers its traces and spans with plain ints, which
+    a span keeps (``trace_no`` / ``span_no`` / ``parent_no``); ``trace_id``
+    / ``span_id`` / ``parent_id`` format them (``t0000002a``) only when
+    they are read or exported.
+    """
+
+    __slots__ = ("trace_no", "span_no", "parent_no", "name", "start", "end", "attrs")
 
     sampled = True
 
-    def __init__(self, trace_id: str, span_id: str, parent_id: Optional[str],
-                 name: str, start: float, **attrs: object) -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
+    def __init__(self, trace_id: Union[int, str], span_id: Union[int, str],
+                 parent_id: Union[int, str, None], name: str, start: float,
+                 **attrs: object) -> None:
+        self.trace_no = trace_id
+        self.span_no = span_id
+        self.parent_no = parent_id
         self.name = name
         self.start = float(start)
         self.end: Optional[float] = None
-        self.attrs: Dict[str, object] = dict(attrs)
+        self.attrs: Dict[str, object] = attrs
+
+    def _ids(self) -> Tuple[str, str, Optional[str]]:
+        """``(trace_id, span_id, parent_id)`` as exported: a tracer's
+        numbers as ``t``/``s`` and 8 hex digits, ids given as strings kept."""
+        trace_id, span_id, parent_id = self.trace_no, self.span_no, self.parent_no
+        if type(span_id) is int:
+            trace_id, span_id = f"t{trace_id:08x}", f"s{span_id:08x}"
+            if parent_id is not None:
+                parent_id = f"s{parent_id:08x}"
+        return trace_id, span_id, parent_id
+
+    @property
+    def trace_id(self) -> str:
+        return self._ids()[0]
+
+    @property
+    def span_id(self) -> str:
+        return self._ids()[1]
+
+    @property
+    def parent_id(self) -> Optional[str]:
+        return self._ids()[2]
 
     def annotate(self, **attrs: object) -> "Span":
         self.attrs.update(attrs)
@@ -96,10 +124,11 @@ class Span:
         return (self.end - self.start) if self.end is not None else 0.0
 
     def to_dict(self) -> Dict[str, object]:
+        trace_id, span_id, parent_id = self._ids()
         return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
+            "trace_id": trace_id,
+            "span_id": span_id,
+            "parent_id": parent_id,
             "name": self.name,
             "start": self.start,
             "end": self.end,
@@ -220,13 +249,15 @@ class Tracer:
     # ------------------------------------------------------------------
     # span creation
 
-    def _next_id(self, prefix: str) -> str:
-        self._ids += 1
-        return f"{prefix}{self._ids:08x}"
-
-    def _record(self, span: Span) -> Span:
+    def _open(self, trace_no: int, span_no: int, parent_no: Optional[int], name: str,
+              start: float, attrs: Dict[str, object]) -> Span:
+        """A new span, buffered and counted: :class:`Span`'s constructor
+        without re-packing the caller's keyword arguments."""
+        span = object.__new__(Span)
+        span.trace_no, span.span_no, span.parent_no = trace_no, span_no, parent_no
+        span.name, span.start, span.end, span.attrs = name, float(start), None, attrs
         self._buffer.append(span)
-        self._counts[span.name] = self._counts.get(span.name, 0) + 1
+        self._counts[name] = self._counts.get(name, 0) + 1
         self.started += 1
         return span
 
@@ -238,19 +269,18 @@ class Tracer:
         if self.sample < 1.0 and self._rng.random() >= self.sample:
             self.sampled_out += 1
             return NULL_SPAN
-        trace_id = self._next_id("t")
-        span = Span(trace_id, self._next_id("s"), None, name, start, **attrs)
+        self._ids += 2  # one number names the trace, the next its root span
         if self._events is not None:
             self._events.emit(SPAN_START)
-        return self._record(span)
+        return self._open(self._ids - 1, self._ids, None, name, start, attrs)
 
     def start_span(self, name: str, start: float, parent: SpanLike,
                    **attrs: object) -> SpanLike:
         """Open a child span; children of null spans are null (free)."""
         if not parent:
             return NULL_SPAN
-        return self._record(Span(parent.trace_id, self._next_id("s"),
-                                 parent.span_id, name, start, **attrs))
+        self._ids += 1
+        return self._open(parent.trace_no, self._ids, parent.span_no, name, start, attrs)
 
     def finish(self, span: SpanLike, end: float) -> SpanLike:
         """Close *span* at sim-time *end*."""
@@ -258,7 +288,7 @@ class Tracer:
             return span
         span.finish(end)
         self.finished += 1
-        if span.parent_id is None and self._events is not None:
+        if span.parent_no is None and self._events is not None:
             self._events.emit(SPAN_FINISH)
         return span
 

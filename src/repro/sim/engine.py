@@ -16,27 +16,24 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 
 class SimulationError(Exception):
     """Raised when the simulator is used incorrectly."""
 
 
-@dataclass(frozen=True)
-class EventHandle:
+class EventHandle(NamedTuple):
     """Opaque handle returned by :meth:`Simulator.schedule`.
 
     Holding a handle allows the caller to cancel a pending event.  Handles
-    compare by identity of their sequence number, which is unique per
-    simulator instance.
+    order by ``(time, seq)``; the sequence number is unique per simulator
+    instance.  A tuple, because a flush schedules thousands and most are
+    never looked at again.
     """
 
     time: float
     seq: int
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Simulator:
@@ -161,6 +158,17 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        queue = self._queue
+        if until is not None and (not queue or queue[0][0] > until):
+            # Nothing is due by *until* (the usual case between the records
+            # of a replay): only the clock moves, and never backwards.
+            if until > self._now:
+                self._now = until
+            return
+        self._drain(until)
+
+    def _drain(self, until: Optional[float]) -> None:
+        """The event loop of :meth:`run`, entered only when an event is due."""
         self._running = True
         # Event-storm fast path: hoist attribute lookups out of the drain
         # loop and batch the fired-counter update — one `inc(total)` when

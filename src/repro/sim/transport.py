@@ -85,7 +85,9 @@ class TcpTransport:
             raise ValueError("cannot transfer negative bytes")
         self.transfers += 1
         rtt = self._latency.rtt(server, client)
-        conn = self._connections.setdefault((server, client), _Connection())
+        conn = self._connections.get((server, client))
+        if conn is None:
+            conn = self._connections[server, client] = _Connection()
         restarted = False
         if now - conn.last_used > self.rto(rtt):
             if conn.last_used != float("-inf"):

@@ -23,6 +23,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from operator import ne
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dht.keyspace import validate_key
@@ -540,9 +541,13 @@ class StorageCoordinator:
         return totals
 
     def pointer_block_count(self) -> int:
-        """Blocks whose owner currently holds only a pointer."""
-        return sum(
-            1
-            for key in self.directory.keys()
-            if self.physical_at.get(key) != self.ring.successor(key)
-        )
+        """Blocks whose owner currently holds only a pointer.
+
+        Every block's owner is asked once, in one pass that leaves the
+        ring's per-key memo alone (a report would otherwise fill it with
+        every key of the store).
+        """
+        keys = list(self.directory.keys())
+        if not keys:
+            return 0
+        return sum(map(ne, map(self.physical_at.get, keys), self.ring.owners(keys)))

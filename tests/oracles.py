@@ -1,6 +1,6 @@
-"""Reference models: the code the ordered indexes of PR 16, the flush entry
-of PR 17, the per-distinct read fold of PR 21 and the block-cloned read
-stream and once-accumulated Zipf weights of PR 23 replaced.
+"""Reference models: the code that the ordered indexes, the one-commit
+flush, the per-distinct read fold, the block-cloned read stream, the
+once-accumulated Zipf weights and the record-at-a-time warm-up replaced.
 
 Kept in the test tree so that ``src/`` has one ``_index()``, one ``_find()``,
 one write/remove body, one read-stream builder and one replay loop.  The
@@ -13,6 +13,7 @@ from collections import defaultdict
 from functools import partial
 from random import Random
 
+from repro.core import lookup_cache
 from repro.core.lookup_cache import LookupCache
 from repro.dht.keyspace import in_interval
 from repro.dht.routing import finger_table_for, route
@@ -26,7 +27,8 @@ from repro.workloads.trace import READ
 
 
 class ScanLookupCache(LookupCache):
-    """The lookup cache as it was: every probe asks every entry."""
+    """The lookup cache with no index at all: every probe asks every entry,
+    every insert re-sorts them and a capacity eviction scans them all."""
 
     def _find(self, key):
         best = None
@@ -35,19 +37,53 @@ class ScanLookupCache(LookupCache):
                 best = entry
         return best
 
+    def insert(self, lo, hi, node, now):
+        self._drop_expired(now)
+        version = self._ring.version if self._ring is not None else -1
+        entry = lookup_cache.CacheEntry(lo, hi, node, now + self.ttl, version)
+        same = [index for index, old in enumerate(self._entries) if old.hi == hi]
+        if same:
+            self._entries[same[0]] = entry
+        else:
+            if self.capacity is not None and len(self._entries) >= self.capacity:
+                self._evict_for_capacity()
+            self._entries = sorted([*self._entries, entry], key=lambda e: e.hi)
+        self._count("inserts")
+        return entry
+
     def _remove_entry(self, entry):
-        index = self._entries.index(entry)
-        del self._entries[index]
-        del self._his[index]
+        self._entries.remove(entry)
 
     def _drop_expired(self, now):
-        # ... and every insert copies every entry, lapsed or not (PR 17).
-        live = [(h, e) for h, e in zip(self._his, self._entries) if e.expires_at > now]
+        # Every insert copies every entry, lapsed or not.
+        live = [e for e in self._entries if e.expires_at > now]
         dropped = len(self._entries) - len(live)
         if dropped:
             self._count("evictions", dropped)
-            self._his = [h for h, _ in live]
-            self._entries = [e for _, e in live]
+            self._entries = live
+
+
+def warm_access(harness, user, key, ident, now):
+    """``PerformanceHarness``'s untimed fetch as it was, one fetch at a time:
+    the buffer-cache check, then a probe and a ring lookup for the key, and
+    on a miss or a stale answer the owner's arc cached."""
+    client = harness.client_for(user)
+    cached = client.buffer_cache.get(ident)
+    if cached is not None and now - cached[0] < harness.buffer_ttl and cached[1] == key:
+        return
+    client.buffer_cache[ident] = (now, key)
+    owner = client.lookup_cache.probe(key, now)
+    actual = harness.deployment.ring.successor(key)
+    if owner is None or owner != actual:
+        lo, hi = harness.deployment.ring.range_of(actual)
+        client.lookup_cache.insert(lo, hi, actual, now)
+
+
+def warm_record_per_fetch(harness, user, fetches, now):
+    """``PerformanceHarness.warm_record`` as a loop of :func:`warm_access`
+    over the record's fetches, each under its ``(key, position)`` identity."""
+    for position, (key, _) in enumerate(fetches):
+        warm_access(harness, user, key, (key, position), now)
 
 
 class ResortingDirectory(BlockDirectory):

@@ -99,6 +99,62 @@ class TestRunUntil:
         assert fired == [True]
 
 
+class TestIdleRun:
+    """``run(until)`` with nothing due by *until* only moves the clock."""
+
+    def sim_with_later_events(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        sim = Simulator(registry=registry)
+        fired = []
+        sim.schedule(50.0, lambda: fired.append(50))
+        cancelled = sim.schedule(60.0, lambda: fired.append(60))
+        sim.cancel(cancelled)
+        return sim, registry, fired
+
+    def test_advances_clock_and_fires_nothing(self, monkeypatch):
+        sim, registry, fired = self.sim_with_later_events()
+        monkeypatch.setattr(sim, "_drain", lambda until: pytest.fail("event loop entered"))
+        for until in (10.0, 20.0, 49.999):
+            sim.run(until=until)
+            assert sim.now == until
+        assert fired == [] and sim.pending() == 2
+        assert registry.counter("sim.events_fired").value == 0
+        assert registry.counter("sim.events_cancelled").value == 0
+        monkeypatch.undo()
+        sim.run(until=100.0)
+        assert fired == [50] and sim.pending() == 0
+        assert registry.counter("sim.events_fired").value == 1
+        assert registry.counter("sim.events_cancelled").value == 1
+
+    def test_empty_queue_is_idle_too(self, monkeypatch):
+        sim = Simulator(start_time=5.0)
+        monkeypatch.setattr(sim, "_drain", lambda until: pytest.fail("event loop entered"))
+        sim.run(until=7.5)
+        assert sim.now == 7.5 and sim.pending() == 0
+
+    def test_never_moves_the_clock_backwards(self):
+        sim, _, fired = self.sim_with_later_events()
+        sim.run(until=30.0)
+        sim.run(until=20.0)
+        assert sim.now == 30.0 and fired == []
+
+    def test_still_not_reentrant(self):
+        sim = Simulator()
+        seen = []
+
+        def reenter():
+            with pytest.raises(SimulationError):
+                sim.run(until=sim.now + 1000.0)  # nothing due by then but this event
+            seen.append(sim.now)
+
+        sim.schedule(1.0, reenter)
+        sim.schedule(5000.0, lambda: None)
+        sim.run(until=2.0)
+        assert seen == [1.0] and sim.now == 2.0
+
+
 class TestCancel:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()

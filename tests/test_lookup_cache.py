@@ -1,9 +1,13 @@
 """Tests for the range-based lookup cache."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lookup_cache import AdaptiveSizer, CacheBudget, LookupCache
 from repro.dht.keyspace import MAX_KEY
+from repro.dht.ring import Ring
+from tests.oracles import ScanLookupCache
 
 
 class TestProbeInsert:
@@ -395,3 +399,126 @@ class TestAdaptiveSizer:
             AdaptiveSizer(min_capacity=0)
         with pytest.raises(ValueError):
             AdaptiveSizer(min_capacity=10, max_capacity=5)
+
+
+NODES = "abcdef"
+SMALL_KEYS = st.integers(min_value=0, max_value=999)
+CACHE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), SMALL_KEYS, SMALL_KEYS, st.sampled_from(NODES)),
+        # lo == hi: the full ring
+        SMALL_KEYS.flatmap(lambda at: st.tuples(
+            st.just("insert"), st.just(at), st.just(at), st.sampled_from(NODES))),
+        st.tuples(st.just("probe"), SMALL_KEYS),
+        st.tuples(st.just("invalidate"), SMALL_KEYS),
+        st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=60.0)),
+        st.tuples(st.just("join"), st.sampled_from(NODES), SMALL_KEYS),
+        st.tuples(st.just("leave"), st.sampled_from(NODES)),
+        st.tuples(st.just("move"), st.sampled_from(NODES), SMALL_KEYS),
+    ),
+    max_size=80,
+)
+
+
+def index_of(cache):
+    """What ``_find`` reads, with entries by identity."""
+    return (list(cache._min_lo), [id(e) for e in cache._wrapping], cache._first_expiry)
+
+
+class TestIncrementalIndex:
+    """The cache patches its index one change at a time; after every step it
+    must equal the index built from scratch, and every answer, entry and
+    counter must equal the index-free scan of ``tests.oracles``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=CACHE_OPS, capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
+    def test_matches_the_scan_and_a_rebuilt_index(self, ops, capacity):
+        ring = Ring()
+        for index, name in enumerate(NODES[:4]):
+            ring.join(name, 250 * index + 100)
+        cache, oracle = (
+            cls(ttl=100.0, capacity=capacity, ring=ring) for cls in (LookupCache, ScanLookupCache)
+        )
+        now = 0.0
+        for op, *args in ops:
+            if op == "advance":
+                now += args[0]
+                continue
+            if op in ("join", "leave", "move"):
+                name, *position = args
+                if op == "leave" and name in ring and len(ring) > 1:
+                    ring.leave(name)
+                elif op == "join" and name not in ring and not ring.occupied(position[0]):
+                    ring.join(name, position[0])
+                elif op == "move" and name in ring and not ring.occupied(position[0]):
+                    ring.change_position(name, position[0])
+                continue
+            call = (*args, now) if op != "invalidate" else tuple(args)
+            assert getattr(cache, op)(*call) == getattr(oracle, op)(*call), (op, call)
+            assert cache.entries() == oracle.entries()
+            assert cache.stats == oracle.stats
+            patched = index_of(cache)
+            cache._reindex()
+            assert index_of(cache) == patched, (op, call)
+
+    def test_an_append_patches_without_a_rebuild(self, monkeypatch):
+        cache = LookupCache(ttl=100.0)
+        monkeypatch.setattr(cache, "_reindex", lambda: pytest.fail("index rebuilt"))
+        for lo in (500, 100, 300, 900, 700):
+            cache.insert(lo, lo + 50, "n", now=0.0)
+        cache.insert(120, 150, "m", now=1.0)  # same range end: a replacement
+        cache.invalidate(320)
+        assert [(e.lo, e.hi) for e in cache.entries()] == [
+            (120, 150), (500, 550), (700, 750), (900, 950),
+        ]
+        assert cache._min_lo[:-1] == [120, 500, 700, 900]
+
+
+class TestAnswersArc:
+    """The proof ``warm`` leans on: when ``_answers_arc`` holds for a live
+    entry, a probe of every key of its arc finds that entry, and the ring
+    names its node as the key's owner."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("learn"), st.sampled_from(NODES)),  # an owner's current arc
+        # Arcs that do not wrap, to overlap the learnt ones from either side
+        # (a wrapping arc overlaps nearly every other: the proof rarely holds).
+        st.tuples(st.just("span"), st.integers(0, 900), st.integers(1, 400),
+                  st.sampled_from(NODES)),
+        # an arc across a node's position: it overlaps the end of that
+        # node's arc and the start of its successor's
+        st.tuples(st.just("straddle"), st.sampled_from(NODES), st.integers(1, 150),
+                  st.integers(0, 150), st.sampled_from(NODES)),
+        st.tuples(st.just("insert"), SMALL_KEYS, SMALL_KEYS, st.sampled_from(NODES)),
+        st.tuples(st.just("move"), st.sampled_from(NODES), SMALL_KEYS),
+        st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=60.0)),
+    ), max_size=40))
+    def test_sound_for_every_key_of_the_arc(self, ops):
+        ring = Ring()
+        for index, name in enumerate(NODES):
+            ring.join(name, 160 * index + 100)
+        cache = LookupCache(ttl=100.0, ring=ring)
+        now = 0.0
+        for op, *args in ops:
+            if op == "learn":
+                cache.insert(*ring.range_of(args[0]), args[0], now)
+            elif op == "span":
+                lo, width, node = args
+                cache.insert(lo, min(999, lo + width), node, now)
+            elif op == "straddle":
+                at, back, ahead, node = args
+                if at in ring:
+                    position = ring.position_of(at)
+                    cache.insert(max(0, position - back), min(999, position + ahead), node, now)
+            elif op == "insert":
+                cache.insert(*args, now)
+            elif op == "move" and not ring.occupied(args[1]):
+                ring.change_position(*args)
+            elif op == "advance":
+                now += args[0]
+            for entry in cache.entries():
+                if entry.expires_at > now and cache._answers_arc(entry, ring):
+                    for key in range(entry.lo + 1, entry.hi + 1):
+                        assert cache._find(key) is entry, (entry, key)
+                        assert ring.successor(key) == entry.node, (entry, key)

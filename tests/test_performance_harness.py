@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.performance import PerformanceHarness, _group_completion
 from repro.core.config import D2Config
+from repro.core.lookup_cache import AdaptiveSizer
 from repro.core.system import build_deployment
 from repro.fs.blocks import BLOCK_SIZE
 from repro.sim.network import LatencyModel
+from tests.oracles import warm_record_per_fetch
 
 
 @pytest.fixture
@@ -100,11 +104,131 @@ class TestFetchLatency:
 class TestWarmAccess:
     def test_warm_populates_caches_without_messages(self, harness):
         deployment, h = harness
-        key, size = deployment.read_fetches("/f.dat")[1]
-        h.warm_access("alice", key, "i1", now=0.0)
+        fetches = deployment.read_fetches("/f.dat")
+        h.warm_record("alice", fetches, now=0.0)
         assert h.lookup_messages == 0
         client = h.client_for("alice")
-        assert client.lookup_cache.probe(key, now=1.0) is not None
+        assert set(client.buffer_cache) == {(key, position) for position, (key, _) in enumerate(fetches)}
+        for key, _ in fetches:
+            assert client.lookup_cache.probe(key, now=1.0) == deployment.ring.successor(key)
+
+
+FILE_SIZES = (300, 3 * BLOCK_SIZE, 12 * BLOCK_SIZE, 40 * BLOCK_SIZE + 17)
+USERS = ("alice", "bob")
+# (user, file, first block, blocks, seconds since the last step); 30 s is
+# the buffer cache's lifetime.
+READ_STEP = st.tuples(st.just("read"), st.sampled_from(USERS),
+                      st.integers(0, len(FILE_SIZES) - 1), st.integers(0, 12),
+                      st.integers(0, 6), st.floats(0.0, 60.0))
+WARM_STEPS = st.lists(
+    st.one_of(
+        READ_STEP, READ_STEP, READ_STEP,
+        # a stale entry: the owner's arc of one of the file's keys, claimed
+        # by its successor
+        st.tuples(st.just("poison"), st.sampled_from(USERS),
+                  st.integers(0, len(FILE_SIZES) - 1), st.integers(0, 40)),
+        # a node moves onto one of the file's keys, splitting an arc the
+        # caches may hold: later inserts overlap the entries from before
+        st.tuples(st.just("move"), st.integers(0, 15),
+                  st.integers(0, len(FILE_SIZES) - 1), st.integers(0, 40)),
+        # past the cache TTL (4500 s): every entry lapses
+        st.tuples(st.just("expire"), st.floats(4500.0, 9000.0)),
+    ),
+    min_size=4,
+    max_size=40,
+)
+
+
+def warm_side(system, caches):
+    deployment = build_deployment(system, 16, seed=5)
+    deployment.bootstrap_volume()
+    deployment.apply_fs_ops(deployment.fs.makedirs("/w"))
+    for index, size in enumerate(FILE_SIZES):
+        deployment.apply_fs_ops(deployment.fs.create(f"/w/f{index}", size=size))
+    for user in USERS:
+        cache = deployment.lookup_cache_for(user)
+        if caches == "bounded":
+            cache.capacity = 3
+        elif caches == "sized":
+            cache.attach_sizer(AdaptiveSizer(window=6, min_capacity=2, target_hit_rate=0.6))
+    latency = LatencyModel.random(deployment.node_names, random.Random(5))
+    return PerformanceHarness(deployment, latency, bandwidth_bps=187_500.0,
+                              rng=random.Random(5))
+
+
+def warm_state(harness):
+    deployment = harness.deployment
+    clients = {
+        user: (client.lookup_cache.entries(), client.lookup_cache.stats,
+               client.lookup_cache.capacity, client.lookup_cache.ttl,
+               dict(client.buffer_cache))
+        for user, client in harness.clients.items()
+    }
+    return clients, deployment.metrics.snapshot()["counters"], deployment.tracer.counts()
+
+
+class TestWarmRecord:
+    """``warm_record`` against the per-fetch loop it replaced
+    (``tests.oracles.warm_record_per_fetch``): two deployments built alike
+    take the same steps, one warming each record in one call and the other
+    fetch by fetch, and must agree on every cache entry, per-client and
+    shared counter, event count and buffer cache after every step."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=st.sampled_from(["d2", "traditional", "traditional-file"]),
+           caches=st.sampled_from(["unbounded", "bounded", "sized"]),
+           steps=WARM_STEPS)
+    def test_record_form_leaves_the_per_fetch_state(self, system, caches, steps):
+        record, per_fetch = warm_side(system, caches), warm_side(system, caches)
+        now = 0.0
+        for step, *args in steps:
+            for harness in (record, per_fetch):
+                deployment = harness.deployment
+                ring = deployment.ring
+                if step == "read":
+                    user, file, first, blocks, dt = args
+                    fetches = deployment.read_fetches(
+                        f"/w/f{file}", first * BLOCK_SIZE, blocks * BLOCK_SIZE)
+                    at = now + dt
+                    if harness is record:
+                        harness.warm_record(user, fetches, at)
+                    else:
+                        warm_record_per_fetch(harness, user, fetches, at)
+                elif step in ("poison", "move"):
+                    fetches = deployment.read_fetches(f"/w/f{args[1]}")
+                    key = fetches[args[2] % len(fetches)][0]
+                    owner = ring.successor(key)
+                    if step == "poison":
+                        cache = harness.client_for(args[0]).lookup_cache
+                        cache.insert(*ring.range_of(owner), ring.successor_of(owner), now)
+                    elif not ring.occupied(key):
+                        ring.change_position(deployment.node_names[args[0]], key)
+            if step == "read":
+                now += args[-1]
+            elif step == "expire":
+                now += args[0]
+            assert warm_state(record) == warm_state(per_fetch), (step, args)
+
+    def test_node_moved_into_a_cached_arc(self):
+        # The arc a whole file was cached under is split by a node moving
+        # onto the file's middle key: both halves are then answered by
+        # entries whose arcs are not their owners' ranges, or overlap.
+        record, per_fetch = warm_side("d2", "unbounded"), warm_side("d2", "unbounded")
+        for harness in (record, per_fetch):
+            deployment, ring = harness.deployment, harness.deployment.ring
+            fetches = deployment.read_fetches("/w/f3")
+            warm = harness.warm_record if harness is record else (
+                lambda *args: warm_record_per_fetch(harness, *args))
+            warm("alice", fetches, 0.0)
+            middle = fetches[len(fetches) // 2][0]
+            mover = next(name for name in deployment.node_names
+                         if name not in ring.successors(middle, 2))
+            ring.change_position(mover, middle)
+            warm("alice", fetches, 100.0)
+        assert warm_state(record) == warm_state(per_fetch)
+        cache = record.client_for("alice").lookup_cache
+        assert len(cache) >= 2
+        assert cache.probe(fetches[0][0], 101.0) == record.deployment.ring.successor(fetches[0][0])
 
 
 class TestGroupCompletion:

@@ -228,6 +228,61 @@ def _populated(system):
     return d
 
 
+class TestReadPlanMemo:
+    """``Deployment.read_fetches`` plans each (file version, offset, length)
+    once; across every kind of mutation it must answer exactly what a fresh
+    ``fs.read_fetches`` of the resolved file does."""
+
+    READS = ((0, None), (0, 3 * BLOCK_SIZE), (BLOCK_SIZE + 5, 2 * BLOCK_SIZE),
+             (7 * BLOCK_SIZE, None), (100, 40))
+
+    @pytest.mark.parametrize("system", ["d2", "traditional", "traditional-file"])
+    def test_memo_equals_a_fresh_plan_at_every_step(self, system, monkeypatch):
+        d = build_deployment(system, 16, seed=3)
+        d.bootstrap_volume()
+        d.apply_fs_ops(d.fs.makedirs("/home/alice"))
+        planned = []
+        plan = type(d.fs).read_fetches
+        monkeypatch.setattr(type(d.fs), "read_fetches",
+                            lambda fs, *args: planned.append(args[1:]) or plan(fs, *args))
+        old, new = "/home/alice/f.dat", "/home/alice/g.dat"
+        steps = [
+            (old, lambda: d.fs.create(old, size=300)),            # data inside the inode
+            (old, lambda: d.fs.write(old, 100, 50)),              # overwrite in the inode
+            (old, lambda: d.fs.write(old, 200, 3 * BLOCK_SIZE)),  # extend: data leaves the inode
+            (old, lambda: d.fs.write(old, BLOCK_SIZE, 10)),       # overwrite one block
+            (old, lambda: d.fs.write(old, 0, 9 * BLOCK_SIZE)),    # extend over every block
+            (new, lambda: d.fs.rename(old, new)),
+            (new, lambda: d.fs.remove(new)),
+            (new, lambda: d.fs.create(new, size=2 * BLOCK_SIZE)),  # same path, a new file
+            (new, lambda: d.fs.write(new, 5 * BLOCK_SIZE, 1)),
+        ]
+        for path, mutate in steps:
+            d.apply_fs_ops(mutate())
+            if not d.fs.namespace.exists(path):
+                continue
+            node = d.fs.namespace.resolve_file(path)
+            for offset, length in self.READS:
+                fresh = d.fs.read_fetches(node, offset, length)
+                del planned[:]
+                for _ in range(3):
+                    got = d.read_fetches(path, offset, length)
+                    assert got == fresh, (path, offset, length)
+                    got.append((0, 0))  # a caller's copy: the memo keeps its own
+                    got[0] = (1, 1)
+                # Planned at most once: a rename keeps the version, and the plans.
+                assert planned in ([], [(offset, length)]), planned
+
+    def test_a_version_bump_replans(self):
+        d = build_deployment("d2", 16, seed=3)
+        d.bootstrap_volume()
+        d.apply_fs_ops(d.fs.create("/f.dat", size=4 * BLOCK_SIZE))
+        before = d.read_fetches("/f.dat", 0, BLOCK_SIZE)
+        d.apply_fs_ops(d.fs.write("/f.dat", 0, 10))
+        after = d.read_fetches("/f.dat", 0, BLOCK_SIZE)
+        assert before != after and len(before) == len(after) == 2
+
+
 class TestReplay:
     def test_read_record(self, d2_deployment, tiny_trace):
         d2_deployment.load_initial_image(tiny_trace)
