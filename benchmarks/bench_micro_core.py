@@ -505,7 +505,6 @@ def test_fetch_count_gate(monkeypatch):
     33 of 254 inserts swept.
     """
     from repro.analysis import performance
-    from repro.dht.ring import Ring
     from repro.workloads.harvard import HarvardConfig, generate_harvard
 
     trace = generate_harvard(HarvardConfig(users=3, days=0.5, seed=4))

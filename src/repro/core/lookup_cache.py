@@ -243,7 +243,7 @@ class LookupCache:
             return
         hits = misses = 0
         answered: Optional[CacheEntry] = None
-        alone = None  # whether *answered* provably answers its whole arc
+        alone: Optional[bool] = None  # whether *answered* provably answers its whole arc
         for key in keys:
             if answered is not None and answered.lo < key <= answered.hi:
                 if alone is None:
@@ -297,13 +297,13 @@ class LookupCache:
         version = self._ring.version if self._ring is not None else -1
         entry = CacheEntry(lo, hi, node, now + self.ttl, version)
         index = bisect.bisect_left(self._his, hi)
+        gone: Optional[CacheEntry] = None
         if index < len(self._his) and self._his[index] == hi:
             gone, self._entries[index] = self._entries[index], entry
         else:
             if self.capacity is not None and len(self._entries) >= self.capacity:
                 self._evict_for_capacity()
                 index = bisect.bisect_left(self._his, hi)
-            gone = None
             self._his.insert(index, hi)
             self._entries.insert(index, entry)
             # Until patched, the new slot holds the suffix minimum from here.

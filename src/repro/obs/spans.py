@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import random
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union, cast
 
 from repro.obs.events import EventTracer, register_kind
 
@@ -78,27 +78,17 @@ class Span:
         self.end: Optional[float] = None
         self.attrs: Dict[str, object] = attrs
 
-    def _ids(self) -> Tuple[str, str, Optional[str]]:
-        """``(trace_id, span_id, parent_id)`` as exported: a tracer's
-        numbers as ``t``/``s`` and 8 hex digits, ids given as strings kept."""
-        trace_id, span_id, parent_id = self.trace_no, self.span_no, self.parent_no
-        if type(span_id) is int:
-            trace_id, span_id = f"t{trace_id:08x}", f"s{span_id:08x}"
-            if parent_id is not None:
-                parent_id = f"s{parent_id:08x}"
-        return trace_id, span_id, parent_id
-
     @property
     def trace_id(self) -> str:
-        return self._ids()[0]
+        return cast(str, self.to_dict()["trace_id"])
 
     @property
     def span_id(self) -> str:
-        return self._ids()[1]
+        return cast(str, self.to_dict()["span_id"])
 
     @property
     def parent_id(self) -> Optional[str]:
-        return self._ids()[2]
+        return cast(Optional[str], self.to_dict()["parent_id"])
 
     def annotate(self, **attrs: object) -> "Span":
         self.attrs.update(attrs)
@@ -124,11 +114,14 @@ class Span:
         return (self.end - self.start) if self.end is not None else 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        trace_id, span_id, parent_id = self._ids()
+        """The exported span: a tracer's numbers as ``t``/``s`` and 8 hex
+        digits (the only place they are formatted), ids given as strings
+        kept."""
+        trace_no, span_no, parent_no = self.trace_no, self.span_no, self.parent_no
         return {
-            "trace_id": trace_id,
-            "span_id": span_id,
-            "parent_id": parent_id,
+            "trace_id": "t%08x" % trace_no if isinstance(trace_no, int) else trace_no,
+            "span_id": "s%08x" % span_no if isinstance(span_no, int) else span_no,
+            "parent_id": "s%08x" % parent_no if isinstance(parent_no, int) else parent_no,
             "name": self.name,
             "start": self.start,
             "end": self.end,
@@ -147,6 +140,7 @@ class _NullSpan:
 
     sampled = False
     trace_id = span_id = parent_id = None
+    trace_no = span_no = parent_no = None
     name = ""
     start = 0.0
     end: Optional[float] = None
@@ -249,11 +243,11 @@ class Tracer:
     # ------------------------------------------------------------------
     # span creation
 
-    def _open(self, trace_no: int, span_no: int, parent_no: Optional[int], name: str,
-              start: float, attrs: Dict[str, object]) -> Span:
+    def _open(self, trace_no, span_no, parent_no, name: str, start: float,
+              attrs: Dict[str, object]) -> Span:
         """A new span, buffered and counted: :class:`Span`'s constructor
         without re-packing the caller's keyword arguments."""
-        span = object.__new__(Span)
+        span = Span.__new__(Span)
         span.trace_no, span.span_no, span.parent_no = trace_no, span_no, parent_no
         span.name, span.start, span.end, span.attrs = name, float(start), None, attrs
         self._buffer.append(span)

@@ -232,8 +232,6 @@ class TestMembershipEpochChecks:
     """Satellite regression: entries must not outlive their node's crash."""
 
     def _ring(self):
-        from repro.dht.ring import Ring
-
         ring = Ring()
         ring.join("a", 100)
         ring.join("b", 200)
