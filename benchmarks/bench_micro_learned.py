@@ -5,9 +5,9 @@ Two kinds of claims, mirroring ``bench_micro_route.py``:
 * timing rows (pytest-benchmark) for trained prediction, the full learned
   lookup hit path, and online training throughput, and
 * shape gates — a trained learned hit must stay >= 2x faster than the
-  cold (bisect-per-level) routed lookup it replaces at 10^4 nodes, and a
-  mispredicted lookup's fallback ``LookupResult`` must be byte-identical
-  to plain :func:`repro.dht.routing.route` — so a regression that quietly
+  cold (bisect-per-level, ``tests/oracles.py``) routed lookup it replaces
+  at 10^4 nodes, and a mispredicted lookup's fallback ``LookupResult``
+  must be byte-identical to plain :func:`repro.dht.routing.route` — so a regression that quietly
   breaks the model fails the bench suite instead of just slowing it down.
 """
 
@@ -18,7 +18,8 @@ from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.keyspace import KEY_SPACE
 from repro.dht.learned import LearnedIndex
 from repro.dht.ring import Ring
-from repro.dht.routing import route, route_cold
+from repro.dht.routing import route
+from tests.oracles import route_cold
 
 
 def build_ring(n, seed=0):

@@ -4,7 +4,8 @@ Three comparisons, each also asserted as a shape claim so a regression
 that silently disables the fast path fails the bench suite rather than
 just slowing it down:
 
-* cold (bisect-per-level reference) vs finger-table :func:`route`,
+* cold (the bisect-per-level reference ``route_cold`` kept in
+  ``tests/oracles.py``) vs finger-table :func:`route`,
 * single :func:`route` calls vs batched :func:`route_many`, on a batch
   whose keys share a few owners (one walk per owner) and on one whose
   owners are all distinct (nothing to share),
@@ -19,7 +20,8 @@ from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.fingers import FingerTable
 from repro.dht.keyspace import KEY_SPACE
 from repro.dht.ring import Ring
-from repro.dht.routing import route, route_cold, route_many
+from repro.dht.routing import route, route_many
+from tests.oracles import route_cold
 
 
 def build_ring(n, seed=0):

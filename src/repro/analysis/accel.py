@@ -153,20 +153,7 @@ def run_accel_cell(
     if scenario == "churn":
         deployment.enable_dynamic_membership(min_nodes=max(2, n_nodes // 2))
 
-    accel = deployment.enable_acceleration(
-        mode,
-        static_capacity=static_capacity if mode in ("cache", "cache+learned")
-        else None,
-        min_capacity=static_capacity,
-        sizer_window=64,
-        learned_min_observations=64,
-        # Size the model to the ring: ~4 nodes per segment keeps every
-        # segment densely sampled at laptop scale (the 256-segment default
-        # is tuned for 10^4-node rings), and a probe chain longer than
-        # half a routed path costs more than it saves.
-        learned_segments=max(8, n_nodes // 4),
-        learned_max_probe=3,
-    )
+    accel = deployment.enable_acceleration(mode, capacity=static_capacity)
 
     rng = Random(seed + 3)
     client_names = [f"client{i:02d}" for i in range(clients)]

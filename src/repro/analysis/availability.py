@@ -13,10 +13,10 @@ failures keep data on disk, so a recovered node serves again
 immediately.  A key is available when
 
 * any of its ``r`` successors is up, **or**
-* (with regeneration enabled) the whole group has been down long enough
-  that re-replication onto the next live successors completed.  The
-  regeneration delay is the failed nodes' data volume divided by the
-  750 kbps per-node migration cap — the same first-order model the paper's
+* the whole group has been down long enough that re-replication onto the
+  next live successors completed.  The regeneration delay is the failed
+  nodes' data volume divided by the deployment's per-node migration cap
+  (750 kbps) — the same first-order model the paper's
   simulator applies; the paper notes regeneration only *raises* per-group
   availability above the no-regeneration baseline.
 
@@ -84,20 +84,13 @@ class ReplicaAvailability:
         deployment: Deployment,
         failures: FailureTrace,
         *,
-        regeneration: bool = True,
-        migration_bandwidth_bps: float = 93750.0,  # 750 kbps
         regeneration_delay_override: Optional[float] = None,
     ) -> None:
         self._deployment = deployment
         self._failures = failures
-        self._regeneration = regeneration
-        self._bandwidth = migration_bandwidth_bps
         self._delay_override = regeneration_delay_override
-        self.checks = 0
-        self.misses = 0
 
     def key_available(self, key: int, now: float) -> bool:
-        self.checks += 1
         ring = self._deployment.ring
         replicas = self._deployment.config.replica_count
         group = ring.successors(key, replicas)
@@ -107,7 +100,7 @@ class ReplicaAvailability:
             if since is None:
                 return True
             newest_down = since if newest_down is None else max(newest_down, since)
-        if self._regeneration and newest_down is not None:
+        if newest_down is not None:
             # The group went fully dark at `newest_down`; regeneration onto
             # the next live successors starts then and completes after the
             # lost volume drains through the migration cap.
@@ -116,7 +109,6 @@ class ReplicaAvailability:
                 for name in extended:
                     if self._failures.is_up(name, now):
                         return True
-        self.misses += 1
         return False
 
     def _regeneration_delay(self) -> float:
@@ -126,9 +118,7 @@ class ReplicaAvailability:
         n = max(1, len(self._deployment.ring))
         replicas = self._deployment.config.replica_count
         per_node_bytes = directory.total_bytes * replicas / n
-        if self._bandwidth <= 0:
-            return float("inf")
-        return per_node_bytes / self._bandwidth
+        return per_node_bytes / self._deployment.config.migration_bandwidth_bps
 
 
 def matching_failure_trace(n_nodes: int, rng, config: FailureTraceConfig) -> FailureTrace:
@@ -176,10 +166,7 @@ def run_availability_replay(
     )
     deployment.start_periodic_balancing()
     checker = ReplicaAvailability(
-        deployment,
-        failures,
-        migration_bandwidth_bps=config.migration_bandwidth_bps,
-        regeneration_delay_override=regeneration_delay,
+        deployment, failures, regeneration_delay_override=regeneration_delay
     )
     index_of = _record_indices(trace)
     log = ReplayLog(system=system, trial=trial, ok={}, blocks={}, owners={}, skipped_records=0)

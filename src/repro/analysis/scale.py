@@ -10,10 +10,8 @@ up as numbers in ``BENCH_scale.json`` rather than as anecdotes.
 Two cell shapes:
 
 * **routing** — a bare :class:`~repro.dht.ring.Ring` and a seeded uniform
-  key stream; batched :func:`~repro.dht.routing.route_many` over the
-  precomputed finger table is timed against the pre-finger-table
-  reference implementation (:func:`~repro.dht.routing.route_cold`) on a
-  subset, yielding the recorded speedup.
+  key stream, timed through batched :func:`~repro.dht.routing.route_many`
+  over the precomputed finger table.
 * **read** — a full :class:`~repro.core.system.Deployment` with a
   replicated initial image; a read stream cloned in shared blocks
   (:func:`~repro.workloads.scale.scaled_read_stream`) is replayed in
@@ -47,7 +45,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.dht.consistent_hashing import KEY_SPACE, random_node_ids
 from repro.dht.ring import Ring
-from repro.dht.routing import LookupResult, finger_table_for, route_cold, route_many
+from repro.dht.routing import LookupResult, finger_table_for, route_many
 from repro.fs.namespace import NamespaceError
 from repro.obs.stream import NullJsonlWriter, stream_spans
 from repro.workloads.scale import ReadRequest, Request, scaled_read_stream
@@ -86,9 +84,6 @@ class ScaleCellResult:
     ops_per_sec: float = 0.0
     peak_rss_kb: int = 0
     rss_curve_kb: List[int] = field(default_factory=list)
-    cold_wall_seconds: float = 0.0
-    cold_ops: int = 0
-    speedup_vs_cold: float = 0.0
 
     def deterministic_row(self) -> Dict[str, object]:
         return {
@@ -114,9 +109,6 @@ class ScaleCellResult:
             ops_per_sec=round(self.ops_per_sec, 1),
             peak_rss_kb=self.peak_rss_kb,
             rss_curve_kb=list(self.rss_curve_kb),
-            cold_wall_seconds=round(self.cold_wall_seconds, 4),
-            cold_ops=self.cold_ops,
-            speedup_vs_cold=round(self.speedup_vs_cold, 2),
         )
         return full
 
@@ -150,19 +142,15 @@ def run_scale_routing(
     n_nodes: int,
     ops: int,
     batch: int = 4096,
-    cold_ops: int = 2000,
     seed: int = 11,
 ) -> ScaleCellResult:
     """Time batched finger-table routing on an *n_nodes* ring.
 
     A seeded uniform key stream is routed in batches of *batch* via
-    :func:`route_many`; the first ``min(cold_ops, ops)`` keys are then
-    re-routed with :func:`route_cold` (the pre-finger-table reference
-    path, which re-derives every finger by bisect at every hop) to
-    compute ``speedup_vs_cold``.  Both passes produce identical paths —
-    the equivalence is asserted in tests, not here — so the checksum
-    covers the batched pass only.
+    :func:`route_many`, each batch from a seeded random source node.
     """
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be at least 1, got {n_nodes}")
     if ops <= 0:
         raise ValueError(f"ops must be positive, got {ops}")
     if batch <= 0:
@@ -185,18 +173,6 @@ def run_scale_routing(
         hops += _fold_routes(digest, results, repeat(1), owners)
     wall = time.perf_counter() - started
     messages = hops + ops  # one response per lookup
-
-    cold_n = min(cold_ops, ops)
-    cold_wall = 0.0
-    if cold_n > 0:
-        cold_source = sources[0]
-        cold_started = time.perf_counter()
-        for key in keys[:cold_n]:
-            route_cold(ring, cold_source, key)
-        cold_wall = time.perf_counter() - cold_started
-
-    rate = ops / wall if wall > 0 else 0.0
-    cold_rate = cold_n / cold_wall if cold_wall > 0 else 0.0
     return ScaleCellResult(
         cell="routing",
         n_nodes=n_nodes,
@@ -211,11 +187,8 @@ def run_scale_routing(
         streamed_rows=0,
         streamed_spans=0,
         wall_seconds=wall,
-        ops_per_sec=rate,
+        ops_per_sec=ops / wall if wall > 0 else 0.0,
         peak_rss_kb=_rss_kb(),
-        cold_wall_seconds=cold_wall,
-        cold_ops=cold_n,
-        speedup_vs_cold=rate / cold_rate if cold_rate > 0 else 0.0,
     )
 
 

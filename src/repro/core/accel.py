@@ -45,8 +45,22 @@ from repro.obs.metrics import MetricsRegistry
 
 ACCEL_MODES = ("none", "cache", "cache+learned", "cache+adaptive", "all")
 
-#: Default fleet-wide entry budget for the adaptive modes.
-DEFAULT_BUDGET_ENTRIES = 65536
+#: Entries per client cache: the static modes' bound and the adaptive
+#: modes' floor (the size a cache starts at and never shrinks below).
+DEFAULT_CAPACITY = 12
+
+#: Fleet-wide entry budget and per-cache ceiling of the adaptive modes, and
+#: the probes per retuning of each client's sizer.
+BUDGET_ENTRIES = 65536
+MAX_CAPACITY = 4096
+SIZER_WINDOW = 64
+
+#: Learned-index sizing: training starts after 64 routed lookups, and a
+#: prediction walks at most 3 neighbours — a longer probe chain costs more
+#: than half a routed path.  Segments are sized to the ring (see
+#: :class:`LookupAccelerator`).
+LEARNED_MIN_OBSERVATIONS = 64
+LEARNED_MAX_PROBE = 3
 
 
 @dataclass(frozen=True)
@@ -75,6 +89,11 @@ class LookupAccelerator:
     learned index — like the finger table it falls back to — is shared
     ring-wide state.  All configuration is fixed at construction so a
     mode's behavior is a pure function of the lookup stream.
+
+    *capacity* bounds each client's cache in the static modes and is the
+    adaptive modes' floor.  The learned index gets one segment per ~4 nodes
+    of the ring at construction (at least 8), which keeps every segment
+    densely sampled at laptop scale.
     """
 
     def __init__(
@@ -83,15 +102,8 @@ class LookupAccelerator:
         *,
         mode: str = "cache",
         ttl: float = DEFAULT_TTL,
-        static_capacity: Optional[int] = None,
-        budget_entries: int = DEFAULT_BUDGET_ENTRIES,
-        sizer_window: int = 128,
-        min_capacity: int = 8,
-        max_capacity: int = 4096,
+        capacity: int = DEFAULT_CAPACITY,
         seed: int = 0,
-        learned_min_observations: Optional[int] = None,
-        learned_segments: Optional[int] = None,
-        learned_max_probe: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[EventTracer] = None,
         spans=None,
@@ -102,29 +114,21 @@ class LookupAccelerator:
         self.ring = ring
         self.mode = mode
         self.ttl = ttl
-        self.static_capacity = static_capacity
+        self.capacity = capacity
         self.use_cache = mode != "none"
         self.adaptive = mode in ("cache+adaptive", "all")
         self.seed = seed
         self._registry = registry
         self._tracer = tracer
         self._spans = spans
-        self._sizer_window = sizer_window
-        self._min_capacity = min_capacity
-        self._max_capacity = max_capacity
-        self.budget = CacheBudget(budget_entries) if self.adaptive else None
+        self.budget = CacheBudget(BUDGET_ENTRIES) if self.adaptive else None
         self.learned: Optional[LearnedIndex] = None
         if mode in ("cache+learned", "all"):
-            learned_kwargs = {}
-            if learned_min_observations is not None:
-                learned_kwargs["min_observations"] = learned_min_observations
-            if learned_segments is not None:
-                learned_kwargs["segments"] = learned_segments
-            if learned_max_probe is not None:
-                learned_kwargs["max_probe"] = learned_max_probe
             self.learned = LearnedIndex(
                 ring, seed=seed, registry=registry, tracer=tracer,
-                **learned_kwargs,
+                segments=max(8, len(ring) // 4),
+                min_observations=LEARNED_MIN_OBSERVATIONS,
+                max_probe=LEARNED_MAX_PROBE,
             )
         self.caches: Dict[str, LookupCache] = {}
         metrics = registry if registry is not None else MetricsRegistry()
@@ -138,15 +142,15 @@ class LookupAccelerator:
             sizer = None
             if self.adaptive:
                 sizer = AdaptiveSizer(
-                    window=self._sizer_window,
-                    min_capacity=self._min_capacity,
-                    max_capacity=self._max_capacity,
+                    window=SIZER_WINDOW,
+                    min_capacity=self.capacity,
+                    max_capacity=MAX_CAPACITY,
                     budget=self.budget,
                     registry=self._registry,
                 )
             cache = LookupCache(
                 ttl=self.ttl,
-                capacity=self.static_capacity if not self.adaptive else None,
+                capacity=None if self.adaptive else self.capacity,
                 ring=self.ring,
                 sizer=sizer,
                 registry=self._registry,

@@ -55,6 +55,8 @@ class D2Config:
             raise ValueError("probe_interval must be positive")
         if self.max_concurrent_transfers < 1:
             raise ValueError("max_concurrent_transfers must be at least 1")
+        if self.migration_bandwidth_bps <= 0 or self.access_bandwidth_bps <= 0:
+            raise ValueError("migration and access bandwidths must be positive")
         return self
 
 

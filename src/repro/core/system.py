@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.accel import DEFAULT_CAPACITY, LookupAccelerator
 from repro.core.config import D2Config
 from repro.core.lookup_cache import LookupCache
 from repro.dht.consistent_hashing import random_node_ids
@@ -67,13 +68,10 @@ class ReplayOutcome:
     read record required, or the DHT writes a mutation implied (data and
     inode blocks; directory metadata is assumed client-cached for
     dependency purposes, matching the paper's task-availability model).
-    ``files`` is the number of distinct files touched (Table 2).
     """
 
-    record: TraceRecord
     fetches: List[Tuple[int, int]] = field(default_factory=list)
     stores: List[Tuple[int, int]] = field(default_factory=list)
-    files: int = 0
     skipped: bool = False
 
     @property
@@ -235,15 +233,13 @@ class Deployment:
         self,
         *,
         window: float = 900.0,
-        rules=None,
         node_level: bool = True,
-        retention: int = 32768,
     ):
         """Attach sim-time SLO monitoring (:class:`repro.obs.health.HealthMonitor`).
 
         Samples membership/repair/balancer/lookup state at every *window*
-        seconds of sim-time, evaluates the SLO rules (``rules=None`` means
-        :func:`repro.obs.health.default_rules`) on closed windows, and
+        seconds of sim-time, evaluates the built-in SLO rules
+        (:data:`repro.obs.health.DEFAULT_RULES`) on closed windows, and
         buffers series + alert rows for :meth:`HealthMonitor.drain` /
         JSONL streaming.  Enable *after* ``enable_dynamic_membership`` so
         the repair scheduler's push hooks attach.  Idempotent; returns
@@ -253,24 +249,18 @@ class Deployment:
             return self.health
         from repro.obs.health import HealthMonitor
 
-        self.health = HealthMonitor(
-            self,
-            window=window,
-            rules=rules,
-            node_level=node_level,
-            retention=retention,
-        )
+        self.health = HealthMonitor(self, window=window, node_level=node_level)
         self.health.start()
         return self.health
 
-    def enable_acceleration(self, mode: str = "cache", **kwargs):
+    def enable_acceleration(self, mode: str = "cache", capacity: int = DEFAULT_CAPACITY):
         """Attach a :class:`repro.core.accel.LookupAccelerator`.
 
-        *mode* is one of :data:`repro.core.accel.ACCEL_MODES`; extra
-        keyword arguments (static capacity, budget, learned-index sizing)
-        pass through to the accelerator.  Idempotent for a given mode;
-        asking for a different mode on a live accelerator is an error —
-        build a fresh deployment per mode so rows never share tier state.
+        *mode* is one of :data:`repro.core.accel.ACCEL_MODES`; *capacity*
+        bounds each client's cache in the static modes and is the adaptive
+        modes' floor.  Idempotent for a given mode; asking for a different
+        mode on a live accelerator is an error — build a fresh deployment
+        per mode so rows never share tier state.
         """
         if self.accelerator is not None:
             if self.accelerator.mode != mode:
@@ -279,17 +269,15 @@ class Deployment:
                     f"{self.accelerator.mode!r}; cannot switch to {mode!r}"
                 )
             return self.accelerator
-        from repro.core.accel import LookupAccelerator
-
         self.accelerator = LookupAccelerator(
             self.ring,
             mode=mode,
-            ttl=kwargs.pop("ttl", self.config.lookup_cache_ttl),
-            seed=kwargs.pop("seed", self.seed),
+            ttl=self.config.lookup_cache_ttl,
+            capacity=capacity,
+            seed=self.seed,
             registry=self.metrics,
             tracer=self.tracer,
             spans=self.spans,
-            **kwargs,
         )
         return self.accelerator
 
@@ -378,13 +366,12 @@ class Deployment:
         Records referencing paths that do not exist (cross-user timing
         races in a synthetic trace) are skipped and flagged.
         """
-        outcome = ReplayOutcome(record=record)
+        outcome = ReplayOutcome()
         try:
             if record.op == READ:
                 outcome.fetches = self.read_fetches(
                     record.path, record.offset, record.length or None
                 )
-                outcome.files = 1
             elif record.op == WRITE:
                 if not self.fs.namespace.exists(record.path):
                     ops = self.fs.create(record.path, size=record.offset + record.length)
@@ -392,22 +379,17 @@ class Deployment:
                     ops = self.fs.write(record.path, record.offset, record.length)
                 self.apply_fs_ops(ops)
                 outcome.stores = _file_block_puts(ops)
-                outcome.files = 1
             elif record.op == CREATE:
                 ops = self.fs.create(record.path, size=record.size)
                 self.apply_fs_ops(ops)
                 outcome.stores = _file_block_puts(ops)
-                outcome.files = 1
             elif record.op == DELETE:
                 self.apply_fs_ops(self.fs.remove(record.path))
-                outcome.files = 1
             elif record.op == MKDIR:
                 if not self.fs.namespace.exists(record.path):
                     self.apply_fs_ops(self.fs.makedirs(record.path))
-                outcome.files = 1
             elif record.op == RENAME:
                 self.apply_fs_ops(self.fs.rename(record.path, record.dst_path))
-                outcome.files = 1
         except NamespaceError:
             outcome.skipped = True
         return outcome

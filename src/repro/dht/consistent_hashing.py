@@ -11,7 +11,7 @@ IDs only at bootstrap; its keys come from
 from __future__ import annotations
 
 import random
-from typing import Iterable, List
+from typing import List
 
 from repro.dht.keyspace import KEY_SPACE, hash_to_key, key_to_bytes
 
@@ -32,61 +32,9 @@ def salted_key(salt: str, key: int) -> int:
     return hash_to_key(salt.encode("utf-8") + key_to_bytes(key))
 
 
-def hashed_block_key(file_name: str, block_number: int, version: int = 0) -> int:
-    """Key for one block of a file in a traditional (CFS-like) DHT.
-
-    The paper's traditional DHT gives every 8 KB block its own hashed key,
-    scattering even a single file across the ring.
-    """
-    return hashed_key(f"{file_name}\x00{block_number}\x00{version}")
-
-
-def random_node_id(rng: random.Random) -> int:
-    """A uniform-random ring position for a joining node."""
-    return rng.randrange(KEY_SPACE)
-
-
 def random_node_ids(count: int, rng: random.Random) -> List[int]:
     """*count* distinct uniform-random ring positions."""
     ids = set()
     while len(ids) < count:
         ids.add(rng.randrange(KEY_SPACE))
     return sorted(ids)
-
-
-def node_id_for_name(name: str) -> int:
-    """Deterministic pseudo-random position derived from a node name.
-
-    Useful for reproducible test rings; real deployments draw fresh random
-    IDs (see :func:`random_node_id`).
-    """
-    return hash_to_key(f"node-id:{name}".encode("utf-8"))
-
-
-def uniform_spread_ids(count: int) -> List[int]:
-    """Perfectly even ring positions (idealized consistent hashing).
-
-    The Figure-3 locality analysis assumes every node stores the same
-    number of blocks; evenly spaced node IDs realize that idealization.
-    """
-    if count <= 0:
-        raise ValueError("count must be positive")
-    step = KEY_SPACE // count
-    return [i * step for i in range(count)]
-
-
-def describe_balance(loads: Iterable[int]) -> dict:
-    """Summary statistics of a load distribution (used in tests/benches)."""
-    values = list(loads)
-    if not values:
-        return {"count": 0, "mean": 0.0, "max": 0, "min": 0, "nsd": 0.0}
-    mean = sum(values) / len(values)
-    variance = sum((v - mean) ** 2 for v in values) / len(values)
-    nsd = (variance ** 0.5) / mean if mean > 0 else 0.0
-    return {
-        "count": len(values),
-        "mean": mean,
-        "max": max(values),
-        "min": min(values),
-        "nsd": nsd,
-    }

@@ -73,15 +73,6 @@ def in_interval(key: int, lo: int, hi: int) -> bool:
     return key > lo or key <= hi
 
 
-def in_open_interval(key: int, lo: int, hi: int) -> bool:
-    """True when *key* lies strictly inside the circular interval ``(lo, hi)``."""
-    if lo == hi:
-        return key != lo
-    if lo < hi:
-        return lo < key < hi
-    return key > lo or key < hi
-
-
 def midpoint(lo: int, hi: int) -> int:
     """The point halfway along the clockwise arc from *lo* to *hi*."""
     return (lo + distance(lo, hi) // 2) % KEY_SPACE
@@ -92,11 +83,3 @@ def interval_width(lo: int, hi: int) -> int:
     if lo == hi:
         return KEY_SPACE
     return distance(lo, hi)
-
-
-def key_fraction(key: int) -> float:
-    """Position of *key* as a fraction of the ring in ``[0, 1)``.
-
-    Handy for plotting key distributions and for coarse range bucketing.
-    """
-    return key / KEY_SPACE

@@ -22,9 +22,6 @@ version-keyed table (:func:`finger_table_for`).
   ``(owner, exact)`` in the batch.  D2's locality-preserving keys make a
   task's lookups land on a few owners, so most of a batch reuses a path
   already walked.  Results are element-for-element those of :func:`route`.
-* :func:`route_cold` — the original bisect-per-level implementation over
-  512-bit ids, kept as the reference for equivalence tests and the cold
-  side of ``benchmarks/bench_micro_route.py``.
 
 The functions here return both the hop path (for latency accounting — each
 hop is one network RTT leg in the recursive lookup) and the message count
@@ -33,13 +30,12 @@ hop is one network RTT leg in the recursive lookup) and the message count
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dht.fingers import FingerTable
-from repro.dht.keyspace import KEY_BITS, distance, in_interval
+from repro.dht.keyspace import KEY_BITS
 from repro.dht.ring import Ring
 
 
@@ -119,7 +115,8 @@ def route(
     forwards to the finger (``successor(current + 2**i)`` for the largest
     ``i``) that lands inside the remaining arc ``(current, key]``, falling
     back to its immediate successor.  Terminates at the key's owner; paths
-    are identical to :func:`route_cold`.
+    are identical to the bisect-per-level reference ``route_cold`` in
+    ``tests/oracles.py``.
 
     With a span *tracer* and a live *parent* span, one ``dht.hop`` child
     span is emitted per hop leg, starting at *now* and advancing by
@@ -175,74 +172,3 @@ def route_many(
             path = path[:]  # each result owns its list
         results.append(LookupResult(key, path[-1], path))
     return results
-
-
-def route_cold(
-    ring: Ring,
-    source: str,
-    key: int,
-    *,
-    max_hops: int = 4 * KEY_BITS,
-) -> LookupResult:
-    """Reference implementation: greedy routing with per-level ring bisects.
-
-    This is the pre-finger-table hot path, kept for equivalence testing
-    and as the cold baseline in ``benchmarks/bench_micro_route.py``.  No
-    span support — instrumented callers use :func:`route`.
-    """
-    if source not in ring:
-        raise ValueError(f"source node {source!r} not in ring")
-    owner = ring.successor(key)
-    path = [source]
-    current = source
-    current_id = ring.position_of(current)
-    hops = 0
-    while current != owner:
-        remaining = distance(current_id, key)
-        if remaining == 0:
-            break
-        next_name, next_id = _best_finger(ring, current_id, key, remaining)
-        if next_name == current:
-            # Degenerate single-node arc; the successor must be the owner.
-            next_name = ring.successor_of(current)
-            next_id = ring.position_of(next_name)
-        path.append(next_name)
-        current = next_name
-        current_id = next_id
-        hops += 1
-        if hops > max_hops:
-            raise RuntimeError("routing failed to converge; ring state is inconsistent")
-    return LookupResult(key=key, owner=owner, path=path)
-
-
-def _best_finger(ring: Ring, current_id: int, key: int, remaining: int) -> Tuple[str, int]:
-    """Farthest finger of the node at *current_id* not overshooting *key*.
-
-    Returns ``(name, id)`` so callers never re-bisect the position of the
-    node they just resolved.
-    """
-    # The largest usable finger level is bounded by the remaining distance:
-    # a finger at 2**i with 2**i > remaining would overshoot.
-    level = remaining.bit_length() - 1
-    while level >= 0:
-        target = (current_id + (1 << level)) % (1 << KEY_BITS)
-        candidate = ring.successor(target)
-        candidate_id = ring.position_of(candidate)
-        # Usable if the candidate lies in (current, key] — it makes forward
-        # progress without passing the owner.
-        if candidate_id != current_id and in_interval(candidate_id, current_id, key):
-            return candidate, candidate_id
-        level -= 1
-    # No finger makes progress: the owner is our immediate successor.
-    fallback = ring.successor_of(ring.name_at(current_id))
-    return fallback, ring.position_of(fallback)
-
-
-def expected_hops(n_nodes: int) -> float:
-    """Analytic expectation of greedy-finger hop count, ~0.5 * log2(n).
-
-    Used by tests as a sanity envelope and by coarse analytical models.
-    """
-    if n_nodes <= 1:
-        return 0.0
-    return 0.5 * math.log2(n_nodes)

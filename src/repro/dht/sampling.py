@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from typing import Optional
 
 from repro.dht.keyspace import KEY_SPACE, interval_width
@@ -112,17 +111,3 @@ def sample_other(ring: Ring, prober: str, rng: random.Random) -> str:
         if name != prober:
             return name
     raise ValueError("ring has only the prober")
-
-
-def empirical_distribution(
-    ring: Ring, rng: random.Random, samples: int = 2000, *, steps: Optional[int] = None
-) -> Counter:
-    """Sampling histogram for uniformity tests and calibration."""
-    names = list(ring.names())
-    counts: Counter = Counter()
-    for _ in range(samples):
-        start = names[rng.randrange(len(names))]
-        counts[random_walk_sample(ring, start, rng, steps=steps)] += 1
-    for name in names:
-        counts.setdefault(name, 0)
-    return counts

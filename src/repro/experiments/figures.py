@@ -332,8 +332,8 @@ _ENTRIES = (
         themselves; their deterministic fields (ops, hops, fetches, checksum)
         must not move between serial and ``--jobs N`` runs or across PRs.""",
         Table("Scale matrix: engine throughput and memory",
-              ("cell", "n_nodes", "users", "ops", "ops_per_sec", "speedup_vs_cold",
-               "hops", "fetches", "windows", "peak_rss_kb", "rss_growth_kb", "checksum"),
+              ("cell", "n_nodes", "users", "ops", "ops_per_sec", "hops", "fetches",
+               "windows", "peak_rss_kb", "rss_growth_kb", "checksum"),
               scale_matrix.scale_rows),
         plot=scale_matrix.recorded_note,
         in_all=False,

@@ -44,8 +44,9 @@ BENCH_SCHEMA = 1
 
 #: Per-run-entry schema version, explicit on every entry (the committed
 #: pr7/pr8 runs are v1); v2 read cells carry ``streamed_health`` (the
-#: health-export row count added with the sim-time health monitor).
-RUN_SCHEMA = 2
+#: health-export row count added with the sim-time health monitor); v3
+#: routing cells carry no ``cold_*``/``speedup_vs_cold`` fields.
+RUN_SCHEMA = 3
 
 
 def scale_cells(
@@ -53,7 +54,6 @@ def scale_cells(
     routing_nodes: Sequence[int] = (1000, 10000),
     routing_ops: int = 20000,
     routing_batch: int = 4096,
-    routing_cold_ops: int = 2000,
     read_cells: Sequence[Tuple[int, int]] = ((1000, 100000),),
     read_base_size: int = 250,
     read_ops_per_user: int = 10,
@@ -77,7 +77,6 @@ def scale_cells(
                 "n_nodes": n_nodes,
                 "ops": routing_ops,
                 "batch": routing_batch,
-                "cold_ops": routing_cold_ops,
                 "seed": seed,
             }
         )
@@ -100,9 +99,9 @@ def scale_cells(
 
 
 def scale_cell(cell: str, **params: Any) -> ScaleCellResult:
-    """One scale cell: ``"routing"`` (bare ring, batched vs cold lookup
-    throughput) or ``"read"`` (full deployment, cloned read stream through
-    the batched read path)."""
+    """One scale cell: ``"routing"`` (bare ring, batched lookup throughput)
+    or ``"read"`` (full deployment, cloned read stream through the batched
+    read path)."""
     if cell == "routing":
         return run_scale_routing(**params)
     return _scale_read_cell(**params)

@@ -55,27 +55,18 @@ def data_block_count(file_size: int) -> int:
     return -(-file_size // BLOCK_SIZE)  # ceil division
 
 
-def data_block_sizes(file_size: int) -> List[int]:
-    """Sizes of each data block; the last block may be partial."""
-    count = data_block_count(file_size)
-    if count == 0:
-        return []
-    sizes = [BLOCK_SIZE] * (count - 1)
-    last = file_size - BLOCK_SIZE * (count - 1)
-    sizes.append(last)
-    return sizes
-
-
 @lru_cache(maxsize=8192)
 def data_block_sizes_table(file_size: int) -> Tuple[int, ...]:
-    """Immutable, process-cached form of :func:`data_block_sizes`.
+    """Sizes of each data block; the last block may be partial.
 
     Replay hot paths size the same file populations millions of times; the
     tuple is computed once per distinct file size and shared, eliminating a
-    per-read list allocation.  Values are identical to
-    ``tuple(data_block_sizes(file_size))``.
+    per-read list allocation.
     """
-    return tuple(data_block_sizes(file_size))
+    count = data_block_count(file_size)
+    if count == 0:
+        return ()
+    return (BLOCK_SIZE,) * (count - 1) + (file_size - BLOCK_SIZE * (count - 1),)
 
 
 def blocks_covering(offset: int, length: int, file_size: int) -> range:

@@ -317,6 +317,3 @@ class Namespace:
 
     def total_file_bytes(self) -> int:
         return sum(node.size for _, node in self.files())
-
-    def file_count(self) -> int:
-        return sum(1 for _ in self.files())

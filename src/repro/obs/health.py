@@ -32,19 +32,19 @@ Evaluation semantics, chosen for determinism and hysteresis:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.events import EventTracer, register_kind
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import COUNTER, GAUGE, TimeSeriesBank
+from repro.obs.timeseries import COUNTER, TimeSeriesBank
 
 __all__ = [
     "Alert",
     "HealthMonitor",
     "SloEngine",
     "SloRule",
-    "default_rules",
+    "DEFAULT_RULES",
 ]
 
 ALERT_FIRE = register_kind("health.alert_fire")
@@ -131,66 +131,61 @@ class _RuleState:
         self.last_value: Optional[float] = None
 
 
-def default_rules(
-    *,
-    deficit_threshold: float = 1.0,
-    imbalance_threshold: float = 4.0,
-    hit_ratio_floor: float = 0.2,
-    backlog_growth_windows: int = 4,
-    stall_windows: int = 3,
-) -> Tuple[SloRule, ...]:
-    """The built-in cluster SLOs (see docs/observability.md)."""
-    return (
-        SloRule(
-            name="replica-deficit",
-            series="repair.deficit",
-            op=">=",
-            threshold=deficit_threshold,
-            for_windows=1,
-            resolve_windows=2,
-            severity="critical",
-            description="keys holding fewer live replicas than configured",
-        ),
-        SloRule(
-            name="load-imbalance",
-            series="balance.imbalance",
-            op=">=",
-            threshold=imbalance_threshold,
-            for_windows=2,
-            resolve_windows=2,
-            severity="warning",
-            description="max/mean per-node block load exceeds the bound",
-        ),
-        SloRule(
-            name="hit-ratio-collapse",
-            series="lookup.hit_ratio",
-            op="<=",
-            threshold=hit_ratio_floor,
-            for_windows=2,
-            resolve_windows=2,
-            severity="warning",
-            description="useful lookup-cache hit ratio collapsed",
-        ),
-        SloRule(
-            name="pointer-stall",
-            series="pointer.stall",
-            op=">=",
-            threshold=1.0,
-            for_windows=stall_windows,
-            resolve_windows=1,
-            severity="critical",
-            description="pointer table pending with no stabilization progress",
-        ),
-        SloRule(
-            name="repair-backlog-growth",
-            series="repair.backlog",
-            op="increasing",
-            for_windows=backlog_growth_windows,
-            resolve_windows=1,
-            severity="warning",
-            description="repair backlog grew for several consecutive windows",
-        ),
-    )
+#: The built-in cluster SLOs (see docs/observability.md).
+DEFAULT_RULES: Tuple[SloRule, ...] = (
+    SloRule(
+        name="replica-deficit",
+        series="repair.deficit",
+        op=">=",
+        threshold=1.0,
+        for_windows=1,
+        resolve_windows=2,
+        severity="critical",
+        description="keys holding fewer live replicas than configured",
+    ),
+    SloRule(
+        name="load-imbalance",
+        series="balance.imbalance",
+        op=">=",
+        threshold=4.0,
+        for_windows=2,
+        resolve_windows=2,
+        severity="warning",
+        description="max/mean per-node block load exceeds the bound",
+    ),
+    SloRule(
+        name="hit-ratio-collapse",
+        series="lookup.hit_ratio",
+        op="<=",
+        threshold=0.2,
+        for_windows=2,
+        resolve_windows=2,
+        severity="warning",
+        description="useful lookup-cache hit ratio collapsed",
+    ),
+    SloRule(
+        name="pointer-stall",
+        series="pointer.stall",
+        op=">=",
+        threshold=1.0,
+        for_windows=3,
+        resolve_windows=1,
+        severity="critical",
+        description="pointer table pending with no stabilization progress",
+    ),
+    SloRule(
+        name="repair-backlog-growth",
+        series="repair.backlog",
+        op="increasing",
+        for_windows=4,
+        resolve_windows=1,
+        severity="warning",
+        description="repair backlog grew for several consecutive windows",
+    ),
+)
+
+#: Series/alert rows a monitor buffers between drains; the oldest go first.
+EXPORT_RETENTION = 32768
 
 
 class SloEngine:
@@ -198,14 +193,12 @@ class SloEngine:
 
     def __init__(
         self,
-        rules: Optional[Sequence[SloRule]] = None,
+        rules: Sequence[SloRule] = DEFAULT_RULES,
         *,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[EventTracer] = None,
     ) -> None:
-        self.rules: Tuple[SloRule, ...] = tuple(
-            rules if rules is not None else default_rules()
-        )
+        self.rules: Tuple[SloRule, ...] = tuple(rules)
         for rule in self.rules:
             rule.validate()
         names = [rule.name for rule in self.rules]
@@ -359,23 +352,13 @@ class HealthMonitor:
         deployment: Any,
         *,
         window: float = 900.0,
-        rules: Optional[Sequence[SloRule]] = None,
         node_level: bool = True,
-        retention: int = 32768,
-        bank_retention: int = 4096,
     ) -> None:
         self.deployment = deployment
         self.window = float(window)
         self.node_level = bool(node_level)
-        self.bank = TimeSeriesBank(
-            width=self.window,
-            epoch=deployment.sim.now,
-            retention=bank_retention,
-        )
-        self.engine = SloEngine(
-            rules, registry=deployment.metrics, tracer=deployment.tracer
-        )
-        self.retention = int(retention)
+        self.bank = TimeSeriesBank(width=self.window, epoch=deployment.sim.now)
+        self.engine = SloEngine(registry=deployment.metrics, tracer=deployment.tracer)
         self.dropped_rows = 0
         self._export: List[Dict[str, Any]] = []
         self._task: Optional[Any] = None
@@ -535,7 +518,7 @@ class HealthMonitor:
             self._buffer(row)
 
     def _buffer(self, row: Dict[str, Any]) -> None:
-        if len(self._export) >= self.retention:
+        if len(self._export) >= EXPORT_RETENTION:
             del self._export[0]
             self.dropped_rows += 1
         self._export.append(row)

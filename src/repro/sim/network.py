@@ -1,4 +1,4 @@
-"""Wide-area network model: pairwise latencies and access links.
+"""Wide-area network model: pairwise latencies.
 
 The paper's Emulab testbed emulated pairwise end-to-end latencies measured
 between thousands of DNS servers (the King dataset; mean RTT ≈ 90 ms in
@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-from repro.sim.engine import TokenBucket
+from typing import Dict, Iterable, Sequence, Tuple
 
 DEFAULT_MEAN_RTT = 0.090  # seconds; matches the paper's topology
 MIN_RTT = 0.005
@@ -58,41 +56,10 @@ class LatencyModel:
         coords = {name: (rng.random(), rng.random()) for name in names}
         return cls(coords, base_rtt, scale)
 
-    @classmethod
-    def from_matrix(cls, rtts: Dict[Tuple[str, str], float]) -> "LatencyModel":
-        """Build a model from measured pairwise RTTs (e.g. a King matrix).
-
-        The matrix is symmetrized (mean of both directions when both are
-        given) and missing pairs fall back to the matrix mean, so partial
-        measurement sets still work.
-        """
-        if not rtts:
-            raise ValueError("matrix must not be empty")
-        model = cls({}, base_rtt=0.0, scale=0.0)
-        table: Dict[Tuple[str, str], float] = {}
-        names = set()
-        for (a, b), value in rtts.items():
-            if value < 0:
-                raise ValueError(f"negative RTT for ({a}, {b})")
-            names.update((a, b))
-            lo, hi = (a, b) if a <= b else (b, a)
-            if (lo, hi) in table:
-                table[(lo, hi)] = (table[(lo, hi)] + value) / 2.0
-            else:
-                table[(lo, hi)] = value
-        model._coords = {name: (0.0, 0.0) for name in sorted(names)}
-        model._table = table
-        model._table_default = sum(table.values()) / len(table)
-        return model
-
     def rtt(self, a: str, b: str) -> float:
         """Round-trip time between nodes *a* and *b*, in seconds."""
         if a == b:
             return 0.0
-        table = getattr(self, "_table", None)
-        if table is not None:
-            lo, hi = (a, b) if a <= b else (b, a)
-            return table.get((lo, hi), self._table_default)
         ax, ay = self._coords[a]
         bx, by = self._coords[b]
         return self._base + self._scale * math.hypot(ax - bx, ay - by)
@@ -103,53 +70,3 @@ class LatencyModel:
     def path_latency(self, path: Sequence[str]) -> float:
         """One-way latency along a multi-hop path (recursive lookup legs)."""
         return sum(self.one_way(path[i], path[i + 1]) for i in range(len(path) - 1))
-
-    def add_node(self, name: str, rng: random.Random) -> None:
-        self._coords[name] = (rng.random(), rng.random())
-
-    def nodes(self) -> List[str]:
-        return list(self._coords)
-
-    def mean_rtt_sample(self, rng: random.Random, samples: int = 2000) -> float:
-        """Empirical mean RTT over random node pairs (for calibration tests)."""
-        names = list(self._coords)
-        if len(names) < 2:
-            return 0.0
-        total = 0.0
-        for _ in range(samples):
-            a, b = rng.sample(names, 2)
-            total += self.rtt(a, b)
-        return total / samples
-
-
-class AccessLinks:
-    """Per-node access-link capacity (upload side) as token buckets.
-
-    The paper limits each virtual node's access link to 1500 or 384 kbps
-    and notes these are far below core speeds, so only the edge is
-    modelled.  Client download links are unconstrained (Section 9.1).
-    """
-
-    def __init__(self, rate_bytes_per_sec: float) -> None:
-        if rate_bytes_per_sec <= 0:
-            raise ValueError("link rate must be positive")
-        self.rate = rate_bytes_per_sec
-        self._links: Dict[str, TokenBucket] = {}
-
-    def link(self, name: str) -> TokenBucket:
-        bucket = self._links.get(name)
-        if bucket is None:
-            bucket = TokenBucket(self.rate)
-            self._links[name] = bucket
-        return bucket
-
-    def reserve_upload(self, name: str, now: float, nbytes: int) -> float:
-        """Serialize *nbytes* through *name*'s uplink; returns finish time."""
-        return self.link(name).reserve(now, nbytes)
-
-    def backlog(self, name: str, now: float) -> float:
-        return self.link(name).backlog_seconds(now)
-
-    def bytes_uploaded(self, name: str) -> int:
-        bucket = self._links.get(name)
-        return bucket.bytes_sent if bucket else 0

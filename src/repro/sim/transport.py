@@ -134,13 +134,3 @@ class TcpTransport:
                 slow_start_rounds=rounds,
             )
             self._spans.finish(span, now + duration)
-
-    def warm_fraction(self) -> float:
-        """Fraction of transfers that did not restart slow start."""
-        if self.transfers == 0:
-            return 0.0
-        return 1.0 - self.slow_start_restarts / self.transfers
-
-    def reset_stats(self) -> None:
-        self.transfers = 0
-        self.slow_start_restarts = 0

@@ -236,10 +236,6 @@ class StorageCoordinator:
         self._set_expiry(key, ttl)
         return True
 
-    def expiry_of(self, key: int) -> Optional[float]:
-        """Absolute expiry time of a TTL-guarded block, or None."""
-        return self._expires_at.get(key)
-
     def _set_expiry(self, key: int, ttl: float) -> None:
         if ttl <= 0:
             raise ValueError("ttl must be positive")

@@ -186,7 +186,7 @@ class RepairScheduler:
         store: StorageCoordinator,
         sim: Simulator,
         *,
-        bandwidth_bps: float = 93750.0,  # 750 kbps
+        bandwidth_bps: float,
         retry_delay: float = 60.0,
         max_retries: int = 8,
         registry: Optional[MetricsRegistry] = None,

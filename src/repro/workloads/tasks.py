@@ -17,7 +17,7 @@ them from timing:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.workloads.trace import READ, Trace, TraceRecord, WRITE
 
@@ -116,15 +116,3 @@ def segment_access_groups(trace: Trace) -> List[AccessGroup]:
             groups.append(AccessGroup(user=user, records=segment))
     groups.sort(key=lambda g: g.start)
     return groups
-
-
-def task_statistics(tasks: Iterable[Task]) -> Dict[str, float]:
-    """Mean records per task and related aggregates (Table 2 inputs)."""
-    tasks = list(tasks)
-    if not tasks:
-        return {"tasks": 0, "mean_accesses": 0.0, "mean_duration": 0.0}
-    return {
-        "tasks": len(tasks),
-        "mean_accesses": sum(len(t) for t in tasks) / len(tasks),
-        "mean_duration": sum(t.duration for t in tasks) / len(tasks),
-    }

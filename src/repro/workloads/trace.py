@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 SECONDS_PER_DAY = 86400.0
 
@@ -151,23 +151,3 @@ class Trace:
             initial_dirs=list(header.get("initial_dirs", [])),
             initial_files=[tuple(item) for item in header.get("initial_files", [])],
         )
-
-
-def merge_traces(name: str, traces: Sequence[Trace]) -> Trace:
-    """Interleave several traces into one (used when scaling workloads)."""
-    records: List[TraceRecord] = []
-    dirs: List[str] = []
-    files: List[Tuple[str, int]] = []
-    seen_dirs: Set[str] = set()
-    seen_files: Set[str] = set()
-    for trace in traces:
-        records.extend(trace.records)
-        for d in trace.initial_dirs:
-            if d not in seen_dirs:
-                seen_dirs.add(d)
-                dirs.append(d)
-        for path, size in trace.initial_files:
-            if path not in seen_files:
-                seen_files.add(path)
-                files.append((path, size))
-    return Trace(name=name, records=records, initial_dirs=dirs, initial_files=files)

@@ -96,9 +96,6 @@ class WebUniverse:
     def pick_site(self, rng: random.Random) -> str:
         return rng.choices(self.sites, weights=self.site_weights, k=1)[0]
 
-    def all_objects(self) -> List[WebObject]:
-        return [obj for pages in self.pages.values() for page in pages for obj in page]
-
 
 def generate_web(config: WebConfig = WebConfig()) -> Trace:
     """A week of user page views as read records (object name = URL path).

@@ -181,10 +181,3 @@ class WebCache:
         if changes:
             self._origin_version[url] = self._origin_version.get(url, 0) + changes
             self._origin_changed_at[url] = now
-
-    @property
-    def cached_count(self) -> int:
-        return len(self._cached)
-
-    def cached_bytes(self) -> int:
-        return sum(obj.size for obj in self._cached.values())

@@ -182,9 +182,9 @@ MUTANTS: Tuple[Mutant, ...] = (
            '    run["n_windows"] = int(os.environ.get("REPRO_PERF_WINDOWS", run["n_windows"]))\n',
            "nondeterminism: ambient env", "CACHE001"),
     mutant("wall-clock-into-health-sample", "src/repro/obs/health.py",
-           ("from dataclasses import dataclass, field\n",
+           ("from dataclasses import dataclass\n",
             'self.bank.sample("pointer.stall", now, stall, agg="max")'),
-           ("import time\nfrom dataclasses import dataclass, field\n",
+           ("import time\nfrom dataclasses import dataclass\n",
             'self.bank.sample("pointer.stall", time.time(), stall, agg="max")'),
            "nondeterminism: wall clock", "DET001"),
     mutant("global-write-leaks-into-next-cell", CELLS,

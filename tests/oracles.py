@@ -1,9 +1,11 @@
-"""Reference models: the code that the ordered indexes, the one-commit
-flush, the per-distinct read fold, the block-cloned read stream, the
-once-accumulated Zipf weights and the record-at-a-time warm-up replaced.
+"""Reference models: the code that the finger table, the ordered indexes,
+the one-commit flush, the per-distinct read fold, the block-cloned read
+stream, the once-accumulated Zipf weights and the record-at-a-time warm-up
+replaced.
 
-Kept in the test tree so that ``src/`` has one ``_index()``, one ``_find()``,
-one write/remove body, one read-stream builder and one replay loop.  The
+Kept in the test tree so that ``src/`` has one routing path, one
+``_index()``, one ``_find()``, one write/remove body, one read-stream
+builder and one replay loop.  The
 model-based tests hold the code in ``src/`` to these answer for answer; the
 shape gates of ``benchmarks/bench_micro_core.py`` time against them.
 """
@@ -15,8 +17,8 @@ from random import Random
 
 from repro.core import lookup_cache
 from repro.core.lookup_cache import LookupCache
-from repro.dht.keyspace import in_interval
-from repro.dht.routing import finger_table_for, route
+from repro.dht.keyspace import KEY_BITS, distance, in_interval
+from repro.dht.routing import LookupResult, finger_table_for, route
 from repro.fs.namespace import NamespaceError
 from repro.obs.stream import NullJsonlWriter, stream_spans
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
@@ -374,3 +376,53 @@ def shift_stream_reweighing(scenario, pre_keys, post_keys, clients, *, pre_ops, 
         else:
             key = pre_keys[rng.choices(pre_ranks, weights=pre_weights, k=1)[0]]
         yield ShiftRequest(now=now, client=client, key=key, phase=phase)
+
+
+def route_cold(ring, source, key, *, max_hops=4 * KEY_BITS):
+    """Greedy finger routing with a ring bisect per finger level per hop.
+
+    The pre-finger-table lookup: every hop re-derives the fingers of the
+    current node from the ring instead of reading a precomputed table.
+    ``route`` and ``route_many`` must give the same path for every key;
+    ``benchmarks/bench_micro_route.py`` times them against it.
+    """
+    if source not in ring:
+        raise ValueError(f"source node {source!r} not in ring")
+    owner = ring.successor(key)
+    path = [source]
+    current = source
+    current_id = ring.position_of(current)
+    hops = 0
+    while current != owner:
+        remaining = distance(current_id, key)
+        if remaining == 0:
+            break
+        next_name, next_id = _best_finger(ring, current_id, key, remaining)
+        if next_name == current:
+            # Degenerate single-node arc; the successor must be the owner.
+            next_name = ring.successor_of(current)
+            next_id = ring.position_of(next_name)
+        path.append(next_name)
+        current = next_name
+        current_id = next_id
+        hops += 1
+        if hops > max_hops:
+            raise RuntimeError("routing failed to converge; ring state is inconsistent")
+    return LookupResult(key=key, owner=owner, path=path)
+
+
+def _best_finger(ring, current_id, key, remaining):
+    """``(name, id)`` of the farthest finger of *current_id* not past *key*."""
+    # A finger at 2**i with 2**i > remaining would overshoot.
+    level = remaining.bit_length() - 1
+    while level >= 0:
+        target = (current_id + (1 << level)) % (1 << KEY_BITS)
+        candidate = ring.successor(target)
+        candidate_id = ring.position_of(candidate)
+        # Usable if it lies in (current, key]: progress without passing the owner.
+        if candidate_id != current_id and in_interval(candidate_id, current_id, key):
+            return candidate, candidate_id
+        level -= 1
+    # No finger makes progress: the owner is our immediate successor.
+    fallback = ring.successor_of(ring.name_at(current_id))
+    return fallback, ring.position_of(fallback)

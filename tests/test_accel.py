@@ -100,10 +100,8 @@ class TestCacheTier:
 class TestLearnedTier:
     def test_learned_hits_after_training(self):
         ring, rng = build_ring(64, seed=3)
-        accel = LookupAccelerator(
-            ring, mode="cache+learned", static_capacity=2,
-            learned_min_observations=32, learned_segments=8,
-        )
+        accel = LookupAccelerator(ring, mode="cache+learned", capacity=2)
+        assert accel.learned.segments == 64 // 4  # sized to the ring
         keys = [rng.randrange(KEY_SPACE) for _ in range(256)]
         for key in keys:          # trains via routed fallbacks
             accel.lookup("c1", "n0", key)
@@ -115,8 +113,7 @@ class TestLearnedTier:
 
     def test_owner_always_correct_in_all_mode(self):
         ring, rng = build_ring(64, seed=3)
-        accel = LookupAccelerator(ring, mode="all",
-                                  learned_min_observations=32)
+        accel = LookupAccelerator(ring, mode="all")
         for _ in range(300):
             key = rng.randrange(KEY_SPACE)
             assert accel.lookup("c1", "n0", key).owner == ring.successor(key)
@@ -125,8 +122,7 @@ class TestLearnedTier:
 class TestAdaptiveTier:
     def test_adaptive_clients_share_one_budget(self):
         ring, rng = build_ring(32)
-        accel = LookupAccelerator(ring, mode="cache+adaptive",
-                                  budget_entries=64, min_capacity=8)
+        accel = LookupAccelerator(ring, mode="cache+adaptive", capacity=8)
         for client in ("c1", "c2", "c3"):
             accel.lookup(client, "n0", rng.randrange(KEY_SPACE))
         assert isinstance(accel.budget, CacheBudget)
@@ -137,7 +133,7 @@ class TestAdaptiveTier:
 
     def test_static_modes_have_no_sizer(self):
         ring, rng = build_ring(32)
-        accel = LookupAccelerator(ring, mode="cache", static_capacity=4)
+        accel = LookupAccelerator(ring, mode="cache", capacity=4)
         accel.lookup("c1", "n0", rng.randrange(KEY_SPACE))
         cache = accel.caches["c1"]
         assert cache.capacity == 4

@@ -1,5 +1,6 @@
 """Tests for the availability analysis (replica checker + task evaluation)."""
 
+import math
 import pickle
 import random
 
@@ -31,7 +32,7 @@ class TestReplicaAvailability:
         group = d.ring.successors(key, d.config.replica_count)
         events = [FailureEvent(10.0, group[0], up=False)]
         failures = FailureTrace(d.node_names, events, duration=1000.0)
-        checker = ReplicaAvailability(d, failures, regeneration=False)
+        checker = ReplicaAvailability(d, failures, regeneration_delay_override=math.inf)
         assert checker.key_available(key, 50.0)
 
     def test_unavailable_when_group_down(self):
@@ -40,9 +41,8 @@ class TestReplicaAvailability:
         group = d.ring.successors(key, d.config.replica_count)
         events = [FailureEvent(10.0, name, up=False) for name in group]
         failures = FailureTrace(d.node_names, events, duration=1000.0)
-        checker = ReplicaAvailability(d, failures, regeneration=False)
+        checker = ReplicaAvailability(d, failures, regeneration_delay_override=math.inf)
         assert not checker.key_available(key, 50.0)
-        assert checker.misses == 1
 
     def test_regeneration_restores_after_delay(self):
         d = deployment_with_file()
@@ -51,7 +51,7 @@ class TestReplicaAvailability:
         events = [FailureEvent(10.0, name, up=False) for name in group]
         failures = FailureTrace(d.node_names, events, duration=100_000.0)
         checker = ReplicaAvailability(
-            d, failures, regeneration=True, regeneration_delay_override=3600.0
+            d, failures, regeneration_delay_override=3600.0
         )
         assert not checker.key_available(key, 100.0)
         assert checker.key_available(key, 10.0 + 3601.0)
@@ -63,7 +63,7 @@ class TestReplicaAvailability:
         events = [FailureEvent(10.0, name, up=False) for name in d.node_names]
         failures = FailureTrace(d.node_names, events, duration=100_000.0)
         checker = ReplicaAvailability(
-            d, failures, regeneration=True, regeneration_delay_override=1.0
+            d, failures, regeneration_delay_override=1.0
         )
         assert not checker.key_available(key, 5_000.0)
 
@@ -74,13 +74,13 @@ class TestReplicaAvailability:
         events = [FailureEvent(10.0, name, up=False) for name in group]
         events += [FailureEvent(500.0, group[0], up=True)]
         failures = FailureTrace(d.node_names, events, duration=1000.0)
-        checker = ReplicaAvailability(d, failures, regeneration=False)
+        checker = ReplicaAvailability(d, failures, regeneration_delay_override=math.inf)
         assert checker.key_available(key, 600.0)
 
     def test_derived_regeneration_delay_scales_with_data(self):
         d = deployment_with_file()
         failures = FailureTrace(d.node_names, [], duration=1000.0)
-        checker = ReplicaAvailability(d, failures, migration_bandwidth_bps=100.0)
+        checker = ReplicaAvailability(d, failures)
         delay_small = checker._regeneration_delay()
         d.apply_fs_ops(d.fs.create("/big.dat", size=50 * BLOCK_SIZE))
         assert checker._regeneration_delay() > delay_small

@@ -10,7 +10,7 @@ from repro.fs.blocks import (
     INLINE_DATA_THRESHOLD,
     blocks_covering,
     data_block_count,
-    data_block_sizes,
+    data_block_sizes_table,
     directory_block_count,
     directory_block_sizes,
     inode_size,
@@ -35,14 +35,14 @@ class TestDataBlockCount:
 
     @given(st.integers(min_value=INLINE_DATA_THRESHOLD + 1, max_value=10 * BLOCK_SIZE))
     def test_sizes_sum_to_file_size(self, size):
-        sizes = data_block_sizes(size)
+        sizes = data_block_sizes_table(size)
         assert sum(sizes) == size
         assert all(0 < s <= BLOCK_SIZE for s in sizes)
         assert len(sizes) == data_block_count(size)
 
     def test_all_but_last_full(self):
-        sizes = data_block_sizes(3 * BLOCK_SIZE + 100)
-        assert sizes[:-1] == [BLOCK_SIZE] * 3
+        sizes = data_block_sizes_table(3 * BLOCK_SIZE + 100)
+        assert sizes[:-1] == (BLOCK_SIZE,) * 3
         assert sizes[-1] == 100
 
 

@@ -43,7 +43,7 @@ class TestConservation:
 
     def test_same_file_count_everywhere(self, deployments):
         counts = {
-            system: d.fs.namespace.file_count()
+            system: len(list(d.fs.namespace.files()))
             for system, d in deployments.items()
         }
         assert len(set(counts.values())) == 1, counts

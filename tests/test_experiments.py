@@ -54,7 +54,7 @@ CI_SCALE = {
         ABLATION,
     ],
     "scale": dict(routing_nodes=(64,), routing_ops=400, routing_batch=128,
-                  routing_cold_ops=50, read_cells=((16, 40),), read_base_size=8,
+                  read_cells=((16, 40),), read_base_size=8,
                   read_ops_per_user=2, read_window=16, users=2, days=0.25),
     "accel": dict(n_nodes=16, clients=4, pre_ops=300, post_ops=400,
                   static_capacity=4, scenarios=("hotspot",),
@@ -63,7 +63,7 @@ CI_SCALE = {
 
 #: Host-time columns of the `scale` / `accel` rows, blanked before hashing.
 HOST_COLUMNS = ("wall_seconds", "ops_per_sec", "peak_rss_kb", "rss_growth_kb",
-                "rss_curve_kb", "cold_wall_seconds", "speedup_vs_cold")
+                "rss_curve_kb")
 
 # What a grid-backed entry is refused for: a grid that lacks a cell its
 # projection reads, and a grid with an empty axis.
@@ -140,8 +140,10 @@ class TestRegistry:
         the parent of the registry PR (one ``run_*`` / ``format_*`` module
         per figure).  Recorded after it, by design: the ``ablations``
         report (five tables with the benches' columns; its *rows* are the
-        parent's).  ``scale`` / ``accel`` time the host: their host
-        columns are dropped and their text is not pinned."""
+        parent's), and the ``scale`` rows once more when routing cells lost
+        ``cold_ops`` (every other field as before).  ``scale`` / ``accel``
+        time the host: their host columns are dropped and their text is
+        not pinned."""
         monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
         monkeypatch.setenv(BENCH_ENV, str(tmp_path / "BENCH_scale.json"))
         rows = tiny_rows(name)

@@ -9,7 +9,7 @@ import os
 import pytest
 
 from repro.core.system import build_deployment
-from repro.obs.health import SloEngine, SloRule, default_rules
+from repro.obs.health import DEFAULT_RULES, SloEngine, SloRule
 from repro.obs.healthcli import main as health_main
 
 
@@ -56,7 +56,7 @@ def test_rule_validation_errors():
 
 
 def test_default_rules_are_valid():
-    engine = SloEngine(default_rules())
+    engine = SloEngine(DEFAULT_RULES)
     assert {rule.name for rule in engine.rules} == {
         "replica-deficit", "load-imbalance", "hit-ratio-collapse",
         "pointer-stall", "repair-backlog-growth",

@@ -12,9 +12,7 @@ from repro.dht.keyspace import (
     distance,
     hash_to_key,
     in_interval,
-    in_open_interval,
     interval_width,
-    key_fraction,
     key_from_bytes,
     key_to_bytes,
     midpoint,
@@ -132,17 +130,6 @@ class TestInInterval:
         assert in_interval(hi, lo, hi)
 
 
-class TestOpenInterval:
-    def test_excludes_endpoints(self):
-        assert not in_open_interval(3, 3, 7)
-        assert not in_open_interval(7, 3, 7)
-        assert in_open_interval(5, 3, 7)
-
-    def test_degenerate(self):
-        assert in_open_interval(5, 7, 7)
-        assert not in_open_interval(7, 7, 7)
-
-
 class TestMidpoint:
     def test_simple(self):
         assert midpoint(0, 10) == 5
@@ -161,7 +148,3 @@ class TestWidthAndFraction:
     def test_width(self):
         assert interval_width(0, 10) == 10
         assert interval_width(7, 7) == KEY_SPACE
-
-    def test_fraction_bounds(self):
-        assert key_fraction(0) == 0.0
-        assert 0.0 < key_fraction(KEY_SPACE // 2) < 1.0

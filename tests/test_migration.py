@@ -173,7 +173,7 @@ class TestRemovalRaces:
         key = key_at(150)
         store.write(key, 100, ttl=50.0)
         store.remove(key, delay=0)
-        assert store.expiry_of(key) is None  # no TTL leak for a dead key
+        assert key not in store._expires_at  # no TTL leak for a dead key
 
     def test_stale_ttl_cannot_kill_rewritten_block(self):
         ring, sim, store = make_system(removal_delay=30.0)
@@ -398,7 +398,7 @@ class TestTtlExpiry:
         store.write(key, 100)
         sim.run(until=1000.0)
         assert key in store.directory
-        assert store.expiry_of(key) is None
+        assert key not in store._expires_at
 
     def test_refresh_of_missing_block_fails(self):
         ring, sim, store = make_system()

@@ -222,7 +222,6 @@ class TestTraversal:
     def test_totals(self):
         ns = self.build()
         assert ns.total_file_bytes() == 30
-        assert ns.file_count() == 2
 
     def test_ancestors_of(self):
         ns = self.build()

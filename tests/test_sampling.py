@@ -1,16 +1,22 @@
 """Tests for Mercury-style random-walk node sampling."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.dht.keyspace import KEY_SPACE
 from repro.dht.ring import Ring
-from repro.dht.sampling import (
-    empirical_distribution,
-    random_walk_sample,
-    sample_other,
-)
+from repro.dht.sampling import random_walk_sample, sample_other
+
+
+def empirical_distribution(ring, rng, samples):
+    """How often each node is the end of a walk from a random start."""
+    names = list(ring.names())
+    counts = Counter(dict.fromkeys(names, 0))
+    for _ in range(samples):
+        counts[random_walk_sample(ring, names[rng.randrange(len(names))], rng)] += 1
+    return counts
 
 
 def uniform_ring(n):

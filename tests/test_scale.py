@@ -199,12 +199,19 @@ class TestScaleHarness:
     def test_routing_cell_deterministic_and_fast_path(self):
         from repro.analysis.scale import run_scale_routing
 
-        a = run_scale_routing(n_nodes=64, ops=400, batch=128, cold_ops=50, seed=4)
-        b = run_scale_routing(n_nodes=64, ops=400, batch=128, cold_ops=50, seed=4)
+        a = run_scale_routing(n_nodes=64, ops=400, batch=128, seed=4)
+        b = run_scale_routing(n_nodes=64, ops=400, batch=128, seed=4)
         assert a.deterministic_row() == b.deterministic_row()
-        assert a.ops == 400 and a.windows == 4
-        assert a.cold_ops == 50 and a.cold_wall_seconds > 0
+        assert a.ops == 400 and a.windows == 4 and a.wall_seconds > 0
+        assert "speedup_vs_cold" not in a.row()
         assert a.hops > 0 and a.messages == a.hops + a.ops
+
+    def test_routing_cell_rejects_an_empty_ring_by_name(self):
+        from repro.analysis.scale import run_scale_routing
+
+        for n_nodes in (0, -3):
+            with pytest.raises(ValueError, match=f"n_nodes must be at least 1, got {n_nodes}"):
+                run_scale_routing(n_nodes=n_nodes, ops=10)
 
     def test_deterministic_routing_work_golden(self, monkeypatch):
         """Routing work of the CI-sized cells, recorded at the commit before
@@ -218,7 +225,7 @@ class TestScaleHarness:
         monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
         monkeypatch.delenv("REPRO_SCALE_EXPORT_DIR", raising=False)
         routing = run_scale_routing(
-            n_nodes=400, ops=4000, batch=512, cold_ops=0, seed=11
+            n_nodes=400, ops=4000, batch=512, seed=11
         )
         assert routing.deterministic_row() == {
             "cell": "routing", "n_nodes": 400, "users": 0, "ops": 4000,
@@ -512,7 +519,7 @@ class TestBenchTrajectorySchema:
 
         legacy = {"label": "pr7", "cells": [{"cell": "routing"}]}
         assert validate_run(legacy, 0) == [
-            "runs[0]: schema None not an int in [1, 2]"
+            "runs[0]: schema None not an int in [1, 3]"
         ]
 
     def test_validate_run_reports_problems(self):

@@ -1,12 +1,9 @@
 """Tests for task and access-group segmentation."""
 
-import pytest
-
 from repro.workloads.tasks import (
     TASK_DURATION_CAP,
     segment_access_groups,
     segment_tasks,
-    task_statistics,
 )
 from repro.workloads.trace import CREATE, READ, Trace, TraceRecord, WRITE
 
@@ -89,15 +86,3 @@ class TestAccessGroups:
         times = [i * 0.5 for i in range(1000)]  # 500 s, no gap > 1 s
         groups = segment_access_groups(Trace("t", reads(times)))
         assert len(groups) == 1
-
-
-class TestStatistics:
-    def test_task_statistics(self):
-        trace = Trace("t", reads([0.0, 1.0, 10.0]))
-        tasks = segment_tasks(trace, inter=5.0)
-        stats = task_statistics(tasks)
-        assert stats["tasks"] == 2
-        assert stats["mean_accesses"] == pytest.approx(1.5)
-
-    def test_empty(self):
-        assert task_statistics([])["tasks"] == 0

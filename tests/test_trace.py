@@ -10,7 +10,6 @@ from repro.workloads.trace import (
     Trace,
     TraceRecord,
     WRITE,
-    merge_traces,
 )
 
 
@@ -98,12 +97,3 @@ class TestSerialization:
         assert loaded.records[1].dst_path == "/g"
         assert loaded.initial_files == [("/f", 123)]
         assert loaded.initial_dirs == ["/home"]
-
-
-class TestMerge:
-    def test_merge_interleaves_and_dedups(self):
-        t1 = Trace("a", [rec(0.0), rec(10.0)], initial_files=[("/x", 1)])
-        t2 = Trace("b", [rec(5.0)], initial_files=[("/x", 1), ("/y", 2)])
-        merged = merge_traces("ab", [t1, t2])
-        assert [r.time for r in merged] == [0.0, 5.0, 10.0]
-        assert merged.initial_files == [("/x", 1), ("/y", 2)]

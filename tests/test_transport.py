@@ -117,10 +117,3 @@ class TestStats:
         transport.transfer("n0", "n1", 8192, 1000.0, rate_bytes_per_sec=187_500)
         assert transport.transfers == 2
         assert transport.slow_start_restarts == 1
-        assert transport.warm_fraction() == pytest.approx(0.5)
-
-    def test_reset(self):
-        transport, _ = make_transport()
-        transport.transfer("n0", "n1", 8192, 0.0, rate_bytes_per_sec=187_500)
-        transport.reset_stats()
-        assert transport.transfers == 0

@@ -101,7 +101,6 @@ class TestCacheStateMachine:
         cache.request("/com.x.www/a", 100, 0.0, store.put, store.remove)
         evicted = cache.evict_stale(EVICTION_AGE + 1.0, store.remove)
         assert evicted == 1
-        assert cache.cached_count == 0
         # The next request is a miss again.
         assert cache.request("/com.x.www/a", 100, EVICTION_AGE + 2.0,
                              store.put, store.remove) is False
@@ -111,12 +110,6 @@ class TestCacheStateMachine:
         cache.request("/com.x.www/a", 100, 0.0, store.put, store.remove)
         cache.request("/com.x.www/a", 100, EVICTION_AGE - 10.0, store.put, store.remove)
         assert cache.evict_stale(EVICTION_AGE + 1.0, store.remove) == 0
-
-    def test_cached_bytes(self):
-        cache, store = make_cache()
-        cache.request("/com.x.www/a", 100, 0.0, store.put, store.remove)
-        cache.request("/com.x.www/b", 200, 0.0, store.put, store.remove)
-        assert cache.cached_bytes() == 300
 
     def test_hit_rate(self):
         cache, store = make_cache()

@@ -173,7 +173,10 @@ class TestWeb:
         config = WebConfig(users=2, days=0.1, sites=5, seed=3)
         u1 = WebUniverse(config, rng=random.Random(3))
         u2 = WebUniverse(config, rng=random.Random(3))
-        assert [o.url for o in u1.all_objects()] == [o.url for o in u2.all_objects()]
+        def urls(universe):
+            return [o.url for pages in universe.pages.values() for page in pages for o in page]
+
+        assert urls(u1) == urls(u2)
 
 
 class TestShiftStream:
