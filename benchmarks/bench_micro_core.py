@@ -153,8 +153,7 @@ def test_directory_range_queries(benchmark):
     """The read-only case: no mutation, so the index is built exactly once."""
     rng = random.Random(1)
     directory = BlockDirectory()
-    for _ in range(20_000):
-        directory.put(rng.randrange(KEY_SPACE), 8192)
+    directory.put_many([(rng.randrange(KEY_SPACE), 8192) for _ in range(20_000)])
     arcs = [(rng.randrange(KEY_SPACE), rng.randrange(KEY_SPACE)) for _ in range(256)]
 
     def query_many():
@@ -185,8 +184,7 @@ def test_ordered_index_directory_gate(monkeypatch):
 
     def balancing_rounds(cls):
         directory, live, fresh = cls(), deque(image), random.Random(9)
-        for key in image:
-            directory.put(key, 8192)
+        directory.put_many([(key, 8192) for key in image])
         assert directory.count_in_range(0, 0) == len(image)
 
         def rounds():
@@ -194,9 +192,9 @@ def test_ordered_index_directory_gate(monkeypatch):
             loads = []
             for _ in range(50):
                 for _ in range(100):
-                    directory.remove(live.popleft())
+                    directory.discard(live.popleft())
                     live.append(fresh.randrange(KEY_SPACE))
-                    directory.put(live[-1], 8192)
+                    directory.put_many(((live[-1], 8192),))
                 loads.append([directory.count_in_range(lo, hi) for lo, hi in arcs])
             return loads
 

@@ -40,7 +40,7 @@ def run(use_pointers: bool) -> None:
     )
     fs = DhtFileSystem(make_scheme("d2", "demo"))
     apply_ops(store, fs.format())
-    fs.makedirs("/dataset")
+    apply_ops(store, fs.makedirs("/dataset"))
     for i in range(FILES):
         apply_ops(store, fs.create(f"/dataset/part{i:04d}.bin", size=FILE_SIZE))
 

@@ -39,6 +39,7 @@ from repro.analysis.harness import harvard_deployment, replay
 from repro.core.config import D2Config
 from repro.core.system import Deployment, ReplayOutcome
 from repro.sim.failures import FailureTrace, FailureTraceConfig
+from repro.store.repair import MIGRATION_BANDWIDTH_BPS
 from repro.workloads.tasks import segment_tasks
 from repro.workloads.trace import READ, Trace, TraceRecord, WRITE
 
@@ -118,7 +119,7 @@ class ReplicaAvailability:
         n = max(1, len(self._deployment.ring))
         replicas = self._deployment.config.replica_count
         per_node_bytes = directory.total_bytes * replicas / n
-        return per_node_bytes / self._deployment.config.migration_bandwidth_bps
+        return per_node_bytes / MIGRATION_BANDWIDTH_BPS
 
 
 def matching_failure_trace(n_nodes: int, rng, config: FailureTraceConfig) -> FailureTrace:

@@ -46,6 +46,7 @@ SEQ = "seq"
 PARA = "para"
 MODES = (SEQ, PARA)
 WINDOW_SECONDS = 900.0  # one timed window: the paper's 15 minutes
+MAX_CONCURRENT_TRANSFERS = 15  # a client's parallel fetch cap (Section 9.1)
 
 
 @dataclass
@@ -338,9 +339,7 @@ def run_performance(
     """Measure access-group latencies for one system/mode/scale."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    config = D2Config(replica_count=4).with_overrides(
-        access_bandwidth_bps=kbps(bandwidth_kbps)
-    )
+    config = D2Config(replica_count=4, access_bandwidth_bps=kbps(bandwidth_kbps))
     rng = random.Random(seed)
     deployment = harvard_deployment(trace, system, n_nodes, seed=seed, config=config)
 
@@ -400,7 +399,7 @@ def run_performance(
                 user=group.user,
                 start=group.start,
                 fetches=len(latencies),
-                completion=_group_completion(latencies, mode, config),
+                completion=_group_completion(latencies, mode),
             )
         )
 
@@ -429,7 +428,7 @@ def run_performance(
     )
 
 
-def _group_completion(latencies: List[float], mode: str, config: D2Config) -> float:
+def _group_completion(latencies: List[float], mode: str) -> float:
     """Completion time of an access group from its fetch latencies.
 
     ``seq`` sums them (each access waits for the previous); ``para`` issues
@@ -441,12 +440,11 @@ def _group_completion(latencies: List[float], mode: str, config: D2Config) -> fl
         return 0.0
     if mode == SEQ:
         return sum(latencies)
-    cap = config.max_concurrent_transfers
-    if len(latencies) <= cap:
+    if len(latencies) <= MAX_CONCURRENT_TRANSFERS:
         return max(latencies)
     total = 0.0
-    for i in range(0, len(latencies), cap):
-        total += max(latencies[i : i + cap])
+    for i in range(0, len(latencies), MAX_CONCURRENT_TRANSFERS):
+        total += max(latencies[i : i + MAX_CONCURRENT_TRANSFERS])
     return total
 
 

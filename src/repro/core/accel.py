@@ -221,28 +221,3 @@ class LookupAccelerator:
             spans.finish(span, now)
         return AccelLookup(key=key, owner=owner, tier=tier,
                            messages=messages, stale=stale)
-
-    def occupancy(self) -> int:
-        """Total live cache entries across all clients."""
-        return sum(len(cache) for cache in self.caches.values())
-
-    def stats(self) -> dict:
-        """JSON-ready summary of the accelerator's current state."""
-        capacities = [
-            cache.capacity for cache in self.caches.values()
-            if cache.capacity is not None
-        ]
-        ttls = [cache.ttl for cache in self.caches.values()]
-        return {
-            "mode": self.mode,
-            "clients": len(self.caches),
-            "occupancy": self.occupancy(),
-            "lookups": self._c_lookups.value,
-            "messages": self._c_messages.value,
-            "stale_faults": self._c_stale.value,
-            "capacity_total": sum(capacities) if capacities else None,
-            "ttl_min": min(ttls) if ttls else None,
-            "ttl_max": max(ttls) if ttls else None,
-            "budget_granted": self.budget.granted if self.budget else None,
-            "learned": self.learned.stats() if self.learned else None,
-        }

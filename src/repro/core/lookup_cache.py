@@ -95,12 +95,6 @@ class LookupCacheStats:
             return 0.0
         return self.misses / self.lookups
 
-    @property
-    def hit_rate(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LookupCacheStats):
             return NotImplemented

@@ -59,6 +59,9 @@ from repro.workloads.trace import (
 
 SYSTEMS = ("d2", "traditional", "traditional-file", "traditional+merc")
 
+#: Seconds between the balancer's probe rounds (paper: 10 minutes).
+PROBE_INTERVAL = 600.0
+
 
 @dataclass
 class ReplayOutcome:
@@ -107,9 +110,6 @@ class Deployment:
         self.store = StorageCoordinator(
             self.ring,
             self.sim,
-            pointer_stabilization_time=config.pointer_stabilization_time,
-            use_pointers=config.use_pointers,
-            removal_delay=config.removal_delay,
             replica_count=config.replica_count,
             registry=self.metrics,
             tracer=self.tracer,
@@ -118,11 +118,10 @@ class Deployment:
         scheme_name = "traditional" if system == "traditional+merc" else system
         self.fs = DhtFileSystem(make_scheme(scheme_name, volume))
         self.balancer: Optional[KargerRuhlBalancer] = None
-        if system in ("d2", "traditional+merc") and config.active_load_balancing:
+        if system in ("d2", "traditional+merc"):
             self.balancer = KargerRuhlBalancer(
                 self.ring,
                 self.store,
-                threshold=config.balance_threshold,
                 rng=random.Random(seed + 1),
                 registry=self.metrics,
                 tracer=self.tracer,
@@ -145,7 +144,7 @@ class Deployment:
         """Attach live join/leave/crash protocols with replica repair.
 
         Builds the :class:`repro.store.repair.RepairScheduler` (bandwidth
-        capped at the config's migration rate) and the
+        capped at the paper's migration rate) and the
         :class:`repro.dht.membership.MembershipService`, seeds the replica
         tracker from the already-loaded directory, and returns the service.
         Idempotent; call after :meth:`load_initial_image`/:meth:`stabilize`
@@ -159,7 +158,6 @@ class Deployment:
         self.repair = RepairScheduler(
             self.store,
             self.sim,
-            bandwidth_bps=self.config.migration_bandwidth_bps,
             registry=self.metrics,
             tracer=self.tracer,
             spans=self.spans,
@@ -217,9 +215,9 @@ class Deployment:
         """Schedule probe rounds every probe interval on the simulator."""
         if self.balancer is None or self._probe_task is not None:
             return
-        jitter = lambda: self.rng.uniform(-0.05, 0.05) * self.config.probe_interval
+        jitter = lambda: self.rng.uniform(-0.05, 0.05) * PROBE_INTERVAL
         self._probe_task = self.sim.schedule_periodic(
-            self.config.probe_interval,
+            PROBE_INTERVAL,
             lambda: self.balancer.probe_round(self.sim.now),
             jitter=jitter,
         )
@@ -272,7 +270,6 @@ class Deployment:
         self.accelerator = LookupAccelerator(
             self.ring,
             mode=mode,
-            ttl=self.config.lookup_cache_ttl,
             capacity=capacity,
             seed=self.seed,
             registry=self.metrics,
@@ -285,7 +282,6 @@ class Deployment:
         cache = self._lookup_caches.get(client)
         if cache is None:
             cache = LookupCache(
-                ttl=self.config.lookup_cache_ttl,
                 ring=self.ring,
                 registry=self.metrics,
                 tracer=self.tracer,

@@ -59,10 +59,6 @@ class FingerTable:
         self._offsets = [None] * len(self._ids)
         self._version = ring.version
 
-    def __len__(self) -> int:
-        self.refresh()
-        return len(self._ids)
-
     @property
     def ids(self) -> Tuple[int, ...]:
         self.refresh()

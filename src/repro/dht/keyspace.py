@@ -73,11 +73,6 @@ def in_interval(key: int, lo: int, hi: int) -> bool:
     return key > lo or key <= hi
 
 
-def midpoint(lo: int, hi: int) -> int:
-    """The point halfway along the clockwise arc from *lo* to *hi*."""
-    return (lo + distance(lo, hi) // 2) % KEY_SPACE
-
-
 def interval_width(lo: int, hi: int) -> int:
     """Width of the clockwise arc ``(lo, hi]``; full ring when ``lo == hi``."""
     if lo == hi:

@@ -53,10 +53,10 @@ LEARNED_RETRAIN = register_kind("dht.learned.retrain")
 
 #: Defaults sized for the scales the experiments run at: ~40 nodes per
 #: segment at 10^4 nodes keeps per-segment fits near-linear, and the
-#: reservoir bounds training memory at ``segments * samples_per_segment``
+#: reservoir bounds training memory at ``segments * SAMPLES_PER_SEGMENT``
 #: pairs regardless of run length.
 DEFAULT_SEGMENTS = 256
-DEFAULT_SAMPLES_PER_SEGMENT = 32
+SAMPLES_PER_SEGMENT = 32
 DEFAULT_MIN_OBSERVATIONS = 64
 DEFAULT_RETRAIN_INTERVAL = 1024
 DEFAULT_MAX_PROBE = 8
@@ -92,9 +92,8 @@ class LearnedIndex:
     segments:
         Number of equal slices of the *observed key domain*, each with
         its own linear fit (the domain is re-derived at every refit).
-    samples_per_segment:
-        Scales the single shared reservoir (algorithm R, seeded —
-        deterministic) to ``segments * samples_per_segment`` pairs.
+        The single shared reservoir (algorithm R, seeded — deterministic)
+        holds ``segments * SAMPLES_PER_SEGMENT`` pairs.
     min_observations:
         Observations before the first fit; the index routes everything
         until then.
@@ -110,7 +109,6 @@ class LearnedIndex:
         ring: Ring,
         *,
         segments: int = DEFAULT_SEGMENTS,
-        samples_per_segment: int = DEFAULT_SAMPLES_PER_SEGMENT,
         min_observations: int = DEFAULT_MIN_OBSERVATIONS,
         retrain_interval: int = DEFAULT_RETRAIN_INTERVAL,
         max_probe: int = DEFAULT_MAX_PROBE,
@@ -120,15 +118,10 @@ class LearnedIndex:
     ) -> None:
         if segments < 1:
             raise ValueError(f"segments must be >= 1, got {segments}")
-        if samples_per_segment < 1:
-            raise ValueError(
-                f"samples_per_segment must be >= 1, got {samples_per_segment}"
-            )
         if max_probe < 0:
             raise ValueError(f"max_probe must be >= 0, got {max_probe}")
         self._ring = ring
         self.segments = segments
-        self.samples_per_segment = samples_per_segment
         self.min_observations = max(1, min_observations)
         self.retrain_interval = max(1, retrain_interval)
         self.max_probe = max_probe
@@ -140,7 +133,7 @@ class LearnedIndex:
         self._c_retrain = metrics.counter("dht.learned.retrain")
         self._c_invalidate = metrics.counter("dht.learned.invalidate")
         #: Reservoir bound: the model never holds more training pairs.
-        self.sample_capacity = segments * samples_per_segment
+        self.sample_capacity = segments * SAMPLES_PER_SEGMENT
         # Fitted state, valid only while _version == ring.version.
         self._version = -1
         self._ids: Tuple[int, ...] = ()

@@ -32,6 +32,12 @@ from repro.dht.ring import Ring, load_split_point
 from repro.obs.events import BALANCE_MOVE, BALANCE_PROBE, EventTracer
 from repro.obs.metrics import MetricsRegistry
 
+#: A target with fewer primary blocks than this is never split.
+MIN_SPLIT_LOAD = 2
+#: Consecutive move-free probe rounds that ``balance_until_stable`` takes
+#: as stability.
+QUIET_ROUNDS = 5
+
 
 class BalanceCoordinator(Protocol):
     """Storage-layer operations the balancer needs.
@@ -115,7 +121,6 @@ class KargerRuhlBalancer:
         *,
         threshold: float = 4.0,
         rng: Optional[random.Random] = None,
-        min_split_load: int = 2,
         sampling: str = "membership",
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[EventTracer] = None,
@@ -129,7 +134,6 @@ class KargerRuhlBalancer:
         self._coordinator = coordinator
         self._threshold = threshold
         self._rng = rng if rng is not None else random.Random(0)
-        self._min_split_load = min_split_load
         # "membership" samples the global node list (simulation shortcut);
         # "random-walk" uses Mercury's decentralized sampling (see
         # repro.dht.sampling), which a real node could actually execute.
@@ -141,10 +145,6 @@ class KargerRuhlBalancer:
         self._members: List[str] = []
         self._members_version = -1
         self.stats = BalancerStats(registry)
-
-    @property
-    def threshold(self) -> float:
-        return self._threshold
 
     def probe(self, prober: str, now: float = 0.0) -> Optional[MoveRecord]:
         """One balancing probe by node *prober*.
@@ -176,13 +176,13 @@ class KargerRuhlBalancer:
         return moves
 
     def balance_until_stable(
-        self, *, max_rounds: int = 200, quiet_rounds: int = 5, now: float = 0.0
+        self, *, max_rounds: int = 200, now: float = 0.0
     ) -> int:
         """Run probe rounds until several consecutive rounds trigger nothing.
 
         A single quiet round is weak evidence (probes sample targets
         randomly and can simply miss the one overloaded node), so
-        stability requires *quiet_rounds* consecutive move-free rounds.
+        stability requires :data:`QUIET_ROUNDS` consecutive move-free rounds.
         Returns the number of rounds executed.  Used to reach the paper's
         "simulate 3 days so node positions stabilize" initial condition
         without simulating wall-clock time.
@@ -193,7 +193,7 @@ class KargerRuhlBalancer:
                 quiet = 0
             else:
                 quiet += 1
-                if quiet >= quiet_rounds:
+                if quiet >= QUIET_ROUNDS:
                     if self._confirmation_probe(now) is None:
                         return round_index + 1
                     quiet = 0
@@ -203,7 +203,7 @@ class KargerRuhlBalancer:
         """Deterministic convergence check behind a quiet streak.
 
         Random probes can miss the one overloaded node for a whole quiet
-        streak (with n nodes the chance is (1 - 1/(n-1))**(n*quiet_rounds)
+        streak (with n nodes the chance is (1 - 1/(n-1))**(n*QUIET_ROUNDS)
         — small but real, and it silently ends :meth:`balance_until_stable`
         on a fully imbalanced ring).  The trigger rule is monotone in the
         load ratio, so probing the extreme pair directly settles it: if
@@ -246,7 +246,7 @@ class KargerRuhlBalancer:
     def _maybe_move(self, prober: str, target: str, now: float) -> Optional[MoveRecord]:
         prober_load = self._coordinator.primary_load(prober)
         target_load = self._coordinator.primary_load(target)
-        if target_load < self._min_split_load:
+        if target_load < MIN_SPLIT_LOAD:
             return None
         # Trigger rule from Section 6: move iff load(A) > t * load(B).  A
         # zero-load prober always helps a loaded target.

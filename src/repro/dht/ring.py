@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.dht.keyspace import KEY_SPACE, in_interval, validate_key
+from repro.dht.keyspace import KEY_SPACE, validate_key
 
 
 class RingError(Exception):
@@ -138,12 +138,6 @@ class Ring:
     def position_of(self, name: str) -> int:
         return self._require(name)
 
-    def name_at(self, node_id: int) -> str:
-        index = bisect.bisect_left(self._ids, node_id)
-        if index >= len(self._ids) or self._ids[index] != node_id:
-            raise RingError(f"no node at position {node_id:#x}")
-        return self._names[index]
-
     def successor_index(self, key: int) -> int:
         """Index (into ring order) of the owner of *key*.
 
@@ -218,13 +212,6 @@ class Ring:
         node_id = self._require(name)
         pred_id = self.position_of(self.predecessor_of(name))
         return pred_id, node_id
-
-    def owns(self, name: str, key: int) -> bool:
-        """True when *name* is the primary owner of *key*."""
-        lo, hi = self.range_of(name)
-        if len(self._ids) == 1:
-            return True
-        return in_interval(key, lo, hi)
 
     def replica_range_of(self, name: str, replicas: int) -> Tuple[int, int]:
         """The arc of keys for which *name* holds any of the *replicas* copies.

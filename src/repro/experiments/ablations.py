@@ -23,6 +23,7 @@ from repro.analysis.availability import (
 )
 from repro.core.config import D2Config
 from repro.core.lookup_cache import LookupCache
+from repro.core.system import PROBE_INTERVAL
 from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.load_balance import KargerRuhlBalancer, normalized_std_dev
 from repro.dht.ring import Ring
@@ -143,7 +144,6 @@ def run_cache_ttl_ablation(
     ttls: Sequence[float] = (60.0, 4500.0, 1e9),
     n_nodes: int = 48,
     accesses: int = 4000,
-    churn_interval: float = 600.0,
     seed: int = common.SEED,
 ) -> List[dict]:
     """Lookup-cache miss rate vs TTL under ring churn.
@@ -179,7 +179,7 @@ def run_cache_ttl_ablation(
         last_churn = 0.0
         for access in range(accesses):
             now += access_gap
-            if now - last_churn >= churn_interval:
+            if now - last_churn >= PROBE_INTERVAL:
                 last_churn = now
                 # Half the churn hits the working set's own owners — that
                 # is what load balancing does to a popular arc — and half

@@ -18,8 +18,8 @@ its comparison systems from one code base.
 
 Operations return the list of :class:`BlockOp` they imply; callers replay
 those against a :class:`repro.store.migration.StorageCoordinator` (see
-:func:`apply_ops`), feed them to the latency harness, or pass them through
-the write-back cache.
+:func:`apply_ops`).  Writes reach the store at once: the paper's 30 s
+client write-back cache is not modelled (see :mod:`repro.core.config`).
 """
 
 from __future__ import annotations
@@ -44,18 +44,15 @@ ROOT_BLOCK_SIZE = 256
 class BlockOp(NamedTuple):
     """One block-level operation implied by a file-system call.
 
-    ``ident`` is the block's version-independent logical identity (used by
-    the write-back cache to coalesce rewrites); ``key`` is the ring key of
-    this specific version under the active scheme.  A tuple because a flush
-    builds ~22 of these and drops them: immutable and comparable, no more.
+    ``key`` is the ring key of one version of the block under the active
+    scheme.  A tuple because a flush builds ~22 of these and drops them:
+    immutable and comparable, no more.
     """
 
     action: str  # 'put' | 'get' | 'remove'
     key: int
     size: int
     kind: BlockKind
-    ident: str
-    version: int = 0
 
 
 def _read_blocks(node: FileNode, offset: int, length: Optional[int]) -> range:
@@ -66,17 +63,16 @@ def _read_blocks(node: FileNode, offset: int, length: Optional[int]) -> range:
 class DhtFileSystem:
     """One writer's view of a D2 (or baseline) file-system volume.
 
-    The block plan — which blocks an object has, at which version, how big
-    and under which identity — is stated once, in the four ``_*_op(s)``
+    The block plan — which blocks an object has, at which version and how
+    big — is stated once, in the four ``_*_op(s)``
     helpers.  Mutations and :meth:`read`/:meth:`readdir` compose them into
     :class:`BlockOp` lists; :meth:`read_fetches` is the same plan for a
     read, projected to the ``(key, nbytes)`` run the replay paths consume.
     """
 
-    def __init__(self, scheme: KeyScheme, publisher: str = "publisher") -> None:
+    def __init__(self, scheme: KeyScheme) -> None:
         self.scheme = scheme
         self.namespace = Namespace()
-        self.publisher = publisher
         self.root_version = 0
         self._root_key = scheme.root_key()  # one key for the volume's life
 
@@ -85,32 +81,27 @@ class DhtFileSystem:
 
     def _root_op(self, action: str) -> BlockOp:
         """The root block, updated in place."""
-        return BlockOp(action, self._root_key, ROOT_BLOCK_SIZE, BlockKind.ROOT, "<root>")
+        return BlockOp(action, self._root_key, ROOT_BLOCK_SIZE, BlockKind.ROOT)
 
     def _dir_ops(self, action: str, directory: Directory, version: int) -> List[BlockOp]:
         """Every metadata block of *directory* at *version*."""
-        ident = directory.ident
         key = self.scheme.directory_block_key
         return [
-            BlockOp(action, key(directory, number, version), size,
-                    BlockKind.DIRECTORY, f"{ident}:d{number}", version)
+            BlockOp(action, key(directory, number, version), size, BlockKind.DIRECTORY)
             for number, size in enumerate(directory_block_sizes(directory.entry_count))
         ]
 
     def _inode_op(self, action: str, node: FileNode, version: int, size: int) -> BlockOp:
         """The inode (block 0) of *node* as of *version*, when it held *size* bytes."""
         return BlockOp(action, self.scheme.file_block_key(node, 0, version),
-                       inode_size(size), BlockKind.INODE, f"{node.ident}:b0", version)
+                       inode_size(size), BlockKind.INODE)
 
     def _data_ops(self, action: str, node: FileNode, blocks: range) -> List[BlockOp]:
         """The live versions of the run *blocks* of *node* at its current
         size, keyed as one run — the path :meth:`read_fetches` takes."""
-        ident, current = node.ident, node.version
         sizes = data_block_sizes_table(node.size)
-        version_of = node.block_versions.get
         return [
-            BlockOp(action, key, sizes[number - 1], BlockKind.DATA,
-                    f"{ident}:b{number}", version_of(number, current))
+            BlockOp(action, key, sizes[number - 1], BlockKind.DATA)
             for number, key in zip(blocks, self.scheme.file_block_keys(node, blocks))
         ]
 
@@ -309,9 +300,6 @@ class DhtFileSystem:
         node = self.namespace.resolve_file(path)
         return self.scheme.file_block_keys(node, range(1, data_block_count(node.size) + 1))
 
-    def total_bytes(self) -> int:
-        return self.namespace.total_file_bytes()
-
 
 def apply_ops(store, ops: Iterable[BlockOp]) -> Dict[str, int]:
     """Replay one flush of block ops against a :class:`StorageCoordinator`.
@@ -328,7 +316,7 @@ def apply_ops(store, ops: Iterable[BlockOp]) -> Dict[str, int]:
     put_sizes: Dict[int, int] = {}
     removes: Dict[int, None] = {}  # distinct keys, in op order
     counters = {"put": 0, "get": 0, "remove": 0}
-    for action, key, size, _kind, _ident, _version in ops:
+    for action, key, size, _kind in ops:
         counters[action] += size
         if action == "put":
             put_sizes[key] = put_sizes.get(key, 0) + size

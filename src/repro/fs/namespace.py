@@ -19,7 +19,7 @@ matter and are enforced here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from repro.core.keys import FIRST_USABLE_SLOT, MAX_PATH_LEVELS, SLOT_SPACE
 
@@ -206,22 +206,6 @@ class Namespace:
         parent.child_slots[name] = slot
         return child
 
-    def makedirs(self, path: str) -> Directory:
-        """mkdir -p: create missing ancestors, return the leaf directory."""
-        parts = split_path(path)
-        current = "/"
-        node: Directory = self.root
-        for part in parts:
-            current = current.rstrip("/") + "/" + part
-            existing = node.children.get(part)
-            if existing is None:
-                node = self.mkdir(current)
-            elif isinstance(existing, Directory):
-                node = existing
-            else:
-                raise NamespaceError(f"{current!r} exists and is a file")
-        return node
-
     def create_file(self, path: str, size: int = 0) -> FileNode:
         parent, name = self.parent_of(path)
         if name in parent.children:
@@ -295,25 +279,3 @@ class Namespace:
                 if isinstance(child, Directory):
                     stack.append(child)
         raise NamespaceError("directory detached from tree")
-
-    # ------------------------------------------------------------------
-    # traversal
-
-    def walk(self) -> Iterator[Tuple[str, Union[Directory, FileNode]]]:
-        """Preorder traversal yielding (path, node), root first."""
-        stack: List[Tuple[str, Union[Directory, FileNode]]] = [("/", self.root)]
-        while stack:
-            path, node = stack.pop()
-            yield path, node
-            if isinstance(node, Directory):
-                base = path.rstrip("/")
-                for name in sorted(node.children, reverse=True):
-                    stack.append((f"{base}/{name}", node.children[name]))
-
-    def files(self) -> Iterator[Tuple[str, FileNode]]:
-        for path, node in self.walk():
-            if isinstance(node, FileNode):
-                yield path, node
-
-    def total_file_bytes(self) -> int:
-        return sum(node.size for _, node in self.files())

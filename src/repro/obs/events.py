@@ -86,7 +86,3 @@ class EventTracer:
     def counts(self) -> Dict[str, int]:
         """Per-kind totals, sorted by kind (JSON-ready)."""
         return dict(sorted(self._counts.items()))
-
-    def clear(self) -> None:
-        self._counts.clear()
-        self.emitted = 0

@@ -105,21 +105,6 @@ class Alert:
     def active(self) -> bool:
         return self.resolved_at is None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "series": self.series,
-            "labels": dict(self.labels),
-            "fired_at": self.fired_at,
-            "fired_window": self.fired_window,
-            "value": self.value,
-            "peak": self.peak,
-            "breach_windows": self.breach_windows,
-            "resolved_at": self.resolved_at,
-            "resolved_window": self.resolved_window,
-        }
-
 
 class _RuleState:
     __slots__ = ("breach_streak", "clear_streak", "alert", "last_value")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, Iterator, List, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 
 class MetricsError(Exception):
@@ -250,15 +250,6 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def names(self) -> Iterator[str]:
-        return iter(sorted(self._metrics))
 
     def snapshot(self, include_reservoirs: bool = False) -> Dict[str, Dict[str, object]]:
         """JSON-ready snapshot: ``{counters, gauges, histograms}``.

@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import random
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union, cast
+from typing import Deque, Dict, List, Optional, Union
 
 from repro.obs.events import EventTracer, register_kind
 
@@ -57,38 +57,22 @@ class SpanError(Exception):
 class Span:
     """One named interval of simulated time within a trace tree.
 
-    A :class:`Tracer` numbers its traces and spans with plain ints, which
-    a span keeps (``trace_no`` / ``span_no`` / ``parent_no``); ``trace_id``
-    / ``span_id`` / ``parent_id`` format them (``t0000002a``) only when
-    they are read or exported.
+    Only :meth:`Tracer._open` makes one.  A :class:`Tracer` numbers its
+    traces and spans with plain ints, which a span keeps (``trace_no`` /
+    ``span_no`` / ``parent_no``); :meth:`to_dict` formats them
+    (``t0000002a``) on export.
     """
 
     __slots__ = ("trace_no", "span_no", "parent_no", "name", "start", "end", "attrs")
 
     sampled = True
-
-    def __init__(self, trace_id: Union[int, str], span_id: Union[int, str],
-                 parent_id: Union[int, str, None], name: str, start: float,
-                 **attrs: object) -> None:
-        self.trace_no = trace_id
-        self.span_no = span_id
-        self.parent_no = parent_id
-        self.name = name
-        self.start = float(start)
-        self.end: Optional[float] = None
-        self.attrs: Dict[str, object] = attrs
-
-    @property
-    def trace_id(self) -> str:
-        return cast(str, self.to_dict()["trace_id"])
-
-    @property
-    def span_id(self) -> str:
-        return cast(str, self.to_dict()["span_id"])
-
-    @property
-    def parent_id(self) -> Optional[str]:
-        return cast(Optional[str], self.to_dict()["parent_id"])
+    trace_no: int
+    span_no: int
+    parent_no: Optional[int]
+    name: str
+    start: float
+    end: Optional[float]
+    attrs: Dict[str, object]
 
     def annotate(self, **attrs: object) -> "Span":
         self.attrs.update(attrs)
@@ -104,24 +88,14 @@ class Span:
         self.end = float(end)
         return self
 
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
-
-    @property
-    def duration(self) -> float:
-        """Elapsed sim-time; 0.0 while the span is still open."""
-        return (self.end - self.start) if self.end is not None else 0.0
-
     def to_dict(self) -> Dict[str, object]:
         """The exported span: a tracer's numbers as ``t``/``s`` and 8 hex
-        digits (the only place they are formatted), ids given as strings
-        kept."""
-        trace_no, span_no, parent_no = self.trace_no, self.span_no, self.parent_no
+        digits (the only place they are formatted)."""
+        parent_no = self.parent_no
         return {
-            "trace_id": "t%08x" % trace_no if isinstance(trace_no, int) else trace_no,
-            "span_id": "s%08x" % span_no if isinstance(span_no, int) else span_no,
-            "parent_id": "s%08x" % parent_no if isinstance(parent_no, int) else parent_no,
+            "trace_id": "t%08x" % self.trace_no,
+            "span_id": "s%08x" % self.span_no,
+            "parent_id": None if parent_no is None else "s%08x" % parent_no,
             "name": self.name,
             "start": self.start,
             "end": self.end,
@@ -139,13 +113,10 @@ class _NullSpan:
     __slots__ = ()
 
     sampled = False
-    trace_id = span_id = parent_id = None
     trace_no = span_no = parent_no = None
     name = ""
     start = 0.0
     end: Optional[float] = None
-    finished = False
-    duration = 0.0
 
     def annotate(self, **attrs: object) -> "_NullSpan":
         return self
@@ -219,7 +190,6 @@ class Tracer:
         self._ids = 0
         self.started = 0      # sampled spans ever created (incl. rotated out)
         self.finished = 0
-        self.drained = 0      # spans that left the buffer through drain()
         self.sampled_out = 0  # root spans dropped by head sampling
 
     @classmethod
@@ -237,16 +207,13 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._buffer)
 
-    def __iter__(self) -> Iterator[Span]:
-        return iter(tuple(self._buffer))
-
     # ------------------------------------------------------------------
     # span creation
 
     def _open(self, trace_no, span_no, parent_no, name: str, start: float,
               attrs: Dict[str, object]) -> Span:
-        """A new span, buffered and counted: :class:`Span`'s constructor
-        without re-packing the caller's keyword arguments."""
+        """A new span, buffered and counted; the caller's keyword
+        arguments become its attributes without being re-packed."""
         span = Span.__new__(Span)
         span.trace_no, span.span_no, span.parent_no = trace_no, span_no, parent_no
         span.name, span.start, span.end, span.attrs = name, float(start), None, attrs
@@ -293,21 +260,9 @@ class Tracer:
         """Exact per-name span totals for the whole run (JSON-ready)."""
         return dict(sorted(self._counts.items()))
 
-    @property
-    def dropped(self) -> int:
-        """Sampled spans whose payloads rotated out of the buffer unexported."""
-        return self.started - self.drained - len(self._buffer)
-
-    def spans(self, name: Optional[str] = None) -> Tuple[Span, ...]:
-        if name is None:
-            return tuple(self._buffer)
-        return tuple(s for s in self._buffer if s.name == name)
-
-    def to_dicts(self, include_open: bool = True) -> List[Dict[str, object]]:
+    def to_dicts(self) -> List[Dict[str, object]]:
         """Buffered spans as JSON-safe dicts (open spans have ``end: null``)."""
-        return [
-            s.to_dict() for s in self._buffer if include_open or s.end is not None
-        ]
+        return [s.to_dict() for s in self._buffer]
 
     def drain(self) -> List[Dict[str, object]]:
         """Pop all *finished* buffered spans as JSON-safe dicts.
@@ -324,14 +279,7 @@ class Tracer:
             open_spans = [s for s in self._buffer if s.end is None]
             self._buffer.clear()
             self._buffer.extend(open_spans)
-            self.drained += len(finished)
         return [s.to_dict() for s in finished]
-
-    def clear(self) -> None:
-        self._buffer.clear()
-        self._counts.clear()
-        self._ids = 0
-        self.started = self.finished = self.drained = self.sampled_out = 0
 
 
 def validate_span_dict(payload: object) -> List[str]:

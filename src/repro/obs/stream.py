@@ -82,20 +82,6 @@ class NullJsonlWriter:
     def write(self, payload: Mapping[str, object]) -> None:
         self.rows += 1
 
-    def close(self) -> None:
-        return None
-
-    def __enter__(self) -> "NullJsonlWriter":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        return None
-
 
 def stream_spans(tracer, writer) -> int:
     """Drain *tracer*'s finished spans into *writer*; returns rows written.

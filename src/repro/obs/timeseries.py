@@ -13,7 +13,7 @@ describe.
 Two series kinds:
 
 * ``gauge`` — point-in-time samples; the window value is an aggregate of
-  the samples inside it (``last``, ``max``, ``min`` or ``sum``).  A
+  the samples inside it (``last`` or ``max``).  A
   ``max`` gauge is the right shape for push-sampled spike detectors
   (e.g. the repair scheduler's replica deficit): transient peaks inside
   a window survive to the window boundary where SLO rules evaluate.
@@ -54,7 +54,7 @@ __all__ = [
 GAUGE = "gauge"
 COUNTER = "counter"
 _KINDS = (GAUGE, COUNTER)
-_AGGS = ("last", "max", "min", "sum")
+_AGGS = ("last", "max")
 
 
 class TimeSeriesError(ValueError):
@@ -64,7 +64,7 @@ class TimeSeriesError(ValueError):
 class _OpenWindow:
     """Mutable accumulator for the window currently receiving samples."""
 
-    __slots__ = ("index", "count", "last", "low", "high", "total")
+    __slots__ = ("index", "count", "last", "low", "high")
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -72,7 +72,6 @@ class _OpenWindow:
         self.last = 0.0
         self.low = math.inf
         self.high = -math.inf
-        self.total = 0.0
 
     def add(self, value: float) -> None:
         self.count += 1
@@ -81,7 +80,6 @@ class _OpenWindow:
             self.low = value
         if value > self.high:
             self.high = value
-        self.total += value
 
 
 class TimeSeries:
@@ -244,14 +242,7 @@ class TimeSeries:
                 value = 0.0
         elif count:
             assert window is not None
-            if self.agg == "last":
-                value = window.last
-            elif self.agg == "max":
-                value = window.high
-            elif self.agg == "min":
-                value = window.low
-            else:
-                value = window.total
+            value = window.last if self.agg == "last" else window.high
         else:
             value = None
         return {
@@ -287,9 +278,6 @@ class TimeSeriesBank:
         self.dropped_rows = 0
         self._rows: Deque[Dict[str, Any]] = deque()
         self._series: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], TimeSeries] = {}
-
-    def __len__(self) -> int:
-        return len(self._series)
 
     def _append_row(self, row: Dict[str, Any]) -> None:
         if len(self._rows) >= self.retention:

@@ -68,10 +68,6 @@ class SpanRec:
     orphaned: bool = False
 
     @property
-    def finished(self) -> bool:
-        return self.end is not None
-
-    @property
     def duration(self) -> float:
         return (self.end - self.start) if self.end is not None else 0.0
 

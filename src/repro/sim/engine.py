@@ -202,22 +202,6 @@ class Simulator:
                 self._fired_counter.inc(fired)
             self._running = False
 
-    def step(self) -> bool:
-        """Fire exactly one event.  Returns False when the queue is empty."""
-        while self._queue:
-            when, seq, callback = heapq.heappop(self._queue)
-            if (when, seq) in self._cancelled:
-                self._cancelled.discard((when, seq))
-                if self._cancelled_counter is not None:
-                    self._cancelled_counter.inc()
-                continue
-            self._now = when
-            callback()
-            if self._fired_counter is not None:
-                self._fired_counter.inc()
-            return True
-        return False
-
     def pending(self) -> int:
         """Number of scheduled (possibly cancelled) events still queued."""
         return len(self._queue)
@@ -270,7 +254,10 @@ class TokenBucket:
 
     rate_bytes_per_sec: float
     available_at: float = 0.0
-    bytes_sent: int = 0
+
+    def __post_init__(self) -> None:
+        if self.rate_bytes_per_sec <= 0:
+            raise ValueError(f"rate must be positive, got {self.rate_bytes_per_sec}")
 
     def reserve(self, now: float, nbytes: int) -> float:
         """Reserve capacity for *nbytes* starting at *now*.
@@ -281,14 +268,8 @@ class TokenBucket:
         if nbytes < 0:
             raise ValueError("cannot reserve negative bytes")
         start = max(now, self.available_at)
-        duration = nbytes / self.rate_bytes_per_sec if self.rate_bytes_per_sec > 0 else 0.0
-        self.available_at = start + duration
-        self.bytes_sent += nbytes
+        self.available_at = start + nbytes / self.rate_bytes_per_sec
         return self.available_at
-
-    def backlog_seconds(self, now: float) -> float:
-        """Seconds of queued work ahead of a reservation made at *now*."""
-        return max(0.0, self.available_at - now)
 
 
 def kbps(value: float) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 SECONDS_PER_DAY = 86400.0
 WEEK = 7 * SECONDS_PER_DAY
@@ -130,9 +130,6 @@ class FailureTrace:
 
     def mean_availability(self) -> float:
         return sum(self.availability(n) for n in self.nodes) / len(self.nodes)
-
-    def __iter__(self) -> Iterator[FailureEvent]:
-        return iter(self.events)
 
 
 @dataclass(frozen=True)

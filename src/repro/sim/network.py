@@ -26,7 +26,7 @@ class LatencyModel:
 
     Construct via :meth:`random`.  RTT(a, b) = base + |coord_a - coord_b|,
     scaled so the expected RTT between two random nodes equals
-    ``mean_rtt``.
+    :data:`DEFAULT_MEAN_RTT`.
     """
 
     def __init__(self, coords: Dict[str, Tuple[float, float]], base_rtt: float, scale: float) -> None:
@@ -35,26 +35,19 @@ class LatencyModel:
         self._scale = scale
 
     @classmethod
-    def random(
-        cls,
-        names: Iterable[str],
-        rng: random.Random,
-        *,
-        mean_rtt: float = DEFAULT_MEAN_RTT,
-        base_rtt: float = MIN_RTT,
-    ) -> "LatencyModel":
-        """Place *names* uniformly in the unit square, scale to *mean_rtt*.
+    def random(cls, names: Iterable[str], rng: random.Random) -> "LatencyModel":
+        """Place *names* uniformly in the unit square, scale to the mean RTT.
 
         The expected distance between two uniform points in the unit square
-        is ~0.5214; the scale makes base + scale * E[dist] == mean_rtt.
+        is ~0.5214; the scale makes base + scale * E[dist] == DEFAULT_MEAN_RTT.
         """
         names = list(names)
         if not names:
             raise ValueError("need at least one node")
         expected_unit_distance = 0.5214
-        scale = max(0.0, (mean_rtt - base_rtt) / expected_unit_distance)
+        scale = (DEFAULT_MEAN_RTT - MIN_RTT) / expected_unit_distance
         coords = {name: (rng.random(), rng.random()) for name in names}
-        return cls(coords, base_rtt, scale)
+        return cls(coords, MIN_RTT, scale)
 
     def rtt(self, a: str, b: str) -> float:
         """Round-trip time between nodes *a* and *b*, in seconds."""

@@ -56,8 +56,6 @@ class TcpTransport:
         self._latency = latency
         self._connections: Dict[Tuple[str, str], _Connection] = {}
         self._spans = spans
-        self.transfers = 0
-        self.slow_start_restarts = 0
 
     def rto(self, rtt: float) -> float:
         """Retransmit timeout: srtt + 4*rttvar floored at the Linux minimum."""
@@ -76,28 +74,27 @@ class TcpTransport:
         """Time for *server* to deliver *nbytes* to *client* starting *now*.
 
         ``rate_bytes_per_sec`` is the sender's currently available share of
-        its access link.  Updates connection state (window growth, last-use
+        its access link, and must be positive.  Updates connection state (window growth, last-use
         time) so back-to-back transfers on a warm connection skip slow
         start.  *parent* is an optional span the transfer is recorded
         under.
         """
         if nbytes < 0:
             raise ValueError("cannot transfer negative bytes")
-        self.transfers += 1
+        if rate_bytes_per_sec <= 0:
+            raise ValueError(f"transfer rate must be positive, got {rate_bytes_per_sec}")
         rtt = self._latency.rtt(server, client)
         conn = self._connections.get((server, client))
         if conn is None:
             conn = self._connections[server, client] = _Connection()
         restarted = False
         if now - conn.last_used > self.rto(rtt):
-            if conn.last_used != float("-inf"):
-                self.slow_start_restarts += 1
-                restarted = True
+            restarted = conn.last_used != float("-inf")
             conn.cwnd = INITIAL_WINDOW_BYTES
 
         if rtt <= 0.0:
             # Local transfer: pure serialization delay.
-            duration = nbytes / rate_bytes_per_sec if rate_bytes_per_sec > 0 else 0.0
+            duration = nbytes / rate_bytes_per_sec
             conn.last_used = now + duration
             self._record_span(server, client, nbytes, now, duration, 0, restarted, parent)
             return TransferResult(duration, 0, restarted)
@@ -117,7 +114,7 @@ class TcpTransport:
             duration += rtt
             cwnd = min(cwnd * 2, bdp)
             rounds += 1
-        if remaining > 0 and rate_bytes_per_sec > 0:
+        if remaining > 0:
             duration += remaining / rate_bytes_per_sec
         conn.cwnd = cwnd
         conn.last_used = now + duration

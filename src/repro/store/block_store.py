@@ -25,7 +25,7 @@ from repro.dht.keyspace import validate_key
 
 
 class BlockDirectoryError(Exception):
-    """Raised on invalid directory operations (duplicate put, missing key)."""
+    """Raised on invalid directory operations (negative size, missing key)."""
 
 
 #: Pending key changes beyond this share of the index go to one re-sort
@@ -52,23 +52,6 @@ class BlockDirectory:
     # ------------------------------------------------------------------
     # mutation
 
-    def add(self, key: int, size: int) -> None:
-        """Record a new live block.  Re-adding an existing key is an error."""
-        validate_key(key)
-        if size < 0:
-            raise BlockDirectoryError(f"negative block size {size}")
-        if key in self._sizes:
-            raise BlockDirectoryError(f"block {key:#x} already present")
-        self._sizes[key] = size
-        self.total_bytes += size
-        self._note(key, True)
-
-    def put(self, key: int, size: int) -> int:
-        """Upsert a block; returns the size delta (new - old)."""
-        before = self.total_bytes
-        self.put_many(((key, size),))
-        return self.total_bytes - before
-
     def put_many(self, items: Sequence[Tuple[int, int]]) -> None:
         """Upsert every ``(key, size)`` of a flush, in order.
 
@@ -88,16 +71,6 @@ class BlockDirectory:
                 self.total_bytes += size
             else:
                 self.total_bytes += size - old
-
-    def remove(self, key: int) -> int:
-        """Delete a block; returns its size."""
-        try:
-            size = self._sizes.pop(key)
-        except KeyError:
-            raise BlockDirectoryError(f"block {key:#x} not present") from None
-        self.total_bytes -= size
-        self._note(key, False)
-        return size
 
     def discard(self, key: int) -> Optional[int]:
         """Delete a block if present; returns its size or None."""

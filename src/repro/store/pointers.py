@@ -45,15 +45,12 @@ class PointerTable:
     """Pending pointer ranges awaiting stabilization, per storage system."""
 
     _ranges: List[PointerRange] = field(default_factory=list)
-    adopted_count: int = 0
-    stabilized_count: int = 0
     dropped_count: int = 0
 
     def adopt(self, lo: int, hi: int, owner: str, now: float) -> PointerRange:
         """Record that *owner* became responsible for ``(lo, hi]`` at *now*."""
         record = PointerRange(lo, hi, owner, now)
         self._ranges.append(record)
-        self.adopted_count += 1
         return record
 
     def retire(self, record: PointerRange) -> bool:
@@ -70,7 +67,6 @@ class PointerTable:
         for index, existing in enumerate(self._ranges):
             if existing is record:
                 del self._ranges[index]
-                self.stabilized_count += 1
                 return True
         return False  # already retired
 
@@ -79,7 +75,7 @@ class PointerTable:
 
         Used when a pending range's owner crashes: the adoption is void
         (the arc re-adopts under the node now responsible), so it must not
-        inflate ``stabilized_count``.  Identity-matched like :meth:`retire`;
+        count as stabilized.  Identity-matched like :meth:`retire`;
         the record's already-scheduled stabilization event then no-ops.
         """
         for index, existing in enumerate(self._ranges):

@@ -30,13 +30,16 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.events import EventTracer, register_kind
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.engine import Simulator, TokenBucket
+from repro.sim.engine import Simulator, TokenBucket, kbps
 from repro.store.migration import StorageCoordinator
 
 REPAIR_SCHEDULE = register_kind("repair.schedule")
 REPAIR_COMPLETE = register_kind("repair.complete")
 REPAIR_RETRY = register_kind("repair.retry")
 REPAIR_LOSS = register_kind("repair.loss")
+
+#: Per-node migration and repair bandwidth cap (paper: 750 kbps).
+MIGRATION_BANDWIDTH_BPS = kbps(750)
 
 
 class ReplicaTracker:
@@ -110,9 +113,6 @@ class ReplicaTracker:
     def tracked_keys(self) -> List[int]:
         return sorted(self._copies)
 
-    def __len__(self) -> int:
-        return len(self._copies)
-
 
 @dataclass
 class RepairJob:
@@ -173,7 +173,8 @@ class RepairScheduler:
     Parameters
     ----------
     bandwidth_bps:
-        Per-source-node repair bandwidth cap (paper: 750 kbps).  Each
+        Per-source-node repair bandwidth cap (the paper's 750 kbps,
+        :data:`MIGRATION_BANDWIDTH_BPS`).  Each
         source node serializes its outgoing repairs through one
         :class:`TokenBucket`.
     retry_delay, max_retries:
@@ -186,7 +187,7 @@ class RepairScheduler:
         store: StorageCoordinator,
         sim: Simulator,
         *,
-        bandwidth_bps: float,
+        bandwidth_bps: float = MIGRATION_BANDWIDTH_BPS,
         retry_delay: float = 60.0,
         max_retries: int = 8,
         registry: Optional[MetricsRegistry] = None,
@@ -433,10 +434,6 @@ class RepairScheduler:
         self._c_lost.inc()
         if self._tracer is not None:
             self._tracer.emit(REPAIR_LOSS)
-
-    @property
-    def lost_keys(self) -> List[int]:
-        return [record.key for record in self.stats.losses]
 
     # ------------------------------------------------------------------
 

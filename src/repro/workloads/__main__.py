@@ -68,7 +68,11 @@ def main(argv=None) -> int:
                       seed=args.seed)
         )
     elif args.command == "stats":
-        trace = Trace.load(args.path)
+        try:
+            trace = Trace.load(args.path)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         for key, value in trace.stats().items():
             print(f"{key}: {value}")
         return 0

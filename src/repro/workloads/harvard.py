@@ -67,9 +67,8 @@ class HarvardConfig:
 class _UserState:
     """Generator-side view of one user's files (keeps the trace replayable)."""
 
-    def __init__(self, name: str, home: str) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.home = home
         self.dirs: List[str] = []
         self.files: Dict[str, int] = {}  # path -> size
         self.files_by_dir: Dict[str, List[str]] = {}
@@ -119,7 +118,7 @@ def generate_harvard(config: HarvardConfig = HarvardConfig()) -> Trace:
     for u in range(config.users):
         name = f"user{u:03d}"
         home = f"/home/{name}"
-        state = _UserState(name, home)
+        state = _UserState(name)
         initial_dirs.append(home)
         # Grow a project tree by preferential attachment (natural shapes).
         state.dirs.append(home)

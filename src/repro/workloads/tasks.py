@@ -36,17 +36,6 @@ class Task:
     def start(self) -> float:
         return self.records[0].time
 
-    @property
-    def end(self) -> float:
-        return self.records[-1].time
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 @dataclass
 class AccessGroup:
@@ -58,9 +47,6 @@ class AccessGroup:
     @property
     def start(self) -> float:
         return self.records[0].time
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def _segment(

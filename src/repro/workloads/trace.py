@@ -14,8 +14,10 @@ one trace.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, List, Set, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Dict, Iterator, List, Set, Tuple
+
+from repro.obs.stream import read_jsonl
 
 SECONDS_PER_DAY = 86400.0
 
@@ -65,9 +67,6 @@ class Trace:
     def __post_init__(self) -> None:
         self.records.sort(key=lambda r: r.time)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
 
@@ -79,16 +78,6 @@ class Trace:
 
     def users(self) -> List[str]:
         return sorted({r.user for r in self.records})
-
-    def slice(self, start: float, end: float) -> "Trace":
-        """Records with ``start <= time < end`` (shared initial image)."""
-        subset = [r for r in self.records if start <= r.time < end]
-        return Trace(
-            name=f"{self.name}[{start:.0f}:{end:.0f}]",
-            records=subset,
-            initial_dirs=self.initial_dirs,
-            initial_files=self.initial_files,
-        )
 
     def per_user(self) -> Dict[str, List[TraceRecord]]:
         by_user: Dict[str, List[TraceRecord]] = {}
@@ -142,12 +131,58 @@ class Trace:
 
     @classmethod
     def load(cls, path: str) -> "Trace":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            records = [TraceRecord(**json.loads(line)) for line in fh if line.strip()]
+        """Read a trace written by :meth:`save`.
+
+        Lines go through :func:`repro.obs.stream.read_jsonl`.  A line that
+        is cut off, is not JSON, or is not a header (the first line) or a
+        record raises one :class:`ValueError` naming *path* and the line.
+        The format stores no record count, so a file cut exactly at a line
+        boundary loads as the shorter trace.
+        """
+        headers: List[Dict[str, Any]] = []
+        records: List[TraceRecord] = []
+
+        def check(payload: Any) -> List[str]:
+            try:
+                if headers:
+                    records.append(_record(payload))
+                else:
+                    headers.append(_header(payload))
+            except (TypeError, ValueError) as exc:
+                return [str(exc)]
+            return []
+
+        _, problems = read_jsonl(path, check)
+        if problems:
+            raise ValueError(f"{path}: {problems[0]}")
+        if not headers:
+            raise ValueError(f"{path}: no header line")
+        header = headers[0]
         return cls(
             name=header["name"],
             records=records,
             initial_dirs=list(header.get("initial_dirs", [])),
             initial_files=[tuple(item) for item in header.get("initial_files", [])],
         )
+
+
+_RECORD_FIELDS = {f.name for f in fields(TraceRecord)}
+_REQUIRED_FIELDS = ("time", "user", "op", "path")
+
+
+def _header(payload: Any) -> Dict[str, Any]:
+    if not isinstance(payload, dict) or not isinstance(payload.get("name"), str):
+        raise ValueError("header must be a JSON object with a string 'name'")
+    return payload
+
+
+def _record(payload: Any) -> TraceRecord:
+    if not isinstance(payload, dict):
+        raise ValueError(f"record must be a JSON object, got {type(payload).__name__}")
+    missing = [name for name in _REQUIRED_FIELDS if name not in payload]
+    if missing:
+        raise ValueError(f"record has no {', '.join(missing)}")
+    unknown = sorted(set(payload) - _RECORD_FIELDS)
+    if unknown:
+        raise ValueError(f"record has unknown field(s) {', '.join(unknown)}")
+    return TraceRecord(**payload)  # checks the op and the time

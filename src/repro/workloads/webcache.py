@@ -85,10 +85,6 @@ class WebCacheStats:
     replacements: int = 0
     evictions: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
-
 
 class WebCache:
     """The cache-state machine: which URLs are in the DHT, at what version.

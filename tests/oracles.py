@@ -19,7 +19,7 @@ from repro.core import lookup_cache
 from repro.core.lookup_cache import LookupCache
 from repro.dht.keyspace import KEY_BITS, distance, in_interval
 from repro.dht.routing import LookupResult, finger_table_for, route
-from repro.fs.namespace import NamespaceError
+from repro.fs.namespace import Directory, NamespaceError
 from repro.obs.stream import NullJsonlWriter, stream_spans
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
 from repro.store.migration import StorageCoordinator
@@ -102,20 +102,10 @@ class SortedDictDirectory:
     def __init__(self):
         self.sizes = {}
 
-    def add(self, key, size):
-        if key in self.sizes:
-            raise BlockDirectoryError(f"block {key:#x} already present")
-        self.sizes[key] = size
-
-    def put(self, key, size):
-        delta = size - self.sizes.get(key, 0)
-        self.sizes[key] = size
-        return delta
-
-    def remove(self, key):
-        if key not in self.sizes:
-            raise BlockDirectoryError(f"block {key:#x} not present")
-        return self.sizes.pop(key)
+    def put_many(self, items):
+        if any(size < 0 for _, size in items):
+            raise BlockDirectoryError("negative block size")
+        self.sizes.update(items)
 
     def discard(self, key):
         return self.sizes.pop(key, None)
@@ -157,7 +147,7 @@ def store_state(store):
         "pending": sorted((when, seq, event_key(fire)) for when, seq, fire in store.sim._queue),
         "now": store.sim.now,
         "tracker": None if tracker is None else (tracker._copies, tracker._keys_on),
-        "spans": [span.to_dict() for span in store.spans or ()],
+        "spans": store.spans.to_dicts() if store.spans else [],
         "span_counts": (store.spans.started, store.spans.finished) if store.spans else None,
     }
 
@@ -174,7 +164,9 @@ class PerKeyCoordinator(StorageCoordinator):
             self.remove(key, delay=delay)
 
     def write(self, key, size, *, ttl=None):
-        delta = self.directory.put(key, size)
+        before = self.directory.total_bytes
+        self.directory.put_many(((key, size),))
+        delta = self.directory.total_bytes - before
         self.physical_at[key] = self.ring.successor(key)
         self.ledger.record_write(self.sim.now, max(delta, size))
         self._c_writes.inc()
@@ -424,5 +416,23 @@ def _best_finger(ring, current_id, key, remaining):
             return candidate, candidate_id
         level -= 1
     # No finger makes progress: the owner is our immediate successor.
-    fallback = ring.successor_of(ring.name_at(current_id))
+    fallback = ring.successor_of(ring.successor(current_id))  # the node at current_id
     return fallback, ring.position_of(fallback)
+
+
+def owns(ring, name, key):
+    """True when *name*'s arc holds *key*: ownership read off ``range_of``,
+    not off the successor search the ring answers lookups with."""
+    return len(ring) == 1 or in_interval(key, *ring.range_of(name))
+
+
+def walk(namespace):
+    """Preorder ``(path, node)`` over a namespace, root first, children by name."""
+    stack = [("/", namespace.root)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        if isinstance(node, Directory):
+            base = path.rstrip("/")
+            for name in sorted(node.children, reverse=True):
+                stack.append((f"{base}/{name}", node.children[name]))

@@ -7,9 +7,16 @@ tier-1; this is the 1 s version, so that a rename in ``src/`` fails here
 first.
 """
 
+import ast
+import importlib
+import types
+from pathlib import Path
+
 from benchmarks.e2e import seams
 from benchmarks.e2e.workloads import WORKLOADS
 from repro.core.system import build_deployment
+
+E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
 
 
 def test_every_seam_and_first_op_resolves():
@@ -41,3 +48,46 @@ def test_deployment_has_what_the_worker_reads(monkeypatch):
     monitor = deployment.enable_health_monitoring(window=60.0)
     assert deployment.health is monitor
     assert isinstance(monitor.summary()["samples"], int)
+
+
+def imported_names(source):
+    """``(module, name, attribute or None)`` for every ``from repro... import``
+    in *source*, function bodies included, plus each ``alias.attribute`` read
+    where the imported name is itself a module (``cells.churn_cell``)."""
+    tree = ast.parse(source)
+    bound = {}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (node.module, alias.name)
+                found.append((node.module, alias.name, None))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            found.append((*bound[node.value.id], node.attr))
+    return sorted(set(found), key=str)
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    """The names ``workloads.py`` and ``worker.py`` import inside their
+    function bodies, and the worker's preloaded modules, are only looked up
+    when a round runs; resolve them all here."""
+    names = []
+    for name in ("workloads.py", "worker.py"):
+        names += imported_names((E2E / name).read_text())
+    assert ("repro.runner", "cells", "churn_cell") in names
+    for module, name, attribute in names:
+        target = getattr(importlib.import_module(module), name, None)
+        if target is None:  # a submodule not imported by its package
+            target = importlib.import_module(f"{module}.{name}")
+        if attribute is not None:
+            assert isinstance(target, types.ModuleType), (module, name)
+            assert hasattr(target, attribute), f"{module}.{name}.{attribute}"
+    tree = ast.parse((E2E / "worker.py").read_text())
+    (preload,) = [
+        node.value for node in tree.body if isinstance(node, ast.Assign)
+        and [target.id for target in node.targets] == ["_PRELOAD"]
+    ]
+    for module in ast.literal_eval(preload):
+        importlib.import_module(module)

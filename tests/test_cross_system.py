@@ -8,8 +8,14 @@ guarantee it in this code base.
 import pytest
 
 from repro.core.system import SYSTEMS, build_deployment
+from repro.fs.namespace import FileNode
 from repro.workloads.harvard import HarvardConfig, generate_harvard
 from repro.workloads.trace import READ
+from tests.oracles import walk
+
+
+def files(deployment):
+    return [node for _, node in walk(deployment.fs.namespace) if isinstance(node, FileNode)]
 
 
 @pytest.fixture(scope="module")
@@ -36,14 +42,14 @@ class TestConservation:
     def test_same_file_bytes_everywhere(self, deployments):
         """The logical file system is identical across systems."""
         totals = {
-            system: d.fs.namespace.total_file_bytes()
+            system: sum(node.size for node in files(d))
             for system, d in deployments.items()
         }
         assert len(set(totals.values())) == 1, totals
 
     def test_same_file_count_everywhere(self, deployments):
         counts = {
-            system: len(list(d.fs.namespace.files()))
+            system: len(files(d))
             for system, d in deployments.items()
         }
         assert len(set(counts.values())) == 1, counts

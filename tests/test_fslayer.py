@@ -74,8 +74,10 @@ class TestCreate:
         fs.makedirs("/a/b/c")
         ops = fs.create("/a/b/c/f", size=1000)
         dir_puts = [op for op in puts(ops) if op.kind is BlockKind.DIRECTORY]
-        # Chain: /, /a, /a/b, /a/b/c.
-        assert len({op.ident for op in dir_puts}) == 4
+        chain = [fs.namespace.resolve_dir(path) for path in ("/", "/a", "/a/b", "/a/b/c")]
+        assert sorted(op.key for op in dir_puts) == sorted(
+            fs.scheme.directory_block_key(directory, 0, directory.version) for directory in chain
+        )
 
     def test_data_put_sizes_sum_to_file(self, fs):
         fs.format()
@@ -291,10 +293,11 @@ class TestDirectoryBlockBoundaryPinned:
         store = self.loaded(fs, self.PER_BLOCK + 1)
         assert len(store.directory) == 1 + 1 + 2 + (self.PER_BLOCK + 1)
         directory = fs.namespace.resolve_dir("/m")
-        leaked = fs.scheme.directory_block_key(directory, 1, directory.version)
+        old = [fs.scheme.directory_block_key(directory, number, directory.version)
+               for number in (0, 1)]
+        leaked = old[1]
         ops = fs.remove("/m/f000")
-        assert [op.ident for op in removes(ops) if op.kind is BlockKind.DIRECTORY
-                and op.ident.startswith(directory.ident)] == [f"{directory.ident}:d0"]  # fixed: d0, d1
+        assert [op.key for op in removes(ops) if op.key in old] == old[:1]  # fixed: old (d0, d1)
         apply_ops(store, ops)
         store.sim.run()
         assert leaked in store.directory
@@ -306,7 +309,7 @@ class TestDirectoryBlockBoundaryPinned:
         phantom = fs.scheme.directory_block_key(directory, 1, directory.version)
         ops = fs.create("/m/one-more", size=0)
         unknown = [op for op in removes(ops) if op.key not in store.directory]
-        assert [(op.key, op.ident) for op in unknown] == [(phantom, f"{directory.ident}:d1")]  # fixed: []
+        assert [op.key for op in unknown] == [phantom]  # fixed: []
         apply_ops(store, ops)  # skipped in silence
         store.sim.run()
         assert len(store.directory) == 1 + 1 + 2 + (self.PER_BLOCK + 1)  # right, by luck
@@ -407,11 +410,12 @@ def replay_op_stream(system):
 
 @pytest.mark.parametrize("system", ["d2", "traditional", "traditional-file"])
 def test_block_op_stream_golden(system):
-    """Pins op order, keys, sizes, idents and versions of every fs call.
+    """Pins op order, actions, keys, sizes and kinds of every fs call.
 
-    ``tests/data/blockop_streams.json`` was exported by running
-    :func:`replay_op_stream` against the commit before the block plan
-    (PR 14, 20 hand-written ``BlockOp(...)`` sites).
+    ``tests/data/blockop_streams.json`` holds the hashes of the stream from
+    before the block plan existed (20 hand-written ``BlockOp(...)`` sites),
+    taken over ``BlockOp(action, key, size, kind)`` reprs once ``BlockOp``
+    lost its ``ident`` and ``version`` fields.
     """
     golden = json.loads(GOLDEN_STREAMS.read_text())[system]
     count, sha256 = replay_op_stream(system)

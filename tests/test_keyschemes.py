@@ -25,12 +25,13 @@ SCHEMES = ("d2", "traditional", "traditional-file")
 
 def sample_namespace():
     ns = Namespace()
-    ns.makedirs("/home/alice/src")
+    for path in ("/home", "/home/alice", "/home/alice/src"):
+        ns.mkdir(path)
     files = [
         ns.create_file("/home/alice/src/a.c", size=30000),
         ns.create_file("/home/alice/src/b.c", size=30000),
     ]
-    ns.makedirs("/home/bob")
+    ns.mkdir("/home/bob")
     other = ns.create_file("/home/bob/z.txt", size=30000)
     return ns, files, other
 
@@ -124,9 +125,10 @@ def versioned_file(draw):
     whose blocks were rewritten at assorted versions."""
     depth = draw(st.integers(1, 15))
     ns = Namespace()
-    parent = "".join(f"/d{level}" for level in range(depth - 1))
-    if parent:
-        ns.makedirs(parent)
+    parent = ""
+    for level in range(depth - 1):
+        parent += f"/d{level}"
+        ns.mkdir(parent)
     for sibling in range(draw(st.integers(0, 3))):  # move the file's slot
         ns.create_file(f"{parent}/s{sibling}")
     node = ns.create_file(f"{parent}/f", size=draw(st.integers(0, 40 * 8192)))

@@ -15,7 +15,6 @@ from repro.dht.keyspace import (
     interval_width,
     key_from_bytes,
     key_to_bytes,
-    midpoint,
     validate_key,
 )
 
@@ -128,20 +127,6 @@ class TestInInterval:
     @given(keys, keys)
     def test_hi_always_in(self, lo, hi):
         assert in_interval(hi, lo, hi)
-
-
-class TestMidpoint:
-    def test_simple(self):
-        assert midpoint(0, 10) == 5
-
-    def test_wrapping(self):
-        mid = midpoint(MAX_KEY - 1, 3)
-        assert in_interval(mid, MAX_KEY - 1, 3)
-
-    @given(keys, keys)
-    def test_midpoint_in_arc(self, lo, hi):
-        if lo != hi and distance(lo, hi) > 1:
-            assert in_interval(midpoint(lo, hi), lo, hi)
 
 
 class TestWidthAndFraction:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.keyspace import KEY_SPACE
-from repro.dht.learned import LearnedIndex
+from repro.dht.learned import SAMPLES_PER_SEGMENT, LearnedIndex
 from repro.dht.ring import Ring
 from repro.dht.routing import route
 from repro.obs.metrics import MetricsRegistry
@@ -43,10 +43,10 @@ class TestTraining:
 
     def test_reservoir_bounds_training_memory(self):
         ring, rng = build_ring(20)
-        index = LearnedIndex(ring, segments=4, samples_per_segment=8)
+        index = LearnedIndex(ring, segments=2)
         index.refresh()
         train(index, ring, rng, 1000)
-        assert len(index._samples) <= index.sample_capacity == 32
+        assert len(index._samples) <= index.sample_capacity == 2 * SAMPLES_PER_SEGMENT
 
     def test_retrain_fires_at_interval(self):
         ring, rng = build_ring(20)
@@ -219,8 +219,6 @@ class TestValidation:
         ring, _ = build_ring(10)
         with pytest.raises(ValueError):
             LearnedIndex(ring, segments=0)
-        with pytest.raises(ValueError):
-            LearnedIndex(ring, samples_per_segment=0)
         with pytest.raises(ValueError):
             LearnedIndex(ring, max_probe=-1)
 

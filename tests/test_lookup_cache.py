@@ -114,13 +114,11 @@ class TestStats:
         cache.probe(15, now=1.0)
         cache.probe(50, now=1.0)
         assert cache.stats.miss_rate == pytest.approx(0.5)
-        assert cache.stats.hit_rate == pytest.approx(0.5)
         assert cache.stats.lookups == 2
 
     def test_empty_stats(self):
         cache = LookupCache()
         assert cache.stats.miss_rate == 0.0
-        assert cache.stats.hit_rate == 0.0
 
 
 class TestStalenessAndOverlapRegressions:

@@ -6,7 +6,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.core.config import D2Config
 from repro.core.lookup_cache import LookupCache
 from repro.core.system import build_deployment
 from repro.dht.ring import Ring
@@ -25,6 +24,7 @@ from tests.oracles import (
     SortedDictDirectory,
     apply_ops_per_key,
     store_state,
+    walk,
 )
 from tests.test_membership import key_at, make_cluster
 
@@ -111,8 +111,9 @@ class RingDirectoryMachine(RuleBasedStateMachine):
 
     Mutations come singly (the next query patches them in), in pairs that
     cancel inside one window, and in bursts that cross the re-sort
-    threshold; every query kind is checked over plain, wrapping and
-    full-ring arcs, and a list once returned must not change afterwards.
+    threshold; a flush with one negative size changes nothing.  Every query
+    kind is checked over plain, wrapping and full-ring arcs, and a list once
+    returned must not change afterwards.
     """
 
     def __init__(self):
@@ -137,30 +138,33 @@ class RingDirectoryMachine(RuleBasedStateMachine):
         assert results[0] == results[1], (method, args, results)
         return results[0]
 
-    @rule(method=st.sampled_from(["add", "put"]), key=DIRECTORY_KEYS,
-          size=st.integers(min_value=0, max_value=8192))
-    def store(self, method, key, size):
-        self.both(method, key, size)  # a put of a live key changes its size only
+    @rule(key=DIRECTORY_KEYS, size=st.integers(min_value=0, max_value=8192))
+    def store(self, key, size):
+        self.both("put_many", [(key, size)])  # a put of a live key changes its size only
 
-    @rule(method=st.sampled_from(["remove", "discard"]), key=DIRECTORY_KEYS)
-    def drop(self, method, key):
-        self.both(method, key)
+    @rule(key=DIRECTORY_KEYS)
+    def drop(self, key):
+        self.both("discard", key)
 
     @rule(key=DIRECTORY_KEYS)
     def flicker(self, key):
         """Out and back in, or in and out, with no query in between."""
         size = self.both("discard", key)
-        self.both("add", key, 7 if size is None else size)
+        self.both("put_many", [(key, 7 if size is None else size)])
         if size is None:
-            self.both("remove", key)
+            self.both("discard", key)
 
     @rule(keys=st.lists(DIRECTORY_KEYS, min_size=2, max_size=120), remove=st.booleans())
     def burst(self, keys, remove):
-        for key in keys:
-            if remove:
+        if remove:
+            for key in keys:
                 self.both("discard", key)
-            else:
-                self.both("put", key, key % 13)
+        else:
+            self.both("put_many", [(key, key % 13) for key in keys])
+
+    @rule(keys=st.lists(DIRECTORY_KEYS, max_size=8), bad=DIRECTORY_KEYS)
+    def rejected_flush(self, keys, bad):
+        assert self.both("put_many", [(key, 1) for key in keys] + [(bad, -1)]) is BlockDirectoryError
 
     @rule(arc=ARCS)
     def query(self, arc):
@@ -274,9 +278,8 @@ class BlockPlanMachine(RuleBasedStateMachine):
 
     @initialize(system=st.sampled_from(["d2", "traditional", "traditional-file"]))
     def format(self, system):
-        self.deployment = build_deployment(
-            system, 8, config=D2Config(removal_delay=0.0), seed=1
-        )
+        self.deployment = build_deployment(system, 8, seed=1)
+        self.deployment.store.removal_delay = 0.0
         self.fs = self.deployment.fs
         self.live = Counter()
         self.apply(self.fs.format())
@@ -294,7 +297,7 @@ class BlockPlanMachine(RuleBasedStateMachine):
         self.deployment.apply_fs_ops(ops)
 
     def paths(self, kind):
-        return [path for path, node in self.fs.namespace.walk() if isinstance(node, kind)]
+        return [path for path, node in walk(self.fs.namespace) if isinstance(node, kind)]
 
     def child_of(self, pick, name):
         directories = self.paths(Directory)
@@ -439,7 +442,7 @@ class FlushMachine(RuleBasedStateMachine):
                                  FLUSH_KEYS, FLUSH_SIZES), max_size=10))
     def flush_block_ops(self, ops):
         """Through ``apply_ops``: same-key puts summed, removes filtered."""
-        ops = [BlockOp(action, key, size, BlockKind.DATA, f"k{key}") for action, key, size in ops]
+        ops = [BlockOp(action, key, size, BlockKind.DATA) for action, key, size in ops]
         results = [
             apply(store, ops)
             for apply, store in zip((apply_ops, apply_ops_per_key), self.stores)

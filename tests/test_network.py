@@ -8,10 +8,10 @@ from repro.sim.network import LatencyModel
 
 
 class TestLatencyModel:
-    def make(self, n=50, seed=0, mean_rtt=0.090):
+    def make(self, n=50, seed=0):
         rng = random.Random(seed)
         names = [f"n{i}" for i in range(n)]
-        return LatencyModel.random(names, rng, mean_rtt=mean_rtt)
+        return LatencyModel.random(names, rng)
 
     def test_self_rtt_zero(self):
         model = self.make()

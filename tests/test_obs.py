@@ -130,12 +130,6 @@ class TestEventTracer:
             tracer.emit("no.such.kind")
         assert tracer.emitted == 0 and tracer.counts() == {}
 
-    def test_clear(self):
-        tracer = EventTracer()
-        tracer.emit(LOOKUP_HIT)
-        tracer.clear()
-        assert tracer.emitted == 0 and tracer.counts() == {}
-
 
 class TestReport:
     def _sample_report(self):

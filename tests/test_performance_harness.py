@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.performance import PerformanceHarness, _group_completion
-from repro.core.config import D2Config
 from repro.core.lookup_cache import AdaptiveSizer
 from repro.core.system import build_deployment
 from repro.fs.blocks import BLOCK_SIZE
@@ -232,18 +231,15 @@ class TestWarmRecord:
 
 
 class TestGroupCompletion:
-    def config(self, cap=15):
-        return D2Config(max_concurrent_transfers=cap)
-
     def test_seq_sums(self):
-        assert _group_completion([1.0, 2.0, 3.0], "seq", self.config()) == 6.0
+        assert _group_completion([1.0, 2.0, 3.0], "seq") == 6.0
 
     def test_para_takes_max_under_cap(self):
-        assert _group_completion([1.0, 2.0, 3.0], "para", self.config()) == 3.0
+        assert _group_completion([1.0, 2.0, 3.0], "para") == 3.0
 
     def test_para_waves_beyond_cap(self):
         latencies = [1.0] * 20
-        assert _group_completion(latencies, "para", self.config(cap=15)) == 2.0
+        assert _group_completion(latencies, "para") == 2.0
 
     def test_empty(self):
-        assert _group_completion([], "seq", self.config()) == 0.0
+        assert _group_completion([], "seq") == 0.0

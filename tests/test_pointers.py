@@ -17,17 +17,14 @@ class TestPointerTable:
         table = PointerTable()
         record = table.adopt(10, 20, "n1", now=5.0)
         assert len(table) == 1
-        assert table.adopted_count == 1
-        table.retire(record)
+        assert table.retire(record)
         assert len(table) == 0
-        assert table.stabilized_count == 1
 
     def test_double_retire_harmless(self):
         table = PointerTable()
         record = table.adopt(10, 20, "n1", now=0.0)
-        table.retire(record)
-        table.retire(record)
-        assert table.stabilized_count == 1
+        assert table.retire(record)
+        assert not table.retire(record)
 
     def test_retire_matches_identity_not_equality(self):
         # Two adoptions of the same arc at the same instant are equal but
@@ -41,7 +38,6 @@ class TestPointerTable:
         assert table.pending()[0] is second
         assert table.retire(second)
         assert not table.retire(first)  # both gone; stale events no-op
-        assert table.stabilized_count == 2
 
     def test_drop_does_not_count_as_stabilized(self):
         table = PointerTable()
@@ -49,7 +45,6 @@ class TestPointerTable:
         assert table.drop(record)
         assert len(table) == 0
         assert table.dropped_count == 1
-        assert table.stabilized_count == 0
         assert not table.retire(record)  # its stabilization event no-ops
         assert not table.drop(record)
 

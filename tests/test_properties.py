@@ -12,6 +12,7 @@ from repro.fs.fslayer import DhtFileSystem, apply_ops
 from repro.fs.keyschemes import D2KeyScheme, make_scheme
 from repro.sim.engine import Simulator
 from repro.store.migration import StorageCoordinator
+from tests.oracles import owns
 
 # ----------------------------------------------------------------------
 # Ring invariants under arbitrary membership churn
@@ -59,8 +60,8 @@ def test_ring_ownership_total_after_churn(program, probe):
         machine.apply(op, value)
     ring = machine.ring
     owner = ring.successor(probe)
-    assert ring.owns(owner, probe)
-    owners = [name for name in ring.names() if ring.owns(name, probe)]
+    assert owns(ring, owner, probe)
+    owners = [name for name in ring.names() if owns(ring, name, probe)]
     if len(ring) > 1:
         assert owners == [owner]
 
@@ -194,4 +195,4 @@ def test_balancer_bound_for_arbitrary_distributions(seed, concentration):
     balancer.balance_until_stable(max_rounds=250)
     loads = list(store.primary_loads().values())
     mean = sum(loads) / len(loads)
-    assert max(loads) <= balancer.threshold * mean + 1
+    assert max(loads) <= 4.0 * mean + 1  # t = 4, the balancer's default

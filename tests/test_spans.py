@@ -12,7 +12,6 @@ from repro.obs.events import EventTracer
 from repro.obs.spans import (
     NULL_SPAN,
     SAMPLE_ENV,
-    Span,
     SpanError,
     Tracer,
     sample_rate_from_env,
@@ -42,29 +41,33 @@ def export(tracer, path):
     return str(path)
 
 
+def root_span(start, **attrs):
+    return Tracer(sample=1.0).start_trace("op", start, **attrs)
+
+
 class TestSpanLifecycle:
     def test_finish_and_duration(self):
-        span = Span("t1", "s1", None, "op", 10.0)
-        assert not span.finished and span.duration == 0.0
+        span = root_span(10.0)
+        assert span.end is None
         span.finish(12.5)
-        assert span.finished and span.duration == 2.5
+        assert span.end - span.start == 2.5
 
     def test_double_finish_rejected(self):
-        span = Span("t1", "s1", None, "op", 0.0).finish(1.0)
+        span = root_span(0.0).finish(1.0)
         with pytest.raises(SpanError):
             span.finish(2.0)
 
     def test_end_before_start_rejected(self):
         with pytest.raises(SpanError):
-            Span("t1", "s1", None, "op", 5.0).finish(4.0)
+            root_span(5.0).finish(4.0)
 
     def test_annotate_merges_attrs(self):
-        span = Span("t1", "s1", None, "op", 0.0, a=1)
+        span = root_span(0.0, a=1)
         span.annotate(b=2).annotate(a=3)
         assert span.attrs == {"a": 3, "b": 2}
 
     def test_to_dict_shape_is_schema_valid(self):
-        span = Span("t1", "s1", None, "op", 0.0, node="n1").finish(1.0)
+        span = root_span(0.0, node="n1").finish(1.0)
         assert validate_span_dict(span.to_dict()) == []
 
 
@@ -72,9 +75,10 @@ class TestTracer:
     def test_parent_child_share_trace_id(self):
         tracer = Tracer(sample=1.0)
         root = tracer.start_trace("fetch", 0.0)
-        child = tracer.start_span("lookup", 0.0, root)
-        assert child.trace_id == root.trace_id
-        assert child.parent_id == root.span_id
+        child = tracer.start_span("lookup", 0.0, root).to_dict()
+        root = root.to_dict()
+        assert child["trace_id"] == root["trace_id"]
+        assert child["parent_id"] == root["span_id"]
 
     def test_sampling_zero_yields_null_spans(self):
         tracer = Tracer(sample=0.0)
@@ -105,7 +109,7 @@ class TestTracer:
             tracer.finish(tracer.start_trace("op", float(i)), float(i))
         assert len(tracer) == 4
         assert tracer.counts() == {"op": 10}
-        assert tracer.dropped == 6
+        assert tracer.started - len(tracer) == 6  # rotated out unexported
 
     def test_env_sample_rate_parsing(self, monkeypatch):
         monkeypatch.setenv(SAMPLE_ENV, "0.25")
@@ -126,8 +130,8 @@ class TestTracer:
         tracer = Tracer(sample=1.0)
         for i in range(3):
             tracer.finish(tracer.start_trace("op", float(i)), float(i))
-        assert len(tracer.drain()) == 3
-        assert tracer.dropped == 0  # exported, not lost
+        assert len(tracer.drain()) == 3 == tracer.started
+        assert len(tracer) == 0  # exported, not lost
         # Rotation still counts: ten spans through a 4-deep buffer,
         # drained twice on the way.
         tracer = Tracer(capacity=4, sample=1.0)
@@ -137,7 +141,7 @@ class TestTracer:
             if i in (1, 9):
                 exported += len(tracer.drain())
         assert exported == 2 + 4
-        assert tracer.dropped == 10 - exported and len(tracer) == 0
+        assert tracer.started == 10 and len(tracer) == 0  # 4 rotated out unexported
 
     def test_children_of_null_span_stay_null_and_hold_no_reference(self):
         tracer = Tracer(sample=1.0)
@@ -146,7 +150,7 @@ class TestTracer:
         assert tracer.start_span("hop", 0.0, child) is NULL_SPAN
         assert len(tracer) == 0 and tracer.started == 0
         # A live span holds ids only, no reference to its parent object.
-        assert not any(name.startswith("_") for name in Span.__slots__)
+        assert not any(name.startswith("_") for name in type(root_span(0.0)).__slots__)
 
     def test_start_and_finish_never_walk_the_buffer(self):
         # Bookkeeping is O(1): ids and counts, not a buffer search.  A buffer
@@ -363,10 +367,9 @@ class TestEndToEndWiring:
         counts = deployment.spans.counts()
         assert counts.get("balance.move", 0) >= 1
         assert counts.get("pointer.adopt", 0) >= 1
-        moves = [s for s in deployment.spans.spans("balance.move")]
-        adopts = deployment.spans.spans("pointer.adopt")
-        move_ids = {m.span_id for m in moves}
-        assert any(a.parent_id in move_ids for a in adopts)
+        spans = deployment.spans.to_dicts()
+        move_ids = {s["span_id"] for s in spans if s["name"] == "balance.move"}
+        assert any(s["parent_id"] in move_ids for s in spans if s["name"] == "pointer.adopt")
 
 
 class TestRunnerTraceAttachment:
@@ -377,9 +380,7 @@ class TestRunnerTraceAttachment:
         @cell_kind("trace-fake")
         def _fake(params):
             class Result:
-                trace = [
-                    Span("t1", "s1", None, "fetch", 0.0).finish(1.0).to_dict()
-                ]
+                trace = [root_span(0.0).finish(1.0).to_dict()]
                 metrics = None
             return Result()
 
@@ -508,5 +509,5 @@ class TestWorkloadPhaseGrouping:
         accel = LookupAccelerator(ring, mode="none", spans=tracer)
         accel.lookup("c0", "n0", KEY_SPACE // 3, now=1.0, phase="shift")
         accel.lookup("c0", "n0", KEY_SPACE // 2, now=2.0)
-        roots = [s for s in tracer.spans() if s.name == "accel.lookup"]
-        assert [s.attrs.get("phase") for s in roots] == ["shift", None]
+        roots = [s for s in tracer.to_dicts() if s["name"] == "accel.lookup"]
+        assert [s["attrs"].get("phase") for s in roots] == ["shift", None]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import D2Config
-from repro.core.system import SYSTEMS, build_deployment
+from repro.core.system import PROBE_INTERVAL, SYSTEMS, build_deployment
 from repro.fs.blocks import BLOCK_SIZE
 from repro.fs.keyschemes import make_scheme
 from repro.fs.namespace import NamespaceError
@@ -30,18 +30,13 @@ class TestConstruction:
         assert build_deployment("traditional", 8).balancer is None
         assert build_deployment("traditional-file", 8).balancer is None
 
-    def test_balancing_disabled_by_config(self):
-        config = D2Config(active_load_balancing=False)
-        assert build_deployment("d2", 8, config=config).balancer is None
-
-    @pytest.mark.parametrize("field", ["migration_bandwidth_bps", "access_bandwidth_bps"])
+    @pytest.mark.parametrize("field", ["access_bandwidth_bps"])
     @pytest.mark.parametrize("rate", [0.0, -1.0])
     def test_non_positive_bandwidth_rejected(self, field, rate):
-        # The repair token bucket would read rate 0 as an instant transfer
-        # and the availability model as "never regenerate": neither is a rate.
-        with pytest.raises(ValueError, match="bandwidths must be positive"):
+        # A client's token bucket cannot read rate 0 as an instant transfer.
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
             D2Config(**{field: rate}).validate()
-        with pytest.raises(ValueError, match="bandwidths must be positive"):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
             build_deployment("d2", 8, config=D2Config(**{field: rate}))
 
 
@@ -323,7 +318,7 @@ class TestReplay:
         for record in tiny_trace.records:
             d2_deployment.advance_to(record.time)
             skipped += d2_deployment.replay_record(record).skipped
-        assert skipped / max(len(tiny_trace), 1) < 0.06
+        assert skipped / max(len(tiny_trace.records), 1) < 0.06
 
 
 class TestBalancingIntegration:
@@ -347,11 +342,11 @@ class TestBalancingIntegration:
         d = build_deployment("d2", 24, seed=2)
         d.load_initial_image(tiny_trace)
         d.start_periodic_balancing()
-        d.advance_to(d.config.probe_interval * 3)
+        d.advance_to(PROBE_INTERVAL * 3)
         assert d.balancer.stats.probes > 0
         d.stop_periodic_balancing()
         probes = d.balancer.stats.probes
-        d.advance_to(d.config.probe_interval * 10)
+        d.advance_to(PROBE_INTERVAL * 10)
         assert d.balancer.stats.probes == probes
 
     def test_describe(self, d2_deployment):

@@ -16,7 +16,7 @@ class TestTaskSegmentation:
     def test_gap_splits_tasks(self):
         trace = Trace("t", reads([0.0, 1.0, 10.0, 11.0]))
         tasks = segment_tasks(trace, inter=5.0)
-        assert [len(t) for t in tasks] == [2, 2]
+        assert [len(t.records) for t in tasks] == [2, 2]
 
     def test_gap_at_threshold_does_not_split(self):
         trace = Trace("t", reads([0.0, 5.0]))
@@ -28,7 +28,7 @@ class TestTaskSegmentation:
         trace = Trace("t", reads(times))
         tasks = segment_tasks(trace, inter=5.0)
         assert len(tasks) >= 2
-        assert all(t.duration <= TASK_DURATION_CAP + 4.0 for t in tasks)
+        assert all(t.records[-1].time - t.start <= TASK_DURATION_CAP + 4.0 for t in tasks)
 
     def test_users_segmented_independently(self):
         records = reads([0.0, 1.0], user="a") + reads([0.5, 1.5], user="b")
@@ -45,7 +45,7 @@ class TestTaskSegmentation:
         ]
         tasks = segment_tasks(Trace("t", records), inter=5.0)
         assert len(tasks) == 1
-        assert len(tasks[0]) == 2  # create excluded
+        assert len(tasks[0].records) == 2  # create excluded
 
     def test_smaller_inter_makes_more_tasks(self):
         times = [0.0, 2.0, 4.0, 20.0, 22.0]
@@ -63,14 +63,14 @@ class TestTaskSegmentation:
         times = [0.0, 1.0, 3.0, 100.0, 101.0, 500.0]
         trace = Trace("t", reads(times))
         tasks = segment_tasks(trace, inter=5.0)
-        assert sum(len(t) for t in tasks) == len(times)
+        assert sum(len(t.records) for t in tasks) == len(times)
 
 
 class TestAccessGroups:
     def test_think_time_splits(self):
         trace = Trace("t", reads([0.0, 0.5, 0.9, 3.0, 3.2]))
         groups = segment_access_groups(trace)
-        assert [len(g) for g in groups] == [3, 2]
+        assert [len(g.records) for g in groups] == [3, 2]
 
     def test_reads_only(self):
         records = [
@@ -80,7 +80,7 @@ class TestAccessGroups:
         ]
         groups = segment_access_groups(Trace("t", records))
         assert len(groups) == 1
-        assert len(groups[0]) == 2
+        assert len(groups[0].records) == 2
 
     def test_no_duration_cap(self):
         times = [i * 0.5 for i in range(1000)]  # 500 s, no gap > 1 s

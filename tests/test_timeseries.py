@@ -49,7 +49,7 @@ def test_sample_at_epoch_is_pure_baseline():
 
 
 def test_gauge_aggregations():
-    for agg, expected in (("last", 3.0), ("max", 9.0), ("min", 1.0), ("sum", 13.0)):
+    for agg, expected in (("last", 3.0), ("max", 9.0)):
         bank = TimeSeriesBank(width=10.0)
         series = bank.series("g", agg=agg)
         for t, v in ((1.0, 9.0), (2.0, 1.0), (3.0, 3.0)):
@@ -157,7 +157,7 @@ def test_bank_get_or_create_and_mismatch():
     with pytest.raises(TimeSeriesError):
         bank.series("node.load", kind=COUNTER, node="n01")
     with pytest.raises(TimeSeriesError):
-        bank.series("node.load", agg="min", node="n01")
+        bank.series("node.load", agg="last", node="n01")
 
 
 def test_bank_rows_carry_labels_and_stats():

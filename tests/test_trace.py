@@ -46,12 +46,6 @@ class TestTrace:
         trace = Trace("t", [rec(0, user="b"), rec(1, user="a"), rec(2, user="b")])
         assert trace.users() == ["a", "b"]
 
-    def test_slice_half_open(self):
-        trace = Trace("t", [rec(0.0), rec(5.0), rec(10.0)])
-        part = trace.slice(0.0, 10.0)
-        assert len(part) == 2
-        assert part.initial_files == trace.initial_files
-
     def test_per_user_preserves_order(self):
         trace = Trace("t", [rec(0, user="a"), rec(1, user="b"), rec(2, user="a")])
         by_user = trace.per_user()
@@ -93,7 +87,7 @@ class TestSerialization:
         trace.save(path)
         loaded = Trace.load(path)
         assert loaded.name == "demo"
-        assert len(loaded) == 2
+        assert len(loaded.records) == 2
         assert loaded.records[1].dst_path == "/g"
         assert loaded.initial_files == [("/f", 123)]
         assert loaded.initial_dirs == ["/home"]

