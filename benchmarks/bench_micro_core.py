@@ -34,13 +34,14 @@ from repro.fs.namespace import FileNode, Namespace
 from repro.sim.engine import Simulator
 from repro.store import block_store
 from repro.store.block_store import BlockDirectory
-from repro.store.migration import StorageCoordinator
+from repro.store.migration import GraceEntry, StorageCoordinator
 from repro.workloads.trace import READ, Trace, TraceRecord
 from tests.oracles import (
     PerKeyCoordinator,
     ResortingDirectory,
     ScanLookupCache,
     apply_ops_per_key,
+    firing_sequence,
     read_stream_per_op,
 )
 
@@ -600,12 +601,15 @@ def test_flush_commit_gate(monkeypatch):
     Counted on the load of a 400-object image (20 directories of 19 files,
     inline to 12 blocks): the storage identity is made once per object and
     the Figure-4 prefix encoded once per object plus once for the root; the
-    load leaves ``Ring._owner_memo`` as it found it; a pending grace-period
-    removal owns at most 2 GC-tracked objects (its queue entry and its
-    ``partial``), with one bound method per flush.  Then on the clock
-    (median of 15 paired ratios, collector off; measured 1.5-1.6x): applying
-    the image's flushes through ``apply_ops`` -> ``commit`` must beat the
-    per-key store path kept in ``tests/oracles.py`` by >= 1.25x.
+    load leaves ``Ring._owner_memo`` as it found it; a flush that retires
+    keys leaves one queue entry, counted as one event per key, and an entry
+    owns at most 2 GC-tracked objects (its queue tuple and its
+    ``GraceEntry``).  The per-key oracle must then hold the same removals:
+    the same ``(deadline, key)`` firing sequence, and the same directory and
+    ledger once both have fired.  Then on the clock (median of 15 paired
+    ratios, collector off; measured 1.8x): applying the image's flushes
+    through ``apply_ops`` -> ``commit`` must beat the per-key store path
+    kept in ``tests/oracles.py`` by >= 1.25x.
     """
     sizes = (0, 300, BLOCK_SIZE, 3 * BLOCK_SIZE + 17, 12 * BLOCK_SIZE)
     directories = [f"/vol/d{index:02d}" for index in range(20)]
@@ -631,10 +635,17 @@ def test_flush_commit_gate(monkeypatch):
         return apply_ops(store, ops)
 
     deployment = build_deployment("d2", 64, seed=4)
+    commit, retiring = deployment.store.commit, []
+
+    def counted_commit(puts, removes=(), **kwargs):
+        retiring.append(bool(removes))
+        return commit(puts, removes, **kwargs)
+
     with monkeypatch.context() as patch:
         for module, name in ((namespace, "storage_identity"), (keyschemes, "encode_path_key")):
             patch.setattr(module, name, counted(name, getattr(module, name)))
         patch.setattr(core_system, "apply_ops", recorded)
+        patch.setattr(deployment.store, "commit", counted_commit)
         memo_before = len(deployment.ring._owner_memo)
         deployment.load_initial_image(image)
     assert len(flushes) == objects + 1  # format, then one flush per object
@@ -643,15 +654,15 @@ def test_flush_commit_gate(monkeypatch):
     assert calls.count("encode_path_key") <= objects + 1, calls.count("encode_path_key")
     assert len(deployment.ring._owner_memo) == memo_before == 0
 
-    gc.collect()  # untracks the partials' (key, deadline) tuples, as any pass would
+    gc.collect()  # untracks each entry's tuple of keys, as any pass would
     pending = deployment.sim._queue
-    assert len(pending) == len(deployment.store._removes_at) > objects
-    owned = [
-        sum(map(gc.is_tracked, (entry, entry[2], entry[2].args, entry[2].keywords)))
-        for entry in pending
-    ]
-    assert max(owned) <= 2, f"GC-tracked objects per pending removal: {max(owned)}"
-    assert len({id(entry[2].func) for entry in pending}) <= len(flushes)
+    assert deployment.sim.pending() == len(deployment.store._removes_at) > objects
+    assert 0 < len(pending) <= sum(retiring), (
+        f"{len(pending)} queue entries for {sum(retiring)} flushes that retire keys"
+    )
+    assert all(type(entry[2]) is GraceEntry for entry in pending)
+    owned = [sum(map(gc.is_tracked, (entry, entry[2], entry[2].keys))) for entry in pending]
+    assert max(owned) <= 2, f"GC-tracked objects per grace entry: {max(owned)}"
 
     def apply_image(coordinator, apply):
         def run():
@@ -668,6 +679,11 @@ def test_flush_commit_gate(monkeypatch):
     assert list(old.directory._sizes.items()) == list(new.directory._sizes.items())
     assert old.physical_at == new.physical_at and old._removes_at == new._removes_at
     assert old.ledger == new.ledger and old.sim.pending() == new.sim.pending()
+    assert firing_sequence(old.sim) == firing_sequence(new.sim)
+    old.sim.run()
+    new.sim.run()
+    assert list(old.directory._sizes.items()) == list(new.directory._sizes.items())
+    assert old.ledger == new.ledger and not (old._removes_at or new._removes_at)
 
     gain = paired_ratios(per_key, one_commit)
     assert statistics.median(gain) > 1.25, (

@@ -9,6 +9,12 @@ The kernel deliberately stays tiny: events are plain callbacks, there are no
 processes or coroutines.  Components that need richer behaviour (periodic
 probes, delayed block removal, pointer stabilization) build it out of
 :meth:`Simulator.schedule` and :meth:`Simulator.schedule_periodic`.
+
+A *counted* entry (``schedule(..., count=n)``) is one callback that does the
+work of *n* events due at the same moment with consecutive sequence numbers,
+such as the grace-period removals of one flush.  It fires once, and
+``sim.events_fired``, ``sim.events_cancelled`` and :meth:`Simulator.pending`
+count it as *n* events, so they read as if the *n* had been queued one by one.
 """
 
 from __future__ import annotations
@@ -28,8 +34,7 @@ class EventHandle(NamedTuple):
 
     Holding a handle allows the caller to cancel a pending event.  Handles
     order by ``(time, seq)``; the sequence number is unique per simulator
-    instance.  A tuple, because a flush schedules thousands and most are
-    never looked at again.
+    instance.  A tuple, because most handles are never looked at again.
     """
 
     time: float
@@ -50,7 +55,8 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0, *, registry=None) -> None:
         self._now = float(start_time)
-        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
+        # (time, seq, callback, count): see the module docstring on counts.
+        self._queue: List[Tuple[float, int, Callable[[], None], int]] = []
         self._seq = itertools.count()
         self._cancelled: set = set()
         self._running = False
@@ -58,8 +64,6 @@ class Simulator:
         # counts fired/cancelled events so a metrics snapshot can report how
         # much simulated work a run performed.  Kept duck-typed so the
         # kernel stays dependency-free.
-        # `is not None`, not truthiness: MetricsRegistry defines __len__, so
-        # a brand-new (empty) registry is falsy.
         self._fired_counter = (
             registry.counter("sim.events_fired") if registry is not None else None
         )
@@ -72,18 +76,23 @@ class Simulator:
         """Current simulation time in seconds."""
         return self._now
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
+    def schedule(
+        self, delay: float, callback: Callable[[], None], *, count: int = 1
+    ) -> EventHandle:
         """Schedule *callback* to fire ``delay`` seconds from now.
 
         Returns an :class:`EventHandle` that can be passed to :meth:`cancel`.
         ``delay`` must be non-negative; zero-delay events fire in FIFO order
-        after the current callback returns.
+        after the current callback returns.  *count* is how many events the
+        entry stands for (module docstring); it fires once either way.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if count < 1:
+            raise SimulationError(f"an entry counts at least one event, got {count}")
         seq = next(self._seq)
         when = self._now + delay
-        heapq.heappush(self._queue, (when, seq, callback))
+        heapq.heappush(self._queue, (when, seq, callback, count))
         return EventHandle(when, seq)
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
@@ -106,13 +115,13 @@ class Simulator:
         now = self._now
         next_seq = self._seq.__next__
         handles: List[EventHandle] = []
-        staged: List[Tuple[float, int, Callable[[], None]]] = []
+        staged: List[Tuple[float, int, Callable[[], None], int]] = []
         for delay, callback in events:
             if delay < 0:
                 raise SimulationError(f"cannot schedule in the past (delay={delay})")
             seq = next_seq()
             when = now + delay
-            staged.append((when, seq, callback))
+            staged.append((when, seq, callback, 1))
             handles.append(EventHandle(when, seq))
         # Pop order is fully determined by the (time, seq) total order, so
         # the internal heap layout never affects behavior — only speed.
@@ -181,20 +190,20 @@ class Simulator:
         fired = 0
         try:
             while queue:
-                when, seq, callback = queue[0]
+                when, seq, callback, count = queue[0]
                 if until is not None and when > until:
                     break
                 pop(queue)
                 if cancelled and (when, seq) in cancelled:
                     cancelled.discard((when, seq))
                     if self._cancelled_counter is not None:
-                        self._cancelled_counter.inc()
+                        self._cancelled_counter.inc(count)
                     continue
                 if when < self._now:
                     raise SimulationError("event queue corrupted: time went backwards")
                 self._now = when
                 callback()
-                fired += 1
+                fired += count
             if until is not None and until > self._now:
                 self._now = until
         finally:
@@ -203,8 +212,10 @@ class Simulator:
             self._running = False
 
     def pending(self) -> int:
-        """Number of scheduled (possibly cancelled) events still queued."""
-        return len(self._queue)
+        """Number of scheduled (possibly cancelled) events still queued, a
+        counted entry as its count.  A scan of the queue: for checks and
+        reports, not for the event loop."""
+        return sum(entry[3] for entry in self._queue)
 
 
 class PeriodicTask:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from operator import ne
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -76,6 +75,27 @@ class TrafficLedger:
             }
             for day in range(days)
         ]
+
+
+class GraceEntry:
+    """One flush's grace-period removals as a single simulator entry.
+
+    It holds the flush's retired keys in order and their shared deadline,
+    and the flush schedules it with one event counted per key.  Two
+    GC-tracked objects per flush (this and its queue tuple), whatever the
+    number of keys.
+    """
+
+    __slots__ = ("store", "keys", "deadline")
+
+    def __init__(self, store: "StorageCoordinator", keys: Tuple[int, ...],
+                 deadline: float) -> None:
+        self.store = store
+        self.keys = keys
+        self.deadline = deadline
+
+    def __call__(self) -> None:
+        self.store._expire_removals(self.keys, self.deadline)
 
 
 class StorageCoordinator:
@@ -168,11 +188,12 @@ class StorageCoordinator:
         placement, the ledger, a counter or the event queue has changed.
         Owners come from one pass over the ring; ledger and counters move
         once, by the flush's sums.  A put inside a removal grace window
-        rescues the block (the pending event's deadline guard then fails).
-        A removal fires after the grace period (*delay*, default
-        ``removal_delay``), one event per key, and does nothing if the key is
-        gone by then; only the newest removal's deadline counts, and removing
-        clears TTL state so a stale expiry cannot kill a re-written block.
+        rescues the block (the pending entry's deadline guard then fails).
+        The removals fire after the grace period (*delay*, default
+        ``removal_delay``) as one queue entry that counts as one event per
+        key; a key gone by then is skipped, only the newest removal's
+        deadline counts, and removing clears TTL state so a stale expiry
+        cannot kill a re-written block.
         """
         if ttl is not None and ttl <= 0:
             raise ValueError("ttl must be positive")
@@ -209,11 +230,10 @@ class StorageCoordinator:
             else:
                 deadline = now + wait
                 removes_at.update(dict.fromkeys(removes, deadline))
-                # One bound method for the flush; an event then holds a
-                # partial and two numbers, not two closures and their cells.
-                expire = self._expire_removal
-                self.sim.schedule_batch(
-                    [(wait, partial(expire, key, deadline)) for key in removes]
+                # The per-key events this stands for would share one time
+                # and consecutive sequence numbers: nothing fires between.
+                self.sim.schedule(
+                    wait, GraceEntry(self, tuple(removes), deadline), count=len(removes)
                 )
 
     def write(self, key: int, size: int, *, ttl: Optional[float] = None) -> None:
@@ -250,11 +270,17 @@ class StorageCoordinator:
             del self._expires_at[key]
             self._discard((key,))
 
-    def _expire_removal(self, key: int, deadline: float) -> None:
-        # Likewise: a re-write or a newer removal supersedes this one.
-        if self._removes_at.get(key) == deadline:
-            del self._removes_at[key]
-            self._discard((key,))
+    def _expire_removals(self, keys: Tuple[int, ...], deadline: float) -> None:
+        # Likewise, key by key in flush order: a re-write or a newer removal
+        # supersedes this one.
+        removes_at = self._removes_at
+        due = []
+        for key in keys:
+            if removes_at.get(key) == deadline:
+                del removes_at[key]
+                due.append(key)
+        if due:
+            self._discard(due)
 
     def _discard(self, keys: Iterable[int]) -> None:
         """Drop *keys* from the directory now and account those it held."""

@@ -79,12 +79,13 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        for entry in ():",
            "ordered index", "LookupCacheMachine"),
     mutant("directory-no-cancel", DIRECTORY,
-           "        if pending is not None and pending.pop(key, None) is None:",
-           "        if pending is not None:",
+           "            bucket.append(key)\n"
+           "            maxes[at] = key\n",
+           "            bucket.append(key)\n",
            "ordered index", "RingDirectoryMachine"),
     mutant("directory-deletes-neighbour", DIRECTORY,
-           "                    del index[at]",
-           "                    del index[at - 1]",
+           "        del bucket[where]",
+           "        del bucket[where - 1]",
            "ordered index", "RingDirectoryMachine"),
     # -- one commit per flush, held to the per-key coordinator -----------
     mutant("flush-no-rescue", FLUSH,
@@ -99,8 +100,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        if count:\n",
            "flush", "FlushMachine"),
     mutant("flush-reversed-events", FLUSH,
-           "for key in removes]",
-           "for key in reversed(removes)]",
+           "GraceEntry(self, tuple(removes), deadline)",
+           "GraceEntry(self, tuple(reversed(removes)), deadline)",
            "flush", "FlushMachine"),
     mutant("flush-ttl-not-cleared", FLUSH,
            "            for key in removes:\n"
@@ -136,8 +137,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "[key for key in removes if key in directory]",
            "flush", "FlushMachine"),
     mutant("flush-bisect-right", DIRECTORY,
-           "            at = bisect.bisect_left(index, key)",
-           "            at = bisect.bisect_right(index, key)",
+           "        where = bisect.bisect_left(bucket, key)",
+           "        where = bisect.bisect_right(bucket, key)",
            "flush", "FlushMachine"),
     mutant("flush-wrong-annotation", FSLAYER,
            "            removes=len(removes),",

@@ -12,7 +12,6 @@ shape gates of ``benchmarks/bench_micro_core.py`` time against them.
 
 import hashlib
 from collections import defaultdict
-from functools import partial
 from random import Random
 
 from repro.core import lookup_cache
@@ -22,7 +21,7 @@ from repro.dht.routing import LookupResult, finger_table_for, route
 from repro.fs.namespace import Directory, NamespaceError
 from repro.obs.stream import NullJsonlWriter, stream_spans
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
-from repro.store.migration import StorageCoordinator
+from repro.store.migration import GraceEntry, StorageCoordinator
 from repro.workloads.scale import replica_path
 from repro.workloads.shift import FLASH_FRACTION, ShiftRequest, zipf_weights
 from repro.workloads.trace import READ
@@ -92,8 +91,10 @@ class ResortingDirectory(BlockDirectory):
     """The block directory as it was: any change to the key set is answered
     by re-sorting all of it at the next query."""
 
-    def _note(self, key, added):
-        self._pending = None
+    def _index(self):
+        starts = super()._index()
+        self._room = 0  # the next change is a burst
+        return starts
 
 
 class SortedDictDirectory:
@@ -122,12 +123,24 @@ class SortedDictDirectory:
         return sum(self.sizes[k] for k in self.keys_in_range(lo, hi))
 
 
-def event_key(fire):
-    """The block key a pending TTL or grace-period event is for, whether it
-    is held by a ``partial`` or in a closure cell."""
-    if isinstance(fire, partial):
-        return fire.args[0]
-    return fire.__closure__[fire.__code__.co_freevars.index("key")].cell_contents
+def event_keys(fire):
+    """The block keys a pending TTL or grace-period entry is for, in firing
+    order: a flush's :class:`GraceEntry` holds them all, a per-key event
+    holds one in a closure cell."""
+    if isinstance(fire, GraceEntry):
+        return fire.keys
+    return (fire.__closure__[fire.__code__.co_freevars.index("key")].cell_contents,)
+
+
+def firing_sequence(sim):
+    """``(time, key)`` for every key a pending entry will act on, in the
+    order they fire: what one event per key would have been queued as."""
+    sequence = []
+    for when, _, fire, count in sorted(sim._queue, key=lambda entry: entry[:2]):
+        keys = event_keys(fire)
+        assert count == len(keys), (count, keys)  # one counted event per key
+        sequence += [(when, key) for key in keys]
+    return sequence
 
 
 def store_state(store):
@@ -144,7 +157,8 @@ def store_state(store):
         "counters": store.metrics.snapshot()["counters"],
         "removes_at": list(store._removes_at.items()),
         "expires_at": list(store._expires_at.items()),
-        "pending": sorted((when, seq, event_key(fire)) for when, seq, fire in store.sim._queue),
+        "pending": firing_sequence(store.sim),
+        "pending_events": store.sim.pending(),
         "now": store.sim.now,
         "tracker": None if tracker is None else (tracker._copies, tracker._keys_on),
         "spans": store.spans.to_dicts() if store.spans else [],

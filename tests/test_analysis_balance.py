@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.balance import run_harvard_balance, run_webcache_balance
+from repro.analysis.harness import harvard_deployment
 from repro.workloads.harvard import HarvardConfig, generate_harvard
 from repro.workloads.web import WebConfig, generate_web
 
@@ -80,3 +81,22 @@ class TestWebcacheBalance:
     def test_unknown_system_rejected(self, web):
         with pytest.raises(ValueError):
             run_webcache_balance(web, "traditional-file", n_nodes=8)
+
+
+class TestStabilizeOnRetiringKeysPinned:
+    """Known gap, pinned not fixed (ROADMAP, the fs-plan item): loading an
+    image re-versions each directory once per entry, and every superseded
+    version waits out its 30 s grace period in the directory.  ``stabilize``
+    runs at time 0 with all of them there, so it balances keys that vanish
+    30 s later.  At seed 11 and the benchmark's sizes, 31 % of
+    ``write-balance``'s keys and 33 % of ``fetch-latency``'s are such
+    versions; once they expire, primary-load NSD goes 0.39 -> 0.64 and
+    0.45 -> 0.73.  Fixing it moves committed rows."""
+
+    @pytest.mark.xfail(strict=True, reason="stabilize balances keys still in their "
+                       "grace period; fixing it moves committed rows")
+    def test_stabilize_balances_the_keys_that_outlive_the_grace_period(self, harvard):
+        deployment = harvard_deployment(harvard, "d2", 16, seed=1)
+        balanced = deployment.store.primary_loads()
+        deployment.sim.run(until=deployment.sim.now + deployment.store.removal_delay)
+        assert deployment.store.primary_loads() == balanced

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.dht.keyspace import MAX_KEY
 from repro.dht.ring import load_split_point
+from repro.store import block_store
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
 
 
@@ -98,8 +99,13 @@ class TestRangeQueries:
         assert d.count_in_range(15, 45) == 3
 
 
-class TestIndexPatching:
-    """The sorted index is patched between queries, re-sorted after bulk."""
+class TestBucketIndex:
+    """The sorted index is kept in buckets between queries, re-sorted after
+    a burst."""
+
+    @pytest.fixture(autouse=True)
+    def small_buckets(self, monkeypatch):
+        monkeypatch.setattr(block_store, "BUCKET_KEYS", 8)
 
     def make(self, n=64):
         d = BlockDirectory()
@@ -107,53 +113,64 @@ class TestIndexPatching:
         assert d.count_in_range(5, 5) == n  # builds the index
         return d
 
-    def test_few_changes_patch_the_list_in_place(self):
+    def test_few_changes_touch_one_bucket(self):
         d = self.make()
-        index = d._sorted
+        buckets = d._buckets
+        untouched = [list(bucket) for bucket in buckets[1:]]
         d.put_many([(15, 1)])
         d.discard(20)
         d.put_many([(30, 9)])  # size only: not a change of the key set
-        assert d._pending == {15: True, 20: False}
+        assert d._buckets is buckets and d._starts is None
+        assert buckets[:2] == [[0, 10, 15], [30, 40, 50, 60, 70]]  # the full one split
+        assert buckets[2:] == untouched and d._maxes[:3] == [15, 70, 150]
         assert d.keys_in_range(0, 40) == [10, 15, 30, 40]
-        assert d._sorted is index and not d._pending
+        assert d._starts == [0, 3, *range(8, 65, 8)]
 
-    def test_a_key_that_comes_and_goes_inside_a_window_cancels(self):
-        d = self.make()
-        d.put_many([(15, 1)])
-        d.discard(15)  # never reached the index
-        d.discard(20)
-        d.put_many([(20, 2)])  # never left it
-        assert d._pending == {}
+    def test_put_then_discard_leaves_the_index_as_it_was(self):
+        d = self.make(196)  # 24 full buckets and one of four keys
+        before = [list(bucket) for bucket in d._buckets], list(d._maxes)
+        d.discard(20)  # out of a full bucket and back
+        d.put_many([(20, 2)])
+        d.put_many([(1935, 1)])  # into the short last bucket and out
+        d.discard(1935)
+        d.put_many([(1955, 1)])  # past every key: the last bucket grows
+        d.discard(1955)
+        assert ([list(bucket) for bucket in d._buckets], d._maxes) == before
         assert d.keys_in_range(0, 30) == [10, 20, 30]
 
-    def test_bulk_changes_stop_being_recorded(self):
+    def test_a_burst_costs_one_sort(self, monkeypatch):
+        sorts = []
+        monkeypatch.setattr(block_store, "sorted",
+                            lambda keys: sorts.append(1) or sorted(keys), raising=False)
         d = BlockDirectory()
         d.put_many([(1, 1)])
-        assert d._pending is None  # any change is the whole of an empty index
+        assert d._room < 0  # any change is the whole of an empty index
         d = self.make(64)
+        assert len(sorts) == 1
         d.put_many([(key, 1) for key in range(5, 5 + 10 * 4, 10)])
-        assert len(d._pending) == 4  # 4 of 64 pending: exactly the share, still a patch
+        assert d._room == 0  # 4 of 64 changed: exactly the share, still buckets
         d.put_many([(45, 1)])
-        assert d._pending is None
-        d.discard(45)  # too late to cancel; the re-sort reads the key set anyway
+        assert d._room < 0
+        d.discard(45)  # the re-sort reads the key set anyway
         assert d.keys_in_range(0, 50) == [5, 10, 15, 20, 25, 30, 35, 40, 50]
-        assert d._pending == {}
+        assert len(sorts) == 2 and all(len(bucket) <= 8 for bucket in d._buckets)
 
-    def test_returned_lists_survive_later_patches(self):
+    def test_returned_lists_survive_later_mutation(self):
         d = self.make(32)
         whole = d.keys_in_range(315, 315)  # full ring, rotation point at the end
-        assert whole == list(range(0, 320, 10)) and whole is not d._sorted
-        d.put_many([(5, 1)])
-        assert d.count_in_range(0, 10) == 2 and d._sorted[:3] == [0, 5, 10]
-        assert whole == list(range(0, 320, 10))
+        arc = d.keys_in_range(0, 70)  # exactly one bucket, minus its first key
+        assert whole == list(range(0, 320, 10)) and arc == list(range(10, 80, 10))
+        d.put_many([(5, 1), (65, 1)])
+        d.discard(70)
+        assert d.count_in_range(0, 10) == 2 and d._buckets[0][:3] == [0, 5, 10]
+        assert whole == list(range(0, 320, 10)) and arc == list(range(10, 80, 10))
 
-    def test_patch_refuses_to_delete_a_neighbour(self):
+    def test_discard_missing_from_its_bucket_deletes_no_neighbour(self):
         d = self.make()
-        d._sorted.remove(20)  # the index lost a key the directory still has
-        d.discard(20)
+        d._buckets[0].remove(20)  # the index lost a key the directory still has
         with pytest.raises(BlockDirectoryError):
-            d.count_in_range(0, 100)
-        assert 10 in d._sorted and 30 in d._sorted
+            d.discard(20)
+        assert d._buckets[0] == [0, 10, 30, 40, 50, 60, 70]
 
 
 class TestMedian:

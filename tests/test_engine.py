@@ -326,3 +326,41 @@ class TestScheduleBatch:
         sim.schedule_batch([(float(i), lambda: None) for i in range(5)])
         sim.run()
         assert registry.counter("sim.events_fired").value == 5
+
+
+class TestCountedEntry:
+    """An entry scheduled with ``count=n`` fires once and reads as n events."""
+
+    def make(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        return Simulator(registry=registry), registry
+
+    def test_fires_once_and_counts_n(self):
+        sim, registry = self.make()
+        fired = []
+        sim.schedule(5.0, lambda: fired.append(sim.now), count=3)
+        sim.schedule(7.0, lambda: fired.append(sim.now))
+        assert sim.pending() == 4 and len(sim._queue) == 2
+        sim.run(until=6.0)
+        assert fired == [5.0] and sim.pending() == 1
+        assert registry.counter("sim.events_fired").value == 3
+        sim.run()
+        assert registry.counter("sim.events_fired").value == 4 and sim.pending() == 0
+
+    def test_cancelled_counts_n(self):
+        sim, registry = self.make()
+        sim.cancel(sim.schedule(5.0, pytest.fail, count=3))
+        assert sim.pending() == 3
+        sim.run()
+        assert sim.pending() == 0
+        assert registry.counter("sim.events_cancelled").value == 3
+        assert registry.counter("sim.events_fired").value == 0
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_counts_at_least_one(self, count):
+        sim, _ = self.make()
+        with pytest.raises(SimulationError):
+            sim.schedule(1.0, lambda: None, count=count)
+        assert sim.pending() == 0

@@ -57,7 +57,8 @@ class TestCommit:
         assert (store.physical_holder(a), store.physical_holder(b)) == ("n1", "n3")
         assert store.ledger.total_written == 500 + 600
         assert store.metrics.get("store.writes").value == 4
-        assert old in store.directory and sim.pending() == 2  # one event per key
+        assert old in store.directory and sim.pending() == 2  # one event per key...
+        assert len(sim._queue) == 1  # ...counted on one entry
         sim.run()
         assert old not in store.directory
         assert store.ledger.total_removed == 500  # the unknown key removed nothing

@@ -2,7 +2,7 @@
 
 from collections import Counter
 
-from hypothesis import settings
+from hypothesis import event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -15,6 +15,7 @@ from repro.fs.namespace import Directory, FileNode, NamespaceError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
 from repro.sim.engine import Simulator
+from repro.store import block_store
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
 from repro.store.migration import StorageCoordinator
 from repro.store.repair import ReplicaTracker
@@ -106,25 +107,33 @@ ARCS = st.one_of(
 
 
 class RingDirectoryMachine(RuleBasedStateMachine):
-    """The patched sorted index against a dict that is sorted afresh on
+    """The bucketed sorted index against a dict that is sorted afresh on
     every query (:class:`tests.oracles.SortedDictDirectory`).
 
-    Mutations come singly (the next query patches them in), in pairs that
-    cancel inside one window, and in bursts that cross the re-sort
-    threshold; a flush with one negative size changes nothing.  Every query
-    kind is checked over plain, wrapping and full-ring arcs, and a list once
-    returned must not change afterwards.
+    Buckets hold at most 4 keys here, so that a few hundred keys split
+    buckets and empty them.  Mutations come singly (each goes into its
+    bucket), in pairs that cancel inside one window, and in bursts that
+    cross the re-sort threshold; a flush with one negative size changes
+    nothing.  Every query kind is checked over plain, wrapping and
+    full-ring arcs, and a list once returned must not change afterwards
+    nor be a bucket.
     """
 
     def __init__(self):
         super().__init__()
+        self.bucket_keys = block_store.BUCKET_KEYS
+        block_store.BUCKET_KEYS = 4
         self.directory = BlockDirectory()
         self.model = SortedDictDirectory()
         self.returned = []  # (list handed out, its contents then)
+        self.seen = None  # (the buckets, how many there were) at the last step
 
-    @initialize(keys=st.lists(DIRECTORY_KEYS, min_size=96, unique=True), arc=ARCS)
+    @initialize(keys=st.lists(st.integers(min_value=0, max_value=191), min_size=96,
+                              unique=True), arc=ARCS)
     def load_image(self, keys, arc):
-        """Start from a built index, so that what follows is patched in."""
+        """Start from a built index, so that what follows goes into its
+        buckets; its keys stop short of the key space, so that later puts
+        often land past every key."""
         self.burst(keys, remove=False)
         self.query(arc)
 
@@ -162,12 +171,22 @@ class RingDirectoryMachine(RuleBasedStateMachine):
         else:
             self.both("put_many", [(key, key % 13) for key in keys])
 
+    @rule(index=st.integers(min_value=0, max_value=255))
+    def empty_a_bucket(self, index):
+        """Every key of one bucket leaves, one at a time."""
+        buckets = self.directory._buckets
+        if buckets and self.directory._room >= 0:
+            for key in list(buckets[index % len(buckets)]):
+                self.both("discard", key)
+
     @rule(keys=st.lists(DIRECTORY_KEYS, max_size=8), bad=DIRECTORY_KEYS)
     def rejected_flush(self, keys, bad):
         assert self.both("put_many", [(key, 1) for key in keys] + [(bad, -1)]) is BlockDirectoryError
 
     @rule(arc=ARCS)
     def query(self, arc):
+        lo, hi = arc
+        event("full ring" if lo == hi else "wrapping arc" if lo > hi else "plain arc")
         keys = self.both("keys_in_range", *arc)
         self.returned.append((keys, list(keys)))
         self.both("count_in_range", *arc)
@@ -180,8 +199,26 @@ class RingDirectoryMachine(RuleBasedStateMachine):
         assert list(self.directory.keys()) == list(self.model.sizes)
 
     @invariant()
+    def buckets_hold_the_keys_in_order(self):
+        buckets = self.directory._buckets
+        if self.directory._room < 0:
+            return  # a burst waits for its re-sort
+        if self.seen is not None and self.seen[0] is buckets:
+            if len(buckets) != self.seen[1]:  # the same buckets, not a re-sort
+                event("a bucket split" if len(buckets) > self.seen[1] else "a bucket emptied")
+        self.seen = buckets, len(buckets)
+        assert all(0 < len(bucket) <= 4 for bucket in buckets)
+        assert self.directory._maxes == [bucket[-1] for bucket in buckets]
+        assert [key for bucket in buckets for key in bucket] == sorted(self.model.sizes)
+
+    @invariant()
     def returned_lists_are_the_callers(self):
         assert all(keys == then for keys, then in self.returned)
+        buckets = self.directory._buckets
+        assert not any(keys is bucket for keys, _ in self.returned for bucket in buckets)
+
+    def teardown(self):
+        block_store.BUCKET_KEYS = self.bucket_keys
 
 
 TestRingDirectoryModel = RingDirectoryMachine.TestCase
@@ -386,6 +423,7 @@ FLUSH_KEYS = st.integers(min_value=0, max_value=47)
 FLUSH_SIZES = st.integers(min_value=0, max_value=9000)
 TTLS = st.one_of(st.none(), st.sampled_from([5.0, 45.0]))
 DELAYS = st.one_of(st.none(), st.sampled_from([0.0, 10.0]))
+GRACE_WAITS = st.sampled_from([0.0, 10.0, 29.5])  # into a 30 s grace window
 
 
 class FlushMachine(RuleBasedStateMachine):
@@ -399,7 +437,10 @@ class FlushMachine(RuleBasedStateMachine):
     TTL-guarded one and removes one twice; the grace period is zero in half
     the runs, the tracker arrives mid-run, and the ring changes between
     flushes.  Everything either side can observe must agree after every
-    step, and again once every pending event has fired.
+    step (pending events compared as the ``(time, key)`` sequence they
+    fire in, one counted event per key), across a grace deadline inside
+    the rescue and newer-removal rules, and again once every pending event
+    has fired.
     """
 
     def __init__(self):
@@ -437,6 +478,30 @@ class FlushMachine(RuleBasedStateMachine):
     @rule(key=FLUSH_KEYS)
     def refresh(self, key):
         self.both(lambda store: store.refresh(key, 20.0))
+
+    @rule(keys=st.lists(FLUSH_KEYS, min_size=1, max_size=6), size=FLUSH_SIZES,
+          wait=GRACE_WAITS)
+    def rescue_by_reput(self, keys, size, wait):
+        """Removed, then written again inside the grace window: the flush's
+        entry still fires, and skips the rescued key."""
+        self.both(lambda store: store.commit([(key, size) for key in keys]))
+        self.both(lambda store: store.commit([], keys))
+        self.advance(wait)
+        self.both(lambda store: store.write(keys[0], size + 1))
+        self.advance(30.0 - wait)  # across the removal's deadline
+        self.same_state()
+
+    @rule(keys=st.lists(FLUSH_KEYS, min_size=1, max_size=6), size=FLUSH_SIZES,
+          wait=GRACE_WAITS)
+    def newer_removal_in_window(self, keys, size, wait):
+        """A second flush removes some of the same keys inside the first's
+        grace window: only the newer deadline retires them."""
+        self.both(lambda store: store.commit([(key, size) for key in keys]))
+        self.both(lambda store: store.commit([], keys))
+        self.advance(wait)
+        self.both(lambda store: store.commit([], keys[::2]))
+        self.advance(30.0 - wait)  # across the first deadline
+        self.same_state()
 
     @rule(ops=st.lists(st.tuples(st.sampled_from(["put", "put", "remove", "get"]),
                                  FLUSH_KEYS, FLUSH_SIZES), max_size=10))
