@@ -7,6 +7,7 @@ the reproduction can scale.
 """
 
 import gc
+import os
 import random
 import statistics
 import sys
@@ -16,6 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from benchmarks.callcount import CallCounter
 from repro.core import lookup_cache
 from repro.core import system as core_system
 from repro.core.keys import decode_key, encode_path_key, version_hash, volume_id
@@ -446,18 +448,9 @@ def test_read_stream_gate(monkeypatch):
     )
 
     def python_calls(fn):
-        calls = 0
-
-        def profile(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
-
-        sys.setprofile(profile)
-        try:
+        with CallCounter() as counter:
             result = fn()
-        finally:
-            sys.setprofile(None)
-        return calls, result
+        return counter.total(), result
 
     def replay(clones):
         deployment = build_deployment("d2", 16, seed=4)
@@ -507,22 +500,17 @@ def test_fetch_count_gate(monkeypatch):
     from repro.workloads.harvard import HarvardConfig, generate_harvard
 
     trace = generate_harvard(HarvardConfig(users=3, days=0.5, seed=4))
+    counter = CallCounter()
     watched = {
-        fn.__code__: name for name, fn in (
-            ("plan", DhtFileSystem.read_fetches),
-            ("successor_index", Ring.successor_index),
-            ("route", routing.route),
-            ("drain", Simulator._drain),
-            ("reindex", LookupCache._reindex),
-        )
+        "plan": DhtFileSystem.read_fetches,
+        "successor_index": Ring.successor_index,
+        "route": routing.route,
+        "drain": Simulator._drain,
+        "reindex": LookupCache._reindex,
     }
-    calls = dict.fromkeys(watched.values(), 0)
 
-    def profile(frame, event, arg):
-        if event == "call":
-            name = watched.get(frame.f_code)
-            if name is not None:
-                calls[name] += 1
+    def calls(name):
+        return counter.of(watched[name])
 
     requests, nodes = set(), []
     read_fetches = core_system.Deployment.read_fetches
@@ -538,10 +526,10 @@ def test_fetch_count_gate(monkeypatch):
     fetch_latency = performance.PerformanceHarness.fetch_latency
 
     def timed(self, *args):
-        before, lookups = dict(calls), self.lookups
+        resolved, routed, lookups = calls("successor_index"), calls("route"), self.lookups
         latency = fetch_latency(self, *args)
-        resolved = calls["successor_index"] - before["successor_index"]
-        routed = calls["route"] - before["route"]
+        resolved = calls("successor_index") - resolved
+        routed = calls("route") - routed
         fetches[self.lookups - lookups] += 1
         if resolved != self.lookups - lookups + routed:
             mismatched.append((resolved, routed))
@@ -555,9 +543,9 @@ def test_fetch_count_gate(monkeypatch):
         queue = self._queue
         due = until is None or (bool(queue) and queue[0][0] <= until)
         runs["due" if due else "idle"] += 1
-        before = calls["drain"]
+        before = calls("drain")
         run(self, until)
-        if not due and calls["drain"] != before:
+        if not due and calls("drain") != before:
             drain_in_idle.append(until)
 
     inserts = {"swept": 0, "patched": 0}
@@ -565,11 +553,11 @@ def test_fetch_count_gate(monkeypatch):
     insert = LookupCache.insert
 
     def counted_insert(self, lo, hi, node, now):
-        evicted, before = self.stats.evictions, calls["reindex"]
+        evicted, before = self.stats.evictions, calls("reindex")
         entry = insert(self, lo, hi, node, now)
         swept = self.stats.evictions > evicted
         inserts["swept" if swept else "patched"] += 1
-        if not swept and calls["reindex"] != before:
+        if not swept and calls("reindex") != before:
             reindexed_patch.append((lo, hi))
         return entry
 
@@ -577,20 +565,17 @@ def test_fetch_count_gate(monkeypatch):
     monkeypatch.setattr(performance.PerformanceHarness, "fetch_latency", timed)
     monkeypatch.setattr(Simulator, "run", counted_run)
     monkeypatch.setattr(LookupCache, "insert", counted_insert)
-    sys.setprofile(profile)
-    try:
+    with counter:
         for system in ("d2", "traditional"):
             performance.run_performance(trace, system, mode="seq", n_nodes=20, seed=1,
                                         n_windows=2)
-    finally:
-        sys.setprofile(None)
     absorbed, looked_up = fetches
-    assert looked_up > 100 and calls["route"] > 0, (fetches, calls)
+    assert looked_up > 100 and calls("route") > 0, (fetches, calls("route"))
     assert not mismatched, (
         f"(successor_index, route) calls of timed fetches that did not resolve "
         f"the key once: {mismatched[:5]} of {len(mismatched)}"
     )
-    assert 0 < calls["plan"] <= len(requests), (calls["plan"], len(requests))
+    assert 0 < calls("plan") <= len(requests), (calls("plan"), len(requests))
     assert runs["idle"] > runs["due"] > 0 and not drain_in_idle, (runs, drain_in_idle[:5])
     assert inserts["patched"] > 0 and not reindexed_patch, (inserts, reindexed_patch[:5])
 
@@ -690,3 +675,71 @@ def test_flush_commit_gate(monkeypatch):
         f"one commit per flush no longer beats one store call per key: "
         f"per key / commit = {sorted(gain)}"
     )
+
+
+@pytest.mark.parametrize("system", ["d2", "traditional"])
+def test_image_load_count_gate(monkeypatch, system):
+    """Shape gate: an image load makes, checks and stores each key once.
+
+    Counted, not timed, on the load of a small Harvard image (3 users over
+    half a day; 20 nodes), flush by flush, with Python ``call`` events of
+    ``benchmarks/callcount.py``:
+
+    * keys checked (each key handed to ``check_items``, plus each call of
+      ``validate_key``) are at most the flush's distinct put and remove keys;
+    * no ``BlockKey`` is built and ``directory_block_sizes`` computes each
+      entry count at most once (its table is a cache of tuples);
+    * Python calls into ``src/repro`` per block op stay within the measured
+      3.19 (d2) and 6.22 (traditional: two calls per hashed key) plus a
+      quarter; the flush path this replaced made 9.82 and 11.38.
+    """
+    import repro
+    from repro.core import keys as core_keys
+    from repro.dht import keyspace
+    from repro.fs import blocks
+    from repro.workloads.harvard import HarvardConfig, generate_harvard
+
+    image = generate_harvard(HarvardConfig(users=3, days=0.5, seed=4))
+    deployment = build_deployment(system, 20, seed=4)
+    checked, flushes = [0], []
+    check_items = block_store.check_items
+
+    def counted_check(keys, sizes=()):
+        checked[0] += len(keys)
+        return check_items(keys, sizes)
+
+    def recorded(store, ops):
+        checked[0], singles = 0, counter.of(keyspace.validate_key)
+        counters = apply_ops(store, ops)
+        distinct = {key for action, key, _, _ in ops if action != "get"}
+        singles = counter.of(keyspace.validate_key) - singles
+        flushes.append((len(ops), len(distinct), checked[0] + singles))
+        return counters
+
+    counter = CallCounter()
+    for name, module in list(sys.modules.items()):  # wherever it was imported
+        if name.startswith("repro.") and getattr(module, "check_items", None) is check_items:
+            monkeypatch.setattr(module, "check_items", counted_check)
+    monkeypatch.setattr(core_system, "apply_ops", recorded)
+    blocks.directory_block_sizes.cache_clear()
+    with counter:
+        deployment.load_initial_image(image)
+    ops = sum(n for n, _, _ in flushes)
+    assert len(flushes) > 100 and ops > 10 * len(flushes), (len(flushes), ops)
+    over = [(distinct, keys) for _, distinct, keys in flushes if keys > distinct]
+    assert not over, f"(distinct keys, keys checked) of flushes checking a key twice: {over[:5]}"
+    assert counter.of(core_keys.BlockKey.__post_init__) == 0
+    entry_counts = max(len(d.children) for d in walk_directories(deployment.fs.namespace.root))
+    sized = counter.of(blocks.directory_block_sizes.__wrapped__)
+    assert sized <= entry_counts + 1, (sized, entry_counts)
+    bound = {"d2": 3.19, "traditional": 6.22}[system] * 1.25
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    per_op = sum(counter.by_package(src).values()) / ops
+    assert per_op <= bound, f"{per_op:.2f} Python calls per block op (bound {bound:.2f})"
+
+
+def walk_directories(directory):
+    yield directory
+    for child in directory.children.values():
+        if not isinstance(child, FileNode):
+            yield from walk_directories(child)

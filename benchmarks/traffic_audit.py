@@ -4,8 +4,9 @@ Usage (from the repository root, ~10 min on a 2-vCPU host)::
 
     python benchmarks/traffic_audit.py
 
-Every run in :data:`RUNS` executes in a process of its own under
-``sys.setprofile``, which records the code object of every Python call.
+Every run in :data:`RUNS` executes in a process of its own under the
+``sys.setprofile`` collector of ``benchmarks/callcount.py``, which records
+the code object of every Python call.
 The audit then lists each function defined under ``src/repro`` (found with
 ``ast``: functions, methods and nested functions; lambdas and generated
 dataclass methods are not counted) whose code object no run entered, by
@@ -30,7 +31,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from collections import defaultdict
 from typing import Dict, List, Set, Tuple
@@ -110,32 +110,26 @@ def child(out_path: str, kind: str, target: str, argv: List[str]) -> None:
     """Run one target under the profiler and write the called (file, line) pairs."""
     import glob
 
-    seen: Set[object] = set()
-
-    def profile(frame, event, arg):  # noqa: ANN001 - sys.setprofile signature
-        if event == "call":
-            seen.add(frame.f_code)
+    from benchmarks.callcount import CallCounter
 
     # Globs are expanded here, after the runs before this one wrote their files.
     argv = [m for a in argv for m in (sorted(glob.glob(a)) if "*" in a else [a])]
-    sys.setprofile(profile)
-    threading.setprofile(profile)
+    counter = CallCounter()
     try:
-        if kind == "module":
-            sys.argv = [target] + argv
-            runpy.run_module(target, run_name="__main__", alter_sys=True)
-        elif kind == "path":
-            sys.argv = [target] + argv
-            runpy.run_path(target, run_name="__main__")
-        else:
-            exec(compile(target, "<audit>", "exec"), {"__name__": "__main__"})
+        with counter:
+            if kind == "module":
+                sys.argv = [target] + argv
+                runpy.run_module(target, run_name="__main__", alter_sys=True)
+            elif kind == "path":
+                sys.argv = [target] + argv
+                runpy.run_path(target, run_name="__main__")
+            else:
+                exec(compile(target, "<audit>", "exec"), {"__name__": "__main__"})
     except SystemExit as exc:
         if exc.code not in (None, 0):
             print(f"exit status {exc.code}", file=sys.stderr)
     finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
-        called = sorted({(c.co_filename, c.co_firstlineno) for c in seen  # type: ignore[attr-defined]
+        called = sorted({(c.co_filename, c.co_firstlineno) for c in counter.counts
                          if c.co_filename.startswith(PACKAGE)})
         with open(out_path, "w") as fh:
             json.dump(called, fh)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
-from repro.dht.keyspace import KEY_BYTES, key_from_bytes, key_to_bytes
+from repro.dht.keyspace import KEY_BYTES, validate_key
 
 VOLUME_ID_BYTES = 20
 SLOT_BYTES = 2
@@ -63,6 +63,17 @@ _LAYOUT_BYTES = (
     + VERSION_BYTES
 )
 assert _LAYOUT_BYTES == KEY_BYTES, "Figure-4 layout must fill the 64-byte key exactly"
+
+# Bit offsets of the fields in the ring integer, least significant first.
+_BLOCK_SHIFT = 8 * VERSION_BYTES
+_REMAINDER_SHIFT = _BLOCK_SHIFT + 8 * BLOCK_NUMBER_BYTES
+_TRAILING_MASK = (1 << _REMAINDER_SHIFT) - 1  # the block-number and version fields
+_SLOT_SHIFTS = tuple(  # slot_1 (level 0) is the most significant
+    _REMAINDER_SHIFT + 8 * (REMAINDER_BYTES + SLOT_BYTES * (MAX_PATH_LEVELS - 1 - level))
+    for level in range(MAX_PATH_LEVELS))
+_VOLUME_SHIFT = _REMAINDER_SHIFT + 8 * (REMAINDER_BYTES + SLOT_BYTES * MAX_PATH_LEVELS)
+# Every field from slot level i down: zero in a prefix of depth i.
+_BELOW_LEVEL = tuple((1 << (shift + 8 * SLOT_BYTES)) - 1 for shift in _SLOT_SHIFTS)
 
 
 class KeyEncodingError(ValueError):
@@ -133,49 +144,23 @@ class BlockKey:
 
     def encode(self) -> int:
         """Pack into the canonical 64-byte key (as a ring integer)."""
-        parts = [self.volume]
-        parts.extend(slot.to_bytes(SLOT_BYTES, "big") for slot in self.slots)
-        parts.append(self.remainder.to_bytes(REMAINDER_BYTES, "big"))
-        parts.append(self.block_number.to_bytes(BLOCK_NUMBER_BYTES, "big"))
-        parts.append(self.version.to_bytes(VERSION_BYTES, "big"))
-        return key_from_bytes(b"".join(parts))
-
-    @property
-    def depth(self) -> int:
-        """Number of encoded path levels (trailing zero slots excluded)."""
-        depth = MAX_PATH_LEVELS
-        while depth > 0 and self.slots[depth - 1] == 0:
-            depth -= 1
-        return depth
-
-    def child(self, slot: int, block_number: int = 0, version: int = 0) -> "BlockKey":
-        """Key of a child named by *slot* one level below this key's path."""
-        depth = self.depth
-        if depth >= MAX_PATH_LEVELS:
-            raise KeyEncodingError("cannot extend a fully deep slot path")
-        if not FIRST_USABLE_SLOT <= slot < SLOT_SPACE:
-            raise KeyEncodingError(f"child slot {slot} invalid")
-        slots = list(self.slots)
-        slots[depth] = slot
-        return BlockKey(self.volume, tuple(slots), 0, block_number, version)
+        key = int.from_bytes(self.volume, "big") << _VOLUME_SHIFT
+        for slot, shift in zip(self.slots, _SLOT_SHIFTS):
+            key |= slot << shift
+        return key | (self.remainder << _REMAINDER_SHIFT) | (
+            self.block_number << _BLOCK_SHIFT) | self.version
 
 
 def decode_key(key: int) -> BlockKey:
     """Decode a 64-byte ring key into its Figure-4 fields."""
-    raw = key_to_bytes(key)
-    offset = 0
-    volume = raw[offset : offset + VOLUME_ID_BYTES]
-    offset += VOLUME_ID_BYTES
-    slots = []
-    for _ in range(MAX_PATH_LEVELS):
-        slots.append(int.from_bytes(raw[offset : offset + SLOT_BYTES], "big"))
-        offset += SLOT_BYTES
-    remainder = int.from_bytes(raw[offset : offset + REMAINDER_BYTES], "big")
-    offset += REMAINDER_BYTES
-    block_number = int.from_bytes(raw[offset : offset + BLOCK_NUMBER_BYTES], "big")
-    offset += BLOCK_NUMBER_BYTES
-    version = int.from_bytes(raw[offset : offset + VERSION_BYTES], "big")
-    return BlockKey(volume, tuple(slots), remainder, block_number, version)
+    validate_key(key)
+    return BlockKey(
+        (key >> _VOLUME_SHIFT).to_bytes(VOLUME_ID_BYTES, "big"),
+        tuple((key >> shift) & (SLOT_SPACE - 1) for shift in _SLOT_SHIFTS),
+        (key >> _REMAINDER_SHIFT) & ((1 << (8 * REMAINDER_BYTES)) - 1),
+        (key >> _BLOCK_SHIFT) & MAX_BLOCK_NUMBER,
+        key & MAX_VERSION,
+    )
 
 
 def encode_path_key(
@@ -193,26 +178,43 @@ def encode_path_key(
     pass the extra (string) components via *overflow_components*; their hash
     fills the 8-byte remainder field, sacrificing locality past level 12.
     """
-    slot_path = list(slot_path)
+    slot_path = tuple(slot_path)
     overflow = list(overflow_components)
+    if len(volume) != VOLUME_ID_BYTES:
+        raise KeyEncodingError(f"volume id must be {VOLUME_ID_BYTES} bytes, got {len(volume)}")
     if len(slot_path) > MAX_PATH_LEVELS:
         raise KeyEncodingError(
             f"slot path too deep ({len(slot_path)} > {MAX_PATH_LEVELS}); "
             "pass extra components via overflow_components"
         )
-    for slot in slot_path:
+    key = int.from_bytes(volume, "big") << _VOLUME_SHIFT
+    for slot, shift in zip(slot_path, _SLOT_SHIFTS):
         if not FIRST_USABLE_SLOT <= slot < SLOT_SPACE:
             raise KeyEncodingError(f"slot {slot} out of range for a path component")
-    if overflow and len(slot_path) < MAX_PATH_LEVELS:
-        raise KeyEncodingError("overflow components given but slot path is not full")
-    padded = tuple(slot_path) + (0,) * (MAX_PATH_LEVELS - len(slot_path))
-    return BlockKey(
-        volume=volume,
-        slots=padded,
-        remainder=_remainder_hash(overflow),
-        block_number=block_number,
-        version=version,
-    ).encode()
+        key |= slot << shift
+    if overflow:
+        if len(slot_path) < MAX_PATH_LEVELS:
+            raise KeyEncodingError("overflow components given but slot path is not full")
+        key |= _remainder_hash(overflow) << _REMAINDER_SHIFT
+    if not 0 <= block_number <= MAX_BLOCK_NUMBER:
+        raise KeyEncodingError(f"block number {block_number} out of range")
+    if not 0 <= version <= MAX_VERSION:
+        raise KeyEncodingError(f"version {version} out of range")
+    return key | (block_number << _BLOCK_SHIFT) | version
+
+
+def child_prefix(parent_prefix: int, depth: int, slot: int) -> int:
+    """The prefix of the child named by *slot* under *parent_prefix*, an
+    :func:`encode_path_key` prefix of *depth* levels (every field from level
+    *depth* down zero): *slot* OR-ed in at level *depth*, bit-identical to
+    encoding the child's slot path.  Past level 12 a path is hashed instead."""
+    if not 0 <= depth < MAX_PATH_LEVELS:
+        raise KeyEncodingError("cannot extend a fully deep slot path")
+    if not FIRST_USABLE_SLOT <= slot < SLOT_SPACE:
+        raise KeyEncodingError(f"child slot {slot} invalid")
+    if parent_prefix & _BELOW_LEVEL[depth]:
+        raise KeyEncodingError(f"prefix has fields set below level {depth}")
+    return parent_prefix | (slot << _SLOT_SHIFTS[depth])
 
 
 @lru_cache(maxsize=65536)
@@ -226,10 +228,6 @@ def version_hash(content_version: int) -> int:
     """
     digest = hashlib.sha256(content_version.to_bytes(8, "big")).digest()
     return int.from_bytes(digest[:VERSION_BYTES], "big")
-
-
-_BLOCK_SHIFT = 8 * VERSION_BYTES
-_TRAILING_MASK = (1 << (8 * (BLOCK_NUMBER_BYTES + VERSION_BYTES))) - 1
 
 
 def compose_block_key(prefix_key: int, block_number: int, version: int) -> int:
@@ -275,3 +273,17 @@ def compose_block_run(
         prefix_key | (number << _BLOCK_SHIFT) | version_hash(version_of(number, version))
         for number in blocks
     ]
+
+
+def compose_version_run(prefix_key: int, count: int, version: int) -> List[int]:
+    """``compose_block_run(prefix_key, range(count), {}, version)`` — a
+    directory's metadata blocks — checked once: with one version field for
+    the run, block ``n``'s key is the first key plus ``n`` block steps."""
+    if prefix_key & _TRAILING_MASK:
+        raise KeyEncodingError("prefix key must have zero block/version fields")
+    first = prefix_key | version_hash(version)
+    if count == 1:  # a directory of up to 128 entries
+        return [first]
+    if not 0 <= count <= MAX_BLOCK_NUMBER + 1:
+        raise KeyEncodingError(f"block count {count} out of range")
+    return [first + (number << _BLOCK_SHIFT) for number in range(count)]

@@ -189,14 +189,18 @@ class Deployment:
     def load_initial_image(self, trace: Trace) -> None:
         """Insert a trace's initial directories and files into the DHT."""
         self.bootstrap_volume()
+        fs, store = self.fs, self.store
         for directory in trace.initial_dirs:
-            if not self.fs.namespace.exists(directory):
-                apply_ops(self.store, self.fs.makedirs(directory))
+            if ops := fs.makedirs(directory):
+                apply_ops(store, ops)
         for path, size in trace.initial_files:
-            parent = path.rsplit("/", 1)[0] or "/"
-            if parent != "/" and not self.fs.namespace.exists(parent):
-                apply_ops(self.store, self.fs.makedirs(parent))
-            apply_ops(self.store, self.fs.create(path, size=size))
+            try:
+                ops = fs.create(path, size=size)
+            except NamespaceError:  # a parent the image lists no directory for
+                if ops := fs.makedirs(path.rsplit("/", 1)[0]):
+                    apply_ops(store, ops)
+                ops = fs.create(path, size=size)
+            apply_ops(store, ops)
 
     def stabilize(self, max_rounds: int = 300) -> int:
         """Run balancing to convergence and materialize all pointers.

@@ -167,15 +167,22 @@ class Ring:
     def owners(self, keys: Iterable[int]) -> List[str]:
         """The owner of each of *keys*, in order.
 
-        For keys asked about once (a flush's fresh block versions): one
-        pass over the sorted positions that neither reads nor grows the
-        memo, which would otherwise end an image load holding every key.
-        """
+        For keys asked about once, already checked (a flush's fresh block
+        versions): one pass that leaves the memo alone, one bisect per run of
+        keys in one arc (a D2 flush's cluster)."""
         if not self._ids:
             raise RingError("ring is empty")
         ids, names, size = self._ids, self._names, len(self._ids)
         find = bisect.bisect_left
-        return [names[find(ids, validate_key(key)) % size] for key in keys]
+        owners: List[str] = []
+        low = high = -1  # the arc (low, high] of the last owner found
+        for key in keys:
+            if not low < key <= high:
+                at = find(ids, key)
+                low, high = ids[at - 1] if at else -1, ids[at] if at < size else KEY_SPACE
+                owner = names[at % size]
+            owners.append(owner)
+        return owners
 
     def successors(self, key: int, count: int) -> List[str]:
         """The *count* distinct nodes clockwise from *key* (replica group).

@@ -53,6 +53,6 @@ def run_accel(
 
 def accel_rows(**grid: Any) -> List[Dict[str, Any]]:
     """Run the accel matrix, append it to the trajectory, return its rows."""
-    results = run_accel(cells=accel_cells(**grid))
-    record_trajectory(results)
-    return [result.row() for result in results]
+    rows = [result.row() for result in run_accel(cells=accel_cells(**grid))]
+    record_trajectory(rows)
+    return rows

@@ -154,7 +154,7 @@ def run_scale(
 def scale_rows(**grid: Any) -> List[Dict[str, Any]]:
     """Run the scale matrix, append it to the trajectory, return its rows."""
     results = run_scale(cells=scale_cells(**grid))
-    record_trajectory(results)
+    record_trajectory([result.row() for result in results])
     rows = []
     for result in results:
         row = result.row()
@@ -175,8 +175,13 @@ def bench_path(explicit: Optional[str] = None) -> str:
     return os.environ.get(BENCH_ENV, "").strip() or DEFAULT_BENCH_PATH
 
 
+class TrajectoryError(ValueError):
+    """A trajectory file that is truncated, hand-edited or of another schema."""
+
+
 def validate_run(run: Any, index: int) -> List[str]:
-    """Structural problems with one run entry."""
+    """Structural problems with one run entry; a cell's call ledger (counts
+    by package, ``total``) must add up."""
     problems: List[str] = []
     where = f"runs[{index}]"
     if not isinstance(run, dict):
@@ -195,60 +200,69 @@ def validate_run(run: Any, index: int) -> List[str]:
         for j, cell in enumerate(cells):
             if not isinstance(cell, dict) or "cell" not in cell:
                 problems.append(f"{where}.cells[{j}]: not a cell row")
+            elif "calls" in cell:
+                counts = list(cell["calls"].values()) if isinstance(cell["calls"], dict) else [-1]
+                if not all(type(n) is int and n >= 0 for n in counts) or (
+                        cell.get("total") != sum(counts)):
+                    problems.append(f"{where}.cells[{j}]: calls do not add up to total")
     return problems
 
 
 def load_trajectory(path: str) -> Dict[str, Any]:
-    """Load and validate a ``BENCH_scale.json`` document.
+    """Load and validate a trajectory document (``BENCH_scale.json``,
+    ``BENCH_calls.json``).
 
-    A document that fails validation (an unversioned run entry included)
-    raises ``ValueError`` naming every problem, so a corrupt trajectory
-    is an error rather than a silent reset.
+    A document that is not JSON or fails validation (an unversioned run
+    entry included) raises :class:`TrajectoryError` naming every problem,
+    so a corrupt trajectory is an error rather than a silent reset.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        loaded = json.load(handle)
+        try:
+            loaded = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise TrajectoryError(f"{path}: not a JSON document ({exc})") from None
     if not isinstance(loaded, dict) or loaded.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
+        raise TrajectoryError(
             f"{path}: document schema {loaded.get('schema')!r} "
             f"!= {BENCH_SCHEMA}" if isinstance(loaded, dict)
             else f"{path}: not a JSON object"
         )
     runs = loaded.get("runs")
     if not isinstance(runs, list):
-        raise ValueError(f"{path}: runs must be a list")
+        raise TrajectoryError(f"{path}: runs must be a list")
     problems: List[str] = []
     for index, run in enumerate(runs):
         problems.extend(validate_run(run, index))
     if problems:
-        raise ValueError(f"{path}: " + "; ".join(problems))
+        raise TrajectoryError(f"{path}: " + "; ".join(problems))
     return loaded
 
 
 def record_trajectory(
-    results: Sequence[ScaleCellResult],
+    rows: Sequence[Dict[str, Any]],
     *,
     path: Optional[str] = None,
     label: Optional[str] = None,
 ) -> str:
-    """Append one labelled run to the ``BENCH_scale.json`` trajectory.
+    """Append one labelled run of cell *rows* to a trajectory file
+    (default: the ``BENCH_scale.json`` of :func:`bench_path`).
 
     The file holds every recorded run in order, so a sequence of PRs
     leaves a throughput/memory curve rather than a single overwritten
-    number.  Existing entries are validated before the new run —
-    stamped :data:`RUN_SCHEMA` — is appended.  Returns the path written.
+    number.  Existing entries and the new run — stamped
+    :data:`RUN_SCHEMA` — are validated before anything is written.
+    Returns the path written.
     """
     target = bench_path(path)
     label = label or os.environ.get(LABEL_ENV, "").strip() or "local"
     document: Dict[str, Any] = {"schema": BENCH_SCHEMA, "runs": []}
     if os.path.exists(target):
         document = load_trajectory(target)
-    document["runs"].append(
-        {
-            "label": label,
-            "schema": RUN_SCHEMA,
-            "cells": [result.row() for result in results],
-        }
-    )
+    run = {"label": label, "schema": RUN_SCHEMA, "cells": list(rows)}
+    problems = validate_run(run, len(document["runs"]))
+    if problems:
+        raise TrajectoryError(f"{target}: " + "; ".join(problems))
+    document["runs"].append(run)
     with open(target, "w", encoding="utf-8") as handle:
         # The $REPRO_SCALE_LABEL-derived run label is provenance metadata
         # (who recorded this run), never an input to any comparison.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 BLOCK_SIZE = 8192
 # Files at or below this size are stored inline in their inode ("when the
@@ -100,10 +100,10 @@ def directory_block_count(n_entries: int) -> int:
     return -(-n_entries // per_block)
 
 
-def directory_block_sizes(n_entries: int) -> List[int]:
-    """Sizes of a directory's metadata blocks."""
+@lru_cache(maxsize=8192)
+def directory_block_sizes(n_entries: int) -> Tuple[int, ...]:
+    """Sizes of a directory's metadata blocks, computed once per entry
+    count: every flush re-sizes each directory on its path."""
     count = directory_block_count(n_entries)
     total = max(DIRECTORY_ENTRY_BYTES, n_entries * DIRECTORY_ENTRY_BYTES)
-    sizes = [BLOCK_SIZE] * (count - 1)
-    sizes.append(total - BLOCK_SIZE * (count - 1))
-    return sizes
+    return (BLOCK_SIZE,) * (count - 1) + (total - BLOCK_SIZE * (count - 1),)

@@ -24,7 +24,7 @@ client write-back cache is not modelled (see :mod:`repro.core.config`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.fs.blocks import (
     INLINE_DATA_THRESHOLD,
@@ -36,7 +36,7 @@ from repro.fs.blocks import (
     inode_size,
 )
 from repro.fs.keyschemes import KeyScheme
-from repro.fs.namespace import Directory, FileNode, Namespace
+from repro.fs.namespace import Directory, FileNode, Namespace, NamespaceError
 
 ROOT_BLOCK_SIZE = 256
 
@@ -60,14 +60,21 @@ def _read_blocks(node: FileNode, offset: int, length: Optional[int]) -> range:
     return blocks_covering(offset, length or node.size, node.size)
 
 
+#: A :class:`BlockOp` from its 4-tuple, without the generated ``__new__``'s
+#: Python frame: the read replay's image load makes ~94 000.
+_op = tuple.__new__
+ROOT, DIRECTORY, INODE, DATA = BlockKind.ROOT, BlockKind.DIRECTORY, BlockKind.INODE, BlockKind.DATA
+
+
 class DhtFileSystem:
     """One writer's view of a D2 (or baseline) file-system volume.
 
     The block plan — which blocks an object has, at which version and how
-    big — is stated once, in the four ``_*_op(s)``
-    helpers.  Mutations and :meth:`read`/:meth:`readdir` compose them into
-    :class:`BlockOp` lists; :meth:`read_fetches` is the same plan for a
-    read, projected to the ``(key, nbytes)`` run the replay paths consume.
+    big — is stated once, in the ``_*_op(s)`` helpers and the re-versioning
+    loop of :meth:`_reversion`.  Mutations walk the parent chain once and
+    compose them into :class:`BlockOp` lists; :meth:`read_fetches` is the
+    same plan for a read, projected to the ``(key, nbytes)`` run the replay
+    paths consume.
     """
 
     def __init__(self, scheme: KeyScheme) -> None:
@@ -81,57 +88,50 @@ class DhtFileSystem:
 
     def _root_op(self, action: str) -> BlockOp:
         """The root block, updated in place."""
-        return BlockOp(action, self._root_key, ROOT_BLOCK_SIZE, BlockKind.ROOT)
+        return _op(BlockOp, (action, self._root_key, ROOT_BLOCK_SIZE, ROOT))
 
     def _dir_ops(self, action: str, directory: Directory, version: int) -> List[BlockOp]:
         """Every metadata block of *directory* at *version*."""
-        key = self.scheme.directory_block_key
-        return [
-            BlockOp(action, key(directory, number, version), size, BlockKind.DIRECTORY)
-            for number, size in enumerate(directory_block_sizes(directory.entry_count))
-        ]
+        sizes = directory_block_sizes(len(directory.children))
+        keys = self.scheme.directory_block_keys(directory, version, len(sizes))
+        return [_op(BlockOp, (action, key, size, DIRECTORY)) for key, size in zip(keys, sizes)]
 
     def _inode_op(self, action: str, node: FileNode, version: int, size: int) -> BlockOp:
         """The inode (block 0) of *node* as of *version*, when it held *size* bytes."""
-        return BlockOp(action, self.scheme.file_block_key(node, 0, version),
-                       inode_size(size), BlockKind.INODE)
+        return _op(BlockOp, (action, self.scheme.file_block_key(node, 0, version),
+                             inode_size(size), INODE))
 
     def _data_ops(self, action: str, node: FileNode, blocks: range) -> List[BlockOp]:
         """The live versions of the run *blocks* of *node* at its current
         size, keyed as one run — the path :meth:`read_fetches` takes."""
-        sizes = data_block_sizes_table(node.size)
-        return [
-            BlockOp(action, key, sizes[number - 1], BlockKind.DATA)
-            for number, key in zip(blocks, self.scheme.file_block_keys(node, blocks))
-        ]
+        sizes = data_block_sizes_table(node.size)[blocks.start - 1:blocks.stop - 1]
+        keys = self.scheme.file_block_keys(node, blocks)
+        return [_op(BlockOp, (action, key, size, DATA)) for key, size in zip(keys, sizes)]
 
-    def _reversion_directory(self, directory: Directory) -> List[BlockOp]:
-        """Write a directory's metadata blocks at the next version and
-        retire the previous version's."""
-        old_version = directory.version
-        directory.version += 1
-        ops = self._dir_ops("put", directory, directory.version)
-        if old_version > 0:  # version 0 means the directory was never flushed
-            ops += self._dir_ops("remove", directory, old_version)
-        return ops
-
-    def _reversion(self, directories: Iterable[Directory]) -> List[BlockOp]:
-        """Re-version *directories* in the order given, then rewrite the root."""
+    def _reversion(self, chain: Iterable[Directory]) -> List[BlockOp]:
+        """Re-version *chain* in the order given, then rewrite the root: each
+        directory's blocks at its next version, then the previous version's
+        retired (0: never flushed), both at its current size."""
         ops: List[BlockOp] = []
-        for directory in directories:
-            ops += self._reversion_directory(directory)
+        append = ops.append
+        keys_of = self.scheme.directory_block_keys
+        for directory in chain:
+            sizes = directory_block_sizes(len(directory.children))
+            old = directory.version
+            directory.version = new = old + 1
+            for key, size in zip(keys_of(directory, new, len(sizes)), sizes):
+                append(_op(BlockOp, ("put", key, size, DIRECTORY)))
+            if old > 0:
+                for key, size in zip(keys_of(directory, old, len(sizes)), sizes):
+                    append(_op(BlockOp, ("remove", key, size, DIRECTORY)))
         self.root_version += 1
-        ops.append(self._root_op("put"))
+        append(self._root_op("put"))
         return ops
-
-    def _reversion_path(self, path: str) -> List[BlockOp]:
-        """Re-version every directory from *path*'s parent up to the root."""
-        return self._reversion(reversed(self.namespace.ancestors_of(path)))
 
     def _read_path(self, path: str) -> List[BlockOp]:
         """Gets of the root and of every directory down to *path*'s parent."""
         ops = [self._root_op("get")]
-        for directory in self.namespace.ancestors_of(path):
+        for directory in self.namespace.parent_chain(path)[0]:
             ops += self._dir_ops("get", directory, directory.version)
         return ops
 
@@ -148,30 +148,38 @@ class DhtFileSystem:
     # namespace operations
 
     def mkdir(self, path: str) -> List[BlockOp]:
-        directory = self.namespace.mkdir(path)
+        chain, name = self.namespace.parent_chain(path)
+        directory = self.namespace.add(chain[-1], name, Directory)
+        self.scheme.place(directory, chain[-1])
         directory.version = 1
-        return self._dir_ops("put", directory, 1) + self._reversion_path(path)
+        return self._dir_ops("put", directory, 1) + self._reversion(reversed(chain))
 
     def makedirs(self, path: str) -> List[BlockOp]:
-        """mkdir -p; emits ops only for directories actually created."""
+        """mkdir -p; emits ops only for directories actually created, walking
+        the directories that exist once."""
         ops: List[BlockOp] = []
-        parts = [p for p in path.split("/") if p]
+        node: Union[Directory, FileNode] = self.namespace.root
         current = ""
-        for part in parts:
+        for part in [part for part in path.split("/") if part]:
+            if not isinstance(node, Directory):
+                raise NamespaceError(f"{path!r}: not a directory at {part!r}")
             current += "/" + part
-            if not self.namespace.exists(current):
-                ops.extend(self.mkdir(current))
+            if part not in node.children:
+                ops += self.mkdir(current)
+            node = node.children[part]
         return ops
 
     def create(self, path: str, size: int = 0) -> List[BlockOp]:
         """Create a file of *size* bytes (contents written immediately)."""
-        node = self.namespace.create_file(path, size)
+        chain, name = self.namespace.parent_chain(path)
+        node = self.namespace.add(chain[-1], name, FileNode, size=size)
+        self.scheme.place(node, chain[-1])
         node.version = 1
         blocks = range(1, data_block_count(size) + 1)
         node.block_versions.update(dict.fromkeys(blocks, 1))
         ops = self._data_ops("put", node, blocks)
         ops.append(self._inode_op("put", node, 1, size))
-        return ops + self._reversion_path(path)
+        return ops + self._reversion(reversed(chain))
 
     def write(self, path: str, offset: int, length: int) -> List[BlockOp]:
         """Overwrite/extend ``[offset, offset+length)`` of an existing file.
@@ -181,7 +189,10 @@ class DhtFileSystem:
         """
         if length <= 0:
             return []
-        node = self.namespace.resolve_file(path)
+        chain, name = self.namespace.parent_chain(path)
+        node = chain[-1].children.get(name)
+        if not isinstance(node, FileNode):
+            raise NamespaceError(f"{path!r} is not a file")
         old_size, old_version = node.size, node.version
         node.size = max(old_size, offset + length)
         touched = blocks_covering(offset, length, node.size)
@@ -204,7 +215,7 @@ class DhtFileSystem:
                 ops.append(retired[number])
         ops.append(self._inode_op("put", node, node.version, node.size))
         ops.append(self._inode_op("remove", node, old_version, old_size))
-        return ops + self._reversion_path(path)
+        return ops + self._reversion(reversed(chain))
 
     def read(self, path: str, offset: int = 0, length: Optional[int] = None) -> List[BlockOp]:
         """Blocks a reader must fetch for ``[offset, offset+length)``.
@@ -243,14 +254,14 @@ class DhtFileSystem:
         Quick removal matters for locality: dead blocks left between live
         ones fragment active data over more nodes (Section 3).
         """
-        node = self.namespace.resolve(path)
+        chain, name = self.namespace.parent_chain(path)
+        node = self.namespace.unlink(chain[-1], name)
         if isinstance(node, FileNode):
             ops = self._data_ops("remove", node, range(1, data_block_count(node.size) + 1))
             ops.append(self._inode_op("remove", node, node.version, node.size))
         else:
             ops = self._dir_ops("remove", node, node.version)
-        self.namespace.remove(path)
-        return ops + self._reversion_path(path)
+        return ops + self._reversion(reversed(chain))
 
     def rename(self, src: str, dst: str) -> List[BlockOp]:
         """Move a file/directory; only the two parents' metadata changes.
@@ -258,10 +269,11 @@ class DhtFileSystem:
         The object keeps its original keys (Section 4.2), so no data moves
         even for a large directory tree.
         """
-        src_parents = self.namespace.ancestors_of(src)
-        self.namespace.rename(src, dst)
-        chain = [*reversed(src_parents), *reversed(self.namespace.ancestors_of(dst))]
+        src_chain, src_name = self.namespace.parent_chain(src)
+        dst_chain, dst_name = self.namespace.parent_chain(dst)
+        self.namespace.move(src_chain[-1], src_name, dst_chain, dst_name)
         # Each directory once, at its first place in the two chains.
+        chain = [*reversed(src_chain), *reversed(dst_chain)]
         return self._reversion({id(directory): directory for directory in chain}.values())
 
     def readdir(self, path: str) -> List[BlockOp]:
@@ -287,9 +299,9 @@ class DhtFileSystem:
             }
         return {
             "type": "directory",
-            "entries": node.entry_count,
+            "entries": len(node.children),
             "version": node.version,
-            "blocks": len(directory_block_sizes(node.entry_count)),
+            "blocks": len(directory_block_sizes(len(node.children))),
         }
 
     # ------------------------------------------------------------------
@@ -315,16 +327,21 @@ def apply_ops(store, ops: Iterable[BlockOp]) -> Dict[str, int]:
     """
     put_sizes: Dict[int, int] = {}
     removes: Dict[int, None] = {}  # distinct keys, in op order
-    counters = {"put": 0, "get": 0, "remove": 0}
+    put_bytes = get_bytes = remove_bytes = 0
     for action, key, size, _kind in ops:
-        counters[action] += size
         if action == "put":
+            put_bytes += size
             put_sizes[key] = put_sizes.get(key, 0) + size
         elif action == "remove":
+            remove_bytes += size
             removes[key] = None
+        elif action == "get":
+            get_bytes += size
+        else:
+            raise KeyError(action)
     directory = store.directory
     store.commit(
-        list(put_sizes.items()),
+        put_sizes,
         [key for key in removes if key not in put_sizes and key in directory],
     )
     # One root span per flush, made once it is known to have gone through.
@@ -332,10 +349,10 @@ def apply_ops(store, ops: Iterable[BlockOp]) -> Dict[str, int]:
         now = store.sim.now
         store.spans.finish(store.spans.start_trace(
             "fs.apply_ops", now,
-            put_bytes=counters["put"],
-            get_bytes=counters["get"],
-            remove_bytes=counters["remove"],
+            put_bytes=put_bytes,
+            get_bytes=get_bytes,
+            remove_bytes=remove_bytes,
             puts=len(put_sizes),
             removes=len(removes),
         ), now)
-    return counters
+    return {"put": put_bytes, "get": get_bytes, "remove": remove_bytes}

@@ -19,11 +19,13 @@ hashes) plus block number and version — to a 64-byte ring key:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.keys import (
+    child_prefix,
     compose_block_key,
     compose_block_run,
+    compose_version_run,
     encode_path_key,
     version_hash,
     volume_id,
@@ -47,25 +49,31 @@ class KeyScheme(ABC):
 
     def __init__(self, volume_name: str) -> None:
         self.volume_name = volume_name
-        self._prefixes: Dict[str, Union[int, str]] = {}  # by storage identity
+        self._prefixes: Dict[str, Any] = {}  # by storage identity: an int (D2) or a str
 
     @abstractmethod
-    def _make_prefix(self, obj: Union[FileNode, Directory]):
-        """The version- and block-independent part of an object's keys."""
+    def _make_prefix(self, obj: Union[FileNode, Directory], parent: Optional[Directory]):
+        """The version- and block-independent part of an object's keys
+        (*parent*: the directory it was made in, when known)."""
 
-    def _prefix(self, obj: Union[FileNode, Directory]):
+    def _prefix(self, obj: Union[FileNode, Directory], parent: Optional[Directory] = None):
         prefix = self._prefixes.get(obj.ident)
         if prefix is None:
-            prefix = self._prefixes[obj.ident] = self._make_prefix(obj)
+            prefix = self._prefixes[obj.ident] = self._make_prefix(obj, parent)
         return prefix
+
+    def place(self, obj: Union[FileNode, Directory], parent: Directory) -> None:
+        """Make the prefix of *obj*, just made in *parent*, before its keys
+        (a scheme may derive it from the parent's)."""
+        self._prefix(obj, parent)
 
     @abstractmethod
     def file_block_key(self, node: FileNode, block_number: int, version: int) -> int:
         """Key of one block of a file (block 0 is the inode)."""
 
     @abstractmethod
-    def directory_block_key(self, directory: Directory, block_number: int, version: int) -> int:
-        """Key of one metadata block of a directory."""
+    def directory_block_keys(self, directory: Directory, version: int, count: int) -> List[int]:
+        """Keys of the *count* metadata blocks of a directory at *version*."""
 
     @abstractmethod
     def root_key(self) -> int:
@@ -94,15 +102,20 @@ class D2KeyScheme(KeyScheme):
         super().__init__(volume_name)
         self.volume = volume_id(volume_name)
 
-    def _make_prefix(self, obj: Union[FileNode, Directory]) -> int:
-        # The Figure-4 key with zeroed block-number and version fields.
+    def _make_prefix(self, obj: Union[FileNode, Directory], parent: Optional[Directory]) -> int:
+        # The Figure-4 key with zeroed block-number and version fields: one
+        # level below the parent's, unless the path overflowed level 12.
+        if parent is not None and not obj.overflow:
+            return child_prefix(self._prefix(parent), len(parent.slot_path), obj.slot_path[-1])
         return encode_path_key(self.volume, obj.slot_path, overflow_components=obj.overflow)
 
     def file_block_key(self, node: FileNode, block_number: int, version: int) -> int:
         return compose_block_key(self._prefix(node), block_number, version_hash(version))
 
-    def directory_block_key(self, directory: Directory, block_number: int, version: int) -> int:
-        return compose_block_key(self._prefix(directory), block_number, version_hash(version))
+    def directory_block_keys(self, directory: Directory, version: int, count: int) -> List[int]:
+        # The memo probed inline: a flush asks this twice per ancestor.
+        prefix = self._prefixes.get(directory.ident) or self._prefix(directory)
+        return compose_version_run(prefix, count, version)
 
     def file_block_keys(self, node: FileNode, blocks: range) -> List[int]:
         return compose_block_run(self._prefix(node), blocks, node.block_versions, node.version)
@@ -116,7 +129,7 @@ class D2KeyScheme(KeyScheme):
 class _HashedKeyScheme(KeyScheme):
     """Shared by the hashed baselines: the prefix is ``volume|identity``."""
 
-    def _make_prefix(self, obj: Union[FileNode, Directory]) -> str:
+    def _make_prefix(self, obj: Union[FileNode, Directory], parent: Optional[Directory]) -> str:
         return f"{self.volume_name}|{obj.ident}"
 
     def root_key(self) -> int:
@@ -131,8 +144,9 @@ class TraditionalKeyScheme(_HashedKeyScheme):
     def file_block_key(self, node: FileNode, block_number: int, version: int) -> int:
         return hashed_key(f"{self._prefix(node)}|b{block_number}|v{version}")
 
-    def directory_block_key(self, directory: Directory, block_number: int, version: int) -> int:
-        return hashed_key(f"{self._prefix(directory)}|d{block_number}|v{version}")
+    def directory_block_keys(self, directory: Directory, version: int, count: int) -> List[int]:
+        prefix = self._prefix(directory)
+        return [hashed_key(f"{prefix}|d{number}|v{version}") for number in range(count)]
 
 
 class TraditionalFileKeyScheme(_HashedKeyScheme):
@@ -149,8 +163,8 @@ class TraditionalFileKeyScheme(_HashedKeyScheme):
     def file_block_key(self, node: FileNode, block_number: int, version: int) -> int:
         return hashed_key(f"{self._prefix(node)}|file")
 
-    def directory_block_key(self, directory: Directory, block_number: int, version: int) -> int:
-        return hashed_key(f"{self._prefix(directory)}|dir")
+    def directory_block_keys(self, directory: Directory, version: int, count: int) -> List[int]:
+        return [hashed_key(f"{self._prefix(directory)}|dir")] * count
 
     def file_block_keys(self, node: FileNode, blocks: range) -> List[int]:
         return [self.file_block_key(node, 0, 0)] * len(blocks)

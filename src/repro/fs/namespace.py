@@ -35,7 +35,7 @@ def storage_identity(slot_path: Tuple[int, ...], overflow: Tuple[str, ...]) -> s
     preserves — so, like a content hash, it never changes when the file
     moves.  Made once, when the object is: see ``FileNode.ident``.
     """
-    slots = ".".join(str(s) for s in slot_path)
+    slots = ".".join(map(str, slot_path))
     extra = "/".join(overflow)
     return f"{slots}|{extra}"
 
@@ -112,10 +112,6 @@ class Directory:
             self._used_slots.discard(slot)
             self._freed_slots.append(slot)
 
-    @property
-    def entry_count(self) -> int:
-        return len(self.children)
-
 
 class Namespace:
     """The mutable directory tree of one D2 volume."""
@@ -158,31 +154,21 @@ class Namespace:
         except NamespaceError:
             return False
 
-    def parent_of(self, path: str) -> Tuple[Directory, str]:
+    def parent_chain(self, path: str) -> Tuple[List[Directory], str]:
+        """Directories from the root down to the parent of *path*, and the
+        name *path* has there, in one walk: the metadata blocks re-versioned
+        on every flushed write (Section 3: "inserts new versions of all the
+        metadata blocks along the full path to the root")."""
         parts = split_path(path)
         if not parts:
             raise NamespaceError("the root has no parent")
-        parent = self.resolve_dir("/" + "/".join(parts[:-1]))
-        return parent, parts[-1]
-
-    def ancestors_of(self, path: str) -> List[Directory]:
-        """Directories from the root down to the parent of *path*.
-
-        These are exactly the metadata blocks re-versioned on every flushed
-        write (Section 3: "inserts new versions of all the metadata blocks
-        along the full path to the root").
-        """
-        parts = split_path(path)
         chain = [self.root]
-        node: Union[Directory, FileNode] = self.root
         for part in parts[:-1]:
+            node = chain[-1].children.get(part)
             if not isinstance(node, Directory):
-                raise NamespaceError(f"{path!r}: not a directory at {part!r}")
-            node = node.children[part]
-            if not isinstance(node, Directory):
-                raise NamespaceError(f"{path!r}: {part!r} is not a directory")
+                raise NamespaceError(f"{path!r}: no directory {part!r}")
             chain.append(node)
-        return chain
+        return chain, parts[-1]
 
     # ------------------------------------------------------------------
     # mutation
@@ -195,36 +181,25 @@ class Namespace:
             return parent.slot_path + (slot,), ()
         return parent.slot_path, parent.overflow + (name,)
 
-    def mkdir(self, path: str) -> Directory:
-        parent, name = self.parent_of(path)
+    def add(self, parent: Directory, name: str, kind, **fields) -> Union[Directory, FileNode]:
+        """A new *kind* (:class:`Directory` or :class:`FileNode`) called
+        *name* in *parent*, in a freshly allocated slot."""
         if name in parent.children:
-            raise NamespaceError(f"{path!r} already exists")
+            raise NamespaceError(f"{name!r} already exists in {parent.name!r}")
         slot = parent.allocate_slot()
         slot_path, overflow = self._storage_location(parent, slot, name)
-        child = Directory(name=name, slot_path=slot_path, overflow=overflow)
-        parent.children[name] = child
-        parent.child_slots[name] = slot
-        return child
-
-    def create_file(self, path: str, size: int = 0) -> FileNode:
-        parent, name = self.parent_of(path)
-        if name in parent.children:
-            raise NamespaceError(f"{path!r} already exists")
-        slot = parent.allocate_slot()
-        slot_path, overflow = self._storage_location(parent, slot, name)
-        node = FileNode(name=name, slot_path=slot_path, overflow=overflow, size=size)
+        node = kind(name=name, slot_path=slot_path, overflow=overflow, **fields)
         parent.children[name] = node
         parent.child_slots[name] = slot
         return node
 
-    def remove(self, path: str) -> Union[Directory, FileNode]:
-        """Unlink a file or an empty directory; frees its slot."""
-        parent, name = self.parent_of(path)
+    def unlink(self, parent: Directory, name: str) -> Union[Directory, FileNode]:
+        """Unlink a file or an empty directory from *parent*; frees its slot."""
         node = parent.children.get(name)
         if node is None:
-            raise NamespaceError(f"{path!r} does not exist")
+            raise NamespaceError(f"{name!r} does not exist in {parent.name!r}")
         if isinstance(node, Directory) and node.children:
-            raise NamespaceError(f"{path!r} is a non-empty directory")
+            raise NamespaceError(f"{name!r} is a non-empty directory")
         slot = parent.child_slots.pop(name)
         del parent.children[name]
         # The slot may be reused only when the dying object's keys embedded
@@ -232,32 +207,25 @@ class Namespace:
         # is this slot) or it is an overflow child whose keys embed names,
         # not slots.  A renamed-in object's keys use its *original* parent's
         # slot, so this slot never appeared in any key and is safe to free;
-        # a renamed-away object's slot was already preserved by rename().
+        # a renamed-away object's slot was already preserved by move().
         if node.overflow or (node.slot_path and node.slot_path[-1] == slot):
             parent.release_slot(slot)
         return node
 
-    def rename(self, src: str, dst: str) -> Union[Directory, FileNode]:
-        """Move *src* to *dst*, keeping the object's original keys.
-
-        Only the two parent directories' metadata changes; none of the
-        object's blocks move (Section 4.2).  The vacated slot in the source
-        parent stays reserved because the object's keys still use it.
-        """
-        node = self.resolve(src)
-        src_parent, src_name = self.parent_of(src)
-        dst_parent, dst_name = self.parent_of(dst)
+    def move(self, src_parent: Directory, src_name: str, dst_chain: List[Directory],
+             dst_name: str) -> Union[Directory, FileNode]:
+        """Move *src_name* of *src_parent* to *dst_name* in the last directory
+        of *dst_chain* (the root first), keeping the object's original keys:
+        none of its blocks move (Section 4.2), and its vacated slot in the
+        source parent stays reserved because the keys still use it."""
+        node = src_parent.children.get(src_name)
+        if node is None:
+            raise NamespaceError(f"{src_name!r} does not exist in {src_parent.name!r}")
+        dst_parent = dst_chain[-1]
         if dst_name in dst_parent.children:
-            raise NamespaceError(f"{dst!r} already exists")
-        if isinstance(node, Directory):
-            # Renaming a directory above dst into itself would loop.
-            probe = dst_parent
-            while True:
-                if probe is node:
-                    raise NamespaceError("cannot rename a directory into itself")
-                if probe is self.root:
-                    break
-                probe = self._find_parent_dir(probe)
+            raise NamespaceError(f"{dst_name!r} already exists in {dst_parent.name!r}")
+        if any(directory is node for directory in dst_chain):
+            raise NamespaceError("cannot rename a directory into itself")
         del src_parent.children[src_name]
         src_parent.child_slots.pop(src_name)
         # NOTE: the slot is deliberately NOT released — the moved object's
@@ -268,14 +236,3 @@ class Namespace:
         dst_parent.child_slots[dst_name] = dst_slot
         self.renames += 1
         return node
-
-    def _find_parent_dir(self, target: Directory) -> Directory:
-        stack = [self.root]
-        while stack:
-            current = stack.pop()
-            for child in current.children.values():
-                if child is target:
-                    return current
-                if isinstance(child, Directory):
-                    stack.append(child)
-        raise NamespaceError("directory detached from tree")

@@ -21,14 +21,25 @@ touching buckets at once and is absorbed by one sort at the next query.
 from __future__ import annotations
 
 import bisect
-from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate, repeat
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.dht.keyspace import validate_key
+from repro.dht.keyspace import KEY_SPACE, validate_key
 
 
 class BlockDirectoryError(Exception):
     """Raised on invalid directory operations (negative size, missing key)."""
+
+
+def check_items(keys: Collection[int], sizes: Collection[int] = ()) -> None:
+    """Raise if a key is not a ring key or a size is negative: C-level passes
+    (type, minimum, maximum), then key by key only to raise."""
+    if not all(map(isinstance, keys, repeat(int))) or (
+            keys and not 0 <= min(keys) <= max(keys) < KEY_SPACE):
+        for key in keys:
+            validate_key(key)
+    if sizes and min(sizes) < 0:
+        raise BlockDirectoryError(f"negative block size {min(sizes)}")
 
 
 #: Key changes beyond this share of the index between two queries go to one
@@ -71,20 +82,19 @@ class BlockDirectory:
         All of them are checked first: an invalid key or a negative size
         anywhere raises before the directory has changed.
         """
-        for key, size in items:
-            validate_key(key)
-            if size < 0:
-                raise BlockDirectoryError(f"negative block size {size}")
+        keys, sizes = tuple(zip(*items)) or ((), ())
+        check_items(keys, sizes)
+        self._upsert(dict(items))
+
+    def _upsert(self, fresh: Dict[int, int]) -> None:
+        """:meth:`put_many`'s body, for distinct keys already checked."""
         sizes = self._sizes
-        for key, size in items:
-            old = sizes.get(key)
-            sizes[key] = size
-            if old is None:
-                self.total_bytes += size
-                if self._room >= 0:
-                    self._insert(key)
-            else:
-                self.total_bytes += size - old
+        new = [key for key in fresh if key not in sizes] if self._room >= 0 else ()
+        replaced = sum(map(sizes.get, fresh, repeat(0)))
+        sizes.update(fresh)
+        self.total_bytes += sum(fresh.values()) - replaced
+        for key in new:  # the buckets stop at the burst: only the sign of _room counts
+            self._insert(key)
 
     def discard(self, key: int) -> Optional[int]:
         """Delete a block if present; returns its size or None."""

@@ -23,14 +23,13 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import ne
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.dht.keyspace import validate_key
 from repro.dht.ring import Ring
 from repro.obs.events import MIGRATION, POINTER_CREATE, POINTER_FLUSH, EventTracer
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
-from repro.store.block_store import BlockDirectory
+from repro.store.block_store import BlockDirectory, check_items
 from repro.store.pointers import PointerRange, PointerTable
 
 SECONDS_PER_DAY = 86400.0
@@ -173,59 +172,68 @@ class StorageCoordinator:
 
     def commit(
         self,
-        puts: Sequence[Tuple[int, int]],
+        puts: Union[Sequence[Tuple[int, int]], Dict[int, int]],
         removes: Sequence[int] = (),
         *,
         ttl: Optional[float] = None,
         delay: Optional[float] = None,
     ) -> None:
-        """Apply one flush: upsert every ``(key, size)`` of *puts*, then
-        retire every key of *removes* — what one :meth:`write` per put and
-        then one :meth:`remove` per key did, and those are this with one key.
+        """Apply one flush: upsert every ``(key, size)`` of *puts* (pairs, or
+        a dict of distinct keys), then retire every key of *removes* — what
+        one :meth:`write` per put and then one :meth:`remove` per key did.
 
-        The flush is checked whole: a non-int or out-of-range key, a negative
-        size or a non-positive *ttl* raises before the directory, a
-        placement, the ledger, a counter or the event queue has changed.
-        Owners come from one pass over the ring; ledger and counters move
-        once, by the flush's sums.  A put inside a removal grace window
-        rescues the block (the pending entry's deadline guard then fails).
-        The removals fire after the grace period (*delay*, default
-        ``removal_delay``) as one queue entry that counts as one event per
-        key; a key gone by then is skipped, only the newest removal's
-        deadline counts, and removing clears TTL state so a stale expiry
-        cannot kill a re-written block.
+        The flush is checked whole, each key and size once: a non-int or
+        out-of-range key, a negative size or a non-positive *ttl* raises
+        before the directory, a placement, the ledger, a counter or the event
+        queue has changed.  Owners come from one pass over the ring; ledger
+        and counters move once, by the flush's sums.  A put inside a removal
+        grace window rescues the block (the pending entry's deadline guard
+        then fails).  The removals fire after the grace period (*delay*,
+        default ``removal_delay``) as one queue entry that counts as one
+        event per key; a key gone by then is skipped, only the newest
+        removal's deadline counts, and removing clears TTL state so a stale
+        expiry cannot kill a re-written block.
         """
         if ttl is not None and ttl <= 0:
             raise ValueError("ttl must be positive")
-        keys = [key for key, _ in puts]
-        owners = self.ring.owners(keys) if keys else ()
-        for key in removes:
-            validate_key(key)
-        self.directory.put_many(puts)  # checks keys and sizes before it changes
-        now = self.sim.now
-        removes_at, expires_at = self._removes_at, self._expires_at
+        keys: Collection[int]
+        sizes: Collection[int]
+        if isinstance(puts, dict):
+            keys, sizes, fresh = puts.keys(), puts.values(), puts
+        else:
+            keys, sizes = tuple(zip(*puts)) or ((), ())
+            fresh = dict(puts)
+        check_items(keys, sizes)
+        check_items(removes)
+        now, removes_at, expires_at = self.sim.now, self._removes_at, self._expires_at
         if keys:
+            owners = self.ring.owners(keys)  # raises on an empty ring, so first
+            self.directory._upsert(fresh)
             self.physical_at.update(zip(keys, owners))
-            written = sum(size for _, size in puts)
+            written = sum(sizes)
             self.ledger.record_write(now, written)
             self._c_writes.inc(len(keys))
             self._c_written_bytes.inc(written)
+            for key in removes_at.keys() & fresh.keys():  # rescued
+                del removes_at[key]
             tracker = self._replica_tracker
-            for key in keys:
-                removes_at.pop(key, None)
-                if tracker is not None:
+            if tracker is not None:
+                for key in keys:
                     tracker.place(key, self.holders(key))
-                if ttl is None:
-                    expires_at.pop(key, None)
-                else:
+            if ttl is not None:
+                for key in keys:
                     self._set_expiry(key, ttl)
+            elif expires_at:
+                for key in expires_at.keys() & fresh.keys():
+                    del expires_at[key]
         if removes:
+            if expires_at:
+                for key in expires_at.keys() & removes:
+                    del expires_at[key]
             wait = self.removal_delay if delay is None else delay
-            for key in removes:
-                expires_at.pop(key, None)
             if wait <= 0:
-                for key in removes:
-                    removes_at.pop(key, None)
+                for key in removes_at.keys() & removes:
+                    del removes_at[key]
                 self._discard(removes)
             else:
                 deadline = now + wait

@@ -252,7 +252,7 @@ def scored_elsewhere(text: str) -> bool:
 def holds(condition: Optional[str], combo: Dict[str, str]) -> bool:
     if not condition:
         return True
-    match = re.fullmatch(r"\s*matrix\.(\w+)\s*(==|!=)\s*'([^']*)'\s*", condition)
+    match = re.fullmatch(r"\s*matrix\.([\w-]+)\s*(==|!=)\s*'([^']*)'\s*", condition)
     if match is None:
         raise ValueError(f"cannot evaluate CI condition {condition!r}")
     key, op, value = match.groups()

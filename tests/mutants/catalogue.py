@@ -5,7 +5,7 @@ source file.  Each ``old`` must occur exactly once in its file, so a
 refactor that moves the code a mutant names makes it fail loudly
 (``tests/test_mutant_catalogue.py``) instead of silently scoring nothing.
 
-Four groups, in catalogue order:
+Five groups, in catalogue order:
 
 * the mutants written by hand while building the ordered indexes, the
   one-commit flush, the folded read replay and the plan reuse, each
@@ -17,7 +17,8 @@ Four groups, in catalogue order:
   OBS002) and one for the class the runtime sanitizer claims: entropy the
   AST cannot resolve;
 * one per class of the runner's own guards: a cache key that ignores a
-  parameter the result depends on, and a warm rerun that simulates.
+  parameter the result depends on, and a warm rerun that simulates;
+* one for the derived D2 prefix: a child's slot placed one level off.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ FSLAYER = "src/repro/fs/fslayer.py"
 SCALE = "src/repro/analysis/scale.py"
 CELLS = "src/repro/runner/cells.py"
 KEYSCHEMES = "src/repro/fs/keyschemes.py"
+KEYS = "src/repro/core/keys.py"
 
 MUTANTS: Tuple[Mutant, ...] = (
     # -- the ordered indexes, held to their scan oracles -----------------
@@ -89,9 +91,9 @@ MUTANTS: Tuple[Mutant, ...] = (
            "ordered index", "RingDirectoryMachine"),
     # -- one commit per flush, held to the per-key coordinator -----------
     mutant("flush-no-rescue", FLUSH,
-           "            for key in keys:\n"
-           "                removes_at.pop(key, None)\n",
-           "            for key in keys:\n",
+           "            for key in removes_at.keys() & fresh.keys():  # rescued\n"
+           "                del removes_at[key]\n",
+           "",
            "flush", "FlushMachine"),
     mutant("flush-ledger-bump-on-empty", FLUSH,
            "        if count:\n"
@@ -104,8 +106,9 @@ MUTANTS: Tuple[Mutant, ...] = (
            "GraceEntry(self, tuple(reversed(removes)), deadline)",
            "flush", "FlushMachine"),
     mutant("flush-ttl-not-cleared", FLUSH,
-           "            for key in removes:\n"
-           "                expires_at.pop(key, None)\n",
+           "            if expires_at:\n"
+           "                for key in expires_at.keys() & removes:\n"
+           "                    del expires_at[key]\n",
            "",
            "flush", "FlushMachine"),
     mutant("flush-zero-size-not-counted", FLUSH,
@@ -119,13 +122,14 @@ MUTANTS: Tuple[Mutant, ...] = (
            "self.physical_at.update(zip(keys, owners[::-1]))",
            "flush", "FlushMachine"),
     mutant("flush-tracker-not-placed", FLUSH,
-           "                if tracker is not None:\n"
+           "            if tracker is not None:\n"
+           "                for key in keys:\n"
            "                    tracker.place(key, self.holders(key))\n",
            "",
            "flush", "FlushMachine"),
     mutant("flush-removes-at-left-after-immediate-removal", FLUSH,
-           "                for key in removes:\n"
-           "                    removes_at.pop(key, None)\n",
+           "                for key in removes_at.keys() & removes:\n"
+           "                    del removes_at[key]\n",
            "",
            "flush", "FlushMachine"),
     mutant("flush-puts-not-summed", FSLAYER,
@@ -145,12 +149,11 @@ MUTANTS: Tuple[Mutant, ...] = (
            "            removes=len(put_sizes),",
            "flush", "FlushMachine"),
     mutant("flush-validate-while-mutating", FLUSH,
-           "        for key in removes:\n"
-           "            validate_key(key)\n"
-           "        self.directory.put_many(puts)  # checks keys and sizes before it changes\n",
-           "        self.directory.put_many(puts)  # checks keys and sizes before it changes\n"
-           "        for key in removes:\n"
-           "            validate_key(key)\n",
+           ("        check_items(removes)\n",
+            "            self.directory._upsert(fresh)\n"),
+           ("",
+            "            self.directory._upsert(fresh)\n"
+            "            check_items(removes)\n"),
            "flush", "FlushMachine"),
     # -- the read replay folded per distinct request ----------------------
     mutant("fold-forgets-multiplicity", SCALE,
@@ -201,10 +204,10 @@ MUTANTS: Tuple[Mutant, ...] = (
     mutant("id-in-key", KEYSCHEMES,
            "        prefix = self._prefixes.get(obj.ident)\n"
            "        if prefix is None:\n"
-           "            prefix = self._prefixes[obj.ident] = self._make_prefix(obj)\n",
+           "            prefix = self._prefixes[obj.ident] = self._make_prefix(obj, parent)\n",
            "        prefix = self._prefixes.get(id(obj))\n"
            "        if prefix is None:\n"
-           "            prefix = self._prefixes[id(obj)] = self._make_prefix(obj)\n",
+           "            prefix = self._prefixes[id(obj)] = self._make_prefix(obj, parent)\n",
            "nondeterminism: id()", "DET004"),
     # -- one per remaining rule's own class -------------------------------
     mutant("key-hand-packed-one-bit-off", KEYSCHEMES,
@@ -245,4 +248,9 @@ MUTANTS: Tuple[Mutant, ...] = (
            "            cache.put(kind, cells[index], value)\n",
            "",
            "warm rerun", "ci runner-smoke warm leg"),
+    # -- the D2 prefix derived from the parent's, held to the full encode --
+    mutant("prefix-slot-one-level-off", KEYS,
+           "    return parent_prefix | (slot << _SLOT_SHIFTS[depth])",
+           "    return parent_prefix | (slot << _SLOT_SHIFTS[depth + 1])",
+           "key layout", "TestDerivedPrefix"),
 )

@@ -18,7 +18,7 @@ from repro.core import lookup_cache
 from repro.core.lookup_cache import LookupCache
 from repro.dht.keyspace import KEY_BITS, distance, in_interval
 from repro.dht.routing import LookupResult, finger_table_for, route
-from repro.fs.namespace import Directory, NamespaceError
+from repro.fs.namespace import Directory, FileNode, NamespaceError
 from repro.obs.stream import NullJsonlWriter, stream_spans
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
 from repro.store.migration import GraceEntry, StorageCoordinator
@@ -172,7 +172,7 @@ class PerKeyCoordinator(StorageCoordinator):
     per removal, two closures and an event scheduled alone."""
 
     def commit(self, puts, removes=(), *, ttl=None, delay=None):
-        for key, size in puts:
+        for key, size in puts.items() if isinstance(puts, dict) else puts:
             self.write(key, size, ttl=ttl)
         for key in removes:
             self.remove(key, delay=delay)
@@ -438,6 +438,32 @@ def owns(ring, name, key):
     """True when *name*'s arc holds *key*: ownership read off ``range_of``,
     not off the successor search the ring answers lookups with."""
     return len(ring) == 1 or in_interval(key, *ring.range_of(name))
+
+
+def mkdir(namespace, path):
+    """``Namespace.mkdir`` as it was: the parent found by path, then the add
+    the file system now makes in the parent it walked to."""
+    chain, name = namespace.parent_chain(path)
+    return namespace.add(chain[-1], name, Directory)
+
+
+def create_file(namespace, path, size=0):
+    """``Namespace.create_file`` as it was (see :func:`mkdir`)."""
+    chain, name = namespace.parent_chain(path)
+    return namespace.add(chain[-1], name, FileNode, size=size)
+
+
+def remove(namespace, path):
+    """``Namespace.remove`` as it was (see :func:`mkdir`)."""
+    chain, name = namespace.parent_chain(path)
+    return namespace.unlink(chain[-1], name)
+
+
+def rename(namespace, src, dst):
+    """``Namespace.rename`` as it was (see :func:`mkdir`)."""
+    src_chain, src_name = namespace.parent_chain(src)
+    dst_chain, dst_name = namespace.parent_chain(dst)
+    return namespace.move(src_chain[-1], src_name, dst_chain, dst_name)
 
 
 def walk(namespace):

@@ -21,7 +21,9 @@ from repro.store.block_store import BlockDirectoryError
 from repro.store.migration import StorageCoordinator
 from repro.workloads.harvard import HarvardConfig, generate_harvard
 from repro.workloads.trace import READ
-from tests.oracles import store_state
+from tests.oracles import (
+    PerKeyCoordinator, apply_ops_per_key, firing_sequence, store_state, walk,
+)
 
 
 @pytest.fixture
@@ -76,7 +78,8 @@ class TestCreate:
         dir_puts = [op for op in puts(ops) if op.kind is BlockKind.DIRECTORY]
         chain = [fs.namespace.resolve_dir(path) for path in ("/", "/a", "/a/b", "/a/b/c")]
         assert sorted(op.key for op in dir_puts) == sorted(
-            fs.scheme.directory_block_key(directory, 0, directory.version) for directory in chain
+            fs.scheme.directory_block_keys(directory, directory.version, 1)[0]
+            for directory in chain
         )
 
     def test_data_put_sizes_sum_to_file(self, fs):
@@ -293,8 +296,7 @@ class TestDirectoryBlockBoundaryPinned:
         store = self.loaded(fs, self.PER_BLOCK + 1)
         assert len(store.directory) == 1 + 1 + 2 + (self.PER_BLOCK + 1)
         directory = fs.namespace.resolve_dir("/m")
-        old = [fs.scheme.directory_block_key(directory, number, directory.version)
-               for number in (0, 1)]
+        old = fs.scheme.directory_block_keys(directory, directory.version, 2)
         leaked = old[1]
         ops = fs.remove("/m/f000")
         assert [op.key for op in removes(ops) if op.key in old] == old[:1]  # fixed: old (d0, d1)
@@ -306,7 +308,7 @@ class TestDirectoryBlockBoundaryPinned:
     def test_growing_across_a_block_boundary_removes_a_key_nothing_put(self, fs):
         store = self.loaded(fs, self.PER_BLOCK)
         directory = fs.namespace.resolve_dir("/m")
-        phantom = fs.scheme.directory_block_key(directory, 1, directory.version)
+        phantom = fs.scheme.directory_block_keys(directory, directory.version, 2)[1]
         ops = fs.create("/m/one-more", size=0)
         unknown = [op for op in removes(ops) if op.key not in store.directory]
         assert [op.key for op in unknown] == [phantom]  # fixed: []
@@ -420,3 +422,33 @@ def test_block_op_stream_golden(system):
     golden = json.loads(GOLDEN_STREAMS.read_text())[system]
     count, sha256 = replay_op_stream(system)
     assert (count, sha256) == (golden["ops"], golden["sha256"])
+
+
+@pytest.mark.parametrize("system", ["d2", "traditional", "traditional-file"])
+def test_image_load_equals_the_per_key_replay(system):
+    """``load_initial_image`` (one ``apply_ops`` -> ``commit`` per object)
+    leaves the store the per-key oracle leaves after the same ops: the
+    directory's items in order, placements, pending removals in firing
+    order, the ledger and the counters."""
+    image = generate_harvard(HarvardConfig(users=3, days=0.5, seed=4))
+    flushes = []
+
+    def recording_apply_ops(store, ops):
+        flushes.append(list(ops))
+        return apply_ops(store, ops)
+
+    loaded = build_deployment(system, n_nodes=20, seed=4)
+    with mock.patch.object(system_module, "apply_ops", recording_apply_ops):
+        loaded.load_initial_image(image)
+    oracle = build_deployment(system, n_nodes=20, seed=4)
+    oracle.store.__class__ = PerKeyCoordinator  # the same store, key by key
+    for ops in flushes:
+        apply_ops_per_key(oracle.store, ops)
+    # The format, then one flush per object: each directory, each file.
+    assert len(flushes) == len(list(walk(loaded.fs.namespace)))
+
+    def state(store):
+        return (list(store.directory._sizes.items()), list(store.physical_at.items()),
+                firing_sequence(store.sim), store.ledger, store.metrics.snapshot()["counters"])
+
+    assert state(loaded.store) == state(oracle.store)

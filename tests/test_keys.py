@@ -10,8 +10,10 @@ from repro.core.keys import (
     SLOT_SPACE,
     BlockKey,
     KeyEncodingError,
+    child_prefix,
     compose_block_key,
     compose_block_run,
+    compose_version_run,
     decode_key,
     encode_path_key,
     hash_slot,
@@ -181,21 +183,31 @@ class TestHashSlot:
 
 
 class TestChild:
+    """``child_prefix``: a child's prefix is its parent's with the slot
+    OR-ed in one level down."""
+
     def test_child_extends_depth(self):
-        parent = decode_key(encode_path_key(VOL, [1, 2]))
-        child = parent.child(slot=5)
-        assert child.depth == 3
-        assert child.slots[2] == 5
+        child = child_prefix(encode_path_key(VOL, [1, 2]), 2, 5)
+        assert child == encode_path_key(VOL, [1, 2, 5])
+        assert decode_key(child).slots[:4] == (1, 2, 5, 0)
 
     def test_child_of_full_path_rejected(self):
-        parent = decode_key(encode_path_key(VOL, [1] * MAX_PATH_LEVELS))
+        parent = encode_path_key(VOL, [1] * MAX_PATH_LEVELS)
         with pytest.raises(KeyEncodingError):
-            parent.child(slot=5)
+            child_prefix(parent, MAX_PATH_LEVELS, 5)
 
     def test_child_reserved_slot_rejected(self):
-        parent = decode_key(encode_path_key(VOL, [1]))
-        with pytest.raises(KeyEncodingError):
-            parent.child(slot=0)
+        parent = encode_path_key(VOL, [1])
+        for bad in (0, SLOT_SPACE):
+            with pytest.raises(KeyEncodingError):
+                child_prefix(parent, 1, bad)
+
+    def test_parent_with_fields_below_its_level_rejected(self):
+        for parent, depth in ((encode_path_key(VOL, [1, 2]), 1),
+                              (encode_path_key(VOL, [1], block_number=1), 1),
+                              (encode_path_key(VOL, [1], version=1), 1)):
+            with pytest.raises(KeyEncodingError):
+                child_prefix(parent, depth, 5)
 
 
 class TestVersionHash:
@@ -221,6 +233,9 @@ class TestComposeFromPrefix:
         ]
         prefix = encode_path_key(VOL, path)
         assert compose_block_run(prefix, blocks, block_versions, version) == expected
+        if first == 0:  # one version for the whole run: a directory's blocks
+            assert compose_version_run(prefix, count, version) == (
+                compose_block_run(prefix, blocks, {}, version))
         assert [
             compose_block_key(prefix, n, version_hash(block_versions.get(n, version)))
             for n in blocks
@@ -235,3 +250,5 @@ class TestComposeFromPrefix:
                 compose_block_run(dirty, range(1), {}, 0)
             with pytest.raises(KeyEncodingError):
                 compose_block_run(dirty, range(0), {}, 0)
+            with pytest.raises(KeyEncodingError):
+                compose_version_run(dirty, 1, 0)

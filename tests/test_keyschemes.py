@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.keys import (
+    FIRST_USABLE_SLOT,
     MAX_BLOCK_NUMBER,
     MAX_PATH_LEVELS,
+    SLOT_SPACE,
     KeyEncodingError,
     encode_path_key,
     version_hash,
@@ -19,6 +21,7 @@ from repro.fs.keyschemes import (
     make_scheme,
 )
 from repro.fs.namespace import Directory, Namespace, storage_identity
+from tests.oracles import create_file, mkdir, remove, rename
 
 SCHEMES = ("d2", "traditional", "traditional-file")
 
@@ -26,13 +29,13 @@ SCHEMES = ("d2", "traditional", "traditional-file")
 def sample_namespace():
     ns = Namespace()
     for path in ("/home", "/home/alice", "/home/alice/src"):
-        ns.mkdir(path)
+        mkdir(ns, path)
     files = [
-        ns.create_file("/home/alice/src/a.c", size=30000),
-        ns.create_file("/home/alice/src/b.c", size=30000),
+        create_file(ns, "/home/alice/src/a.c", size=30000),
+        create_file(ns, "/home/alice/src/b.c", size=30000),
     ]
-    ns.mkdir("/home/bob")
-    other = ns.create_file("/home/bob/z.txt", size=30000)
+    mkdir(ns, "/home/bob")
+    other = create_file(ns, "/home/bob/z.txt", size=30000)
     return ns, files, other
 
 
@@ -68,7 +71,7 @@ class TestD2Scheme:
         ns, (a, _), _ = sample_namespace()
         scheme = D2KeyScheme("vol")
         src = ns.resolve_dir("/home/alice/src")
-        assert scheme.directory_block_key(src, 0, 1) < scheme.file_block_key(a, 0, 1)
+        assert scheme.directory_block_keys(src, 1, 1)[0] < scheme.file_block_key(a, 0, 1)
 
     def test_root_key_lowest_in_volume(self):
         ns, (a, _), _ = sample_namespace()
@@ -79,7 +82,7 @@ class TestD2Scheme:
         ns, (a, _), _ = sample_namespace()
         scheme = D2KeyScheme("vol")
         before = scheme.file_block_key(a, 1, 1)
-        ns.rename("/home/alice/src/a.c", "/home/bob/moved.c")
+        rename(ns, "/home/alice/src/a.c", "/home/bob/moved.c")
         assert scheme.file_block_key(a, 1, 1) == before
 
 
@@ -102,7 +105,7 @@ class TestTraditionalScheme:
         ns, (a, _), _ = sample_namespace()
         scheme = TraditionalKeyScheme("vol")
         before = scheme.file_block_key(a, 1, 1)
-        ns.rename("/home/alice/src/a.c", "/home/bob/moved.c")
+        rename(ns, "/home/alice/src/a.c", "/home/bob/moved.c")
         assert scheme.file_block_key(a, 1, 1) == before
 
 
@@ -128,10 +131,10 @@ def versioned_file(draw):
     parent = ""
     for level in range(depth - 1):
         parent += f"/d{level}"
-        ns.mkdir(parent)
+        mkdir(ns, parent)
     for sibling in range(draw(st.integers(0, 3))):  # move the file's slot
-        ns.create_file(f"{parent}/s{sibling}")
-    node = ns.create_file(f"{parent}/f", size=draw(st.integers(0, 40 * 8192)))
+        create_file(ns, f"{parent}/s{sibling}")
+    node = create_file(ns, f"{parent}/f", size=draw(st.integers(0, 40 * 8192)))
     node.version = draw(st.integers(1, 12))
     node.block_versions.update(draw(st.dictionaries(
         st.integers(1, 48), st.integers(1, node.version), max_size=24)))
@@ -177,7 +180,7 @@ class TestFileBlockKeys:
             scheme.volume, node.slot_path, overflow_components=node.overflow,
             block_number=number, version=version_hash(version),
         )
-        assert scheme.directory_block_key(directory, number, version) == expected
+        assert scheme.directory_block_keys(directory, version, number + 1)[number] == expected
         assert scheme.file_block_key(node, number, version) == expected
 
     def test_keys_stay_in_keyspace(self):
@@ -210,13 +213,41 @@ class TestFileBlockKeys:
         """Delete-and-recreate in the same slot: same identity, same keys."""
         ns = Namespace()
         scheme = D2KeyScheme("vol")
-        old = ns.create_file("/a", size=30000)
+        old = create_file(ns, "/a", size=30000)
         before = scheme.file_block_keys(old, range(4))
-        ns.remove("/a")
-        new = ns.create_file("/b", size=30000)
+        remove(ns, "/a")
+        new = create_file(ns, "/b", size=30000)
         assert (new.slot_path, new.overflow) == (old.slot_path, old.overflow)
         assert scheme.file_block_keys(new, range(4)) == before
         assert D2KeyScheme("vol").file_block_keys(new, range(4)) == before
+
+
+class TestDerivedPrefix:
+    """A D2 object placed in its parent gets the parent's prefix with its
+    slot OR-ed in one level down; past level 12 its path remainder is
+    hashed.  Either way the prefix is the full Figure-4 encode."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(slots=st.lists(st.integers(FIRST_USABLE_SLOT, SLOT_SPACE - 1),
+                          min_size=1, max_size=MAX_PATH_LEVELS + 4),
+           version=st.integers(0, 9))
+    def test_placed_prefix_is_the_full_encode(self, slots, version):
+        scheme = D2KeyScheme("vol")
+        parent = Directory(name="/", slot_path=(), overflow=())
+        for depth, slot in enumerate(slots):
+            name = f"d{depth}"
+            if depth < MAX_PATH_LEVELS:
+                child = Directory(name=name, slot_path=parent.slot_path + (slot,), overflow=())
+            else:  # the namespace's overflow rule: the names past level 12
+                child = Directory(name=name, slot_path=parent.slot_path,
+                                  overflow=parent.overflow + (name,))
+            scheme.place(child, parent)
+            expected = encode_path_key(
+                scheme.volume, child.slot_path, overflow_components=child.overflow,
+                block_number=0, version=version_hash(version),
+            )
+            assert scheme.directory_block_keys(child, version, 1) == [expected]
+            parent = child
 
 
 class TestStorageIdentity:

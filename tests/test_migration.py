@@ -100,6 +100,22 @@ class TestCommit:
             store.commit([(key_at(150), 100)], [key_at(120), bad])
         assert store_state(store) == before
 
+    @pytest.mark.parametrize("puts, removes, error", [
+        ({key_at(150): 100, key_at(120): 50}, [key_at(120), -1], ValueError),
+        ({key_at(150): 100, key_at(120): 50}, [key_at(120), 7.0], TypeError),
+        ({key_at(150): 100, key_at(350): -1}, [key_at(120)], BlockDirectoryError),
+    ])
+    def test_a_folded_flush_is_refused_whole(self, puts, removes, error):
+        """The dict ``apply_ops`` folds a flush into is checked like pairs:
+        one bad remove key or one negative size, and nothing changes."""
+        ring, sim, store = make_system(removal_delay=30.0)
+        store.write(key_at(120), 500, ttl=60.0)
+        store.remove(key_at(350))
+        before = store_state(store)
+        with pytest.raises(error):
+            store.commit(puts, removes)
+        assert store_state(store) == before
+
     def test_nonpositive_ttl_and_empty_ring_refuse_before_writing(self):
         ring, sim, store = make_system()
         before = store_state(store)

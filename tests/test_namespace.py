@@ -6,7 +6,7 @@ from repro.core.keys import FIRST_USABLE_SLOT, MAX_PATH_LEVELS
 from repro.fs.fslayer import DhtFileSystem
 from repro.fs.keyschemes import make_scheme
 from repro.fs.namespace import Directory, Namespace, NamespaceError, split_path
-from tests.oracles import walk
+from tests.oracles import create_file, mkdir, remove, rename, walk
 
 
 def makedirs(ns, path):
@@ -34,25 +34,25 @@ class TestSplitPath:
 class TestCreate:
     def test_mkdir_and_resolve(self):
         ns = Namespace()
-        ns.mkdir("/home")
+        mkdir(ns, "/home")
         assert isinstance(ns.resolve_dir("/home"), Directory)
 
     def test_create_file(self):
         ns = Namespace()
-        ns.mkdir("/home")
-        node = ns.create_file("/home/f.txt", size=100)
+        mkdir(ns, "/home")
+        node = create_file(ns, "/home/f.txt", size=100)
         assert node.size == 100
         assert ns.resolve_file("/home/f.txt") is node
 
     def test_duplicate_rejected(self):
         ns = Namespace()
-        ns.mkdir("/home")
+        mkdir(ns, "/home")
         with pytest.raises(NamespaceError):
-            ns.mkdir("/home")
+            mkdir(ns, "/home")
 
     def test_missing_parent_rejected(self):
         with pytest.raises(NamespaceError):
-            Namespace().create_file("/no/such/file")
+            create_file(Namespace(), "/no/such/file")
 
     def test_makedirs(self):
         ns = Namespace()
@@ -67,13 +67,13 @@ class TestCreate:
 
     def test_makedirs_through_file_rejected(self):
         ns = Namespace()
-        ns.create_file("/f")
+        create_file(ns, "/f")
         with pytest.raises(NamespaceError):
             makedirs(ns, "/f/sub")
 
     def test_resolve_file_on_dir_rejected(self):
         ns = Namespace()
-        ns.mkdir("/d")
+        mkdir(ns, "/d")
         with pytest.raises(NamespaceError):
             ns.resolve_file("/d")
 
@@ -81,13 +81,13 @@ class TestCreate:
 class TestSlots:
     def test_slots_start_at_first_usable(self):
         ns = Namespace()
-        ns.mkdir("/a")
+        mkdir(ns, "/a")
         assert ns.root.child_slots["a"] == FIRST_USABLE_SLOT
 
     def test_sequential_slots(self):
         ns = Namespace()
         for i in range(5):
-            ns.create_file(f"/f{i}")
+            create_file(ns, f"/f{i}")
         slots = [ns.root.child_slots[f"f{i}"] for i in range(5)]
         assert slots == sorted(slots)
         assert len(set(slots)) == 5
@@ -95,17 +95,17 @@ class TestSlots:
     def test_slot_path_extends_parent(self):
         ns = Namespace()
         makedirs(ns, "/a/b")
-        node = ns.create_file("/a/b/f")
+        node = create_file(ns, "/a/b/f")
         b = ns.resolve_dir("/a/b")
         assert node.slot_path[:-1] == b.slot_path
         assert len(node.slot_path) == 3
 
     def test_removed_slot_reused(self):
         ns = Namespace()
-        ns.create_file("/f")
+        create_file(ns, "/f")
         slot = ns.root.child_slots["f"]
-        ns.remove("/f")
-        ns.create_file("/g")
+        remove(ns, "/f")
+        create_file(ns, "/g")
         assert ns.root.child_slots["g"] == slot
 
     def test_deep_path_overflows(self):
@@ -113,7 +113,7 @@ class TestSlots:
         path = ""
         for i in range(MAX_PATH_LEVELS + 2):
             path += f"/d{i}"
-            ns.mkdir(path)
+            mkdir(ns, path)
         leaf = ns.resolve_dir(path)
         assert len(leaf.slot_path) == MAX_PATH_LEVELS
         assert len(leaf.overflow) == 2
@@ -123,8 +123,8 @@ class TestSlots:
         path = ""
         for i in range(MAX_PATH_LEVELS):
             path += f"/d{i}"
-            ns.mkdir(path)
-        node = ns.create_file(path + "/deep.txt")
+            mkdir(ns, path)
+        node = create_file(ns, path + "/deep.txt")
         assert len(node.slot_path) == MAX_PATH_LEVELS
         assert node.overflow == ("deep.txt",)
 
@@ -132,26 +132,26 @@ class TestSlots:
 class TestRemove:
     def test_remove_file(self):
         ns = Namespace()
-        ns.create_file("/f")
-        ns.remove("/f")
+        create_file(ns, "/f")
+        remove(ns, "/f")
         assert not ns.exists("/f")
 
     def test_remove_empty_dir(self):
         ns = Namespace()
-        ns.mkdir("/d")
-        ns.remove("/d")
+        mkdir(ns, "/d")
+        remove(ns, "/d")
         assert not ns.exists("/d")
 
     def test_remove_nonempty_dir_rejected(self):
         ns = Namespace()
         makedirs(ns, "/d")
-        ns.create_file("/d/f")
+        create_file(ns, "/d/f")
         with pytest.raises(NamespaceError):
-            ns.remove("/d")
+            remove(ns, "/d")
 
     def test_remove_missing_rejected(self):
         with pytest.raises(NamespaceError):
-            Namespace().remove("/ghost")
+            remove(Namespace(), "/ghost")
 
 
 class TestRename:
@@ -160,9 +160,9 @@ class TestRename:
         ns = Namespace()
         makedirs(ns, "/a")
         makedirs(ns, "/b")
-        node = ns.create_file("/a/f")
+        node = create_file(ns, "/a/f")
         original = node.slot_path
-        ns.rename("/a/f", "/b/g")
+        rename(ns, "/a/f", "/b/g")
         assert ns.resolve_file("/b/g") is node
         assert node.slot_path == original
         assert not ns.exists("/a/f")
@@ -171,10 +171,10 @@ class TestRename:
         ns = Namespace()
         makedirs(ns, "/a")
         makedirs(ns, "/b")
-        node = ns.create_file("/a/f")
+        node = create_file(ns, "/a/f")
         slot = ns.resolve_dir("/a").child_slots["f"]
-        ns.rename("/a/f", "/b/f")
-        fresh = ns.create_file("/a/new")
+        rename(ns, "/a/f", "/b/f")
+        fresh = create_file(ns, "/a/new")
         # The new file must NOT reuse the renamed-away slot: the moved
         # file's keys still embed it.
         assert ns.resolve_dir("/a").child_slots["new"] != slot
@@ -182,9 +182,9 @@ class TestRename:
     def test_rename_directory_moves_subtree(self):
         ns = Namespace()
         makedirs(ns, "/a/sub")
-        ns.create_file("/a/sub/f")
+        create_file(ns, "/a/sub/f")
         makedirs(ns, "/b")
-        ns.rename("/a/sub", "/b/sub")
+        rename(ns, "/a/sub", "/b/sub")
         assert ns.exists("/b/sub/f")
         assert not ns.exists("/a/sub")
 
@@ -192,19 +192,19 @@ class TestRename:
         ns = Namespace()
         makedirs(ns, "/a/b")
         with pytest.raises(NamespaceError):
-            ns.rename("/a", "/a/b/a")
+            rename(ns, "/a", "/a/b/a")
 
     def test_rename_over_existing_rejected(self):
         ns = Namespace()
-        ns.create_file("/f")
-        ns.create_file("/g")
+        create_file(ns, "/f")
+        create_file(ns, "/g")
         with pytest.raises(NamespaceError):
-            ns.rename("/f", "/g")
+            rename(ns, "/f", "/g")
 
     def test_rename_counter(self):
         ns = Namespace()
-        ns.create_file("/f")
-        ns.rename("/f", "/g")
+        create_file(ns, "/f")
+        rename(ns, "/f", "/g")
         assert ns.renames == 1
 
 
@@ -212,8 +212,8 @@ class TestTraversal:
     def build(self):
         ns = Namespace()
         makedirs(ns, "/home/alice")
-        ns.create_file("/home/alice/a.txt", size=10)
-        ns.create_file("/home/alice/b.txt", size=20)
+        create_file(ns, "/home/alice/a.txt", size=10)
+        create_file(ns, "/home/alice/b.txt", size=20)
         makedirs(ns, "/srv")
         return ns
 
@@ -227,5 +227,9 @@ class TestTraversal:
 
     def test_ancestors_of(self):
         ns = self.build()
-        chain = ns.ancestors_of("/home/alice/a.txt")
-        assert [d.name for d in chain] == ["/", "home", "alice"]
+        chain, name = ns.parent_chain("/home/alice/a.txt")
+        assert [d.name for d in chain] == ["/", "home", "alice"] and name == "a.txt"
+        with pytest.raises(NamespaceError):
+            ns.parent_chain("/")
+        with pytest.raises(NamespaceError):  # a file is no directory on the way
+            ns.parent_chain("/home/alice/a.txt/x")

@@ -550,7 +550,7 @@ class TestBenchTrajectorySchema:
         target = tmp_path / "BENCH_scale.json"
         seeded = {"label": "pr7", "schema": 1, "cells": [{"cell": "routing"}]}
         target.write_text(json.dumps({"schema": BENCH_SCHEMA, "runs": [seeded]}))
-        record_trajectory([self._result()], path=str(target), label="pr9")
+        record_trajectory([self._result().row()], path=str(target), label="pr9")
         document = load_trajectory(str(target))
         assert [(r["label"], r["schema"]) for r in document["runs"]] == [
             ("pr7", 1), ("pr9", RUN_SCHEMA),
@@ -561,7 +561,7 @@ class TestBenchTrajectorySchema:
         unversioned = json.dumps({"schema": BENCH_SCHEMA, "runs": [seeded]})
         target.write_text(unversioned)
         with _pytest.raises(ValueError, match=r"runs\[0\]: schema None"):
-            record_trajectory([self._result()], path=str(target), label="pr9")
+            record_trajectory([self._result().row()], path=str(target), label="pr9")
         assert target.read_text() == unversioned
 
     def test_load_rejects_corrupt_documents(self, tmp_path):
@@ -581,6 +581,57 @@ class TestBenchTrajectorySchema:
         }))
         with _pytest.raises(ValueError):
             load_trajectory(str(target))
+
+    def test_call_ledger_validates_and_holds_the_claim(self):
+        """``BENCH_calls.json``: every run adds up; the newest keeps each
+        cell at or under the one before, the read-replay image load at half."""
+        import os
+
+        from repro.experiments.scale_matrix import load_trajectory
+
+        committed = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "BENCH_calls.json",
+        )
+        *_, before, after = load_trajectory(committed)["runs"]
+        totals = [{row["cell"]: row["total"] for row in run["cells"]}
+                  for run in (before, after)]
+        assert set(totals[0]) == set(totals[1]) and len(totals[0]) == 6
+        assert all(totals[1][cell] <= totals[0][cell] for cell in totals[0])
+        load = "read-replay/image-load"
+        assert totals[1][load] <= 0.5 * totals[0][load], totals
+        digests = [{row["cell"]: row["digest"] for row in run["cells"]}
+                   for run in (before, after)]
+        assert digests[0] == digests[1]
+
+    def test_truncated_or_hand_edited_call_ledger_is_refused(self, tmp_path):
+        import json
+
+        import pytest as _pytest
+
+        from repro.experiments.scale_matrix import (
+            RUN_SCHEMA,
+            TrajectoryError,
+            load_trajectory,
+            record_trajectory,
+        )
+
+        row = {"cell": "read-replay", "digest": "ab", "python": "3.11",
+               "calls": {"repro.fs": 5, "repro.store": 7}, "total": 12}
+        target = tmp_path / "BENCH_calls.json"
+        record_trajectory([row], path=str(target), label="pr32")
+        text = target.read_text()
+        assert load_trajectory(str(target))["runs"][0]["schema"] == RUN_SCHEMA
+        target.write_text(text[: len(text) // 2])  # truncated
+        with _pytest.raises(TrajectoryError, match="not a JSON document"):
+            load_trajectory(str(target))
+        target.write_text(text.replace('"repro.fs": 5', '"repro.fs": 4'))  # hand-edited
+        with _pytest.raises(TrajectoryError, match="do not add up"):
+            load_trajectory(str(target))
+        target.write_text(text)
+        with _pytest.raises(TrajectoryError, match=r"runs\[1\].*do not add up"):
+            record_trajectory([{**row, "total": 11}], path=str(target), label="pr33")
+        assert target.read_text() == text
 
     def test_committed_trajectory_validates(self):
         import os
