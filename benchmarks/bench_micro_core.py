@@ -743,3 +743,86 @@ def walk_directories(directory):
     for child in directory.children.values():
         if not isinstance(child, FileNode):
             yield from walk_directories(child)
+
+
+def test_churn_count_gate(monkeypatch):
+    """Shape gate: a churn storm repairs an arc in one pass.
+
+    Counted, not timed, on a small churn cell (the ``steady`` storm with one
+    correlated outage; one user over 0.1 days on 12 nodes, two hours of
+    drain), with Python ``call`` events of ``benchmarks/callcount.py``:
+
+    * a ``reconcile_range`` that schedules jobs enqueues them with at most
+      one ``schedule_batch`` (and no ``schedule``) and publishes the backlog
+      at most once;
+    * a health round sorts nothing as large as the tracked keys, and asks
+      the tracker for neither ``tracked_keys`` nor ``live_count``;
+    * Python calls into ``src/repro`` per scheduled job, from the replay's
+      start, stay within the measured 29.45 plus a quarter; the per-key
+      repair this replaced made 89.47.
+    """
+    import repro
+    from repro.analysis import churn
+    from repro.experiments.churn_storm import STORM_LEVELS
+    from repro.experiments.workload_cache import harvard_trace
+    from repro.obs import health
+    from repro.store import repair
+
+    counter = CallCounter()
+    deployments, bursts, rounds = [], [], []
+    build, replay = churn.harvard_deployment, churn.replay
+    reconcile_range, sample = repair.RepairScheduler.reconcile_range, health.HealthMonitor.sample
+
+    def capture(*args, **kwargs):
+        deployments.append(build(*args, **kwargs))
+        return deployments[-1]
+
+    def counted_replay(*args, **kwargs):
+        counter.__enter__()
+        return replay(*args, **kwargs)
+
+    def counted_range(scheduler, lo, hi):
+        calls = (repair.RepairScheduler._update_backlog, Simulator.schedule_batch,
+                 Simulator.schedule)
+        before, scheduled = [counter.of(fn) for fn in calls], scheduler.stats.scheduled
+        reconcile_range(scheduler, lo, hi)
+        if scheduler.stats.scheduled > scheduled:
+            bursts.append([counter.of(fn) - then for fn, then in zip(calls, before)])
+
+    sorts = []
+
+    def checked_sorted(items, **kwargs):
+        items = list(items)
+        sorts.append(len(items))
+        return sorted(items, **kwargs)
+
+    def counted_round(monitor):
+        asked = (repair.ReplicaTracker.tracked_keys, repair.ReplicaTracker.live_count)
+        before, sorts[:] = [counter.of(fn) for fn in asked], []
+        sample(monitor)
+        tracked = len(monitor.deployment.repair.tracker._copies)
+        rounds.append(([counter.of(fn) - then for fn, then in zip(asked, before)],
+                       [size for size in sorts if size > len(monitor.deployment.ring)],
+                       tracked))
+
+    monkeypatch.setattr(churn, "harvard_deployment", capture)
+    monkeypatch.setattr(churn, "replay", counted_replay)
+    monkeypatch.setattr(repair.RepairScheduler, "reconcile_range", counted_range)
+    monkeypatch.setattr(health.HealthMonitor, "sample", counted_round)
+    for module in (health, repair):
+        monkeypatch.setattr(module, "sorted", checked_sorted, raising=False)
+    trace = harvard_trace(users=1, days=0.1, seed=7)
+    try:
+        row = churn.run_churn(trace, level="steady", correlated_events=1, trial=0, days=0.1,
+                              n_nodes=12, seed=7, drain_seconds=7200.0, **STORM_LEVELS["steady"])
+    finally:
+        counter.__exit__()
+    assert len(bursts) > 20 and row["repair_scheduled"] > 1000, (len(bursts), row)
+    assert all(updates <= 1 and batches <= 1 and singles == 0
+               for updates, batches, singles in bursts), bursts
+    assert len(rounds) > 10 and all(tracked > 100 for _, _, tracked in rounds), rounds[:3]
+    assert all(asked == [0, 0] and not large for asked, large, _ in rounds), rounds
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    per_job = sum(counter.by_package(src).values()) / row["repair_scheduled"]
+    bound = 29.45 * 1.25
+    assert per_job <= bound, f"{per_job:.2f} Python calls per scheduled job (bound {bound:.2f})"

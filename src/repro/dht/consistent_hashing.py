@@ -10,6 +10,7 @@ IDs only at bootstrap; its keys come from
 
 from __future__ import annotations
 
+import hashlib
 import random
 from typing import List
 
@@ -17,8 +18,9 @@ from repro.dht.keyspace import KEY_SPACE, hash_to_key, key_to_bytes
 
 
 def hashed_key(name: str) -> int:
-    """Uniform ring key for a named object (block or file) via SHA-512."""
-    return hash_to_key(name.encode("utf-8"))
+    """Uniform ring key for a named object (block or file) via SHA-512:
+    ``hash_to_key(name.encode())`` inlined, one Python call per key."""
+    return int.from_bytes(hashlib.sha512(name.encode("utf-8")).digest(), "big")
 
 
 def salted_key(salt: str, key: int) -> int:

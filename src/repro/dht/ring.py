@@ -184,6 +184,28 @@ class Ring:
             owners.append(owner)
         return owners
 
+    def groups(self, keys: Iterable[int], count: int) -> List[List[str]]:
+        """The replica group (:meth:`successors`) of each of *keys*, in
+        :meth:`owners`' pass; the keys of one arc share one list, which
+        callers must not mutate."""
+        if not self._ids:
+            raise RingError("ring is empty")
+        ids, names, size = self._ids, self._names, len(self._ids)
+        width = min(count, size)
+        find = bisect.bisect_left
+        groups: List[List[str]] = []
+        low = high = -1  # the arc (low, high] of the last group built
+        for key in keys:
+            if not low < key <= high:
+                at = find(ids, key)
+                low, high = ids[at - 1] if at else -1, ids[at] if at < size else KEY_SPACE
+                at %= size
+                group = names[at:at + width]
+                if len(group) < width:  # the group wraps past the last node
+                    group += names[:width - len(group)]
+            groups.append(group)
+        return groups
+
     def successors(self, key: int, count: int) -> List[str]:
         """The *count* distinct nodes clockwise from *key* (replica group).
 
@@ -217,8 +239,7 @@ class Ring:
     def range_of(self, name: str) -> Tuple[int, int]:
         """The arc ``(pred_id, own_id]`` that *name* owns as primary."""
         node_id = self._require(name)
-        pred_id = self.position_of(self.predecessor_of(name))
-        return pred_id, node_id
+        return self._ids[bisect.bisect_left(self._ids, node_id) - 1], node_id
 
     def replica_range_of(self, name: str, replicas: int) -> Tuple[int, int]:
         """The arc of keys for which *name* holds any of the *replicas* copies.

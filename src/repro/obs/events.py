@@ -78,6 +78,8 @@ class EventTracer:
 
     def emit(self, kind: str, count: int = 1) -> None:
         """Count *count* events of *kind* (one, unless they are tallied in bulk)."""
+        if count < 1:
+            raise EventError(f"an emit counts at least one event, got {count}")
         if kind not in EVENT_KINDS:
             raise EventError(f"unknown event kind {kind!r}")
         self._counts[kind] = self._counts.get(kind, 0) + count

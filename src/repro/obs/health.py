@@ -415,17 +415,13 @@ class HealthMonitor:
     def _sample_repair(self, now: float) -> None:
         deployment = self.deployment
         repair = deployment.repair
-        tracker = repair.tracker
         want = min(deployment.store.replica_count, len(deployment.ring))
-        deficit = 0
+        short = repair.tracker.short_of(want)
         per_node: Dict[str, int] = {}
-        for key in tracker.tracked_keys():
-            if tracker.live_count(key) < want:
-                deficit += 1
-                if self.node_level:
-                    owner = deployment.ring.successor(key)
-                    per_node[owner] = per_node.get(owner, 0) + 1
-        self.bank.sample("repair.deficit", now, float(deficit), agg="max")
+        if self.node_level and short:
+            for owner in deployment.ring.owners(short):
+                per_node[owner] = per_node.get(owner, 0) + 1
+        self.bank.sample("repair.deficit", now, float(len(short)), agg="max")
         self.bank.sample("repair.backlog", now, float(repair.backlog()), agg="max")
         self.bank.sample(
             "repair.completed", now,
@@ -497,16 +493,12 @@ class HealthMonitor:
 
     def _ingest(self, rows: List[Dict[str, Any]]) -> None:
         transitions = self.engine.observe(rows)
-        for row in rows:
-            self._buffer(row)
-        for row in transitions:
-            self._buffer(row)
-
-    def _buffer(self, row: Dict[str, Any]) -> None:
-        if len(self._export) >= EXPORT_RETENTION:
-            del self._export[0]
-            self.dropped_rows += 1
-        self._export.append(row)
+        export = self._export
+        export += rows
+        export += transitions
+        if len(export) > EXPORT_RETENTION:  # the oldest go first
+            self.dropped_rows += len(export) - EXPORT_RETENTION
+            del export[:-EXPORT_RETENTION]
 
     def drain(self) -> List[Dict[str, Any]]:
         """Pop buffered series/alert rows (oldest first) for streaming."""

@@ -243,6 +243,16 @@ class Tracer:
         self._ids += 1
         return self._open(parent.trace_no, self._ids, parent.span_no, name, start, attrs)
 
+    def instant(self, name: str, at: float, **attrs: object) -> SpanLike:
+        """:meth:`start_trace` and :meth:`finish` at sim-time *at*, in one call."""
+        span = self.start_trace(name, at, **attrs)
+        if span:
+            span.end = span.start
+            self.finished += 1
+            if self._events is not None:
+                self._events.emit(SPAN_FINISH)
+        return span
+
     def finish(self, span: SpanLike, end: float) -> SpanLike:
         """Close *span* at sim-time *end*."""
         if not span:

@@ -21,6 +21,12 @@ Two series kinds:
   counter's value); the window value is the delta against the previous
   cumulative sample, i.e. the growth attributable to that window.
 
+A *counted* sample (``sample(time, value, count=n)``, e.g. the repair
+scheduler's one backlog reading per burst of *n* jobs) reads as *n* samples
+of *value* pushed one by one: in a row's ``count``, ``last`` and ``high``
+and the bank's ``samples`` and ``rejected``.  A sample into the open window
+takes a fast path.
+
 Determinism contract: every row is a pure function of the sample
 sequence.  Out-of-order samples (sim-time moving backwards within one
 series) are rejected deterministically and counted, never reordered.
@@ -72,14 +78,6 @@ class _OpenWindow:
         self.last = 0.0
         self.low = math.inf
         self.high = -math.inf
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.last = value
-        if value < self.low:
-            self.low = value
-        if value > self.high:
-            self.high = value
 
 
 class TimeSeries:
@@ -135,49 +133,56 @@ class TimeSeries:
         """Window index for ``time`` under ``(start, end]`` semantics."""
         return math.ceil((time - self.epoch) / self.width) - 1
 
-    def _start_of(self, index: int) -> float:
-        return self.epoch + index * self.width
-
     # -- sampling -------------------------------------------------------
 
-    def sample(self, time: float, value: float) -> bool:
-        """Record one sample at sim-time ``time``.
+    def sample(self, time: float, value: float, count: int = 1) -> bool:
+        """Record *count* samples of *value* at sim-time ``time``.
 
-        Returns ``False`` (and counts a rejection) when ``time`` moves
+        Returns ``False`` (and counts the rejections) when ``time`` moves
         backwards within this series, precedes the epoch, or lands in a
         window that has already been closed — rejected samples never
         perturb emitted rows, so replays stay deterministic.
         """
+        if count < 1:
+            raise TimeSeriesError(f"a sample counts at least one, got {count}")
         time = float(time)
         value = float(value)
-        if self._last_time is not None and time < self._last_time:
-            self.rejected += 1
-            return False
-        if time < self.epoch:
-            self.rejected += 1
-            return False
-        index = self._index_of(time)
-        if index < 0:
-            # Exactly at the epoch: a pure baseline reading — establishes
-            # the counter base without belonging to any window.
-            self._note_cumulative(value)
-            self._last_time = time
-            self.samples += 1
-            return True
-        if index < self._next_index and self._open is None:
-            # Late arrival into an already-closed window.
-            self.rejected += 1
-            return False
-        if self._open is None:
+        window = self._open
+        if (
+            window is None
+            or time < self._last_time
+            or math.ceil((time - self.epoch) / self.width) - 1 != window.index
+        ):  # not into the open window: the slow path
+            if self._last_time is not None and time < self._last_time:
+                self.rejected += count
+                return False
+            if time < self.epoch:
+                self.rejected += count
+                return False
+            index = self._index_of(time)
+            if index < 0:
+                # Exactly at the epoch: a pure baseline reading — establishes
+                # the counter base without belonging to any window.
+                self._note_cumulative(value)
+                self._last_time = time
+                self.samples += count
+                return True
+            if index < self._next_index and window is None:
+                # Late arrival into an already-closed window.
+                self.rejected += count
+                return False
+            if window is not None:  # a later window than the open one
+                self._close_open()
             self._emit_empties(index)
-            self._open = _OpenWindow(index)
-        elif index > self._open.index:
-            self._close_open()
-            self._emit_empties(index)
-            self._open = _OpenWindow(index)
-        self._open.add(value)
+            window = self._open = _OpenWindow(index)
+        window.count += count
+        window.last = value
+        if value < window.low:
+            window.low = value
+        if value > window.high:
+            window.high = value
         self._last_time = time
-        self.samples += 1
+        self.samples += count
         return True
 
     def _note_cumulative(self, value: float) -> None:
@@ -192,7 +197,7 @@ class TimeSeries:
         complete_through = math.floor((float(now) - self.epoch) / self.width) - 1
         if self._open is not None and self._open.index <= complete_through:
             self._close_open()
-        if self._last_time is not None:
+        if self._last_time is not None and complete_through >= self._next_index:
             self._emit_empties(complete_through + 1)
 
     def flush(self) -> None:
@@ -251,8 +256,8 @@ class TimeSeries:
             "kind": self.kind,
             "labels": self.labels,
             "window": index,
-            "start": self._start_of(index),
-            "end": self._start_of(index + 1),
+            "start": self.epoch + index * self.width,
+            "end": self.epoch + (index + 1) * self.width,
             "count": count,
             "value": value,
         }

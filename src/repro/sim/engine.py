@@ -93,7 +93,7 @@ class Simulator:
         seq = next(self._seq)
         when = self._now + delay
         heapq.heappush(self._queue, (when, seq, callback, count))
-        return EventHandle(when, seq)
+        return tuple.__new__(EventHandle, (when, seq))  # no generated __new__ frame
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule *callback* at absolute simulation time *when*."""
@@ -122,7 +122,7 @@ class Simulator:
             seq = next_seq()
             when = now + delay
             staged.append((when, seq, callback, 1))
-            handles.append(EventHandle(when, seq))
+            handles.append(tuple.__new__(EventHandle, (when, seq)))
         # Pop order is fully determined by the (time, seq) total order, so
         # the internal heap layout never affects behavior — only speed.
         if len(staged) > 8 and len(staged) * 4 > len(queue):

@@ -392,9 +392,9 @@ class StorageCoordinator:
         now = self.sim.now
         if self._span_parent:
             span = self.spans.start_span(name, now, self._span_parent, **attrs)
+            self.spans.finish(span, now)
         else:
-            span = self.spans.start_trace(name, now, **attrs)
-        self.spans.finish(span, now)
+            self.spans.instant(name, now, **attrs)
 
     def _hand_off(self, lo: int, hi: int, adopter: str) -> None:
         if self.use_pointers:
@@ -527,30 +527,12 @@ class StorageCoordinator:
         """Primary block count per node (the balancer's load metric)."""
         return {name: self.primary_load(name) for name in self.ring.names()}
 
-    def primary_bytes(self) -> Dict[str, int]:
-        """Primary byte volume per node (storage-balance metric)."""
-        return {
-            name: self.directory.bytes_in_range(*self.ring.range_of(name))
-            for name in self.ring.names()
-        }
-
     def total_loads(self) -> Dict[str, int]:
-        """Total (primary + secondary) block count per node.
-
-        A node holds replicas for its own arc and its ``r - 1``
-        predecessors' arcs.
-        """
-        primaries = self.primary_loads()
-        names = list(self.ring.names())
-        totals = {}
-        for name in names:
-            load = 0
-            cursor = name
-            for _ in range(min(self.replica_count, len(names))):
-                load += primaries[cursor]
-                cursor = self.ring.predecessor_of(cursor)
-            totals[name] = load
-        return totals
+        """Total (primary + secondary) block count per node."""
+        ids = self.ring.positions()
+        return self._with_replicas(
+            [self.directory.count_in_range(ids[at - 1], ids[at]) for at in range(len(ids))]
+        )
 
     def total_bytes_per_node(self) -> Dict[str, int]:
         """Total stored bytes per node (own arc plus r-1 predecessors').
@@ -558,17 +540,20 @@ class StorageCoordinator:
         This is the storage-load metric Figures 16 and 17 plot the
         normalized standard deviation of.
         """
-        primaries = self.primary_bytes()
-        names = list(self.ring.names())
-        totals = {}
-        for name in names:
-            volume = 0
-            cursor = name
-            for _ in range(min(self.replica_count, len(names))):
-                volume += primaries[cursor]
-                cursor = self.ring.predecessor_of(cursor)
-            totals[name] = volume
-        return totals
+        ids = self.ring.positions()
+        return self._with_replicas(
+            [self.directory.bytes_in_range(ids[at - 1], ids[at]) for at in range(len(ids))]
+        )
+
+    def _with_replicas(self, per_arc: List[int]) -> Dict[str, int]:
+        """Each node's total from the primary amounts of the arcs in ring
+        order: a node holds replicas for its own arc and its ``r - 1``
+        predecessors' arcs."""
+        width = min(self.replica_count, len(per_arc))
+        padded = per_arc[len(per_arc) - width + 1:] + per_arc
+        return {
+            name: sum(padded[at:at + width]) for at, name in enumerate(self.ring.names())
+        }
 
     def pointer_block_count(self) -> int:
         """Blocks whose owner currently holds only a pointer.

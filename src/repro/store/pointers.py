@@ -91,8 +91,12 @@ class PointerTable:
     def pending_for(self, owner: str) -> Iterator[PointerRange]:
         return (r for r in self._ranges if r.owner == owner)
 
-    def covering(self, key: int) -> Iterator[PointerRange]:
-        return (r for r in self._ranges if r.covers(key))
+    def owes(self, owner: str, key: int) -> bool:
+        """Whether a pending range of *owner* (a fetch it awaits) covers *key*."""
+        for record in self._ranges:
+            if record.owner == owner and record.covers(key):
+                return True
+        return False
 
     def __len__(self) -> int:
         return len(self._ranges)

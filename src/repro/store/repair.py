@@ -17,6 +17,11 @@ repair, per Leslie's *Reliable Data Storage in Distributed Hash Tables*:
   per-key loss ledger (key, time, bytes) — the data-loss probability the
   churn-storm experiments report.
 
+A reconcile is a *burst*: an arc's keys are planned in one pass (one
+replica group per primary arc), and its *n* jobs are enqueued in one batch,
+counted once and sampled once as *n* — the backlog only grows inside a
+burst, so its ``max`` samples read as *n* one-job samples would.
+
 Determinism: all iteration is over sorted keys or insertion-ordered
 dicts, all timing flows through the simulator, and the only randomness is
 the caller's seeded RNG — serial and parallel experiment runs are
@@ -26,7 +31,8 @@ bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.events import EventTracer, register_kind
 from repro.obs.metrics import MetricsRegistry
@@ -113,8 +119,12 @@ class ReplicaTracker:
     def tracked_keys(self) -> List[int]:
         return sorted(self._copies)
 
+    def short_of(self, want: int) -> List[int]:
+        """Tracked keys with fewer than *want* live copies (unsorted)."""
+        return [key for key, holders in self._copies.items() if len(holders) < want]
 
-@dataclass
+
+@dataclass(slots=True)
 class RepairJob:
     """One in-flight re-replication: *key* streaming toward *target*."""
 
@@ -204,7 +214,7 @@ class RepairScheduler:
         self.stats = RepairStats()
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._tracer = tracer
-        self._spans = spans
+        self._spans = spans or None  # a tracer sampling nothing is dropped here
         self._c_scheduled = self.metrics.counter("repair.scheduled")
         self._c_completed = self.metrics.counter("repair.completed")
         self._c_retries = self.metrics.counter("repair.retries")
@@ -240,8 +250,10 @@ class RepairScheduler:
         """Copies on *node* are destroyed; re-replicate or record loss.
 
         Must run *after* the ring removal, so desired groups and physical
-        reassignment see the post-crash membership.
+        reassignment see the post-crash membership.  Survivors' keys are
+        reconciled as one burst (handling a key touches only that key).
         """
+        keys = []
         for key in self.tracker.drop_node(node):
             survivors = self.tracker.holders_of(key)
             if not survivors:
@@ -252,7 +264,9 @@ class RepairScheduler:
                 # replica is the copy of record until repair re-materializes
                 # the primary on the new owner.
                 self.store.reassign_physical(key, survivors[0])
-            self.reconcile(key)
+            if key in self.store.directory:
+                keys.append(key)
+        self._reconcile(keys)
 
     def on_node_left(self, node: str) -> None:
         """Graceful departure: *node* streams its copies out before leaving.
@@ -260,8 +274,10 @@ class RepairScheduler:
         Data on a graceful leaver is never at risk — the node stays online
         until its hand-offs complete — so deficits it leaves behind with no
         other surviving copy are transferred synchronously (accounted as
-        hand-off bytes), and the rest repair normally from survivors.
+        hand-off bytes), and the rest repair normally from survivors, as
+        one burst.
         """
+        keys = []
         for key in self.tracker.drop_node(node):
             if key not in self.store.directory:
                 continue
@@ -275,7 +291,8 @@ class RepairScheduler:
             else:
                 if self.store.physical_at.get(key) == node:
                     self.store.reassign_physical(key, self.tracker.holders_of(key)[0])
-                self.reconcile(key)
+                keys.append(key)
+        self._reconcile(keys)
 
     def on_node_joined(self, node: str) -> None:
         """Reconcile the arc *node* now replicates (it entered those groups)."""
@@ -284,7 +301,7 @@ class RepairScheduler:
         self.reconcile_range(lo, hi)
 
     def reconcile_range(self, lo: int, hi: int) -> None:
-        """Reconcile every directory key in ``(lo, hi]``.
+        """Reconcile every directory key in ``(lo, hi]``, as one burst.
 
         Departures call this with the *pre-leave* replica range of the
         departed node: every key in that arc just gained a new tail group
@@ -292,57 +309,67 @@ class RepairScheduler:
         still pointer-owed or in flight), which :meth:`on_node_crashed` /
         :meth:`on_node_left` cannot see via the tracker.
         """
-        for key in self.store.directory.keys_in_range(lo, hi):
-            self.reconcile(key)
+        self._reconcile(self.store.directory.keys_in_range(lo, hi))
 
     # ------------------------------------------------------------------
-    # per-key reconciliation
+    # reconciliation
 
     def reconcile(self, key: int) -> None:
-        """Drive *key* toward exactly ``r`` copies on its successor group.
+        """Drive *key* toward exactly ``r`` copies on its successor group."""
+        if key in self.store.directory:
+            self._reconcile((key,))
 
-        Missing group members get repair jobs; out-of-group copies are
-        garbage-collected once at least one in-group copy exists (an
-        out-of-group survivor is kept alive while it is the only source).
+    def _reconcile(self, keys: Sequence[int]) -> None:
+        """Reconcile directory *keys*, given clockwise, as one burst.
+
+        Missing group members get repair jobs, reserved key by key in group
+        order; out-of-group copies are garbage-collected once at least one
+        in-group copy exists (an out-of-group survivor is kept alive while
+        it is the only source).
         """
-        if key not in self.store.directory:
+        if not keys:
             return
-        group = self.ring.successors(key, self.store.replica_count)
-        holders = self.tracker.holders_of(key)
-        in_group = [h for h in holders if h in group]
-        if in_group:
-            for holder in holders:
-                if holder not in group:
-                    self.tracker.remove_copy(key, holder)
-                    self.stats.gc_bytes += self.store.directory.size_of(key)
-        owner = group[0]
-        for member in group:
-            if self.tracker.has_copy(key, member):
-                continue
-            if member == owner and any(
-                r.owner == member for r in self.store.pointer_table.covering(key)
-            ):
-                # A pending pointer adoption already owes the primary copy
-                # to this node; its stabilization fetch delivers the bytes.
-                continue
-            self._schedule(key, member)
-
-    def _schedule(self, key: int, target: str) -> None:
-        if (key, target) in self._in_flight:
-            return
-        holders = self.tracker.holders_of(key)
-        if not holders:
-            return  # loss already recorded (or write in flight)
-        size = self.store.directory.size_of(key)
-        job = RepairJob(key=key, target=target, source=holders[0], size=size)
-        self._in_flight[(key, target)] = job
-        self._jobs_per_key[key] = self._jobs_per_key.get(key, 0) + 1
-        self.stats.scheduled += 1
-        self._c_scheduled.inc()
-        self._update_backlog()
-        if self._tracer is not None:
-            self._tracer.emit(REPAIR_SCHEDULE)
-        self._launch(job)
+        tracker, pointers = self.tracker, self.store.pointer_table
+        holders_of, size_of = tracker.holders_of, self.store.directory.size_of
+        in_flight, per_key, buckets = self._in_flight, self._jobs_per_key, self._buckets
+        now = self.sim.now
+        launches = []
+        for key, group in zip(keys, self.ring.groups(keys, self.store.replica_count)):
+            holders = holders_of(key)
+            if not holders:
+                continue  # loss already recorded (or write in flight)
+            size = size_of(key)
+            source = next(filter(group.__contains__, holders), None)  # first in-group
+            if source is None:
+                source = holders[0]
+            else:
+                for holder in holders:
+                    if holder not in group:
+                        tracker.remove_copy(key, holder)
+                        self.stats.gc_bytes += size
+            owner = group[0]
+            for member in group:
+                if member in holders or (key, member) in in_flight:
+                    continue
+                if member == owner and pointers.owes(owner, key):
+                    # A pending pointer adoption already owes the primary
+                    # copy to this node; its stabilization fetch delivers it.
+                    continue
+                job = RepairJob(key=key, target=member, source=source, size=size)
+                in_flight[key, member] = job
+                per_key[key] = per_key.get(key, 0) + 1
+                bucket = buckets.get(source)
+                if bucket is None:
+                    bucket = buckets[source] = TokenBucket(self.bandwidth_bps)
+                launches.append((bucket.reserve(now, size) - now, partial(self._finish, job)))
+        if launches:
+            scheduled = len(launches)
+            self.stats.scheduled += scheduled
+            self._c_scheduled.inc(scheduled)
+            self._update_backlog(scheduled)
+            if self._tracer is not None:
+                self._tracer.emit(REPAIR_SCHEDULE, scheduled)
+            self.sim.schedule_batch(launches)
 
     def _launch(self, job: RepairJob) -> None:
         bucket = self._buckets.get(job.source)
@@ -359,8 +386,8 @@ class RepairScheduler:
         if key not in self.store.directory:
             self._drop(key, target)  # removed or lost meanwhile
             return
-        group = self.ring.successors(key, self.store.replica_count)
-        if target not in self.ring or target not in group:
+        group = self.ring.groups((key,), self.store.replica_count)[0]
+        if target not in group:
             # Target died or the group shifted past it; drop this job and
             # re-derive what the key actually needs now.
             self._drop(key, target)
@@ -377,16 +404,15 @@ class RepairScheduler:
         self.stats.repaired_bytes += job.size
         self._c_completed.inc()
         self._c_repaired_bytes.inc(job.size)
-        if target == self.ring.successor(key):
+        if target == group[0]:
             # The owner just finished re-materializing the primary copy, so
             # the primary's physical placement converges here (a crash may
             # have parked it on a surviving secondary).
             self.store.reassign_physical(key, target)
-        if self._spans:
-            span = self._spans.start_trace(
+        if self._spans is not None:
+            self._spans.instant(
                 "repair.copy", self.sim.now, key=key, target=target, bytes=job.size
             )
-            self._spans.finish(span, self.sim.now)
         if self._tracer is not None:
             self._tracer.emit(REPAIR_COMPLETE)
 
@@ -441,14 +467,16 @@ class RepairScheduler:
         """In-flight repair jobs (scheduled or backing off)."""
         return len(self._in_flight)
 
-    def _update_backlog(self) -> None:
+    def _update_backlog(self, count: int = 1) -> None:
+        """Publish the job table after *count* mutations at this instant."""
         backlog = len(self._in_flight)
         self._g_backlog.set(backlog)
         if backlog > self.stats.max_backlog:
             self.stats.max_backlog = backlog
         if self._backlog_series is not None:
-            self._backlog_series.sample(self.sim.now, float(backlog))
-            self._deficit_series.sample(self.sim.now, float(len(self._jobs_per_key)))
+            now = self.sim.now
+            self._backlog_series.sample(now, float(backlog), count)
+            self._deficit_series.sample(now, float(len(self._jobs_per_key)), count)
 
     def seed_from_directory(self) -> None:
         """Adopt an already-loaded image: every block sits on its group.

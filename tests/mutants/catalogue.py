@@ -5,7 +5,7 @@ source file.  Each ``old`` must occur exactly once in its file, so a
 refactor that moves the code a mutant names makes it fail loudly
 (``tests/test_mutant_catalogue.py``) instead of silently scoring nothing.
 
-Five groups, in catalogue order:
+Six groups, in catalogue order:
 
 * the mutants written by hand while building the ordered indexes, the
   one-commit flush, the folded read replay and the plan reuse, each
@@ -18,7 +18,9 @@ Five groups, in catalogue order:
   AST cannot resolve;
 * one per class of the runner's own guards: a cache key that ignores a
   parameter the result depends on, and a warm rerun that simulates;
-* one for the derived D2 prefix: a child's slot placed one level off.
+* one for the derived D2 prefix: a child's slot placed one level off;
+* one for the repair burst: its backlog sample counted as one, not as
+  the burst's size.
 """
 
 from __future__ import annotations
@@ -229,9 +231,9 @@ MUTANTS: Tuple[Mutant, ...] = (
            "memo purity", "PUR001"),
     mutant("perf-counter-into-series-sample", "src/repro/store/repair.py",
            ("from dataclasses import dataclass, field\n",
-            "self._backlog_series.sample(self.sim.now, float(backlog))"),
+            "self._backlog_series.sample(now, float(backlog), count)"),
            ("import time\nfrom dataclasses import dataclass, field\n",
-            "self._backlog_series.sample(time.perf_counter(), float(backlog))"),
+            "self._backlog_series.sample(time.perf_counter(), float(backlog), count)"),
            "series timestamps", "OBS002"),
     mutant("clock-through-alias", "src/repro/analysis/accel.py",
            "    rng = Random(seed + 3)\n",
@@ -253,4 +255,9 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    return parent_prefix | (slot << _SLOT_SHIFTS[depth])",
            "    return parent_prefix | (slot << _SLOT_SHIFTS[depth + 1])",
            "key layout", "TestDerivedPrefix"),
+    # -- the repair burst, sampled once and counted as its size ------------
+    mutant("repair-burst-counted-once", "src/repro/store/repair.py",
+           "            self._update_backlog(scheduled)\n",
+           "            self._update_backlog(1)\n",
+           "counted sample", "TestRepairDeficitModel"),
 )

@@ -1,7 +1,7 @@
 """Reference models: the code that the finger table, the ordered indexes,
 the one-commit flush, the per-distinct read fold, the block-cloned read
-stream, the once-accumulated Zipf weights and the record-at-a-time warm-up
-replaced.
+stream, the once-accumulated Zipf weights, the record-at-a-time warm-up and
+the one-pass repair burst replaced.
 
 Kept in the test tree so that ``src/`` has one routing path, one
 ``_index()``, one ``_find()``, one write/remove body, one read-stream
@@ -12,6 +12,7 @@ shape gates of ``benchmarks/bench_micro_core.py`` time against them.
 
 import hashlib
 from collections import defaultdict
+from functools import partial
 from random import Random
 
 from repro.core import lookup_cache
@@ -22,6 +23,7 @@ from repro.fs.namespace import Directory, FileNode, NamespaceError
 from repro.obs.stream import NullJsonlWriter, stream_spans
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
 from repro.store.migration import GraceEntry, StorageCoordinator
+from repro.store.repair import REPAIR_SCHEDULE, RepairJob, RepairScheduler
 from repro.workloads.scale import replica_path
 from repro.workloads.shift import FLASH_FRACTION, ShiftRequest, zipf_weights
 from repro.workloads.trace import READ
@@ -143,6 +145,30 @@ def firing_sequence(sim):
     return sequence
 
 
+def pending_entries(sim):
+    """``(time, seq, count, what)`` of every queued entry in firing order.
+
+    A repair job's step is named by the method it calls and the job's state,
+    however it was queued (a lambda, or a ``partial`` of the method);
+    anything else by its function's qualified name."""
+    entries = []
+    for when, seq, fire, count in sorted(sim._queue, key=lambda entry: entry[:2]):
+        if isinstance(fire, partial):
+            what = (fire.func.__name__, *map(job_state, fire.args))
+        elif "job" in getattr(getattr(fire, "__code__", None), "co_freevars", ()):
+            job = fire.__closure__[fire.__code__.co_freevars.index("job")].cell_contents
+            what = (fire.__code__.co_names[-1], job_state(job))
+        else:
+            what = getattr(fire, "__qualname__", type(fire).__name__)
+        entries.append((when, seq, count, what))
+    return entries
+
+
+def job_state(job):
+    assert isinstance(job, RepairJob), job
+    return job.key, job.target, job.source, job.size, job.attempts
+
+
 def store_state(store):
     """Everything a flush can change in a coordinator and around it, for
     before/after and side-by-side comparison."""
@@ -235,6 +261,89 @@ class PerKeyCoordinator(StorageCoordinator):
             _discard()
 
         self.sim.schedule(wait, _expire)
+
+
+class PerKeyRepairScheduler(RepairScheduler):
+    """The repair scheduler as it was: each key of an arc reconciled on its
+    own — a memoised group lookup, the pointer table walked through a
+    generator, a ``has_copy`` per group member — and each job launched,
+    counted, traced and sampled alone."""
+
+    def on_node_crashed(self, node):
+        for key in self.tracker.drop_node(node):
+            survivors = self.tracker.holders_of(key)
+            if not survivors:
+                self._record_loss(key)
+                continue
+            if self.store.physical_at.get(key) == node:
+                self.store.reassign_physical(key, survivors[0])
+            self.reconcile(key)
+
+    def on_node_left(self, node):
+        for key in self.tracker.drop_node(node):
+            if key not in self.store.directory:
+                continue
+            if not self.tracker.holders_of(key):
+                target = self.ring.successor(key)
+                size = self.store.directory.size_of(key)
+                self.tracker.add_copy(key, target)
+                self.stats.handoff_bytes += size
+                if self.store.physical_at.get(key) == node:
+                    self.store.reassign_physical(key, target)
+            else:
+                if self.store.physical_at.get(key) == node:
+                    self.store.reassign_physical(key, self.tracker.holders_of(key)[0])
+                self.reconcile(key)
+
+    def reconcile_range(self, lo, hi):
+        for key in self.store.directory.keys_in_range(lo, hi):
+            self.reconcile(key)
+
+    def reconcile(self, key):
+        if key not in self.store.directory:
+            return
+        group = self.ring.successors(key, self.store.replica_count)
+        holders = self.tracker.holders_of(key)
+        in_group = [h for h in holders if h in group]
+        if in_group:
+            for holder in holders:
+                if holder not in group:
+                    self.tracker.remove_copy(key, holder)
+                    self.stats.gc_bytes += self.store.directory.size_of(key)
+        owner = group[0]
+        for member in group:
+            if self.tracker.has_copy(key, member):
+                continue
+            covering = (r for r in self.store.pointer_table.pending() if r.covers(key))
+            if member == owner and any(r.owner == member for r in covering):
+                continue
+            self._schedule(key, member)
+
+    def _schedule(self, key, target):
+        if (key, target) in self._in_flight:
+            return
+        holders = self.tracker.holders_of(key)
+        if not holders:
+            return
+        size = self.store.directory.size_of(key)
+        job = RepairJob(key=key, target=target, source=holders[0], size=size)
+        self._in_flight[(key, target)] = job
+        self._jobs_per_key[key] = self._jobs_per_key.get(key, 0) + 1
+        self.stats.scheduled += 1
+        self._c_scheduled.inc()
+        self._update_backlog()
+        if self._tracer is not None:
+            self._tracer.emit(REPAIR_SCHEDULE)
+        self._launch(job)
+
+    def _update_backlog(self):
+        backlog = len(self._in_flight)
+        self._g_backlog.set(backlog)
+        if backlog > self.stats.max_backlog:
+            self.stats.max_backlog = backlog
+        if self._backlog_series is not None:
+            self._backlog_series.sample(self.sim.now, float(backlog))
+            self._deficit_series.sample(self.sim.now, float(len(self._jobs_per_key)))
 
 
 def apply_ops_per_key(store, ops):

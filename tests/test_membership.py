@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.analysis.harness import harvard_deployment
 from repro.dht.keyspace import KEY_SPACE
 from repro.dht.membership import MembershipService
 from repro.dht.ring import Ring
@@ -14,8 +15,11 @@ from repro.sim.failures import (
     FailureTrace,
     generate_churn_ops,
 )
+from repro.store import repair as repair_module
 from repro.store.migration import StorageCoordinator
 from repro.store.repair import RepairScheduler
+from repro.workloads.harvard import HarvardConfig, generate_harvard
+from tests.oracles import PerKeyRepairScheduler, job_state, pending_entries
 
 
 def key_at(thousandth):
@@ -297,3 +301,74 @@ class TestTraceAndStorm:
         sim.run(until=7200.0)
         assert len(ring) == 4
         assert membership.metrics.counter("membership.refused").value > 0
+
+
+class TestRepairBurstsMatchPerKey:
+    """The one-pass repair bursts decide, reserve, fire, count, trace and
+    sample exactly what the per-key reference scheduler does, through a small
+    churn storm: joins, leaves, crashes (one of them correlated) and
+    balancer moves, under health monitoring."""
+
+    DURATION = 1.5 * 3600.0
+
+    def storm(self):
+        trace = generate_harvard(HarvardConfig(users=1, days=self.DURATION / 86400, seed=4))
+        deployment = harvard_deployment(trace, "d2", 10, seed=3)
+        membership = deployment.enable_dynamic_membership()
+        deployment.enable_health_monitoring()
+        membership.schedule_churn_storm(ChurnStormConfig(
+            duration=self.DURATION, join_rate=8.0, leave_rate=4.0, crash_rate=5.0,
+        ))
+        neighbours = list(deployment.ring.names())[:3]  # a whole replica group
+        membership.schedule_failure_trace(FailureTrace(neighbours, [
+            FailureEvent(time=200.0, node=name, up=False) for name in neighbours
+        ], duration=self.DURATION))
+        deployment.start_periodic_balancing()
+        return deployment, trace
+
+    @staticmethod
+    def state(deployment):
+        repair, spans, health = deployment.repair, deployment.spans, deployment.health
+        return {
+            "now": deployment.sim.now,
+            "pending": pending_entries(deployment.sim),
+            "jobs": [(pair, job_state(job)) for pair, job in repair._in_flight.items()],
+            "jobs_per_key": list(repair._jobs_per_key.items()),
+            "buckets": [(node, b.available_at) for node, b in repair._buckets.items()],
+            "copies": list(repair.tracker._copies.items()),
+            "stats": repair.stats,
+            "metrics": deployment.metrics.snapshot(),
+            "events": deployment.tracer.counts(),
+            "spans": (spans.started, spans.finished, spans.counts(), spans.to_dicts()),
+            "series": health.bank.stats(),
+            "health": health.drain(),
+        }
+
+    def test_bursts_match_the_per_key_scheduler(self, monkeypatch):
+        burst, trace = self.storm()
+        with monkeypatch.context() as patch:
+            patch.setattr(repair_module, "RepairScheduler", PerKeyRepairScheduler)
+            per_key, _ = self.storm()
+        assert isinstance(per_key.repair, PerKeyRepairScheduler)
+        assert type(burst.repair) is RepairScheduler
+        records = list(trace.records)
+        for checkpoint in range(300, int(self.DURATION) + 1, 300):  # every five minutes
+            for deployment in (burst, per_key):
+                for record in records:
+                    if record.time > checkpoint:
+                        break
+                    deployment.advance_to(record.time)
+                    deployment.replay_record(record)
+                deployment.advance_to(checkpoint)
+            records = [record for record in records if record.time > checkpoint]
+            assert self.state(burst) == self.state(per_key), checkpoint
+        for deployment in (burst, per_key):
+            deployment.stop_periodic_balancing()
+            deployment.advance_to(self.DURATION + 3600.0)
+        assert self.state(burst) == self.state(per_key)
+        assert burst.health.finish() == per_key.health.finish()
+        assert burst.health.summary() == per_key.health.summary()
+        stats, counters = burst.repair.stats, burst.metrics.counter
+        assert stats.scheduled > 200 and stats.gc_bytes > 0 and stats.lost_keys > 0, stats
+        assert counters("membership.joins").value and counters("membership.leaves").value
+        assert counters("membership.crashes").value > 4 and counters("store.moves").value

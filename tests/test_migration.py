@@ -247,7 +247,7 @@ class TestBalanceCoordinatorProtocol:
             key_at(t) for t in (700, 900, 100, 300, 500)
         ]
         assert store.primary_load("n0") == len(store.directory) == 5
-        assert store.primary_bytes() == {"n0": store.directory.total_bytes}
+        assert store.total_bytes_per_node() == {"n0": store.directory.total_bytes}
         assert store.total_loads() == {"n0": 5}
 
 
@@ -353,6 +353,23 @@ class TestReporting:
         volumes = store.total_bytes_per_node()
         assert sum(volumes.values()) == 1000
         assert volumes["n1"] == 500 and volumes["n2"] == 500
+
+
+    @pytest.mark.parametrize("replicas", [1, 2, 3, 7])
+    def test_totals_sum_each_node_and_its_predecessors(self, replicas):
+        ring, sim, store = make_system(replica_count=replicas)
+        for t in range(3, 1000, 37):
+            store.write(key_at(t), t)
+        names = list(ring.names())
+        primary_bytes = {
+            name: store.directory.bytes_in_range(*ring.range_of(name)) for name in names
+        }
+        for totals, per_node in ((store.total_loads(), store.primary_loads()),
+                                 (store.total_bytes_per_node(), primary_bytes)):
+            assert list(totals) == names
+            for at, name in enumerate(names):
+                held = {names[at - back] for back in range(min(replicas, len(names)))}
+                assert totals[name] == sum(per_node[node] for node in held), name
 
 
 class TestLedger:

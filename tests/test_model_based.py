@@ -14,6 +14,7 @@ from repro.fs.fslayer import BlockOp, apply_ops
 from repro.fs.namespace import Directory, FileNode, NamespaceError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
+from repro.obs.timeseries import TimeSeriesBank
 from repro.sim.engine import Simulator
 from repro.store import block_store
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
@@ -225,11 +226,27 @@ TestRingDirectoryModel = RingDirectoryMachine.TestCase
 TestRingDirectoryModel.settings = settings(max_examples=40, deadline=None)
 
 
+class CountedJobTable(dict):
+    """A job table that counts its insertions and deletions."""
+
+    mutations = 0
+
+    def __setitem__(self, key, value):
+        self.mutations += 1
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self.mutations += 1
+        super().__delitem__(key)
+
+
 class RepairDeficitMachine(RuleBasedStateMachine):
     """The scheduler's per-key in-flight count (the ``repair.deficit``
     gauge) must equal a recount of the job table after every mutation,
     whichever way a job leaves it: completed, requeued, retried into
-    abandonment, source lost, or its key removed meanwhile."""
+    abandonment, source lost, or its key removed meanwhile.  A burst of
+    jobs is sampled once, counted as its size: the backlog series holds one
+    sample per job-table mutation."""
 
     def __init__(self):
         super().__init__()
@@ -241,11 +258,15 @@ class RepairDeficitMachine(RuleBasedStateMachine):
         )
         self.repair.retry_delay = 30.0
         self.joined = 0
+        self.repair._in_flight = table = CountedJobTable()
+        self.repair.attach_timeseries(TimeSeriesBank(width=900.0))  # one sample
+        series = self.repair._backlog_series
         sample = self.repair._update_backlog
 
-        def checked_sample():  # every in-flight mutation ends in a sample
+        def checked_sample(count=1):  # every in-flight mutation ends in a sample
             self.count_matches_job_table()
-            sample()
+            sample(count)
+            assert series.samples == 1 + table.mutations, (series.samples, table.mutations)
 
         self.repair._update_backlog = checked_sample
 

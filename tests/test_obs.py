@@ -124,6 +124,15 @@ class TestEventTracer:
         assert list(tracer.counts()) == [LOOKUP_HIT, LOOKUP_MISS]  # sorted by kind
         assert tracer.emitted == 3
 
+    def test_counted_emit(self):
+        tracer = EventTracer()
+        tracer.emit(LOOKUP_HIT, 3)
+        assert tracer.counts() == {LOOKUP_HIT: 3} and tracer.emitted == 3
+        for count in (0, -2):
+            with pytest.raises(EventError):
+                tracer.emit(LOOKUP_HIT, count)
+        assert tracer.counts() == {LOOKUP_HIT: 3} and tracer.emitted == 3
+
     def test_unknown_kind_rejected(self):
         tracer = EventTracer()
         with pytest.raises(EventError):

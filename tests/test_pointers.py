@@ -54,12 +54,15 @@ class TestPointerTable:
         table.adopt(30, 40, "n2", 0.0)
         assert len(list(table.pending_for("n1"))) == 1
 
-    def test_covering(self):
+    def test_owes(self):
         table = PointerTable()
         table.adopt(10, 20, "n1", 0.0)
         table.adopt(15, 40, "n2", 0.0)
-        assert len(list(table.covering(18))) == 2
-        assert len(list(table.covering(35))) == 1
+        assert table.owes("n1", 18) and table.owes("n2", 18)
+        assert table.owes("n2", 35) and not table.owes("n1", 35)
+        assert not table.owes("n3", 18)
+        table.adopt(90, 5, "n3", 0.0)  # a range across zero
+        assert table.owes("n3", 95) and table.owes("n3", 5) and not table.owes("n3", 6)
 
     def test_pending_snapshot_immutable(self):
         table = PointerTable()

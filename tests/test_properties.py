@@ -66,6 +66,31 @@ def test_ring_ownership_total_after_churn(program, probe):
         assert owners == [owner]
 
 
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["join", "leave", "move"]),
+                  st.integers(min_value=0, max_value=KEY_SPACE - 1)),
+        min_size=1,
+        max_size=20,
+    ),
+    st.lists(st.integers(min_value=0, max_value=KEY_SPACE - 1), max_size=20),
+    st.integers(min_value=1, max_value=5),
+)
+@settings(deadline=None)
+def test_ring_groups_are_the_successor_groups(program, keys, count):
+    """One group per arc, in order, sorted keys or not: the replica groups
+    the per-key lookup finds, node positions and their neighbours
+    included."""
+    machine = RingOps()
+    machine.apply("join", 0)
+    for op, value in program:
+        machine.apply(op, value)
+    ring = machine.ring
+    keys += [p + step for p in ring.positions() for step in (0, 1) if p + step < KEY_SPACE]
+    for probe in (keys, sorted(keys)):
+        assert ring.groups(probe, count) == [ring.successors(key, count) for key in probe]
+
+
 # ----------------------------------------------------------------------
 # FS/store end-to-end invariant: no blocks leak or dangle
 

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from repro.dht.consistent_hashing import hashed_key, random_node_ids
-from repro.dht.keyspace import KEY_SPACE
+from repro.dht.keyspace import KEY_SPACE, hash_to_key
 from repro.dht.ring import Ring
 
 
@@ -18,6 +18,13 @@ class TestConsistentHashing:
         for key in keys:
             buckets[key * 8 // KEY_SPACE] += 1
         assert min(buckets) > 20  # crude uniformity check
+
+    def test_hashed_key_is_the_hash_of_the_utf8_name(self):
+        rng = random.Random(11)
+        names = [f"/u{i}/d{rng.randrange(99)}/f{rng.randrange(10**6)}#{i % 7}" for i in range(2000)]
+        names += ["", "é/ü/ß", "\u4e2d\u6587/block", "a" * 300]
+        for name in names:
+            assert hashed_key(name) == hash_to_key(name.encode("utf-8")), name
 
     def test_random_node_ids_distinct_sorted(self):
         ids = random_node_ids(100, random.Random(0))

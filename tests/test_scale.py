@@ -584,7 +584,9 @@ class TestBenchTrajectorySchema:
 
     def test_call_ledger_validates_and_holds_the_claim(self):
         """``BENCH_calls.json``: every run adds up; the newest keeps each
-        cell at or under the one before, the read-replay image load at half."""
+        cell at or under the one before, with the same digests; and the
+        claims hold: the read-replay image load at half (``pr33``), the
+        churn storm at most 1.7 M calls (``pr34``)."""
         import os
 
         from repro.experiments.scale_matrix import load_trajectory
@@ -593,15 +595,16 @@ class TestBenchTrajectorySchema:
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             "BENCH_calls.json",
         )
-        *_, before, after = load_trajectory(committed)["runs"]
-        totals = [{row["cell"]: row["total"] for row in run["cells"]}
-                  for run in (before, after)]
-        assert set(totals[0]) == set(totals[1]) and len(totals[0]) == 6
-        assert all(totals[1][cell] <= totals[0][cell] for cell in totals[0])
+        runs = load_trajectory(committed)["runs"]
+        totals = {run["label"]: {row["cell"]: row["total"] for row in run["cells"]}
+                  for run in runs}
+        *_, before, after = totals.values()
+        assert set(before) == set(after) and len(before) == 6
+        assert all(after[cell] <= before[cell] for cell in before), (before, after)
         load = "read-replay/image-load"
-        assert totals[1][load] <= 0.5 * totals[0][load], totals
-        digests = [{row["cell"]: row["digest"] for row in run["cells"]}
-                   for run in (before, after)]
+        assert totals["pr33"][load] <= 0.5 * totals["pr32"][load], totals
+        assert totals["pr34"]["churn-storm"] <= 1_700_000, totals
+        digests = [{row["cell"]: row["digest"] for row in run["cells"]} for run in runs[-2:]]
         assert digests[0] == digests[1]
 
     def test_truncated_or_hand_edited_call_ledger_is_refused(self, tmp_path):

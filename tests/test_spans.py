@@ -95,6 +95,21 @@ class TestTracer:
         assert tracer.sampled_out == 0
         assert tracer.counts() == {"op": 20}
 
+    def test_instant_records_what_start_then_finish_records(self):
+        def run(instant):
+            events = EventTracer()
+            tracer = Tracer(capacity=3, sample=0.5, events=events, seed=2)
+            for i in range(12):
+                if instant:
+                    tracer.instant("copy", float(i), key=i)
+                else:
+                    tracer.finish(tracer.start_trace("copy", float(i), key=i), float(i))
+            return (tracer.started, tracer.finished, tracer.sampled_out, tracer.counts(),
+                    tracer.to_dicts(), events.counts())
+
+        assert run(True) == run(False)
+        assert run(True)[2] > 0  # some were sampled out
+
     def test_sampling_is_deterministic_across_runs(self):
         def sampled(seed):
             tracer = Tracer(sample=0.5, seed=seed)

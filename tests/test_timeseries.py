@@ -136,6 +136,62 @@ def test_out_of_order_and_closed_window_samples_rejected():
 
 
 # ---------------------------------------------------------------------------
+# counted samples
+
+
+def test_counted_sample_reads_as_that_many_samples():
+    def run(counted):
+        bank = TimeSeriesBank(width=10.0)
+        series = bank.series("g", agg="max")
+        pushes = [(0.0, 1.0, 2), (3.0, 4.0, 3), (3.0, 2.0, 1), (10.0, 5.0, 4),  # 0 opens
+                  (12.0, 6.0, 2), (8.0, 9.0, 3),  # backwards: rejected
+                  (31.0, 1.0, 2)]  # skips windows 1 and 2
+        for time, value, count in pushes:
+            if counted:
+                series.sample(time, value, count)
+            else:
+                for _ in range(count):
+                    series.sample(time, value)
+        series.advance(40.0)
+        series.sample(35.0, 1.0, 2 if counted else 1)  # late: a closed window
+        if not counted:
+            series.sample(35.0, 1.0)
+        return bank.drain(), bank.stats(), series.rejected
+
+    rows, stats, rejected = run(True)
+    assert (rows, stats, rejected) == run(False)
+    assert [(r["window"], r["count"], r["value"]) for r in rows] == [
+        (0, 8, 5.0), (1, 2, 6.0), (2, 0, None), (3, 2, 1.0)]
+    assert stats["samples"] == 2 + 3 + 1 + 4 + 2 + 2 and rejected == 3 + 2
+
+
+def test_open_window_fast_path_matches_window_geometry():
+    # Samples land in the open window exactly when the window index of
+    # their time is the open one, boundary included: a 0.1-wide window
+    # makes float division round both ways.
+    bank = TimeSeriesBank(width=0.1)
+    series = bank.series("g")
+    times = [i * 0.1 for i in range(1, 40)] + [i * 0.1 + 1e-12 for i in range(40, 60)]
+    for time in sorted(times):
+        series.sample(time, time)
+    series.flush()
+    rows = busy(bank.drain())
+    assert [r["window"] for r in rows] == sorted({series._index_of(t) for t in times})
+    assert sum(r["count"] for r in rows) == len(times)
+    for row in rows:
+        inside = [t for t in times if series._index_of(t) == row["window"]]
+        assert row["count"] == len(inside) and row["value"] == max(inside)
+
+
+def test_sample_count_must_be_positive():
+    series = TimeSeriesBank(width=10.0).series("g")
+    for count in (0, -1):
+        with pytest.raises(TimeSeriesError):
+            series.sample(1.0, 1.0, count)
+    assert series.samples == 0 and series.rejected == 0
+
+
+# ---------------------------------------------------------------------------
 # construction and bank behavior
 
 
