@@ -10,17 +10,15 @@ IDs only at bootstrap; its keys come from
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import List
 
 from repro.dht.keyspace import KEY_SPACE, hash_to_key, key_to_bytes
 
 
-def hashed_key(name: str) -> int:
-    """Uniform ring key for a named object (block or file) via SHA-512:
-    ``hash_to_key(name.encode())`` inlined, one Python call per key."""
-    return int.from_bytes(hashlib.sha512(name.encode("utf-8")).digest(), "big")
+# Uniform ring key for a named object (block or file): the SHA-512 of its
+# UTF-8 name, in one Python call per key.
+hashed_key = hash_to_key
 
 
 def salted_key(salt: str, key: int) -> int:

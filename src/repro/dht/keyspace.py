@@ -12,6 +12,7 @@ from 64-byte big-endian representations.
 from __future__ import annotations
 
 import hashlib
+from typing import Union
 
 KEY_BYTES = 64
 KEY_BITS = KEY_BYTES * 8
@@ -40,12 +41,16 @@ def key_from_bytes(raw: bytes) -> int:
     return int.from_bytes(raw, "big")
 
 
-def hash_to_key(data: bytes) -> int:
-    """Map arbitrary bytes uniformly onto the key space.
+def hash_to_key(data: Union[bytes, str]) -> int:
+    """Map arbitrary bytes (or a name, as its UTF-8 bytes) onto the key space.
 
     Used for consistent hashing (traditional DHT keys and random node IDs).
-    SHA-512 output is exactly 64 bytes, matching the key width.
+    SHA-512 output is exactly 64 bytes, matching the key width.  A name is
+    hashed here rather than encoded by the caller, so a traditional key per
+    block costs one Python call.
     """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     return int.from_bytes(hashlib.sha512(data).digest(), "big")
 
 

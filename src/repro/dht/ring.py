@@ -164,30 +164,14 @@ class Ring:
         """Name of the node that owns *key* (its immediate successor)."""
         return self._names[self.successor_index(key)]
 
-    def owners(self, keys: Iterable[int]) -> List[str]:
-        """The owner of each of *keys*, in order.
+    def groups(self, keys: Iterable[int], count: int) -> List[List[str]]:
+        """The replica group (:meth:`successors`) of each of *keys*, in order.
 
         For keys asked about once, already checked (a flush's fresh block
-        versions): one pass that leaves the memo alone, one bisect per run of
-        keys in one arc (a D2 flush's cluster)."""
-        if not self._ids:
-            raise RingError("ring is empty")
-        ids, names, size = self._ids, self._names, len(self._ids)
-        find = bisect.bisect_left
-        owners: List[str] = []
-        low = high = -1  # the arc (low, high] of the last owner found
-        for key in keys:
-            if not low < key <= high:
-                at = find(ids, key)
-                low, high = ids[at - 1] if at else -1, ids[at] if at < size else KEY_SPACE
-                owner = names[at % size]
-            owners.append(owner)
-        return owners
-
-    def groups(self, keys: Iterable[int], count: int) -> List[List[str]]:
-        """The replica group (:meth:`successors`) of each of *keys*, in
-        :meth:`owners`' pass; the keys of one arc share one list, which
-        callers must not mutate."""
+        versions, a repair burst's arc): one pass that leaves the memo alone,
+        one bisect and one group per run of keys in one arc (a D2 cluster).
+        The keys of one arc share one list, which callers must not mutate;
+        with *count* 1 each list is ``[owner]``."""
         if not self._ids:
             raise RingError("ring is empty")
         ids, names, size = self._ids, self._names, len(self._ids)

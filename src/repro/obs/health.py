@@ -419,7 +419,7 @@ class HealthMonitor:
         short = repair.tracker.short_of(want)
         per_node: Dict[str, int] = {}
         if self.node_level and short:
-            for owner in deployment.ring.owners(short):
+            for (owner,) in deployment.ring.groups(short, 1):
                 per_node[owner] = per_node.get(owner, 0) + 1
         self.bank.sample("repair.deficit", now, float(len(short)), agg="max")
         self.bank.sample("repair.backlog", now, float(repair.backlog()), agg="max")

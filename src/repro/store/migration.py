@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import ne
+from operator import itemgetter, ne
 from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.dht.ring import Ring
@@ -207,7 +207,8 @@ class StorageCoordinator:
         check_items(removes)
         now, removes_at, expires_at = self.sim.now, self._removes_at, self._expires_at
         if keys:
-            owners = self.ring.owners(keys)  # raises on an empty ring, so first
+            # Owners first: the ring pass raises on an empty ring.
+            owners = list(map(itemgetter(0), self.ring.groups(keys, 1)))
             self.directory._upsert(fresh)
             self.physical_at.update(zip(keys, owners))
             written = sum(sizes)
@@ -565,4 +566,5 @@ class StorageCoordinator:
         keys = list(self.directory.keys())
         if not keys:
             return 0
-        return sum(map(ne, map(self.physical_at.get, keys), self.ring.owners(keys)))
+        owners = map(itemgetter(0), self.ring.groups(keys, 1))
+        return sum(map(ne, map(self.physical_at.get, keys), owners))

@@ -124,7 +124,7 @@ class ReplicaTracker:
         return [key for key, holders in self._copies.items() if len(holders) < want]
 
 
-@dataclass(slots=True)
+@dataclass
 class RepairJob:
     """One in-flight re-replication: *key* streaming toward *target*."""
 
@@ -331,7 +331,7 @@ class RepairScheduler:
             return
         tracker, pointers = self.tracker, self.store.pointer_table
         holders_of, size_of = tracker.holders_of, self.store.directory.size_of
-        in_flight, per_key, buckets = self._in_flight, self._jobs_per_key, self._buckets
+        in_flight, per_key, bucket = self._in_flight, self._jobs_per_key, self._bucket
         now = self.sim.now
         launches = []
         for key, group in zip(keys, self.ring.groups(keys, self.store.replica_count)):
@@ -358,10 +358,8 @@ class RepairScheduler:
                 job = RepairJob(key=key, target=member, source=source, size=size)
                 in_flight[key, member] = job
                 per_key[key] = per_key.get(key, 0) + 1
-                bucket = buckets.get(source)
-                if bucket is None:
-                    bucket = buckets[source] = TokenBucket(self.bandwidth_bps)
-                launches.append((bucket.reserve(now, size) - now, partial(self._finish, job)))
+                done_at = bucket(source).reserve(now, size)
+                launches.append((done_at - now, partial(self._finish, job)))
         if launches:
             scheduled = len(launches)
             self.stats.scheduled += scheduled
@@ -371,12 +369,15 @@ class RepairScheduler:
                 self._tracer.emit(REPAIR_SCHEDULE, scheduled)
             self.sim.schedule_batch(launches)
 
-    def _launch(self, job: RepairJob) -> None:
-        bucket = self._buckets.get(job.source)
+    def _bucket(self, source: str) -> TokenBucket:
+        """*source*'s upload bucket, made on its first repair job."""
+        bucket = self._buckets.get(source)
         if bucket is None:
-            bucket = TokenBucket(rate_bytes_per_sec=self.bandwidth_bps)
-            self._buckets[job.source] = bucket
-        done_at = bucket.reserve(self.sim.now, job.size)
+            bucket = self._buckets[source] = TokenBucket(self.bandwidth_bps)
+        return bucket
+
+    def _launch(self, job: RepairJob) -> None:
+        done_at = self._bucket(job.source).reserve(self.sim.now, job.size)
         self.sim.schedule_at(done_at, lambda: self._finish(job))
 
     def _finish(self, job: RepairJob) -> None:
@@ -484,7 +485,6 @@ class RepairScheduler:
         Called once when a churn run starts against a pre-loaded
         deployment, before any membership change.
         """
-        for key in sorted(self.store.directory.keys()):
-            self.tracker.place(
-                key, self.ring.successors(key, self.store.replica_count)
-            )
+        keys = sorted(self.store.directory.keys())
+        for key, group in zip(keys, self.ring.groups(keys, self.store.replica_count)):
+            self.tracker.place(key, group)
