@@ -826,3 +826,59 @@ def test_churn_count_gate(monkeypatch):
     per_job = sum(counter.by_package(src).values()) / row["repair_scheduled"]
     bound = 30.46 * 1.25
     assert per_job <= bound, f"{per_job:.2f} Python calls per scheduled job (bound {bound:.2f})"
+
+
+def test_accel_count_gate(monkeypatch):
+    """Shape gate: a traced accelerated lookup makes few Python calls.
+
+    Counted, not timed, on a small ``all``/``hotspot`` accel cell (64
+    nodes, 40 directories a phase, 12 clients, 1 500 + 2 500 lookups,
+    seed 11; spans at the default rate 1.0), with Python ``call`` events
+    of ``benchmarks/callcount.py`` from the first lookup to the end of the
+    cell (the span export and the metrics snapshot included):
+
+    * no ``EventTracer.emit`` for a span boundary or a probe outcome: the
+      event tracer reads those counts from the span tracer and the caches;
+    * no ``Tracer.__bool__`` per lookup (one, for the export), no
+      ``LookupCache._lookup`` and no ``_count`` or ``Span.annotate`` on a
+      hit, no ``Span.to_dict`` per exported span;
+    * Python calls into ``src/repro`` per lookup stay within the measured
+      13.36 plus a quarter; the code this replaced made 30.71.
+    """
+    import repro
+    from repro.analysis import accel as accel_cell
+    from repro.core import accel
+    from repro.obs.events import EventTracer
+    from repro.obs.spans import Span, Tracer
+
+    monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
+    counter = CallCounter()
+    lookup, lookups = accel.LookupAccelerator.lookup, []
+
+    def counted(self, *args, **kwargs):
+        if not lookups:
+            counter.__enter__()
+        lookups.append(args)
+        return lookup(self, *args, **kwargs)
+
+    monkeypatch.setattr(accel.LookupAccelerator, "lookup", counted)
+    try:
+        result = accel_cell.run_accel_cell(
+            mode="all", scenario="hotspot", n_nodes=64, n_dirs=40, clients=12,
+            pre_ops=1500, post_ops=2500, seed=11)
+    finally:
+        counter.__exit__()
+    assert len(lookups) == result.lookups == 4000 and result.cache_hits > 3000, result.row()
+    assert counter.of(EventTracer.emit) < len(lookups) / 20, counter.of(EventTracer.emit)
+    assert counter.of(Tracer.__bool__) <= 1  # the export's
+    assert counter.of(LookupCache._lookup) == 0
+    # A miss counts itself, its insert and at most one eviction, and is
+    # annotated thrice; a hit does neither.
+    misses = len(lookups) - result.cache_hits
+    assert counter.of(LookupCache._count) <= 3 * misses, counter.of(LookupCache._count)
+    assert counter.of(Span.annotate) <= 3 * misses, counter.of(Span.annotate)
+    assert counter.of(Span.to_dict) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    per_lookup = sum(counter.by_package(src).values()) / len(lookups)
+    bound = 13.36 * 1.25
+    assert per_lookup <= bound, f"{per_lookup:.2f} Python calls per lookup (bound {bound:.2f})"

@@ -28,8 +28,7 @@ lookup messages (the client already knows the owner), a stale entry bills
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.core.lookup_cache import (
     DEFAULT_TTL,
@@ -63,8 +62,7 @@ LEARNED_MIN_OBSERVATIONS = 64
 LEARNED_MAX_PROBE = 3
 
 
-@dataclass(frozen=True)
-class AccelLookup:
+class AccelLookup(NamedTuple):
     """Outcome of one accelerated lookup.
 
     ``tier`` names the layer that produced the owner: ``"cache"`` (correct
@@ -79,6 +77,9 @@ class AccelLookup:
     tier: str
     messages: int
     stale: bool = False
+
+
+_outcome = tuple.__new__  # an AccelLookup from its five fields, in no Python frame
 
 
 class LookupAccelerator:
@@ -120,7 +121,7 @@ class LookupAccelerator:
         self.seed = seed
         self._registry = registry
         self._tracer = tracer
-        self._spans = spans
+        self._spans = spans or None  # a tracer sampling nothing is dropped here
         self.budget = CacheBudget(BUDGET_ENTRIES) if self.adaptive else None
         self.learned: Optional[LearnedIndex] = None
         if mode in ("cache+learned", "all"):
@@ -172,26 +173,30 @@ class LookupAccelerator:
         """
         self._c_lookups.inc()
         spans = self._spans
-        if spans:
-            attrs = {"client": client, "mode": self.mode}
-            if phase is not None:
-                attrs["phase"] = phase
-            span = spans.start_trace("accel.lookup", now, **attrs)
-        else:
+        if spans is None:
             span = None
+        elif phase is None:
+            span = spans.start_trace("accel.lookup", now, client=client, mode=self.mode)
+        else:
+            span = spans.start_trace("accel.lookup", now, client=client, mode=self.mode,
+                                     phase=phase)
         stale = False
         extra = 0
-        cache = self.cache_for(client) if self.use_cache else None
-        if cache is not None:
+        cache = None
+        if self.use_cache:
+            cache = self.caches.get(client)
+            if cache is None:
+                cache = self.cache_for(client)
             cached = cache.probe(key, now, span)
             if cached is not None:
                 owner = self.ring.successor(key)
                 if cached == owner:
                     if span:
-                        span.annotate(tier="cache", messages=0)
+                        attrs = span.attrs
+                        attrs["tier"] = "cache"
+                        attrs["messages"] = 0
                         spans.finish(span, now)
-                    return AccelLookup(key=key, owner=owner, tier="cache",
-                                       messages=0)
+                    return _outcome(AccelLookup, (key, owner, "cache", 0, False))
                 # Stale entry: the probed node no longer owns the key.  One
                 # wasted message, then fall through to a real resolution.
                 cache.invalidate(key, span)
@@ -219,5 +224,4 @@ class LookupAccelerator:
         if span:
             span.annotate(tier=tier, messages=messages, stale=stale)
             spans.finish(span, now)
-        return AccelLookup(key=key, owner=owner, tier=tier,
-                           messages=messages, stale=stale)
+        return _outcome(AccelLookup, (key, owner, tier, messages, stale))

@@ -35,6 +35,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.dht.keyspace import KEY_SPACE, in_interval
@@ -42,6 +43,8 @@ from repro.obs.events import LOOKUP_HIT, LOOKUP_MISS, LOOKUP_STALE, EventTracer
 from repro.obs.metrics import MetricsRegistry
 
 DEFAULT_TTL = 4500.0  # 1.25 hours, per Section 5
+
+_expiry = attrgetter("expires_at")
 
 
 @dataclass
@@ -112,10 +115,12 @@ class LookupCache:
     it examines the entries ending at or after the key for as long as one
     of them can start before it, plus the few arcs that wrap.  Ranges may
     overlap transiently after churn, in which case the freshest entry
-    (latest ``expires_at``) wins.  With a shared *registry*/*tracer*, every
-    probe also feeds the deployment-wide aggregate counters (``lookup.hits``
-    etc.) and event counts — each cache's own :class:`LookupCacheStats`
-    stays per-client.
+    (latest ``expires_at``) wins.  With a shared *registry*, every probe
+    also feeds the deployment-wide aggregate counters (``lookup.hits``
+    etc.) — each cache's own :class:`LookupCacheStats` stays per-client.
+    With a *tracer*, the cache's hits, misses and stale hits are its
+    ``lookup.*`` event counts, read from those statistics when the events
+    are read (:meth:`event_counts`).
 
     Optional knobs (all default to the paper's static design):
 
@@ -147,8 +152,14 @@ class LookupCache:
         self._reindex()
         self.stats = LookupCacheStats()
         self._shared = LookupCacheStats(registry) if registry is not None else None
-        self._tracer = tracer
+        # What a live hit adds one to, held here so that a probe answers it
+        # with no further Python call (a counter is one attribute add).
+        self._hit_counters = tuple(
+            stats._counters["hits"] for stats in (self.stats, self._shared) if stats is not None
+        )
         self._sizer = None
+        if tracer is not None:
+            tracer.derive(self)
         if sizer is not None:
             self.attach_sizer(sizer)
 
@@ -164,6 +175,14 @@ class LookupCache:
         if self._shared is not None:
             self._shared._counters[field].add(amount)
 
+    def event_counts(self) -> Tuple[Tuple[str, int], ...]:
+        """This cache's hits, misses and stale hits as ``lookup.hit``,
+        ``lookup.miss`` and ``lookup.stale`` events (see
+        :meth:`repro.obs.events.EventTracer.derive`)."""
+        stats = self.stats
+        return ((LOOKUP_HIT, stats.hits), (LOOKUP_MISS, stats.misses),
+                (LOOKUP_STALE, stats.stale_hits))
+
     def probe(self, key: int, now: float, span=None) -> Optional[str]:
         """Node caching says owns *key*, or None on a miss.
 
@@ -171,45 +190,71 @@ class LookupCache:
         overlapping entry at the same range end.  With a *span* (a live
         :class:`repro.obs.spans.Span`), the outcome is annotated onto it —
         a null/absent span costs one truthiness check.
+
+        While no arc wraps and at most one entry from the bisect point on
+        starts before *key* (the usual case: arcs overlap only for a while
+        after churn), that entry is the only one that can cover it, and a
+        live hit is answered with no Python call but the sizer's; other
+        probes ask :meth:`_find`.
         """
-        entry = self._lookup(key, now)
+        if self._wrapping:
+            entry = self._find(key)
+        else:
+            min_lo = self._min_lo
+            index = bisect.bisect_left(self._his, key)
+            if min_lo[index] >= key:
+                entry = None
+            elif min_lo[index + 1] >= key:
+                entry = self._entries[index]
+            else:
+                entry = self._find(key)
         if entry is not None:
-            self._count("hits")
+            ring = self._ring
+            if entry.expires_at <= now or (ring is not None and entry.version != ring.version):
+                entry = self._settle(entry, now)
+        if entry is not None:
+            for counter in self._hit_counters:
+                counter._value += 1
             if self._sizer is not None:
                 self._sizer.record(self, "hit")
             if span:
-                span.annotate(cache="hit", node=entry.node)
-            if self._tracer is not None:
-                self._tracer.emit(LOOKUP_HIT)
+                attrs = span.attrs
+                attrs["cache"] = "hit"
+                attrs["node"] = entry.node
             return entry.node
         self._count("misses")
         if self._sizer is not None:
             self._sizer.record(self, "miss")
         if span:
             span.annotate(cache="miss")
-        if self._tracer is not None:
-            self._tracer.emit(LOOKUP_MISS)
         return None
 
     def _lookup(self, key: int, now: float) -> Optional[CacheEntry]:
         """The live entry that answers a probe of *key*, or None; the hit
         or miss is the caller's to count, evictions are counted here."""
         entry = self._find(key)
-        if entry is not None and entry.expires_at > now:
-            if self._ring is not None and entry.version != self._ring.version:
-                # Membership moved since insert.  A node that changed
-                # position keeps its name; only a node that left the ring
-                # outright (crash/leave under dynamic membership) makes
-                # the entry unservable.
-                if entry.node not in self._ring:
-                    self._remove_entry(entry)
-                    self._count("membership_evictions")
-                    return None
-                entry.version = self._ring.version
-            return entry
         if entry is not None:
-            self._remove_entry(entry)
-            self._count("evictions")
+            ring = self._ring
+            if entry.expires_at <= now or (ring is not None and entry.version != ring.version):
+                entry = self._settle(entry, now)
+        return entry
+
+    def _settle(self, entry: CacheEntry, now: float) -> Optional[CacheEntry]:
+        """*entry*, found for a probe at *now* but expired or inserted under
+        an older membership: dropped and counted (None), or revalidated."""
+        if entry.expires_at > now:
+            # Membership moved since insert.  A node that changed position
+            # keeps its name; only a node that left the ring outright
+            # (crash/leave under dynamic membership) makes the entry
+            # unservable.
+            if entry.node not in self._ring:
+                self._remove_entry(entry)
+                self._count("membership_evictions")
+                return None
+            entry.version = self._ring.version
+            return entry
+        self._remove_entry(entry)
+        self._count("evictions")
         return None
 
     def warm(self, keys: Sequence[int], now: float, ring) -> None:
@@ -222,7 +267,7 @@ class LookupCache:
         no ring lookup, when that is provably what the probe and the ring
         would say: the entry's arc is its node's current range and no
         other entry overlaps it.  The ring cannot move inside one call.
-        Hits and misses (and their events) are counted once a call; with a
+        Hits and misses are counted once a call; with a
         sizer attached, which sees each outcome in order, every key is
         probed on its own.  The per-key form is ``warm_access`` in
         ``tests/oracles.py``; both leave the same entries, statistics and
@@ -255,11 +300,9 @@ class LookupCache:
                     answered, alone = entry, None
                     continue
             answered, alone = self.insert(*range_of(owner), owner, now), None
-        for field, kind, count in (("hits", LOOKUP_HIT, hits), ("misses", LOOKUP_MISS, misses)):
+        for field, count in (("hits", hits), ("misses", misses)):
             if count:
                 self._count(field, count)
-                if self._tracer is not None:
-                    self._tracer.emit(kind, count)
 
     def _answers_arc(self, entry: CacheEntry, ring) -> bool:
         """Whether a probe of any key in *entry*'s arc finds *entry*, and
@@ -307,7 +350,9 @@ class LookupCache:
         return entry
 
     def _evict_for_capacity(self) -> None:
-        victim = min(self._entries, key=lambda e: (e.expires_at, e.hi))
+        # The entry nearest to expiry; entries are in range-end order, so
+        # the first of equally near ones has the lowest range end.
+        victim = min(self._entries, key=_expiry)
         self._remove_entry(victim)
         self._count("capacity_evictions")
         if self._sizer is not None:
@@ -323,8 +368,6 @@ class LookupCache:
                 self._sizer.record(self, "stale")
             if span:
                 span.annotate(cache="stale", stale_node=entry.node)
-            if self._tracer is not None:
-                self._tracer.emit(LOOKUP_STALE)
 
     def _reindex(self) -> None:
         """Build what :meth:`_find` reads from scratch, after many entries
@@ -373,7 +416,7 @@ class LookupCache:
         if new is not None and new.expires_at < self._first_expiry:
             self._first_expiry = new.expires_at
         if gone is not None and gone.expires_at <= self._first_expiry:
-            self._first_expiry = min((entry.expires_at for entry in entries), default=math.inf)
+            self._first_expiry = min(map(_expiry, entries), default=math.inf)
 
     def _find(self, key: int) -> Optional[CacheEntry]:
         """Freshest entry covering *key*, expired or not.

@@ -39,22 +39,17 @@ class Ring:
         self._ids: List[int] = []            # sorted ring positions
         self._names: List[str] = []          # names parallel to _ids
         self._position: Dict[str, int] = {}  # name -> current ring position
-        self._version = 0                    # bumped on every membership change
+        #: Monotonic membership/position generation, incremented by every
+        #: join, leave, or position change, so callers can cache derived
+        #: views (e.g. the balancer's sampling list) and invalidate them
+        #: only when the ring actually changed.  A plain attribute: the
+        #: lookup cache reads it on every probe.  Read it, never write it.
+        self.version = 0
         # key -> owner index and (owner index, count) -> replica group,
-        # valid only while _memo_version == _version (see successor_index).
+        # valid only while _memo_version == version (see successor_index).
         self._memo_version = -1
         self._owner_memo: Dict[int, int] = {}
         self._group_memo: Dict[Tuple[int, int], List[str]] = {}
-
-    @property
-    def version(self) -> int:
-        """Monotonic membership/position generation.
-
-        Incremented by every join, leave, or position change, so callers
-        can cache derived views (e.g. the balancer's sampling list) and
-        invalidate them only when the ring actually changed.
-        """
-        return self._version
 
     # ------------------------------------------------------------------
     # membership
@@ -75,7 +70,7 @@ class Ring:
         self._ids.insert(index, node_id)
         self._names.insert(index, name)
         self._position[name] = node_id
-        self._version += 1
+        self.version += 1
 
     def leave(self, name: str) -> int:
         """Remove node *name*; returns the position it vacated."""
@@ -84,7 +79,7 @@ class Ring:
         del self._ids[index]
         del self._names[index]
         del self._position[name]
-        self._version += 1
+        self.version += 1
         return node_id
 
     def change_position(self, name: str, new_id: int) -> Tuple[int, int]:
@@ -147,10 +142,10 @@ class Ring:
         """
         if not self._ids:
             raise RingError("ring is empty")
-        if self._memo_version != self._version:
+        if self._memo_version != self.version:
             self._owner_memo.clear()
             self._group_memo.clear()
-            self._memo_version = self._version
+            self._memo_version = self.version
         index = self._owner_memo.get(key)
         if index is None:
             validate_key(key)

@@ -346,13 +346,12 @@ def apply_ops(store, ops: Iterable[BlockOp]) -> Dict[str, int]:
     )
     # One root span per flush, made once it is known to have gone through.
     if store.spans:
-        now = store.sim.now
-        store.spans.finish(store.spans.start_trace(
-            "fs.apply_ops", now,
+        store.spans.instant(
+            "fs.apply_ops", store.sim.now,
             put_bytes=put_bytes,
             get_bytes=get_bytes,
             remove_bytes=remove_bytes,
             puts=len(put_sizes),
             removes=len(removes),
-        ), now)
+        )
     return {"put": put_bytes, "get": get_bytes, "remove": remove_bytes}

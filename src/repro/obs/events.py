@@ -15,7 +15,7 @@ vocabulary, whatever the length of the run.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict, List
 
 # Core event vocabulary (the schema is documented in docs/observability.md).
 LOOKUP_HIT = "lookup.hit"
@@ -70,11 +70,18 @@ def register_kind(kind: str) -> str:
 
 
 class EventTracer:
-    """Exact per-kind event counts for the whole run."""
+    """Exact per-kind event counts for the whole run.
+
+    Most counts are emitted here one :meth:`emit` at a time.  A component
+    that already keeps the count of some kind (a span tracer its root
+    spans, a lookup cache its hits and misses) is registered with
+    :meth:`derive` instead: its counts are read when :meth:`counts` or
+    :attr:`emitted` is read, and add to what was emitted.
+    """
 
     def __init__(self) -> None:
         self._counts: Dict[str, int] = {}
-        self.emitted = 0  # total events ever
+        self._derived: List[Any] = []  # sources of (kind, count) pairs
 
     def emit(self, kind: str, count: int = 1) -> None:
         """Count *count* events of *kind* (one, unless they are tallied in bulk)."""
@@ -83,8 +90,23 @@ class EventTracer:
         if kind not in EVENT_KINDS:
             raise EventError(f"unknown event kind {kind!r}")
         self._counts[kind] = self._counts.get(kind, 0) + count
-        self.emitted += count
+
+    def derive(self, source: Any) -> None:
+        """Count *source*'s ``event_counts()`` — ``(kind, count)`` pairs of
+        registered kinds, each count never falling — as events of this
+        tracer, read when the counts are read."""
+        self._derived.append(source)
+
+    @property
+    def emitted(self) -> int:
+        """Total events ever."""
+        return sum(self.counts().values())
 
     def counts(self) -> Dict[str, int]:
         """Per-kind totals, sorted by kind (JSON-ready)."""
-        return dict(sorted(self._counts.items()))
+        counts = dict(self._counts)
+        for source in self._derived:
+            for kind, count in source.event_counts():
+                if count:
+                    counts[kind] = counts.get(kind, 0) + count
+        return dict(sorted(counts.items()))

@@ -30,10 +30,11 @@ critical-path extraction, and per-phase latency attribution.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from collections import deque
-from typing import Deque, Dict, List, Optional, Union
+from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.events import EventTracer, register_kind
 
@@ -57,7 +58,7 @@ class SpanError(Exception):
 class Span:
     """One named interval of simulated time within a trace tree.
 
-    Only :meth:`Tracer._open` makes one.  A :class:`Tracer` numbers its
+    Only a :class:`Tracer` makes one.  A :class:`Tracer` numbers its
     traces and spans with plain ints, which a span keeps (``trace_no`` /
     ``span_no`` / ``parent_no``); :meth:`to_dict` formats them
     (``t0000002a``) on export.
@@ -79,28 +80,14 @@ class Span:
         return self
 
     def finish(self, end: float) -> "Span":
-        if self.end is not None:
-            raise SpanError(f"span {self.name!r} already finished")
-        if end < self.start:
-            raise SpanError(
-                f"span {self.name!r} cannot end at {end} before start {self.start}"
-            )
+        if self.end is not None or end < self.start:
+            raise _finish_error(self, end)
         self.end = float(end)
         return self
 
     def to_dict(self) -> Dict[str, object]:
-        """The exported span: a tracer's numbers as ``t``/``s`` and 8 hex
-        digits (the only place they are formatted)."""
-        parent_no = self.parent_no
-        return {
-            "trace_id": "t%08x" % self.trace_no,
-            "span_id": "s%08x" % self.span_no,
-            "parent_id": None if parent_no is None else "s%08x" % parent_no,
-            "name": self.name,
-            "start": self.start,
-            "end": self.end,
-            "attrs": dict(self.attrs),
-        }
+        """The exported span (see :func:`_span_dicts`)."""
+        return _span_dicts((self,))[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"{self.start}..{self.end}" if self.end is not None else f"{self.start}.."
@@ -134,23 +121,64 @@ class _NullSpan:
         return "NULL_SPAN"
 
 
+def _span_dicts(spans: Iterable[Span]) -> List[Dict[str, object]]:
+    """The exported *spans*: a tracer's numbers as ``t``/``s`` and 8 hex
+    digits (the only place they are formatted), in one Python call."""
+    return [
+        {
+            "trace_id": "t%08x" % span.trace_no,
+            "span_id": "s%08x" % span.span_no,
+            "parent_id": None if span.parent_no is None else "s%08x" % span.parent_no,
+            "name": span.name,
+            "start": span.start,
+            "end": span.end,
+            "attrs": dict(span.attrs),
+        }
+        for span in spans
+    ]
+
+
+def _finish_error(span: Span, end: float) -> SpanError:
+    """Why *span* cannot end at *end*: it already ended, or *end* is early."""
+    if span.end is not None:
+        return SpanError(f"span {span.name!r} already finished")
+    return SpanError(f"span {span.name!r} cannot end at {end} before start {span.start}")
+
+
 #: The singleton null span.  ``bool(NULL_SPAN)`` is False, so call sites
 #: guard expensive annotation work with a plain truthiness check.
 NULL_SPAN = _NullSpan()
 
 SpanLike = Union[Span, _NullSpan]
 
+_new_span = object.__new__  # a Span with its slots still empty, in no Python frame
+
+
+class SampleRateError(SpanError, ValueError):
+    """Raised when a sample rate is not a number (or is NaN)."""
+
+
+def _sample_rate(value: object, source: str) -> float:
+    """*value* as a sample rate clamped to [0, 1]; a value that is no
+    number, or NaN, raises :class:`SampleRateError` naming it."""
+    try:
+        rate = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        rate = math.nan
+    if math.isnan(rate):
+        raise SampleRateError(f"{source} must be a number in [0, 1], got {value!r}")
+    return min(1.0, max(0.0, rate))
+
 
 def sample_rate_from_env(default: float = DEFAULT_SAMPLE) -> float:
-    """``$REPRO_TRACE_SAMPLE`` clamped to [0, 1]; *default* when unset/bad."""
+    """``$REPRO_TRACE_SAMPLE`` clamped to [0, 1]; *default* when unset.
+
+    A value that is no number, or NaN, raises :class:`SampleRateError`.
+    """
     raw = os.environ.get(SAMPLE_ENV, "").strip()
     if not raw:
         return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return min(1.0, max(0.0, value))
+    return _sample_rate(raw, f"${SAMPLE_ENV}")
 
 
 class Tracer:
@@ -164,11 +192,18 @@ class Tracer:
         Fraction of traces kept, decided at :meth:`start_trace`.  ``None``
         reads ``$REPRO_TRACE_SAMPLE`` (default 1.0).
     events:
-        Optional :class:`EventTracer` that receives ``span.start`` /
-        ``span.finish`` events for *root* spans — the span-boundary kinds
-        registered through :func:`repro.obs.events.register_kind`.
+        Optional :class:`EventTracer` whose ``span.start`` /
+        ``span.finish`` counts are this tracer's *root* spans started and
+        finished — the span-boundary kinds registered through
+        :func:`repro.obs.events.register_kind`.  They are read from the
+        tracer's own counters when the event counts are read
+        (:meth:`event_counts`), not emitted span by span.
     seed:
         Sampling-RNG seed; fixed so identical runs sample identically.
+
+    :meth:`start_trace`, :meth:`start_span`, :meth:`instant` and
+    :meth:`finish` each run in one Python frame: they sit on every traced
+    operation's path, so each builds or closes its span itself.
     """
 
     def __init__(
@@ -182,15 +217,20 @@ class Tracer:
         if capacity < 1:
             raise SpanError("tracer capacity must be >= 1")
         self.capacity = capacity
-        self.sample = sample_rate_from_env() if sample is None else min(1.0, max(0.0, float(sample)))
-        self._events = events
+        self.sample = (sample_rate_from_env() if sample is None
+                       else _sample_rate(sample, "Tracer(sample=...)"))
         self._rng = random.Random(seed)
         self._buffer: Deque[Span] = deque(maxlen=capacity)
         self._counts: Dict[str, int] = {}
+        # One number names a trace, the next its root span, and each child
+        # span takes one more: so ``_ids - started`` is the roots started.
         self._ids = 0
         self.started = 0      # sampled spans ever created (incl. rotated out)
         self.finished = 0
         self.sampled_out = 0  # root spans dropped by head sampling
+        self._roots_finished = 0
+        if events is not None:
+            events.derive(self)
 
     @classmethod
     def from_env(cls, *, events: Optional[EventTracer] = None,
@@ -207,60 +247,75 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._buffer)
 
+    def event_counts(self) -> Tuple[Tuple[str, int], Tuple[str, int]]:
+        """Root spans started and finished, as ``span.start`` and
+        ``span.finish`` events (see :meth:`EventTracer.derive`)."""
+        return (SPAN_START, self._ids - self.started), (SPAN_FINISH, self._roots_finished)
+
     # ------------------------------------------------------------------
     # span creation
 
-    def _open(self, trace_no, span_no, parent_no, name: str, start: float,
-              attrs: Dict[str, object]) -> Span:
-        """A new span, buffered and counted; the caller's keyword
-        arguments become its attributes without being re-packed."""
-        span = Span.__new__(Span)
-        span.trace_no, span.span_no, span.parent_no = trace_no, span_no, parent_no
+    def start_trace(self, name: str, start: float, **attrs: object) -> SpanLike:
+        """Open a root span, applying the head-sampling decision.  The
+        caller's keyword arguments become its attributes as they are."""
+        sample = self.sample
+        if sample < 1.0 and (sample <= 0.0 or self._rng.random() >= sample):
+            self.sampled_out += 1
+            return NULL_SPAN
+        self._ids = ids = self._ids + 2
+        span = _new_span(Span)
+        span.trace_no, span.span_no, span.parent_no = ids - 1, ids, None
         span.name, span.start, span.end, span.attrs = name, float(start), None, attrs
         self._buffer.append(span)
-        self._counts[name] = self._counts.get(name, 0) + 1
+        counts = self._counts
+        counts[name] = counts.get(name, 0) + 1
         self.started += 1
         return span
-
-    def start_trace(self, name: str, start: float, **attrs: object) -> SpanLike:
-        """Open a root span, applying the head-sampling decision."""
-        if self.sample <= 0.0:
-            self.sampled_out += 1
-            return NULL_SPAN
-        if self.sample < 1.0 and self._rng.random() >= self.sample:
-            self.sampled_out += 1
-            return NULL_SPAN
-        self._ids += 2  # one number names the trace, the next its root span
-        if self._events is not None:
-            self._events.emit(SPAN_START)
-        return self._open(self._ids - 1, self._ids, None, name, start, attrs)
 
     def start_span(self, name: str, start: float, parent: SpanLike,
                    **attrs: object) -> SpanLike:
         """Open a child span; children of null spans are null (free)."""
-        if not parent:
+        if parent is NULL_SPAN or not parent:
             return NULL_SPAN
-        self._ids += 1
-        return self._open(parent.trace_no, self._ids, parent.span_no, name, start, attrs)
+        self._ids = ids = self._ids + 1
+        span = _new_span(Span)
+        span.trace_no, span.span_no, span.parent_no = parent.trace_no, ids, parent.span_no
+        span.name, span.start, span.end, span.attrs = name, float(start), None, attrs
+        self._buffer.append(span)
+        counts = self._counts
+        counts[name] = counts.get(name, 0) + 1
+        self.started += 1
+        return span
 
     def instant(self, name: str, at: float, **attrs: object) -> SpanLike:
         """:meth:`start_trace` and :meth:`finish` at sim-time *at*, in one call."""
-        span = self.start_trace(name, at, **attrs)
-        if span:
-            span.end = span.start
-            self.finished += 1
-            if self._events is not None:
-                self._events.emit(SPAN_FINISH)
+        sample = self.sample
+        if sample < 1.0 and (sample <= 0.0 or self._rng.random() >= sample):
+            self.sampled_out += 1
+            return NULL_SPAN
+        self._ids = ids = self._ids + 2
+        span = _new_span(Span)
+        span.trace_no, span.span_no, span.parent_no = ids - 1, ids, None
+        span.name, span.attrs = name, attrs
+        span.start = span.end = float(at)
+        self._buffer.append(span)
+        counts = self._counts
+        counts[name] = counts.get(name, 0) + 1
+        self.started += 1
+        self.finished += 1
+        self._roots_finished += 1
         return span
 
     def finish(self, span: SpanLike, end: float) -> SpanLike:
         """Close *span* at sim-time *end*."""
-        if not span:
+        if span is NULL_SPAN or not span:
             return span
-        span.finish(end)
+        if span.end is not None or end < span.start:
+            raise _finish_error(span, end)
+        span.end = float(end)
         self.finished += 1
-        if span.parent_no is None and self._events is not None:
-            self._events.emit(SPAN_FINISH)
+        if span.parent_no is None:
+            self._roots_finished += 1
         return span
 
     # ------------------------------------------------------------------
@@ -272,7 +327,7 @@ class Tracer:
 
     def to_dicts(self) -> List[Dict[str, object]]:
         """Buffered spans as JSON-safe dicts (open spans have ``end: null``)."""
-        return [s.to_dict() for s in self._buffer]
+        return _span_dicts(self._buffer)
 
     def drain(self) -> List[Dict[str, object]]:
         """Pop all *finished* buffered spans as JSON-safe dicts.
@@ -289,7 +344,7 @@ class Tracer:
             open_spans = [s for s in self._buffer if s.end is None]
             self._buffer.clear()
             self._buffer.extend(open_spans)
-        return [s.to_dict() for s in finished]
+        return _span_dicts(finished)
 
 
 def validate_span_dict(payload: object) -> List[str]:

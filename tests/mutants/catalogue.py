@@ -5,7 +5,7 @@ source file.  Each ``old`` must occur exactly once in its file, so a
 refactor that moves the code a mutant names makes it fail loudly
 (``tests/test_mutant_catalogue.py``) instead of silently scoring nothing.
 
-Six groups, in catalogue order:
+Seven groups, in catalogue order:
 
 * the mutants written by hand while building the ordered indexes, the
   one-commit flush, the folded read replay and the plan reuse, each
@@ -20,7 +20,9 @@ Six groups, in catalogue order:
   parameter the result depends on, and a warm rerun that simulates;
 * one for the derived D2 prefix: a child's slot placed one level off;
 * one for the repair burst: its backlog sample counted as one, not as
-  the burst's size.
+  the burst's size;
+* one for the span tracer: a root span's finish left out of the
+  ``span.finish`` count the event tracer reads from it.
 """
 
 from __future__ import annotations
@@ -260,4 +262,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "            self._update_backlog(scheduled)\n",
            "            self._update_backlog(1)\n",
            "counted sample", "TestRepairDeficitModel"),
+    # -- the span tracer, its span.finish count read from the tracer -------
+    mutant("root-finish-not-counted", "src/repro/obs/spans.py",
+           "        if span.parent_no is None:\n"
+           "            self._roots_finished += 1\n",
+           "",
+           "derived event count", "test_matches_the_emitting_tracer"),
 )

@@ -1,7 +1,8 @@
 """Reference models: the code that the finger table, the ordered indexes,
 the one-commit flush, the per-distinct read fold, the block-cloned read
-stream, the once-accumulated Zipf weights, the record-at-a-time warm-up and
-the one-pass repair burst replaced.
+stream, the once-accumulated Zipf weights, the record-at-a-time warm-up,
+the one-pass repair burst and the one-frame spans, cache hit and
+accelerated lookup replaced.
 
 Kept in the test tree so that ``src/`` has one routing path, one
 ``_index()``, one ``_find()``, one write/remove body, one read-stream
@@ -11,15 +12,20 @@ shape gates of ``benchmarks/bench_micro_core.py`` time against them.
 """
 
 import hashlib
+import os
 from collections import defaultdict
 from functools import partial
 from random import Random
 
-from repro.core import lookup_cache
-from repro.core.lookup_cache import LookupCache
+from repro.core import accel, lookup_cache
+from repro.core.accel import AccelLookup, LookupAccelerator
+from repro.core.lookup_cache import AdaptiveSizer, LookupCache
 from repro.dht.keyspace import KEY_BITS, distance, in_interval
 from repro.dht.routing import LookupResult, finger_table_for, route
 from repro.fs.namespace import Directory, FileNode, NamespaceError
+from repro.obs.spans import (
+    DEFAULT_SAMPLE, NULL_SPAN, SAMPLE_ENV, SPAN_FINISH, SPAN_START, Span, Tracer,
+)
 from repro.obs.stream import NullJsonlWriter, stream_spans
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
 from repro.store.migration import GraceEntry, StorageCoordinator
@@ -31,7 +37,51 @@ from repro.workloads.trace import READ
 
 class ScanLookupCache(LookupCache):
     """The lookup cache with no index at all: every probe asks every entry,
-    every insert re-sorts them and a capacity eviction scans them all."""
+    every insert re-sorts them and a capacity eviction scans them all.
+
+    Its probe is the chain the one-frame probe replaced — ``_lookup``, then
+    ``_count`` for the hit or miss — and a span is annotated through
+    :meth:`Span.annotate`.  Its events, like the cache's, are its
+    statistics.
+    """
+
+    def probe(self, key, now, span=None):
+        entry = self._lookup(key, now)
+        if entry is not None:
+            self._count("hits")
+            if self._sizer is not None:
+                self._sizer.record(self, "hit")
+            if span:
+                span.annotate(cache="hit", node=entry.node)
+            return entry.node
+        self._count("misses")
+        if self._sizer is not None:
+            self._sizer.record(self, "miss")
+        if span:
+            span.annotate(cache="miss")
+        return None
+
+    def _lookup(self, key, now):
+        entry = self._find(key)
+        if entry is not None and entry.expires_at > now:
+            if self._ring is not None and entry.version != self._ring.version:
+                if entry.node not in self._ring:
+                    self._remove_entry(entry)
+                    self._count("membership_evictions")
+                    return None
+                entry.version = self._ring.version
+            return entry
+        if entry is not None:
+            self._remove_entry(entry)
+            self._count("evictions")
+        return None
+
+    def _evict_for_capacity(self):
+        victim = min(self._entries, key=lambda e: (e.expires_at, e.hi))
+        self._remove_entry(victim)
+        self._count("capacity_evictions")
+        if self._sizer is not None:
+            self._sizer.record(self, "capacity_eviction")
 
     def _find(self, key):
         best = None
@@ -585,3 +635,162 @@ def walk(namespace):
             base = path.rstrip("/")
             for name in sorted(node.children, reverse=True):
                 stack.append((f"{base}/{name}", node.children[name]))
+
+
+class EmittingTracer(Tracer):
+    """The span tracer as it was: a span is opened through ``_open`` and
+    exported one ``to_dict`` call at a time, the sample rate is read
+    leniently, and each root span's start and finish are two
+    :meth:`EventTracer.emit` calls, not counts the event tracer reads from
+    the tracer."""
+
+    def __init__(self, capacity=4096, *, sample=None, events=None, seed=0):
+        if sample is None:  # unset or no number: the default; NaN: nothing sampled
+            try:
+                sample = float(os.environ.get(SAMPLE_ENV, "").strip() or DEFAULT_SAMPLE)
+            except ValueError:
+                sample = DEFAULT_SAMPLE
+        super().__init__(capacity, sample=min(1.0, max(0.0, float(sample))), seed=seed)
+        self._events = events
+
+    def _open(self, trace_no, span_no, parent_no, name, start, attrs):
+        span = Span.__new__(Span)
+        span.trace_no, span.span_no, span.parent_no = trace_no, span_no, parent_no
+        span.name, span.start, span.end, span.attrs = name, float(start), None, attrs
+        self._buffer.append(span)
+        self._counts[name] = self._counts.get(name, 0) + 1
+        self.started += 1
+        return span
+
+    def start_trace(self, name, start, **attrs):
+        if self.sample <= 0.0:
+            self.sampled_out += 1
+            return NULL_SPAN
+        if self.sample < 1.0 and self._rng.random() >= self.sample:
+            self.sampled_out += 1
+            return NULL_SPAN
+        self._ids += 2
+        if self._events is not None:
+            self._events.emit(SPAN_START)
+        return self._open(self._ids - 1, self._ids, None, name, start, attrs)
+
+    def start_span(self, name, start, parent, **attrs):
+        if not parent:
+            return NULL_SPAN
+        self._ids += 1
+        return self._open(parent.trace_no, self._ids, parent.span_no, name, start, attrs)
+
+    def instant(self, name, at, **attrs):
+        span = self.start_trace(name, at, **attrs)
+        if span:
+            span.end = span.start
+            self.finished += 1
+            if self._events is not None:
+                self._events.emit(SPAN_FINISH)
+        return span
+
+    def finish(self, span, end):
+        if not span:
+            return span
+        span.finish(end)
+        self.finished += 1
+        if span.parent_no is None and self._events is not None:
+            self._events.emit(SPAN_FINISH)
+        return span
+
+    def to_dicts(self):
+        return [span_dict(s) for s in self._buffer]
+
+    def drain(self):
+        finished = [s for s in self._buffer if s.end is not None]
+        if finished:
+            open_spans = [s for s in self._buffer if s.end is None]
+            self._buffer.clear()
+            self._buffer.extend(open_spans)
+        return [span_dict(s) for s in finished]
+
+
+def span_dict(span):
+    """``Span.to_dict`` as it was, one call per span."""
+    parent_no = span.parent_no
+    return {
+        "trace_id": "t%08x" % span.trace_no,
+        "span_id": "s%08x" % span.span_no,
+        "parent_id": None if parent_no is None else "s%08x" % parent_no,
+        "name": span.name,
+        "start": span.start,
+        "end": span.end,
+        "attrs": dict(span.attrs),
+    }
+
+
+class ChainAccelerator(LookupAccelerator):
+    """``LookupAccelerator.lookup`` as it was: span attributes packed into a
+    dict and unpacked into ``start_trace``, the client's cache from
+    ``cache_for`` on every lookup, outcomes annotated through
+    :meth:`Span.annotate` and built as keyword :class:`AccelLookup` — here
+    on caches that probe through the old chain (:class:`ScanLookupCache`)."""
+
+    def cache_for(self, client):
+        cache = self.caches.get(client)
+        if cache is None:
+            sizer = None
+            if self.adaptive:
+                sizer = AdaptiveSizer(
+                    window=accel.SIZER_WINDOW, min_capacity=self.capacity,
+                    max_capacity=accel.MAX_CAPACITY, budget=self.budget,
+                    registry=self._registry,
+                )
+            cache = ScanLookupCache(
+                ttl=self.ttl, capacity=None if self.adaptive else self.capacity,
+                ring=self.ring, sizer=sizer, registry=self._registry, tracer=self._tracer,
+            )
+            self.caches[client] = cache
+        return cache
+
+    def lookup(self, client, source, key, now=0.0, phase=None):
+        self._c_lookups.inc()
+        spans = self._spans
+        if spans:
+            attrs = {"client": client, "mode": self.mode}
+            if phase is not None:
+                attrs["phase"] = phase
+            span = spans.start_trace("accel.lookup", now, **attrs)
+        else:
+            span = None
+        stale = False
+        extra = 0
+        cache = self.cache_for(client) if self.use_cache else None
+        if cache is not None:
+            cached = cache.probe(key, now, span)
+            if cached is not None:
+                owner = self.ring.successor(key)
+                if cached == owner:
+                    if span:
+                        span.annotate(tier="cache", messages=0)
+                        spans.finish(span, now)
+                    return AccelLookup(key=key, owner=owner, tier="cache", messages=0)
+                cache.invalidate(key, span)
+                self._c_stale.inc()
+                stale = True
+                extra = 1
+        if self.learned is not None:
+            outcome = self.learned.lookup(source, key)
+            result = outcome.result
+            tier = "learned" if outcome.hit else "route"
+            messages = outcome.messages + extra
+            if span:
+                span.annotate(predicted=outcome.predicted, learned_hit=outcome.hit)
+        else:
+            result = route(self.ring, source, key, tracer=spans, parent=span, now=now)
+            tier = "route"
+            messages = result.messages + extra
+        owner = result.owner
+        if cache is not None:
+            lo, hi = self.ring.range_of(owner)
+            cache.insert(lo, hi, owner, now)
+        self._c_messages.add(messages)
+        if span:
+            span.annotate(tier=tier, messages=messages, stale=stale)
+            spans.finish(span, now)
+        return AccelLookup(key=key, owner=owner, tier=tier, messages=messages, stale=stale)

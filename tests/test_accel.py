@@ -178,3 +178,99 @@ class TestDeploymentIntegration:
         gauges = deployment.observability_snapshot()["gauges"]
         assert gauges["lookup.caches"] >= 1
         assert 0.0 <= gauges["lookup.hit_ratio"] <= 1.0
+
+
+class TestMatchesTheChainItReplaced:
+    """A small accel cell run twice: on the code in ``src/``, and on the
+    lookup, probe chain and emitting span tracer it replaced
+    (``ChainAccelerator``, ``ScanLookupCache`` and ``EmittingTracer`` of
+    ``tests/oracles.py``).  Every outcome, each client's cache (entries,
+    statistics, sizer), the events, metrics and exported spans agree."""
+
+    @staticmethod
+    def run(mode, scenario, monkeypatch, oracle):
+        from repro.analysis.accel import run_accel_cell
+        from repro.core import system
+        from tests.oracles import ChainAccelerator, EmittingTracer
+
+        seen = {}
+        enable = system.Deployment.enable_acceleration
+
+        def recording(deployment, *args, **kwargs):
+            accel = enable(deployment, *args, **kwargs)
+            lookup, outcomes = accel.lookup, []
+
+            def recorded(*args, **kwargs):
+                outcome = lookup(*args, **kwargs)
+                outcomes.append(tuple(outcome))
+                return outcome
+
+            accel.lookup = recorded
+            seen.update(accel=accel, outcomes=outcomes, deployment=deployment)
+            return accel
+
+        with monkeypatch.context() as patch:
+            patch.setattr(system.Deployment, "enable_acceleration", recording)
+            if oracle:
+                patch.setattr(system, "LookupAccelerator", ChainAccelerator)
+                patch.setattr(system, "SpanTracer", EmittingTracer)
+            result = run_accel_cell(mode=mode, scenario=scenario, n_nodes=24, clients=4,
+                                    pre_ops=400, post_ops=600, seed=5, n_dirs=16,
+                                    static_capacity=4)
+        accel, deployment = seen["accel"], seen["deployment"]
+        caches = {
+            client: (cache.entries(), [getattr(cache.stats, f) for f in cache.stats.FIELDS],
+                     cache.capacity, cache.ttl,
+                     None if cache._sizer is None else
+                     (cache._sizer.adaptations, cache._sizer._window_counts))
+            for client, cache in accel.caches.items()
+        }
+        return {
+            "row": result.deterministic_row(), "outcomes": seen["outcomes"], "caches": caches,
+            "budget": None if accel.budget is None else accel.budget.granted,
+            "events": (deployment.tracer.counts(), deployment.tracer.emitted),
+            "metrics": result.metrics, "spans": result.trace,
+            "span_totals": (deployment.spans.started, deployment.spans.finished,
+                            deployment.spans.sampled_out, deployment.spans.counts()),
+        }
+
+    @pytest.mark.parametrize("scenario", ("hotspot", "migrate", "churn"))
+    @pytest.mark.parametrize("mode", ACCEL_MODES)
+    def test_cell_matches_the_chain(self, mode, scenario, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
+        got = self.run(mode, scenario, monkeypatch, oracle=False)
+        expected = self.run(mode, scenario, monkeypatch, oracle=True)
+        assert len(got["outcomes"]) == 1000 and got["spans"]
+        for part in expected:
+            assert got[part] == expected[part], part
+
+    @pytest.mark.parametrize("mode", ACCEL_MODES)
+    def test_stale_entries_match_the_chain(self, mode):
+        # The cells above never serve a stale entry: here nodes move under
+        # warm caches, so lookups probe, invalidate and re-resolve.
+        from repro.obs.events import EventTracer
+        from repro.obs.spans import Tracer
+        from tests.oracles import ChainAccelerator, EmittingTracer
+
+        def run(accel_cls, tracer_cls):
+            ring, rng = build_ring(16, seed=4)
+            events = EventTracer()
+            spans = tracer_cls(sample=1.0, events=events)
+            accel = accel_cls(ring, mode=mode, capacity=8, tracer=events, spans=spans)
+            keys = [rng.randrange(KEY_SPACE) for _ in range(60)]
+            outcomes = []
+            for step in range(6):
+                for index, key in enumerate(keys):
+                    outcomes.append(tuple(accel.lookup(f"c{index % 3}", "n0", key,
+                                                       now=float(step), phase="pre")))
+                for name in (f"n{1 + step}", f"n{8 + step}"):
+                    lo, hi = ring.range_of(name)
+                    ring.change_position(name, lo + (hi - lo) // 2)  # half its arc moves on
+            stats = {client: [getattr(cache.stats, f) for f in cache.stats.FIELDS]
+                     for client, cache in accel.caches.items()}
+            return outcomes, stats, events.counts(), spans.to_dicts()
+
+        got = run(LookupAccelerator, Tracer)
+        assert got == run(ChainAccelerator, EmittingTracer)
+        if mode != "none":
+            assert any(outcome[4] for outcome in got[0])  # some lookups met a stale entry

@@ -586,7 +586,8 @@ class TestBenchTrajectorySchema:
         """``BENCH_calls.json``: every run adds up; the newest keeps each
         cell at or under the one before, with the same digests; and the
         claims hold: the read-replay image load at half (``pr33``), the
-        churn storm at most 1.7 M calls (``pr34``)."""
+        churn storm at most 1.7 M calls (``pr34``), the accel shift at
+        most 0.6 of its ``pr34`` count (``pr35``)."""
         import os
 
         from repro.experiments.scale_matrix import load_trajectory
@@ -604,6 +605,7 @@ class TestBenchTrajectorySchema:
         load = "read-replay/image-load"
         assert totals["pr33"][load] <= 0.5 * totals["pr32"][load], totals
         assert totals["pr34"]["churn-storm"] <= 1_700_000, totals
+        assert totals["pr35"]["accel-shift"] <= 0.6 * totals["pr34"]["accel-shift"], totals
         digests = [{row["cell"]: row["digest"] for row in run["cells"]} for run in runs[-2:]]
         assert digests[0] == digests[1]
 

@@ -1,17 +1,21 @@
 """Causal span tracing: Tracer lifecycle, trace CLI, end-to-end wiring."""
 
 import json
+import math
 import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.performance import PerformanceHarness
 from repro.core.system import build_deployment
-from repro.obs.events import EventTracer
+from repro.obs.events import LOOKUP_HIT, EventTracer
 from repro.obs.spans import (
     NULL_SPAN,
     SAMPLE_ENV,
+    SampleRateError,
     SpanError,
     Tracer,
     sample_rate_from_env,
@@ -31,6 +35,19 @@ from repro.obs.tracecli import (
 )
 from repro.obs.stream import JsonlWriter
 from repro.sim.network import LatencyModel
+from tests.oracles import EmittingTracer
+
+
+_ATTRS = st.dictionaries(st.sampled_from("abc"), st.integers(0, 9), max_size=2)
+_OPEN = st.tuples(st.sampled_from(("op", "hop")), st.integers(0, 9).map(float), _ATTRS,
+                  st.integers(0, 40))
+TRACER_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("start_trace", "instant", "span"))).flatmap(
+        lambda kind: _OPEN.map(lambda args: kind + args)),
+    st.tuples(st.just("finish"), st.integers(0, 40), st.integers(0, 9).map(float)),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("emit"), st.integers(1, 3)),
+), max_size=60)
 
 
 def export(tracer, path):
@@ -110,6 +127,51 @@ class TestTracer:
         assert run(True) == run(False)
         assert run(True)[2] > 0  # some were sampled out
 
+    @settings(max_examples=120, deadline=None)
+    @given(ops=TRACER_OPS, sample=st.sampled_from((0.0, 0.5, 1.0)),
+           capacity=st.sampled_from((3, 64)))
+    def test_matches_the_emitting_tracer(self, ops, sample, capacity):
+        # The one-frame tracer against the one it replaced (tests/oracles.py),
+        # whose root spans emit span.start/span.finish: the same calls give
+        # the same answers, errors, counts, event counts and exports.
+        sides = []
+        for cls in (Tracer, EmittingTracer):
+            events = EventTracer()
+            sides.append((cls(capacity, sample=sample, events=events, seed=3), events, []))
+
+        def apply(tracer, events, opened, op):
+            kind, *args = op
+            if kind == "drain":
+                return tracer.drain()
+            if kind == "emit":
+                return events.emit(LOOKUP_HIT, args[0])
+            if kind == "finish":
+                if not opened:
+                    return None
+                try:
+                    return bool(tracer.finish(opened[args[0] % len(opened)], args[1]))
+                except SpanError as error:
+                    return str(error)
+            name, at, attrs, parent = args
+            if kind == "span":
+                span = tracer.start_span(name, at, opened[parent % len(opened)] if opened
+                                         else NULL_SPAN, **attrs)
+            else:
+                span = getattr(tracer, kind)(name, at, **attrs)
+            opened.append(span)
+            return span is NULL_SPAN
+
+        for op in ops:
+            got, expected = (apply(*side, op) for side in sides)
+            assert got == expected, op
+            (tracer, events, _), (oracle, oracle_events, _) = sides
+            assert events.counts() == oracle_events.counts()
+            assert events.emitted == oracle_events.emitted == sum(events.counts().values())
+            assert tracer.counts() == oracle.counts()
+            assert (tracer.started, tracer.finished, tracer.sampled_out) == (
+                oracle.started, oracle.finished, oracle.sampled_out)
+            assert tracer.to_dicts() == oracle.to_dicts()
+
     def test_sampling_is_deterministic_across_runs(self):
         def sampled(seed):
             tracer = Tracer(sample=0.5, seed=seed)
@@ -131,10 +193,22 @@ class TestTracer:
         assert sample_rate_from_env() == 0.25
         monkeypatch.setenv(SAMPLE_ENV, "7")  # clamped
         assert sample_rate_from_env() == 1.0
-        monkeypatch.setenv(SAMPLE_ENV, "junk")
-        assert sample_rate_from_env() == 1.0
+        monkeypatch.setenv(SAMPLE_ENV, "-3")  # clamped
+        assert sample_rate_from_env() == 0.0
+        for bad in ("junk", "nan", "NaN"):  # no number: refused, not read as 1 or 0
+            monkeypatch.setenv(SAMPLE_ENV, bad)
+            with pytest.raises(SampleRateError, match=repr(bad)):
+                sample_rate_from_env()
+            with pytest.raises(SampleRateError, match=SAMPLE_ENV):
+                Tracer.from_env()
         monkeypatch.delenv(SAMPLE_ENV)
         assert sample_rate_from_env() == 1.0
+
+    def test_sample_argument_must_be_a_number(self):
+        for bad in (math.nan, "junk", object()):
+            with pytest.raises(SampleRateError, match="Tracer"):
+                Tracer(sample=bad)
+        assert Tracer(sample=-1).sample == 0.0 and Tracer(sample=math.inf).sample == 1.0
 
     def test_from_env_zero_gives_null_tracer(self, monkeypatch):
         monkeypatch.setenv(SAMPLE_ENV, "0")
