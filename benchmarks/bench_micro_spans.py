@@ -13,15 +13,18 @@ not depend on how many spans the ring buffer holds (a ratio gate, so it
 is insensitive to the speed of the box).
 
 For events the contract is counted, not timed: an emit is a count, so it
-allocates nothing that outlives the call, however long the run.
+allocates nothing that outlives the call, however long the run, and a
+derived count is one entry of the tracer however many components feed it.
 """
 
 import gc
 import sys
 import time
 
+from repro.core.lookup_cache import LookupCache
 from repro.core.system import build_deployment
 from repro.obs.events import EVENT_KINDS, EventTracer
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
 
 
@@ -136,3 +139,21 @@ def test_emit_retains_nothing():
     assert tracer.emitted == 10_000 + len(kinds)
     assert sum(tracer.counts().values()) == tracer.emitted
     assert tracer.counts()[kinds[0]] == 1 + len(range(0, 10_000, len(kinds)))
+
+
+def test_derived_counts_hold_one_entry_per_count():
+    # A derived count is read where it is kept.  The tracer holds one entry
+    # per distinct count: two for a span tracer, three for the lookup
+    # counters of one registry however many client caches feed them, and
+    # three more for a cache that keeps its counts alone.
+    tracer = EventTracer()
+    Tracer(sample=1.0, events=tracer)
+    registry = MetricsRegistry()
+    caches = [LookupCache(ttl=10.0, registry=registry, tracer=tracer) for _ in range(1_000)]
+    assert len(tracer._derived) == 2 + 3 and len(vars(tracer)) == 2
+    LookupCache(ttl=10.0, tracer=tracer).probe(5, now=0.0)
+    assert len(tracer._derived) == 2 + 3 + 3
+    for cache in caches:
+        cache.probe(5, now=0.0)
+    assert tracer.counts() == {"lookup.miss": 1_001}
+    assert tracer.emitted == 1_001

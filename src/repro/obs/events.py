@@ -10,12 +10,13 @@ unregistered stays an :class:`EventError`.
 An event is a count and nothing else: reports carry :meth:`EventTracer.counts`,
 and the record of *what happened when* is the span stream and the health
 rows, which carry the payloads.  So the tracer's size is the size of the
-vocabulary, whatever the length of the run.
+vocabulary plus one entry per derived count (:meth:`EventTracer.derive`),
+whatever the length of the run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, Tuple
 
 # Core event vocabulary (the schema is documented in docs/observability.md).
 LOOKUP_HIT = "lookup.hit"
@@ -72,16 +73,18 @@ def register_kind(kind: str) -> str:
 class EventTracer:
     """Exact per-kind event counts for the whole run.
 
-    Most counts are emitted here one :meth:`emit` at a time.  A component
-    that already keeps the count of some kind (a span tracer its root
-    spans, a lookup cache its hits and misses) is registered with
-    :meth:`derive` instead: its counts are read when :meth:`counts` or
-    :attr:`emitted` is read, and add to what was emitted.
+    Most counts are emitted here one :meth:`emit` at a time.  A count some
+    component keeps anyway (a span tracer's root spans, a deployment's
+    ``lookup.*`` counters) is registered with :meth:`derive` instead: it is
+    read when :meth:`counts` or :attr:`emitted` is read, and adds to what
+    was emitted.  A count registered again is read once, so the tracer
+    holds one entry per distinct count — two per span tracer and three per
+    metrics registry, however many lookup caches feed that registry.
     """
 
     def __init__(self) -> None:
         self._counts: Dict[str, int] = {}
-        self._derived: List[Any] = []  # sources of (kind, count) pairs
+        self._derived: Dict[Tuple[Any, str], str] = {}  # (source, attribute) -> kind
 
     def emit(self, kind: str, count: int = 1) -> None:
         """Count *count* events of *kind* (one, unless they are tallied in bulk)."""
@@ -91,22 +94,26 @@ class EventTracer:
             raise EventError(f"unknown event kind {kind!r}")
         self._counts[kind] = self._counts.get(kind, 0) + count
 
-    def derive(self, source: Any) -> None:
-        """Count *source*'s ``event_counts()`` — ``(kind, count)`` pairs of
-        registered kinds, each count never falling — as events of this
-        tracer, read when the counts are read."""
-        self._derived.append(source)
+    def derive(self, kind: str, source: Any, attribute: str) -> None:
+        """Count ``source.<attribute>`` — a count that never falls — as
+        events of *kind*, read when the counts are read."""
+        if kind not in EVENT_KINDS:
+            raise EventError(f"unknown event kind {kind!r}")
+        self._derived[(source, attribute)] = kind
 
     @property
     def emitted(self) -> int:
         """Total events ever."""
-        return sum(self.counts().values())
+        total = sum(self._counts.values())
+        for source, attribute in self._derived:
+            total += getattr(source, attribute)
+        return total
 
     def counts(self) -> Dict[str, int]:
         """Per-kind totals, sorted by kind (JSON-ready)."""
         counts = dict(self._counts)
-        for source in self._derived:
-            for kind, count in source.event_counts():
-                if count:
-                    counts[kind] = counts.get(kind, 0) + count
+        for (source, attribute), kind in self._derived.items():
+            count = getattr(source, attribute)
+            if count:
+                counts[kind] = counts.get(kind, 0) + count
         return dict(sorted(counts.items()))

@@ -34,7 +34,7 @@ import math
 import os
 import random
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Optional, Union
 
 from repro.obs.events import EventTracer, register_kind
 
@@ -197,7 +197,7 @@ class Tracer:
         finished — the span-boundary kinds registered through
         :func:`repro.obs.events.register_kind`.  They are read from the
         tracer's own counters when the event counts are read
-        (:meth:`event_counts`), not emitted span by span.
+        (:meth:`EventTracer.derive`), not emitted span by span.
     seed:
         Sampling-RNG seed; fixed so identical runs sample identically.
 
@@ -230,7 +230,8 @@ class Tracer:
         self.sampled_out = 0  # root spans dropped by head sampling
         self._roots_finished = 0
         if events is not None:
-            events.derive(self)
+            events.derive(SPAN_START, self, "roots_started")
+            events.derive(SPAN_FINISH, self, "_roots_finished")
 
     @classmethod
     def from_env(cls, *, events: Optional[EventTracer] = None,
@@ -247,10 +248,10 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._buffer)
 
-    def event_counts(self) -> Tuple[Tuple[str, int], Tuple[str, int]]:
-        """Root spans started and finished, as ``span.start`` and
-        ``span.finish`` events (see :meth:`EventTracer.derive`)."""
-        return (SPAN_START, self._ids - self.started), (SPAN_FINISH, self._roots_finished)
+    @property
+    def roots_started(self) -> int:
+        """Sampled root spans started (each took two ids)."""
+        return self._ids - self.started
 
     # ------------------------------------------------------------------
     # span creation

@@ -159,6 +159,23 @@ class TestStalenessAndOverlapRegressions:
         cache.insert(MAX_KEY - 10, 5, "wrap", now=0.0)
         assert cache.probe(MAX_KEY - 5, now=1.0) == "wrap"
 
+    def test_a_wrapping_arc_elsewhere_keeps_the_one_frame_probe(self, monkeypatch):
+        # The cached arc of the ring's lowest node wraps past zero; keys it
+        # does not cover are answered from the bisect point, keys it does
+        # cover by the full search.
+        cache = LookupCache(ttl=100.0)
+        cache.insert(MAX_KEY - 10, 5, "wrap", now=0.0)
+        cache.insert(10, 20, "n", now=0.0)
+        searched = []
+        monkeypatch.setattr(cache, "_find", lambda key: searched.append(key)
+                            or LookupCache._find(cache, key))
+        assert cache.probe(15, now=1.0) == "n"
+        assert cache.probe(8, now=1.0) is None
+        assert searched == []
+        assert cache.probe(3, now=1.0) == "wrap"
+        assert cache.probe(MAX_KEY, now=1.0) == "wrap"
+        assert searched == [3, MAX_KEY]
+
     def test_stale_probe_then_reinsert_recovers(self):
         cache = LookupCache(ttl=100.0)
         cache.insert(10, 30, "old", now=0.0)

@@ -114,6 +114,10 @@ class TestRegistrySnapshot:
         json.dumps(snap)  # JSON-ready
 
 
+def registry_counter():
+    return MetricsRegistry().counter("lookup.hits")
+
+
 class TestEventTracer:
     def test_emit_and_counts(self):
         tracer = EventTracer()
@@ -137,7 +141,19 @@ class TestEventTracer:
         tracer = EventTracer()
         with pytest.raises(EventError):
             tracer.emit("no.such.kind")
+        with pytest.raises(EventError):
+            tracer.derive("no.such.kind", registry_counter(), "value")
         assert tracer.emitted == 0 and tracer.counts() == {}
+
+    def test_derived_count_read_once_and_added(self):
+        tracer = EventTracer()
+        hits = registry_counter()
+        tracer.derive(LOOKUP_HIT, hits, "value")
+        tracer.derive(LOOKUP_HIT, hits, "value")  # the same count: one entry
+        assert tracer.counts() == {} and tracer.emitted == 0  # a 0 count is absent
+        hits.inc(4)
+        tracer.emit(LOOKUP_HIT)
+        assert tracer.counts() == {LOOKUP_HIT: 5} and tracer.emitted == 5
 
 
 class TestReport:
