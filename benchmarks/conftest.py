@@ -1,13 +1,4 @@
-"""Benchmark-suite configuration.
-
-Every bench regenerates one of the paper's tables/figures at laptop scale,
-prints the paper-comparable report, and asserts the *shape* claims (who
-wins, by roughly what factor, where crossovers fall).  Expensive simulation
-matrices are shared across benches through the process-wide experiment
-cache, mirroring how the paper derives several figures from one testbed
-run.
-"""
-
+"""Benchmark-suite configuration."""
 
 
 def run_once(benchmark, fn):

@@ -15,6 +15,11 @@ between experiments within one invocation; ``--jobs N`` (or
 ``$REPRO_JOBS``) fans their cells out over N worker processes without
 changing any row, and ``$REPRO_RUN_CACHE`` persists cell results across
 invocations (see docs/performance.md).
+
+After each entry's report the run checks the entry's claims (the paper's
+shape, :mod:`repro.experiments.claims`) on the rows it printed: one stderr
+line per gap and per failure, and exit status 1 if a claim fails or a gap's
+claim starts to hold.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ def main(argv=None) -> int:
         print("run `python -m repro list` to see what's available", file=sys.stderr)
         return 2
 
+    status = 0
     for name in requested:
         if name == "list":
             print("available experiments:")
@@ -76,11 +82,16 @@ def main(argv=None) -> int:
             continue
         figure = FIGURES[name]
         started = time.perf_counter()
-        report = figure.render(figure.rows())
+        rows = figure.rows()
+        report = figure.render(rows)
         elapsed = time.perf_counter() - started
         print(report)
-        print(f"[{name} finished in {elapsed:.1f}s]\n")
-    return 0
+        print(f"[{name} finished in {elapsed:.1f}s]\n", flush=True)
+        for ok, line in figure.check(rows):
+            print(line, file=sys.stderr, flush=True)
+            if not ok:
+                status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ source file.  Each ``old`` must occur exactly once in its file, so a
 refactor that moves the code a mutant names makes it fail loudly
 (``tests/test_mutant_catalogue.py``) instead of silently scoring nothing.
 
-Seven groups, in catalogue order:
+Eight groups, in catalogue order:
 
 * the mutants written by hand while building the ordered indexes, the
   one-commit flush, the folded read replay and the plan reuse, each
@@ -22,7 +22,8 @@ Seven groups, in catalogue order:
 * one for the repair burst: its backlog sample counted as one, not as
   the burst's size;
 * one for the span tracer: a root span's finish left out of the
-  ``span.finish`` count the event tracer reads from it.
+  ``span.finish`` count the event tracer reads from it;
+* one for the paper's claims: a projection that swaps D2 and traditional.
 """
 
 from __future__ import annotations
@@ -268,4 +269,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "            self._roots_finished += 1\n",
            "",
            "derived event count", "test_matches_the_emitting_tracer"),
+    # -- the paper's claims, checked by every `python -m repro` run ---------
+    mutant("imbalance-systems-swapped", "src/repro/experiments/balance.py",
+           '            "system": system,\n            "mean_nsd": result.mean_nsd(),',
+           '            "system": {"d2": "traditional", "traditional": "d2"}.get(system, system),\n'
+           '            "mean_nsd": result.mean_nsd(),',
+           "paper claim", "ci runner-smoke claims step"),
 )
