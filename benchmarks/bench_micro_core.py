@@ -842,7 +842,7 @@ def test_accel_count_gate(monkeypatch):
     * no ``Tracer.__bool__`` per lookup (one, for the export), no
       ``LookupCache._lookup`` (every probe of this cell is answered from
       the bisect point) and no ``_count`` or ``Span.annotate`` on a hit,
-      no ``Span.to_dict`` per exported span;
+      and the export formats every span in one ``_span_dicts`` call;
     * Python calls into ``src/repro`` per lookup stay within the measured
       13.35 plus a quarter; the code this replaced made 30.71.
     """
@@ -850,7 +850,7 @@ def test_accel_count_gate(monkeypatch):
     from repro.analysis import accel as accel_cell
     from repro.core import accel
     from repro.obs.events import EventTracer
-    from repro.obs.spans import Span, Tracer
+    from repro.obs.spans import Span, Tracer, _span_dicts
 
     monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
     counter = CallCounter()
@@ -878,7 +878,7 @@ def test_accel_count_gate(monkeypatch):
     misses = len(lookups) - result.cache_hits
     assert counter.of(LookupCache._count) <= 3 * misses, counter.of(LookupCache._count)
     assert counter.of(Span.annotate) <= 3 * misses, counter.of(Span.annotate)
-    assert counter.of(Span.to_dict) == 0
+    assert counter.of(_span_dicts) == 1  # the export's, for every span at once
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     per_lookup = sum(counter.by_package(src).values()) / len(lookups)
     bound = 13.35 * 1.25

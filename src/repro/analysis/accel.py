@@ -76,7 +76,7 @@ class AccelCellResult:
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: Exported span dicts (``accel.lookup`` roots carry a ``phase``
     #: attribute); written by the runner as ``runner_accel.trace<k>.jsonl``
-    #: for ``python -m repro.obs trace --phase``.  Never part of a row.
+    #: for ``python -m repro.obs trace``.  Never part of a row.
     trace: Optional[List[Dict[str, object]]] = None
 
     def deterministic_row(self) -> Dict[str, object]:
@@ -171,8 +171,8 @@ def run_accel_cell(
     total_ops = pre_ops + post_ops
     # Phase windows for the recovery story: warm half of pre, the quarter
     # right after the shift, and the final quarter of the run.  The same
-    # boundaries tag every lookup span with pre/shift/post for the trace
-    # CLI's --phase attribution.
+    # boundaries tag every lookup span with pre/shift/post in the exported
+    # trace.
     pre_window = range(pre_ops // 2, pre_ops)
     post_quarter = max(1, post_ops // 4)
     early_window = range(pre_ops, pre_ops + post_quarter)

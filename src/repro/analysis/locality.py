@@ -109,7 +109,6 @@ def analyze_locality(
     trace: Trace,
     *,
     blocks_per_node: int = BLOCKS_PER_NODE,
-    hour: float = 3600.0,
 ) -> LocalityResult:
     """Run the Figure-3 analysis on one workload trace."""
     per_user = trace_block_accesses(trace)
@@ -128,7 +127,7 @@ def analyze_locality(
     for user, entries in per_user.items():
         by_hour: Dict[int, Set[BlockName]] = defaultdict(set)
         for time, block in entries:
-            by_hour[int(time // hour)].add(block)
+            by_hour[int(time // 3600.0)].add(block)
         for blocks in by_hour.values():
             trad_samples.append(
                 len({_uniform_node(block, n_nodes) for block in blocks})

@@ -152,13 +152,12 @@ class PerformanceHarness:
         *,
         bandwidth_bps: float,
         rng: random.Random,
-        buffer_ttl: float = 30.0,
     ) -> None:
         self.deployment = deployment
         self.latency = latency
         self.bandwidth = bandwidth_bps
         self.rng = rng
-        self.buffer_ttl = buffer_ttl
+        self.buffer_ttl = 30.0  # the client buffer cache's staleness bound (PAPER.md)
         self.spans = deployment.spans
         self.transport = TcpTransport(latency, spans=deployment.spans)
         self.server_links: Dict[str, TokenBucket] = {}

@@ -168,8 +168,8 @@ class LookupAccelerator:
         resolved owner's range is written back into the client's cache, so
         every tier's output trains the tier above it.  *phase* (e.g. the
         accel matrix's ``pre``/``shift``/``post``) is attached to the
-        ``accel.lookup`` root span so ``python -m repro.obs trace
-        --phase`` can attribute critical-path latency per workload phase.
+        ``accel.lookup`` root span, so an exported trace says which
+        workload phase each lookup ran in.
         """
         self._c_lookups.inc()
         spans = self._spans

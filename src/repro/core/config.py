@@ -14,14 +14,18 @@ probe interval               10 minutes                ``system.PROBE_INTERVAL``
 pointer stabilization time   1 hour                    ``StorageCoordinator`` default
 block removal grace          30 seconds                ``StorageCoordinator`` default
 lookup-cache TTL             1.25 hours                ``lookup_cache.DEFAULT_TTL``
+client read buffer           30 seconds                ``PerformanceHarness.buffer_ttl``
 migration bandwidth cap      750 kbps per node         ``repair.MIGRATION_BANDWIDTH_BPS``
 concurrent client transfers  15                        ``performance.MAX_CONCURRENT_TRANSFERS``
 ===========================  ========================  ========================================
 
 The paper's 8 KB block is :data:`repro.fs.blocks.BLOCK_SIZE`.  Its 30 s
 client cache is only modelled on the read side, as the buffer cache of
-:class:`repro.analysis.performance.PerformanceHarness` (``buffer_ttl``);
-writes reach the store at once, with no write-back delay.
+:class:`repro.analysis.performance.PerformanceHarness`; writes reach the
+store at once, with no write-back delay.  Section 3's block TTL (a
+safety net for removals lost to partitions) is not modelled: no figure
+partitions the ring, so a block leaves the store only when removed or
+when every copy is lost.
 """
 
 from __future__ import annotations

@@ -89,8 +89,7 @@ class ReplayOutcome:
 class Deployment:
     """One simulated system instance (see module docstring)."""
 
-    def __init__(self, system: str, config: D2Config, seed: int, n_nodes: int,
-                 volume: str = "vol") -> None:
+    def __init__(self, system: str, config: D2Config, seed: int, n_nodes: int) -> None:
         if system not in SYSTEMS:
             raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
         self.system = system
@@ -116,7 +115,7 @@ class Deployment:
             spans=self.spans,
         )
         scheme_name = "traditional" if system == "traditional+merc" else system
-        self.fs = DhtFileSystem(make_scheme(scheme_name, volume))
+        self.fs = DhtFileSystem(make_scheme(scheme_name, "vol"))
         self.balancer: Optional[KargerRuhlBalancer] = None
         if system in ("d2", "traditional+merc"):
             self.balancer = KargerRuhlBalancer(
@@ -465,7 +464,6 @@ def build_deployment(
     *,
     config: Optional[D2Config] = None,
     seed: int = 0,
-    volume: str = "vol",
 ) -> Deployment:
     """Construct a deployment with paper-default configuration."""
-    return Deployment(system, config or D2Config(), seed, n_nodes, volume=volume)
+    return Deployment(system, config or D2Config(), seed, n_nodes)

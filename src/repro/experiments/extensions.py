@@ -28,6 +28,7 @@ from repro.experiments.workload_cache import harvard_trace
 from repro.fs.blocks import BLOCK_SIZE
 from repro.store.erasure import ErasureConfig
 from repro.store.retrieval_cache import RetrievalCacheLayer, replica_only_service
+from repro.workloads.shift import zipf_weights
 from repro.workloads.tasks import segment_tasks
 from repro.workloads.trace import READ, WRITE, TraceRecord
 
@@ -108,7 +109,6 @@ def run_hotspot_extension(
     n_files: int = 30,
     n_clients: int = 40,
     requests: int = 6000,
-    zipf_s: float = 1.2,
     cache_ttl: float = 300.0,
     seed: int = common.SEED,
 ) -> List[dict]:
@@ -126,9 +126,7 @@ def run_hotspot_extension(
         )
     deployment.stabilize()
     # Re-derive keys' owners after balancing (keys themselves are stable).
-    weights = [1.0 / (rank + 1) ** zipf_s for rank in range(n_files)]
-    total = sum(weights)
-    weights = [w / total for w in weights]
+    weights = zipf_weights(n_files)
     clients = [deployment.node_names[rng.randrange(n_nodes)] for _ in range(n_clients)]
 
     request_stream = []

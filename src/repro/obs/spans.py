@@ -58,10 +58,10 @@ class SpanError(Exception):
 class Span:
     """One named interval of simulated time within a trace tree.
 
-    Only a :class:`Tracer` makes one.  A :class:`Tracer` numbers its
-    traces and spans with plain ints, which a span keeps (``trace_no`` /
-    ``span_no`` / ``parent_no``); :meth:`to_dict` formats them
-    (``t0000002a``) on export.
+    Only a :class:`Tracer` makes and closes one.  A :class:`Tracer`
+    numbers its traces and spans with plain ints, which a span keeps
+    (``trace_no`` / ``span_no`` / ``parent_no``); :func:`_span_dicts`
+    formats them (``t0000002a``) on export.
     """
 
     __slots__ = ("trace_no", "span_no", "parent_no", "name", "start", "end", "attrs")
@@ -78,16 +78,6 @@ class Span:
     def annotate(self, **attrs: object) -> "Span":
         self.attrs.update(attrs)
         return self
-
-    def finish(self, end: float) -> "Span":
-        if self.end is not None or end < self.start:
-            raise _finish_error(self, end)
-        self.end = float(end)
-        return self
-
-    def to_dict(self) -> Dict[str, object]:
-        """The exported span (see :func:`_span_dicts`)."""
-        return _span_dicts((self,))[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"{self.start}..{self.end}" if self.end is not None else f"{self.start}.."
@@ -107,12 +97,6 @@ class _NullSpan:
 
     def annotate(self, **attrs: object) -> "_NullSpan":
         return self
-
-    def finish(self, end: float) -> "_NullSpan":
-        return self
-
-    def to_dict(self) -> Dict[str, object]:  # pragma: no cover - never exported
-        return {}
 
     def __bool__(self) -> bool:
         return False

@@ -104,14 +104,19 @@ def read_jsonl(
     """Decode one JSONL file; returns ``(payloads, problems)``.
 
     *check* names what is wrong with one decoded line (nothing, when it is
-    good).  A line that is not JSON or fails its check is left out of the
-    payloads and reported as ``line N: ...``; blank lines are skipped.
+    good).  A line that is not UTF-8, not JSON or fails its check is left
+    out of the payloads and reported as ``line N: ...``; blank lines are
+    skipped.
     """
     payloads: List[Any] = []
     problems: List[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                problems.append(f"line {lineno}: not UTF-8")
+                continue
             if not line:
                 continue
             try:

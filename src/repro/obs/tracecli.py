@@ -7,10 +7,7 @@ one file:
 
 * **per-phase latency attribution** — critical-path seconds bucketed into
   route / cache / transfer / queue / other, aggregated over every root
-  operation (optionally filtered by root name); with ``--phase`` the
-  same attribution is additionally grouped by the roots' ``phase``
-  attribute (the accel matrix tags lookups pre/shift/post), so a mode's
-  latency bill is visible per workload regime;
+  operation (optionally filtered by root name);
 * **critical-path extraction** — for each root, the chain of descendant
   spans that determined its completion time;
 * **slowest-N traces** — roots ranked by duration, with their direct
@@ -197,68 +194,6 @@ def attribution(roots: Sequence[SpanRec], op: Optional[str] = None) -> Dict[str,
     return totals
 
 
-#: Canonical ordering of the accel matrix's workload phases; phases not
-#: in this tuple sort after it, untagged roots group under ``(none)``.
-WORKLOAD_PHASE_ORDER = ("pre", "shift", "post")
-
-UNTAGGED_PHASE = "(none)"
-
-
-def workload_phase_groups(
-    roots: Sequence[SpanRec],
-) -> Dict[str, List[SpanRec]]:
-    """Group roots by their ``phase`` span attribute (``--phase``).
-
-    The accel harness tags every ``accel.lookup`` root with the workload
-    phase it ran in (pre-shift warmup, the shift quarter, the recovered
-    tail), so attribution per group shows *when* latency was spent, not
-    just in which subsystem.
-    """
-    groups: Dict[str, List[SpanRec]] = {}
-    for root in roots:
-        phase = root.attrs.get("phase")
-        key = str(phase) if phase is not None else UNTAGGED_PHASE
-        groups.setdefault(key, []).append(root)
-    return groups
-
-
-def ordered_workload_phases(groups: Dict[str, List[SpanRec]]) -> List[str]:
-    named = [p for p in WORKLOAD_PHASE_ORDER if p in groups]
-    extras = sorted(
-        k for k in groups
-        if k not in WORKLOAD_PHASE_ORDER and k != UNTAGGED_PHASE
-    )
-    tail = [UNTAGGED_PHASE] if UNTAGGED_PHASE in groups else []
-    return named + extras + tail
-
-
-def render_workload_phases(
-    groups: Dict[str, List[SpanRec]], op: Optional[str] = None
-) -> List[str]:
-    lines = ["per-workload-phase critical-path attribution:"]
-    if not groups:
-        lines.append("  (no root spans)")
-        return lines
-    for phase in ordered_workload_phases(groups):
-        roots = groups[phase]
-        totals = attribution(roots, op=op)
-        grand = sum(totals.values())
-        finished = sum(1 for r in roots if r.end is not None)
-        lines.append(
-            f"  phase {phase}: {len(roots)} roots "
-            f"({finished} finished)  critical {_fmt_seconds(grand)}"
-        )
-        if grand > 0.0:
-            parts = [
-                f"{bucket} {_fmt_seconds(totals[bucket])} "
-                f"({100.0 * totals[bucket] / grand:.1f}%)"
-                for bucket in PHASES
-                if totals[bucket] > 0.0
-            ]
-            lines.append("    " + "  ".join(parts))
-    return lines
-
-
 def complete_critical_paths(roots: Sequence[SpanRec]) -> int:
     """Roots whose critical path descends through children to a leaf."""
     count = 0
@@ -367,11 +302,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="slowest traces to list (default 5)")
     parser.add_argument("--op", default=None,
                         help="restrict attribution to roots with this name")
-    parser.add_argument(
-        "--phase", action="store_true",
-        help="also group critical-path attribution by the roots' 'phase' "
-        "attribute (the accel matrix's pre/shift/post workload phases)",
-    )
     parser.add_argument("--flame", default=None, metavar="TRACE_ID",
                         help="flamegraph this trace (default: the slowest)")
     parser.add_argument("--no-flame", action="store_true",
@@ -417,11 +347,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         for line in render_attribution(attribution(forest.roots, op=args.op)):
             print(line)
-        if args.phase:
-            print()
-            groups = workload_phase_groups(forest.roots)
-            for line in render_workload_phases(groups, op=args.op):
-                print(line)
         print()
         for line in render_slowest(forest.roots, args.top):
             print(line)

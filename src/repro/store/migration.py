@@ -155,7 +155,6 @@ class StorageCoordinator:
         self.removal_delay = removal_delay
         self.replica_count = replica_count
         self.moves_executed = 0
-        self._expires_at: Dict[int, float] = {}
         self._removes_at: Dict[int, float] = {}
         self._h_stabilization = self.metrics.histogram("pointer.stabilization_seconds")
         # Optional repro.store.repair.ReplicaTracker: when a churn harness
@@ -175,7 +174,6 @@ class StorageCoordinator:
         puts: Union[Sequence[Tuple[int, int]], Dict[int, int]],
         removes: Sequence[int] = (),
         *,
-        ttl: Optional[float] = None,
         delay: Optional[float] = None,
     ) -> None:
         """Apply one flush: upsert every ``(key, size)`` of *puts* (pairs, or
@@ -183,19 +181,16 @@ class StorageCoordinator:
         one :meth:`write` per put and then one :meth:`remove` per key did.
 
         The flush is checked whole, each key and size once: a non-int or
-        out-of-range key, a negative size or a non-positive *ttl* raises
-        before the directory, a placement, the ledger, a counter or the event
-        queue has changed.  Owners come from one pass over the ring; ledger
-        and counters move once, by the flush's sums.  A put inside a removal
-        grace window rescues the block (the pending entry's deadline guard
-        then fails).  The removals fire after the grace period (*delay*,
-        default ``removal_delay``) as one queue entry that counts as one
-        event per key; a key gone by then is skipped, only the newest
-        removal's deadline counts, and removing clears TTL state so a stale
-        expiry cannot kill a re-written block.
+        out-of-range key or a negative size raises before the directory, a
+        placement, the ledger, a counter or the event queue has changed.
+        Owners come from one pass over the ring; ledger and counters move
+        once, by the flush's sums.  A put inside a removal grace window
+        rescues the block (the pending entry's deadline guard then fails).
+        The removals fire after the grace period (*delay*, default
+        ``removal_delay``) as one queue entry that counts as one event per
+        key; a key gone by then is skipped and only the newest removal's
+        deadline counts.
         """
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive")
         keys: Collection[int]
         sizes: Collection[int]
         if isinstance(puts, dict):
@@ -205,7 +200,7 @@ class StorageCoordinator:
             fresh = dict(puts)
         check_items(keys, sizes)
         check_items(removes)
-        now, removes_at, expires_at = self.sim.now, self._removes_at, self._expires_at
+        now, removes_at = self.sim.now, self._removes_at
         if keys:
             # Owners first: the ring pass raises on an empty ring.
             owners = list(map(itemgetter(0), self.ring.groups(keys, 1)))
@@ -221,16 +216,7 @@ class StorageCoordinator:
             if tracker is not None:
                 for key in keys:
                     tracker.place(key, self.holders(key))
-            if ttl is not None:
-                for key in keys:
-                    self._set_expiry(key, ttl)
-            elif expires_at:
-                for key in expires_at.keys() & fresh.keys():
-                    del expires_at[key]
         if removes:
-            if expires_at:
-                for key in expires_at.keys() & removes:
-                    del expires_at[key]
             wait = self.removal_delay if delay is None else delay
             if wait <= 0:
                 for key in removes_at.keys() & removes:
@@ -245,43 +231,17 @@ class StorageCoordinator:
                     wait, GraceEntry(self, tuple(removes), deadline), count=len(removes)
                 )
 
-    def write(self, key: int, size: int, *, ttl: Optional[float] = None) -> None:
-        """Insert (or overwrite) a block; bytes land on the current owner.
-
-        With *ttl*, the block is auto-removed when the TTL elapses without
-        a :meth:`refresh` — the paper's safety net for removals lost to
-        partitions (Section 3).  Writing again also refreshes.
-        """
-        self.commit(((key, size),), ttl=ttl)
+    def write(self, key: int, size: int) -> None:
+        """Insert (or overwrite) a block; bytes land on the current owner."""
+        self.commit(((key, size),))
 
     def remove(self, key: int, *, delay: Optional[float] = None) -> None:
         """Remove a block after the grace period (default: removal_delay)."""
         self.commit((), (key,), delay=delay)
 
-    def refresh(self, key: int, ttl: float) -> bool:
-        """Extend a TTL-guarded block's life; False if it already expired."""
-        if key not in self.directory:
-            return False
-        self._set_expiry(key, ttl)
-        return True
-
-    def _set_expiry(self, key: int, ttl: float) -> None:
-        if ttl <= 0:
-            raise ValueError("ttl must be positive")
-        deadline = self.sim.now + ttl
-        self._expires_at[key] = deadline
-        self.sim.schedule(ttl, lambda: self._expire(key, deadline))
-
-    def _expire(self, key: int, deadline: float) -> None:
-        # Only the newest scheduled deadline is authoritative: refreshes
-        # leave earlier events behind as no-ops.
-        if self._expires_at.get(key) == deadline:
-            del self._expires_at[key]
-            self._discard((key,))
-
     def _expire_removals(self, keys: Tuple[int, ...], deadline: float) -> None:
-        # Likewise, key by key in flush order: a re-write or a newer removal
-        # supersedes this one.
+        # Key by key in flush order: only the newest scheduled deadline is
+        # authoritative, so a re-write or a newer removal supersedes this one.
         removes_at = self._removes_at
         due = []
         for key in keys:
@@ -515,7 +475,6 @@ class StorageCoordinator:
         size = self.directory.discard(key)
         if size is not None:
             self.physical_at.pop(key, None)
-            self._expires_at.pop(key, None)
             self._removes_at.pop(key, None)
             if self._replica_tracker is not None:
                 self._replica_tracker.forget(key)

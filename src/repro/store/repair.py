@@ -187,9 +187,10 @@ class RepairScheduler:
         :data:`MIGRATION_BANDWIDTH_BPS`).  Each
         source node serializes its outgoing repairs through one
         :class:`TokenBucket`.
-    retry_delay, max_retries:
-        First retry backoff and attempt cap for jobs whose source or
-        target died mid-transfer; backoff doubles per attempt.
+    max_retries:
+        Attempt cap for jobs whose source or target died mid-transfer.
+        The first retry waits ``retry_delay`` (60 s) and each later one
+        twice the one before.
     """
 
     def __init__(
@@ -198,7 +199,6 @@ class RepairScheduler:
         sim: Simulator,
         *,
         bandwidth_bps: float = MIGRATION_BANDWIDTH_BPS,
-        retry_delay: float = 60.0,
         max_retries: int = 8,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[EventTracer] = None,
@@ -209,7 +209,7 @@ class RepairScheduler:
         self.ring = store.ring
         self.tracker = ReplicaTracker()
         self.bandwidth_bps = bandwidth_bps
-        self.retry_delay = retry_delay
+        self.retry_delay = 60.0
         self.max_retries = max_retries
         self.stats = RepairStats()
         self.metrics = registry if registry is not None else MetricsRegistry()

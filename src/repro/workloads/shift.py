@@ -36,6 +36,12 @@ SCENARIOS = ("hotspot", "migrate", "churn")
 #: Fraction of post-phase requests a flash crowd sends to the new keys.
 FLASH_FRACTION = 0.75
 
+#: Zipf exponent of key popularity by rank.
+ZIPF_S = 1.2
+
+#: Mean request arrivals per second, over all clients.
+REQUEST_RATE = 10.0
+
 
 @dataclass(frozen=True)
 class ShiftRequest:
@@ -47,9 +53,9 @@ class ShiftRequest:
     phase: str
 
 
-def zipf_weights(count: int, s: float = 1.2) -> List[float]:
-    """Normalized Zipf(s) popularity weights over *count* ranks."""
-    weights = [1.0 / (rank + 1) ** s for rank in range(count)]
+def zipf_weights(count: int) -> List[float]:
+    """Normalized Zipf(:data:`ZIPF_S`) popularity weights over *count* ranks."""
+    weights = [1.0 / (rank + 1) ** ZIPF_S for rank in range(count)]
     total = sum(weights)
     return [w / total for w in weights]
 
@@ -62,9 +68,6 @@ def shift_stream(
     *,
     pre_ops: int,
     post_ops: int,
-    zipf_s: float = 1.2,
-    rate: float = 10.0,
-    flash_fraction: float = FLASH_FRACTION,
     seed: int = 0,
 ) -> Iterator[ShiftRequest]:
     """Yield ``pre_ops`` then ``post_ops`` requests around one shift.
@@ -73,7 +76,7 @@ def shift_stream(
     list order, so callers control which keys are hot).  For ``churn``
     the post phase keeps drawing from *pre_keys* — the membership change
     is the caller's job; for ``migrate`` it switches entirely to
-    *post_keys*; for ``hotspot`` a *flash_fraction* share stampedes onto
+    *post_keys*; for ``hotspot`` a :data:`FLASH_FRACTION` share stampedes onto
     *post_keys* while the rest continues as before.
     """
     if scenario not in SCENARIOS:
@@ -86,12 +89,12 @@ def shift_stream(
     rng = random.Random(seed)
     # Accumulated once: ``choices(weights=...)`` re-accumulates on every draw.
     pre_ranks = range(len(pre_keys))
-    pre_cum = list(accumulate(zipf_weights(len(pre_keys), zipf_s)))
+    pre_cum = list(accumulate(zipf_weights(len(pre_keys))))
     post_ranks = range(len(post_keys))
-    post_cum = list(accumulate(zipf_weights(len(post_keys), zipf_s)))
+    post_cum = list(accumulate(zipf_weights(len(post_keys))))
     now = 0.0
     for index in range(pre_ops + post_ops):
-        now += rng.expovariate(rate)
+        now += rng.expovariate(REQUEST_RATE)
         client = clients[rng.randrange(len(clients))]
         phase = "pre" if index < pre_ops else "post"
         if phase == "pre" or scenario == "churn":
@@ -99,7 +102,7 @@ def shift_stream(
         elif scenario == "migrate":
             key = post_keys[rng.choices(post_ranks, cum_weights=post_cum, k=1)[0]]
         else:  # hotspot: flash crowd on the new keys, background on the old
-            if rng.random() < flash_fraction:
+            if rng.random() < FLASH_FRACTION:
                 key = post_keys[rng.choices(post_ranks, cum_weights=post_cum, k=1)[0]]
             else:
                 key = pre_keys[rng.choices(pre_ranks, cum_weights=pre_cum, k=1)[0]]

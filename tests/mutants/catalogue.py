@@ -110,12 +110,6 @@ MUTANTS: Tuple[Mutant, ...] = (
            "GraceEntry(self, tuple(removes), deadline)",
            "GraceEntry(self, tuple(reversed(removes)), deadline)",
            "flush", "FlushMachine"),
-    mutant("flush-ttl-not-cleared", FLUSH,
-           "            if expires_at:\n"
-           "                for key in expires_at.keys() & removes:\n"
-           "                    del expires_at[key]\n",
-           "",
-           "flush", "FlushMachine"),
     mutant("flush-zero-size-not-counted", FLUSH,
            "            if size is not None:\n"
            "                count += 1\n",

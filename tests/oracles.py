@@ -31,7 +31,7 @@ from repro.store.block_store import BlockDirectory, BlockDirectoryError
 from repro.store.migration import GraceEntry, StorageCoordinator
 from repro.store.repair import REPAIR_SCHEDULE, RepairJob, RepairScheduler
 from repro.workloads.scale import replica_path
-from repro.workloads.shift import FLASH_FRACTION, ShiftRequest, zipf_weights
+from repro.workloads.shift import FLASH_FRACTION, REQUEST_RATE, ShiftRequest, zipf_weights
 from repro.workloads.trace import READ
 
 
@@ -176,7 +176,7 @@ class SortedDictDirectory:
 
 
 def event_keys(fire):
-    """The block keys a pending TTL or grace-period entry is for, in firing
+    """The block keys a pending grace-period entry is for, in firing
     order: a flush's :class:`GraceEntry` holds them all, a per-key event
     holds one in a closure cell."""
     if isinstance(fire, GraceEntry):
@@ -232,7 +232,6 @@ def store_state(store):
                    store.ledger.total_written, store.ledger.total_removed),
         "counters": store.metrics.snapshot()["counters"],
         "removes_at": list(store._removes_at.items()),
-        "expires_at": list(store._expires_at.items()),
         "pending": firing_sequence(store.sim),
         "pending_events": store.sim.pending(),
         "now": store.sim.now,
@@ -247,13 +246,13 @@ class PerKeyCoordinator(StorageCoordinator):
     owner bisect memoised for good, a ledger bump, two counter bumps and,
     per removal, two closures and an event scheduled alone."""
 
-    def commit(self, puts, removes=(), *, ttl=None, delay=None):
+    def commit(self, puts, removes=(), *, delay=None):
         for key, size in puts.items() if isinstance(puts, dict) else puts:
-            self.write(key, size, ttl=ttl)
+            self.write(key, size)
         for key in removes:
             self.remove(key, delay=delay)
 
-    def write(self, key, size, *, ttl=None):
+    def write(self, key, size):
         before = self.directory.total_bytes
         self.directory.put_many(((key, size),))
         delta = self.directory.total_bytes - before
@@ -264,27 +263,9 @@ class PerKeyCoordinator(StorageCoordinator):
         self._removes_at.pop(key, None)
         if self._replica_tracker is not None:
             self._replica_tracker.place(key, self.holders(key))
-        if ttl is not None:
-            self._set_expiry(key, ttl)
-        elif key in self._expires_at:
-            del self._expires_at[key]
-
-    def _expire(self, key, deadline):
-        if self._expires_at.get(key) != deadline:
-            return
-        del self._expires_at[key]
-        size = self.directory.discard(key)
-        if size is not None:
-            self.physical_at.pop(key, None)
-            self.ledger.record_remove(self.sim.now, size)
-            self._c_removes.inc()
-            self._c_removed_bytes.inc(size)
-            if self._replica_tracker is not None:
-                self._replica_tracker.forget(key)
 
     def remove(self, key, *, delay=None):
         wait = self.removal_delay if delay is None else delay
-        self._expires_at.pop(key, None)
 
         def _discard():
             size = self.directory.discard(key)
@@ -520,23 +501,23 @@ def fold_reads_per_op(deployment, trace, *, copies, users, ops_per_user, window,
 
 
 def shift_stream_reweighing(scenario, pre_keys, post_keys, clients, *, pre_ops, post_ops,
-                            zipf_s=1.2, rate=10.0, flash_fraction=FLASH_FRACTION, seed=0):
+                            seed=0):
     """``workloads.shift.shift_stream`` as it was: every draw hands
     ``rng.choices`` the ``weights=``, which it accumulates afresh."""
     rng = Random(seed)
     pre_ranks, post_ranks = range(len(pre_keys)), range(len(post_keys))
-    pre_weights = zipf_weights(len(pre_keys), zipf_s)
-    post_weights = zipf_weights(len(post_keys), zipf_s)
+    pre_weights = zipf_weights(len(pre_keys))
+    post_weights = zipf_weights(len(post_keys))
     now = 0.0
     for index in range(pre_ops + post_ops):
-        now += rng.expovariate(rate)
+        now += rng.expovariate(REQUEST_RATE)
         client = clients[rng.randrange(len(clients))]
         phase = "pre" if index < pre_ops else "post"
         if phase == "pre" or scenario == "churn":
             key = pre_keys[rng.choices(pre_ranks, weights=pre_weights, k=1)[0]]
         elif scenario == "migrate":
             key = post_keys[rng.choices(post_ranks, weights=post_weights, k=1)[0]]
-        elif rng.random() < flash_fraction:  # hotspot
+        elif rng.random() < FLASH_FRACTION:  # hotspot
             key = post_keys[rng.choices(post_ranks, weights=post_weights, k=1)[0]]
         else:
             key = pre_keys[rng.choices(pre_ranks, weights=pre_weights, k=1)[0]]
@@ -690,11 +671,8 @@ class EmittingTracer(Tracer):
         return span
 
     def finish(self, span, end):
-        if not span:
-            return span
-        span.finish(end)
-        self.finished += 1
-        if span.parent_no is None and self._events is not None:
+        super().finish(span, end)
+        if span and span.parent_no is None and self._events is not None:
             self._events.emit(SPAN_FINISH)
         return span
 

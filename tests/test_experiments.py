@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
-from repro.experiments import balance, performance
 from repro.experiments.common import clear_cache, format_table
 from repro.experiments.figures import FIGURES
 from repro.experiments.scale_matrix import BENCH_ENV
@@ -210,105 +209,6 @@ class TestFormatting:
 
     def test_format_empty(self):
         assert "(no rows)" in format_table([], ["a"], title="T")
-
-
-class TestTable1:
-    def test_rows(self):
-        (rows,) = tiny_rows("table1")
-        assert len(rows) == 3
-        assert {row["workload"] for row in rows} == {
-            "hp-synth", "harvard-synth", "web-synth"
-        }
-        assert "Table 1" in tiny_report("table1")
-
-
-class TestFig3:
-    def test_rows_and_shape(self):
-        (rows,) = tiny_rows("fig3")
-        assert len(rows) == 9  # 3 workloads x 3 scenarios
-        assert all(r["normalized"] == 1.0 for r in rows if r["scenario"] == "traditional")
-        assert "Figure 3" in tiny_report("fig3")
-
-
-class TestAvailabilityDrivers:
-    def test_fig7(self):
-        (rows,) = tiny_rows("fig7")
-        assert len(rows) == 6  # 2 inters x 3 systems
-        assert all(0.0 <= r["mean_unavailability"] <= 1.0 for r in rows)
-        assert "Figure 7" in tiny_report("fig7")
-
-    def test_fig8(self):
-        (rows,) = FIGURES["fig8"].rows(inter=5.0, **AVAIL_ONE_INTER)
-        assert any(r["rank"] == "affected-users" for r in rows)
-        assert "Figure 8" in tiny_report("fig8")
-
-    def test_table2(self):
-        (rows,) = tiny_rows("table2")
-        assert len(rows) == 2
-        assert "Table 2" in tiny_report("table2")
-
-
-class TestPerformanceDrivers:
-    def test_fig9(self):
-        (rows,) = tiny_rows("fig9")
-        assert len(rows) == 4  # 2 modes x 2 sizes
-        assert "Figure 9" in tiny_report("fig9")
-
-    def test_fig10_and_11(self):
-        (rows,) = tiny_rows("fig10")
-        assert all(row["speedup"] > 0 for row in rows)
-        assert "Figure 10" in tiny_report("fig10")
-        (rows11,) = tiny_rows("fig11")
-        assert len(rows11) == len(rows)
-
-    def test_fig12(self):
-        (rows,) = tiny_rows("fig12")
-        assert rows
-        per_mode = [r for r in rows if r["mode"] == "seq"]
-        speeds = [r["speedup"] for r in per_mode]
-        assert speeds == sorted(speeds, reverse=True)
-        assert "Figure 12" in tiny_report("fig12")
-
-    def test_fig13(self):
-        (rows,) = tiny_rows("fig13")
-        for row in rows:
-            assert 0.0 <= row["miss_rate_d2"] <= 1.0
-        assert "Figure 13" in tiny_report("fig13")
-
-    def test_fig14_and_15(self):
-        (rows,) = tiny_rows("fig14")
-        for row in rows:
-            assert row["faster_in_d2"] <= row["groups"]
-        assert "Figure 14" in tiny_report("fig14")
-        points = performance.scatter_points(mode="seq", **PERF)
-        assert all(p["baseline_s"] >= 0 and p["d2_s"] >= 0 for p in points)
-        assert tiny_rows("fig15")[0]
-
-
-class TestBalanceDrivers:
-    def test_table3(self):
-        rows = balance.churn_ratio_rows(**HARVARD_BALANCE)
-        workloads = {row["workload"] for row in rows}
-        assert workloads == {"Harvard", "Webcache"}
-        assert "Table 3" in tiny_report("table3")
-
-    def test_fig16(self):
-        (rows,) = tiny_rows("fig16")
-        assert {r["system"] for r in rows} == {
-            "d2", "traditional", "traditional-file", "traditional+merc"
-        }
-        assert "Figure 16" in tiny_report("fig16")
-
-    def test_fig17(self):
-        (rows,) = tiny_rows("fig17")
-        assert {r["system"] for r in rows} == {"d2", "traditional"}
-        assert "Figure 17" in tiny_report("fig17")
-
-    def test_table4(self):
-        (rows,) = tiny_rows("table4")
-        totals = [row for row in rows if row["day"] == "total L/W"]
-        assert {row["workload"] for row in totals} == {"Harvard", "Webcache"}
-        assert "Table 4" in tiny_report("table4")
 
 
 class TestDriverPlots:

@@ -84,7 +84,7 @@ class TestCommit:
     ])
     def test_invalid_put_anywhere_refuses_the_whole_flush(self, bad, error):
         ring, sim, store = make_system(removal_delay=30.0)
-        store.write(key_at(120), 500, ttl=60.0)
+        store.write(key_at(120), 500)
         before = store_state(store)
         puts = [(key_at(150), 100), (key_at(120), 50), bad, (key_at(350), 200)]
         with pytest.raises(error):
@@ -94,7 +94,7 @@ class TestCommit:
     @pytest.mark.parametrize("bad, error", [(-1, ValueError), ("7", TypeError)])
     def test_invalid_remove_refuses_the_whole_flush(self, bad, error):
         ring, sim, store = make_system(removal_delay=30.0)
-        store.write(key_at(120), 500, ttl=60.0)
+        store.write(key_at(120), 500)
         before = store_state(store)
         with pytest.raises(error):
             store.commit([(key_at(150), 100)], [key_at(120), bad])
@@ -109,19 +109,14 @@ class TestCommit:
         """The dict ``apply_ops`` folds a flush into is checked like pairs:
         one bad remove key or one negative size, and nothing changes."""
         ring, sim, store = make_system(removal_delay=30.0)
-        store.write(key_at(120), 500, ttl=60.0)
+        store.write(key_at(120), 500)
         store.remove(key_at(350))
         before = store_state(store)
         with pytest.raises(error):
             store.commit(puts, removes)
         assert store_state(store) == before
 
-    def test_nonpositive_ttl_and_empty_ring_refuse_before_writing(self):
-        ring, sim, store = make_system()
-        before = store_state(store)
-        with pytest.raises(ValueError):
-            store.write(key_at(150), 100, ttl=0.0)
-        assert store_state(store) == before
+    def test_empty_ring_refuses_before_writing(self):
         empty = StorageCoordinator(Ring(), Simulator(), registry=MetricsRegistry())
         with pytest.raises(RingError):
             empty.write(key_at(150), 100)
@@ -184,24 +179,6 @@ class TestRemovalRaces:
         sim.run(until=41.0)
         assert key not in store.directory
         assert store.ledger.total_removed == 100  # counted exactly once
-
-    def test_remove_clears_ttl_state(self):
-        ring, sim, store = make_system()
-        key = key_at(150)
-        store.write(key, 100, ttl=50.0)
-        store.remove(key, delay=0)
-        assert key not in store._expires_at  # no TTL leak for a dead key
-
-    def test_stale_ttl_cannot_kill_rewritten_block(self):
-        ring, sim, store = make_system(removal_delay=30.0)
-        key = key_at(150)
-        store.write(key, 100, ttl=45.0)
-        store.remove(key)  # clears TTL state; grace window runs to t=30
-        sim.run(until=10.0)
-        store.write(key, 100)  # rescued, no TTL
-        sim.run(until=1000.0)  # both the t=30 removal and t=45 TTL no-op
-        assert key in store.directory
-        assert store.ledger.total_removed == 0
 
 
 class TestStabilizeAfterFlush:
@@ -388,64 +365,3 @@ class TestLedger:
         ledger.record_remove(1.0, 40)
         ledger.record_migration(2.0, 70)
         assert (ledger.total_written, ledger.total_removed, ledger.total_migrated) == (100, 40, 70)
-
-
-class TestTtlExpiry:
-    """Section 3: blocks auto-expire after a refreshable TTL."""
-
-    def test_block_expires_after_ttl(self):
-        ring, sim, store = make_system()
-        key = key_at(150)
-        store.write(key, 100, ttl=60.0)
-        sim.run(until=59.0)
-        assert key in store.directory
-        sim.run(until=61.0)
-        assert key not in store.directory
-        assert store.ledger.total_removed == 100
-
-    def test_refresh_extends_life(self):
-        ring, sim, store = make_system()
-        key = key_at(150)
-        store.write(key, 100, ttl=60.0)
-        sim.run(until=50.0)
-        assert store.refresh(key, 60.0)
-        sim.run(until=100.0)
-        assert key in store.directory
-        sim.run(until=111.0)
-        assert key not in store.directory
-
-    def test_rewrite_refreshes(self):
-        ring, sim, store = make_system()
-        key = key_at(150)
-        store.write(key, 100, ttl=60.0)
-        sim.run(until=50.0)
-        store.write(key, 100, ttl=60.0)
-        sim.run(until=100.0)
-        assert key in store.directory
-
-    def test_rewrite_without_ttl_clears_expiry(self):
-        ring, sim, store = make_system()
-        key = key_at(150)
-        store.write(key, 100, ttl=60.0)
-        store.write(key, 100)
-        sim.run(until=1000.0)
-        assert key in store.directory
-        assert key not in store._expires_at
-
-    def test_refresh_of_missing_block_fails(self):
-        ring, sim, store = make_system()
-        assert not store.refresh(key_at(150), 60.0)
-
-    def test_nonpositive_ttl_rejected(self):
-        ring, sim, store = make_system()
-        with pytest.raises(ValueError):
-            store.write(key_at(150), 100, ttl=0.0)
-
-    def test_explicit_remove_beats_ttl(self):
-        ring, sim, store = make_system()
-        key = key_at(150)
-        store.write(key, 100, ttl=1000.0)
-        store.remove(key, delay=0)
-        sim.run(until=2000.0)
-        assert key not in store.directory
-        assert store.ledger.total_removed == 100  # not double-counted

@@ -442,7 +442,6 @@ TestBlockPlanModel.settings = settings(max_examples=60, deadline=None)
 
 FLUSH_KEYS = st.integers(min_value=0, max_value=47)
 FLUSH_SIZES = st.integers(min_value=0, max_value=9000)
-TTLS = st.one_of(st.none(), st.sampled_from([5.0, 45.0]))
 DELAYS = st.one_of(st.none(), st.sampled_from([0.0, 10.0]))
 GRACE_WAITS = st.sampled_from([0.0, 10.0, 29.5])  # into a 30 s grace window
 
@@ -454,14 +453,13 @@ class FlushMachine(RuleBasedStateMachine):
 
     Each side has its own ring, clock, registry and replica tracker, and the
     same calls go to both.  Keys are few, so a flush repeats a key (the
-    traditional-file case), re-writes one inside its grace window, removes a
-    TTL-guarded one and removes one twice; the grace period is zero in half
-    the runs, the tracker arrives mid-run, and the ring changes between
-    flushes.  Everything either side can observe must agree after every
-    step (pending events compared as the ``(time, key)`` sequence they
-    fire in, one counted event per key), across a grace deadline inside
-    the rescue and newer-removal rules, and again once every pending event
-    has fired.
+    traditional-file case), re-writes one inside its grace window and removes
+    one twice; the grace period is zero in half the runs, the tracker
+    arrives mid-run, and the ring changes between flushes.  Everything
+    either side can observe must agree after every step (pending events
+    compared as the ``(time, key)`` sequence they fire in, one counted
+    event per key), across a grace deadline inside the rescue and
+    newer-removal rules, and again once every pending event has fired.
     """
 
     def __init__(self):
@@ -484,21 +482,17 @@ class FlushMachine(RuleBasedStateMachine):
             call(store)
 
     @rule(puts=st.lists(st.tuples(FLUSH_KEYS, FLUSH_SIZES), max_size=8),
-          removes=st.lists(FLUSH_KEYS, max_size=6), ttl=TTLS, delay=DELAYS)
-    def commit(self, puts, removes, ttl, delay):
-        self.both(lambda store: store.commit(puts, removes, ttl=ttl, delay=delay))
+          removes=st.lists(FLUSH_KEYS, max_size=6), delay=DELAYS)
+    def commit(self, puts, removes, delay):
+        self.both(lambda store: store.commit(puts, removes, delay=delay))
 
-    @rule(key=FLUSH_KEYS, size=FLUSH_SIZES, ttl=TTLS)
-    def write(self, key, size, ttl):
-        self.both(lambda store: store.write(key, size, ttl=ttl))
+    @rule(key=FLUSH_KEYS, size=FLUSH_SIZES)
+    def write(self, key, size):
+        self.both(lambda store: store.write(key, size))
 
     @rule(key=FLUSH_KEYS, delay=DELAYS)
     def remove(self, key, delay):
         self.both(lambda store: store.remove(key, delay=delay))
-
-    @rule(key=FLUSH_KEYS)
-    def refresh(self, key):
-        self.both(lambda store: store.refresh(key, 20.0))
 
     @rule(keys=st.lists(FLUSH_KEYS, min_size=1, max_size=6), size=FLUSH_SIZES,
           wait=GRACE_WAITS)

@@ -59,41 +59,52 @@ def export(tracer, path):
 
 
 def root_span(start, **attrs):
-    return Tracer(sample=1.0).start_trace("op", start, **attrs)
+    """A tracer and the root span it just opened at *start*."""
+    tracer = Tracer(sample=1.0)
+    return tracer, tracer.start_trace("op", start, **attrs)
+
+
+def exported_span(start, end, **attrs):
+    """The export of one root span closed at *end*."""
+    tracer, span = root_span(start, **attrs)
+    tracer.finish(span, end)
+    return tracer.to_dicts()[0]
 
 
 class TestSpanLifecycle:
     def test_finish_and_duration(self):
-        span = root_span(10.0)
+        tracer, span = root_span(10.0)
         assert span.end is None
-        span.finish(12.5)
+        tracer.finish(span, 12.5)
         assert span.end - span.start == 2.5
 
     def test_double_finish_rejected(self):
-        span = root_span(0.0).finish(1.0)
+        tracer, span = root_span(0.0)
+        tracer.finish(span, 1.0)
         with pytest.raises(SpanError):
-            span.finish(2.0)
+            tracer.finish(span, 2.0)
+        assert tracer.finished == 1
 
     def test_end_before_start_rejected(self):
+        tracer, span = root_span(5.0)
         with pytest.raises(SpanError):
-            root_span(5.0).finish(4.0)
+            tracer.finish(span, 4.0)
 
     def test_annotate_merges_attrs(self):
-        span = root_span(0.0, a=1)
+        _, span = root_span(0.0, a=1)
         span.annotate(b=2).annotate(a=3)
         assert span.attrs == {"a": 3, "b": 2}
 
     def test_to_dict_shape_is_schema_valid(self):
-        span = root_span(0.0, node="n1").finish(1.0)
-        assert validate_span_dict(span.to_dict()) == []
+        assert validate_span_dict(exported_span(0.0, 1.0, node="n1")) == []
 
 
 class TestTracer:
     def test_parent_child_share_trace_id(self):
         tracer = Tracer(sample=1.0)
         root = tracer.start_trace("fetch", 0.0)
-        child = tracer.start_span("lookup", 0.0, root).to_dict()
-        root = root.to_dict()
+        tracer.start_span("lookup", 0.0, root)
+        root, child = tracer.to_dicts()
         assert child["trace_id"] == root["trace_id"]
         assert child["parent_id"] == root["span_id"]
 
@@ -239,7 +250,7 @@ class TestTracer:
         assert tracer.start_span("hop", 0.0, child) is NULL_SPAN
         assert len(tracer) == 0 and tracer.started == 0
         # A live span holds ids only, no reference to its parent object.
-        assert not any(name.startswith("_") for name in type(root_span(0.0)).__slots__)
+        assert not any(name.startswith("_") for name in type(root_span(0.0)[1]).__slots__)
 
     def test_start_and_finish_never_walk_the_buffer(self):
         # Bookkeeping is O(1): ids and counts, not a buffer search.  A buffer
@@ -469,7 +480,7 @@ class TestRunnerTraceAttachment:
         @cell_kind("trace-fake")
         def _fake(params):
             class Result:
-                trace = [root_span(0.0).finish(1.0).to_dict()]
+                trace = [exported_span(0.0, 1.0)]
                 metrics = None
             return Result()
 
@@ -534,57 +545,7 @@ class TestRunnerTraceAttachment:
 
 
 class TestWorkloadPhaseGrouping:
-    """--phase: accel.lookup roots grouped by their workload-phase tag."""
-
-    def _phased_tracer(self):
-        tracer = Tracer(sample=1.0, seed=5)
-        for index, phase in enumerate(
-            ["pre", "pre", "shift", "post", "post", "post"]
-        ):
-            base = float(index)
-            root = tracer.start_trace("accel.lookup", base, phase=phase)
-            tracer.finish(
-                tracer.start_span("route.hop", base, root), base + 0.2
-            )
-            tracer.finish(root, base + 0.5)
-        # One untagged root lands in the "(none)" bucket.
-        tracer.finish(tracer.start_trace("accel.lookup", 9.0), 9.1)
-        return tracer
-
-    def test_groups_and_order(self, tmp_path):
-        from repro.obs.tracecli import (
-            build_forest,
-            load_spans,
-            ordered_workload_phases,
-            workload_phase_groups,
-        )
-
-        tracer = self._phased_tracer()
-        path = export(tracer, tmp_path / "phased.jsonl")
-        forest = build_forest(load_spans(path)[0])
-        groups = workload_phase_groups(forest.roots)
-        assert {k: len(v) for k, v in groups.items()} == {
-            "pre": 2, "shift": 1, "post": 3, "(none)": 1,
-        }
-        assert ordered_workload_phases(groups) == [
-            "pre", "shift", "post", "(none)",
-        ]
-
-    def test_extra_phases_sort_after_named_ones(self):
-        from repro.obs.tracecli import ordered_workload_phases
-
-        assert ordered_workload_phases(
-            {"zeta": [], "post": [], "(none)": [], "alpha": [], "pre": []}
-        ) == ["pre", "post", "alpha", "zeta", "(none)"]
-
-    def test_cli_phase_flag_renders_section(self, tmp_path, capsys):
-        tracer = self._phased_tracer()
-        path = export(tracer, tmp_path / "phased.jsonl")
-        assert trace_main([path, "--phase"]) == 0
-        out = capsys.readouterr().out
-        assert "per-workload-phase critical-path attribution" in out
-        for tag in ("phase pre", "phase shift", "phase post", "phase (none)"):
-            assert tag in out
+    """accel.lookup roots carry their workload-phase tag into the export."""
 
     def test_accelerator_tags_spans_with_phase(self):
         from repro.core.accel import LookupAccelerator

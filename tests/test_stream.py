@@ -137,6 +137,20 @@ class TestReadJsonl:
             assert any(p.startswith("line 3: ") for p in problems)
             assert "not JSON" in problems[-1]
 
+    @pytest.mark.parametrize("command", ["trace", "health"])
+    def test_a_line_that_is_not_utf8_is_reported(self, tmp_path, capsys, command):
+        """Both CLIs name the undecodable line, go on to the next, and exit 1."""
+        from repro.obs.__main__ import main
+
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(b'{"a": 1}\n\xff\n{"a": 2}\n')
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: INVALID" in err
+        assert "line 2: not UTF-8" in err
+        assert "line 3: " in err
+        assert "Traceback" not in err
+
     def test_check_sees_every_decoded_line(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n{"a": 2}\n')
