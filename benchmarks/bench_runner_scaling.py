@@ -1,8 +1,8 @@
 """Runner scaling: performance-grid wall clock at jobs = 1, 2, 4.
 
 Times the same 16-cell performance grid through :func:`performance_matrix`
-at increasing worker counts, with both the process memo and the disk cache
-disabled so every run recomputes all cells from scratch.  On a multi-core
+at increasing worker counts, with the process memo cleared before each run
+so every run recomputes all cells from scratch.  On a multi-core
 machine the grid should speed up roughly linearly until the core count
 binds (the cells are embarrassingly parallel); the paper-facing guarantee
 — identical rows at every worker count — is asserted every run.
@@ -16,7 +16,7 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.experiments import common
 from repro.experiments.performance import performance_matrix
-from repro.runner import CACHE_ENV, last_stats
+from repro.runner import last_stats
 
 # 16 cells, each a genuinely expensive simulation, so the pool's fork and
 # pickle overheads are amortized the way real figure grids amortize them.
@@ -39,7 +39,6 @@ _ROWS = {}       # jobs -> matrix, for the identical-rows assertion
 
 def _fresh_run(jobs):
     common.clear_cache()
-    os.environ.pop(CACHE_ENV, None)      # no disk-cache short circuit
     started = time.perf_counter()
     matrix = performance_matrix(**GRID, jobs=jobs)
     _WALL[jobs] = time.perf_counter() - started
@@ -52,7 +51,7 @@ def test_runner_scaling(benchmark, jobs):
     matrix = run_once(benchmark, lambda: _fresh_run(jobs))
     stats = last_stats("harvard")
     assert stats.jobs == jobs
-    assert stats.cells_computed == 16  # nothing was served from a cache
+    assert stats.cells_computed == 16  # nothing was served from the memo
     assert stats.cells_cached == 0
     assert len(matrix) == 16
 

@@ -128,7 +128,7 @@ def measure(root: str) -> List[Dict[str, Any]]:
     """Every cell's row for the checkout at *root*, one process each."""
     src = os.path.join(root, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, root)), "PYTHONHASHSEED": "0"}
-    for name in ("REPRO_TRACE_SAMPLE", "REPRO_METRICS_DIR", "REPRO_RUN_CACHE", "REPRO_JOBS"):
+    for name in ("REPRO_TRACE_SAMPLE", "REPRO_METRICS_DIR", "REPRO_JOBS"):
         env.pop(name, None)
     rows = []
     for cell in CELLS:

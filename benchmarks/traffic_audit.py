@@ -173,7 +173,7 @@ def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + ROOT
     env["PYTHONHASHSEED"] = "0"
-    for name in ("REPRO_JOBS", "REPRO_RUN_CACHE", "REPRO_METRICS_DIR",
+    for name in ("REPRO_JOBS", "REPRO_METRICS_DIR",
                  "REPRO_TRACE_SAMPLE", "REPRO_SCALE_EXPORT_DIR", "REPRO_SCALE_LABEL"):
         env.pop(name, None)
     with tempfile.TemporaryDirectory() as tmp:

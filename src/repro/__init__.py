@@ -13,7 +13,7 @@ The package is organized by subsystem:
 - :mod:`repro.analysis`  — the paper's evaluation metrics;
 - :mod:`repro.experiments` — the figure table (one entry per table,
   figure, matrix, ablation and extension) and the run grids it projects;
-- :mod:`repro.runner` — grid cells, process-parallel execution, disk cache;
+- :mod:`repro.runner` — grid cells and their process-parallel execution;
 - :mod:`repro.obs`, :mod:`repro.lint` — metrics/traces/health reports and
   the determinism linter.
 """

@@ -11,10 +11,10 @@ Usage::
 The names are the entries of :data:`repro.experiments.figures.FIGURES`.
 Each runs at the laptop scale recorded in EXPERIMENTS.md and prints the
 same rows/series the paper reports.  Heavy simulation matrices are shared
-between experiments within one invocation; ``--jobs N`` (or
-``$REPRO_JOBS``) fans their cells out over N worker processes without
-changing any row, and ``$REPRO_RUN_CACHE`` persists cell results across
-invocations (see docs/performance.md).
+between experiments within one invocation, each cell computed once;
+``--jobs N`` (or ``$REPRO_JOBS``) fans their cells out over N worker
+processes without changing any row (see docs/performance.md).  Nothing
+is kept across invocations.
 
 After each entry's report the run checks the entry's claims (the paper's
 shape, :mod:`repro.experiments.claims`) on the rows it printed: one stderr

@@ -7,8 +7,8 @@ hit-ratio recovery table and appending one labelled run to the
 ``BENCH_scale.json`` trajectory (same file, env knobs, and schema as the
 scale matrix — a row's ``cell`` field tells the two apart).
 
-Like the scale cells, accel cells time themselves, so the disk result
-cache is disabled; the deterministic fingerprint of every row is still
+Like the scale cells, accel cells time themselves, so they are never
+memoised; the deterministic fingerprint of every row is still
 byte-identical between serial and ``--jobs N`` runs (CI's ``matrix-smoke``
 job asserts it).
 """
@@ -47,7 +47,7 @@ def accel_cells(
 def run_accel(
     *, cells: Optional[Sequence[Dict[str, Any]]] = None, jobs: Optional[int] = None
 ) -> List[AccelCellResult]:
-    """Run the accel matrix, always fresh (disk cache disabled)."""
+    """Run the accel matrix, always fresh (never memoised)."""
     return run_fresh("accel", accel_cells() if cells is None else cells, jobs)
 
 

@@ -10,7 +10,7 @@ repro.obs health``).
 
 Every cell is a deterministic function of its parameter bundle and runs
 through :mod:`repro.runner`, so rows are bit-identical serial vs
-``--jobs N`` and cache cleanly.
+``--jobs N``.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.report import emit_metrics_report, labeled_run, metrics_out_dir
-from repro.runner import RunCache, cache_key, run_cells
+from repro.runner import emit_stats_report, last_stats, run_cells
 from repro.runner.cells import report_name
 
 _CACHE: "OrderedDict[Tuple, Any]" = OrderedDict()
@@ -34,8 +34,7 @@ def cached(key: Tuple, compute: Callable[[], Any]) -> Any:
     """Process-wide memoization for shared simulation runs.
 
     Bounded FIFO (:data:`MEMO_MAX` entries); evicted entries are simply
-    recomputed on next use.  Cross-process persistence is the job of the
-    disk cache in :mod:`repro.runner.cache`, not of this memo.
+    recomputed on next use.  Nothing persists across processes.
     """
     if key in _CACHE:
         return _CACHE[key]
@@ -75,39 +74,31 @@ def run_grid(
 ) -> List[Any]:
     """The results of *cells*, in cell order, each computed once per process.
 
-    Cells execute through :mod:`repro.runner`: served from the process
-    memo or the on-disk result cache (``$REPRO_RUN_CACHE``), computed in
-    ``jobs`` worker processes (default ``$REPRO_JOBS`` / serial)
-    otherwise.  The memo holds each cell under its own content address,
-    so two figures whose grids share cells (Table 3's ``d2`` cell and
-    Figure 16's grid, Figures 7 and 8) run each shared cell once whatever
-    keyword spelling got them there; ``jobs`` never changes a result —
-    only how fast it arrives — and is deliberately not part of it.  Every
-    call reaches the runner, so ``last_stats(kind)`` and the runner
-    report describe this grid, memo hits counted as cached.
+    The memo holds each cell under ``(kind, sorted bundle)``, so two
+    figures whose grids share cells (Table 3's ``d2`` cell and Figure 16's
+    grid, Figures 7 and 8) run each shared cell once whatever keyword
+    spelling got them there.  The cells it lacks go to
+    :func:`repro.runner.run_cells`, in ``jobs`` worker processes (default
+    ``$REPRO_JOBS`` / serial); ``jobs`` never changes a result — only how
+    fast it arrives — and is deliberately not part of the key.  Every call
+    reaches the runner, so ``last_stats(kind)`` and the runner report
+    describe this grid, memo hits counted as cached.
+
+    The key holds no environment variable: a caller that changes
+    ``$REPRO_TRACE_SAMPLE`` between grids calls :func:`clear_cache`.
     """
-    return run_cells(
-        kind, cells, jobs=jobs, cache=_MemoCache.from_env(),
-        metrics_name=report_name(kind, cells[0]),
-    )
-
-
-class _MemoCache(RunCache):
-    """The run cache with the process memo in front: a cell the memo
-    holds is a hit, and every cell read from disk or computed is memoised."""
-
-    def get(self, kind: str, params: Mapping[str, Any]) -> Tuple[bool, Any]:
-        key = (kind, cache_key(kind, params))
-        if key in _CACHE:
-            return True, _CACHE[key]
-        hit, value = super().get(kind, params)
-        if hit:
-            _remember(key, value)
-        return hit, value
-
-    def put(self, kind: str, params: Mapping[str, Any], value: Any) -> Optional[str]:
-        _remember((kind, cache_key(kind, params)), value)
-        return super().put(kind, params, value)
+    keys = [(kind, tuple(sorted(cell.items()))) for cell in cells]
+    by_key = {key: _CACHE[key] for key in keys if key in _CACHE}
+    missing = {key: cell for key, cell in zip(keys, cells) if key not in by_key}
+    by_key.update(zip(missing, run_cells(kind, list(missing.values()), jobs=jobs)))
+    for key in missing:
+        _remember(key, by_key[key])
+    results = [by_key[key] for key in keys]
+    stats = last_stats(kind)
+    assert stats is not None  # run_cells has just recorded it
+    stats.cells_total, stats.cells_cached = len(cells), len(cells) - len(missing)
+    emit_stats_report(stats, report_name(kind, cells[0]), None, results)
+    return results
 
 
 def emit_figure_metrics(

@@ -6,8 +6,9 @@ node-count × user-multiplier grid and appends one labelled run to the
 are tracked PR-over-PR the way the figure rows track accuracy.
 
 Unlike the figure matrices these cells *time themselves*, so they always
-run fresh: the disk result-cache is explicitly disabled (a cached
-wall-clock number would report the machine state of some earlier run).
+run fresh: they bypass the process memo of :func:`common.run_grid` (a
+memoised wall-clock number would report the machine state of an earlier
+run).
 The deterministic work fingerprints (op counts, hop totals, owner
 checksums) are still byte-identical between serial and ``--jobs N``
 runs — CI's ``matrix-smoke`` job asserts exactly that.
@@ -33,7 +34,7 @@ from repro.analysis.harness import harvard_deployment
 from repro.analysis.scale import ScaleCellResult, run_scale_read, run_scale_routing
 from repro.experiments import common
 from repro.obs.stream import JsonlWriter
-from repro.runner import RunCache, run_cells
+from repro.runner import run_cells
 from repro.runner.cells import scaled_harvard_trace
 from repro.workloads.scale import copies_for_size
 
@@ -138,16 +139,14 @@ def _scale_read_cell(
 
 
 def run_fresh(kind: str, cells: Sequence[Dict[str, Any]], jobs: Optional[int]) -> List[Any]:
-    """Run self-timing cells: never from the disk cache, never memoized."""
-    return run_cells(
-        kind, list(cells), jobs=jobs, cache=RunCache(None), metrics_name=f"runner_{kind}"
-    )
+    """Run self-timing cells: never memoized."""
+    return run_cells(kind, list(cells), jobs=jobs, metrics_name=f"runner_{kind}")
 
 
 def run_scale(
     *, cells: Optional[Sequence[Dict[str, Any]]] = None, jobs: Optional[int] = None
 ) -> List[ScaleCellResult]:
-    """Run the scale matrix, always fresh (disk cache disabled)."""
+    """Run the scale matrix, always fresh (never memoised)."""
     return run_fresh("scale", scale_cells() if cells is None else cells, jobs)
 
 

@@ -1,9 +1,9 @@
 """repro.lint — the determinism linter (``python -m repro.lint``).
 
 One pass runs the per-file rules DET001/DET002/DET003
-(:mod:`repro.lint.rules`) and the whole-program rules DET004 (taint) and
-CACHE001 (cache-key soundness) (:mod:`repro.lint.flow`) over one parsed
-tree, then audits every ``# lint: allow=`` comment — see
+(:mod:`repro.lint.rules`) and the whole-program rule DET004 (taint)
+(:mod:`repro.lint.flow`) over one parsed tree, then audits every
+``# lint: allow=`` comment — see
 :mod:`repro.lint.cli` and ``docs/static-analysis.md``.
 """
 

@@ -1,8 +1,8 @@
 """``python -m repro.lint`` — the one way to run the linter.
 
-Every run parses the tree once and runs all five rules over it with one
+Every run parses the tree once and runs all four rules over it with one
 :class:`~repro.lint.rules.LintContext`: the per-file rules DET001–DET003
-and the whole-program rules DET004 and CACHE001.  Findings are computed
+and the whole-program rule DET004.  Findings are computed
 once with suppressions off and split once into *reported* and
 *suppressed* by the ``# lint: allow=RULE`` comments.  A comment that
 names an unknown rule, or covers no finding of a rule it names, is a
@@ -13,7 +13,7 @@ Typical invocations::
 
     python -m repro.lint                       # lint src/repro (the CI gate)
     python -m repro.lint --json > lint.json    # the same run, as JSON
-    python -m repro.lint --rules DET001,CACHE001 src/repro
+    python -m repro.lint --rules DET001,DET004 src/repro
 
 ``--rules`` runs only the named rules; allow comments are then audited
 only for the rules that ran (an unknown rule id is always reported).
@@ -38,7 +38,7 @@ The JSON report is versioned and schema-stable (CI archives it):
                     "message": "...", "hint": "..."}],
       "suppressed": [...],
       "stale_suppressions": ["src/x.py:3: allow=DET001 is stale — ..."],
-      "summary": {"CACHE001": 0, "...": 0}
+      "summary": {"DET001": 0, "...": 0}
     }
 
 ``summary`` counts reported findings per rule, every rule present.  v3

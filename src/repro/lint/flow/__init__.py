@@ -1,15 +1,11 @@
 """Interprocedural dataflow passes layered on the per-file walker.
 
 ``run_flow`` builds the project call graph once, summarizes every
-function, and runs the two whole-program passes:
+function, and runs the whole-program pass **DET004** — nondeterminism
+taint from sources to export sinks (:mod:`repro.lint.flow.taint`).
 
-* **DET004** — nondeterminism taint from sources to export sinks
-  (:mod:`repro.lint.flow.taint`);
-* **CACHE001** — ambient-input soundness of the runner cache fingerprint
-  (:mod:`repro.lint.flow.cachekey`).
-
-The passes share the per-file rules' :class:`~repro.lint.rules.LintContext`
-(set typing included), and their findings go through the same one
+The pass shares the per-file rules' :class:`~repro.lint.rules.LintContext`
+(set typing included), and its findings go through the same one
 ``# lint: allow=RULE`` split in :func:`repro.lint.cli.run_lint`.
 """
 
@@ -17,7 +13,7 @@ from __future__ import annotations
 
 from typing import Collection, List, Sequence, Tuple
 
-from repro.lint.flow import cachekey, taint
+from repro.lint.flow import taint
 from repro.lint.flow.callgraph import FunctionIndex
 from repro.lint.flow.summaries import build_summaries
 from repro.lint.rules import Finding, LintContext
@@ -25,17 +21,13 @@ from repro.lint.walker import ParsedModule
 
 
 #: The whole-program rule ids, in report order.
-FLOW_RULE_IDS: Tuple[str, ...] = (taint.RULE_ID, cachekey.RULE_ID)
+FLOW_RULE_IDS: Tuple[str, ...] = (taint.RULE_ID,)
 
 
 def run_flow(modules: Sequence[ParsedModule], context: LintContext,
              wanted: Collection[str]) -> List[Finding]:
     """Every finding of the flow rules in *wanted* over *modules*, unsorted."""
+    if taint.RULE_ID not in wanted:
+        return []
     index = FunctionIndex(modules)
-    summaries = build_summaries(index, context)
-    findings: List[Finding] = []
-    if taint.RULE_ID in wanted:
-        findings.extend(taint.analyze_taint(index, summaries, context))
-    if cachekey.RULE_ID in wanted:
-        findings.extend(cachekey.check_cache_keys(index, summaries))
-    return findings
+    return taint.analyze_taint(index, build_summaries(index), context)

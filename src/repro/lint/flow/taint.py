@@ -18,8 +18,7 @@ zero on this codebase:
   call site's own sink, or caught by a later pass;
 * storing under a tainted *key* does not taint the container (``id()``
   is routinely used as an identity-dict key);
-* implicit flows (tainted branch conditions) are ignored — CACHE001
-  covers the env-gated-behavior case.
+* implicit flows (tainted branch conditions) are ignored.
 """
 
 from __future__ import annotations
@@ -29,12 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.flow.callgraph import FunctionIndex, FunctionInfo, ResolvedCall
-from repro.lint.flow.summaries import (
-    MUTATOR_METHODS,
-    SOURCE_ORIGINS,
-    FunctionSummary,
-    resolve_env_key,
-)
+from repro.lint.flow.summaries import MUTATOR_METHODS, SOURCE_ORIGINS, FunctionSummary
 from repro.lint.rules import Finding, Iteration, LintContext
 
 RULE_ID = "DET004"
@@ -66,6 +60,28 @@ def receiver_name(func: ast.Attribute) -> str:
     if isinstance(value, ast.Name):
         return value.id
     return ""
+
+
+def resolve_env_key(expr: ast.expr, module_name: str,
+                    imports: Dict[str, str],
+                    context: LintContext) -> Optional[str]:
+    """The literal value of an env-var key expression, when resolvable."""
+    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+        return expr.value
+    if isinstance(expr, ast.Name):
+        local = context.module_constants.get(module_name, {})
+        if expr.id in local:
+            return local[expr.id]
+        origin = imports.get(expr.id)
+        if origin and "." in origin:
+            origin_module, _, constant = origin.rpartition(".")
+            return context.module_constants.get(origin_module, {}).get(constant)
+        return None
+    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+        origin = imports.get(expr.value.id)
+        if origin:
+            return context.module_constants.get(origin, {}).get(expr.attr)
+    return None
 
 
 @dataclass

@@ -17,7 +17,7 @@ simulator.
 Determinism contract: a cell derives *everything* — trace, deployment,
 RNG streams — from its own parameter bundle, so running it in a worker
 process produces bit-identical results to running it inline.  That is
-what lets the executor mix disk-cache hits, serial execution, and
+what lets the runner mix process-memo hits, serial execution, and
 parallel workers freely without changing any emitted row.
 """
 
@@ -30,7 +30,7 @@ CELL_KINDS: Dict[str, Callable[[Dict[str, Any]], Any]] = {}
 
 
 def cell_kind(name: str) -> Callable[[Callable[[Dict[str, Any]], Any]], Callable[[Dict[str, Any]], Any]]:
-    """Register a cell function under *name* (the disk-cache namespace)."""
+    """Register a cell function under *name* (the memo-key namespace)."""
 
     def register(fn: Callable[[Dict[str, Any]], Any]) -> Callable[[Dict[str, Any]], Any]:
         CELL_KINDS[name] = fn
@@ -83,8 +83,8 @@ def measure_harvard(measure: str, **params: Any) -> Any:
     rest of the bundle is its keywords.  Each imports only its own
     experiment module, so a worker loads what its cell needs; the calls
     are spelled out, not looked up in a table, so that every cell
-    function stays on the call graph the CACHE001 lint rule walks from
-    the cell kinds."""
+    function stays on the call graph the DET004 lint rule follows from
+    the cell kinds' result rows."""
     if measure == "performance":
         from repro.experiments.performance import performance_cell
         return performance_cell(**params)
@@ -128,8 +128,8 @@ def webcache_balance_cell(params: Dict[str, Any]) -> Any:
 def scale_cell(params: Dict[str, Any]) -> Any:
     """One cell of the million-user scale matrix (``python -m repro scale``).
 
-    These cells time themselves, so they always run with the disk cache
-    disabled — a cached wall-clock number would be a lie.
+    These cells time themselves, so they always run fresh, never from
+    the process memo — a memoised wall-clock number would be a lie.
     """
     from repro.experiments.scale_matrix import scale_cell
 
@@ -140,8 +140,8 @@ def scale_cell(params: Dict[str, Any]) -> Any:
 def accel_cell(params: Dict[str, Any]) -> Any:
     """One (acceleration mode × shift scenario) cell of the accel matrix.
 
-    Self-timing like the scale cells — the driver disables the disk
-    cache — but the deterministic fingerprint in each result row is still
+    Self-timing like the scale cells — the driver bypasses the process
+    memo — but the deterministic fingerprint in each result row is still
     byte-identical between serial and parallel runs.
     """
     from repro.analysis.accel import run_accel_cell

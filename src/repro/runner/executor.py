@@ -1,8 +1,7 @@
-"""Process-parallel grid executor with disk-cache short-circuiting.
+"""Process-parallel grid executor.
 
 :func:`run_cells` is the one entry point the experiment matrices call: it
-resolves each cell from the cheapest source first — the on-disk result
-cache, then fresh computation, fanned out over a
+computes each cell, fanned out over a
 :class:`~concurrent.futures.ProcessPoolExecutor` when more than one
 worker is allowed.  Results come back in cell order and are identical
 whatever ``jobs`` is (see :mod:`repro.runner.cells` for the determinism
@@ -10,15 +9,14 @@ contract), so every figure/table row is byte-identical between serial and
 parallel runs.
 
 Worker count resolution: explicit ``jobs`` argument, else ``$REPRO_JOBS``,
-else 1 (serial — today's behavior).  ``0`` means one worker per CPU.
+else 1 (serial).  ``0`` means one worker per CPU.
 
 Each invocation records a :class:`RunnerStats` (retrievable via
 :func:`last_stats`) and, when metric emission is on
-(``$REPRO_METRICS_DIR``), writes a small ``runner_<kind>.json`` report.
-Its ``sim.events_fired`` counter sums the simulator work of *freshly
-computed* cells only, so a rerun that was fully served from the disk
-cache (or the process memo) reports 0 — the "zero simulation work"
-check CI relies on.
+(``$REPRO_METRICS_DIR``), writes a small ``runner_<kind>.json`` report
+(:func:`emit_stats_report`).  Its ``sim.events_fired`` counter sums the
+simulator work of *freshly computed* cells only, so a grid the process
+memo of :func:`repro.experiments.common.run_grid` served whole reports 0.
 """
 
 from __future__ import annotations
@@ -31,30 +29,37 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.report import emit_metrics_report, metrics_out_dir, snapshot_run
-from repro.runner.cache import RunCache
 from repro.runner.cells import execute_cell
 
 #: Environment variable holding the default worker count.
 JOBS_ENV = "REPRO_JOBS"
 
 
+class JobsError(ValueError):
+    """Raised when a worker count is not a non-negative integer."""
+
+
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit arg, else ``$REPRO_JOBS``, else 1 (serial).
 
-    ``0`` (from either source) means one worker per CPU; unparsable
-    environment values fall back to serial.
+    ``0`` (from either source) means one worker per CPU.  A count that is
+    negative or no integer raises :class:`JobsError` naming it.
     """
+    source = "jobs"
     if jobs is None:
         raw = os.environ.get(JOBS_ENV, "").strip()
         if not raw:
             return 1
+        source = f"${JOBS_ENV}"
         try:
             jobs = int(raw)
         except ValueError:
-            return 1
+            raise JobsError(f"{source} must be an integer >= 0, got {raw!r}") from None
+    if not isinstance(jobs, int) or jobs < 0:
+        raise JobsError(f"{source} must be an integer >= 0, got {jobs!r}")
     if jobs == 0:
         return os.cpu_count() or 1
-    return max(1, jobs)
+    return jobs
 
 
 @dataclass
@@ -64,11 +69,10 @@ class RunnerStats:
     kind: str
     jobs: int
     cells_total: int = 0
-    cells_cached: int = 0     # served from the cache (disk, or a grid's process memo)
+    cells_cached: int = 0     # served from run_grid's process memo
     cells_computed: int = 0   # freshly simulated (serial or in workers)
     events_fired: int = 0     # sim.events_fired summed over computed cells only
     wall_seconds: float = 0.0
-    cache_dir: Optional[str] = None
 
 
 _LAST_STATS: Dict[str, RunnerStats] = {}
@@ -87,54 +91,31 @@ def run_cells(
     cells: Sequence[Mapping[str, Any]],
     *,
     jobs: Optional[int] = None,
-    cache: Optional[RunCache] = None,
     metrics_name: Optional[str] = None,
     metrics_dir: Optional[str] = None,
 ) -> List[Any]:
-    """Evaluate all *cells* of one *kind*; returns results in cell order.
+    """Compute all *cells* of one *kind*; returns results in cell order.
 
-    Cache hits never enter the pool; misses run serially when ``jobs <= 1``
-    (or only one cell is pending), otherwise in worker processes.  Freshly
-    computed results are written back to the cache in the parent, so one
-    writer per cell keeps concurrent grids race-free.
+    Cells run serially when ``jobs <= 1`` (or only one cell is given),
+    otherwise in worker processes.
     """
     global _MOST_RECENT
     started = time.perf_counter()
     jobs = resolve_jobs(jobs)
-    cache = RunCache.from_env() if cache is None else cache
+    if jobs > 1 and len(cells) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+            futures = [pool.submit(execute_cell, kind, dict(cell)) for cell in cells]
+            results = [future.result() for future in futures]
+    else:
+        results = [execute_cell(kind, cell) for cell in cells]
     stats = RunnerStats(
-        kind=kind, jobs=jobs, cells_total=len(cells), cache_dir=cache.root
+        kind=kind, jobs=jobs, cells_total=len(cells), cells_computed=len(cells),
+        events_fired=sum(map(_events_fired, results)),
+        wall_seconds=time.perf_counter() - started,
     )
-
-    results: List[Any] = [None] * len(cells)
-    pending: List[int] = []
-    for index, cell in enumerate(cells):
-        hit, value = cache.get(kind, cell)
-        if hit:
-            results[index] = value
-            stats.cells_cached += 1
-        else:
-            pending.append(index)
-
-    if pending:
-        if jobs > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                futures = [
-                    pool.submit(execute_cell, kind, dict(cells[i])) for i in pending
-                ]
-                computed = [future.result() for future in futures]
-        else:
-            computed = [execute_cell(kind, cells[i]) for i in pending]
-        for index, value in zip(pending, computed):
-            results[index] = value
-            cache.put(kind, cells[index], value)
-            stats.cells_computed += 1
-            stats.events_fired += _events_fired(value)
-
-    stats.wall_seconds = time.perf_counter() - started
     _LAST_STATS[kind] = stats
     _MOST_RECENT = stats
-    _emit_stats_report(stats, metrics_name, metrics_dir, results)
+    emit_stats_report(stats, metrics_name, metrics_dir, results)
     return results
 
 
@@ -272,7 +253,7 @@ def _write_jsonl_files(
     return traces, health_files
 
 
-def _emit_stats_report(
+def emit_stats_report(
     stats: RunnerStats,
     metrics_name: Optional[str],
     metrics_dir: Optional[str],
@@ -293,11 +274,7 @@ def _emit_stats_report(
     registry.gauge("runner.wall_seconds").set(stats.wall_seconds)
     _merge_results(registry, results)
     entry = snapshot_run({"kind": stats.kind, "jobs": stats.jobs}, registry)
-    params: Dict[str, Any] = {
-        "kind": stats.kind,
-        "jobs": stats.jobs,
-        "cache_dir": stats.cache_dir,
-    }
+    params: Dict[str, Any] = {"kind": stats.kind, "jobs": stats.jobs}
     traces, health = _write_jsonl_files(metrics_name, results, directory)
     if traces:
         params["traces"] = traces

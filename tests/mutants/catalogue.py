@@ -10,14 +10,14 @@ Eight groups, in catalogue order:
 * the mutants written by hand while building the ordered indexes, the
   one-commit flush, the folded read replay and the plan reuse, each
   named after the test that caught it then;
-* one mutant per nondeterminism class the lint rules name (set order, an
-  ambient env read, a wall clock, a module-global write, an unseeded RNG,
-  ``id()``);
+* one mutant per nondeterminism class the lint rules name (set order, a
+  wall clock, a module-global write, an unseeded RNG, ``id()``);
 * one mutant per remaining rule's own class (KEY001, OBS001, PUR001,
   OBS002) and one for the class the runtime sanitizer claims: entropy the
   AST cannot resolve;
-* one per class of the runner's own guards: a cache key that ignores a
-  parameter the result depends on, and a warm rerun that simulates;
+* one per class of the runner's own guards: a memo key that ignores a
+  parameter the result depends on, and a computed cell the memo never
+  holds, so a grid asked for twice simulates twice;
 * one for the derived D2 prefix: a child's slot placed one level off;
 * one for the repair burst: its backlog sample counted as one, not as
   the burst's size;
@@ -50,6 +50,16 @@ def mutant(id: str, path: str, old: Union[str, Tuple[str, ...]],
     return Mutant(id, path, old, new, cls, origin)
 
 
+#: Mutants that left the catalogue, with the reason; a matrix names none.
+RETIRED = {
+    "flush-ttl-not-cleared": "the store TTL it planted into is gone",
+    "env-read-in-cached-cell": "an env read inside a cell can no longer make "
+                               "one run return another run's bytes: nothing "
+                               "persists across processes, and no guard caught it "
+                               "once CACHE001 went with the on-disk run cache",
+}
+
+
 def apply(mutant: Mutant, text: str) -> str:
     """*text* with every hunk of *mutant* replaced; ValueError if one is stale."""
     for old, new in zip(mutant.old, mutant.new):
@@ -69,6 +79,7 @@ SCALE = "src/repro/analysis/scale.py"
 CELLS = "src/repro/runner/cells.py"
 KEYSCHEMES = "src/repro/fs/keyschemes.py"
 KEYS = "src/repro/core/keys.py"
+COMMON = "src/repro/experiments/common.py"
 
 MUTANTS: Tuple[Mutant, ...] = (
     # -- the ordered indexes, held to their scan oracles -----------------
@@ -178,12 +189,6 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        names = list(ring.names())",
            "        names = list(set(ring.names()))",
            "nondeterminism: set order", "DET003"),
-    mutant("env-read-in-cached-cell", "src/repro/experiments/performance.py",
-           '    """One (system, mode, n_nodes, bandwidth) cell of the grid."""\n',
-           '    """One (system, mode, n_nodes, bandwidth) cell of the grid."""\n'
-           "    import os\n\n"
-           '    run["n_windows"] = int(os.environ.get("REPRO_PERF_WINDOWS", run["n_windows"]))\n',
-           "nondeterminism: ambient env", "CACHE001"),
     mutant("wall-clock-into-health-sample", "src/repro/obs/health.py",
            ("from dataclasses import dataclass\n",
             'self.bank.sample("pointer.stall", now, stall, agg="max")'),
@@ -238,15 +243,16 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    rng = Random(int(clock()))\n",
            "nondeterminism: entropy the AST cannot see", "detsan"),
     # -- the runner's own classes ------------------------------------------
-    mutant("cache-key-ignores-trial", "src/repro/runner/cache.py",
-           "        SCHEMA_VERSION, kind, tuple(sorted(params.items()))\n",
-           "        SCHEMA_VERSION, kind,\n"
-           "        tuple(sorted(item for item in params.items() if item[0] != \"trial\")),\n",
+    mutant("cache-key-ignores-trial", COMMON,
+           "    keys = [(kind, tuple(sorted(cell.items()))) for cell in cells]\n",
+           "    keys = [(kind, tuple(sorted(item for item in cell.items() if item[0] != \"trial\")))\n"
+           "            for cell in cells]\n",
            "cache key", "golden grid_cells.json"),
-    mutant("computed-cell-not-written-back", "src/repro/runner/executor.py",
-           "            cache.put(kind, cells[index], value)\n",
+    mutant("computed-cell-not-written-back", COMMON,
+           "    for key in missing:\n"
+           "        _remember(key, by_key[key])\n",
            "",
-           "warm rerun", "ci runner-smoke warm leg"),
+           "warm rerun", "ci runner-smoke parallel run"),
     # -- the D2 prefix derived from the parent's, held to the full encode --
     mutant("prefix-slot-one-level-off", KEYS,
            "    return parent_prefix | (slot << _SLOT_SHIFTS[depth])",

@@ -1,24 +1,22 @@
 """Golden: the cells ``python -m repro <name>`` asks the runner for, at full size.
 
-Nothing is simulated.  The disk-cache probe is replaced by a recorder
-that always misses — :func:`repro.runner.run_cells` probes every cell of
-a grid before it computes any — and the first cell execution aborts the
-run.  What is left is the figure's default-size grid as the ordered list
-of ``(kind, cache_key(kind, cell))``: a changed parameter bundle, a
-reordered axis or a renamed kind fails here by figure name, and an equal
-list means a run cache written by another commit serves this one.
+Nothing is simulated.  ``run_cells``, as the experiment modules import it
+(:mod:`repro.experiments.common` for the memoised grids,
+:mod:`repro.experiments.scale_matrix` for the self-timing ``scale`` and
+``accel`` ones), is replaced by a recorder that aborts the run on its
+first call.  What is left is the figure's default-size grid as the
+ordered list of ``(kind, sorted parameter bundle)``: a changed bundle, a
+reordered axis, a renamed kind or a memo key that merges two cells fails
+here by figure name.
 
 Only the first grid a figure requests is seen; Tables 3 and 4 go on to
 the Webcache ``d2`` cell, which is the first cell of Figure 17's grid.
 
-The file uses ``python -m repro``'s ``main`` and the runner's own seams
+The file uses ``python -m repro``'s ``main`` and those two module names
 and nothing else, so it runs unchanged on the commit that recorded
-``tests/data/grid_cells.json``.  It was re-recorded twice since the
-figure-registry PR: when the four Harvard kinds became one ``harvard``
-kind and the availability bundle lost ``inters`` (so fig8's grid is
-fig7's), and when the ``scale`` routing bundles lost ``cold_ops`` (the
-bisect-per-level reference router left ``src/``; only the ``scale``
-entry changed)::
+``tests/data/grid_cells.json``.  It was recorded, with this formula, on
+the last commit that had the on-disk run cache; the three records before
+it hashed that cache's keys::
 
     PYTHONPATH=src python tests/test_grid_golden.py > tests/data/grid_cells.json
 """
@@ -32,8 +30,6 @@ import pytest
 
 from repro.__main__ import main
 from repro.experiments.common import clear_cache
-from repro.runner import JOBS_ENV, RunCache, cache_key
-from repro.runner.cache import AMBIENT_ENV_KEYS
 
 GOLDEN = Path(__file__).parent / "data" / "grid_cells.json"
 
@@ -46,28 +42,24 @@ GRID_FIGURES = (
 
 
 class _GridRecorded(Exception):
-    """Raised in place of the first cell execution."""
+    """Raised in place of the first grid's execution."""
 
 
 def requested_cells(name, monkeypatch):
     """``{"kinds", "count", "sha256"}`` of the first grid *name* requests."""
     seen = []
 
-    def probe(self, kind, params):
-        seen.append((kind, cache_key(kind, params)))
-        return False, None
-
-    def abort(kind, params):
+    def record(kind, cells, **options):
+        seen.extend((kind, tuple(sorted(cell.items()))) for cell in cells)
         raise _GridRecorded(kind)
 
-    monkeypatch.setattr(RunCache, "get", probe)
-    monkeypatch.setattr("repro.runner.executor.execute_cell", abort)
-    for variable in (JOBS_ENV, *AMBIENT_ENV_KEYS):
-        monkeypatch.delenv(variable, raising=False)
+    for module in ("repro.experiments.common", "repro.experiments.scale_matrix"):
+        monkeypatch.setattr(f"{module}.run_cells", record)
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
     clear_cache()
     with pytest.raises(_GridRecorded):
         main([name])
-    lines = [f"{kind} {key}" for kind, key in seen]
+    lines = [f"{kind} {bundle!r}" for kind, bundle in seen]
     return {
         "kinds": sorted({kind for kind, _ in seen}),
         "count": len(lines),

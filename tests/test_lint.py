@@ -341,9 +341,7 @@ def test_json_report_schema(tmp_path, capsys):
     assert payload["version"] == 3
     assert payload["tool"] == "repro.lint"
     assert payload["files_scanned"] == 1
-    assert set(payload["summary"]) == {
-        "DET001", "DET002", "DET003", "DET004", "CACHE001",
-    }
+    assert set(payload["summary"]) == {"DET001", "DET002", "DET003", "DET004"}
     assert payload["summary"]["DET001"] == 1
     (finding,) = payload["findings"]
     assert set(finding) == {"rule", "path", "line", "col", "message", "hint"}

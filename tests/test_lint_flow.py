@@ -150,55 +150,6 @@ def test_det004_inline_suppression(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CACHE001 — cached cells read no ambient inputs outside the fingerprint
-
-
-def test_cache001_flags_unfingerprinted_env_read(tmp_path):
-    findings = flow(tmp_path, """
-        import os
-
-        from repro.runner import cell_kind
-
-        @cell_kind("fixture-cache")
-        def cell(params):
-            return {"knob": os.environ.get("FIXTURE_KNOB", "1")}
-    """, rules={"CACHE001"})
-    assert [f.rule for f in findings] == ["CACHE001"]
-    assert "FIXTURE_KNOB" in findings[0].message
-    assert "fingerprint" in findings[0].message
-
-
-def test_cache001_skips_uncached_cell_kinds(tmp_path):
-    # scale/accel cells always run cache-disabled; their env reads are
-    # outside the proof obligation.
-    findings = flow(tmp_path, """
-        import os
-
-        from repro.runner import cell_kind
-
-        @cell_kind("scale")
-        def cell(params):
-            return {"knob": os.environ.get("FIXTURE_KNOB", "1")}
-    """, rules={"CACHE001"})
-    assert findings == []
-
-
-def test_cache001_sanctioned_env_is_clean(tmp_path):
-    findings = flow(tmp_path, """
-        import os
-
-        from repro.runner import cell_kind
-
-        @cell_kind("fixture-cache-ok")
-        def cell(params):
-            if os.environ.get("REPRO_METRICS_DIR"):
-                params["export"] = True
-            return params["x"]
-    """, rules={"CACHE001"})
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # The shipped tree: clean under the flow rules alone, and its JSON report
 
 

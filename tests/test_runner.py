@@ -1,11 +1,10 @@
-"""Tests for the parallel grid runner, its disk cache, and the memo knobs."""
+"""Tests for the parallel grid runner, the process memo in front of it, and its knobs."""
 
 import contextlib
 import hashlib
 import io
 import json
 import os
-import pickle
 from pathlib import Path
 
 import pytest
@@ -16,11 +15,8 @@ from repro.experiments.performance import emit_performance_metrics, performance_
 from repro.obs.__main__ import main as obs_main
 from repro.obs.report import METRICS_DIR_ENV
 from repro.runner import (
-    CACHE_ENV,
     JOBS_ENV,
-    RunCache,
-    SCHEMA_VERSION,
-    cache_key,
+    JobsError,
     cell_kind,
     execute_cell,
     last_stats,
@@ -74,99 +70,38 @@ def _echo_cell(params):
 
 @pytest.fixture(autouse=True)
 def clean_runner_env(monkeypatch):
-    """Isolate each test from the process memo and the runner env knobs."""
+    """Isolate each test from the process memo and the runner's env knob."""
     common.clear_cache()
-    for var in (CACHE_ENV, JOBS_ENV):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv(JOBS_ENV, raising=False)
     yield
     common.clear_cache()
 
 
+@cell_kind("test-echo-other")
+def _other_echo_cell(params):
+    return FakeResult(-params["x"])
+
+
 class TestCacheKey:
+    """The process memo's key: the kind and the whole bundle, in any order."""
+
     def test_order_independent(self):
-        assert cache_key("k", {"a": 1, "b": 2}) == cache_key("k", {"b": 2, "a": 1})
+        common.run_grid("test-echo", [{"x": 1, "events": 2}])
+        common.run_grid("test-echo", [{"events": 2, "x": 1}])
+        assert last_stats("test-echo").cells_cached == 1
 
     def test_sensitive_to_params_and_kind(self):
-        base = cache_key("k", {"a": 1})
-        assert cache_key("k", {"a": 2}) != base
-        assert cache_key("other", {"a": 1}) != base
+        common.run_grid("test-echo", [{"x": 1}])
+        common.run_grid("test-echo", [{"x": 2}])
+        assert last_stats("test-echo").cells_computed == 1
+        (value,) = common.run_grid("test-echo-other", [{"x": 1}])
+        assert last_stats("test-echo-other").cells_computed == 1
+        assert value.value == -1
 
     def test_stable_across_calls(self):
-        assert cache_key("k", dict(TINY_CELL)) == cache_key("k", dict(TINY_CELL))
-
-    def test_default_env_matches_legacy_scheme(self, monkeypatch):
-        # Byte-identity guard: with no ambient vars set, keys must equal the
-        # pre-fingerprint formula, so existing on-disk caches stay warm.
-        import hashlib
-
-        from repro.runner.cache import AMBIENT_ENV_KEYS
-
-        for name in AMBIENT_ENV_KEYS:
-            monkeypatch.delenv(name, raising=False)
-        params = dict(TINY_CELL)
-        legacy = hashlib.sha256(
-            repr((SCHEMA_VERSION, "k", tuple(sorted(params.items())))).encode("utf-8")
-        ).hexdigest()
-        assert cache_key("k", params) == legacy
-
-    def test_ambient_env_changes_key(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
-        base = cache_key("k", dict(TINY_CELL))
-        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "0.5")
-        assert cache_key("k", dict(TINY_CELL)) != base
-        # Empty string counts as unset: same bytes as the default key.
-        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "")
-        assert cache_key("k", dict(TINY_CELL)) == base
-
-
-class TestRunCache:
-    def test_disabled_without_env(self):
-        cache = RunCache.from_env()
-        assert not cache.enabled
-        hit, value = cache.get("k", {"a": 1})
-        assert (hit, value) == (False, None)
-        assert cache.put("k", {"a": 1}, 42) is None
-        assert cache.misses == 1
-
-    def test_roundtrip(self, tmp_path):
-        cache = RunCache(str(tmp_path))
-        params = {"a": 1, "b": 2.5}
-        assert cache.get("k", params) == (False, None)
-        path = cache.put("k", params, {"rows": [1, 2]})
-        assert path is not None and os.path.exists(path)
-        hit, value = cache.get("k", params)
-        assert hit and value == {"rows": [1, 2]}
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_corrupted_entry_recovers(self, tmp_path):
-        cache = RunCache(str(tmp_path))
-        params = {"a": 1}
-        path = cache.put("k", params, "good")
-        with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
-        assert cache.get("k", params) == (False, None)
-        assert cache.corrupt == 1
-        assert not os.path.exists(path)  # dropped, will be recomputed
-        cache.put("k", params, "recomputed")
-        assert cache.get("k", params) == (True, "recomputed")
-
-    def test_schema_mismatch_is_miss(self, tmp_path):
-        cache = RunCache(str(tmp_path))
-        params = {"a": 1}
-        path = cache.put("k", params, "v")
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        payload["schema"] = SCHEMA_VERSION + 1
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle)
-        assert cache.get("k", params) == (False, None)
-        assert cache.corrupt == 1
-
-    def test_tilde_root_expands(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOME", str(tmp_path))
-        cache = RunCache("~/cache")
-        path = cache.path_for("k", {"a": 1})
-        assert path.startswith(str(tmp_path))
+        (first,) = common.run_grid("test-echo", [dict(TINY_CELL, x=1)])
+        (second,) = common.run_grid("test-echo", [dict(TINY_CELL, x=1)])
+        assert second is first
 
 
 class TestResolveJobs:
@@ -178,9 +113,14 @@ class TestResolveJobs:
         monkeypatch.setenv(JOBS_ENV, "4")
         assert resolve_jobs() == 4
 
-    def test_env_garbage_falls_back(self, monkeypatch):
+    def test_env_garbage_raises(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "many")
-        assert resolve_jobs() == 1
+        with pytest.raises(JobsError, match="'many'"):
+            resolve_jobs()
+
+    def test_explicit_non_integer_raises(self):
+        with pytest.raises(JobsError, match="2.5"):
+            resolve_jobs(2.5)
 
     def test_zero_means_cpu_count(self):
         assert resolve_jobs(0) == (os.cpu_count() or 1)
@@ -189,8 +129,12 @@ class TestResolveJobs:
         monkeypatch.setenv(JOBS_ENV, "8")
         assert resolve_jobs(2) == 2
 
-    def test_negative_clamped(self):
-        assert resolve_jobs(-3) == 1
+    def test_negative_raises(self, monkeypatch):
+        with pytest.raises(JobsError, match="-3"):
+            resolve_jobs(-3)
+        monkeypatch.setenv(JOBS_ENV, "-2")
+        with pytest.raises(JobsError, match=r"\$REPRO_JOBS.*-2"):
+            resolve_jobs()
 
 
 class TestRunCells:
@@ -209,31 +153,22 @@ class TestRunCells:
         assert stats.cells_total == 2
         assert stats.cells_computed == 2
         assert stats.cells_cached == 0
-        assert stats.cache_dir is None
 
-    def test_cache_hit_and_miss(self, tmp_path):
-        cache = RunCache(str(tmp_path))
+    def test_cache_hit_and_miss(self):
         cells = [{"x": 1, "events": 7}, {"x": 2, "events": 9}]
-        first = run_cells("test-echo", cells, cache=cache)
+        first = common.run_grid("test-echo", cells)
         s1 = last_stats("test-echo")
         assert (s1.cells_computed, s1.cells_cached) == (2, 0)
         assert s1.events_fired == 16  # fresh work is counted...
-        second = run_cells("test-echo", cells, cache=cache)
+        second = common.run_grid("test-echo", cells)
         s2 = last_stats("test-echo")
         assert (s2.cells_computed, s2.cells_cached) == (0, 2)
-        assert s2.events_fired == 0  # ...cached work is not
+        assert s2.events_fired == 0  # ...memoised work is not
         assert first == second
 
-    def test_cache_via_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-        run_cells("test-echo", [{"x": 3}])
-        run_cells("test-echo", [{"x": 3}])
-        assert last_stats("test-echo").cells_cached == 1
-
-    def test_partial_cache_mixes_sources(self, tmp_path):
-        cache = RunCache(str(tmp_path))
-        run_cells("test-echo", [{"x": 1}], cache=cache)
-        values = run_cells("test-echo", [{"x": 1}, {"x": 2}], cache=cache)
+    def test_partial_cache_mixes_sources(self):
+        common.run_grid("test-echo", [{"x": 1}])
+        values = common.run_grid("test-echo", [{"x": 1}, {"x": 2}])
         stats = last_stats("test-echo")
         assert (stats.cells_cached, stats.cells_computed) == (1, 1)
         assert [v.value for v in values] == [2, 4]
@@ -276,14 +211,12 @@ class TestParallelEquivalence:
         serial_report["name"] = parallel_report["name"] = "normalized"
         assert serial_report == parallel_report
 
-    def test_second_run_does_zero_simulation_work(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    def test_second_run_does_zero_simulation_work(self):
         performance_matrix(**TINY_GRID)
         first = last_stats("harvard")
         assert first.cells_computed == 2
         assert first.events_fired > 0
-        common.clear_cache()  # drop the in-process memo; only the disk remains
-        performance_matrix(**TINY_GRID)
+        performance_matrix(**TINY_GRID)  # the process memo serves it
         second = last_stats("harvard")
         assert (second.cells_cached, second.cells_computed) == (2, 0)
         assert second.events_fired == 0
@@ -327,7 +260,7 @@ class TestCliJobs:
 class TestEachCellOnce:
     def test_shared_cells_execute_once(self, monkeypatch):
         """Figures 7, 8, 16, 17 and Tables 2, 3, 4 at tiny scale in one
-        process run every distinct ``(kind, cache_key)`` exactly once:
+        process run every distinct ``(kind, sorted bundle)`` exactly once:
         Figure 8 and Table 2 project Figure 7's replays, and the ``d2``
         cells of Tables 3 and 4 are cells of Figures 16 and 17.  Two
         trials, so a key that ignored ``trial`` would run fewer cells."""
@@ -338,7 +271,7 @@ class TestEachCellOnce:
         execute = executor.execute_cell
 
         def counting(kind, params):
-            executed.append((kind, cache_key(kind, params)))
+            executed.append((kind, tuple(sorted(params.items()))))
             return execute(kind, params)
 
         monkeypatch.setattr(executor, "execute_cell", counting)
@@ -459,7 +392,7 @@ def obs_artifacts(directory):
     blobs = {}
     for kind, cell in cells.items():
         (result,) = run_cells(
-            "harvard", [cell], jobs=1, cache=RunCache(None),
+            "harvard", [cell], jobs=1,
             metrics_name=f"runner_{kind}", metrics_dir=directory,
         )
         snapshot = getattr(result, "metrics", None)
@@ -500,9 +433,11 @@ def test_obs_artifacts_golden(tmp_path, monkeypatch):
     :func:`obs_artifacts` with ``PYTHONPATH`` on the ``src`` of the commit
     before events became counts (PR 17: payload-carrying events, bubbling
     span finishes, three JSONL line writers, six walks over the results).
-    Re-recorded once since, for the two runner reports only, when the
+    Re-recorded twice since, for the two runner reports only: when the
     ``performance`` and ``churn`` kinds became measurements of one
-    ``harvard`` kind: their ``kind`` label is all that changed.
+    ``harvard`` kind (their ``kind`` label is all that changed), and when
+    the on-disk run cache went (their ``params`` lost ``cache_dir``; the
+    parent commit with that one key dropped exports the same bytes).
     """
     monkeypatch.setenv("REPRO_TRACE_SAMPLE", "1.0")
     assert obs_artifacts(tmp_path) == json.loads(GOLDEN_ARTIFACTS.read_text())

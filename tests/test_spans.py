@@ -485,7 +485,6 @@ class TestRunnerTraceAttachment:
             return Result()
 
         try:
-            monkeypatch.delenv("REPRO_RUN_CACHE", raising=False)
             monkeypatch.setenv("REPRO_METRICS_DIR", str(tmp_path))
             run_cells(
                 "trace-fake", [{"x": 1}, {"x": 2}], jobs=1,
@@ -525,7 +524,6 @@ class TestRunnerTraceAttachment:
             return Result()
 
         try:
-            monkeypatch.delenv("REPRO_RUN_CACHE", raising=False)
             monkeypatch.setenv("REPRO_METRICS_DIR", str(tmp_path))
             run_cells(
                 "histo-fake",
