@@ -13,8 +13,9 @@ not depend on how many spans the ring buffer holds (a ratio gate, so it
 is insensitive to the speed of the box).
 
 For events the contract is counted, not timed: an emit is a count, so it
-allocates nothing that outlives the call, however long the run, and a
-derived count is one entry of the tracer however many components feed it.
+allocates nothing that outlives the call, however long the run, and the
+event tracer reads the registry's counters, so it does not grow with the
+number of components feeding them.
 """
 
 import gc
@@ -23,7 +24,7 @@ import time
 
 from repro.core.lookup_cache import LookupCache
 from repro.core.system import build_deployment
-from repro.obs.events import EVENT_KINDS, EventTracer
+from repro.obs.events import KINDS, EventTracer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer
 
@@ -125,35 +126,36 @@ def test_emit_retains_nothing():
     # An event is a typed count.  Once every kind has been seen, 10 000
     # more emits leave the process's tracked objects and the tracer's own
     # size where they were, and the counts exact.
-    tracer = EventTracer()
-    kinds = sorted(EVENT_KINDS)
+    tracer = EventTracer(MetricsRegistry(), Tracer(sample=1.0))
+    kinds = sorted(KINDS)
     for kind in kinds:
         tracer.emit(kind)
     gc.collect()
-    size = sys.getsizeof(tracer._counts)
+    size = sys.getsizeof(tracer._emitted)
     objects = len(gc.get_objects())
     for i in range(10_000):
         tracer.emit(kinds[i % len(kinds)])
     assert len(gc.get_objects()) == objects
-    assert sys.getsizeof(tracer._counts) == size and len(vars(tracer)) == 2
+    assert sys.getsizeof(tracer._emitted) == size and len(vars(tracer)) == 3
     assert tracer.emitted == 10_000 + len(kinds)
     assert sum(tracer.counts().values()) == tracer.emitted
     assert tracer.counts()[kinds[0]] == 1 + len(range(0, 10_000, len(kinds)))
 
 
-def test_derived_counts_hold_one_entry_per_count():
-    # A derived count is read where it is kept.  The tracer holds one entry
-    # per distinct count: two for a span tracer, three for the lookup
-    # counters of one registry however many client caches feed them, and
-    # three more for a cache that keeps its counts alone.
-    tracer = EventTracer()
-    Tracer(sample=1.0, events=tracer)
-    registry = MetricsRegistry()
-    caches = [LookupCache(ttl=10.0, registry=registry, tracer=tracer) for _ in range(1_000)]
-    assert len(tracer._derived) == 2 + 3 and len(vars(tracer)) == 2
-    LookupCache(ttl=10.0, tracer=tracer).probe(5, now=0.0)
-    assert len(tracer._derived) == 2 + 3 + 3
+def test_caches_leave_the_event_tracer_as_it_was():
+    # The event tracer reads the registry's counters: 1 000 client caches
+    # on a deployment's registry add nothing to it and no event, and their
+    # probes show in its counts through the ``lookup.*`` counters alone.
+    deployment = build_deployment("d2", 8, seed=1)
+    tracer = deployment.tracer
+    gc.collect()
+    size = {name: sys.getsizeof(value) for name, value in vars(tracer).items()}
+    counts = tracer.counts()
+    caches = [LookupCache(ttl=10.0, registry=deployment.metrics) for _ in range(1_000)]
+    gc.collect()
+    assert {name: sys.getsizeof(value) for name, value in vars(tracer).items()} == size
+    assert tracer.counts() == counts
     for cache in caches:
         cache.probe(5, now=0.0)
-    assert tracer.counts() == {"lookup.miss": 1_001}
-    assert tracer.emitted == 1_001
+    assert tracer.counts() == {**counts, "lookup.miss": 1_000}
+    assert tracer.emitted == sum(counts.values()) + 1_000

@@ -13,7 +13,10 @@ again) per code object, and buckets them by package of ``src/repro``.
 A measurement is one row per cell, each in a fresh process under
 ``PYTHONHASHSEED=0``: the five end-to-end workloads at seed 11, run by the
 untraced round of ``benchmarks/e2e/worker.py`` (imported, not changed), and
-the ``read-replay`` image load alone.  A row holds the calls by package,
+the ``read-replay`` image load alone.  Every module of ``src/repro`` is
+imported before the count starts, so a row counts the cell's work and not
+the first import of a module the cell loads lazily: a statement added to a
+module's body moves no row.  A row holds the calls by package,
 their total and the cell's outcome digest.  Runs are appended to
 ``BENCH_calls.json`` and validated through the trajectory path of
 :mod:`repro.experiments.scale_matrix`, so a truncated or hand-edited file
@@ -28,8 +31,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import threading
@@ -96,8 +101,18 @@ def _store_digest(store: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def import_all() -> None:
+    """Import every module of the ``repro`` package but its ``__main__`` modules."""
+    import repro
+
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith(".__main__"):
+            importlib.import_module(module.name)
+
+
 def measure_cell(cell: str, src: str) -> Dict[str, Any]:
     """One row, measured in this process (a fresh one: memos start cold)."""
+    import_all()
     if cell == IMAGE_LOAD:
         from benchmarks.e2e.workloads import TRACE_SEED, WORKLOADS as E2E
         from repro.core.system import build_deployment

@@ -39,7 +39,6 @@ from repro.core.lookup_cache import (
 from repro.dht.learned import LearnedIndex
 from repro.dht.ring import Ring
 from repro.dht.routing import route
-from repro.obs.events import EventTracer
 from repro.obs.metrics import MetricsRegistry
 
 ACCEL_MODES = ("none", "cache", "cache+learned", "cache+adaptive", "all")
@@ -106,7 +105,6 @@ class LookupAccelerator:
         capacity: int = DEFAULT_CAPACITY,
         seed: int = 0,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[EventTracer] = None,
         spans=None,
     ) -> None:
         if mode not in ACCEL_MODES:
@@ -120,13 +118,12 @@ class LookupAccelerator:
         self.adaptive = mode in ("cache+adaptive", "all")
         self.seed = seed
         self._registry = registry
-        self._tracer = tracer
         self._spans = spans or None  # a tracer sampling nothing is dropped here
         self.budget = CacheBudget(BUDGET_ENTRIES) if self.adaptive else None
         self.learned: Optional[LearnedIndex] = None
         if mode in ("cache+learned", "all"):
             self.learned = LearnedIndex(
-                ring, seed=seed, registry=registry, tracer=tracer,
+                ring, seed=seed, registry=registry,
                 segments=max(8, len(ring) // 4),
                 min_observations=LEARNED_MIN_OBSERVATIONS,
                 max_probe=LEARNED_MAX_PROBE,
@@ -155,7 +152,6 @@ class LookupAccelerator:
                 ring=self.ring,
                 sizer=sizer,
                 registry=self._registry,
-                tracer=self._tracer,
             )
             self.caches[client] = cache
         return cache

@@ -39,15 +39,11 @@ from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.dht.keyspace import KEY_SPACE, in_interval
-from repro.obs.events import LOOKUP_HIT, LOOKUP_MISS, LOOKUP_STALE, EventTracer
 from repro.obs.metrics import MetricsRegistry
 
 DEFAULT_TTL = 4500.0  # 1.25 hours, per Section 5
 
 _expiry = attrgetter("expires_at")
-
-#: The event kinds a tracer reads from a cache's statistics.
-_EVENT_FIELDS = ((LOOKUP_HIT, "hits"), (LOOKUP_MISS, "misses"), (LOOKUP_STALE, "stale_hits"))
 
 
 @dataclass
@@ -121,11 +117,6 @@ class LookupCache:
     (latest ``expires_at``) wins.  With a shared *registry*, every probe
     also feeds the deployment-wide aggregate counters (``lookup.hits``
     etc.) — each cache's own :class:`LookupCacheStats` stays per-client.
-    With a *tracer*, the hits, misses and stale hits of those statistics
-    are its ``lookup.*`` event counts, read when the events are read
-    (:meth:`repro.obs.events.EventTracer.derive`): the shared counters when
-    there is a *registry*, so the tracer holds three entries for all the
-    caches of a deployment, else the cache's own.
 
     Optional knobs (all default to the paper's static design):
 
@@ -147,7 +138,6 @@ class LookupCache:
         ring=None,
         sizer: Optional["AdaptiveSizer"] = None,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[EventTracer] = None,
     ) -> None:
         self.ttl = ttl
         self.capacity = capacity
@@ -163,10 +153,6 @@ class LookupCache:
             stats._counters["hits"] for stats in (self.stats, self._shared) if stats is not None
         )
         self._sizer = None
-        if tracer is not None:
-            counters = (self._shared if self._shared is not None else self.stats)._counters
-            for kind, field in _EVENT_FIELDS:
-                tracer.derive(kind, counters[field], "value")
         if sizer is not None:
             self.attach_sizer(sizer)
 

@@ -96,22 +96,22 @@ class Deployment:
         self.config = config.validate()
         self.rng = random.Random(seed)
         self.metrics = MetricsRegistry()
-        self.tracer = EventTracer()
         # Span tracer: sampled per $REPRO_TRACE_SAMPLE (falsy at <= 0, so
         # instrumented hot paths pay only a truthiness check).
-        self.spans = SpanTracer.from_env(events=self.tracer, seed=seed)
+        self.spans = SpanTracer.from_env(seed=seed)
+        self.tracer = EventTracer(self.metrics, self.spans)
         self.sim = Simulator(registry=self.metrics)
         self.ring = Ring()
         self.node_names = [f"node{i:04d}" for i in range(n_nodes)]
         for name, node_id in zip(self.node_names, random_node_ids(n_nodes, self.rng)):
             self.ring.join(name, node_id)
-            self.tracer.emit(NODE_JOIN)
+        if n_nodes:
+            self.tracer.emit(NODE_JOIN, n_nodes)
         self.store = StorageCoordinator(
             self.ring,
             self.sim,
             replica_count=config.replica_count,
             registry=self.metrics,
-            tracer=self.tracer,
             spans=self.spans,
         )
         scheme_name = "traditional" if system == "traditional+merc" else system
@@ -123,7 +123,6 @@ class Deployment:
                 self.store,
                 rng=random.Random(seed + 1),
                 registry=self.metrics,
-                tracer=self.tracer,
                 spans=self.spans,
             )
         self._probe_task: Optional[PeriodicTask] = None
@@ -158,7 +157,6 @@ class Deployment:
             self.store,
             self.sim,
             registry=self.metrics,
-            tracer=self.tracer,
             spans=self.spans,
         )
         self.repair.seed_from_directory()
@@ -170,7 +168,6 @@ class Deployment:
             rng=random.Random(self.seed + 0x5EED),
             min_nodes=min_nodes,
             registry=self.metrics,
-            tracer=self.tracer,
         )
         if self.health is not None:
             # Monitoring was enabled first: attach the repair push hooks.
@@ -276,7 +273,6 @@ class Deployment:
             capacity=capacity,
             seed=self.seed,
             registry=self.metrics,
-            tracer=self.tracer,
             spans=self.spans,
         )
         return self.accelerator
@@ -284,11 +280,7 @@ class Deployment:
     def lookup_cache_for(self, client: str) -> LookupCache:
         cache = self._lookup_caches.get(client)
         if cache is None:
-            cache = LookupCache(
-                ring=self.ring,
-                registry=self.metrics,
-                tracer=self.tracer,
-            )
+            cache = LookupCache(ring=self.ring, registry=self.metrics)
             self._lookup_caches[client] = cache
         return cache
 

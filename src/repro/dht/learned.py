@@ -33,8 +33,8 @@ Determinism contract (mirrors :class:`repro.dht.fingers.FingerTable`):
 
 Metrics: ``dht.learned.hit`` / ``dht.learned.mispredict`` /
 ``dht.learned.retrain`` counters (plus ``dht.learned.invalidate`` for
-ring-version resets), and a ``dht.learned.retrain`` event kind, so
-Figure-9 style traffic accounting can separate learned hits from fallback
+ring-version resets; the retrain counter is also the
+``dht.learned.retrain`` event count), so Figure-9 style traffic accounting can separate learned hits from fallback
 routes.
 """
 
@@ -46,10 +46,8 @@ from typing import List, Optional, Tuple
 
 from repro.dht.ring import Ring
 from repro.dht.routing import LookupResult, route
-from repro.obs.events import EventTracer, register_kind
 from repro.obs.metrics import MetricsRegistry
 
-LEARNED_RETRAIN = register_kind("dht.learned.retrain")
 
 #: Defaults sized for the scales the experiments run at: ~40 nodes per
 #: segment at 10^4 nodes keeps per-segment fits near-linear, and the
@@ -114,7 +112,6 @@ class LearnedIndex:
         max_probe: int = DEFAULT_MAX_PROBE,
         seed: int = 0,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[EventTracer] = None,
     ) -> None:
         if segments < 1:
             raise ValueError(f"segments must be >= 1, got {segments}")
@@ -126,7 +123,6 @@ class LearnedIndex:
         self.retrain_interval = max(1, retrain_interval)
         self.max_probe = max_probe
         self._rng = random.Random(seed)
-        self._tracer = tracer
         metrics = registry if registry is not None else MetricsRegistry()
         self._c_hit = metrics.counter("dht.learned.hit")
         self._c_mispredict = metrics.counter("dht.learned.mispredict")
@@ -240,8 +236,6 @@ class LearnedIndex:
         self._model = model
         self._since_fit = 0
         self._c_retrain.inc()
-        if self._tracer is not None:
-            self._tracer.emit(LEARNED_RETRAIN)
 
     # ------------------------------------------------------------------
     # prediction

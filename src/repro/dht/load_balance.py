@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence
 
 from repro.dht.ring import Ring, load_split_point
-from repro.obs.events import BALANCE_MOVE, BALANCE_PROBE, EventTracer
 from repro.obs.metrics import MetricsRegistry
 
 #: A target with fewer primary blocks than this is never split.
@@ -123,7 +122,6 @@ class KargerRuhlBalancer:
         rng: Optional[random.Random] = None,
         sampling: str = "membership",
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[EventTracer] = None,
         spans=None,
     ) -> None:
         if threshold < 2.0:
@@ -138,7 +136,6 @@ class KargerRuhlBalancer:
         # "random-walk" uses Mercury's decentralized sampling (see
         # repro.dht.sampling), which a real node could actually execute.
         self._sampling = sampling
-        self._tracer = tracer
         self._spans = spans  # repro.obs.spans.Tracer; falsy when disabled
         # Membership snapshot reused across probes until the ring changes
         # (probe_round used to rebuild this O(n) list for every probe).
@@ -156,8 +153,6 @@ class KargerRuhlBalancer:
         """
         self.stats._counters["probes"].inc()
         target = self._sample_other(prober)
-        if self._tracer is not None:
-            self._tracer.emit(BALANCE_PROBE)
         if target is None:
             return None
         return self._maybe_move(prober, target, now)
@@ -289,8 +284,6 @@ class KargerRuhlBalancer:
             target_load_before=target_load,
         )
         self.stats.record_move(record)
-        if self._tracer is not None:
-            self._tracer.emit(BALANCE_MOVE)
         return record
 
 

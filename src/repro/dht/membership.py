@@ -38,16 +38,11 @@ from typing import Optional
 
 from repro.dht.keyspace import KEY_SPACE
 from repro.dht.ring import Ring, load_split_point
-from repro.obs.events import NODE_JOIN, NODE_LEAVE, EventTracer, register_kind
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.failures import ChurnStormConfig, FailureTrace, generate_churn_ops
 from repro.store.migration import StorageCoordinator
 from repro.store.repair import RepairScheduler
-
-MEMBERSHIP_JOIN = register_kind("membership.join")
-MEMBERSHIP_LEAVE = register_kind("membership.leave")
-MEMBERSHIP_CRASH = register_kind("membership.crash")
 
 
 class MembershipService:
@@ -71,7 +66,6 @@ class MembershipService:
         rng: Optional[random.Random] = None,
         min_nodes: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[EventTracer] = None,
     ) -> None:
         self.ring = ring
         self.store = store
@@ -82,7 +76,6 @@ class MembershipService:
             min_nodes if min_nodes is not None else max(2, store.replica_count)
         )
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self._tracer = tracer
         self._c_joins = self.metrics.counter("membership.joins")
         self._c_leaves = self.metrics.counter("membership.leaves")
         self._c_crashes = self.metrics.counter("membership.crashes")
@@ -116,9 +109,6 @@ class MembershipService:
         self.store.hand_off(new_lo, new_hi, name)
         self.repair.on_node_joined(name)
         self._c_joins.inc()
-        if self._tracer is not None:
-            self._tracer.emit(MEMBERSHIP_JOIN)
-            self._tracer.emit(NODE_JOIN)
         return node_id
 
     def leave(self, name: str) -> bool:
@@ -147,9 +137,6 @@ class MembershipService:
         self.repair.on_node_left(name)
         self.repair.reconcile_range(*affected)
         self._c_leaves.inc()
-        if self._tracer is not None:
-            self._tracer.emit(MEMBERSHIP_LEAVE)
-            self._tracer.emit(NODE_LEAVE)
         return True
 
     def crash(self, name: str) -> bool:
@@ -178,9 +165,6 @@ class MembershipService:
         self.repair.on_node_crashed(name)
         self.repair.reconcile_range(*affected)
         self._c_crashes.inc()
-        if self._tracer is not None:
-            self._tracer.emit(MEMBERSHIP_CRASH)
-            self._tracer.emit(NODE_LEAVE)
         return True
 
     # ------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 Usage sketch::
 
-    from repro.obs.events import LOOKUP_HIT, EventTracer
+    from repro.obs.events import EventTracer
     from repro.obs.metrics import MetricsRegistry
+    from repro.obs.spans import Tracer
 
     registry = MetricsRegistry()
-    tracer = EventTracer()
-    registry.counter("lookup.hits").inc()
-    tracer.emit(LOOKUP_HIT)
+    tracer = EventTracer(registry, Tracer())  # reads the counters, counts nothing
+    registry.counter("lookup.hits").inc()     # tracer.counts() == {"lookup.hit": 1}
 
     from repro.obs.report import build_report, snapshot_run, write_report
     report = build_report("demo", [snapshot_run({"system": "d2"}, registry, tracer)])

@@ -1,119 +1,106 @@
-"""Typed event counts: how often each kind of thing happened.
+"""Event counts: how often each kind of thing happened.
 
-Components emit one of a typed vocabulary of event kinds (lookup cache
-hits/misses/staleness faults, balancer probes and moves, pointer
-adoption/flush, migrations, membership changes).  The core vocabulary is
-fixed here; subsystems extend it through :func:`register_kind` (e.g. the
-span-boundary kinds of :mod:`repro.obs.spans`) — emitting anything
-unregistered stays an :class:`EventError`.
+Every kind of event is already counted where it happens, by a counter of
+the deployment's :class:`~repro.obs.metrics.MetricsRegistry` (a balancer
+probe bumps ``balance.probes``, a scheduled repair job
+``repair.scheduled``) or, for root spans, by its span
+:class:`~repro.obs.spans.Tracer`.  :data:`KINDS` names, for each kind,
+the counts it reads, and :class:`EventTracer` reads them when its counts
+are read: nothing is counted twice, and the tracer's size does not grow
+with the run or with the number of components feeding the registry.
 
-An event is a count and nothing else: reports carry :meth:`EventTracer.counts`,
-and the record of *what happened when* is the span stream and the health
-rows, which carry the payloads.  So the tracer's size is the size of the
-vocabulary plus one entry per derived count (:meth:`EventTracer.derive`),
-whatever the length of the run.
+An event is a count and nothing else: reports carry
+:meth:`EventTracer.counts`, and the record of *what happened when* is the
+span stream and the health rows, which carry the payloads.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import TYPE_CHECKING, Dict
 
-# Core event vocabulary (the schema is documented in docs/observability.md).
-LOOKUP_HIT = "lookup.hit"
-LOOKUP_MISS = "lookup.miss"
-LOOKUP_STALE = "lookup.stale"
-BALANCE_PROBE = "balance.probe"
-BALANCE_MOVE = "balance.move"
-POINTER_CREATE = "pointer.create"
-POINTER_FLUSH = "pointer.flush"
-MIGRATION = "store.migration"
+from repro.obs.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.obs.spans import Tracer
+
 NODE_JOIN = "node.join"
-NODE_LEAVE = "node.leave"
 
-#: The immutable core vocabulary, kept for reference and docs.
-BASE_EVENT_KINDS = frozenset(
-    (
-        LOOKUP_HIT,
-        LOOKUP_MISS,
-        LOOKUP_STALE,
-        BALANCE_PROBE,
-        BALANCE_MOVE,
-        POINTER_CREATE,
-        POINTER_FLUSH,
-        MIGRATION,
-        NODE_JOIN,
-        NODE_LEAVE,
-    )
-)
+#: Each event kind and the counts it sums: counters of the metrics
+#: registry, except the ``span.*`` kinds (:data:`SPAN_KINDS`), which read
+#: the span tracer's root spans.  The schema is in docs/observability.md.
+KINDS = {
+    "balance.probe": ("balance.probes",),
+    "balance.move": ("balance.moves",),
+    "pointer.create": ("pointer.adopted",),
+    "pointer.flush": ("pointer.stabilized",),
+    "store.migration": ("store.migrations",),
+    "membership.join": ("membership.joins",),
+    "membership.leave": ("membership.leaves",),
+    "membership.crash": ("membership.crashes",),
+    NODE_JOIN: ("membership.joins",),
+    "node.leave": ("membership.leaves", "membership.crashes"),
+    "repair.schedule": ("repair.scheduled",),
+    "repair.complete": ("repair.completed",),
+    "repair.retry": ("repair.retries",),
+    "repair.loss": ("repair.lost_keys",),
+    "dht.learned.retrain": ("dht.learned.retrain",),
+    "health.alert_fire": ("health.alerts_fired",),
+    "health.alert_resolve": ("health.alerts_resolved",),
+    "lookup.hit": ("lookup.hits",),
+    "lookup.miss": ("lookup.misses",),
+    "lookup.stale": ("lookup.stale_hits",),
+    "span.start": ("roots_started",),
+    "span.finish": ("_roots_finished",),
+}
 
-#: The live vocabulary: core kinds plus everything registered through
-#: :func:`register_kind`.  Emission of anything outside this set is still
-#: an :class:`EventError` — extension widens the vocabulary, it does not
-#: remove the typo guard.
-EVENT_KINDS = set(BASE_EVENT_KINDS)
+SPAN_KINDS = ("span.start", "span.finish")
 
 
 class EventError(Exception):
     """Raised when an unknown event kind is emitted."""
 
 
-def register_kind(kind: str) -> str:
-    """Add *kind* to the event vocabulary; returns it for assignment.
-
-    Idempotent, so independent modules can register the same kind without
-    coordination.  Registration is process-wide (module-level), matching
-    how the constant kinds are shared.
-    """
-    if not isinstance(kind, str) or not kind:
-        raise EventError(f"event kind must be a non-empty string, got {kind!r}")
-    EVENT_KINDS.add(kind)
-    return kind
-
-
 class EventTracer:
-    """Exact per-kind event counts for the whole run.
+    """Exact per-kind event counts, read from *registry* and *spans*.
 
-    Most counts are emitted here one :meth:`emit` at a time.  A count some
-    component keeps anyway (a span tracer's root spans, a deployment's
-    ``lookup.*`` counters) is registered with :meth:`derive` instead: it is
-    read when :meth:`counts` or :attr:`emitted` is read, and adds to what
-    was emitted.  A count registered again is read once, so the tracer
-    holds one entry per distinct count — two per span tracer and three per
-    metrics registry, however many lookup caches feed that registry.
+    The one count no component keeps is a deployment's founding nodes:
+    they join the ring before there is a membership service to count
+    them, so the deployment counts them with :meth:`emit` as ``node.join``
+    events, to which the ``membership.joins`` counter adds every later join.
     """
 
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-        self._derived: Dict[Tuple[Any, str], str] = {}  # (source, attribute) -> kind
+    def __init__(self, registry: MetricsRegistry, spans: "Tracer") -> None:
+        self._registry = registry
+        self._spans = spans
+        self._emitted: Dict[str, int] = {}
 
     def emit(self, kind: str, count: int = 1) -> None:
-        """Count *count* events of *kind* (one, unless they are tallied in bulk)."""
+        """Count *count* events of *kind* that no counter of the registry keeps."""
         if count < 1:
             raise EventError(f"an emit counts at least one event, got {count}")
-        if kind not in EVENT_KINDS:
+        if kind not in KINDS:
             raise EventError(f"unknown event kind {kind!r}")
-        self._counts[kind] = self._counts.get(kind, 0) + count
-
-    def derive(self, kind: str, source: Any, attribute: str) -> None:
-        """Count ``source.<attribute>`` — a count that never falls — as
-        events of *kind*, read when the counts are read."""
-        if kind not in EVENT_KINDS:
-            raise EventError(f"unknown event kind {kind!r}")
-        self._derived[(source, attribute)] = kind
+        self._emitted[kind] = self._emitted.get(kind, 0) + count
 
     @property
     def emitted(self) -> int:
         """Total events ever."""
-        total = sum(self._counts.values())
-        for source, attribute in self._derived:
-            total += getattr(source, attribute)
-        return total
+        return sum(self.counts().values())
 
     def counts(self) -> Dict[str, int]:
-        """Per-kind totals, sorted by kind (JSON-ready)."""
-        counts = dict(self._counts)
-        for (source, attribute), kind in self._derived.items():
-            count = getattr(source, attribute)
+        """Per-kind totals, sorted by kind (JSON-ready); kinds never seen are left out.
+
+        Reading creates no counter, so a snapshot's ``counters`` section
+        is the same whether or not the events were read first.
+        """
+        get = self._registry.get
+        counts = {}
+        for kind, names in sorted(KINDS.items()):
+            if kind in SPAN_KINDS:
+                count = sum(getattr(self._spans, name) for name in names)
+            else:
+                count = sum(metric.value for metric in map(get, names) if metric is not None)
+            count += self._emitted.get(kind, 0)
             if count:
-                counts[kind] = counts.get(kind, 0) + count
-        return dict(sorted(counts.items()))
+                counts[kind] = count
+        return counts

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.events import EventTracer, register_kind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import COUNTER, TimeSeriesBank
 
@@ -47,8 +46,6 @@ __all__ = [
     "DEFAULT_RULES",
 ]
 
-ALERT_FIRE = register_kind("health.alert_fire")
-ALERT_RESOLVE = register_kind("health.alert_resolve")
 
 SEVERITIES = ("info", "warning", "critical")
 OPS = (">=", "<=", "increasing")
@@ -181,7 +178,6 @@ class SloEngine:
         rules: Sequence[SloRule] = DEFAULT_RULES,
         *,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[EventTracer] = None,
     ) -> None:
         self.rules: Tuple[SloRule, ...] = tuple(rules)
         for rule in self.rules:
@@ -195,7 +191,6 @@ class SloEngine:
         self.alerts: List[Alert] = []
         self._states: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], _RuleState] = {}
         self._registry = registry
-        self._tracer = tracer
         if registry is not None:
             self._c_fired = registry.counter("health.alerts_fired")
             self._c_resolved = registry.counter("health.alerts_resolved")
@@ -278,13 +273,8 @@ class SloEngine:
         if event == "fire":
             if self._c_fired is not None:
                 self._c_fired.inc()
-            kind = ALERT_FIRE
-        else:
-            if self._c_resolved is not None:
-                self._c_resolved.inc()
-            kind = ALERT_RESOLVE
-        if self._tracer is not None:
-            self._tracer.emit(kind)
+        elif self._c_resolved is not None:
+            self._c_resolved.inc()
         return {
             "type": "alert",
             "event": event,
@@ -343,7 +333,7 @@ class HealthMonitor:
         self.window = float(window)
         self.node_level = bool(node_level)
         self.bank = TimeSeriesBank(width=self.window, epoch=deployment.sim.now)
-        self.engine = SloEngine(registry=deployment.metrics, tracer=deployment.tracer)
+        self.engine = SloEngine(registry=deployment.metrics)
         self.dropped_rows = 0
         self._export: List[Dict[str, Any]] = []
         self._task: Optional[Any] = None

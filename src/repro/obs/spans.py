@@ -36,16 +36,9 @@ import random
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Union
 
-from repro.obs.events import EventTracer, register_kind
-
 #: Environment knob for head-based sampling (fraction of traces kept).
 SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
 DEFAULT_SAMPLE = 1.0
-
-#: Span-boundary event kinds, registered through the extension API rather
-#: than baked into the core vocabulary (they mirror *root* spans only).
-SPAN_START = register_kind("span.start")
-SPAN_FINISH = register_kind("span.finish")
 
 #: The JSONL schema: required keys of one exported span object.
 SPAN_FIELDS = ("trace_id", "span_id", "parent_id", "name", "start", "end", "attrs")
@@ -175,13 +168,6 @@ class Tracer:
     sample:
         Fraction of traces kept, decided at :meth:`start_trace`.  ``None``
         reads ``$REPRO_TRACE_SAMPLE`` (default 1.0).
-    events:
-        Optional :class:`EventTracer` whose ``span.start`` /
-        ``span.finish`` counts are this tracer's *root* spans started and
-        finished — the span-boundary kinds registered through
-        :func:`repro.obs.events.register_kind`.  They are read from the
-        tracer's own counters when the event counts are read
-        (:meth:`EventTracer.derive`), not emitted span by span.
     seed:
         Sampling-RNG seed; fixed so identical runs sample identically.
 
@@ -195,7 +181,6 @@ class Tracer:
         capacity: int = 4096,
         *,
         sample: Optional[float] = None,
-        events: Optional[EventTracer] = None,
         seed: int = 0,
     ) -> None:
         if capacity < 1:
@@ -212,16 +197,12 @@ class Tracer:
         self.started = 0      # sampled spans ever created (incl. rotated out)
         self.finished = 0
         self.sampled_out = 0  # root spans dropped by head sampling
-        self._roots_finished = 0
-        if events is not None:
-            events.derive(SPAN_START, self, "roots_started")
-            events.derive(SPAN_FINISH, self, "_roots_finished")
+        self._roots_finished = 0  # an event tracer's ``span.finish`` count
 
     @classmethod
-    def from_env(cls, *, events: Optional[EventTracer] = None,
-                 capacity: int = 4096, seed: int = 0) -> "Tracer":
+    def from_env(cls, *, capacity: int = 4096, seed: int = 0) -> "Tracer":
         """Tracer sampling at ``$REPRO_TRACE_SAMPLE`` (falsy when that is 0)."""
-        return cls(capacity, events=events, seed=seed)
+        return cls(capacity, seed=seed)
 
     def __bool__(self) -> bool:
         """False when nothing is sampled: a 0-rate run pays only the ``if
@@ -234,7 +215,8 @@ class Tracer:
 
     @property
     def roots_started(self) -> int:
-        """Sampled root spans started (each took two ids)."""
+        """Sampled root spans started (each took two ids): an event
+        tracer's ``span.start`` count."""
         return self._ids - self.started
 
     # ------------------------------------------------------------------

@@ -26,7 +26,6 @@ from operator import itemgetter, ne
 from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.dht.ring import Ring
-from repro.obs.events import MIGRATION, POINTER_CREATE, POINTER_FLUSH, EventTracer
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.store.block_store import BlockDirectory, check_items
@@ -128,13 +127,11 @@ class StorageCoordinator:
         removal_delay: float = 30.0,
         replica_count: int = 3,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[EventTracer] = None,
         spans=None,
     ) -> None:
         self.ring = ring
         self.sim = sim
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self._tracer = tracer
         self.spans = spans  # repro.obs.spans.Tracer; falsy/None when disabled
         self._span_parent = None
         self._c_writes = self.metrics.counter("store.writes")
@@ -362,8 +359,6 @@ class StorageCoordinator:
             record = self.pointer_table.adopt(lo, hi, adopter, self.sim.now)
             self._c_pointer_adopted.inc()
             self._record_span("pointer.adopt", lo=lo, hi=hi, owner=adopter)
-            if self._tracer is not None:
-                self._tracer.emit(POINTER_CREATE)
             self.sim.schedule(
                 self.pointer_stabilization_time, lambda: self._stabilize(record)
             )
@@ -385,8 +380,6 @@ class StorageCoordinator:
         self._record_span(
             "pointer.stabilize", lo=record.lo, hi=record.hi, owner=record.owner
         )
-        if self._tracer is not None:
-            self._tracer.emit(POINTER_FLUSH)
         self._fetch_range(record.lo, record.hi)
 
     def _fetch_range(self, lo: int, hi: int) -> None:
@@ -409,8 +402,6 @@ class StorageCoordinator:
             self._record_span("store.migrate", lo=lo, hi=hi, bytes=migrated)
             self._c_migrations.inc()
             self._c_migrated_bytes.inc(migrated)
-            if self._tracer is not None:
-                self._tracer.emit(MIGRATION)
 
     def flush_all_pointers(self) -> None:
         """Force-stabilize everything (used at experiment teardown)."""

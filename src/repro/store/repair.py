@@ -34,15 +34,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.events import EventTracer, register_kind
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator, TokenBucket, kbps
 from repro.store.migration import StorageCoordinator
-
-REPAIR_SCHEDULE = register_kind("repair.schedule")
-REPAIR_COMPLETE = register_kind("repair.complete")
-REPAIR_RETRY = register_kind("repair.retry")
-REPAIR_LOSS = register_kind("repair.loss")
 
 #: Per-node migration and repair bandwidth cap (paper: 750 kbps).
 MIGRATION_BANDWIDTH_BPS = kbps(750)
@@ -201,7 +195,6 @@ class RepairScheduler:
         bandwidth_bps: float = MIGRATION_BANDWIDTH_BPS,
         max_retries: int = 8,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[EventTracer] = None,
         spans=None,
     ) -> None:
         self.store = store
@@ -213,7 +206,6 @@ class RepairScheduler:
         self.max_retries = max_retries
         self.stats = RepairStats()
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self._tracer = tracer
         self._spans = spans or None  # a tracer sampling nothing is dropped here
         self._c_scheduled = self.metrics.counter("repair.scheduled")
         self._c_completed = self.metrics.counter("repair.completed")
@@ -365,8 +357,6 @@ class RepairScheduler:
             self.stats.scheduled += scheduled
             self._c_scheduled.inc(scheduled)
             self._update_backlog(scheduled)
-            if self._tracer is not None:
-                self._tracer.emit(REPAIR_SCHEDULE, scheduled)
             self.sim.schedule_batch(launches)
 
     def _bucket(self, source: str) -> TokenBucket:
@@ -414,8 +404,6 @@ class RepairScheduler:
             self._spans.instant(
                 "repair.copy", self.sim.now, key=key, target=target, bytes=job.size
             )
-        if self._tracer is not None:
-            self._tracer.emit(REPAIR_COMPLETE)
 
     def _retry(self, job: RepairJob) -> None:
         key, target = job.key, job.target
@@ -431,8 +419,6 @@ class RepairScheduler:
         job.source = survivors[0]
         self.stats.retries += 1
         self._c_retries.inc()
-        if self._tracer is not None:
-            self._tracer.emit(REPAIR_RETRY)
         backoff = self.retry_delay * (2 ** (job.attempts - 1))
         self.sim.schedule(backoff, lambda: self._relaunch(job))
 
@@ -459,8 +445,6 @@ class RepairScheduler:
         self.stats.lost_bytes += size
         self.stats.losses.append(LossRecord(key=key, time=self.sim.now, size=size))
         self._c_lost.inc()
-        if self._tracer is not None:
-            self._tracer.emit(REPAIR_LOSS)
 
     # ------------------------------------------------------------------
 

@@ -56,6 +56,8 @@ GOLDENS = {
     "tests/data/blockop_streams.json": "tests/test_fslayer.py::test_block_op_stream_golden",
     "tests/data/churn_repair_health.jsonl":
         "tests/test_health.py::test_churn_cell_repair_gauges_match_committed_export",
+    "tests/data/event_counts.json":
+        "tests/test_event_counts_golden.py::test_event_counts_golden",
     "tests/data/figure_rows.json":
         "tests/test_experiments.py::TestRegistry::test_rows_and_report_golden",
     "tests/data/grid_cells.json": "tests/test_grid_golden.py::test_default_grid_golden",

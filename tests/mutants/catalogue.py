@@ -12,17 +12,18 @@ Eight groups, in catalogue order:
   named after the test that caught it then;
 * one mutant per nondeterminism class the lint rules name (set order, a
   wall clock, a module-global write, an unseeded RNG, ``id()``);
-* one mutant per remaining rule's own class (KEY001, OBS001, PUR001,
-  OBS002) and one for the class the runtime sanitizer claims: entropy the
-  AST cannot resolve;
+* one mutant per remaining rule's own class (KEY001, PUR001, OBS002) and
+  one for the class the runtime sanitizer claims: entropy the AST cannot
+  resolve;
 * one per class of the runner's own guards: a memo key that ignores a
   parameter the result depends on, and a computed cell the memo never
   holds, so a grid asked for twice simulates twice;
 * one for the derived D2 prefix: a child's slot placed one level off;
 * one for the repair burst: its backlog sample counted as one, not as
   the burst's size;
-* one for the span tracer: a root span's finish left out of the
-  ``span.finish`` count the event tracer reads from it;
+* two for the event counts, which the event tracer reads: a root span's
+  finish left out of the span tracer's ``span.finish`` count, and a row
+  of the kind table that reads another kind's counter;
 * one for the paper's claims: a projection that swaps D2 and traditional.
 """
 
@@ -57,6 +58,9 @@ RETIRED = {
                                "one run return another run's bytes: nothing "
                                "persists across processes, and no guard caught it "
                                "once CACHE001 went with the on-disk run cache",
+    "unregistered-event-kind": "no call site spells an event kind: a kind is a "
+                               "row of the table the event tracer reads, and "
+                               "event-kind-reads-another-counter plants into it",
 }
 
 
@@ -220,10 +224,6 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        return self._prefix(node) | (block_number << 32)"
            " | (version_hash(version) << 1)",
            "key layout", "KEY001"),
-    mutant("unregistered-event-kind", FLUSH,
-           "                self._tracer.emit(MIGRATION)",
-           '                self._tracer.emit("store.migrated")',
-           "event vocabulary", "OBS001"),
     mutant("lru-cache-reads-mutated-global", "src/repro/runner/executor.py",
            ("from dataclasses import dataclass\n",
             "def last_stats(kind: Optional[str] = None) -> Optional[RunnerStats]:\n"),
@@ -263,12 +263,16 @@ MUTANTS: Tuple[Mutant, ...] = (
            "            self._update_backlog(scheduled)\n",
            "            self._update_backlog(1)\n",
            "counted sample", "TestRepairDeficitModel"),
-    # -- the span tracer, its span.finish count read from the tracer -------
+    # -- the event counts, read from the span tracer and the registry ------
     mutant("root-finish-not-counted", "src/repro/obs/spans.py",
            "        if span.parent_no is None:\n"
            "            self._roots_finished += 1\n",
            "",
            "derived event count", "test_matches_the_emitting_tracer"),
+    mutant("event-kind-reads-another-counter", "src/repro/obs/events.py",
+           '    "pointer.flush": ("pointer.stabilized",),\n',
+           '    "pointer.flush": ("pointer.adopted",),\n',
+           "derived event count", "golden event_counts.json"),
     # -- the paper's claims, checked by every `python -m repro` run ---------
     mutant("imbalance-systems-swapped", "src/repro/experiments/balance.py",
            '            "system": system,\n            "mean_nsd": result.mean_nsd(),',

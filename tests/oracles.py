@@ -23,13 +23,11 @@ from repro.core.lookup_cache import AdaptiveSizer, LookupCache
 from repro.dht.keyspace import KEY_BITS, distance, in_interval
 from repro.dht.routing import LookupResult, finger_table_for, route
 from repro.fs.namespace import Directory, FileNode, NamespaceError
-from repro.obs.spans import (
-    DEFAULT_SAMPLE, NULL_SPAN, SAMPLE_ENV, SPAN_FINISH, SPAN_START, Span, Tracer,
-)
+from repro.obs.spans import DEFAULT_SAMPLE, NULL_SPAN, SAMPLE_ENV, Span, Tracer, _finish_error
 from repro.obs.stream import NullJsonlWriter, stream_spans
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
 from repro.store.migration import GraceEntry, StorageCoordinator
-from repro.store.repair import REPAIR_SCHEDULE, RepairJob, RepairScheduler
+from repro.store.repair import RepairJob, RepairScheduler
 from repro.workloads.scale import replica_path
 from repro.workloads.shift import FLASH_FRACTION, REQUEST_RATE, ShiftRequest, zipf_weights
 from repro.workloads.trace import READ
@@ -363,8 +361,6 @@ class PerKeyRepairScheduler(RepairScheduler):
         self.stats.scheduled += 1
         self._c_scheduled.inc()
         self._update_backlog()
-        if self._tracer is not None:
-            self._tracer.emit(REPAIR_SCHEDULE)
         self._launch(job)
 
     def _update_backlog(self):
@@ -621,18 +617,17 @@ def walk(namespace):
 class EmittingTracer(Tracer):
     """The span tracer as it was: a span is opened through ``_open`` and
     exported one ``to_dict`` call at a time, the sample rate is read
-    leniently, and each root span's start and finish are two
-    :meth:`EventTracer.emit` calls, not counts the event tracer reads from
-    the tracer."""
+    leniently, and a root span's finish is counted where it once emitted
+    ``span.finish``, in a ``finish`` of its own — so the count an
+    :class:`EventTracer` reads from it does not rest on the tracer's."""
 
-    def __init__(self, capacity=4096, *, sample=None, events=None, seed=0):
+    def __init__(self, capacity=4096, *, sample=None, seed=0):
         if sample is None:  # unset or no number: the default; NaN: nothing sampled
             try:
                 sample = float(os.environ.get(SAMPLE_ENV, "").strip() or DEFAULT_SAMPLE)
             except ValueError:
                 sample = DEFAULT_SAMPLE
         super().__init__(capacity, sample=min(1.0, max(0.0, float(sample))), seed=seed)
-        self._events = events
 
     def _open(self, trace_no, span_no, parent_no, name, start, attrs):
         span = Span.__new__(Span)
@@ -651,8 +646,6 @@ class EmittingTracer(Tracer):
             self.sampled_out += 1
             return NULL_SPAN
         self._ids += 2
-        if self._events is not None:
-            self._events.emit(SPAN_START)
         return self._open(self._ids - 1, self._ids, None, name, start, attrs)
 
     def start_span(self, name, start, parent, **attrs):
@@ -666,14 +659,18 @@ class EmittingTracer(Tracer):
         if span:
             span.end = span.start
             self.finished += 1
-            if self._events is not None:
-                self._events.emit(SPAN_FINISH)
+            self._roots_finished += 1
         return span
 
     def finish(self, span, end):
-        super().finish(span, end)
-        if span and span.parent_no is None and self._events is not None:
-            self._events.emit(SPAN_FINISH)
+        if not span:
+            return span
+        if span.end is not None or end < span.start:
+            raise _finish_error(span, end)
+        span.end = float(end)
+        self.finished += 1
+        if span.parent_no is None:
+            self._roots_finished += 1
         return span
 
     def to_dicts(self):
@@ -721,7 +718,7 @@ class ChainAccelerator(LookupAccelerator):
                 )
             cache = ScanLookupCache(
                 ttl=self.ttl, capacity=None if self.adaptive else self.capacity,
-                ring=self.ring, sizer=sizer, registry=self._registry, tracer=self._tracer,
+                ring=self.ring, sizer=sizer, registry=self._registry,
             )
             self.caches[client] = cache
         return cache

@@ -249,14 +249,15 @@ class TestMatchesTheChainItReplaced:
         # The cells above never serve a stale entry: here nodes move under
         # warm caches, so lookups probe, invalidate and re-resolve.
         from repro.obs.events import EventTracer
+        from repro.obs.metrics import MetricsRegistry
         from repro.obs.spans import Tracer
         from tests.oracles import ChainAccelerator, EmittingTracer
 
         def run(accel_cls, tracer_cls):
             ring, rng = build_ring(16, seed=4)
-            events = EventTracer()
-            spans = tracer_cls(sample=1.0, events=events)
-            accel = accel_cls(ring, mode=mode, capacity=8, tracer=events, spans=spans)
+            registry, spans = MetricsRegistry(), tracer_cls(sample=1.0)
+            events = EventTracer(registry, spans)
+            accel = accel_cls(ring, mode=mode, capacity=8, registry=registry, spans=spans)
             keys = [rng.randrange(KEY_SPACE) for _ in range(60)]
             outcomes = []
             for step in range(6):

@@ -180,6 +180,16 @@ class TestRemovalRaces:
         assert key not in store.directory
         assert store.ledger.total_removed == 100  # counted exactly once
 
+    def test_immediate_removal_disarms_the_pending_one(self):
+        ring, sim, store = make_system(removal_delay=30.0)
+        key = key_at(150)
+        store.write(key, 100)
+        store.remove(key)  # deadline t=30
+        store.remove(key, delay=0)  # gone now: no removal is left pending for it
+        assert key not in store.directory and store._removes_at == {}
+        sim.run(until=31.0)
+        assert store.ledger.total_removed == 100
+
 
 class TestStabilizeAfterFlush:
     def test_stabilize_event_after_flush_is_noop(self):

@@ -5,14 +5,7 @@ import json
 import pytest
 
 from repro.obs.__main__ import main as obs_main
-from repro.obs.events import (
-    BASE_EVENT_KINDS,
-    LOOKUP_HIT,
-    LOOKUP_MISS,
-    EventError,
-    EventTracer,
-    register_kind,
-)
+from repro.obs.events import KINDS, NODE_JOIN, SPAN_KINDS, EventError, EventTracer
 from repro.obs.metrics import MetricsError, MetricsRegistry
 from repro.obs.report import (
     build_report,
@@ -23,6 +16,9 @@ from repro.obs.report import (
     validate_report,
     write_report,
 )
+from repro.obs.spans import Tracer
+
+LOOKUP_HIT, LOOKUP_MISS = "lookup.hit", "lookup.miss"
 
 
 class TestCounter:
@@ -114,13 +110,15 @@ class TestRegistrySnapshot:
         json.dumps(snap)  # JSON-ready
 
 
-def registry_counter():
-    return MetricsRegistry().counter("lookup.hits")
+def event_tracer(registry=None):
+    """An event tracer over *registry* (a fresh one by default) and a span tracer."""
+    return EventTracer(registry if registry is not None else MetricsRegistry(),
+                       Tracer(sample=1.0))
 
 
 class TestEventTracer:
     def test_emit_and_counts(self):
-        tracer = EventTracer()
+        tracer = event_tracer()
         tracer.emit(LOOKUP_MISS)
         tracer.emit(LOOKUP_HIT)
         tracer.emit(LOOKUP_HIT)
@@ -129,7 +127,7 @@ class TestEventTracer:
         assert tracer.emitted == 3
 
     def test_counted_emit(self):
-        tracer = EventTracer()
+        tracer = event_tracer()
         tracer.emit(LOOKUP_HIT, 3)
         assert tracer.counts() == {LOOKUP_HIT: 3} and tracer.emitted == 3
         for count in (0, -2):
@@ -138,22 +136,40 @@ class TestEventTracer:
         assert tracer.counts() == {LOOKUP_HIT: 3} and tracer.emitted == 3
 
     def test_unknown_kind_rejected(self):
-        tracer = EventTracer()
+        tracer = event_tracer()
         with pytest.raises(EventError):
             tracer.emit("no.such.kind")
-        with pytest.raises(EventError):
-            tracer.derive("no.such.kind", registry_counter(), "value")
         assert tracer.emitted == 0 and tracer.counts() == {}
 
     def test_derived_count_read_once_and_added(self):
-        tracer = EventTracer()
-        hits = registry_counter()
-        tracer.derive(LOOKUP_HIT, hits, "value")
-        tracer.derive(LOOKUP_HIT, hits, "value")  # the same count: one entry
-        assert tracer.counts() == {} and tracer.emitted == 0  # a 0 count is absent
-        hits.inc(4)
-        tracer.emit(LOOKUP_HIT)
-        assert tracer.counts() == {LOOKUP_HIT: 5} and tracer.emitted == 5
+        registry = MetricsRegistry()
+        tracer = event_tracer(registry)
+        tracer.emit(NODE_JOIN, 4)  # founding nodes: no counter keeps them
+        assert tracer.counts() == {NODE_JOIN: 4} and tracer.emitted == 4
+        assert registry.snapshot()["counters"] == {}  # reading created no counter
+        registry.counter("membership.joins").inc(2)
+        registry.counter("membership.crashes").inc()
+        registry.counter("membership.leaves").inc(0)  # a 0 count is absent
+        assert tracer.counts() == {
+            "membership.crash": 1, "membership.join": 2, NODE_JOIN: 6, "node.leave": 1,
+        }
+        assert tracer.emitted == 10
+
+    def test_each_kind_reads_its_own_counts(self):
+        registry = MetricsRegistry()
+        spans = Tracer(sample=1.0)
+        tracer = EventTracer(registry, spans)
+        spans.finish(spans.start_trace("fetch", 0.0), 1.0)
+        spans.start_trace("open", 1.0)  # started, never finished
+        assert tracer.counts() == {"span.finish": 1, "span.start": 2}
+        counters = {name for kind, names in KINDS.items() if kind not in SPAN_KINDS
+                    for name in names}
+        for name in counters:
+            registry.counter(name).inc()
+        counts = tracer.counts()
+        for kind, names in KINDS.items():
+            expected = {"span.start": 2, "span.finish": 1}.get(kind, len(names))
+            assert counts[kind] == expected, kind
 
 
 class TestReport:
@@ -162,8 +178,7 @@ class TestReport:
         registry.counter("lookup.hits").inc(3)
         registry.gauge("store.blocks").set(10)
         registry.histogram("fetch.latency_seconds").observe(0.25)
-        tracer = EventTracer()
-        tracer.emit(LOOKUP_HIT)
+        tracer = event_tracer(registry)
         run = snapshot_run({"system": "d2", "n_nodes": 8}, registry, tracer)
         return build_report("demo", [run], params={"seed": 1, "sizes": (8, 16)})
 
@@ -177,7 +192,7 @@ class TestReport:
         report = self._sample_report()
         agg = totals(report)
         assert agg["counters"]["lookup.hits"] == 3
-        assert agg["events"][LOOKUP_HIT] == 1
+        assert agg["events"][LOOKUP_HIT] == 3
         text = summarize(report)
         assert "lookup.hits" in text and "system=d2" in text
 
@@ -248,9 +263,9 @@ class TestSystemWiring:
         from repro.core.lookup_cache import LookupCache
 
         registry = MetricsRegistry()
-        tracer = EventTracer()
-        a = LookupCache(ttl=10.0, registry=registry, tracer=tracer)
-        b = LookupCache(ttl=10.0, registry=registry, tracer=tracer)
+        tracer = event_tracer(registry)
+        a = LookupCache(ttl=10.0, registry=registry)
+        b = LookupCache(ttl=10.0, registry=registry)
         a.insert(0, 100, "n", now=0.0)
         assert a.probe(50, now=1.0) == "n"
         assert b.probe(50, now=1.0) is None
@@ -305,25 +320,12 @@ class TestExperimentEmission:
 
 
 class TestEventKindRegistration:
-    def test_register_kind_allows_emission(self):
-        kind = register_kind("custom.test_kind")
-        tracer = EventTracer()
-        tracer.emit(kind)
-        assert tracer.counts() == {"custom.test_kind": 1}
-
-    def test_register_rejects_non_string(self):
-        with pytest.raises(EventError):
-            register_kind("")
-        with pytest.raises(EventError):
-            register_kind(None)
-
-    def test_base_kinds_still_frozen(self):
-        assert isinstance(BASE_EVENT_KINDS, frozenset)
-        assert LOOKUP_HIT in BASE_EVENT_KINDS
+    """A kind is a row of the table in :mod:`repro.obs.events`; nothing
+    registers one at run time."""
 
     def test_unregistered_kind_still_rejected(self):
         with pytest.raises(EventError):
-            EventTracer().emit("never.registered.kind")
+            event_tracer().emit("never.registered.kind")
 
 
 class TestHistogramPercentileEdges:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.performance import PerformanceHarness
 from repro.core.system import build_deployment
-from repro.obs.events import LOOKUP_HIT, EventTracer
+from repro.obs.events import EventTracer
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
     NULL_SPAN,
     SAMPLE_ENV,
@@ -125,8 +126,8 @@ class TestTracer:
 
     def test_instant_records_what_start_then_finish_records(self):
         def run(instant):
-            events = EventTracer()
-            tracer = Tracer(capacity=3, sample=0.5, events=events, seed=2)
+            tracer = Tracer(capacity=3, sample=0.5, seed=2)
+            events = EventTracer(MetricsRegistry(), tracer)
             for i in range(12):
                 if instant:
                     tracer.instant("copy", float(i), key=i)
@@ -143,19 +144,19 @@ class TestTracer:
            capacity=st.sampled_from((3, 64)))
     def test_matches_the_emitting_tracer(self, ops, sample, capacity):
         # The one-frame tracer against the one it replaced (tests/oracles.py),
-        # whose root spans emit span.start/span.finish: the same calls give
-        # the same answers, errors, counts, event counts and exports.
+        # which counts its root spans' finishes in code of its own: the same
+        # calls give the same answers, errors, counts, event counts and exports.
         sides = []
         for cls in (Tracer, EmittingTracer):
-            events = EventTracer()
-            sides.append((cls(capacity, sample=sample, events=events, seed=3), events, []))
+            tracer = cls(capacity, sample=sample, seed=3)
+            sides.append((tracer, EventTracer(MetricsRegistry(), tracer), []))
 
         def apply(tracer, events, opened, op):
             kind, *args = op
             if kind == "drain":
                 return tracer.drain()
             if kind == "emit":
-                return events.emit(LOOKUP_HIT, args[0])
+                return events.emit("node.join", args[0])
             if kind == "finish":
                 if not opened:
                     return None
@@ -262,7 +263,7 @@ class TestTracer:
             def __reversed__(self):
                 raise AssertionError("span bookkeeping scanned the buffer")
 
-        tracer = Tracer(capacity=8, sample=1.0, events=EventTracer())
+        tracer = Tracer(capacity=8, sample=1.0)
         tracer._buffer = NoScanDeque(maxlen=8)
         for i in range(20):  # roots, rotating the buffer
             tracer.finish(tracer.start_trace("repair.copy", float(i)), float(i))
@@ -275,8 +276,8 @@ class TestTracer:
         assert tracer.started == tracer.finished == 24 and len(tracer) == 8
 
     def test_root_boundaries_mirrored_to_event_tracer(self):
-        events = EventTracer()
-        tracer = Tracer(sample=1.0, events=events)
+        tracer = Tracer(sample=1.0)
+        events = EventTracer(MetricsRegistry(), tracer)
         root = tracer.start_trace("fetch", 0.0)
         child = tracer.start_span("lookup", 0.0, root)
         tracer.finish(child, 1.0)
@@ -403,7 +404,7 @@ class TestEndToEndWiring:
     def _traced_read(self):
         deployment = build_deployment("d2", 16, seed=1)
         # Force a real (non-env-dependent) tracer for this deployment.
-        deployment.spans = Tracer(sample=1.0, events=deployment.tracer)
+        deployment.spans = Tracer(sample=1.0)
         deployment.store.spans = deployment.spans
         deployment.bootstrap_volume()
         deployment.apply_fs_ops(deployment.fs.makedirs("/home/u"))
