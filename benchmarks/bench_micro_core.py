@@ -20,7 +20,7 @@ import pytest
 from benchmarks.callcount import CallCounter
 from repro.core import lookup_cache
 from repro.core import system as core_system
-from repro.core.keys import decode_key, encode_path_key, version_hash, volume_id
+from repro.core.keys import encode_path_key, version_hash, volume_id
 from repro.core.lookup_cache import CacheEntry, LookupCache
 from repro.core.system import build_deployment
 from repro.dht import routing
@@ -43,6 +43,7 @@ from tests.oracles import (
     ResortingDirectory,
     ScanLookupCache,
     apply_ops_per_key,
+    decode_key,
     firing_sequence,
     read_stream_per_op,
 )
@@ -687,14 +688,13 @@ def test_image_load_count_gate(monkeypatch, system):
 
     * keys checked (each key handed to ``check_items``, plus each call of
       ``validate_key``) are at most the flush's distinct put and remove keys;
-    * no ``BlockKey`` is built and ``directory_block_sizes`` computes each
-      entry count at most once (its table is a cache of tuples);
+    * ``directory_block_sizes`` computes each entry count at most once (its
+      table is a cache of tuples);
     * Python calls into ``src/repro`` per block op stay within the measured
       3.19 (d2) and 6.22 (traditional: two calls per hashed key) plus a
       quarter; the flush path this replaced made 9.82 and 11.38.
     """
     import repro
-    from repro.core import keys as core_keys
     from repro.dht import keyspace
     from repro.fs import blocks
     from repro.workloads.harvard import HarvardConfig, generate_harvard
@@ -728,7 +728,6 @@ def test_image_load_count_gate(monkeypatch, system):
     assert len(flushes) > 100 and ops > 10 * len(flushes), (len(flushes), ops)
     over = [(distinct, keys) for _, distinct, keys in flushes if keys > distinct]
     assert not over, f"(distinct keys, keys checked) of flushes checking a key twice: {over[:5]}"
-    assert counter.of(core_keys.BlockKey.__post_init__) == 0
     entry_counts = max(len(d.children) for d in walk_directories(deployment.fs.namespace.root))
     sized = counter.of(blocks.directory_block_sizes.__wrapped__)
     assert sized <= entry_counts + 1, (sized, entry_counts)

@@ -19,7 +19,7 @@ from repro.dht.keyspace import KEY_SPACE
 from repro.dht.learned import LearnedIndex
 from repro.dht.ring import Ring
 from repro.dht.routing import route
-from tests.oracles import route_cold
+from tests.oracles import route_cold, trained
 
 
 def build_ring(n, seed=0):
@@ -41,7 +41,7 @@ def trained_index(ring, rng, observations=4096, seed=1):
     for _ in range(observations):
         key = rng.randrange(KEY_SPACE)
         index.observe(key, ring.successor_index(key))
-    assert index.trained
+    assert trained(index)
     return index
 
 

@@ -57,7 +57,8 @@ def main(argv=None) -> int:
     if args.jobs is not None:
         if args.jobs < 0:
             parser.error(f"--jobs must be >= 0, got {args.jobs}")
-        os.environ[JOBS_ENV] = str(args.jobs)
+        # Knob: the worker count reaches the runner as $REPRO_JOBS.
+        os.environ[JOBS_ENV] = str(args.jobs)  # lint: allow=DET004
 
     # `all` is every entry that does not time the host (`scale` and
     # `accel` are run explicitly); a name given twice runs once.

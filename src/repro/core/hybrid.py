@@ -148,12 +148,3 @@ def parallel_read_fanout(
     for key in keys:
         nodes.update(placement_holders(ring, key, replicas, placement))
     return len(nodes)
-
-
-def key_available_hybrid(
-    ring: Ring, key: int, replicas: int, alive: Set[str], *, mode: str = "rank"
-) -> bool:
-    """Availability test under hybrid placement."""
-    return any(
-        h in alive for h in hybrid_replica_nodes(ring, key, replicas, mode=mode)
-    )

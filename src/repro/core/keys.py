@@ -34,11 +34,10 @@ Layout (64 bytes total, big-endian, most-significant field first)::
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence
 
-from repro.dht.keyspace import KEY_BYTES, validate_key
+from repro.dht.keyspace import KEY_BYTES
 
 VOLUME_ID_BYTES = 20
 SLOT_BYTES = 2
@@ -102,67 +101,6 @@ def hash_slot(component: str) -> int:
     return max(FIRST_USABLE_SLOT, value)
 
 
-def _remainder_hash(components: Sequence[str]) -> int:
-    if not components:
-        return 0
-    joined = "/".join(components).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(joined).digest()[:REMAINDER_BYTES], "big")
-
-
-@dataclass(frozen=True)
-class BlockKey:
-    """Decoded view of a D2 block key.
-
-    ``slots`` always has exactly :data:`MAX_PATH_LEVELS` entries (padded
-    with 0).  ``encode()`` round-trips through the canonical 64-byte form.
-    """
-
-    volume: bytes
-    slots: Tuple[int, ...]
-    remainder: int
-    block_number: int
-    version: int
-
-    def __post_init__(self) -> None:
-        if len(self.volume) != VOLUME_ID_BYTES:
-            raise KeyEncodingError(
-                f"volume id must be {VOLUME_ID_BYTES} bytes, got {len(self.volume)}"
-            )
-        if len(self.slots) != MAX_PATH_LEVELS:
-            raise KeyEncodingError(
-                f"slots must have {MAX_PATH_LEVELS} entries, got {len(self.slots)}"
-            )
-        for slot in self.slots:
-            if not 0 <= slot < SLOT_SPACE:
-                raise KeyEncodingError(f"slot {slot} out of range")
-        if not 0 <= self.remainder < (1 << (8 * REMAINDER_BYTES)):
-            raise KeyEncodingError("remainder hash out of range")
-        if not 0 <= self.block_number <= MAX_BLOCK_NUMBER:
-            raise KeyEncodingError(f"block number {self.block_number} out of range")
-        if not 0 <= self.version <= MAX_VERSION:
-            raise KeyEncodingError(f"version {self.version} out of range")
-
-    def encode(self) -> int:
-        """Pack into the canonical 64-byte key (as a ring integer)."""
-        key = int.from_bytes(self.volume, "big") << _VOLUME_SHIFT
-        for slot, shift in zip(self.slots, _SLOT_SHIFTS):
-            key |= slot << shift
-        return key | (self.remainder << _REMAINDER_SHIFT) | (
-            self.block_number << _BLOCK_SHIFT) | self.version
-
-
-def decode_key(key: int) -> BlockKey:
-    """Decode a 64-byte ring key into its Figure-4 fields."""
-    validate_key(key)
-    return BlockKey(
-        (key >> _VOLUME_SHIFT).to_bytes(VOLUME_ID_BYTES, "big"),
-        tuple((key >> shift) & (SLOT_SPACE - 1) for shift in _SLOT_SHIFTS),
-        (key >> _REMAINDER_SHIFT) & ((1 << (8 * REMAINDER_BYTES)) - 1),
-        (key >> _BLOCK_SHIFT) & MAX_BLOCK_NUMBER,
-        key & MAX_VERSION,
-    )
-
-
 def encode_path_key(
     volume: bytes,
     slot_path: Sequence[int],
@@ -195,7 +133,8 @@ def encode_path_key(
     if overflow:
         if len(slot_path) < MAX_PATH_LEVELS:
             raise KeyEncodingError("overflow components given but slot path is not full")
-        key |= _remainder_hash(overflow) << _REMAINDER_SHIFT
+        digest = hashlib.sha256("/".join(overflow).encode("utf-8")).digest()
+        key |= int.from_bytes(digest[:REMAINDER_BYTES], "big") << _REMAINDER_SHIFT
     if not 0 <= block_number <= MAX_BLOCK_NUMBER:
         raise KeyEncodingError(f"block number {block_number} out of range")
     if not 0 <= version <= MAX_VERSION:

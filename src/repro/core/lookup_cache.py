@@ -36,9 +36,9 @@ import bisect
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.dht.keyspace import KEY_SPACE, in_interval
+from repro.dht.keyspace import KEY_SPACE
 from repro.obs.metrics import MetricsRegistry
 
 DEFAULT_TTL = 4500.0  # 1.25 hours, per Section 5
@@ -53,9 +53,6 @@ class CacheEntry:
     node: str
     expires_at: float
     version: int = -1  # ring membership generation at insert (-1: unversioned)
-
-    def covers(self, key: int) -> bool:
-        return in_interval(key, self.lo, self.hi)
 
 
 class LookupCacheStats:
@@ -101,10 +98,6 @@ class LookupCacheStats:
         if not isinstance(other, LookupCacheStats):
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in self.FIELDS)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)}" for f in self.FIELDS)
-        return f"LookupCacheStats({fields})"
 
 
 class LookupCache:
@@ -461,9 +454,6 @@ class LookupCache:
             self._his = [h for h, _ in live]
             self._entries = [e for _, e in live]
             self._reindex()
-
-    def entries(self) -> Tuple[CacheEntry, ...]:
-        return tuple(self._entries)
 
 
 class CacheBudget:

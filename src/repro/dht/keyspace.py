@@ -34,13 +34,6 @@ def key_to_bytes(key: int) -> bytes:
     return validate_key(key).to_bytes(KEY_BYTES, "big")
 
 
-def key_from_bytes(raw: bytes) -> int:
-    """Decode a 64-byte big-endian key."""
-    if len(raw) != KEY_BYTES:
-        raise ValueError(f"key must be exactly {KEY_BYTES} bytes, got {len(raw)}")
-    return int.from_bytes(raw, "big")
-
-
 def hash_to_key(data: Union[bytes, str]) -> int:
     """Map arbitrary bytes (or a name, as its UTF-8 bytes) onto the key space.
 

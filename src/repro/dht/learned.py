@@ -164,11 +164,6 @@ class LearnedIndex:
         self._since_fit = 0
         self._version = ring.version
 
-    @property
-    def trained(self) -> bool:
-        self.refresh()
-        return self._model is not None
-
     # ------------------------------------------------------------------
     # online training
 

@@ -105,10 +105,6 @@ class BalancerStats:
         self.moves.append(record)
         self._moves_counter.inc()
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)}" for f in self.FIELDS)
-        return f"BalancerStats({fields}, moves={len(self.moves)})"
-
 
 class KargerRuhlBalancer:
     """The paper's probe-and-split balancing policy over a :class:`Ring`."""

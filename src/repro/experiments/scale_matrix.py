@@ -121,7 +121,8 @@ def _scale_read_cell(
     # second); node-level series are off — 10^3+ per-node series would
     # swamp the export without changing the cluster-level story.
     deployment.enable_health_monitoring(window=1.0, node_level=False)
-    export_dir = os.environ.get("REPRO_SCALE_EXPORT_DIR", "").strip()
+    # Knob: where the cell's JSONL streams go, not what they hold.
+    export_dir = os.environ.get("REPRO_SCALE_EXPORT_DIR", "").strip()  # lint: allow=DET004
     with contextlib.ExitStack() as stack:
 
         def writer(stream: str) -> Optional[JsonlWriter]:
@@ -171,7 +172,8 @@ def recorded_note(**_grid: Any) -> str:
 def bench_path(explicit: Optional[str] = None) -> str:
     if explicit:
         return explicit
-    return os.environ.get(BENCH_ENV, "").strip() or DEFAULT_BENCH_PATH
+    # Knob: which trajectory file a run appends to.
+    return os.environ.get(BENCH_ENV, "").strip() or DEFAULT_BENCH_PATH  # lint: allow=DET004
 
 
 class TrajectoryError(ValueError):
@@ -253,7 +255,9 @@ def record_trajectory(
     Returns the path written.
     """
     target = bench_path(path)
-    label = label or os.environ.get(LABEL_ENV, "").strip() or "local"
+    # Knob: the run label is provenance metadata (who recorded this run),
+    # never an input to any comparison.
+    label = label or os.environ.get(LABEL_ENV, "").strip() or "local"  # lint: allow=DET004
     document: Dict[str, Any] = {"schema": BENCH_SCHEMA, "runs": []}
     if os.path.exists(target):
         document = load_trajectory(target)
@@ -263,9 +267,6 @@ def record_trajectory(
         raise TrajectoryError(f"{target}: " + "; ".join(problems))
     document["runs"].append(run)
     with open(target, "w", encoding="utf-8") as handle:
-        # The $REPRO_SCALE_LABEL-derived run label is provenance metadata
-        # (who recorded this run), never an input to any comparison.
-        # lint: allow=DET004
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return target

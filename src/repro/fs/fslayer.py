@@ -128,13 +128,6 @@ class DhtFileSystem:
         append(self._root_op("put"))
         return ops
 
-    def _read_path(self, path: str) -> List[BlockOp]:
-        """Gets of the root and of every directory down to *path*'s parent."""
-        ops = [self._root_op("get")]
-        for directory in self.namespace.parent_chain(path)[0]:
-            ops += self._dir_ops("get", directory, directory.version)
-        return ops
-
     # ------------------------------------------------------------------
     # volume lifecycle
 
@@ -217,20 +210,6 @@ class DhtFileSystem:
         ops.append(self._inode_op("remove", node, old_version, old_size))
         return ops + self._reversion(reversed(chain))
 
-    def read(self, path: str, offset: int = 0, length: Optional[int] = None) -> List[BlockOp]:
-        """Blocks a reader must fetch for ``[offset, offset+length)``.
-
-        Emits the metadata path (root, directories, inode) followed by the
-        covered data blocks; callers apply their buffer cache to absorb
-        repeated metadata fetches, as real clients do.  *length* is read as
-        by :meth:`read_fetches`, whose pairs are this list's inode and data
-        ops.
-        """
-        node = self.namespace.resolve_file(path)
-        ops = self._read_path(path)
-        ops.append(self._inode_op("get", node, node.version, node.size))
-        return ops + self._data_ops("get", node, _read_blocks(node, offset, length))
-
     def read_fetches(self, node: FileNode, offset: int = 0,
                      length: Optional[int] = None) -> List[Tuple[int, int]]:
         """``(key, nbytes)`` the DHT must serve to read a resolved file.
@@ -275,42 +254,6 @@ class DhtFileSystem:
         # Each directory once, at its first place in the two chains.
         chain = [*reversed(src_chain), *reversed(dst_chain)]
         return self._reversion({id(directory): directory for directory in chain}.values())
-
-    def readdir(self, path: str) -> List[BlockOp]:
-        """Blocks a reader must fetch to list *path* (metadata path + the
-        directory's own blocks) — the NFS READDIR equivalent."""
-        self.namespace.resolve_dir(path)
-        return self._read_path(path + "/.")
-
-    def stat(self, path: str) -> Dict[str, object]:
-        """File/directory attributes from the namespace (NFS GETATTR).
-
-        Served from the client's metadata without extra block fetches
-        beyond what :meth:`read`/:meth:`readdir` already pulled.
-        """
-        node = self.namespace.resolve(path)
-        if isinstance(node, FileNode):
-            return {
-                "type": "file",
-                "size": node.size,
-                "version": node.version,
-                "blocks": data_block_count(node.size),
-                "inline": node.size <= INLINE_DATA_THRESHOLD,
-            }
-        return {
-            "type": "directory",
-            "entries": len(node.children),
-            "version": node.version,
-            "blocks": len(directory_block_sizes(len(node.children))),
-        }
-
-    # ------------------------------------------------------------------
-    # introspection
-
-    def file_data_keys(self, path: str) -> List[int]:
-        """Current-version data-block keys of a file (inode excluded)."""
-        node = self.namespace.resolve_file(path)
-        return self.scheme.file_block_keys(node, range(1, data_block_count(node.size) + 1))
 
 
 def apply_ops(store, ops: Iterable[BlockOp]) -> Dict[str, int]:

@@ -141,12 +141,6 @@ class Namespace:
             raise NamespaceError(f"{path!r} is a directory, not a file")
         return node
 
-    def resolve_dir(self, path: str) -> Directory:
-        node = self.resolve(path)
-        if not isinstance(node, Directory):
-            raise NamespaceError(f"{path!r} is a file, not a directory")
-        return node
-
     def exists(self, path: str) -> bool:
         try:
             self.resolve(path)

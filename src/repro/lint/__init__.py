@@ -1,9 +1,8 @@
 """repro.lint — the determinism linter (``python -m repro.lint``).
 
-One pass runs the per-file rules DET001/DET002/DET003
-(:mod:`repro.lint.rules`) and the whole-program rule DET004 (taint)
-(:mod:`repro.lint.flow`) over one parsed tree, then audits every
-``# lint: allow=`` comment — see
+One pass runs the four per-file rules DET001–DET004
+(:mod:`repro.lint.rules`: wall clock, entropy, set order, ambient input)
+over one parsed tree, then audits every ``# lint: allow=`` comment — see
 :mod:`repro.lint.cli` and ``docs/static-analysis.md``.
 """
 

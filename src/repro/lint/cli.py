@@ -1,9 +1,8 @@
 """``python -m repro.lint`` — the one way to run the linter.
 
-Every run parses the tree once and runs all four rules over it with one
-:class:`~repro.lint.rules.LintContext`: the per-file rules DET001–DET003
-and the whole-program rule DET004.  Findings are computed
-once with suppressions off and split once into *reported* and
+Every run parses the tree once and runs all four per-file rules
+DET001–DET004 over it with one :class:`~repro.lint.rules.LintContext`.
+Findings are computed once with suppressions off and split once into *reported* and
 *suppressed* by the ``# lint: allow=RULE`` comments.  A comment that
 names an unknown rule, or covers no finding of a rule it names, is a
 *stale suppression* and fails the run like a finding does — a dead
@@ -55,7 +54,6 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Collection, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.flow import FLOW_RULE_IDS, run_flow
 from repro.lint.rules import RULES_BY_ID, Finding, build_context, run_rules
 from repro.lint.walker import LintToolError, ParsedModule, parse_tree
 
@@ -65,8 +63,8 @@ EXIT_TOOL_ERROR = 2
 
 REPORT_VERSION = 3
 
-#: Every rule id, per-file rules first.
-RULE_IDS: Tuple[str, ...] = tuple(RULES_BY_ID) + FLOW_RULE_IDS
+#: Every rule id, in report order.
+RULE_IDS: Tuple[str, ...] = tuple(RULES_BY_ID)
 
 
 @dataclass
@@ -94,9 +92,6 @@ def run_lint(modules: Sequence[ParsedModule],
     findings = run_rules(
         modules, [rule for rule_id, rule in RULES_BY_ID.items()
                   if rule_id in rule_ids], context)
-    flow_ids = [rule_id for rule_id in FLOW_RULE_IDS if rule_id in rule_ids]
-    if flow_ids:
-        findings += run_flow(modules, context, flow_ids)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
     fired = {(f.path, f.rule, f.line) for f in findings}
@@ -125,7 +120,8 @@ def run_lint(modules: Sequence[ParsedModule],
 def render_text(run: LintRun) -> str:
     lines: List[str] = []
     for finding in run.findings:
-        lines.append(f"{finding.location()}: {finding.rule} {finding.message}")
+        lines.append(f"{finding.path}:{finding.line}:{finding.col}: "
+                     f"{finding.rule} {finding.message}")
         lines.append(f"    hint: {finding.hint}")
     lines.extend(run.stale)
     total = len(run.findings)

@@ -1,6 +1,7 @@
 """The per-file determinism rules.
 
-Three rules, each a :class:`Rule` producing :class:`Finding`\\ s:
+Four rules, each a :class:`Rule` producing :class:`Finding`\\ s, each
+flagging a source of nondeterminism where it is read:
 
 * **DET001** — no wall-clock reads (``time.time``, ``datetime.now``,
   ``time.monotonic``...) anywhere results can depend on them.
@@ -9,6 +10,9 @@ Three rules, each a :class:`Rule` producing :class:`Finding`\\ s:
 * **DET003** — no iteration over ``set``/``frozenset`` values (or values of
   functions annotated to return sets) without ``sorted(...)``; set order is
   salted per process and silently breaks serial-vs-parallel equality.
+* **DET004** — no ambient input: no access to ``os.environ``/``os.getenv``
+  (each reviewed knob carries an allow comment) and no ``id()`` value used
+  as anything but a mapping key.
 
 Rules resolve call targets through each module's import table and never
 flag what they cannot resolve: a missed violation is recoverable (add a
@@ -16,7 +20,7 @@ pattern), a false positive teaches people to sprinkle suppressions.
 
 Rules report every finding; a ``# lint: allow=DET001`` comment on (or
 directly above) the line is applied once per run, by
-:func:`repro.lint.cli.run_lint`, for the per-file and flow rules alike.
+:func:`repro.lint.cli.run_lint`.
 """
 
 from __future__ import annotations
@@ -42,9 +46,6 @@ class Finding:
     message: str
     hint: str
 
-    def location(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}"
-
 
 @dataclass
 class LintContext:
@@ -54,18 +55,8 @@ class LintContext:
     cross file boundaries without importing any project code.
     """
 
-    #: dotted module name -> {constant name -> string value}
-    module_constants: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: Names of functions annotated to return Set/FrozenSet/AbstractSet.
     set_returning: Set[str] = field(default_factory=set)
-    #: module path -> its :class:`SetTyping`, built on first use
-    _set_typing: Dict[str, "SetTyping"] = field(default_factory=dict)
-
-    def set_typing(self, module: ParsedModule) -> "SetTyping":
-        """The one set detector for *module*, shared by DET003 and DET004."""
-        if module.path not in self._set_typing:
-            self._set_typing[module.path] = SetTyping(module, self)
-        return self._set_typing[module.path]
 
 
 def _is_set_annotation(annotation: Optional[ast.expr]) -> bool:
@@ -83,18 +74,6 @@ def _is_set_annotation(annotation: Optional[ast.expr]) -> bool:
 def build_context(modules: Sequence[ParsedModule]) -> LintContext:
     context = LintContext()
     for module in modules:
-        constants: Dict[str, str] = {}
-        for node in module.tree.body:
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            value = node.value
-            if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                constants[target.id] = value.value
-        if constants:
-            context.module_constants[module.module] = constants
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if _is_set_annotation(node.returns):
@@ -294,14 +273,10 @@ class _ScopeSets(ast.NodeVisitor):
         self.generic_visit(node)
 
     # Nested functions get their own scope pass; don't mix their locals in.
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+    def _nested_scope(self, node: ast.AST) -> None:
         pass
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        pass
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        pass
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda = _nested_scope
 
 
 #: The nodes that bind a target per element of an iterable.
@@ -311,8 +286,7 @@ Iteration = Union[ast.For, ast.AsyncFor, ast.comprehension]
 class SetTyping:
     """Which expressions of one module are statically set-typed.
 
-    The one set detector: DET003 flags iteration over what it finds and
-    DET004 taints the loop variables of that iteration.  Set sources are
+    DET003 flags iteration over what it finds.  Set sources are
     set literals, ``set()``/``frozenset()`` calls, locals and
     ``self.<attr>`` names assigned from them (or annotated as sets), and
     calls to functions annotated ``-> Set[...]`` anywhere in the scan.
@@ -407,7 +381,7 @@ class UnorderedIterationRule(Rule):
     }
 
     def check(self, module: ParsedModule, context: LintContext) -> List[Finding]:
-        sets = context.set_typing(module)
+        sets = SetTyping(module, context)
         findings: List[Finding] = []
 
         def flag(site: ast.AST, how: str, what: Optional[str]) -> None:
@@ -435,11 +409,61 @@ class UnorderedIterationRule(Rule):
         return findings
 
 
+# ---------------------------------------------------------------------------
+# DET004 — ambient input
+
+
+class AmbientInputRule(Rule):
+    id = "DET004"
+    hint = ("take the value from the parameter bundle; a reviewed knob read "
+            "at the program's edge carries `# lint: allow=DET004`")
+
+    #: The environment, as a mapping and as functions.
+    ENVIRONMENT = frozenset({"os.environ", "os.environb", "os.getenv", "os.getenvb"})
+
+    #: Methods whose first argument is a mapping key.
+    _KEYED_METHODS = frozenset({"get", "pop", "setdefault"})
+
+    def check(self, module: ParsedModule, context: LintContext) -> List[Finding]:
+        findings: List[Finding] = []
+        parents: Dict[ast.AST, ast.AST] = {}
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.Attribute, ast.Name)):
+                origin = resolve_call_target(node, module.imports)
+                if origin in self.ENVIRONMENT:
+                    findings.append(self.finding(
+                        module, node, f"environment read {origin} is ambient "
+                        "input the parameter bundle does not hold"))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "id"):
+                parents = parents or _parent_map(module.tree)
+                if not self._mapping_key(node, parents.get(node)):
+                    findings.append(self.finding(
+                        module, node, "id() used as a value: an object's "
+                        "address differs from run to run"))
+        return findings
+
+    @classmethod
+    def _mapping_key(cls, node: ast.Call, parent: Optional[ast.AST]) -> bool:
+        """Whether *node* is only ever a key: an identity-dict lookup."""
+        if isinstance(parent, ast.Subscript):
+            return parent.slice is node
+        if isinstance(parent, ast.DictComp):
+            return parent.key is node
+        if isinstance(parent, ast.Dict):
+            return any(key is node for key in parent.keys)
+        return (isinstance(parent, ast.Call) and bool(parent.args)
+                and parent.args[0] is node
+                and isinstance(parent.func, ast.Attribute)
+                and parent.func.attr in cls._KEYED_METHODS)
+
+
 #: The rule set, in report order.
 ALL_RULES: Tuple[Rule, ...] = (
     WallClockRule(),
     UnseededRandomRule(),
     UnorderedIterationRule(),
+    AmbientInputRule(),
 )
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in ALL_RULES}

@@ -1,9 +1,8 @@
 """File discovery and parsing for the invariant linter.
 
 The walker turns a set of root paths into :class:`ParsedModule` objects:
-the AST, the module's dotted name (derived from the nearest ``src``
-layout or package root), its import table, and the
-``# lint: allow=RULE[,RULE]`` comments it carries.
+the AST, its import table, and the ``# lint: allow=RULE[,RULE]`` comments
+it carries.
 
 Everything downstream is pure: rules consume parsed modules and produce
 findings; no rule re-reads the filesystem.  A file that cannot be read or
@@ -53,7 +52,6 @@ class ParsedModule:
     """One parsed Python source file, ready for rule passes."""
 
     path: str                 # path as given/joined (used in reports)
-    module: str               # dotted module name, e.g. "repro.dht.ring"
     tree: ast.Module
     #: local name -> dotted origin, see :func:`imported_names`
     imports: Dict[str, str]
@@ -88,32 +86,6 @@ def _parse_allow_comments(source: str) -> List[AllowComment]:
     return comments
 
 
-def module_name_for(path: str) -> str:
-    """Dotted module name of *path*, anchored at a ``src`` dir or package root."""
-    parts = os.path.normpath(os.path.abspath(path)).split(os.sep)
-    if parts and parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][: -len(".py")]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    # Prefer the segment after the last "src"; else walk up while __init__.py
-    # exists, so tests/benchmarks paths still get stable short names.
-    if "src" in parts:
-        anchor = len(parts) - 1 - parts[::-1].index("src")
-        return ".".join(parts[anchor + 1:])
-    directory = os.path.dirname(os.path.abspath(path))
-    package: List[str] = []
-    while os.path.isfile(os.path.join(directory, "__init__.py")):
-        package.append(os.path.basename(directory))
-        directory = os.path.dirname(directory)
-    package.reverse()
-    stem = os.path.basename(path)
-    if stem.endswith(".py"):
-        stem = stem[: -len(".py")]
-    if stem != "__init__":
-        package.append(stem)
-    return ".".join(package) if package else stem
-
-
 def parse_module(path: str) -> ParsedModule:
     """Read and parse one file; :class:`LintToolError` on any failure."""
     try:
@@ -127,7 +99,6 @@ def parse_module(path: str) -> ParsedModule:
         raise LintToolError(f"cannot parse {path}: {exc}") from exc
     return ParsedModule(
         path=path,
-        module=module_name_for(path),
         tree=tree,
         imports=imported_names(tree),
         allow_comments=_parse_allow_comments(source),

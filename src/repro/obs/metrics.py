@@ -52,9 +52,6 @@ class Counter:
         """Adjust by a signed amount."""
         self._value += amount
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name!r}, {self._value})"
-
 
 class Gauge:
     """A point-in-time value, overwritten on every :meth:`set`."""
@@ -71,9 +68,6 @@ class Gauge:
 
     def set(self, value: Union[int, float]) -> None:
         self._value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name!r}, {self._value})"
 
 
 class Histogram:
@@ -198,9 +192,6 @@ class Histogram:
         if include_reservoir:
             payload["reservoir"] = list(self._reservoir)
         return payload
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram({self.name!r}, count={self.count})"
 
 
 Metric = Union[Counter, Gauge, Histogram]

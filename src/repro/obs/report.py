@@ -189,6 +189,8 @@ def write_report(report: Mapping[str, object], path: str) -> str:
 
 def metrics_out_dir(explicit: Optional[str] = None) -> Optional[str]:
     """Directory for metric snapshots: explicit arg, else $REPRO_METRICS_DIR."""
+    # Knob: where snapshots are written, not what they hold.
+    # lint: allow=DET004
     return explicit if explicit is not None else os.environ.get(METRICS_DIR_ENV)
 
 

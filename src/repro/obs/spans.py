@@ -72,13 +72,10 @@ class Span:
         self.attrs.update(attrs)
         return self
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"{self.start}..{self.end}" if self.end is not None else f"{self.start}.."
-        return f"Span({self.name!r}, {state})"
-
 
 class _NullSpan:
-    """Falsy stand-in for unsampled/disabled spans; absorbs all calls."""
+    """Falsy stand-in for unsampled/disabled spans: every call site tests a
+    span with ``if span:`` before it annotates or parents one."""
 
     __slots__ = ()
 
@@ -88,14 +85,8 @@ class _NullSpan:
     start = 0.0
     end: Optional[float] = None
 
-    def annotate(self, **attrs: object) -> "_NullSpan":
-        return self
-
     def __bool__(self) -> bool:
         return False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "NULL_SPAN"
 
 
 def _span_dicts(spans: Iterable[Span]) -> List[Dict[str, object]]:
@@ -113,13 +104,6 @@ def _span_dicts(spans: Iterable[Span]) -> List[Dict[str, object]]:
         }
         for span in spans
     ]
-
-
-def _finish_error(span: Span, end: float) -> SpanError:
-    """Why *span* cannot end at *end*: it already ended, or *end* is early."""
-    if span.end is not None:
-        return SpanError(f"span {span.name!r} already finished")
-    return SpanError(f"span {span.name!r} cannot end at {end} before start {span.start}")
 
 
 #: The singleton null span.  ``bool(NULL_SPAN)`` is False, so call sites
@@ -152,7 +136,8 @@ def sample_rate_from_env(default: float = DEFAULT_SAMPLE) -> float:
 
     A value that is no number, or NaN, raises :class:`SampleRateError`.
     """
-    raw = os.environ.get(SAMPLE_ENV, "").strip()
+    # Knob: which traces keep span objects, never what a cell computes.
+    raw = os.environ.get(SAMPLE_ENV, "").strip()  # lint: allow=DET004
     if not raw:
         return default
     return _sample_rate(raw, f"${SAMPLE_ENV}")
@@ -277,8 +262,10 @@ class Tracer:
         """Close *span* at sim-time *end*."""
         if span is NULL_SPAN or not span:
             return span
-        if span.end is not None or end < span.start:
-            raise _finish_error(span, end)
+        if span.end is not None:
+            raise SpanError(f"span {span.name!r} already finished")
+        if end < span.start:
+            raise SpanError(f"span {span.name!r} cannot end at {end} before start {span.start}")
         span.end = float(end)
         self.finished += 1
         if span.parent_no is None:
@@ -287,10 +274,6 @@ class Tracer:
 
     # ------------------------------------------------------------------
     # introspection / export
-
-    def counts(self) -> Dict[str, int]:
-        """Exact per-name span totals for the whole run (JSON-ready)."""
-        return dict(sorted(self._counts.items()))
 
     def to_dicts(self) -> List[Dict[str, object]]:
         """Buffered spans as JSON-safe dicts (open spans have ``end: null``)."""

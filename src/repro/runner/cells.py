@@ -81,10 +81,7 @@ def measure_harvard(measure: str, **params: Any) -> Any:
     """Run a ``harvard`` bundle: *measure* names the experiment's cell
     function (each builds through :mod:`repro.analysis.harness`), the
     rest of the bundle is its keywords.  Each imports only its own
-    experiment module, so a worker loads what its cell needs; the calls
-    are spelled out, not looked up in a table, so that every cell
-    function stays on the call graph the DET004 lint rule follows from
-    the cell kinds' result rows."""
+    experiment module, so a worker loads what its cell needs."""
     if measure == "performance":
         from repro.experiments.performance import performance_cell
         return performance_cell(**params)

@@ -47,7 +47,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     """
     source = "jobs"
     if jobs is None:
-        raw = os.environ.get(JOBS_ENV, "").strip()
+        # Knob: how many workers, never what a cell computes (serial ≡ --jobs N).
+        raw = os.environ.get(JOBS_ENV, "").strip()  # lint: allow=DET004
         if not raw:
             return 1
         source = f"${JOBS_ENV}"

@@ -9,9 +9,8 @@ instead of k*r nodes achieves a similar availability improvement."
 This module provides the (m, k) erasure model — a block is split into
 ``k`` data fragments encoded into ``m`` total fragments placed on the
 ``m`` successors of its key; any ``k`` fragments reconstruct the block —
-plus the availability and cost arithmetic, so the extension experiment can
-verify the paper's claim that D2's advantage is redundancy-scheme
-agnostic.
+and its availability arithmetic, so the extension experiment can verify
+the paper's claim that D2's advantage is redundancy-scheme agnostic.
 
 No actual coding math is needed at simulation granularity: what matters is
 *which nodes hold fragments* and *how many must be reachable*.
@@ -21,9 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Set
-
-from repro.dht.ring import Ring
 
 
 @dataclass(frozen=True)
@@ -47,32 +43,9 @@ class ErasureConfig:
         """Stored bytes per byte of data (replication r=3 -> 3.0)."""
         return self.total / self.needed
 
-    def fragment_size(self, block_size: int) -> int:
-        """Bytes per fragment for a block of *block_size* bytes."""
-        return -(-block_size // self.needed)
-
     @classmethod
     def replication(cls, copies: int) -> "ErasureConfig":
         return cls(total=copies, needed=1)
-
-
-def fragment_holders(ring: Ring, key: int, config: ErasureConfig) -> List[str]:
-    """Nodes holding a block's fragments: its ``m`` distinct successors.
-
-    Like replicas, fragments live on consecutive successors so that D2's
-    locality argument carries over unchanged: a task's blocks still map to
-    a handful of *fragment groups*.
-    """
-    return ring.successors(key, config.total)
-
-
-def key_available_erasure(
-    ring: Ring, key: int, config: ErasureConfig, alive: Set[str]
-) -> bool:
-    """A block is readable while >= k of its m fragment holders are up."""
-    holders = fragment_holders(ring, key, config)
-    up = sum(1 for h in holders if h in alive)
-    return up >= config.needed
 
 
 def group_availability_probability(
@@ -91,30 +64,3 @@ def group_availability_probability(
     return sum(
         math.comb(m, i) * p**i * (1.0 - p) ** (m - i) for i in range(k, m + 1)
     )
-
-
-def task_availability_probability(
-    config: ErasureConfig, node_availability: float, groups: int
-) -> float:
-    """Analytic P(task succeeds) needing *groups* independent groups.
-
-    This is the paper's Section 8.2 back-of-envelope (p^10..p^23 vs p^2..
-    p^4) generalized to erasure codes: D2's improvement comes from needing
-    fewer groups, whatever redundancy each group uses internally.
-    """
-    return group_availability_probability(config, node_availability) ** groups
-
-
-def equivalent_configs(storage_budget: float, max_total: int = 12) -> List[ErasureConfig]:
-    """All (m, k) codes whose storage overhead is within the budget.
-
-    Useful for exploring the replication-vs-coding trade at fixed cost:
-    e.g. budget 3.0 admits 3x replication, (6, 2), (9, 3), ...
-    """
-    configs = []
-    for total in range(1, max_total + 1):
-        for needed in range(1, total + 1):
-            config = ErasureConfig(total, needed)
-            if config.storage_overhead <= storage_budget + 1e-9:
-                configs.append(config)
-    return configs

@@ -268,13 +268,6 @@ class StorageCoordinator:
         """Replica group for *key*: its ``r`` distinct successors."""
         return self.ring.successors(key, self.replica_count)
 
-    def physical_holder(self, key: int) -> str:
-        """Node physically holding the primary copy (may lag the owner)."""
-        try:
-            return self.physical_at[key]
-        except KeyError:
-            raise KeyError(f"block {key:#x} has no physical placement") from None
-
     # ------------------------------------------------------------------
     # BalanceCoordinator protocol
 

@@ -10,9 +10,6 @@ every guard once:
 * tier-1 (less the linter's and the catalogue's own test files), split
   into one column per golden test, ``tests/test_model_based.py`` and the
   rest;
-* the determinism sanitizer: tier-1 again under ``REPRO_DETSAN=1``,
-  counting only failures the plain run lacks — only while the tree still
-  has ``repro/lint/detsan.py``;
 * every CI smoke step of ``.github/workflows/ci.yml``, job by job with the
   job's env (a matrix job runs its first combination, a step after a
   failed one is skipped as CI skips it), less the steps scored above:
@@ -70,9 +67,7 @@ SUITES = (*GOLDENS, "model-based", REST)
 #: Test files tier-1 runs that are not scored as tier-1: the linter's own
 #: tests (the lint columns score the rules) and the catalogue check, which
 #: fails on a patched tree by construction.
-NOT_SCORED = ("tests/test_lint.py", "tests/test_lint_flow.py",
-              "tests/test_mutant_catalogue.py")
-DETSAN = "detsan"
+NOT_SCORED = ("tests/test_lint.py", "tests/test_mutant_catalogue.py")
 TIER1_TIMEOUT, STEP_TIMEOUT = 1800, 900
 WORKERS = max(1, min(4, os.cpu_count() or 1))
 
@@ -212,19 +207,12 @@ def lint_guard(tree: Path, outcome: Outcome) -> None:
 
 
 def tier1_guards(tree: Path, scratch: Path, outcome: Outcome) -> None:
-    # One Hypothesis seed for every run, so that the plain and the
-    # sanitized run (and two runs of the matrix) draw the same examples.
+    # One Hypothesis seed for every run, so that two runs of the matrix
+    # draw the same examples.
     args = ["--hypothesis-seed=0", *(f"--ignore={path}" for path in NOT_SCORED)]
     failed, seconds, _ = pytest(tree, scratch / "tier1.xml", args, base_env())
     outcome.seconds.update(seconds)
     outcome.caught.update(split_tier1(failed))
-    if (tree / "src/repro/lint/detsan.py").exists():
-        env = dict(base_env(), REPRO_DETSAN="1")
-        sanitized, _, outcome.seconds[DETSAN] = pytest(tree, scratch / "detsan.xml",
-                                                       args, env)
-        outcome.caught[DETSAN] = sorted(
-            test for test, text in sanitized.items()
-            if test not in failed and "DeterminismViolation" in text)
 
 
 def ci_steps(tree: Path) -> List[Step]:
@@ -274,11 +262,6 @@ def ci_guards(tree: Path, scratch: Path, outcome: Outcome) -> None:
         bash = ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", step.run]
         code, out, seconds = run(bash, tree, env, STEP_TIMEOUT)
         outcome.seconds[step.column] = seconds
-        if code != 0 and "DeterminismViolation" in out and env.get("REPRO_DETSAN", "0") != "0":
-            # The sanitizer fired first; credit it, and ask the step alone.
-            outcome.caught.setdefault(DETSAN, []).append(step.column)
-            del env["REPRO_DETSAN"]
-            code, out, _ = run(bash, tree, env, STEP_TIMEOUT)
         if code == 0:
             outcome.caught[step.column] = []
         else:
@@ -393,17 +376,10 @@ def rule_ownership(tree: Path) -> Dict[str, Tuple[int, str]]:
                         and getattr(stmt.targets[0], "id", "") == "id"):
                     owned[stmt.value.value] = (node.end_lineno - node.lineno + 1,
                                                f"rules.{node.name}")
-    for module in sorted((tree / "src/repro/lint/flow").glob("*.py")):
-        source = module.read_text()
-        ids = re.findall(r'^\w*RULE_ID = "(\w+)"', source, re.M)
-        for rule in ids:
-            shared = " (shared)" if len(ids) > 1 else ""
-            owned[rule] = (len(source.splitlines()), f"flow/{module.name}{shared}")
     return owned
 
 
-def costs(tree: Path, columns: Sequence[str], base: Outcome,
-          lint_tests: Dict[str, float]) -> Dict[str, Cost]:
+def costs(tree: Path, base: Outcome, lint_tests: Dict[str, float]) -> Dict[str, Cost]:
     seconds = base.seconds
     table: Dict[str, Cost] = {}
     owned = rule_ownership(tree)
@@ -413,14 +389,6 @@ def costs(tree: Path, columns: Sequence[str], base: Outcome,
         table[rule] = Cost(lines + sum(test_lines(tree, t) for t in tests),
                            sum(lint_tests[t] for t in tests), 0.0,
                            f"{where} + {len(tests)} tests")
-    if DETSAN in columns:
-        tests = [t for t in lint_tests if t.startswith("tests/test_detsan.py")]
-        lines = (file_lines(tree, "src/repro/lint/detsan.py")
-                 + file_lines(tree, "tests/test_detsan.py")
-                 + definition_lines(tree / "tests/conftest.py", "_detsan"))
-        table[DETSAN] = Cost(lines, sum(lint_tests[t] for t in tests),
-                             seconds.get(DETSAN, 0.0),
-                             "detsan.py + test_detsan.py + conftest fixture")
     for name, prefix in GOLDENS.items():
         table[name] = Cost(test_lines(tree, prefix) + file_lines(tree, name),
                            sum(s for t, s in seconds.items() if belongs(t, prefix)), 0.0,
@@ -495,7 +463,7 @@ def report(mutants: Sequence[Mutant], outcomes: Sequence[Outcome], base: Outcome
     tree = ROOT
     columns = list(base.caught)
     broken = [c for c in columns if base.caught[c]]
-    table = costs(tree, columns, base, lint_tests)
+    table = costs(tree, base, lint_tests)
     out: List[str] = []
     out.append(f"{len(mutants)} mutants x {len(columns)} guards; "
                f"x = caught, . = missed, - = skipped (an earlier step of its CI job failed).")
@@ -572,8 +540,7 @@ def lint_test_seconds() -> Dict[str, float]:
     """Seconds per test of the files tier-1 runs but the columns do not."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as temp:
         tree = copy_tree(Path(temp))
-        files = [p for p in (*NOT_SCORED, "tests/test_detsan.py") if (tree / p).exists()]
-        _, seconds, _ = pytest(tree, Path(temp) / "lint.xml", files, base_env())
+        _, seconds, _ = pytest(tree, Path(temp) / "lint.xml", NOT_SCORED, base_env())
     return seconds
 
 

@@ -5,7 +5,7 @@ source file.  Each ``old`` must occur exactly once in its file, so a
 refactor that moves the code a mutant names makes it fail loudly
 (``tests/test_mutant_catalogue.py``) instead of silently scoring nothing.
 
-Eight groups, in catalogue order:
+Nine groups, in catalogue order:
 
 * the mutants written by hand while building the ordered indexes, the
   one-commit flush, the folded read replay and the plan reuse, each
@@ -24,7 +24,9 @@ Eight groups, in catalogue order:
 * two for the event counts, which the event tracer reads: a root span's
   finish left out of the span tracer's ``span.finish`` count, and a row
   of the kind table that reads another kind's counter;
-* one for the paper's claims: a projection that swaps D2 and traditional.
+* one for the paper's claims: a projection that swaps D2 and traditional;
+* three for ambient input on a result path: an env var read into a row
+  and into a health sample, and an object's address added to a sample.
 """
 
 from __future__ import annotations
@@ -279,4 +281,22 @@ MUTANTS: Tuple[Mutant, ...] = (
            '            "system": {"d2": "traditional", "traditional": "d2"}.get(system, system),\n'
            '            "mean_nsd": result.mean_nsd(),',
            "paper claim", "ci runner-smoke claims step"),
+    # -- ambient input on a result path: an env knob, an object's address --
+    mutant("env-overrides-row-value", "src/repro/experiments/extensions.py",
+           ("\nimport random\n",
+            '"bulk_read_blocks": len(big_keys),'),
+           ("\nimport os\nimport random\n",
+            '"bulk_read_blocks": int(os.environ.get("REPRO_BULK_BLOCKS", len(big_keys))),'),
+           "nondeterminism: environment", "DET004"),
+    mutant("env-into-health-sample", "src/repro/obs/health.py",
+           ("from dataclasses import dataclass\n",
+            'self.bank.sample("pointer.stall", now, stall, agg="max")'),
+           ("import os\nfrom dataclasses import dataclass\n",
+            'self.bank.sample("pointer.stall", now,'
+            ' float(os.environ.get("REPRO_STALL", stall)), agg="max")'),
+           "nondeterminism: environment", "DET004"),
+    mutant("id-into-health-sample", "src/repro/obs/health.py",
+           'self.bank.sample("pointer.stall", now, stall, agg="max")',
+           'self.bank.sample("pointer.stall", now, stall + ((id(self) >> 4) & 1), agg="max")',
+           "nondeterminism: id()", "DET004"),
 )

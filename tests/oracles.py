@@ -2,7 +2,9 @@
 the one-commit flush, the per-distinct read fold, the block-cloned read
 stream, the once-accumulated Zipf weights, the record-at-a-time warm-up,
 the one-pass repair burst and the one-frame spans, cache hit and
-accelerated lookup replaced.
+accelerated lookup replaced; and the readers no run calls, which the tests
+check the code in ``src/`` through (the Figure-4 key decoder, the fs read
+path, the cache's entries and the like, at the end of this file).
 
 Kept in the test tree so that ``src/`` has one routing path, one
 ``_index()``, one ``_find()``, one write/remove body, one read-stream
@@ -14,18 +16,36 @@ shape gates of ``benchmarks/bench_micro_core.py`` time against them.
 import hashlib
 import os
 from collections import defaultdict
+from dataclasses import dataclass
 from functools import partial
 from random import Random
 
 from repro.core import accel, lookup_cache
 from repro.core.accel import AccelLookup, LookupAccelerator
+from repro.core.hybrid import hybrid_replica_nodes
+from repro.core.keys import (
+    _BLOCK_SHIFT,
+    _REMAINDER_SHIFT,
+    _SLOT_SHIFTS,
+    _VOLUME_SHIFT,
+    MAX_BLOCK_NUMBER,
+    MAX_PATH_LEVELS,
+    MAX_VERSION,
+    REMAINDER_BYTES,
+    SLOT_SPACE,
+    VOLUME_ID_BYTES,
+    KeyEncodingError,
+)
 from repro.core.lookup_cache import AdaptiveSizer, LookupCache
-from repro.dht.keyspace import KEY_BITS, distance, in_interval
+from repro.dht.keyspace import KEY_BITS, KEY_BYTES, distance, in_interval, validate_key
 from repro.dht.routing import LookupResult, finger_table_for, route
+from repro.fs.blocks import INLINE_DATA_THRESHOLD, data_block_count, directory_block_sizes
+from repro.fs.fslayer import _read_blocks
 from repro.fs.namespace import Directory, FileNode, NamespaceError
-from repro.obs.spans import DEFAULT_SAMPLE, NULL_SPAN, SAMPLE_ENV, Span, Tracer, _finish_error
+from repro.obs.spans import DEFAULT_SAMPLE, NULL_SPAN, SAMPLE_ENV, Span, SpanError, Tracer
 from repro.obs.stream import NullJsonlWriter, stream_spans
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
+from repro.store.erasure import ErasureConfig, group_availability_probability
 from repro.store.migration import GraceEntry, StorageCoordinator
 from repro.store.repair import RepairJob, RepairScheduler
 from repro.workloads.scale import replica_path
@@ -84,7 +104,7 @@ class ScanLookupCache(LookupCache):
     def _find(self, key):
         best = None
         for entry in self._entries:
-            if entry.covers(key) and (best is None or entry.expires_at > best.expires_at):
+            if in_interval(key, entry.lo, entry.hi) and (best is None or entry.expires_at > best.expires_at):
                 best = entry
         return best
 
@@ -665,8 +685,10 @@ class EmittingTracer(Tracer):
     def finish(self, span, end):
         if not span:
             return span
-        if span.end is not None or end < span.start:
-            raise _finish_error(span, end)
+        if span.end is not None:
+            raise SpanError(f"span {span.name!r} already finished")
+        if end < span.start:
+            raise SpanError(f"span {span.name!r} cannot end at {end} before start {span.start}")
         span.end = float(end)
         self.finished += 1
         if span.parent_no is None:
@@ -769,3 +791,204 @@ class ChainAccelerator(LookupAccelerator):
             span.annotate(tier=tier, messages=messages, stale=stale)
             spans.finish(span, now)
         return AccelLookup(key=key, owner=owner, tier=tier, messages=messages, stale=stale)
+
+
+# ---------------------------------------------------------------------------
+# Readers no run calls: the tests check the code in src/ through them.
+
+
+@dataclass(frozen=True)
+class BlockKey:
+    """Decoded view of a D2 block key (Figure 4).
+
+    ``slots`` always has exactly :data:`MAX_PATH_LEVELS` entries (padded
+    with 0).  ``encode()`` round-trips through the canonical 64-byte form.
+    """
+
+    volume: bytes
+    slots: tuple
+    remainder: int
+    block_number: int
+    version: int
+
+    def __post_init__(self):
+        if len(self.volume) != VOLUME_ID_BYTES:
+            raise KeyEncodingError(
+                f"volume id must be {VOLUME_ID_BYTES} bytes, got {len(self.volume)}"
+            )
+        if len(self.slots) != MAX_PATH_LEVELS:
+            raise KeyEncodingError(
+                f"slots must have {MAX_PATH_LEVELS} entries, got {len(self.slots)}"
+            )
+        for slot in self.slots:
+            if not 0 <= slot < SLOT_SPACE:
+                raise KeyEncodingError(f"slot {slot} out of range")
+        if not 0 <= self.remainder < (1 << (8 * REMAINDER_BYTES)):
+            raise KeyEncodingError("remainder hash out of range")
+        if not 0 <= self.block_number <= MAX_BLOCK_NUMBER:
+            raise KeyEncodingError(f"block number {self.block_number} out of range")
+        if not 0 <= self.version <= MAX_VERSION:
+            raise KeyEncodingError(f"version {self.version} out of range")
+
+    def encode(self):
+        """Pack into the canonical 64-byte key (as a ring integer)."""
+        key = int.from_bytes(self.volume, "big") << _VOLUME_SHIFT
+        for slot, shift in zip(self.slots, _SLOT_SHIFTS):
+            key |= slot << shift
+        return key | (self.remainder << _REMAINDER_SHIFT) | (
+            self.block_number << _BLOCK_SHIFT) | self.version
+
+
+def decode_key(key):
+    """Decode a 64-byte ring key into its Figure-4 fields."""
+    validate_key(key)
+    return BlockKey(
+        (key >> _VOLUME_SHIFT).to_bytes(VOLUME_ID_BYTES, "big"),
+        tuple((key >> shift) & (SLOT_SPACE - 1) for shift in _SLOT_SHIFTS),
+        (key >> _REMAINDER_SHIFT) & ((1 << (8 * REMAINDER_BYTES)) - 1),
+        (key >> _BLOCK_SHIFT) & MAX_BLOCK_NUMBER,
+        key & MAX_VERSION,
+    )
+
+
+def key_from_bytes(raw):
+    """Decode a 64-byte big-endian key (the inverse of ``key_to_bytes``)."""
+    if len(raw) != KEY_BYTES:
+        raise ValueError(f"key must be exactly {KEY_BYTES} bytes, got {len(raw)}")
+    return int.from_bytes(raw, "big")
+
+
+def key_available_hybrid(ring, key, replicas, alive, *, mode="rank"):
+    """Whether a key is readable under hybrid placement."""
+    return any(h in alive for h in hybrid_replica_nodes(ring, key, replicas, mode=mode))
+
+
+def cache_entries(cache):
+    """A lookup cache's entries, in its order."""
+    return tuple(cache._entries)
+
+
+def trained(index):
+    """Whether a learned index has a model (refreshed against its ring first)."""
+    index.refresh()
+    return index._model is not None
+
+
+def span_counts(tracer):
+    """A span tracer's exact per-name span totals, sorted by name."""
+    return dict(sorted(tracer._counts.items()))
+
+
+def fragment_size(config, block_size):
+    """Bytes per fragment of a block of *block_size* bytes under *config*."""
+    return -(-block_size // config.needed)
+
+
+def physical_holder(store, key):
+    """The node physically holding a block's primary copy (may lag the owner)."""
+    try:
+        return store.physical_at[key]
+    except KeyError:
+        raise KeyError(f"block {key:#x} has no physical placement") from None
+
+
+def resolve_dir(namespace, path):
+    node = namespace.resolve(path)
+    if not isinstance(node, Directory):
+        raise NamespaceError(f"{path!r} is a file, not a directory")
+    return node
+
+
+def _read_path(fs, path):
+    """Gets of the root and of every directory down to *path*'s parent."""
+    ops = [fs._root_op("get")]
+    for directory in fs.namespace.parent_chain(path)[0]:
+        ops += fs._dir_ops("get", directory, directory.version)
+    return ops
+
+
+def fs_read(fs, path, offset=0, length=None):
+    """Blocks a reader fetches for ``[offset, offset+length)``: the metadata
+    path (root, directories, inode), then the covered data blocks, whose
+    inode and data ops are ``fs.read_fetches``' pairs."""
+    node = fs.namespace.resolve_file(path)
+    ops = _read_path(fs, path)
+    ops.append(fs._inode_op("get", node, node.version, node.size))
+    return ops + fs._data_ops("get", node, _read_blocks(node, offset, length))
+
+
+def fs_readdir(fs, path):
+    """Blocks a reader fetches to list a directory (NFS READDIR)."""
+    resolve_dir(fs.namespace, path)
+    return _read_path(fs, path + "/.")
+
+
+def fs_stat(fs, path):
+    """File or directory attributes from the namespace (NFS GETATTR)."""
+    node = fs.namespace.resolve(path)
+    if isinstance(node, FileNode):
+        return {
+            "type": "file",
+            "size": node.size,
+            "version": node.version,
+            "blocks": data_block_count(node.size),
+            "inline": node.size <= INLINE_DATA_THRESHOLD,
+        }
+    return {
+        "type": "directory",
+        "entries": len(node.children),
+        "version": node.version,
+        "blocks": len(directory_block_sizes(len(node.children))),
+    }
+
+
+def file_data_keys(fs, path):
+    """Current-version data-block keys of a file (inode excluded)."""
+    node = fs.namespace.resolve_file(path)
+    return fs.scheme.file_block_keys(node, range(1, data_block_count(node.size) + 1))
+
+
+# The erasure helpers no run calls: the footing of the analytic erasure
+# oracle (ROADMAP item 9).
+
+
+def fragment_holders(ring, key, config):
+    """Nodes holding a block's fragments: its ``m`` distinct successors.
+
+    Like replicas, fragments live on consecutive successors so that D2's
+    locality argument carries over unchanged: a task's blocks still map to
+    a handful of *fragment groups*.
+    """
+    return ring.successors(key, config.total)
+
+
+def key_available_erasure(ring, key, config, alive):
+    """A block is readable while >= k of its m fragment holders are up."""
+    holders = fragment_holders(ring, key, config)
+    up = sum(1 for h in holders if h in alive)
+    return up >= config.needed
+
+
+def task_availability_probability(config, node_availability, groups):
+    """Analytic P(task succeeds) needing *groups* independent groups.
+
+    This is the paper's Section 8.2 back-of-envelope (p^10..p^23 vs p^2..
+    p^4) generalized to erasure codes: D2's improvement comes from needing
+    fewer groups, whatever redundancy each group uses internally.
+    """
+    return group_availability_probability(config, node_availability) ** groups
+
+
+def equivalent_configs(storage_budget, max_total=12):
+    """All (m, k) codes whose storage overhead is within the budget.
+
+    Useful for exploring the replication-vs-coding trade at fixed cost:
+    e.g. budget 3.0 admits 3x replication, (6, 2), (9, 3), ...
+    """
+    configs = []
+    for total in range(1, max_total + 1):
+        for needed in range(1, total + 1):
+            config = ErasureConfig(total, needed)
+            if config.storage_overhead <= storage_budget + 1e-9:
+                configs.append(config)
+    return configs

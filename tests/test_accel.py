@@ -12,6 +12,7 @@ from repro.dht.keyspace import KEY_SPACE
 from repro.dht.ring import Ring
 from repro.dht.routing import route
 from repro.obs.metrics import MetricsRegistry
+from tests.oracles import cache_entries, span_counts
 
 
 def build_ring(n, seed=0):
@@ -219,7 +220,7 @@ class TestMatchesTheChainItReplaced:
                                     static_capacity=4)
         accel, deployment = seen["accel"], seen["deployment"]
         caches = {
-            client: (cache.entries(), [getattr(cache.stats, f) for f in cache.stats.FIELDS],
+            client: (cache_entries(cache), [getattr(cache.stats, f) for f in cache.stats.FIELDS],
                      cache.capacity, cache.ttl,
                      None if cache._sizer is None else
                      (cache._sizer.adaptations, cache._sizer._window_counts))
@@ -231,7 +232,7 @@ class TestMatchesTheChainItReplaced:
             "events": (deployment.tracer.counts(), deployment.tracer.emitted),
             "metrics": result.metrics, "spans": result.trace,
             "span_totals": (deployment.spans.started, deployment.spans.finished,
-                            deployment.spans.sampled_out, deployment.spans.counts()),
+                            deployment.spans.sampled_out, span_counts(deployment.spans)),
         }
 
     @pytest.mark.parametrize("scenario", ("hotspot", "migrate", "churn"))

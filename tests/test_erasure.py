@@ -6,11 +6,11 @@ import pytest
 
 from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.ring import Ring
-from repro.store.erasure import (
-    ErasureConfig,
+from repro.store.erasure import ErasureConfig, group_availability_probability
+from tests.oracles import (
     equivalent_configs,
     fragment_holders,
-    group_availability_probability,
+    fragment_size,
     key_available_erasure,
     task_availability_probability,
 )
@@ -41,8 +41,8 @@ class TestConfig:
         assert (config.total, config.needed) == (4, 1)
 
     def test_fragment_size(self):
-        assert ErasureConfig(6, 2).fragment_size(8192) == 4096
-        assert ErasureConfig(6, 3).fragment_size(8192) == 2731  # ceil
+        assert fragment_size(ErasureConfig(6, 2), 8192) == 4096
+        assert fragment_size(ErasureConfig(6, 3), 8192) == 2731  # ceil
 
 
 class TestAvailability:

@@ -22,7 +22,16 @@ from repro.store.migration import StorageCoordinator
 from repro.workloads.harvard import HarvardConfig, generate_harvard
 from repro.workloads.trace import READ
 from tests.oracles import (
-    PerKeyCoordinator, apply_ops_per_key, firing_sequence, store_state, walk,
+    PerKeyCoordinator,
+    apply_ops_per_key,
+    file_data_keys,
+    firing_sequence,
+    fs_read,
+    fs_readdir,
+    fs_stat,
+    resolve_dir,
+    store_state,
+    walk,
 )
 
 
@@ -76,7 +85,7 @@ class TestCreate:
         fs.makedirs("/a/b/c")
         ops = fs.create("/a/b/c/f", size=1000)
         dir_puts = [op for op in puts(ops) if op.kind is BlockKind.DIRECTORY]
-        chain = [fs.namespace.resolve_dir(path) for path in ("/", "/a", "/a/b", "/a/b/c")]
+        chain = [resolve_dir(fs.namespace, path) for path in ("/", "/a", "/a/b", "/a/b/c")]
         assert sorted(op.key for op in dir_puts) == sorted(
             fs.scheme.directory_block_keys(directory, directory.version, 1)[0]
             for directory in chain
@@ -131,9 +140,9 @@ class TestWrite:
     def test_unchanged_blocks_keep_old_version_on_read(self, fs):
         fs.format()
         fs.create("/f", size=3 * BLOCK_SIZE)
-        keys_before = fs.file_data_keys("/f")
+        keys_before = file_data_keys(fs, "/f")
         fs.write("/f", offset=0, length=10)  # touches block 1 only
-        keys_after = fs.file_data_keys("/f")
+        keys_after = file_data_keys(fs, "/f")
         assert keys_after[0] != keys_before[0]
         assert keys_after[1:] == keys_before[1:]
 
@@ -143,7 +152,7 @@ class TestRead:
         fs.format()
         fs.makedirs("/d")
         fs.create("/d/f", size=2 * BLOCK_SIZE)
-        ops = fs.read("/d/f")
+        ops = fs_read(fs, "/d/f")
         kinds = [op.kind for op in ops]
         assert kinds[0] is BlockKind.ROOT
         assert kinds.count(BlockKind.DATA) == 2
@@ -152,27 +161,27 @@ class TestRead:
     def test_partial_read(self, fs):
         fs.format()
         fs.create("/f", size=4 * BLOCK_SIZE)
-        ops = fs.read("/f", offset=0, length=10)
+        ops = fs_read(fs, "/f", offset=0, length=10)
         assert sum(1 for op in ops if op.kind is BlockKind.DATA) == 1
 
     def test_inline_read_has_no_data_ops(self, fs):
         fs.format()
         fs.create("/tiny", size=100)
-        ops = fs.read("/tiny")
+        ops = fs_read(fs, "/tiny")
         assert all(op.kind is not BlockKind.DATA for op in ops)
 
     def test_read_missing_raises(self, fs):
         fs.format()
         with pytest.raises(NamespaceError):
-            fs.read("/ghost")
+            fs_read(fs, "/ghost")
 
     def test_read_fetches_live_versions(self, fs):
         fs.format()
         fs.create("/f", size=2 * BLOCK_SIZE)
         fs.write("/f", offset=0, length=10)
-        ops = fs.read("/f")
+        ops = fs_read(fs, "/f")
         data_keys = [op.key for op in ops if op.kind is BlockKind.DATA]
-        assert data_keys == fs.file_data_keys("/f")
+        assert data_keys == file_data_keys(fs, "/f")
 
 
 class TestRemove:
@@ -208,9 +217,9 @@ class TestRename:
         fs.makedirs("/a")
         fs.makedirs("/b")
         fs.create("/a/f", size=2 * BLOCK_SIZE)
-        before = fs.file_data_keys("/a/f")
+        before = file_data_keys(fs, "/a/f")
         fs.rename("/a/f", "/b/g")
-        assert fs.file_data_keys("/b/g") == before
+        assert file_data_keys(fs, "/b/g") == before
 
 
 class TestApplyOps:
@@ -295,7 +304,7 @@ class TestDirectoryBlockBoundaryPinned:
     def test_shrinking_across_a_block_boundary_leaks_the_old_last_block(self, fs):
         store = self.loaded(fs, self.PER_BLOCK + 1)
         assert len(store.directory) == 1 + 1 + 2 + (self.PER_BLOCK + 1)
-        directory = fs.namespace.resolve_dir("/m")
+        directory = resolve_dir(fs.namespace, "/m")
         old = fs.scheme.directory_block_keys(directory, directory.version, 2)
         leaked = old[1]
         ops = fs.remove("/m/f000")
@@ -307,7 +316,7 @@ class TestDirectoryBlockBoundaryPinned:
 
     def test_growing_across_a_block_boundary_removes_a_key_nothing_put(self, fs):
         store = self.loaded(fs, self.PER_BLOCK)
-        directory = fs.namespace.resolve_dir("/m")
+        directory = resolve_dir(fs.namespace, "/m")
         phantom = fs.scheme.directory_block_keys(directory, directory.version, 2)[1]
         ops = fs.create("/m/one-more", size=0)
         unknown = [op for op in removes(ops) if op.key not in store.directory]
@@ -322,7 +331,7 @@ class TestReaddirStat:
         fs.format()
         fs.makedirs("/a/b")
         fs.create("/a/b/f", size=100)
-        ops = fs.readdir("/a/b")
+        ops = fs_readdir(fs, "/a/b")
         assert all(op.action == "get" for op in ops)
         kinds = [op.kind for op in ops]
         assert kinds[0] is BlockKind.ROOT
@@ -330,19 +339,19 @@ class TestReaddirStat:
 
     def test_readdir_root(self, fs):
         fs.format()
-        ops = fs.readdir("/")
+        ops = fs_readdir(fs, "/")
         assert any(op.kind is BlockKind.DIRECTORY for op in ops)
 
     def test_readdir_of_file_rejected(self, fs):
         fs.format()
         fs.create("/f", size=10)
         with pytest.raises(NamespaceError):
-            fs.readdir("/f")
+            fs_readdir(fs, "/f")
 
     def test_stat_file(self, fs):
         fs.format()
         fs.create("/f", size=2 * BLOCK_SIZE)
-        info = fs.stat("/f")
+        info = fs_stat(fs, "/f")
         assert info["type"] == "file"
         assert info["size"] == 2 * BLOCK_SIZE
         assert info["blocks"] == 2
@@ -351,20 +360,20 @@ class TestReaddirStat:
     def test_stat_inline_file(self, fs):
         fs.format()
         fs.create("/tiny", size=64)
-        assert fs.stat("/tiny")["inline"] is True
+        assert fs_stat(fs, "/tiny")["inline"] is True
 
     def test_stat_directory(self, fs):
         fs.format()
         fs.makedirs("/d")
         fs.create("/d/f", size=10)
-        info = fs.stat("/d")
+        info = fs_stat(fs, "/d")
         assert info["type"] == "directory"
         assert info["entries"] == 1
 
     def test_stat_missing_rejected(self, fs):
         fs.format()
         with pytest.raises(NamespaceError):
-            fs.stat("/ghost")
+            fs_stat(fs, "/ghost")
 
 
 # ----------------------------------------------------------------------
@@ -377,8 +386,8 @@ def replay_op_stream(system):
     """``(op count, sha256 of the op reprs)`` of one fixed Harvard replay.
 
     Every ``BlockOp`` the layer emits, in order: the ops ``load_initial_image``
-    and each mutation record hand to ``apply_ops``, ``fs.read`` of each read
-    record, and a final ``fs.readdir`` of every initial directory still there.
+    and each mutation record hand to ``apply_ops``, ``fs_read`` of each read
+    record, and a final ``fs_readdir`` of every initial directory still there.
     """
     trace = generate_harvard(HarvardConfig(users=4, days=1.0, seed=7, rename_fraction=0.02))
     deployment = build_deployment(system, n_nodes=8, seed=3)
@@ -403,10 +412,10 @@ def replay_op_stream(system):
             if rec.op != READ:
                 deployment.replay_record(rec)
             elif fs.namespace.exists(rec.path):
-                record(fs.read(rec.path, rec.offset, rec.length or None))
+                record(fs_read(fs, rec.path, rec.offset, rec.length or None))
     for directory in trace.initial_dirs:
         if fs.namespace.exists(directory):
-            record(fs.readdir(directory))
+            record(fs_readdir(fs, directory))
     return count, digest.hexdigest()
 
 

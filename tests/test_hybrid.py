@@ -7,7 +7,6 @@ import pytest
 from repro.core.hybrid import (
     arc_capture_exposure,
     hybrid_replica_nodes,
-    key_available_hybrid,
     parallel_read_fanout,
     placement_holders,
     secondary_positions,
@@ -16,6 +15,7 @@ from repro.core.system import build_deployment
 from repro.dht.consistent_hashing import random_node_ids
 from repro.dht.keyspace import KEY_SPACE
 from repro.dht.ring import Ring
+from tests.oracles import key_available_hybrid
 
 
 @pytest.fixture

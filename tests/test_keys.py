@@ -8,19 +8,18 @@ from repro.core.keys import (
     FIRST_USABLE_SLOT,
     MAX_PATH_LEVELS,
     SLOT_SPACE,
-    BlockKey,
     KeyEncodingError,
     child_prefix,
     compose_block_key,
     compose_block_run,
     compose_version_run,
-    decode_key,
     encode_path_key,
     hash_slot,
     version_hash,
     volume_id,
 )
 from repro.dht.keyspace import KEY_SPACE
+from tests.oracles import BlockKey, decode_key
 
 VOL = volume_id("test-volume")
 OTHER_VOL = volume_id("other-volume")

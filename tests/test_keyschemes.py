@@ -21,7 +21,7 @@ from repro.fs.keyschemes import (
     make_scheme,
 )
 from repro.fs.namespace import Directory, Namespace, storage_identity
-from tests.oracles import create_file, mkdir, remove, rename
+from tests.oracles import create_file, mkdir, remove, rename, resolve_dir
 
 SCHEMES = ("d2", "traditional", "traditional-file")
 
@@ -70,7 +70,7 @@ class TestD2Scheme:
     def test_directory_key_precedes_children(self):
         ns, (a, _), _ = sample_namespace()
         scheme = D2KeyScheme("vol")
-        src = ns.resolve_dir("/home/alice/src")
+        src = resolve_dir(ns, "/home/alice/src")
         assert scheme.directory_block_keys(src, 1, 1)[0] < scheme.file_block_key(a, 0, 1)
 
     def test_root_key_lowest_in_volume(self):

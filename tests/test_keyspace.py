@@ -13,10 +13,10 @@ from repro.dht.keyspace import (
     hash_to_key,
     in_interval,
     interval_width,
-    key_from_bytes,
     key_to_bytes,
     validate_key,
 )
+from tests.oracles import key_from_bytes
 
 keys = st.integers(min_value=0, max_value=MAX_KEY)
 

@@ -10,6 +10,7 @@ from repro.dht.learned import SAMPLES_PER_SEGMENT, LearnedIndex
 from repro.dht.ring import Ring
 from repro.dht.routing import route
 from repro.obs.metrics import MetricsRegistry
+from tests.oracles import trained
 
 
 def build_ring(n, seed=0):
@@ -32,9 +33,9 @@ class TestTraining:
         index = LearnedIndex(ring, min_observations=64)
         index.refresh()
         train(index, ring, rng, 63)
-        assert not index.trained
+        assert not trained(index)
         train(index, ring, rng, 1)
-        assert index.trained
+        assert trained(index)
 
     def test_untrained_predict_returns_none(self):
         ring, _ = build_ring(50)
@@ -97,7 +98,7 @@ class TestPrediction:
         for _ in range(8):
             for key in keys:
                 index.observe(key, ring.successor_index(key))
-        assert index.trained
+        assert trained(index)
         hits = sum(1 for key in keys if index.lookup("n0", key).hit)
         distinct_owners = len({ring.successor(key) for key in keys})
         assert distinct_owners > 1  # the arc spans several nodes
@@ -163,9 +164,9 @@ class TestInvalidation:
         index = LearnedIndex(ring, registry=registry)
         index.refresh()
         train(index, ring, rng, 512)
-        assert index.trained
+        assert trained(index)
         ring.join("late", 12345)
-        assert not index.trained  # refresh() inside the property
+        assert not trained(index)  # refresh() inside the property
         assert index.stats()["observations"] == 0
         assert registry.counter("dht.learned.invalidate").value == 1
 
@@ -180,7 +181,7 @@ class TestInvalidation:
             outcome = index.lookup("n0", key)
             assert not outcome.hit  # predict precedes the observation
             assert outcome.result == route(ring, "n0", key)
-        assert index.trained  # the 64th observation refits
+        assert trained(index)  # the 64th observation refits
 
     def test_owner_correct_across_membership_change(self):
         ring, rng = build_ring(50, seed=5)

@@ -1,26 +1,34 @@
 """Tests for the repro.lint static-analysis suite.
 
-Every rule family gets fixture snippets that *must* trigger and snippets
-that *must not* (false-positive guards), plus the one-pass default run,
-the JSON report schema, and the exit-code contract (0 clean / 1
-violations / 2 tool error).
+Every rule gets fixture snippets that *must* trigger and snippets that
+*must not* (false-positive guards), plus the one-pass default run, the
+``# lint: allow=`` split and its audit, the JSON report schema, the
+exit-code contract (0 clean / 1 violations / 2 tool error), and the env
+knob table of ``docs/static-analysis.md``.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
+import os
+import re
 import textwrap
+from pathlib import Path
 
 from repro.lint.cli import (
     EXIT_CLEAN,
     EXIT_TOOL_ERROR,
     EXIT_VIOLATIONS,
     main,
+    render_json,
     render_text,
     run_lint,
 )
 from repro.lint.rules import RULES_BY_ID
 from repro.lint.walker import parse_module
+from tests.conftest import REPO_SRC
 
 
 def lint(tmp_path, source, name="fixture.py", companions=()):
@@ -239,6 +247,105 @@ def test_det003_self_attribute_set(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# DET004 — ambient input
+
+
+def test_det004_flags_environ_attribute(tmp_path):
+    findings = lint(tmp_path, """
+        import os
+
+        def run():
+            user = os.environ.get("USER")
+            raw = os.environb.get(b"HOME")
+            return user, raw, dict(os.environ)
+    """)
+    assert [(f.rule, f.line) for f in findings] == [
+        ("DET004", 5), ("DET004", 6), ("DET004", 7)]
+    assert "os.environ" in findings[0].message
+
+
+def test_det004_flags_environ_subscript(tmp_path):
+    findings = lint(tmp_path, """
+        import os
+
+        def run(jobs):
+            os.environ["REPRO_JOBS"] = str(jobs)
+            return os.environ["REPRO_JOBS"]
+    """)
+    assert [(f.rule, f.line) for f in findings] == [("DET004", 5), ("DET004", 6)]
+
+
+def test_det004_flags_getenv(tmp_path):
+    findings = lint(tmp_path, """
+        import os
+
+        def run():
+            return os.getenv("USER"), os.getenvb(b"HOME")
+    """)
+    assert [f.rule for f in findings] == ["DET004", "DET004"]
+    assert [f.message.split()[2] for f in findings] == ["os.getenv", "os.getenvb"]
+
+
+def test_det004_flags_from_os_import(tmp_path):
+    findings = lint(tmp_path, """
+        import os as system
+        from os import environ, getenv as env
+
+        def run():
+            return environ.get("A"), env("B"), system.environ["C"]
+    """)
+    assert [f.rule for f in findings] == ["DET004"] * 3
+
+
+def test_det004_ignores_what_is_not_the_environment(tmp_path):
+    findings = lint(tmp_path, """
+        import os
+
+        def run(config, environ):
+            return (config.environ.get("A"), environ["B"], os.path.join("a", "b"),
+                    os.cpu_count(), config.id(3))
+    """)
+    assert findings == []
+
+
+def test_det004_id_as_mapping_key_is_clean(tmp_path):
+    findings = lint(tmp_path, """
+        def run(records, memo):
+            index_of = {id(r): i for i, r in enumerate(records)}
+            first = {id(records[0]): 0}
+            memo[id(records)] = 1
+            memo.setdefault(id(first), [])
+            memo.pop(id(first), None)
+            return index_of[id(records[0])], memo.get(id(records))
+    """)
+    assert findings == []
+
+
+def test_det004_id_as_value_is_flagged(tmp_path):
+    findings = lint(tmp_path, """
+        def run(records, memo, out):
+            out.append({"ident": id(records)})
+            memo.get("key", id(out))
+            seen = id(memo) in memo
+            return [id(r) for r in records], {r: id(r) for r in records}, seen, id(out) >> 4
+    """)
+    assert [(f.rule, f.line) for f in findings] == [
+        ("DET004", 3), ("DET004", 4), ("DET004", 5), ("DET004", 6), ("DET004", 6),
+        ("DET004", 6)]
+    assert "id()" in findings[0].message
+
+
+def test_det004_inline_suppression(tmp_path):
+    findings = lint(tmp_path, """
+        import os
+
+        def jobs():
+            return os.environ.get("REPRO_JOBS", "")  # lint: allow=DET004
+    """)
+    assert findings == []
+
+
+# ---------------------------------------------------------------------------
 # whole-tree invariant: the shipped source stays clean
 
 
@@ -249,12 +356,65 @@ def test_repo_source_is_lint_clean(repo_lint_run):
     assert "0 violations" in render_text(repo_lint_run)
 
 
-# ---------------------------------------------------------------------------
-# the default run needs both rule families: neither one covers the other
+def test_repo_json_report(repo_lint_run):
+    report = json.loads(render_json(repo_lint_run, [REPO_SRC]))
+    assert report["version"] == 3
+    assert set(report["summary"]) == {"DET001", "DET002", "DET003", "DET004"}
+    assert set(report["summary"].values()) == {0}
+    assert report["stale_suppressions"] == []
+    # Every allow comment in the tree is an env knob read or written at
+    # the program's edge (the table of docs/static-analysis.md).
+    assert sorted((f["rule"], os.path.basename(f["path"]))
+                  for f in report["suppressed"]) == [
+        ("DET004", "__main__.py"), ("DET004", "executor.py"),
+        ("DET004", "report.py"), ("DET004", "scale_matrix.py"),
+        ("DET004", "scale_matrix.py"), ("DET004", "scale_matrix.py"),
+        ("DET004", "spans.py")]
 
-#: Caught by the per-file rules only: a wall-clock read and a loop over a
-#: set-typed local that reaches no sink (DET001, DET003); the loop that
-#: feeds json.dump is DET003 and DET004.
+
+# ---------------------------------------------------------------------------
+# the env knobs: the allowed DET004 sites are the documented table
+
+
+def env_var_at(finding):
+    """The variable an allowed ``os.environ`` site of the shipped tree names."""
+    tree = ast.parse(Path(finding.path).read_text())
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    site = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "environ"
+                and (node.lineno, node.col_offset + 1) == (finding.line, finding.col))
+    parent = parents[site]
+    # os.environ[KEY] or os.environ.get(KEY, ...)
+    key = parent.slice if isinstance(parent, ast.Subscript) else parents[parent].args[0]
+    if isinstance(key, ast.Constant):
+        return key.value
+    relative = os.path.relpath(finding.path, os.path.dirname(REPO_SRC))
+    module = importlib.import_module(relative[:-len(".py")].replace(os.sep, "."))
+    return getattr(module, key.id)
+
+
+def documented_knobs():
+    text = (Path(REPO_SRC).parents[1] / "docs" / "static-analysis.md").read_text(
+        encoding="utf-8")
+    section = text.split("### DET004", 1)[1].split("\n#", 1)[0]
+    return re.findall(r"^\| `\$(\w+)` \|", section, re.M)
+
+
+def test_env_knob_table_is_the_allowed_reads(repo_lint_run):
+    """An env knob that no row of the DET004 table names fails here, as
+    it fails the lint run until its read carries an allow comment."""
+    read = {env_var_at(f) for f in repo_lint_run.suppressed if f.rule == "DET004"}
+    documented = documented_knobs()
+    assert len(documented) == len(set(documented))
+    assert set(documented) == read
+
+
+# ---------------------------------------------------------------------------
+# the default run: what each rule sees that no other one does
+
+#: Caught by DET001 and DET003, not DET004: a wall-clock read and two
+#: loops over a set-typed local, one of them feeding json.dump.
 PER_FILE_FIXTURE = """
 import json
 import time
@@ -272,9 +432,9 @@ def export(rows, fh):
     return started, names
 """
 
-#: Caught by DET004 only: an environment read and an object id reach
-#: json.dump with no wall clock, entropy call or set loop on the way.
-FLOW_FIXTURE = """
+#: Caught by DET004 only: an environment read and an object id put into
+#: an exported row, with no wall clock, entropy call or set loop.
+AMBIENT_FIXTURE = """
 import json
 import os
 
@@ -299,14 +459,13 @@ def default_run(tmp_path, capsys, source):
 def test_default_run_flags_what_only_per_file_rules_see(tmp_path, capsys):
     rc, found = default_run(tmp_path, capsys, PER_FILE_FIXTURE)
     assert rc == EXIT_VIOLATIONS
-    assert found == [("DET001", 7), ("DET003", 10), ("DET003", 13),
-                     ("DET004", 14)]
+    assert found == [("DET001", 7), ("DET003", 10), ("DET003", 13)]
 
 
-def test_default_run_flags_what_only_flow_rules_see(tmp_path, capsys):
-    rc, found = default_run(tmp_path, capsys, FLOW_FIXTURE)
+def test_default_run_flags_what_only_det004_sees(tmp_path, capsys):
+    rc, found = default_run(tmp_path, capsys, AMBIENT_FIXTURE)
     assert rc == EXIT_VIOLATIONS
-    assert found == [("DET004", 10)]
+    assert found == [("DET004", 9), ("DET004", 9)]
 
 
 # ---------------------------------------------------------------------------
@@ -377,3 +536,83 @@ def test_rule_selection(tmp_path):
     target.write_text(textwrap.dedent(VIOLATING))
     assert main([str(target), "--rules", "DET002"]) == EXIT_CLEAN
     assert main([str(target), "--rules", "det001"]) == EXIT_VIOLATIONS
+
+
+# ---------------------------------------------------------------------------
+# Allow comments: applied once a run, and every one must be load-bearing
+
+
+def test_audit_passes_on_live_suppression(tmp_path, capsys):
+    path = tmp_path / "fixture.py"
+    path.write_text(textwrap.dedent("""
+        import time
+
+        def run():
+            return time.time()  # lint: allow=DET001
+    """))
+    assert main([str(path)]) == EXIT_CLEAN
+    assert "1 suppressed, 0 stale suppressions" in capsys.readouterr().out
+
+
+def test_audit_flags_stale_suppression(tmp_path, capsys):
+    path = tmp_path / "fixture.py"
+    path.write_text(textwrap.dedent("""
+        import time
+
+        def run():
+            return time.perf_counter()  # lint: allow=DET001
+    """))
+    assert main([str(path)]) == EXIT_VIOLATIONS
+    out = capsys.readouterr().out
+    assert "stale" in out and "DET001" in out
+
+
+def test_audit_flags_unknown_rule(tmp_path, capsys):
+    path = tmp_path / "fixture.py"
+    path.write_text("x = 1  # lint: allow=ZZZ001\n")
+    assert main([str(path)]) == EXIT_VIOLATIONS
+    assert "unknown rule" in capsys.readouterr().out
+
+
+def test_stale_and_unknown_allows_fail_the_default_run(tmp_path, capsys):
+    path = tmp_path / "fixture.py"
+    path.write_text(textwrap.dedent("""
+        import os
+
+        def export(rows):
+            # lint: allow=DET004
+            root = os.path.join("out", "rows")
+            return root, len(rows)  # lint: allow=NOPE01
+    """))
+    assert main([str(path), "--json"]) == EXIT_VIOLATIONS
+    report = json.loads(capsys.readouterr().out)
+    assert report["findings"] == []
+    assert report["stale_suppressions"] == [
+        f"{path}:5: allow=DET004 is stale — DET004 does not fire on the "
+        f"line it covers",
+        f"{path}:7: allow=NOPE01 names an unknown rule",
+    ]
+    # Under --rules only the rules that ran are audited; an unknown id
+    # is wrong whatever runs.
+    assert main([str(path), "--rules", "DET001"]) == EXIT_VIOLATIONS
+    out = capsys.readouterr().out
+    assert "allow=NOPE01" in out and "allow=DET004" not in out
+
+
+def test_docstring_mention_is_not_a_suppression(tmp_path):
+    # The directive must sit in a real comment token; prose that merely
+    # mentions the syntax neither suppresses nor counts for the audit.
+    path = tmp_path / "fixture.py"
+    path.write_text(textwrap.dedent('''
+        """Docs: write `# lint: allow=DET001` above the offending line."""
+
+        import time
+
+        def run():
+            return time.time()
+    '''))
+    module = parse_module(str(path))
+    assert module.allow_comments == []
+    run = run_lint([module])
+    assert [f.rule for f in run.findings] == ["DET001"]
+    assert run.stale == []

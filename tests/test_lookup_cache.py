@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.lookup_cache import AdaptiveSizer, CacheBudget, LookupCache
 from repro.dht.keyspace import MAX_KEY
 from repro.dht.ring import Ring
-from tests.oracles import ScanLookupCache
+from tests.oracles import ScanLookupCache, cache_entries
 
 
 class TestProbeInsert:
@@ -89,7 +89,7 @@ class TestTTL:
         cache.insert(90, 95, "n6", now=199.0)
         assert cache.stats.evictions == 1
         cache.insert(96, 99, "n7", now=250.0)   # n3, n4 and n5 have lapsed; n6 has not
-        assert [e.node for e in cache.entries()] == ["n6", "n7"]
+        assert [e.node for e in cache_entries(cache)] == ["n6", "n7"]
         assert cache.stats.evictions == 4
 
 
@@ -279,7 +279,7 @@ class TestMembershipEpochChecks:
         cache.insert(lo, hi, "b", now=0.0)
         ring.change_position("c", 350)
         cache.probe(hi, now=1.0)
-        (entry,) = cache.entries()
+        (entry,) = cache_entries(cache)
         assert entry.version == ring.version
 
     def test_crash_mid_replay_regression(self):
@@ -468,7 +468,7 @@ class TestIncrementalIndex:
                 continue
             call = (*args, now) if op != "invalidate" else tuple(args)
             assert getattr(cache, op)(*call) == getattr(oracle, op)(*call), (op, call)
-            assert cache.entries() == oracle.entries()
+            assert cache_entries(cache) == cache_entries(oracle)
             assert cache.stats == oracle.stats
             patched = index_of(cache)
             cache._reindex()
@@ -481,7 +481,7 @@ class TestIncrementalIndex:
             cache.insert(lo, lo + 50, "n", now=0.0)
         cache.insert(120, 150, "m", now=1.0)  # same range end: a replacement
         cache.invalidate(320)
-        assert [(e.lo, e.hi) for e in cache.entries()] == [
+        assert [(e.lo, e.hi) for e in cache_entries(cache)] == [
             (120, 150), (500, 550), (700, 750), (900, 950),
         ]
         assert cache._min_lo[:-1] == [120, 500, 700, 900]
@@ -530,7 +530,7 @@ class TestAnswersArc:
                 ring.change_position(*args)
             elif op == "advance":
                 now += args[0]
-            for entry in cache.entries():
+            for entry in cache_entries(cache):
                 if entry.expires_at > now and cache._answers_arc(entry, ring):
                     for key in range(entry.lo + 1, entry.hi + 1):
                         assert cache._find(key) is entry, (entry, key)

@@ -19,9 +19,13 @@ from repro.store import repair as repair_module
 from repro.store.migration import StorageCoordinator
 from repro.store.repair import RepairScheduler
 from repro.workloads.harvard import HarvardConfig, generate_harvard
-from tests.oracles import PerKeyRepairScheduler, job_state, pending_entries
-
-
+from tests.oracles import (
+    PerKeyRepairScheduler,
+    job_state,
+    pending_entries,
+    physical_holder,
+    span_counts,
+)
 def key_at(thousandth):
     return thousandth * (KEY_SPACE // 1000)
 
@@ -68,7 +72,7 @@ class TestJoin:
         assert "newbie" in ring
         sim.run(until=7200.0)
         for key in keys:
-            assert store.physical_holder(key) == ring.successor(key)
+            assert physical_holder(store, key) == ring.successor(key)
             assert group_fully_held(ring, repair, key)
         assert repair.stats.lost_keys == 0
 
@@ -96,7 +100,7 @@ class TestGracefulLeave:
         assert repair.stats.lost_keys == 0
         for key in keys:
             assert key in store.directory
-            assert store.physical_holder(key) == ring.successor(key)
+            assert physical_holder(store, key) == ring.successor(key)
             assert group_fully_held(ring, repair, key)
             assert "n2" not in repair.tracker.holders_of(key)
 
@@ -119,7 +123,7 @@ class TestGracefulLeave:
         assert repair.stats.lost_keys == 0
         assert repair.stats.handoff_bytes == 500
         sim.run(until=7200.0)
-        assert store.physical_holder(key) == ring.successor(key)
+        assert physical_holder(store, key) == ring.successor(key)
 
 
 class TestCrash:
@@ -134,7 +138,7 @@ class TestCrash:
         assert repair.stats.completed > 0
         for key in keys:
             assert key in store.directory
-            assert store.physical_holder(key) == ring.successor(key)
+            assert physical_holder(store, key) == ring.successor(key)
             assert group_fully_held(ring, repair, key)
             assert "n2" not in repair.tracker.holders_of(key)
 
@@ -169,7 +173,7 @@ class TestCrash:
         # The voided records' arcs re-adopted and eventually stabilized
         # under the survivors; no key is left dangling.
         for key in keys:
-            assert store.physical_holder(key) == ring.successor(key)
+            assert physical_holder(store, key) == ring.successor(key)
 
 
 class TestRepairWindow:
@@ -339,7 +343,7 @@ class TestRepairBurstsMatchPerKey:
             "stats": repair.stats,
             "metrics": deployment.metrics.snapshot(),
             "events": deployment.tracer.counts(),
-            "spans": (spans.started, spans.finished, spans.counts(), spans.to_dicts()),
+            "spans": (spans.started, spans.finished, span_counts(spans), spans.to_dicts()),
             "series": health.bank.stats(),
             "health": health.drain(),
         }

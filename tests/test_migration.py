@@ -8,9 +8,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.store.block_store import BlockDirectoryError
 from repro.store.migration import SECONDS_PER_DAY, StorageCoordinator, TrafficLedger
-from tests.oracles import store_state
-
-
+from tests.oracles import physical_holder, store_state
 def make_system(positions=(100, 200, 300, 400), **kwargs):
     ring = Ring()
     for i, pos in enumerate(positions):
@@ -28,7 +26,7 @@ class TestWritePath:
         ring, sim, store = make_system()
         key = key_at(150)
         store.write(key, 8192)
-        assert store.physical_holder(key) == ring.successor(key) == "n1"
+        assert physical_holder(store, key) == ring.successor(key) == "n1"
         assert store.ledger.total_written == 8192
 
     def test_overwrite_accounts_at_least_size(self):
@@ -54,7 +52,7 @@ class TestCommit:
         store.write(old, 500)
         store.commit([(a, 100), (b, 200), (a, 300)], [old, key_at(999)])
         assert store.directory.size_of(a) == 300 and store.directory.size_of(b) == 200
-        assert (store.physical_holder(a), store.physical_holder(b)) == ("n1", "n3")
+        assert (physical_holder(store, a), physical_holder(store, b)) == ("n1", "n3")
         assert store.ledger.total_written == 500 + 600
         assert store.metrics.get("store.writes").value == 4
         assert old in store.directory and sim.pending() == 2  # one event per key...
@@ -75,7 +73,7 @@ class TestCommit:
         ring, sim, store = make_system()
         store.commit([(key_at(k), 10) for k in range(1, 900, 7)])
         assert not ring._owner_memo
-        assert store.physical_holder(key_at(8)) == ring.successor(key_at(8))
+        assert physical_holder(store, key_at(8)) == ring.successor(key_at(8))
 
     @pytest.mark.parametrize("bad, error", [
         ((-1, 10), ValueError), ((KEY_SPACE, 10), ValueError),
@@ -249,12 +247,12 @@ class TestMoves:
         store.execute_move("n0", split)
         assert ring.successor(keys[0]) == "n0"
         # Data has NOT moved yet: still physically on n1.
-        assert store.physical_holder(keys[0]) == "n1"
+        assert physical_holder(store, keys[0]) == "n1"
         assert store.ledger.total_migrated == 0
         assert store.pointer_block_count() == 2
         # After stabilization the bytes move exactly once.
         sim.run(until=3601.0)
-        assert store.physical_holder(keys[0]) == "n0"
+        assert physical_holder(store, keys[0]) == "n0"
         assert store.ledger.total_migrated == 2000
         assert store.pointer_block_count() == 0
 
@@ -265,7 +263,7 @@ class TestMoves:
             store.write(key, 1000)
         store.execute_move("n0", keys[1])
         assert store.ledger.total_migrated == 2000
-        assert store.physical_holder(keys[0]) == "n0"
+        assert physical_holder(store, keys[0]) == "n0"
 
     def test_pointer_chain_moves_bytes_once(self):
         """B takes from A, D takes from B before stabilizing: bytes move
@@ -282,9 +280,9 @@ class TestMoves:
         # Two keys changed owner (150 -> n4, 155 -> n0); each moved exactly
         # once, directly from A, even though responsibility moved twice.
         assert store.ledger.total_migrated == 2000
-        assert store.physical_holder(keys[0]) == "n4"
-        assert store.physical_holder(keys[1]) == "n0"
-        assert store.physical_holder(keys[2]) == "n1"
+        assert physical_holder(store, keys[0]) == "n4"
+        assert physical_holder(store, keys[1]) == "n0"
+        assert physical_holder(store, keys[2]) == "n1"
 
     def test_writes_after_adoption_cost_nothing(self):
         ring, sim, store = make_system(pointer_stabilization_time=3600.0)
@@ -296,7 +294,7 @@ class TestMoves:
         # A write into the adopted range goes straight to the new owner.
         third = key_at(151)
         store.write(third, 1000)
-        assert store.physical_holder(third) == "n0"
+        assert physical_holder(store, third) == "n0"
         sim.run(until=3601.0)
         # Only the two pre-move blocks migrated.
         assert store.ledger.total_migrated == 2000
@@ -309,7 +307,7 @@ class TestMoves:
         store.execute_move("n0", key_at(250))
         assert ring.successor(mine) == "n1"
         sim.run(until=11.0)
-        assert store.physical_holder(mine) == "n1"
+        assert physical_holder(store, mine) == "n1"
         assert store.ledger.total_migrated == 777
 
     def test_flush_all_pointers(self):

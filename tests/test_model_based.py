@@ -25,6 +25,10 @@ from tests.oracles import (
     ScanLookupCache,
     SortedDictDirectory,
     apply_ops_per_key,
+    cache_entries,
+    file_data_keys,
+    fs_read,
+    fs_stat,
     store_state,
     walk,
 )
@@ -90,7 +94,7 @@ class LookupCacheMachine(RuleBasedStateMachine):
     @invariant()
     def same_state(self):
         cache, oracle = self.caches
-        assert cache.entries() == oracle.entries()
+        assert cache_entries(cache) == cache_entries(oracle)
         assert cache.stats == oracle.stats, (cache.stats, oracle.stats)
         assert cache.stats.hits + cache.stats.misses == cache.stats.lookups
 
@@ -322,7 +326,7 @@ class BlockPlanMachine(RuleBasedStateMachine):
     share one).  A put adds a block, a remove must name a key a live put
     emitted and takes one away, the root is rewritten in place.  With no
     removal grace period the store directory is then exactly the keys with
-    a live block, and ``fs.read`` / ``Deployment.read_fetches`` /
+    a live block, and ``fs_read`` / ``Deployment.read_fetches`` /
     ``file_data_keys`` all name those same keys.
     """
 
@@ -382,7 +386,7 @@ class BlockPlanMachine(RuleBasedStateMachine):
         files = self.paths(FileNode)
         if files:
             path = files[pick % len(files)]
-            offset %= self.fs.stat(path)["size"] + 1
+            offset %= fs_stat(self.fs, path)["size"] + 1
             self.apply(self.fs.write(path, offset, length))
 
     @rule(pick=picks)
@@ -409,7 +413,7 @@ class BlockPlanMachine(RuleBasedStateMachine):
         if not files:
             return
         path = files[pick % len(files)]
-        ops = self.fs.read(path, offset, length)
+        ops = fs_read(self.fs, path, offset, length)
         assert all(op.action == "get" and self.live[op.key] > 0 for op in ops)
         kinds = [op.kind for op in ops]
         parents = path.count("/")
@@ -426,11 +430,11 @@ class BlockPlanMachine(RuleBasedStateMachine):
             key for key, blocks in self.live.items() if blocks
         }
         for path in self.paths(FileNode):
-            whole = self.fs.read(path)
-            assert self.fs.file_data_keys(path) == [
+            whole = fs_read(self.fs, path)
+            assert file_data_keys(self.fs, path) == [
                 op.key for op in whole if op.kind is BlockKind.DATA
             ]
-            stat = self.fs.stat(path)
+            stat = fs_stat(self.fs, path)
             assert sum(op.size for op in whole if op.kind is BlockKind.DATA) == (
                 0 if stat["inline"] else stat["size"]
             )

@@ -6,9 +6,7 @@ from repro.core.keys import FIRST_USABLE_SLOT, MAX_PATH_LEVELS
 from repro.fs.fslayer import DhtFileSystem
 from repro.fs.keyschemes import make_scheme
 from repro.fs.namespace import Directory, Namespace, NamespaceError, split_path
-from tests.oracles import create_file, mkdir, remove, rename, walk
-
-
+from tests.oracles import create_file, mkdir, remove, rename, resolve_dir, walk
 def makedirs(ns, path):
     """mkdir -p on *ns*, through the one a run calls: ``DhtFileSystem.makedirs``."""
     fs = DhtFileSystem(make_scheme("d2", "vol"))
@@ -35,7 +33,7 @@ class TestCreate:
     def test_mkdir_and_resolve(self):
         ns = Namespace()
         mkdir(ns, "/home")
-        assert isinstance(ns.resolve_dir("/home"), Directory)
+        assert isinstance(resolve_dir(ns, "/home"), Directory)
 
     def test_create_file(self):
         ns = Namespace()
@@ -57,7 +55,7 @@ class TestCreate:
     def test_makedirs(self):
         ns = Namespace()
         makedirs(ns, "/a/b/c")
-        assert isinstance(ns.resolve_dir("/a/b/c"), Directory)
+        assert isinstance(resolve_dir(ns, "/a/b/c"), Directory)
 
     def test_makedirs_idempotent(self):
         ns = Namespace()
@@ -96,7 +94,7 @@ class TestSlots:
         ns = Namespace()
         makedirs(ns, "/a/b")
         node = create_file(ns, "/a/b/f")
-        b = ns.resolve_dir("/a/b")
+        b = resolve_dir(ns, "/a/b")
         assert node.slot_path[:-1] == b.slot_path
         assert len(node.slot_path) == 3
 
@@ -114,7 +112,7 @@ class TestSlots:
         for i in range(MAX_PATH_LEVELS + 2):
             path += f"/d{i}"
             mkdir(ns, path)
-        leaf = ns.resolve_dir(path)
+        leaf = resolve_dir(ns, path)
         assert len(leaf.slot_path) == MAX_PATH_LEVELS
         assert len(leaf.overflow) == 2
 
@@ -172,12 +170,12 @@ class TestRename:
         makedirs(ns, "/a")
         makedirs(ns, "/b")
         node = create_file(ns, "/a/f")
-        slot = ns.resolve_dir("/a").child_slots["f"]
+        slot = resolve_dir(ns, "/a").child_slots["f"]
         rename(ns, "/a/f", "/b/f")
         fresh = create_file(ns, "/a/new")
         # The new file must NOT reuse the renamed-away slot: the moved
         # file's keys still embed it.
-        assert ns.resolve_dir("/a").child_slots["new"] != slot
+        assert resolve_dir(ns, "/a").child_slots["new"] != slot
 
     def test_rename_directory_moves_subtree(self):
         ns = Namespace()

@@ -11,7 +11,7 @@ from repro.core.lookup_cache import AdaptiveSizer
 from repro.core.system import build_deployment
 from repro.fs.blocks import BLOCK_SIZE
 from repro.sim.network import LatencyModel
-from tests.oracles import warm_record_per_fetch
+from tests.oracles import cache_entries, warm_record_per_fetch
 
 
 @pytest.fixture
@@ -158,7 +158,7 @@ def warm_side(system, caches):
 def warm_state(harness):
     deployment = harness.deployment
     clients = {
-        user: (client.lookup_cache.entries(), client.lookup_cache.stats,
+        user: (cache_entries(client.lookup_cache), client.lookup_cache.stats,
                client.lookup_cache.capacity, client.lookup_cache.ttl,
                dict(client.buffer_cache))
         for user, client in harness.clients.items()

@@ -36,7 +36,7 @@ from repro.obs.tracecli import (
 )
 from repro.obs.stream import JsonlWriter
 from repro.sim.network import LatencyModel
-from tests.oracles import EmittingTracer
+from tests.oracles import EmittingTracer, span_counts
 
 
 _ATTRS = st.dictionaries(st.sampled_from("abc"), st.integers(0, 9), max_size=2)
@@ -122,7 +122,7 @@ class TestTracer:
         for i in range(20):
             tracer.finish(tracer.start_trace("op", float(i)), float(i))
         assert tracer.sampled_out == 0
-        assert tracer.counts() == {"op": 20}
+        assert span_counts(tracer) == {"op": 20}
 
     def test_instant_records_what_start_then_finish_records(self):
         def run(instant):
@@ -133,7 +133,7 @@ class TestTracer:
                     tracer.instant("copy", float(i), key=i)
                 else:
                     tracer.finish(tracer.start_trace("copy", float(i), key=i), float(i))
-            return (tracer.started, tracer.finished, tracer.sampled_out, tracer.counts(),
+            return (tracer.started, tracer.finished, tracer.sampled_out, span_counts(tracer),
                     tracer.to_dicts(), events.counts())
 
         assert run(True) == run(False)
@@ -179,7 +179,7 @@ class TestTracer:
             (tracer, events, _), (oracle, oracle_events, _) = sides
             assert events.counts() == oracle_events.counts()
             assert events.emitted == oracle_events.emitted == sum(events.counts().values())
-            assert tracer.counts() == oracle.counts()
+            assert span_counts(tracer) == span_counts(oracle)
             assert (tracer.started, tracer.finished, tracer.sampled_out) == (
                 oracle.started, oracle.finished, oracle.sampled_out)
             assert tracer.to_dicts() == oracle.to_dicts()
@@ -197,7 +197,7 @@ class TestTracer:
         for i in range(10):
             tracer.finish(tracer.start_trace("op", float(i)), float(i))
         assert len(tracer) == 4
-        assert tracer.counts() == {"op": 10}
+        assert span_counts(tracer) == {"op": 10}
         assert tracer.started - len(tracer) == 6  # rotated out unexported
 
     def test_env_sample_rate_parsing(self, monkeypatch):
@@ -433,7 +433,7 @@ class TestEndToEndWiring:
 
     def test_route_hops_and_transfer_spans_present(self):
         deployment, _ = self._traced_read()
-        counts = deployment.spans.counts()
+        counts = span_counts(deployment.spans)
         assert counts.get("dht.hop", 0) >= 1
         assert counts.get("dht.route", 0) >= 1
         assert counts["tcp.transfer"] == counts["transfer"]
@@ -465,7 +465,7 @@ class TestEndToEndWiring:
                 deployment.fs.create(f"/f{i}.dat", size=16_000)
             )
         deployment.stabilize()
-        counts = deployment.spans.counts()
+        counts = span_counts(deployment.spans)
         assert counts.get("balance.move", 0) >= 1
         assert counts.get("pointer.adopt", 0) >= 1
         spans = deployment.spans.to_dicts()

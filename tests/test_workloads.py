@@ -8,6 +8,7 @@ from repro.workloads.shift import SCENARIOS, shift_stream
 from repro.workloads.trace import CREATE, DELETE, READ, RENAME, WRITE
 from repro.workloads.web import WebConfig, WebUniverse, generate_web, reversed_domain
 import random
+from tests.oracles import fs_read
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,7 @@ class TestHarvard:
         for record in harvard.records:
             try:
                 if record.op == READ:
-                    fs.read(record.path, record.offset, record.length or None)
+                    fs_read(fs, record.path, record.offset, record.length or None)
                 elif record.op == WRITE:
                     if fs.namespace.exists(record.path):
                         fs.write(record.path, record.offset, record.length)
