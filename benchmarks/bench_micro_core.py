@@ -832,18 +832,19 @@ def test_accel_count_gate(monkeypatch):
 
     Counted, not timed, on a small ``all``/``hotspot`` accel cell (64
     nodes, 40 directories a phase, 12 clients, 1 500 + 2 500 lookups,
-    seed 11; spans at the default rate 1.0), with Python ``call`` events
+    seed 11; spans at the default rate 1/16), with Python ``call`` events
     of ``benchmarks/callcount.py`` from the first lookup to the end of the
     cell (the span export and the metrics snapshot included):
 
     * no ``EventTracer.emit`` for a span boundary or a probe outcome: the
       event tracer reads those counts from the span tracer and the caches;
-    * no ``Tracer.__bool__`` per lookup (one, for the export), no
+    * no ``Tracer.__bool__`` (a tracer is tested against ``None``), no
       ``LookupCache._lookup`` (every probe of this cell is answered from
       the bisect point) and no ``_count`` or ``Span.annotate`` on a hit,
       and the export formats every span in one ``_span_dicts`` call;
     * Python calls into ``src/repro`` per lookup stay within the measured
-      13.35 plus a quarter; the code this replaced made 30.71.
+      12.11 plus a quarter (13.35 with every root kept); the code this
+      replaced made 30.71.
     """
     import repro
     from repro.analysis import accel as accel_cell
@@ -870,7 +871,7 @@ def test_accel_count_gate(monkeypatch):
         counter.__exit__()
     assert len(lookups) == result.lookups == 4000 and result.cache_hits > 3000, result.row()
     assert counter.of(EventTracer.emit) < len(lookups) / 20, counter.of(EventTracer.emit)
-    assert counter.of(Tracer.__bool__) <= 1  # the export's
+    assert counter.of(Tracer.__bool__) == 0
     assert counter.of(LookupCache._lookup) == 0
     # A miss counts itself, its insert and at most one eviction, and is
     # annotated thrice; a hit does neither.
@@ -880,5 +881,37 @@ def test_accel_count_gate(monkeypatch):
     assert counter.of(_span_dicts) == 1  # the export's, for every span at once
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     per_lookup = sum(counter.by_package(src).values()) / len(lookups)
-    bound = 13.35 * 1.25
+    bound = 12.11 * 1.25
     assert per_lookup <= bound, f"{per_lookup:.2f} Python calls per lookup (bound {bound:.2f})"
+
+
+def test_accel_unsampled_root_count_gate():
+    """Shape gate: an unsampled ``accel.lookup`` root costs one tracer call.
+
+    Counted, not timed: at the default rate 1/16 a tracer keeps its first
+    root, then one in 16.  The 15 lookups after the first are unsampled:
+    each makes exactly one call into ``repro.obs.spans`` (the
+    ``start_trace`` that counts it), builds no :class:`Span` and leaves
+    the buffer as it was, while the event tracer still counts every root.
+    """
+    from repro.core.accel import LookupAccelerator
+    from repro.obs import spans as obs_spans
+    from repro.obs.events import EventTracer
+    from repro.obs.metrics import MetricsRegistry
+
+    ring, rng = build_ring(32, seed=3)
+    tracer = obs_spans.Tracer(sample=obs_spans.DEFAULT_SAMPLE)
+    events = EventTracer(MetricsRegistry(), tracer)
+    accel = LookupAccelerator(ring, mode="all", spans=tracer)
+    keys = [rng.randrange(KEY_SPACE) for _ in range(16)]
+    assert accel.lookup("c0", "n0", keys[0], now=0.0) is not None  # root 1: kept
+    assert tracer.started == len(tracer) == 1
+    with CallCounter() as counter:
+        for index, key in enumerate(keys[1:], start=1):
+            accel.lookup("c0", "n0", key, now=float(index))
+    spans_file = obs_spans.__file__
+    calls = {code.co_name: n for code, n in counter.counts.items()
+             if code.co_filename == spans_file}
+    assert calls == {"start_trace": 15}, calls
+    assert tracer.started == len(tracer) == 1  # no Span built
+    assert events.counts()["span.start"] == events.counts()["span.finish"] == 16

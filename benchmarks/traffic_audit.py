@@ -12,7 +12,10 @@ The audit then lists each function defined under ``src/repro`` (found with
 dataclass methods are not counted) whose code object no run entered, by
 module, with its line count.  A name on that list is read by no run: it is
 a candidate for deletion unless a test oracle, a CI step or a benchmark gate
-needs it.
+needs it.  A name that a call in ``src/repro`` still spells (``x.name(...)``
+or ``name(...)``, matched by name alone) is marked as having a *static
+caller*: it is unreached by these runs, not dead, and deleting it breaks
+the branch that calls it.
 
 The runs are the CLI front doors (``python -m repro all|accel|scale|list``),
 every benchmark workload at seed 11 through the worker module, untraced and
@@ -33,7 +36,7 @@ import sys
 import tempfile
 import time
 from collections import defaultdict
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -135,33 +138,52 @@ def child(out_path: str, kind: str, target: str, argv: List[str]) -> None:
             json.dump(called, fh)
 
 
+def modules() -> Iterator[Tuple[str, str, ast.Module]]:
+    """(module, absolute path, parsed tree) for every file of src/repro."""
+    for folder, _, files in os.walk(PACKAGE):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path) as fh:
+                    tree = ast.parse(fh.read(), path)
+                yield os.path.relpath(path, SRC)[:-3].replace(os.sep, "."), path, tree
+
+
 def functions() -> Dict[Tuple[str, int], Tuple[str, str, int]]:
     """(absolute path, first line) -> (module, qualname, line count) for src/repro."""
     found: Dict[Tuple[str, int], Tuple[str, str, int]] = {}
-    for folder, _, files in os.walk(PACKAGE):
-        for name in sorted(files):
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(folder, name)
-            module = os.path.relpath(path, SRC)[:-3].replace(os.sep, ".")
-            with open(path) as fh:
-                tree = ast.parse(fh.read(), path)
+    for module, path, tree in modules():
 
-            def visit(node: ast.AST, prefix: str) -> None:
-                for sub in ast.iter_child_nodes(node):
-                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        first = min([sub.lineno] + [d.lineno for d in sub.decorator_list])
-                        qualname = prefix + sub.name
-                        found[(path, first)] = (module, qualname,
-                                                (sub.end_lineno or sub.lineno) - first + 1)
-                        visit(sub, qualname + ".<locals>.")
-                    elif isinstance(sub, ast.ClassDef):
-                        visit(sub, prefix + sub.name + ".")
-                    else:
-                        visit(sub, prefix)
+        def visit(node: ast.AST, prefix: str) -> None:
+            for sub in ast.iter_child_nodes(node):
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([sub.lineno] + [d.lineno for d in sub.decorator_list])
+                    qualname = prefix + sub.name
+                    found[(path, first)] = (module, qualname,
+                                            (sub.end_lineno or sub.lineno) - first + 1)
+                    visit(sub, qualname + ".<locals>.")
+                elif isinstance(sub, ast.ClassDef):
+                    visit(sub, prefix + sub.name + ".")
+                else:
+                    visit(sub, prefix)
 
-            visit(tree, "")
+        visit(tree, "")
     return found
+
+
+def static_callers() -> Dict[str, Set[str]]:
+    """Simple function name -> the modules of src/repro holding a call that
+    spells it, as ``name(...)`` or ``<expr>.name(...)``."""
+    callers: Dict[str, Set[str]] = defaultdict(set)
+    for module, _, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    callers[func.id].add(module)
+                elif isinstance(func, ast.Attribute):
+                    callers[func.attr].add(module)
+    return callers
 
 
 def main() -> int:
@@ -200,6 +222,7 @@ def main() -> int:
                 called.update((path, line) for path, line in json.load(fh))
 
     defined = functions()
+    callers = static_callers()
     by_module: Dict[str, List[Tuple[str, int]]] = defaultdict(list)
     for key, (module, qualname, lines) in sorted(defined.items()):
         if key not in called:
@@ -208,11 +231,13 @@ def main() -> int:
     lines = sum(n for v in by_module.values() for _, n in v)
     print(f"{uncalled} of {len(defined)} functions in src/repro never called "
           f"({lines} lines) over {len(plan)} runs\n")
-    print("| module | function | lines |")
-    print("|---|---|---|")
+    print("| module | function | lines | static caller |")
+    print("|---|---|---|---|")
     for module in sorted(by_module):
         for qualname, n in by_module[module]:
-            print(f"| `{module}` | `{qualname}` | {n} |")
+            spelled = sorted(callers.get(qualname.rsplit(".", 1)[-1], ()))
+            caller = ", ".join(f"`{name}`" for name in spelled) if spelled else "none"
+            print(f"| `{module}` | `{qualname}` | {n} | {caller} |")
     return 0
 
 

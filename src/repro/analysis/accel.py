@@ -262,7 +262,7 @@ def run_accel_cell(
         ops_per_sec=total_ops / wall if wall > 0 else 0.0,
         peak_rss_kb=_rss_kb(),
         metrics=deployment.observability_snapshot(),
-        trace=deployment.spans.to_dicts() if deployment.spans else None,
+        trace=deployment.spans.to_dicts(),
     )
 
 

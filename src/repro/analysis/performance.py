@@ -229,13 +229,15 @@ class PerformanceHarness:
         client.buffer_cache[ident] = (now, key)
 
         spans = self.spans
-        root = spans.start_trace("fetch", now, user=user, key=key, bytes=nbytes) if spans else None
+        root = spans.start_trace("fetch", now)
+        if root is not None:
+            root.attrs = {"user": user, "key": key, "bytes": nbytes}
 
         # One ring lookup: the replica group, whose first member is the owner.
         replicas = self.deployment.ring.successors(key, self.deployment.config.replica_count)
         owner = replicas[0]
         lookup_latency = 0.0
-        lookup_span = spans.start_span("lookup", now, root) if root else None
+        lookup_span = None if root is None else spans.start_span("lookup", now, root)
         cache_owner = client.lookup_cache.probe(key, now, span=lookup_span)
         self.lookups += 1
         if cache_owner is None:
@@ -244,7 +246,7 @@ class PerformanceHarness:
         elif cache_owner != owner:
             # Stale entry: one wasted round trip, then a real lookup.
             lookup_latency = self.latency.rtt(client.node, cache_owner)
-            if lookup_span:
+            if lookup_span is not None:
                 stale_span = spans.start_span(
                     "lookup.stale_probe", now, lookup_span, node=cache_owner
                 )
@@ -254,7 +256,7 @@ class PerformanceHarness:
                 client.node, key, now + lookup_latency, parent=lookup_span
             )
             self._cache_owner_range(client, owner, now)
-        if lookup_span:
+        if lookup_span is not None:
             spans.finish(lookup_span, now + lookup_latency)
 
         # Download from a random replica (Section 9.3: D2 selects replicas
@@ -265,7 +267,7 @@ class PerformanceHarness:
         link = self._server_link(server)
         contention_done = link.reserve(arrival, nbytes)
         transfer_span = None
-        if root:
+        if root is not None:
             transfer_span = spans.start_span(
                 "transfer", download_start, root, server=server, bytes=nbytes
             )
@@ -279,7 +281,7 @@ class PerformanceHarness:
         )
         queued_finish = contention_done + self.latency.one_way(server, client.node)
         finish = max(arrival + result.duration, queued_finish)
-        if transfer_span:
+        if transfer_span is not None:
             if queued_finish > arrival + result.duration:
                 queue_span = spans.start_span(
                     "queue.wait", arrival, transfer_span, server=server
@@ -291,7 +293,7 @@ class PerformanceHarness:
                 )
                 spans.finish(response_span, finish)
             spans.finish(transfer_span, finish)
-        if root:
+        if root is not None:
             spans.finish(root, finish)
         self._h_fetch_latency.observe(finish - now)
         return finish - now
@@ -299,17 +301,17 @@ class PerformanceHarness:
     def _routed_lookup(self, source: str, key: int, now: float, parent=None) -> float:
         """Recursive lookup latency: hop legs plus the response leg."""
         spans = self.spans
-        route_span = spans.start_span("dht.route", now, parent) if parent else None
+        route_span = None if parent is None else spans.start_span("dht.route", now, parent)
         result = route(
             self.deployment.ring, source, key,
-            tracer=spans if route_span else None, parent=route_span,
+            tracer=spans, parent=route_span,
             now=now, leg_time=self.latency.one_way,
         )
         self.lookup_messages += result.messages
         self._h_route_messages.observe(result.messages)
         latency = self.latency.path_latency(result.path)
         response_leg = self.latency.one_way(result.path[-1], source)
-        if route_span:
+        if route_span is not None:
             route_span.annotate(hops=result.hops, owner=result.owner)
             response_span = spans.start_span(
                 "dht.response", now + latency, route_span,
@@ -423,7 +425,7 @@ def run_performance(
         cache_misses=misses,
         per_user_miss_rate=per_user_rates,
         metrics=deployment.observability_snapshot(),
-        trace=deployment.spans.to_dicts() if deployment.spans else None,
+        trace=deployment.spans.to_dicts(),
     )
 
 

@@ -118,7 +118,7 @@ class LookupAccelerator:
         self.adaptive = mode in ("cache+adaptive", "all")
         self.seed = seed
         self._registry = registry
-        self._spans = spans or None  # a tracer sampling nothing is dropped here
+        self._spans = spans
         self.budget = CacheBudget(BUDGET_ENTRIES) if self.adaptive else None
         self.learned: Optional[LearnedIndex] = None
         if mode in ("cache+learned", "all"):
@@ -169,13 +169,13 @@ class LookupAccelerator:
         """
         self._c_lookups.inc()
         spans = self._spans
-        if spans is None:
-            span = None
-        elif phase is None:
-            span = spans.start_trace("accel.lookup", now, client=client, mode=self.mode)
-        else:
-            span = spans.start_trace("accel.lookup", now, client=client, mode=self.mode,
-                                     phase=phase)
+        # An unsampled root costs its count alone: attrs only for a kept one.
+        span = None if spans is None else spans.start_trace("accel.lookup", now)
+        if span is not None:
+            if phase is None:
+                span.attrs = {"client": client, "mode": self.mode}
+            else:
+                span.attrs = {"client": client, "mode": self.mode, "phase": phase}
         stale = False
         extra = 0
         cache = None
@@ -187,7 +187,7 @@ class LookupAccelerator:
             if cached is not None:
                 owner = self.ring.successor(key)
                 if cached == owner:
-                    if span:
+                    if span is not None:
                         attrs = span.attrs
                         attrs["tier"] = "cache"
                         attrs["messages"] = 0
@@ -204,7 +204,7 @@ class LookupAccelerator:
             result = outcome.result
             tier = "learned" if outcome.hit else "route"
             messages = outcome.messages + extra
-            if span:
+            if span is not None:
                 span.annotate(predicted=outcome.predicted,
                               learned_hit=outcome.hit)
         else:
@@ -217,7 +217,7 @@ class LookupAccelerator:
             lo, hi = self.ring.range_of(owner)
             cache.insert(lo, hi, owner, now)
         self._c_messages.add(messages)
-        if span:
+        if span is not None:
             span.annotate(tier=tier, messages=messages, stale=stale)
             spans.finish(span, now)
         return _outcome(AccelLookup, (key, owner, tier, messages, stale))

@@ -96,9 +96,9 @@ class Deployment:
         self.config = config.validate()
         self.rng = random.Random(seed)
         self.metrics = MetricsRegistry()
-        # Span tracer: sampled per $REPRO_TRACE_SAMPLE (falsy at <= 0, so
-        # instrumented hot paths pay only a truthiness check).
-        self.spans = SpanTracer.from_env(seed=seed)
+        # Span tracer: exact root counts, span objects for the head sample
+        # of $REPRO_TRACE_SAMPLE.
+        self.spans = SpanTracer()
         self.tracer = EventTracer(self.metrics, self.spans)
         self.sim = Simulator(registry=self.metrics)
         self.ring = Ring()

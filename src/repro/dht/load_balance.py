@@ -132,7 +132,7 @@ class KargerRuhlBalancer:
         # "random-walk" uses Mercury's decentralized sampling (see
         # repro.dht.sampling), which a real node could actually execute.
         self._sampling = sampling
-        self._spans = spans  # repro.obs.spans.Tracer; falsy when disabled
+        self._spans = spans  # repro.obs.spans.Tracer, or None
         # Membership snapshot reused across probes until the ring changes
         # (probe_round used to rebuild this O(n) list for every probe).
         self._members: List[str] = []
@@ -255,21 +255,21 @@ class KargerRuhlBalancer:
             return None
         old_id = self._ring.position_of(prober)
         self.stats._counters["triggered"].inc()
-        move_span = None
-        if self._spans:
-            move_span = self._spans.start_trace(
-                "balance.move", now,
-                mover=prober, target=target,
-                mover_load=prober_load, target_load=target_load,
-            )
+        spans = self._spans
+        move_span = None if spans is None else spans.start_trace(
+            "balance.move", now,
+            mover=prober, target=target,
+            mover_load=prober_load, target_load=target_load,
+        )
         span_context = getattr(self._coordinator, "span_context", None)
-        if move_span and span_context is not None:
+        if spans is None or span_context is None:
+            self._coordinator.execute_move(prober, new_id)
+        else:
+            # Entered for a dropped move too, so its children drop with it.
             with span_context(move_span):
                 self._coordinator.execute_move(prober, new_id)
-        else:
-            self._coordinator.execute_move(prober, new_id)
-        if move_span:
-            self._spans.finish(move_span, now)
+        if move_span is not None:
+            spans.finish(move_span, now)
         record = MoveRecord(
             time=now,
             mover=prober,

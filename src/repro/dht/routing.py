@@ -118,10 +118,10 @@ def route(
     are identical to the bisect-per-level reference ``route_cold`` in
     ``tests/oracles.py``.
 
-    With a span *tracer* and a live *parent* span, one ``dht.hop`` child
+    With a span *tracer* and a kept *parent* span, one ``dht.hop`` child
     span is emitted per hop leg, starting at *now* and advancing by
     ``leg_time(from, to)`` per leg (zero-duration hops when no *leg_time*
-    is given).  A falsy tracer or parent costs one truthiness check.
+    is given).  No parent (``None``, as for a dropped root) costs one test.
     """
     table = finger_table_for(ring)
     source_index = _source_index(ring, table, source)
@@ -129,7 +129,7 @@ def route(
     path = table.walk(
         source_index, owner_index, table.ids[owner_index] == key, max_hops
     )
-    if tracer and parent:
+    if parent is not None:
         _emit_hop_spans(path, tracer, parent, now, leg_time)
     return LookupResult(key, path[-1], path)
 

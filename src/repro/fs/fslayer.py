@@ -287,14 +287,11 @@ def apply_ops(store, ops: Iterable[BlockOp]) -> Dict[str, int]:
         put_sizes,
         [key for key in removes if key not in put_sizes and key in directory],
     )
-    # One root span per flush, made once it is known to have gone through.
-    if store.spans:
-        store.spans.instant(
-            "fs.apply_ops", store.sim.now,
-            put_bytes=put_bytes,
-            get_bytes=get_bytes,
-            remove_bytes=remove_bytes,
-            puts=len(put_sizes),
-            removes=len(removes),
-        )
+    # One root per flush, made once it is known to have gone through; its
+    # attrs are built only when the span is kept.
+    span = None if store.spans is None else store.spans.instant("fs.apply_ops", store.sim.now)
+    if span is not None:
+        span.attrs = {"put_bytes": put_bytes, "get_bytes": get_bytes,
+                      "remove_bytes": remove_bytes, "puts": len(put_sizes),
+                      "removes": len(removes)}
     return {"put": put_bytes, "get": get_bytes, "remove": remove_bytes}

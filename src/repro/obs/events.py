@@ -50,7 +50,7 @@ KINDS = {
     "lookup.miss": ("lookup.misses",),
     "lookup.stale": ("lookup.stale_hits",),
     "span.start": ("roots_started",),
-    "span.finish": ("_roots_finished",),
+    "span.finish": ("roots_finished",),
 }
 
 SPAN_KINDS = ("span.start", "span.finish")

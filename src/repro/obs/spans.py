@@ -14,14 +14,19 @@ looks like::
                         ├─ tcp.transfer
                         └─ queue.wait (only when contention dominates)
 
-The :class:`Tracer` keeps a bounded ring buffer of span payloads — read by
-the exporters, through :meth:`Tracer.drain` and :meth:`Tracer.to_dicts` —
-plus *exact* per-name counts for the whole run.  Head-based sampling is
-decided once per trace (``$REPRO_TRACE_SAMPLE``, default 1.0): an
-unsampled root is the falsy :data:`NULL_SPAN`, and every child of a null
-span is null, so a dropped trace costs one RNG draw and the hot path
-otherwise pays only truthiness checks.  A tracer whose sample rate is 0 is
-itself falsy, so ``if tracer:`` guards skip instrumentation entirely.
+The :class:`Tracer` splits what it records the way Dapper does.  Its root
+counts are exact at every sample rate: every :meth:`Tracer.start_trace`
+and :meth:`Tracer.instant` numbers one root (``roots_started``, the
+``span.start`` event count).  Span objects are kept only for a head
+sample of whole traces (``$REPRO_TRACE_SAMPLE``, default 1/16), chosen
+by the root's ordinal *n* alone: root *n* is kept iff
+``ceil(n * rate) > ceil((n - 1) * rate)``, so a tracer keeps its first
+root and then one in 16, the same ones on every run and in every worker.
+An unsampled root is ``None``; every call site tests ``span is not None``
+before it annotates or parents one, so the children of a dropped root
+are dropped too, and a dropped root costs one bump of the root count.
+The kept spans sit in a bounded ring buffer of payloads, read by the
+exporters through :meth:`Tracer.drain` and :meth:`Tracer.to_dicts`.
 
 Export is JSONL (one span object per line; see :data:`SPAN_FIELDS`),
 consumed by ``python -m repro.obs trace`` for tree reconstruction,
@@ -32,13 +37,12 @@ from __future__ import annotations
 
 import math
 import os
-import random
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Union
+from typing import Deque, Dict, Iterable, List, Optional
 
 #: Environment knob for head-based sampling (fraction of traces kept).
 SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
-DEFAULT_SAMPLE = 1.0
+DEFAULT_SAMPLE = 1 / 16
 
 #: The JSONL schema: required keys of one exported span object.
 SPAN_FIELDS = ("trace_id", "span_id", "parent_id", "name", "start", "end", "attrs")
@@ -59,7 +63,6 @@ class Span:
 
     __slots__ = ("trace_no", "span_no", "parent_no", "name", "start", "end", "attrs")
 
-    sampled = True
     trace_no: int
     span_no: int
     parent_no: Optional[int]
@@ -71,22 +74,6 @@ class Span:
     def annotate(self, **attrs: object) -> "Span":
         self.attrs.update(attrs)
         return self
-
-
-class _NullSpan:
-    """Falsy stand-in for unsampled/disabled spans: every call site tests a
-    span with ``if span:`` before it annotates or parents one."""
-
-    __slots__ = ()
-
-    sampled = False
-    trace_no = span_no = parent_no = None
-    name = ""
-    start = 0.0
-    end: Optional[float] = None
-
-    def __bool__(self) -> bool:
-        return False
 
 
 def _span_dicts(spans: Iterable[Span]) -> List[Dict[str, object]]:
@@ -105,12 +92,6 @@ def _span_dicts(spans: Iterable[Span]) -> List[Dict[str, object]]:
         for span in spans
     ]
 
-
-#: The singleton null span.  ``bool(NULL_SPAN)`` is False, so call sites
-#: guard expensive annotation work with a plain truthiness check.
-NULL_SPAN = _NullSpan()
-
-SpanLike = Union[Span, _NullSpan]
 
 _new_span = object.__new__  # a Span with its slots still empty, in no Python frame
 
@@ -144,124 +125,117 @@ def sample_rate_from_env(default: float = DEFAULT_SAMPLE) -> float:
 
 
 class Tracer:
-    """Span factory with head sampling, bounded retention, exact counts.
+    """Span factory with exact root counts and an ordinal head sample.
 
     Parameters
     ----------
     capacity:
         Ring-buffer size for span payloads (counts stay exact past it).
     sample:
-        Fraction of traces kept, decided at :meth:`start_trace`.  ``None``
-        reads ``$REPRO_TRACE_SAMPLE`` (default 1.0).
-    seed:
-        Sampling-RNG seed; fixed so identical runs sample identically.
+        Fraction of traces kept, by root ordinal (module docstring).
+        ``None`` reads ``$REPRO_TRACE_SAMPLE`` (default 1/16).
 
     :meth:`start_trace`, :meth:`start_span`, :meth:`instant` and
     :meth:`finish` each run in one Python frame: they sit on every traced
-    operation's path, so each builds or closes its span itself.
+    operation's path, so each builds or closes its span itself.  Each
+    returns ``None`` for a span that is not kept.
     """
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        *,
-        sample: Optional[float] = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, capacity: int = 4096, *, sample: Optional[float] = None) -> None:
         if capacity < 1:
             raise SpanError("tracer capacity must be >= 1")
         self.capacity = capacity
         self.sample = (sample_rate_from_env() if sample is None
                        else _sample_rate(sample, "Tracer(sample=...)"))
-        self._rng = random.Random(seed)
         self._buffer: Deque[Span] = deque(maxlen=capacity)
-        self._counts: Dict[str, int] = {}
-        # One number names a trace, the next its root span, and each child
-        # span takes one more: so ``_ids - started`` is the roots started.
+        # One number names a kept trace, the next its root span, and each
+        # child span takes one more.
         self._ids = 0
-        self.started = 0      # sampled spans ever created (incl. rotated out)
-        self.finished = 0
-        self.sampled_out = 0  # root spans dropped by head sampling
-        self._roots_finished = 0  # an event tracer's ``span.finish`` count
-
-    @classmethod
-    def from_env(cls, *, capacity: int = 4096, seed: int = 0) -> "Tracer":
-        """Tracer sampling at ``$REPRO_TRACE_SAMPLE`` (falsy when that is 0)."""
-        return cls(capacity, seed=seed)
+        self.started = 0      # kept spans ever created (incl. rotated out)
+        self.finished = 0     # kept spans finished
+        self.roots_started = 0  # every root, kept or not: ``span.start``
+        self._open_roots = 0    # kept roots not yet finished
+        # Ordinal of the next root to keep (the first, unless nothing is).
+        self._keep = 1 if self.sample > 0.0 else math.inf
 
     def __bool__(self) -> bool:
-        """False when nothing is sampled: a 0-rate run pays only the ``if
-        tracer:`` truthiness check on every hot-path instrumentation site
-        (see ``benchmarks/bench_micro_spans.py``)."""
-        return self.sample > 0.0
+        """Always true: a tracer counts roots at every rate (``len`` is
+        only the buffer's)."""
+        return True
 
     def __len__(self) -> int:
         return len(self._buffer)
 
     @property
-    def roots_started(self) -> int:
-        """Sampled root spans started (each took two ids): an event
-        tracer's ``span.start`` count."""
-        return self._ids - self.started
+    def roots_finished(self) -> int:
+        """Roots finished: an event tracer's ``span.finish`` count.  Every
+        call site finishes its root in the call that started it, so an
+        unsampled root counts as finished once it is numbered."""
+        return self.roots_started - self._open_roots
+
+    def _next_kept(self, n: int) -> int:
+        """The ordinal of the first root after root *n* that is kept: the
+        least ``m`` with ``ceil(m * rate) > ceil(n * rate)``, searched up
+        from ``kept / rate``, which is never past it."""
+        rate, ceil = self.sample, math.ceil
+        kept = ceil(n * rate)
+        m = int(kept / rate)
+        while ceil(m * rate) <= kept:
+            m += 1
+        return m
 
     # ------------------------------------------------------------------
     # span creation
 
-    def start_trace(self, name: str, start: float, **attrs: object) -> SpanLike:
-        """Open a root span, applying the head-sampling decision.  The
-        caller's keyword arguments become its attributes as they are."""
-        sample = self.sample
-        if sample < 1.0 and (sample <= 0.0 or self._rng.random() >= sample):
-            self.sampled_out += 1
-            return NULL_SPAN
+    def start_trace(self, name: str, start: float, **attrs: object) -> Optional[Span]:
+        """Number a root and open its span if the head sample keeps it.
+        The caller's keyword arguments become its attributes as they are."""
+        self.roots_started = n = self.roots_started + 1
+        if n < self._keep:
+            return None
+        self._keep = self._next_kept(n)
         self._ids = ids = self._ids + 2
         span = _new_span(Span)
         span.trace_no, span.span_no, span.parent_no = ids - 1, ids, None
         span.name, span.start, span.end, span.attrs = name, float(start), None, attrs
         self._buffer.append(span)
-        counts = self._counts
-        counts[name] = counts.get(name, 0) + 1
         self.started += 1
+        self._open_roots += 1
         return span
 
-    def start_span(self, name: str, start: float, parent: SpanLike,
-                   **attrs: object) -> SpanLike:
-        """Open a child span; children of null spans are null (free)."""
-        if parent is NULL_SPAN or not parent:
-            return NULL_SPAN
+    def start_span(self, name: str, start: float, parent: Optional[Span],
+                   **attrs: object) -> Optional[Span]:
+        """Open a child span; a dropped parent (``None``) has none."""
+        if parent is None:
+            return None
         self._ids = ids = self._ids + 1
         span = _new_span(Span)
         span.trace_no, span.span_no, span.parent_no = parent.trace_no, ids, parent.span_no
         span.name, span.start, span.end, span.attrs = name, float(start), None, attrs
         self._buffer.append(span)
-        counts = self._counts
-        counts[name] = counts.get(name, 0) + 1
         self.started += 1
         return span
 
-    def instant(self, name: str, at: float, **attrs: object) -> SpanLike:
+    def instant(self, name: str, at: float, **attrs: object) -> Optional[Span]:
         """:meth:`start_trace` and :meth:`finish` at sim-time *at*, in one call."""
-        sample = self.sample
-        if sample < 1.0 and (sample <= 0.0 or self._rng.random() >= sample):
-            self.sampled_out += 1
-            return NULL_SPAN
+        self.roots_started = n = self.roots_started + 1
+        if n < self._keep:
+            return None
+        self._keep = self._next_kept(n)
         self._ids = ids = self._ids + 2
         span = _new_span(Span)
         span.trace_no, span.span_no, span.parent_no = ids - 1, ids, None
         span.name, span.attrs = name, attrs
         span.start = span.end = float(at)
         self._buffer.append(span)
-        counts = self._counts
-        counts[name] = counts.get(name, 0) + 1
         self.started += 1
         self.finished += 1
-        self._roots_finished += 1
         return span
 
-    def finish(self, span: SpanLike, end: float) -> SpanLike:
-        """Close *span* at sim-time *end*."""
-        if span is NULL_SPAN or not span:
-            return span
+    def finish(self, span: Optional[Span], end: float) -> Optional[Span]:
+        """Close *span* at sim-time *end* (a dropped span is left ``None``)."""
+        if span is None:
+            return None
         if span.end is not None:
             raise SpanError(f"span {span.name!r} already finished")
         if end < span.start:
@@ -269,7 +243,7 @@ class Tracer:
         span.end = float(end)
         self.finished += 1
         if span.parent_no is None:
-            self._roots_finished += 1
+            self._open_roots -= 1
         return span
 
     # ------------------------------------------------------------------

@@ -86,12 +86,10 @@ class NullJsonlWriter:
 def stream_spans(tracer, writer) -> int:
     """Drain *tracer*'s finished spans into *writer*; returns rows written.
 
-    A falsy tracer (sample rate 0) or one without buffered finished spans
+    A tracer without buffered finished spans (one at sample rate 0, say)
     is a cheap no-op, so call sites can invoke this unconditionally at
     every window boundary.
     """
-    if not tracer:
-        return 0
     payloads = tracer.drain()
     for payload in payloads:
         writer.write(payload)

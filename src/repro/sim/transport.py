@@ -47,7 +47,7 @@ class TcpTransport:
     """Transfer-time oracle for block downloads between named nodes.
 
     With a span *tracer* (:class:`repro.obs.spans.Tracer`), each transfer
-    performed under a live parent span records a ``tcp.transfer`` child
+    performed under a kept parent span records a ``tcp.transfer`` child
     annotated warm (window preserved) or cold (slow-start restart) — the
     distinction the paper's parallel-performance results hinge on.
     """
@@ -123,7 +123,7 @@ class TcpTransport:
 
     def _record_span(self, server: str, client: str, nbytes: int, now: float,
                      duration: float, rounds: int, restarted: bool, parent) -> None:
-        if self._spans and parent:
+        if parent is not None:
             span = self._spans.start_span(
                 "tcp.transfer", now, parent,
                 server=server, client=client, bytes=nbytes,

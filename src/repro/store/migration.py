@@ -33,6 +33,10 @@ from repro.store.pointers import PointerRange, PointerTable
 
 SECONDS_PER_DAY = 86400.0
 
+#: ``StorageCoordinator``'s span parent outside any ``span_context``: spans
+#: recorded then are roots (``None`` is a dropped parent, not this).
+_NO_CONTEXT = object()
+
 
 @dataclass
 class TrafficLedger:
@@ -132,8 +136,8 @@ class StorageCoordinator:
         self.ring = ring
         self.sim = sim
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self.spans = spans  # repro.obs.spans.Tracer; falsy/None when disabled
-        self._span_parent = None
+        self.spans = spans  # repro.obs.spans.Tracer, or None
+        self._span_parent = _NO_CONTEXT
         self._c_writes = self.metrics.counter("store.writes")
         self._c_written_bytes = self.metrics.counter("store.written_bytes")
         self._c_removes = self.metrics.counter("store.removes")
@@ -326,8 +330,10 @@ class StorageCoordinator:
         """Parent all spans recorded inside the block under *parent*.
 
         Used by the balancer so pointer-adoption spans nest inside the
-        ``balance.move`` span that caused them.  Stabilization fires later
-        via the event queue, outside any such context, and records roots.
+        ``balance.move`` span that caused them; under a dropped move
+        (*parent* ``None``) they are dropped too.  Stabilization fires
+        later via the event queue, outside any such context, and records
+        roots.
         """
         previous = self._span_parent
         self._span_parent = parent
@@ -338,14 +344,14 @@ class StorageCoordinator:
 
     def _record_span(self, name: str, **attrs) -> None:
         """Instantaneous span at ``sim.now`` (child of the active context)."""
-        if not self.spans:
+        spans, parent = self.spans, self._span_parent
+        if spans is None:
             return
-        now = self.sim.now
-        if self._span_parent:
-            span = self.spans.start_span(name, now, self._span_parent, **attrs)
-            self.spans.finish(span, now)
-        else:
-            self.spans.instant(name, now, **attrs)
+        if parent is _NO_CONTEXT:
+            spans.instant(name, self.sim.now, **attrs)
+        elif parent is not None:
+            now = self.sim.now
+            spans.finish(spans.start_span(name, now, parent, **attrs), now)
 
     def _hand_off(self, lo: int, hi: int, adopter: str) -> None:
         if self.use_pointers:

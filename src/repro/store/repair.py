@@ -206,7 +206,7 @@ class RepairScheduler:
         self.max_retries = max_retries
         self.stats = RepairStats()
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self._spans = spans or None  # a tracer sampling nothing is dropped here
+        self._spans = spans
         self._c_scheduled = self.metrics.counter("repair.scheduled")
         self._c_completed = self.metrics.counter("repair.completed")
         self._c_retries = self.metrics.counter("repair.retries")
@@ -400,10 +400,9 @@ class RepairScheduler:
             # the primary's physical placement converges here (a crash may
             # have parked it on a surviving secondary).
             self.store.reassign_physical(key, target)
-        if self._spans is not None:
-            self._spans.instant(
-                "repair.copy", self.sim.now, key=key, target=target, bytes=job.size
-            )
+        span = None if self._spans is None else self._spans.instant("repair.copy", self.sim.now)
+        if span is not None:
+            span.attrs = {"key": key, "target": target, "bytes": job.size}
 
     def _retry(self, job: RepairJob) -> None:
         key, target = job.key, job.target

@@ -5,7 +5,7 @@ source file.  Each ``old`` must occur exactly once in its file, so a
 refactor that moves the code a mutant names makes it fail loudly
 (``tests/test_mutant_catalogue.py``) instead of silently scoring nothing.
 
-Nine groups, in catalogue order:
+Ten groups, in catalogue order:
 
 * the mutants written by hand while building the ordered indexes, the
   one-commit flush, the folded read replay and the plan reuse, each
@@ -26,7 +26,9 @@ Nine groups, in catalogue order:
   of the kind table that reads another kind's counter;
 * one for the paper's claims: a projection that swaps D2 and traditional;
 * three for ambient input on a result path: an env var read into a row
-  and into a health sample, and an object's address added to a sample.
+  and into a health sample, and an object's address added to a sample;
+* one for the span tracer's head sample: a root it does not keep left
+  out of the ``span.start`` count.
 """
 
 from __future__ import annotations
@@ -161,8 +163,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        where = bisect.bisect_right(bucket, key)",
            "flush", "FlushMachine"),
     mutant("flush-wrong-annotation", FSLAYER,
-           "            removes=len(removes),",
-           "            removes=len(put_sizes),",
+           '"removes": len(removes)}',
+           '"removes": len(put_sizes)}',
            "flush", "FlushMachine"),
     mutant("flush-validate-while-mutating", FLUSH,
            ("        check_items(removes)\n",
@@ -268,7 +270,7 @@ MUTANTS: Tuple[Mutant, ...] = (
     # -- the event counts, read from the span tracer and the registry ------
     mutant("root-finish-not-counted", "src/repro/obs/spans.py",
            "        if span.parent_no is None:\n"
-           "            self._roots_finished += 1\n",
+           "            self._open_roots -= 1\n",
            "",
            "derived event count", "test_matches_the_emitting_tracer"),
     mutant("event-kind-reads-another-counter", "src/repro/obs/events.py",
@@ -299,4 +301,16 @@ MUTANTS: Tuple[Mutant, ...] = (
            'self.bank.sample("pointer.stall", now, stall, agg="max")',
            'self.bank.sample("pointer.stall", now, stall + ((id(self) >> 4) & 1), agg="max")',
            "nondeterminism: id()", "DET004"),
+    # -- the head sample: an unsampled root still counts ------------------
+    mutant("unsampled-root-not-counted", "src/repro/obs/spans.py",
+           'as they are."""\n'
+           "        self.roots_started = n = self.roots_started + 1\n"
+           "        if n < self._keep:\n"
+           "            return None\n",
+           'as they are."""\n'
+           "        n = self.roots_started + 1\n"
+           "        if n < self._keep:\n"
+           "            return None\n"
+           "        self.roots_started = n\n",
+           "derived event count", "golden event_counts.json"),
 )

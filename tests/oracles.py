@@ -14,8 +14,9 @@ shape gates of ``benchmarks/bench_micro_core.py`` time against them.
 """
 
 import hashlib
+import math
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
 from random import Random
@@ -42,7 +43,7 @@ from repro.dht.routing import LookupResult, finger_table_for, route
 from repro.fs.blocks import INLINE_DATA_THRESHOLD, data_block_count, directory_block_sizes
 from repro.fs.fslayer import _read_blocks
 from repro.fs.namespace import Directory, FileNode, NamespaceError
-from repro.obs.spans import DEFAULT_SAMPLE, NULL_SPAN, SAMPLE_ENV, Span, SpanError, Tracer
+from repro.obs.spans import DEFAULT_SAMPLE, SAMPLE_ENV, Span, SpanError, Tracer
 from repro.obs.stream import NullJsonlWriter, stream_spans
 from repro.store.block_store import BlockDirectory, BlockDirectoryError
 from repro.store.erasure import ErasureConfig, group_availability_probability
@@ -637,54 +638,65 @@ def walk(namespace):
 class EmittingTracer(Tracer):
     """The span tracer as it was: a span is opened through ``_open`` and
     exported one ``to_dict`` call at a time, the sample rate is read
-    leniently, and a root span's finish is counted where it once emitted
-    ``span.finish``, in a ``finish`` of its own — so the count an
-    :class:`EventTracer` reads from it does not rest on the tracer's."""
+    leniently, each root's head-sampling decision is the ordinal rule
+    written out (``ceil(n * rate) > ceil((n - 1) * rate)`` for root *n*),
+    and a root's finish is counted where it once emitted ``span.finish``,
+    in code of its own — an unsampled root as it is numbered — so the
+    counts an :class:`EventTracer` reads from it do not rest on the
+    tracer's."""
 
-    def __init__(self, capacity=4096, *, sample=None, seed=0):
+    def __init__(self, capacity=4096, *, sample=None):
         if sample is None:  # unset or no number: the default; NaN: nothing sampled
             try:
                 sample = float(os.environ.get(SAMPLE_ENV, "").strip() or DEFAULT_SAMPLE)
             except ValueError:
                 sample = DEFAULT_SAMPLE
-        super().__init__(capacity, sample=min(1.0, max(0.0, float(sample))), seed=seed)
+        super().__init__(capacity, sample=min(1.0, max(0.0, float(sample))))
+        self._finished_roots = 0
+
+    @property
+    def roots_finished(self):
+        return self._finished_roots
 
     def _open(self, trace_no, span_no, parent_no, name, start, attrs):
         span = Span.__new__(Span)
         span.trace_no, span.span_no, span.parent_no = trace_no, span_no, parent_no
         span.name, span.start, span.end, span.attrs = name, float(start), None, attrs
         self._buffer.append(span)
-        self._counts[name] = self._counts.get(name, 0) + 1
         self.started += 1
         return span
 
+    def _keeps_next_root(self):
+        self.roots_started += 1
+        n, rate = self.roots_started, self.sample
+        if math.ceil(n * rate) > math.ceil((n - 1) * rate):
+            return True
+        self._finished_roots += 1
+        return False
+
     def start_trace(self, name, start, **attrs):
-        if self.sample <= 0.0:
-            self.sampled_out += 1
-            return NULL_SPAN
-        if self.sample < 1.0 and self._rng.random() >= self.sample:
-            self.sampled_out += 1
-            return NULL_SPAN
+        if not self._keeps_next_root():
+            return None
         self._ids += 2
         return self._open(self._ids - 1, self._ids, None, name, start, attrs)
 
     def start_span(self, name, start, parent, **attrs):
-        if not parent:
-            return NULL_SPAN
+        if parent is None:
+            return None
         self._ids += 1
         return self._open(parent.trace_no, self._ids, parent.span_no, name, start, attrs)
 
     def instant(self, name, at, **attrs):
         span = self.start_trace(name, at, **attrs)
-        if span:
+        if span is not None:
             span.end = span.start
             self.finished += 1
-            self._roots_finished += 1
+            self._finished_roots += 1
         return span
 
     def finish(self, span, end):
-        if not span:
-            return span
+        if span is None:
+            return None
         if span.end is not None:
             raise SpanError(f"span {span.name!r} already finished")
         if end < span.start:
@@ -692,7 +704,7 @@ class EmittingTracer(Tracer):
         span.end = float(end)
         self.finished += 1
         if span.parent_no is None:
-            self._roots_finished += 1
+            self._finished_roots += 1
         return span
 
     def to_dicts(self):
@@ -875,8 +887,8 @@ def trained(index):
 
 
 def span_counts(tracer):
-    """A span tracer's exact per-name span totals, sorted by name."""
-    return dict(sorted(tracer._counts.items()))
+    """Per-name counts of a span tracer's buffered spans, sorted by name."""
+    return dict(sorted(Counter(span.name for span in tracer._buffer).items()))
 
 
 def fragment_size(config, block_size):

@@ -232,7 +232,8 @@ class TestMatchesTheChainItReplaced:
             "events": (deployment.tracer.counts(), deployment.tracer.emitted),
             "metrics": result.metrics, "spans": result.trace,
             "span_totals": (deployment.spans.started, deployment.spans.finished,
-                            deployment.spans.sampled_out, span_counts(deployment.spans)),
+                            deployment.spans.roots_started, deployment.spans.roots_finished,
+                            span_counts(deployment.spans)),
         }
 
     @pytest.mark.parametrize("scenario", ("hotspot", "migrate", "churn"))

@@ -266,7 +266,7 @@ class TestApplyOps:
         ring = Ring()
         for i in range(4):
             ring.join(f"n{i}", (i + 1) * 10**150)
-        store = StorageCoordinator(ring, Simulator(), spans=Tracer(capacity=16))
+        store = StorageCoordinator(ring, Simulator(), spans=Tracer(capacity=16, sample=1.0))
         apply_ops(store, fs.format())
         apply_ops(store, fs.create("/f", size=3 * BLOCK_SIZE))
         ops = fs.write("/f", 0, 2 * BLOCK_SIZE)

@@ -478,7 +478,7 @@ class FlushMachine(RuleBasedStateMachine):
                 ring.join(f"n{index}", 12 * index + 5)
             self.stores.append(cls(
                 ring, Simulator(registry=registry), removal_delay=removal_delay,
-                replica_count=2, registry=registry, spans=Tracer(capacity=64),
+                replica_count=2, registry=registry, spans=Tracer(capacity=64, sample=1.0),
             ))
 
     def both(self, call):

@@ -241,7 +241,7 @@ class TestScaleHarness:
             "cell": "read", "n_nodes": 32, "users": 400, "ops": 800,
             "hops": 2400, "messages": 3200, "fetches": 24281, "skipped": 7,
             "windows": 4, "checksum": "b89810c2e4996c48",
-            "streamed_rows": 4, "streamed_spans": 592, "streamed_health": 12,
+            "streamed_rows": 4, "streamed_spans": 37, "streamed_health": 12,
         }
 
     def test_read_cell_smoke(self):
@@ -584,7 +584,8 @@ class TestBenchTrajectorySchema:
 
     def test_call_ledger_validates_and_holds_the_claim(self):
         """``BENCH_calls.json``: every run adds up; the newest keeps each
-        cell at or under the one before, with the same digests; and the
+        cell at or under the one before, with the same digests (but the
+        one sampled spans moved by design); and the
         claims hold: the read-replay image load at half (``pr33``), the
         churn storm at most 1.7 M calls (``pr34``), the accel shift at
         most 0.6 of its ``pr34`` count (``pr35``)."""
@@ -607,6 +608,11 @@ class TestBenchTrajectorySchema:
         assert totals["pr34"]["churn-storm"] <= 1_700_000, totals
         assert totals["pr35"]["accel-shift"] <= 0.6 * totals["pr34"]["accel-shift"], totals
         digests = [{row["cell"]: row["digest"] for row in run["cells"]} for run in runs[-2:]]
+        if [run["label"] for run in runs[-2:]] == ["pr40", "pr42"]:
+            # The one move by design: read-replay's fingerprint holds the
+            # spans it streams, 4 096 at rate 1 and 261 at the 1/16 default.
+            assert (digests[0].pop("read-replay"), digests[1].pop("read-replay")) == (
+                "b901e9041a561d09", "4b268b5da558fe3a")
         assert digests[0] == digests[1]
 
     def test_truncated_or_hand_edited_call_ledger_is_refused(self, tmp_path):

@@ -14,7 +14,7 @@ from repro.core.system import build_deployment
 from repro.obs.events import EventTracer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
-    NULL_SPAN,
+    DEFAULT_SAMPLE,
     SAMPLE_ENV,
     SampleRateError,
     SpanError,
@@ -110,37 +110,40 @@ class TestTracer:
         assert child["parent_id"] == root["span_id"]
 
     def test_sampling_zero_yields_null_spans(self):
+        # An unsampled span is None, and so is every child of one; the
+        # root is counted all the same.
         tracer = Tracer(sample=0.0)
         root = tracer.start_trace("fetch", 0.0)
-        assert root is NULL_SPAN and not root
-        assert tracer.start_span("lookup", 0.0, root) is NULL_SPAN
-        assert tracer.sampled_out == 1
+        assert root is None
+        assert tracer.start_span("lookup", 0.0, root) is None
+        assert tracer.finish(root, 1.0) is None
+        assert (tracer.roots_started, tracer.roots_finished, tracer.started) == (1, 1, 0)
         assert len(tracer) == 0
 
     def test_sampling_one_keeps_everything(self):
         tracer = Tracer(sample=1.0)
         for i in range(20):
             tracer.finish(tracer.start_trace("op", float(i)), float(i))
-        assert tracer.sampled_out == 0
+        assert tracer.started == tracer.roots_started == 20
         assert span_counts(tracer) == {"op": 20}
 
     def test_instant_records_what_start_then_finish_records(self):
         def run(instant):
-            tracer = Tracer(capacity=3, sample=0.5, seed=2)
+            tracer = Tracer(capacity=3, sample=0.5)
             events = EventTracer(MetricsRegistry(), tracer)
             for i in range(12):
                 if instant:
                     tracer.instant("copy", float(i), key=i)
                 else:
                     tracer.finish(tracer.start_trace("copy", float(i), key=i), float(i))
-            return (tracer.started, tracer.finished, tracer.sampled_out, span_counts(tracer),
+            return (tracer.started, tracer.finished, tracer.roots_started, span_counts(tracer),
                     tracer.to_dicts(), events.counts())
 
         assert run(True) == run(False)
-        assert run(True)[2] > 0  # some were sampled out
+        assert run(True)[0] == 6 < run(True)[2] == 12  # half were sampled out
 
     @settings(max_examples=120, deadline=None)
-    @given(ops=TRACER_OPS, sample=st.sampled_from((0.0, 0.5, 1.0)),
+    @given(ops=TRACER_OPS, sample=st.sampled_from((0.0, 0.3, 0.5, DEFAULT_SAMPLE, 1.0)),
            capacity=st.sampled_from((3, 64)))
     def test_matches_the_emitting_tracer(self, ops, sample, capacity):
         # The one-frame tracer against the one it replaced (tests/oracles.py),
@@ -148,7 +151,7 @@ class TestTracer:
         # calls give the same answers, errors, counts, event counts and exports.
         sides = []
         for cls in (Tracer, EmittingTracer):
-            tracer = cls(capacity, sample=sample, seed=3)
+            tracer = cls(capacity, sample=sample)
             sides.append((tracer, EventTracer(MetricsRegistry(), tracer), []))
 
         def apply(tracer, events, opened, op):
@@ -167,11 +170,11 @@ class TestTracer:
             name, at, attrs, parent = args
             if kind == "span":
                 span = tracer.start_span(name, at, opened[parent % len(opened)] if opened
-                                         else NULL_SPAN, **attrs)
+                                         else None, **attrs)
             else:
                 span = getattr(tracer, kind)(name, at, **attrs)
             opened.append(span)
-            return span is NULL_SPAN
+            return span is None
 
         for op in ops:
             got, expected = (apply(*side, op) for side in sides)
@@ -180,25 +183,40 @@ class TestTracer:
             assert events.counts() == oracle_events.counts()
             assert events.emitted == oracle_events.emitted == sum(events.counts().values())
             assert span_counts(tracer) == span_counts(oracle)
-            assert (tracer.started, tracer.finished, tracer.sampled_out) == (
-                oracle.started, oracle.finished, oracle.sampled_out)
+            assert (tracer.started, tracer.finished, tracer.roots_started,
+                    tracer.roots_finished) == (oracle.started, oracle.finished,
+                                               oracle.roots_started, oracle.roots_finished)
             assert tracer.to_dicts() == oracle.to_dicts()
 
     def test_sampling_is_deterministic_across_runs(self):
-        def sampled(seed):
-            tracer = Tracer(sample=0.5, seed=seed)
-            return [bool(tracer.start_trace("op", float(i))) for i in range(50)]
+        # The head sample is the root's ordinal alone: the first root, then
+        # one in 1/rate, the same ones on every run, whichever way the
+        # roots are made.
+        def kept(rate, roots=200):
+            tracer = Tracer(sample=rate)
+            picks = []
+            for n in range(1, roots + 1):
+                make = tracer.instant if n % 3 else tracer.start_trace
+                if make("op", float(n)) is not None:
+                    picks.append(n)
+            return picks
 
-        assert sampled(3) == sampled(3)
-        assert sampled(3) != sampled(4)  # different seed, different picks
+        assert kept(DEFAULT_SAMPLE) == list(range(1, 201, 16)) == kept(DEFAULT_SAMPLE)
+        assert kept(0.5) == list(range(1, 201, 2))
+        assert kept(0.0) == [] and kept(1.0) == list(range(1, 201))
+        for rate in (0.1, 0.3, 1 / 3, 0.7, 0.999):
+            assert kept(rate, 1000) == [
+                n for n in range(1, 1001) if math.ceil(n * rate) > math.ceil((n - 1) * rate)
+            ], rate
 
     def test_bounded_retention_keeps_exact_counts(self):
-        tracer = Tracer(capacity=4, sample=1.0)
-        for i in range(10):
+        tracer = Tracer(capacity=4, sample=0.5)
+        events = EventTracer(MetricsRegistry(), tracer)
+        for i in range(20):
             tracer.finish(tracer.start_trace("op", float(i)), float(i))
-        assert len(tracer) == 4
-        assert span_counts(tracer) == {"op": 10}
+        assert len(tracer) == 4 and span_counts(tracer) == {"op": 4}
         assert tracer.started - len(tracer) == 6  # rotated out unexported
+        assert events.counts() == {"span.finish": 20, "span.start": 20}  # exact
 
     def test_env_sample_rate_parsing(self, monkeypatch):
         monkeypatch.setenv(SAMPLE_ENV, "0.25")
@@ -212,9 +230,9 @@ class TestTracer:
             with pytest.raises(SampleRateError, match=repr(bad)):
                 sample_rate_from_env()
             with pytest.raises(SampleRateError, match=SAMPLE_ENV):
-                Tracer.from_env()
+                Tracer()
         monkeypatch.delenv(SAMPLE_ENV)
-        assert sample_rate_from_env() == 1.0
+        assert sample_rate_from_env() == DEFAULT_SAMPLE == 1 / 16
 
     def test_sample_argument_must_be_a_number(self):
         for bad in (math.nan, "junk", object()):
@@ -222,10 +240,10 @@ class TestTracer:
                 Tracer(sample=bad)
         assert Tracer(sample=-1).sample == 0.0 and Tracer(sample=math.inf).sample == 1.0
 
-    def test_from_env_zero_gives_null_tracer(self, monkeypatch):
+    def test_env_zero_keeps_no_span_but_counts_roots(self, monkeypatch):
         monkeypatch.setenv(SAMPLE_ENV, "0")
-        tracer = Tracer.from_env()
-        assert not tracer and tracer.start_trace("fetch", 0.0) is NULL_SPAN
+        tracer = Tracer()
+        assert tracer.start_trace("fetch", 0.0) is None and tracer.roots_started == 1
 
     def test_drained_spans_are_not_dropped(self):
         tracer = Tracer(sample=1.0)
@@ -246,9 +264,9 @@ class TestTracer:
 
     def test_children_of_null_span_stay_null_and_hold_no_reference(self):
         tracer = Tracer(sample=1.0)
-        child = tracer.start_span("lookup", 0.0, NULL_SPAN)
-        assert child is NULL_SPAN
-        assert tracer.start_span("hop", 0.0, child) is NULL_SPAN
+        child = tracer.start_span("lookup", 0.0, None)
+        assert child is None
+        assert tracer.start_span("hop", 0.0, child) is None
         assert len(tracer) == 0 and tracer.started == 0
         # A live span holds ids only, no reference to its parent object.
         assert not any(name.startswith("_") for name in type(root_span(0.0)[1]).__slots__)
@@ -296,13 +314,13 @@ class TestTracer:
         assert len(lines) == 2
         assert all(validate_span_dict(p) == [] for p in lines)
 
-    def test_null_tracer_is_free_and_falsy(self):
+    def test_zero_rate_tracer_keeps_nothing_and_stays_truthy(self):
+        # Truthy at every rate (it still counts), though its buffer is empty.
         tracer = Tracer(sample=0.0)
-        assert not tracer
-        root = tracer.start_trace("fetch", 0.0)
-        assert root is NULL_SPAN
-        assert tracer.finish(root, 1.0) is NULL_SPAN
-        assert tracer.to_dicts() == []
+        assert tracer and len(tracer) == 0
+        assert tracer.instant("copy", 0.0) is None
+        assert tracer.to_dicts() == [] and tracer.drain() == []
+        assert (tracer.roots_started, tracer.roots_finished) == (1, 1)
 
 
 class TestTraceCli:
@@ -449,10 +467,10 @@ class TestEndToEndWiring:
     def test_sampling_zero_deployment_emits_nothing(self, monkeypatch):
         monkeypatch.setenv(SAMPLE_ENV, "0")
         deployment = build_deployment("d2", 8, seed=2)
-        assert not deployment.spans
         deployment.bootstrap_volume()
         deployment.apply_fs_ops(deployment.fs.create("/f", size=10_000))
         assert deployment.spans.to_dicts() == []
+        assert deployment.tracer.counts()["span.start"] == deployment.spans.roots_started > 0
 
     def test_balancer_move_produces_pointer_children(self):
         deployment = build_deployment("d2", 12, seed=3)
@@ -554,7 +572,7 @@ class TestWorkloadPhaseGrouping:
         ring = Ring()
         for i in range(8):
             ring.join(f"n{i}", (i + 1) * (KEY_SPACE // 9))
-        tracer = Tracer(sample=1.0, seed=1)
+        tracer = Tracer(sample=1.0)
         accel = LookupAccelerator(ring, mode="none", spans=tracer)
         accel.lookup("c0", "n0", KEY_SPACE // 3, now=1.0, phase="shift")
         accel.lookup("c0", "n0", KEY_SPACE // 2, now=2.0)

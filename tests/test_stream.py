@@ -52,7 +52,7 @@ class TestJsonlWriter:
 
 class TestDrain:
     def test_drain_pops_only_finished(self):
-        tracer = Tracer(sample=1.0, seed=1)
+        tracer = Tracer(sample=1.0)
         root = tracer.start_trace("root", 0.0)
         child = tracer.start_span("child", 0.5, root)
         tracer.finish(child, 1.0)
@@ -63,7 +63,7 @@ class TestDrain:
         assert [d["name"] for d in tracer.drain()] == ["root"]
 
     def test_repeated_drains_see_each_span_once(self):
-        tracer = Tracer(sample=1.0, seed=1)
+        tracer = Tracer(sample=1.0)
         seen = []
         for i in range(5):
             root = tracer.start_trace(f"t{i}", float(i))
@@ -74,7 +74,7 @@ class TestDrain:
         assert tracer.finished == 5  # cumulative stats survive draining
 
     def test_drained_payloads_validate(self):
-        tracer = Tracer(sample=1.0, seed=1)
+        tracer = Tracer(sample=1.0)
         root = tracer.start_trace("op", 0.0, kind="test")
         tracer.finish(root, 1.0)
         for payload in tracer.drain():
@@ -83,7 +83,7 @@ class TestDrain:
 
 class TestStreamSpans:
     def test_streams_to_writer(self, tmp_path):
-        tracer = Tracer(sample=1.0, seed=1)
+        tracer = Tracer(sample=1.0)
         path = tmp_path / "spans.jsonl"
         with JsonlWriter(str(path)) as writer:
             for i in range(3):
@@ -100,7 +100,7 @@ class TestStreamSpans:
 
     def test_bounded_memory(self):
         """Draining every window keeps the buffer from accumulating."""
-        tracer = Tracer(capacity=64, sample=1.0, seed=1)
+        tracer = Tracer(capacity=64, sample=1.0)
         writer = NullJsonlWriter()
         for i in range(500):
             root = tracer.start_trace("op", float(i))
@@ -193,7 +193,7 @@ class TestDrainComposesWithTraceCli:
         from repro.obs.tracecli import build_forest, load_spans
 
         # Run A: drain after every trace into numbered segment files.
-        tracer = Tracer(sample=1.0, seed=7)
+        tracer = Tracer(sample=1.0)
         segments = []
         for index, _ in enumerate(self._run_workload(tracer)):
             path = tmp_path / f"segment{index}.jsonl"
@@ -204,7 +204,7 @@ class TestDrainComposesWithTraceCli:
         assert not tracer.drain()  # everything exported
 
         # Run B: identical workload, exported whole at the end.
-        control = Tracer(sample=1.0, seed=7)
+        control = Tracer(sample=1.0)
         for _ in self._run_workload(control):
             pass
         whole = str(tmp_path / "whole.jsonl")
